@@ -20,9 +20,14 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# bench-module vets and tests bench/, the BENCHMARK.json harness: a
+# module of its own (replace micronets => ../) that ./... does not reach.
+.PHONY: bench-module
+bench-module:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
 # lint = go vet + gofmt + microvet (the repo-specific analyzer suite;
-# see docs/ANALYSIS.md). microvet subsumes the old docs_lint.sh package-
-# comment check via its pkgdoc analyzer.
+# see docs/ANALYSIS.md).
 lint:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -99,4 +104,4 @@ profile:
 loadgen:
 	$(GO) run ./cmd/loadgen
 
-ci: build lint test bench-smoke fuzz-smoke serve-smoke mesh-smoke cover
+ci: build lint test bench-smoke bench-module fuzz-smoke serve-smoke mesh-smoke cover

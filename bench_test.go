@@ -167,12 +167,12 @@ func benchInvoke(b *testing.B, name string, eng kernels.Engine) {
 
 // BenchmarkInvoke* compare the naive direct-convolution kernels
 // (kernels.Reference) against the parallel im2col+GEMM engine
-// (kernels.Gemm) on KWS- and VWW-shaped models. The acceptance bar for
+// (kernels.Default) on KWS- and VWW-shaped models. The acceptance bar for
 // the engine is ≥2× on the VWW model:
 //
 //	go test -bench=BenchmarkInvoke
 func BenchmarkInvokeKWSSReference(b *testing.B) { benchInvoke(b, "MicroNet-KWS-S", kernels.Reference) }
-func BenchmarkInvokeKWSSParallel(b *testing.B)  { benchInvoke(b, "MicroNet-KWS-S", kernels.Gemm) }
+func BenchmarkInvokeKWSSParallel(b *testing.B)  { benchInvoke(b, "MicroNet-KWS-S", kernels.Default) }
 
 // BenchmarkInvokeKWSSProfiledHook is the same invoke with a per-op timer
 // installed. Compare against BenchmarkInvokeKWSSParallel to bound the
@@ -180,7 +180,7 @@ func BenchmarkInvokeKWSSParallel(b *testing.B)  { benchInvoke(b, "MicroNet-KWS-S
 // path (a single nil check), so the disabled cost is ~0.
 func BenchmarkInvokeKWSSProfiledHook(b *testing.B) {
 	m := loweredModel(b, "MicroNet-KWS-S")
-	ip, err := tflm.NewInterpreterWithEngine(m, 0, kernels.Gemm)
+	ip, err := tflm.NewInterpreterWithEngine(m, 0, kernels.Default)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -197,9 +197,9 @@ func BenchmarkInvokeKWSSProfiledHook(b *testing.B) {
 	}
 }
 func BenchmarkInvokeKWSLReference(b *testing.B) { benchInvoke(b, "MicroNet-KWS-L", kernels.Reference) }
-func BenchmarkInvokeKWSLParallel(b *testing.B)  { benchInvoke(b, "MicroNet-KWS-L", kernels.Gemm) }
+func BenchmarkInvokeKWSLParallel(b *testing.B)  { benchInvoke(b, "MicroNet-KWS-L", kernels.Default) }
 func BenchmarkInvokeVWWReference(b *testing.B)  { benchInvoke(b, "MicroNet-VWW-1", kernels.Reference) }
-func BenchmarkInvokeVWWParallel(b *testing.B)   { benchInvoke(b, "MicroNet-VWW-1", kernels.Gemm) }
+func BenchmarkInvokeVWWParallel(b *testing.B)   { benchInvoke(b, "MicroNet-VWW-1", kernels.Default) }
 
 // BenchmarkInvokeBatchKWSS measures the batched API, which amortizes
 // plan setup and input copies across a batch of 16.

@@ -151,15 +151,13 @@ func writeJSON(id, report string, rows []experiments.EngineRow, searchRows, fina
 		}
 		payload = map[string]any{"experiment": id, "frontier": searchRows, "finalists": finalistRows}
 	} else if id == "engine" && rows != nil {
-		flat := make([]engineJSONRow, 0, 3*len(rows))
+		flat := make([]engineJSONRow, 0, 2*len(rows))
 		for _, r := range rows {
 			flat = append(flat,
 				engineJSONRow{Model: r.Model, Engine: "reference", NsPerOp: int64(r.ReferenceS * 1e9),
 					MMACs: float64(r.MACs) / 1e6, Speedup: 1, ExactMatch: r.AgreeOut},
-				engineJSONRow{Model: r.Model, Engine: "gemm", NsPerOp: int64(r.GemmS * 1e9),
+				engineJSONRow{Model: r.Model, Engine: "gemm16", NsPerOp: int64(r.DefaultS * 1e9),
 					MMACs: float64(r.MACs) / 1e6, Speedup: r.Speedup, ExactMatch: r.AgreeOut},
-				engineJSONRow{Model: r.Model, Engine: "gemm16", NsPerOp: int64(r.WideS * 1e9),
-					MMACs: float64(r.MACs) / 1e6, Speedup: r.WideSpeedup, ExactMatch: r.AgreeOut},
 			)
 		}
 		payload = map[string]any{"experiment": id, "rows": flat}

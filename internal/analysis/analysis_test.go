@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bufio"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -184,9 +185,8 @@ func TestRealTreeCleanAndCovered(t *testing.T) {
 		"micronets/internal/tflm.Interpreter.InvokeBatchInto",
 		"micronets/internal/serve.Batcher.flush",
 		"micronets/internal/serve.Pool.Get",
-		"micronets/internal/kernels.gemmStoreRows",
 		"micronets/internal/kernels.gemmStoreRowsWide",
-		"micronets/internal/kernels.gemmDensePanels",
+		"micronets/internal/kernels.gemmStoreTailRows",
 		"micronets/internal/kernels.gemmDensePanelsWide",
 		"micronets/internal/kernels.Conv2D",
 		"micronets/internal/kernels.Parallel.For",
@@ -194,6 +194,34 @@ func TestRealTreeCleanAndCovered(t *testing.T) {
 		if !hot.Reachable[key] {
 			t.Errorf("hotpathalloc must cover %s (the AllocsPerRun gate measures it)", key)
 		}
+	}
+
+	// Every stop boundary is a reviewable claim, so the set is pinned: a
+	// new one (or a stale one left behind by a deleted path) fails here.
+	wantStops := map[string]bool{
+		"micronets/internal/serve.Pool.grow":  true,
+		"micronets/internal/kernels.initPool": true,
+		"micronets/internal/obs.Trace.Add":    true,
+	}
+	stops := 0
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if _, stop := docHas(fd.Doc, stopPrefix); stop {
+					stops++
+					if key := funcKey(pkg.Path, fd); !wantStops[key] {
+						t.Errorf("unexpected microvet:hotpath-stop on %s", key)
+					}
+				}
+			}
+		}
+	}
+	if stops != len(wantStops) {
+		t.Errorf("module carries %d hotpath-stop directives, want exactly %d", stops, len(wantStops))
 	}
 }
 

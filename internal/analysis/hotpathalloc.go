@@ -18,12 +18,10 @@ import (
 //   - static calls and function-value references resolve through
 //     go/types objects;
 //   - interface method calls widen by class-hierarchy analysis over
-//     every module-local named type (this is how eng.Conv2D inside a
-//     bound closure reaches the ref and gemm engines);
+//     every module-local named type;
 //   - when a package first contributes a hot function, functions
 //     referenced from its package-level var initializers join the set
-//     (this is how the engine function-pointer tables — gemmStoreRows,
-//     gemmDensePanels and the wide variants — become hot);
+//     (so a function-pointer dispatch table cannot hide its targets);
 //   - a `//microvet:hotpath-stop <reason>` doc directive marks a
 //     deliberate slow-path boundary (lazy pool growth, opt-in tracing)
 //     that traversal does not cross.

@@ -4,9 +4,9 @@ import (
 	"strings"
 )
 
-// PkgDoc ports scripts/docs_lint.sh: every first-class package must
-// carry a `// Package <name> ...` doc comment attached to a package
-// clause (conventionally in doc.go). This is the CI teeth behind
+// PkgDoc requires that every first-class package carry a
+// `// Package <name> ...` doc comment attached to a package clause
+// (conventionally in doc.go). This is the CI teeth behind
 // docs/ARCHITECTURE.md — a package can't join the public story without
 // documenting itself.
 type PkgDoc struct {
@@ -16,8 +16,7 @@ type PkgDoc struct {
 	Packages []string
 }
 
-// NewPkgDoc returns the analyzer with the production package list: the
-// docs_lint.sh set plus the packages added since.
+// NewPkgDoc returns the analyzer with the production package list.
 func NewPkgDoc() *PkgDoc {
 	return &PkgDoc{Packages: []string{
 		"internal/analysis",

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -13,20 +14,18 @@ import (
 )
 
 // EngineRow is one model's host-side kernel-engine comparison: wall time
-// per inference on the naive Reference kernels, the scalar parallel
-// im2col+GEMM engine, and the 16-wide unrolled microkernel variant — all
-// bit-exact by construction (the parity tests enforce it; this experiment
-// re-checks the full output as a smoke signal).
+// per inference on the naive Reference kernels and on kernels.Default
+// (parallel im2col+GEMM, 16-wide microkernel) — bit-exact by construction
+// (the parity tests enforce it; this experiment re-checks the full output
+// as a smoke signal).
 type EngineRow struct {
 	Model      string
 	MACs       int64
 	ReferenceS float64
-	GemmS      float64
-	WideS      float64
-	// Speedup is gemm vs reference; WideSpeedup is wide vs reference.
-	Speedup     float64
-	WideSpeedup float64
-	AgreeOut    bool
+	DefaultS   float64
+	// Speedup is default vs reference.
+	Speedup  float64
+	AgreeOut bool
 }
 
 // engineTime returns the best-of-runs single-inference wall time for one
@@ -52,7 +51,7 @@ func engineTime(m *graph.Model, eng kernels.Engine, batch [][]int8, runs int) (f
 	return best, outs[len(outs)-1], nil
 }
 
-// EngineComparison measures Reference vs Gemm inference time for the
+// EngineComparison measures Reference vs Default inference time for the
 // named zoo models on this host. batch inputs per run amortize setup;
 // the reported time is the best of 3 runs per engine.
 func EngineComparison(names []string, seed int64) ([]EngineRow, error) {
@@ -80,32 +79,17 @@ func EngineComparison(names []string, seed int64) ([]EngineRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		gemmS, gemmOut, err := engineTime(m, kernels.Gemm, batch, 3)
+		defS, defOut, err := engineTime(m, kernels.Default, batch, 3)
 		if err != nil {
 			return nil, err
-		}
-		wideS, wideOut, err := engineTime(m, kernels.Wide, batch, 3)
-		if err != nil {
-			return nil, err
-		}
-		agree := len(refOut) == len(gemmOut) && len(refOut) == len(wideOut)
-		if agree {
-			for i := range refOut {
-				if refOut[i] != gemmOut[i] || refOut[i] != wideOut[i] {
-					agree = false
-					break
-				}
-			}
 		}
 		rows = append(rows, EngineRow{
-			Model:       name,
-			MACs:        m.TotalMACs(),
-			ReferenceS:  refS,
-			GemmS:       gemmS,
-			WideS:       wideS,
-			Speedup:     refS / gemmS,
-			WideSpeedup: refS / wideS,
-			AgreeOut:    agree,
+			Model:      name,
+			MACs:       m.TotalMACs(),
+			ReferenceS: refS,
+			DefaultS:   defS,
+			Speedup:    refS / defS,
+			AgreeOut:   slices.Equal(refOut, defOut),
 		})
 	}
 	return rows, nil
@@ -118,28 +102,19 @@ var EngineModels = []string{
 	"MicroNet-KWS-S", "MicroNet-KWS-M", "MicroNet-VWW-1", "MicroNet-VWW-2",
 }
 
-// RenderEngineComparison measures EngineModels and formats the result.
-func RenderEngineComparison(seed int64) (string, error) {
-	rows, err := EngineComparison(EngineModels, seed)
-	if err != nil {
-		return "", err
-	}
-	return RenderEngineRows(rows), nil
-}
-
 // RenderEngineRows formats already-measured engine rows as a text table,
 // letting callers render and serialize one timing run instead of paying
 // (and potentially disagreeing across) two.
 func RenderEngineRows(rows []EngineRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Host inference engines: naive direct conv vs parallel im2col+GEMM (scalar and 16-wide microkernel)\n")
-	fmt.Fprintf(&b, "%-18s %10s %12s %12s %12s %9s %9s %7s\n",
-		"model", "MMACs", "naive (ms)", "gemm (ms)", "wide (ms)", "gemm-up", "wide-up", "exact")
+	fmt.Fprintf(&b, "Host inference engines: naive direct conv (%s) vs parallel im2col+GEMM (%s)\n",
+		kernels.Reference.Name(), kernels.Default.Name())
+	fmt.Fprintf(&b, "%-18s %10s %12s %12s %9s %7s\n",
+		"model", "MMACs", "naive (ms)", "gemm (ms)", "speedup", "exact")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %10.1f %12.2f %12.2f %12.2f %8.2fx %8.2fx %7v\n",
-			r.Model, float64(r.MACs)/1e6, r.ReferenceS*1e3, r.GemmS*1e3, r.WideS*1e3,
-			r.Speedup, r.WideSpeedup, r.AgreeOut)
+		fmt.Fprintf(&b, "%-18s %10.1f %12.2f %12.2f %8.2fx %7v\n",
+			r.Model, float64(r.MACs)/1e6, r.ReferenceS*1e3, r.DefaultS*1e3, r.Speedup, r.AgreeOut)
 	}
-	b.WriteString("(all engines produce bit-identical int8 outputs; see kernels parity tests)\n")
+	b.WriteString("(both engines produce bit-identical int8 outputs; see kernels parity tests)\n")
 	return b.String()
 }

@@ -1,86 +1,46 @@
 package kernels
 
 import (
-	"fmt"
-
 	"micronets/internal/graph"
 )
 
-// Engine is one implementation of the compute-heavy kernels. Two engines
+// Engine is one implementation of the compute-heavy kernels. Exactly two
 // ship: Reference (the naive direct loops, kept as the semantic ground
-// truth) and Gemm (im2col + cache-blocked parallel int8 GEMM, the default
-// host path). Both produce bit-exact identical int8 outputs; the parity
-// tests enforce it. Elementwise ops (Add, Softmax) are engine-independent.
+// truth) and Default (im2col + cache-blocked parallel int8 GEMM with a
+// 16-wide microkernel, the host path every interpreter uses). Both
+// produce bit-exact identical int8 outputs; the parity and fuzz tests
+// enforce it. Elementwise ops (Add, Softmax) are engine-independent.
+//
+// The interface is sealed: the unexported bind methods resolve one op
+// into an allocation-free executor, and BindOp is the only way to run an
+// op on an engine.
 type Engine interface {
 	Name() string
-	// ScratchBytes reports how much scratch the engine wants for a model
-	// (0 for engines that need none); interpreters allocate exactly this
-	// much and pass it to Conv2D.
+	// ScratchBytes reports how much im2col scratch the engine wants for a
+	// model (0 for engines that need none); interpreters carve exactly
+	// this much from the arena tail and hand it over via Scratch.Im2col.
 	ScratchBytes(m *graph.Model) int
-	Conv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out, scratch []int8)
-	DWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8)
-	Dense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8)
-	AvgPool(m *graph.Model, op *graph.Op, in, out []int8)
-	MaxPool(m *graph.Model, op *graph.Op, in, out []int8)
+
+	bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func()
+	bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func()
+	bindDense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func()
+	bindAvgPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func()
+	bindMaxPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func()
 }
 
 // Reference is the naive direct-convolution engine: one quadruple-nested
 // loop per op, no parallelism, no scratch. It is the bit-exactness oracle
-// for Gemm and the baseline the Benchmark* functions compare against.
+// for Default and the baseline the Benchmark* functions compare against.
 var Reference Engine = refEngine{}
 
-// Gemm is the optimized engine: im2col into planner-provided scratch
-// tiles, register-tiled int8 GEMM over pre-packed weights, and the
-// worker pool fanned out across output tiles.
-var Gemm Engine = gemmEngine{name: "gemm", store: gemmStoreRows, dense: gemmDensePanels}
-
-// Wide shares Gemm's packing and orchestration but swaps in the 16-wide
-// unrolled dot-product microkernels (gemm_wide.go). Same packed panels,
-// same bit-exact outputs; only the inner loop differs.
-var Wide Engine = gemmEngine{name: "gemm16", store: gemmStoreRowsWide, dense: gemmDensePanelsWide}
-
-// Default is the engine used by Run and by interpreters that do not ask
-// for a specific one.
-var Default = Wide
+// Default is the one fast engine: im2col into planner-provided scratch
+// tiles, register-tiled int8 GEMM over pre-packed weights with the
+// 16-wide unrolled microkernels of gemm_wide.go, and the worker pool
+// fanned out across output tiles. Interpreters that do not ask for a
+// specific engine get this one.
+var Default Engine = gemmEngine{}
 
 type refEngine struct{}
 
 func (refEngine) Name() string                    { return "reference" }
 func (refEngine) ScratchBytes(m *graph.Model) int { return 0 }
-func (refEngine) Conv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out, _ []int8) {
-	Conv2D(m, op, ctx, in, out)
-}
-func (refEngine) DWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8) {
-	DWConv2D(m, op, ctx, in, out)
-}
-func (refEngine) Dense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8) {
-	Dense(m, op, ctx, in, out)
-}
-func (refEngine) AvgPool(m *graph.Model, op *graph.Op, in, out []int8) { AvgPool(m, op, in, out) }
-func (refEngine) MaxPool(m *graph.Model, op *graph.Op, in, out []int8) { MaxPool(m, op, in, out) }
-
-// RunWith dispatches one op on the given engine. scratch is the im2col
-// region sized by ScratchBytes (may be nil for callers that did not plan
-// one; the Gemm engine then allocates transient tiles itself).
-func RunWith(eng Engine, m *graph.Model, op *graph.Op, ctx *Ctx, bufs [][]int8, scratch []int8) error {
-	out := bufs[op.Output]
-	switch op.Kind {
-	case graph.OpConv2D:
-		eng.Conv2D(m, op, ctx, bufs[op.Inputs[0]], out, scratch)
-	case graph.OpDWConv2D:
-		eng.DWConv2D(m, op, ctx, bufs[op.Inputs[0]], out)
-	case graph.OpDense:
-		eng.Dense(m, op, ctx, bufs[op.Inputs[0]], out)
-	case graph.OpAvgPool:
-		eng.AvgPool(m, op, bufs[op.Inputs[0]], out)
-	case graph.OpMaxPool:
-		eng.MaxPool(m, op, bufs[op.Inputs[0]], out)
-	case graph.OpAdd:
-		Add(m, op, bufs[op.Inputs[0]], bufs[op.Inputs[1]], out)
-	case graph.OpSoftmax:
-		Softmax(m, op, bufs[op.Inputs[0]], out)
-	default:
-		return fmt.Errorf("kernels: op %s (%s) is not supported by the runtime", op.Name, op.Kind)
-	}
-	return nil
-}

@@ -14,68 +14,33 @@ import (
 // invoke loop is then just calling pre-bound funcs — zero allocations,
 // proven by the AllocsPerRun tests in tflm.
 
-// opBinder is implemented by engines that can prebind their ops into
-// allocation-free executors. Engines that don't implement it still work
-// through BindOp via their per-call Engine methods.
-type opBinder interface {
-	bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func()
-	bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func()
-	bindDense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func()
-	bindAvgPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func()
-	bindMaxPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func()
-}
-
 // BindOp resolves one op against an engine, a prepared context, and the
-// caller's buffers into a repeatedly-callable executor. All dispatch,
-// shape derivation, and scratch sizing happens here, once; unsupported
-// ops surface as an error at bind time instead of at invoke time. The
-// returned func reads in-place from bufs, so callers rewrite inputs
-// between invocations rather than rebinding.
+// caller's buffers into a repeatedly-callable executor — the only way an
+// op runs on an engine. All dispatch, shape derivation, and scratch
+// slicing happens here, once; unsupported ops surface as an error at
+// bind time instead of at invoke time. s must be sized for the model
+// (NewScratch, with Im2col holding eng.ScratchBytes). The returned func
+// reads in-place from bufs, so callers rewrite inputs between
+// invocations rather than rebinding.
 func BindOp(eng Engine, m *graph.Model, op *graph.Op, ctx *Ctx, bufs [][]int8, s *Scratch) (func(), error) {
 	out := bufs[op.Output]
-	b, bindable := eng.(opBinder)
 	switch op.Kind {
 	case graph.OpConv2D:
-		in := bufs[op.Inputs[0]]
-		if bindable {
-			return b.bindConv2D(m, op, ctx, in, out, s), nil
-		}
-		scratch := s.Im2col
-		return func() { eng.Conv2D(m, op, ctx, in, out, scratch) }, nil
+		return eng.bindConv2D(m, op, ctx, bufs[op.Inputs[0]], out, s), nil
 	case graph.OpDWConv2D:
-		in := bufs[op.Inputs[0]]
-		if bindable {
-			return b.bindDWConv2D(m, op, ctx, in, out, s), nil
-		}
-		return func() { eng.DWConv2D(m, op, ctx, in, out) }, nil
+		return eng.bindDWConv2D(m, op, ctx, bufs[op.Inputs[0]], out, s), nil
 	case graph.OpDense:
-		in := bufs[op.Inputs[0]]
-		if bindable {
-			return b.bindDense(m, op, ctx, in, out, s), nil
-		}
-		return func() { eng.Dense(m, op, ctx, in, out) }, nil
+		return eng.bindDense(m, op, ctx, bufs[op.Inputs[0]], out, s), nil
 	case graph.OpAvgPool:
-		in := bufs[op.Inputs[0]]
-		if bindable {
-			return b.bindAvgPool(m, op, in, out, s), nil
-		}
-		return func() { eng.AvgPool(m, op, in, out) }, nil
+		return eng.bindAvgPool(m, op, bufs[op.Inputs[0]], out, s), nil
 	case graph.OpMaxPool:
-		in := bufs[op.Inputs[0]]
-		if bindable {
-			return b.bindMaxPool(m, op, in, out, s), nil
-		}
-		return func() { eng.MaxPool(m, op, in, out) }, nil
+		return eng.bindMaxPool(m, op, bufs[op.Inputs[0]], out, s), nil
 	case graph.OpAdd:
 		x, y := bufs[op.Inputs[0]], bufs[op.Inputs[1]]
 		return func() { Add(m, op, x, y, out) }, nil
 	case graph.OpSoftmax:
 		in := bufs[op.Inputs[0]]
-		n := m.Tensors[op.Inputs[0]].Elems()
-		if len(s.F64) < n {
-			s.F64 = make([]float64, n)
-		}
-		logits := s.F64[:n]
+		logits := s.F64[:m.Tensors[op.Inputs[0]].Elems()]
 		return func() { softmaxInto(m, op, in, out, logits) }, nil
 	default:
 		return nil, fmt.Errorf("kernels: op %s (%s) is not supported by the runtime", op.Name, op.Kind)

@@ -93,21 +93,7 @@ func FuzzConv2DParity(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("fuzz built invalid model: %v", err)
 		}
-		ctx := PrepareConv(m, m.Ops[0])
-		want := make([]int8, m.Tensors[1].Elems())
-		got := make([]int8, m.Tensors[1].Elems())
-		Reference.Conv2D(m, m.Ops[0], ctx, in, want, nil)
-		for _, eng := range []Engine{Gemm, Wide} {
-			for i := range got {
-				got[i] = 0
-			}
-			eng.Conv2D(m, m.Ops[0], ctx, in, got, nil)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("conv parity: out[%d] %s=%d reference=%d (op %+v)", i, eng.Name(), got[i], want[i], m.Ops[0])
-				}
-			}
-		}
+		checkParity(t, m, in)
 	})
 }
 
@@ -123,21 +109,7 @@ func FuzzDWConv2DParity(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("fuzz built invalid model: %v", err)
 		}
-		ctx := PrepareConv(m, m.Ops[0])
-		want := make([]int8, m.Tensors[1].Elems())
-		got := make([]int8, m.Tensors[1].Elems())
-		Reference.DWConv2D(m, m.Ops[0], ctx, in, want)
-		for _, eng := range []Engine{Gemm, Wide} {
-			for i := range got {
-				got[i] = 0
-			}
-			eng.DWConv2D(m, m.Ops[0], ctx, in, got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dwconv parity: out[%d] %s=%d reference=%d (op %+v)", i, eng.Name(), got[i], want[i], m.Ops[0])
-				}
-			}
-		}
+		checkParity(t, m, in)
 	})
 }
 
@@ -172,21 +144,7 @@ func FuzzDenseParity(f *testing.F) {
 		for i := range in {
 			in[i] = int8(rng.Intn(256) - 128)
 		}
-		ctx := PrepareConv(m, op)
-		want := make([]int8, OUT)
-		got := make([]int8, OUT)
-		Reference.Dense(m, op, ctx, in, want)
-		for _, eng := range []Engine{Gemm, Wide} {
-			for i := range got {
-				got[i] = 0
-			}
-			eng.Dense(m, op, ctx, in, got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dense parity: out[%d] %s=%d reference=%d (in=%d out=%d zp=%d)", i, eng.Name(), got[i], want[i], IN, OUT, inZp)
-				}
-			}
-		}
+		checkParity(t, m, in)
 	})
 }
 

@@ -4,7 +4,7 @@ import (
 	"micronets/internal/graph"
 )
 
-// The Gemm engine lowers Conv2D to C[M×N] = A[M×K] · B[K×N] where
+// The Default engine lowers Conv2D to C[M×N] = A[M×K] · B[K×N] where
 // M = outH*outW output pixels, K = kh*kw*inC patch elements and
 // N = outC: A is built by im2col into a per-worker scratch tile, B is the
 // op's weights pre-packed at PrepareConv time into nr-wide column panels,
@@ -15,10 +15,9 @@ import (
 // the inner loop is a pure int8 dot product yet remains bit-exact with
 // the Reference engine: int32 addition wraps identically in any order.
 //
-// Two microkernels share this orchestration: the scalar 2-deep store
-// loop below, and the 16-wide unrolled variant in gemm_wide.go (the Wide
-// engine). Both consume the same packed panels, so one shared
-// PreparedModel serves either engine.
+// The microkernels (gemmStoreRowsWide, gemmDensePanelsWide) live in
+// gemm_wide.go; this file holds the packing, the orchestration, and the
+// non-GEMM ops.
 
 const (
 	// gemmTileM is the number of output pixels im2col'd per scratch tile.
@@ -29,14 +28,6 @@ const (
 	gemmMR = 4
 	gemmNR = 4
 )
-
-// storeFunc multiplies rows [0, rows) of an im2col tile against every
-// packed panel and requantizes into the output; the scalar and wide
-// microkernels are interchangeable behind it.
-type storeFunc func(a []int8, rows, k int, ctx *Ctx, op *graph.Op, out []int8, m0, n int, outZp int32)
-
-// denseFunc computes dense output panels [lo, hi).
-type denseFunc func(ctx *Ctx, op *graph.Op, in, out []int8, n, k int, outZp int32, lo, hi int)
 
 // convIsPointwise reports whether the conv is a 1×1/stride-1/no-pad
 // convolution, for which the NHWC input is already the im2col matrix.
@@ -56,7 +47,7 @@ func ScratchBytes(m *graph.Model) int {
 	return Default.ScratchBytes(m)
 }
 
-// ScratchBytes returns the Gemm engine's im2col requirement: Workers()
+// ScratchBytes returns the Default engine's im2col requirement: Workers()
 // concurrent tiles of gemmTileM patches, sized for the largest
 // non-pointwise convolution. The tflm memory planner places this region
 // after the activation arena so host-side memory accounting stays
@@ -160,99 +151,8 @@ func im2colTile(op *graph.Op, in []int8, h, w, inC int, ow, k, m0, m1 int, pad i
 	}
 }
 
-// gemmStoreRows multiplies rows [0, rows) of the im2col tile a (k-major,
-// stride k) against every packed panel and requantizes straight into
-// out[(m0+row)*n+col].
-func gemmStoreRows(a []int8, rows, k int, ctx *Ctx, op *graph.Op, out []int8, m0, n int, outZp int32) {
-	panels := (n + gemmNR - 1) / gemmNR
-	var i int
-	for i = 0; i+gemmMR <= rows; i += gemmMR {
-		a0 := a[(i+0)*k : (i+0)*k+k : (i+0)*k+k]
-		a1 := a[(i+1)*k : (i+1)*k+k : (i+1)*k+k]
-		a2 := a[(i+2)*k : (i+2)*k+k : (i+2)*k+k]
-		a3 := a[(i+3)*k : (i+3)*k+k : (i+3)*k+k]
-		for j := 0; j < panels; j++ {
-			bp := ctx.PackedW[j*k*gemmNR : j*k*gemmNR+k*gemmNR : j*k*gemmNR+k*gemmNR]
-			var c00, c01, c02, c03 int32
-			var c10, c11, c12, c13 int32
-			var c20, c21, c22, c23 int32
-			var c30, c31, c32, c33 int32
-			o := 0
-			kk := 0
-			for ; kk+2 <= k; kk += 2 {
-				b0, b1, b2, b3 := int32(bp[o]), int32(bp[o+1]), int32(bp[o+2]), int32(bp[o+3])
-				d0, d1, d2, d3 := int32(bp[o+4]), int32(bp[o+5]), int32(bp[o+6]), int32(bp[o+7])
-				o += 2 * gemmNR
-				va, vb := int32(a0[kk]), int32(a0[kk+1])
-				c00 += va*b0 + vb*d0
-				c01 += va*b1 + vb*d1
-				c02 += va*b2 + vb*d2
-				c03 += va*b3 + vb*d3
-				va, vb = int32(a1[kk]), int32(a1[kk+1])
-				c10 += va*b0 + vb*d0
-				c11 += va*b1 + vb*d1
-				c12 += va*b2 + vb*d2
-				c13 += va*b3 + vb*d3
-				va, vb = int32(a2[kk]), int32(a2[kk+1])
-				c20 += va*b0 + vb*d0
-				c21 += va*b1 + vb*d1
-				c22 += va*b2 + vb*d2
-				c23 += va*b3 + vb*d3
-				va, vb = int32(a3[kk]), int32(a3[kk+1])
-				c30 += va*b0 + vb*d0
-				c31 += va*b1 + vb*d1
-				c32 += va*b2 + vb*d2
-				c33 += va*b3 + vb*d3
-			}
-			for ; kk < k; kk++ {
-				b0, b1, b2, b3 := int32(bp[o]), int32(bp[o+1]), int32(bp[o+2]), int32(bp[o+3])
-				o += gemmNR
-				va := int32(a0[kk])
-				c00 += va * b0
-				c01 += va * b1
-				c02 += va * b2
-				c03 += va * b3
-				va = int32(a1[kk])
-				c10 += va * b0
-				c11 += va * b1
-				c12 += va * b2
-				c13 += va * b3
-				va = int32(a2[kk])
-				c20 += va * b0
-				c21 += va * b1
-				c22 += va * b2
-				c23 += va * b3
-				va = int32(a3[kk])
-				c30 += va * b0
-				c31 += va * b1
-				c32 += va * b2
-				c33 += va * b3
-			}
-			accs := [gemmMR][gemmNR]int32{
-				{c00, c01, c02, c03},
-				{c10, c11, c12, c13},
-				{c20, c21, c22, c23},
-				{c30, c31, c32, c33},
-			}
-			for r := 0; r < gemmMR; r++ {
-				outRow := out[(m0+i+r)*n : (m0+i+r)*n+n]
-				for cc := 0; cc < gemmNR; cc++ {
-					col := j*gemmNR + cc
-					if col >= n {
-						break
-					}
-					acc := accs[r][cc] + ctx.ZpBias[col]
-					v := ctx.Mults[col].Apply(acc) + outZp
-					outRow[col] = int8(clamp32(v, op.ClampMin, op.ClampMax))
-				}
-			}
-		}
-	}
-	gemmStoreTailRows(a, i, rows, k, ctx, op, out, m0, n, outZp)
-}
-
-// gemmStoreTailRows handles rows [i, rows) one at a time — the shared
-// remainder path of both microkernels.
+// gemmStoreTailRows handles rows [i, rows) one at a time — the remainder
+// path of gemmStoreRowsWide when rows is not a multiple of gemmMR.
 func gemmStoreTailRows(a []int8, i, rows, k int, ctx *Ctx, op *graph.Op, out []int8, m0, n int, outZp int32) {
 	panels := (n + gemmNR - 1) / gemmNR
 	for ; i < rows; i++ {
@@ -283,54 +183,14 @@ func gemmStoreTailRows(a []int8, i, rows, k int, ctx *Ctx, op *graph.Op, out []i
 	}
 }
 
-// gemmDensePanels computes dense output panels [lo, hi) with the scalar
-// (unroll-1) dot product.
-func gemmDensePanels(ctx *Ctx, op *graph.Op, in, out []int8, n, k int, outZp int32, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		bp := ctx.PackedW[j*k*gemmNR : j*k*gemmNR+k*gemmNR : j*k*gemmNR+k*gemmNR]
-		var c0, c1, c2, c3 int32
-		o := 0
-		for kk := 0; kk < k; kk++ {
-			va := int32(in[kk])
-			c0 += va * int32(bp[o])
-			c1 += va * int32(bp[o+1])
-			c2 += va * int32(bp[o+2])
-			c3 += va * int32(bp[o+3])
-			o += gemmNR
-		}
-		for cc, acc := range [gemmNR]int32{c0, c1, c2, c3} {
-			col := j*gemmNR + cc
-			if col >= n {
-				break
-			}
-			acc += ctx.ZpBias[col]
-			v := ctx.Mults[col].Apply(acc) + outZp
-			out[col] = int8(clamp32(v, op.ClampMin, op.ClampMax))
-		}
-	}
-}
+// gemmEngine is the im2col+GEMM engine behind Default.
+type gemmEngine struct{}
 
-// gemmEngine is the im2col+GEMM engine family; the store and dense
-// microkernels are swappable (scalar for Gemm, 16-wide unrolled for
-// Wide) while the packing, orchestration, and all non-GEMM ops are
-// shared.
-type gemmEngine struct {
-	name  string
-	store storeFunc
-	dense denseFunc
-}
-
-func (e gemmEngine) Name() string { return e.name }
-
-//microvet:hotpath-stop per-call convenience API that binds then executes, allocating at bind time by design; the pooled serve path uses the prebound closures from bindConv2D instead
-func (e gemmEngine) Conv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out, scratch []int8) {
-	sc := Scratch{Im2col: scratch}
-	e.bindConv2D(m, op, ctx, in, out, &sc)()
-}
+func (gemmEngine) Name() string { return "gemm16" }
 
 // bindConv2D precomputes the conv orchestration once and returns a
 // persistent executor: repeated calls perform zero allocations.
-func (e gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
+func (gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
 	it := m.Tensors[op.Inputs[0]]
 	ot := m.Tensors[op.Output]
 	h, w, inC := it.H, it.W, it.C
@@ -338,23 +198,17 @@ func (e gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out [
 	k := ctx.K
 	mTotal := oh * ow
 	outZp := ot.ZeroPoint
-	store := e.store
 
 	if convIsPointwise(op) {
 		// The NHWC input is already the M×K im2col matrix.
 		fn := func(_, lo, hi int) {
-			store(in[lo*k:], hi-lo, k, ctx, op, out, lo, n, outZp)
+			gemmStoreRowsWide(in[lo*k:], hi-lo, k, ctx, op, out, lo, n, outZp)
 		}
 		return func() { s.Par.For(mTotal, gemmTileM, fn) }
 	}
 
 	perWorker := gemmTileM * k
 	tiles := s.Im2col
-	if len(tiles) < Workers()*perWorker {
-		// Caller did not plan scratch (direct engine calls in tests);
-		// allocate once at bind time.
-		tiles = make([]int8, Workers()*perWorker)
-	}
 	pad := int8(it.ZeroPoint)
 	nTiles := (mTotal + gemmTileM - 1) / gemmTileM
 	fn := func(chunk, lo, hi int) {
@@ -366,45 +220,31 @@ func (e gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out [
 				m1 = mTotal
 			}
 			im2colTile(op, in, h, w, inC, ow, k, m0, m1, pad, tile)
-			store(tile, m1-m0, k, ctx, op, out, m0, n, outZp)
+			gemmStoreRowsWide(tile, m1-m0, k, ctx, op, out, m0, n, outZp)
 		}
 	}
 	return func() { s.Par.For(nTiles, 1, fn) }
 }
 
-//microvet:hotpath-stop per-call convenience API that binds then executes, allocating at bind time by design; the pooled serve path uses the prebound closures from bindDense instead
-func (e gemmEngine) Dense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8) {
-	var sc Scratch
-	e.bindDense(m, op, ctx, in, out, &sc)()
-}
-
-func (e gemmEngine) bindDense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
+func (gemmEngine) bindDense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
 	ot := m.Tensors[op.Output]
 	n := ot.C
 	k := ctx.K
 	outZp := ot.ZeroPoint
 	panels := (n + gemmNR - 1) / gemmNR
-	dense := e.dense
 	fn := func(_, lo, hi int) {
-		dense(ctx, op, in, out, n, k, outZp, lo, hi)
+		gemmDensePanelsWide(ctx, op, in, out, n, k, outZp, lo, hi)
 	}
 	return func() { s.Par.For(panels, 8, fn) }
 }
 
-// DWConv2D has no GEMM form (each channel is its own tiny filter); the
-// engine parallelizes output rows, hoists the pad-clipped kernel bounds
-// out of the pixel loop, and accumulates channel-inner so both the
-// activation and weight reads are unit-stride. Per channel the taps still
-// run in (ky, kx) order, so the int32 accumulation matches Reference
-// exactly.
-//
-//microvet:hotpath-stop per-call convenience API that binds then executes, allocating at bind time by design; the pooled serve path uses the prebound closures from bindDWConv2D instead
-func (e gemmEngine) DWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8) {
-	var sc Scratch
-	e.bindDWConv2D(m, op, ctx, in, out, &sc)()
-}
-
-func (e gemmEngine) bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
+// bindDWConv2D: depthwise has no GEMM form (each channel is its own tiny
+// filter); the engine parallelizes output rows, hoists the pad-clipped
+// kernel bounds out of the pixel loop, and accumulates channel-inner so
+// both the activation and weight reads are unit-stride. Per channel the
+// taps still run in (ky, kx) order, so the int32 accumulation matches
+// Reference exactly.
+func (gemmEngine) bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
 	it := m.Tensors[op.Inputs[0]]
 	ot := m.Tensors[op.Output]
 	inZp, outZp := it.ZeroPoint, ot.ZeroPoint
@@ -412,11 +252,6 @@ func (e gemmEngine) bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out
 	oh, ow := ot.H, ot.W
 	kw1 := op.KW + 1
 	pre := ctx.DWSumPrefix
-	if len(s.Acc) < Workers()*c {
-		// Direct engine calls arrive without a sized Scratch; interpreters
-		// pre-size it, so this never runs on the serve path.
-		s.Acc = make([]int32, Workers()*c)
-	}
 	accAll := s.Acc
 	fn := func(chunk, lo, hi int) {
 		acc := accAll[chunk*c : (chunk+1)*c : (chunk+1)*c]
@@ -478,25 +313,13 @@ func clipKernel(start, kSize, limit int) (int, int) {
 	return k0, k1
 }
 
-//microvet:hotpath-stop per-call convenience API that binds then executes, allocating at bind time by design; the pooled serve path uses the prebound closures from bindAvgPool instead
-func (e gemmEngine) AvgPool(m *graph.Model, op *graph.Op, in, out []int8) {
-	var sc Scratch
-	e.bindAvgPool(m, op, in, out, &sc)()
-}
-
-func (e gemmEngine) bindAvgPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func() {
+func (gemmEngine) bindAvgPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func() {
 	oh := m.Tensors[op.Output].H
 	fn := func(_, lo, hi int) { avgPoolRows(m, op, in, out, lo, hi) }
 	return func() { s.Par.For(oh, 2, fn) }
 }
 
-//microvet:hotpath-stop per-call convenience API that binds then executes, allocating at bind time by design; the pooled serve path uses the prebound closures from bindMaxPool instead
-func (e gemmEngine) MaxPool(m *graph.Model, op *graph.Op, in, out []int8) {
-	var sc Scratch
-	e.bindMaxPool(m, op, in, out, &sc)()
-}
-
-func (e gemmEngine) bindMaxPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func() {
+func (gemmEngine) bindMaxPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func() {
 	oh := m.Tensors[op.Output].H
 	fn := func(_, lo, hi int) { maxPoolRows(m, op, in, out, lo, hi) }
 	return func() { s.Par.For(oh, 2, fn) }

@@ -4,16 +4,18 @@ import (
 	"micronets/internal/graph"
 )
 
-// The Wide engine's microkernels: the same 4×4 accumulator block and
-// packed-panel layout as the scalar kernel in gemm.go, with the
-// reduction loop unrolled 16 deep. The explicit 16-element reslices give
-// the compiler constant-length slices, so every load in the unrolled
-// body is bounds-check-free — that, plus the 8× fewer loop branches, is
-// where the win comes from. int32 accumulation wraps identically in any
-// order, so outputs stay bit-exact with Reference and Gemm (the fuzz
-// parity targets enforce it).
+// The Default engine's microkernels: a 4×4 (gemmMR×gemmNR) accumulator
+// block over the packed-panel layout of gemm.go, with the reduction loop
+// unrolled 16 deep. The explicit 16-element reslices give the compiler
+// constant-length slices, so every load in the unrolled body is
+// bounds-check-free — that, plus the few loop branches, is where the
+// speed comes from. int32 accumulation wraps identically in any order,
+// so outputs stay bit-exact with Reference (the fuzz parity targets
+// enforce it).
 
-// gemmStoreRowsWide is the 16-wide variant of gemmStoreRows.
+// gemmStoreRowsWide multiplies rows [0, rows) of the im2col tile a
+// (k-major, stride k) against every packed panel and requantizes straight
+// into out[(m0+row)*n+col].
 func gemmStoreRowsWide(a []int8, rows, k int, ctx *Ctx, op *graph.Op, out []int8, m0, n int, outZp int32) {
 	panels := (n + gemmNR - 1) / gemmNR
 	var i int
@@ -260,7 +262,7 @@ func gemmStoreRowsWide(a []int8, rows, k int, ctx *Ctx, op *graph.Op, out []int8
 	gemmStoreTailRows(a, i, rows, k, ctx, op, out, m0, n, outZp)
 }
 
-// gemmDensePanelsWide is the 16-wide variant of gemmDensePanels.
+// gemmDensePanelsWide computes dense output panels [lo, hi).
 func gemmDensePanelsWide(ctx *Ctx, op *graph.Op, in, out []int8, n, k int, outZp int32, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		bp := ctx.PackedW[j*k*gemmNR : j*k*gemmNR+k*gemmNR : j*k*gemmNR+k*gemmNR]

@@ -7,7 +7,7 @@ import (
 )
 
 // Ctx carries the per-op precomputed requantization multipliers plus the
-// Gemm engine's prepared state; the tflm interpreter builds one per op at
+// Default engine's prepared state; the tflm interpreter builds one per op at
 // AllocateTensors time (this is part of what TFLM's "persistent buffers"
 // hold, Figure 2).
 type Ctx struct {
@@ -24,14 +24,14 @@ type Ctx struct {
 
 	// DWSumPrefix, populated for DWConv2D ops, is the 2-D prefix sum of
 	// the depthwise weights: P[ky][kx][ch] = Σ_{y<ky, x<kx} w[y][x][ch],
-	// laid out [(KH+1)][(KW+1)][C]. The Gemm engine uses rectangle
+	// laid out [(KH+1)][(KW+1)][C]. The Default engine uses rectangle
 	// queries on it to fold the input zero point out of the tap loop.
 	DWSumPrefix []int32
 }
 
 // PrepareConv precomputes per-channel multipliers for a conv/dense op
 // (effective scale = inScale * wScale[c] / outScale) and, for the ops the
-// Gemm engine lowers to matrix multiplication, packs the weights and
+// Default engine lowers to matrix multiplication, packs the weights and
 // folds the input zero point into the bias.
 func PrepareConv(m *graph.Model, op *graph.Op) *Ctx {
 	in := m.Tensors[op.Inputs[0]]
@@ -154,7 +154,7 @@ func AvgPool(m *graph.Model, op *graph.Op, in, out []int8) {
 	avgPoolRows(m, op, in, out, 0, m.Tensors[op.Output].H)
 }
 
-// avgPoolRows pools output rows [oy0, oy1); the Gemm engine calls it per
+// avgPoolRows pools output rows [oy0, oy1); the Default engine calls it per
 // band, the Reference engine with the full range.
 func avgPoolRows(m *graph.Model, op *graph.Op, in, out []int8, oy0, oy1 int) {
 	it := m.Tensors[op.Inputs[0]]
@@ -248,14 +248,10 @@ func Add(m *graph.Model, op *graph.Op, a, b, out []int8) {
 	}
 }
 
-// Softmax dequantizes the logits, computes a stable softmax, and emits
-// int8 with the standard TFLite output quantization (scale 1/256, zp -128).
-func Softmax(m *graph.Model, op *graph.Op, in, out []int8) {
-	softmaxInto(m, op, in, out, make([]float64, m.Tensors[op.Inputs[0]].Elems()))
-}
-
-// softmaxInto is Softmax staging the dequantized logits in the caller's
-// buffer (len ≥ input elems) — the allocation-free form bound ops use.
+// softmaxInto dequantizes the logits, computes a stable softmax, and emits
+// int8 with the standard TFLite output quantization (scale 1/256, zp
+// -128). The dequantized logits are staged in the caller's buffer
+// (len ≥ input elems), so bound ops allocate nothing.
 func softmaxInto(m *graph.Model, op *graph.Op, in, out []int8, logits []float64) {
 	it := m.Tensors[op.Inputs[0]]
 	ot := m.Tensors[op.Output]
@@ -278,11 +274,4 @@ func softmaxInto(m *graph.Model, op *graph.Op, in, out []int8, logits []float64)
 		q := int32(math.Round(p/float64(ot.Scale))) + ot.ZeroPoint
 		out[i] = int8(clamp32(q, op.ClampMin, op.ClampMax))
 	}
-}
-
-// Run dispatches one op on the Default engine with transient scratch. It
-// returns an error for ops the runtime does not implement
-// (TransposedConv), which is how non-deployability surfaces.
-func Run(m *graph.Model, op *graph.Op, ctx *Ctx, bufs [][]int8) error {
-	return RunWith(Default, m, op, ctx, bufs, nil)
 }

@@ -57,10 +57,9 @@ func Workers() int {
 }
 
 // Parallel is a reusable fork-join context. One loop runs at a time per
-// Parallel; distinct Parallel values (one per interpreter scratch, or a
-// local in the compatibility ParallelFor) may fork concurrently. Reusing
-// the same value across calls keeps the WaitGroup and the fn slot off
-// the per-invoke allocation path.
+// Parallel; distinct Parallel values (one per interpreter scratch) may
+// fork concurrently. Reusing the same value across calls keeps the
+// WaitGroup and the fn slot off the per-invoke allocation path.
 type Parallel struct {
 	fn func(chunk, lo, hi int)
 	wg sync.WaitGroup
@@ -112,12 +111,4 @@ func (p *Parallel) For(n, minGrain int, fn func(chunk, lo, hi int)) {
 	fn(0, 0, size)
 	p.wg.Wait()
 	p.fn = nil
-}
-
-// ParallelFor is the one-shot form of Parallel.For for callers without a
-// persistent Parallel. It may allocate (the transient context escapes to
-// the worker pool); hot paths hold a Parallel instead.
-func ParallelFor(n, minGrain int, fn func(chunk, lo, hi int)) {
-	var p Parallel
-	p.For(n, minGrain, fn)
 }

@@ -8,10 +8,11 @@ import (
 	"micronets/internal/graph"
 )
 
-// The Gemm engine must be bit-exact with Reference: identical int8 output
-// bytes for every op, shape, stride, padding and zero-point combination.
-// These tests sweep the geometry space table-driven and compare the two
-// engines on random weights and activations.
+// The Default engine must be bit-exact with Reference: identical int8
+// output bytes for every op, shape, stride, padding and zero-point
+// combination. These tests sweep the geometry space table-driven and
+// compare the two engines (bound through BindOp, see bind_test.go) on
+// random weights and activations.
 
 type convCase struct {
 	h, w, inC, outC int
@@ -106,22 +107,7 @@ func TestConv2DGemmParity(t *testing.T) {
 			if err := m.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			in := randomInput(m.Tensors[0].Elems(), rng)
-			ctx := PrepareConv(m, m.Ops[0])
-			want := make([]int8, m.Tensors[1].Elems())
-			got := make([]int8, m.Tensors[1].Elems())
-			Reference.Conv2D(m, m.Ops[0], ctx, in, want, nil)
-			for _, eng := range []Engine{Gemm, Wide} {
-				for i := range got {
-					got[i] = 0
-				}
-				eng.Conv2D(m, m.Ops[0], ctx, in, got, nil)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("conv parity: out[%d] %s=%d reference=%d", i, eng.Name(), got[i], want[i])
-					}
-				}
-			}
+			checkParity(t, m, randomInput(m.Tensors[0].Elems(), rng))
 		})
 	}
 }
@@ -136,22 +122,7 @@ func TestDWConv2DGemmParity(t *testing.T) {
 			if err := m.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			in := randomInput(m.Tensors[0].Elems(), rng)
-			ctx := PrepareConv(m, m.Ops[0])
-			want := make([]int8, m.Tensors[1].Elems())
-			got := make([]int8, m.Tensors[1].Elems())
-			Reference.DWConv2D(m, m.Ops[0], ctx, in, want)
-			for _, eng := range []Engine{Gemm, Wide} {
-				for i := range got {
-					got[i] = 0
-				}
-				eng.DWConv2D(m, m.Ops[0], ctx, in, got)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("dwconv parity: out[%d] %s=%d reference=%d", i, eng.Name(), got[i], want[i])
-					}
-				}
-			}
+			checkParity(t, m, randomInput(m.Tensors[0].Elems(), rng))
 		})
 	}
 }
@@ -182,22 +153,7 @@ func TestDenseGemmParity(t *testing.T) {
 			}
 			m.Ops = []*graph.Op{op}
 			m.Input, m.Output = 0, 1
-			in := randomInput(n.in, rng)
-			ctx := PrepareConv(m, op)
-			want := make([]int8, n.out)
-			got := make([]int8, n.out)
-			Reference.Dense(m, op, ctx, in, want)
-			for _, eng := range []Engine{Gemm, Wide} {
-				for i := range got {
-					got[i] = 0
-				}
-				eng.Dense(m, op, ctx, in, got)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("dense parity: out[%d] %s=%d reference=%d", i, eng.Name(), got[i], want[i])
-					}
-				}
-			}
+			checkParity(t, m, randomInput(n.in, rng))
 		})
 	}
 }
@@ -222,21 +178,7 @@ func TestPoolGemmParity(t *testing.T) {
 				}
 				m.Ops = []*graph.Op{op}
 				m.Input, m.Output = 0, 1
-				in := randomInput(c.h*c.w*c.ch, rng)
-				want := make([]int8, oh*ow*c.ch)
-				got := make([]int8, oh*ow*c.ch)
-				if kind == graph.OpAvgPool {
-					Reference.AvgPool(m, op, in, want)
-					Gemm.AvgPool(m, op, in, got)
-				} else {
-					Reference.MaxPool(m, op, in, want)
-					Gemm.MaxPool(m, op, in, got)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s parity: out[%d] gemm=%d reference=%d", kind, i, got[i], want[i])
-					}
-				}
+				checkParity(t, m, randomInput(c.h*c.w*c.ch, rng))
 			})
 		}
 	}
@@ -250,17 +192,12 @@ func TestGemmDeterministic(t *testing.T) {
 	c := convCase{h: 16, w: 16, inC: 8, outC: 24, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, inZp: -128}
 	m := randomConvModel(t, c, graph.OpConv2D, rng)
 	in := randomInput(m.Tensors[0].Elems(), rng)
-	ctx := PrepareConv(m, m.Ops[0])
-	for _, eng := range []Engine{Gemm, Wide} {
-		first := make([]int8, m.Tensors[1].Elems())
-		eng.Conv2D(m, m.Ops[0], ctx, in, first, nil)
-		for trial := 0; trial < 10; trial++ {
-			got := make([]int8, len(first))
-			eng.Conv2D(m, m.Ops[0], ctx, in, got, nil)
-			for i := range first {
-				if got[i] != first[i] {
-					t.Fatalf("%s trial %d: nondeterministic out[%d]: %d vs %d", eng.Name(), trial, i, got[i], first[i])
-				}
+	first := runOp(t, Default, m, in)
+	for trial := 0; trial < 10; trial++ {
+		got := runOp(t, Default, m, in)
+		for i := range first {
+			if got[i] != first[i] {
+				t.Fatalf("trial %d: nondeterministic out[%d]: %d vs %d", trial, i, got[i], first[i])
 			}
 		}
 	}

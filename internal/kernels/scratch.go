@@ -14,7 +14,7 @@ import (
 type Scratch struct {
 	// Par is the reusable fork-join context every parallel op runs on.
 	Par Parallel
-	// Im2col is the Gemm engine's patch-gather region: Workers() tiles of
+	// Im2col is the Default engine's patch-gather region: Workers() tiles of
 	// gemmTileM rows, sized for the largest non-pointwise convolution
 	// (Engine.ScratchBytes). Interpreters carve it from the arena tail so
 	// it stays planner-accounted.

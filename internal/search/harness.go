@@ -34,8 +34,8 @@ type Config struct {
 	// Seed makes candidate generation deterministic per trial index.
 	Seed int64
 	// MutateFrac is the fraction of trials drawn by mutating a frontier
-	// member once one exists. Zero means the default (0.5); pass a
-	// negative value to disable mutation entirely.
+	// member once an earlier generation has produced one. Zero means the
+	// default (0.5); pass a negative value to disable mutation entirely.
 	MutateFrac float64
 	// DNASSteps > 0 runs the differentiable search for that many steps to
 	// warm-start trial 0 (instead of a random sample).
@@ -81,6 +81,13 @@ type Result struct {
 	Trained int
 }
 
+// generationSize is how many consecutive trials form one generation of
+// the generation-synchronous search (see Run). Small, so mutation starts
+// after a handful of random trials and draws from a fresh frontier; a
+// multiple of the default worker counts (≤ 8), so no worker sits out a
+// generation.
+const generationSize = 8
+
 func (c *Config) logf(format string, args ...any) {
 	if c.Log != nil {
 		c.Log(fmt.Sprintf(format, args...))
@@ -124,19 +131,22 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	frontier := &Frontier{}
-	done := make(map[int]bool)
-	var resumed []TrialRecord
+	// recs[t] holds trial t's record once have[t]. Each slot is written
+	// once — by the resume loop or by the worker that ran t — so frontier
+	// Record pointers into it stay valid for the whole run.
+	recs := make([]TrialRecord, cfg.Trials)
+	have := make([]bool, cfg.Trials)
+	resumed := 0
 	// trainedResume maps trial index to a resumed stage-two record (which
 	// may carry Err: a finalist whose training failed is not retried
 	// forever, mirroring how failed proxy trials resume).
 	trainedResume := map[int]TrialRecord{}
 	if cfg.CheckpointPath != "" {
-		recs, err := LoadTrialLog(cfg.CheckpointPath)
+		logged, err := LoadTrialLog(cfg.CheckpointPath)
 		if err != nil {
 			return nil, err
 		}
-		for i := range recs {
-			rec := recs[i]
+		for _, rec := range logged {
 			if rec.Trial < 0 || rec.Trial >= cfg.Trials {
 				continue // stale log from a different -trials run; re-evaluate
 			}
@@ -155,7 +165,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				}
 				continue
 			}
-			if done[rec.Trial] {
+			if have[rec.Trial] {
 				continue
 			}
 			// Budgets may be tighter (or looser) than the run that wrote
@@ -166,15 +176,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				rec.Violations = cfg.Budgets.Check(rec.Metrics)
 				rec.Feasible = len(rec.Violations) == 0
 			}
-			done[rec.Trial] = true
-			resumed = append(resumed, rec)
-			if rec.Feasible && rec.Spec != nil {
-				frontier.Add(Point{Trial: rec.Trial, Source: rec.Source, Metrics: rec.Metrics, Record: &resumed[len(resumed)-1]})
-			}
+			recs[rec.Trial], have[rec.Trial] = rec, true
+			resumed++
 		}
-		if len(resumed) > 0 {
-			cfg.logf("resumed %d/%d trials from %s (frontier %d)",
-				len(resumed), cfg.Trials, cfg.CheckpointPath, frontier.Size())
+		if resumed > 0 {
+			cfg.logf("resumed %d/%d trials from %s", resumed, cfg.Trials, cfg.CheckpointPath)
 		}
 	}
 
@@ -190,7 +196,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// and let its discretized architecture seed the frontier (and, via
 	// mutation, the evolutionary stream).
 	warmSpec := map[int]*arch.Spec{}
-	if cfg.DNASSteps > 0 && !done[0] {
+	if cfg.DNASSteps > 0 && !have[0] {
 		if spec, err := dnasWarmStart(cfg, space); err != nil {
 			cfg.logf("dnas warm start failed (%v); trial 0 falls back to random", err)
 		} else {
@@ -199,66 +205,78 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
+	// The search is generation-synchronous: trials of one generation draw
+	// mutation parents only from the frontier of all earlier generations,
+	// frozen while the generation runs, and a finished generation's records
+	// (resumed and new alike) join the frontier in trial order. Candidates
+	// are therefore a pure function of (Seed, trial) — whatever the worker
+	// count, scheduling, or where an earlier run was interrupted.
 	var (
-		mu        sync.Mutex
-		newRecs   []TrialRecord
+		mu        sync.Mutex // guards logErr
 		logErr    error
-		wg        sync.WaitGroup
-		trialCh   = make(chan int)
-		evaluated int
+		pool, gen sync.WaitGroup
+		// trialCh holds a whole generation, so dispatch never blocks and
+		// the dispatcher wakes once per generation, not once per trial.
+		trialCh = make(chan int, generationSize)
 	)
 	worker := func() {
-		defer wg.Done()
+		defer pool.Done()
 		for trial := range trialCh {
-			rec := cfg.runTrial(trial, space, frontier, warmSpec[trial])
-			if log != nil {
-				if err := log.append(&rec); err != nil {
-					mu.Lock()
-					if logErr == nil {
-						logErr = err
+			if ctx.Err() == nil {
+				rec := cfg.runTrial(trial, space, frontier, warmSpec[trial])
+				if log != nil {
+					if err := log.append(&rec); err != nil {
+						mu.Lock()
+						if logErr == nil {
+							logErr = err
+						}
+						mu.Unlock()
 					}
-					mu.Unlock()
 				}
+				recs[trial], have[trial] = rec, true
 			}
-			mu.Lock()
-			newRecs = append(newRecs, rec)
-			evaluated++
-			if rec.Feasible && rec.Spec != nil {
-				frontier.Add(Point{Trial: rec.Trial, Source: rec.Source, Metrics: rec.Metrics, Record: &newRecs[len(newRecs)-1]})
-			}
-			n := evaluated
-			mu.Unlock()
-			if n%16 == 0 {
-				cfg.logf("%d/%d trials evaluated, frontier %d", n+len(resumed), cfg.Trials, frontier.Size())
-			}
+			gen.Done()
 		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		wg.Add(1)
+		pool.Add(1)
 		go worker()
 	}
-dispatch:
-	for trial := 0; trial < cfg.Trials; trial++ {
-		if done[trial] {
-			continue
+	for g0 := 0; g0 < cfg.Trials && ctx.Err() == nil; g0 += generationSize {
+		g1 := min(g0+generationSize, cfg.Trials)
+		dispatched := false
+		for trial := g0; trial < g1; trial++ {
+			if !have[trial] {
+				gen.Add(1)
+				trialCh <- trial
+				dispatched = true
+			}
 		}
-		select {
-		case trialCh <- trial:
-		case <-ctx.Done():
-			break dispatch
+		gen.Wait()
+		for trial := g0; trial < g1; trial++ {
+			if rec := &recs[trial]; have[trial] && rec.Feasible && rec.Spec != nil {
+				frontier.Add(Point{Trial: trial, Source: rec.Source, Metrics: rec.Metrics, Record: rec})
+			}
+		}
+		if dispatched {
+			cfg.logf("trials %d-%d of %d evaluated, frontier %d", g0, g1-1, cfg.Trials, frontier.Size())
 		}
 	}
 	close(trialCh)
-	wg.Wait()
+	pool.Wait()
 	if logErr != nil {
 		return nil, fmt.Errorf("search: checkpoint write: %w", logErr)
 	}
 
-	// Frontier points added from newRecs hold pointers into a slice that
-	// may have been reallocated by later appends; rebuild from the final
-	// slices so Record pointers are stable.
-	all := append(append([]TrialRecord(nil), resumed...), newRecs...)
-	sortRecords(all)
+	// Result.Trials is the compacted copy (a cancelled run leaves holes in
+	// recs), and stage two writes trained accuracies into it, so the final
+	// frontier is rebuilt over that copy.
+	all := make([]TrialRecord, 0, cfg.Trials)
+	for trial := range recs {
+		if have[trial] {
+			all = append(all, recs[trial])
+		}
+	}
 	rebuild := func() *Frontier {
 		f := &Frontier{}
 		for i := range all {
@@ -271,7 +289,7 @@ dispatch:
 	final := rebuild()
 	res := &Result{
 		Frontier: final, Task: cfg.Task, Device: cfg.Device,
-		Trials: all, Evaluated: evaluated, Resumed: len(resumed),
+		Trials: all, Evaluated: len(all) - resumed, Resumed: resumed,
 	}
 
 	// Stage two: accuracy-in-the-loop re-rank of the frontier finalists.
@@ -289,7 +307,7 @@ dispatch:
 		res.Frontier = final
 	}
 	cfg.logf("search done: %d trials (%d resumed), frontier %d, %d finalists trained",
-		len(all), len(resumed), final.Size(), len(res.Finalists))
+		len(all), resumed, final.Size(), len(res.Finalists))
 	return res, ctx.Err()
 }
 
@@ -427,11 +445,11 @@ func sortFinalists(pts []Point) {
 }
 
 // runTrial generates and evaluates one candidate. Generation is seeded by
-// (Seed, trial) so a resumed run regenerates the same random candidates
-// for the same indices. The generator decisions are drawn from the rng in
-// a fixed order BEFORE the shared frontier is consulted: the random
-// candidate stream must be a pure function of (Seed, trial), not of how
-// full the frontier happened to be when the scheduler got to this trial.
+// (Seed, trial) so a resumed run regenerates the same candidates for the
+// same indices. The generator decisions are drawn from the rng in a fixed
+// order BEFORE the frontier is consulted, and frontier is the frozen
+// snapshot of the earlier generations (see Run), so the whole candidate
+// stream is a pure function of (Seed, trial).
 func (c *Config) runTrial(trial int, space *Space, frontier *Frontier, warm *arch.Spec) TrialRecord {
 	rng := rand.New(rand.NewSource(c.Seed*1_000_003 + int64(trial)))
 	mutateRoll := rng.Float64()
@@ -524,8 +542,4 @@ func dnasWarmStart(cfg Config, space *Space) (*arch.Spec, error) {
 	spec := res.Spec
 	spec.Name = "trial-000"
 	return spec, nil
-}
-
-func sortRecords(recs []TrialRecord) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Trial < recs[j].Trial })
 }

@@ -48,9 +48,11 @@ func trainedDominates(a, b Metrics) bool {
 		a.TotalSRAMBytes < b.TotalSRAMBytes || a.TotalFlashBytes < b.TotalFlashBytes
 }
 
-// Frontier is a live, thread-safe Pareto frontier over
-// (accuracy-proxy, latency, SRAM, flash). Workers insert concurrently;
-// the evolutionary sampler draws parents from it concurrently.
+// Frontier is a thread-safe Pareto frontier over (accuracy-proxy,
+// latency, SRAM, flash). Member order is insertion order, so Pick is
+// deterministic exactly when insertion is: Run inserts one finished
+// generation at a time in trial order, and the workers of the next
+// generation draw parents from it concurrently but never insert.
 type Frontier struct {
 	mu  sync.RWMutex
 	pts []Point

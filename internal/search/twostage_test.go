@@ -165,28 +165,43 @@ func TestTwoStageFinalistsTrained(t *testing.T) {
 	}
 }
 
+// TestTwoStageDeterministicUnderSeed pins the search as a pure function
+// of (seed, trials): a serial and a 4-worker run must agree on every
+// trial record — mutated candidates included, which is what a live
+// frontier raced on — and therefore on the trained finalists.
 func TestTwoStageDeterministicUnderSeed(t *testing.T) {
-	a, err := Run(context.Background(), twoStageConfig(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), twoStageConfig(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Finalists) != len(b.Finalists) || len(a.Finalists) == 0 {
-		t.Fatalf("finalist counts differ: %d vs %d", len(a.Finalists), len(b.Finalists))
-	}
-	for i := range a.Finalists {
-		pa, pb := a.Finalists[i], b.Finalists[i]
-		if pa.Trial != pb.Trial {
-			t.Fatalf("finalist %d differs: trial %d vs %d", i, pa.Trial, pb.Trial)
+	run := func(workers int) *Result {
+		cfg := twoStageConfig("")
+		cfg.Workers = workers
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pa.Metrics.TrainedAccuracy != pb.Metrics.TrainedAccuracy {
-			t.Fatalf("finalist trial %d trained accuracy not deterministic: %v vs %v",
-				pa.Trial, pa.Metrics.TrainedAccuracy, pb.Metrics.TrainedAccuracy)
+		return res
+	}
+	a, b := run(1), run(4)
+	if len(a.Trials) != len(b.Trials) {
+		t.Fatalf("trial counts differ: %d vs %d", len(a.Trials), len(b.Trials))
+	}
+	mutated := 0
+	for i := range a.Trials {
+		ra, rb := a.Trials[i], b.Trials[i]
+		if ra.Trial != rb.Trial || ra.Source != rb.Source || ra.Metrics != rb.Metrics ||
+			ra.Spec.String() != rb.Spec.String() {
+			t.Fatalf("trial %d depends on the worker count:\n 1 worker:  %s %s %+v\n 4 workers: %s %s %+v",
+				ra.Trial, ra.Source, ra.Spec, ra.Metrics, rb.Source, rb.Spec, rb.Metrics)
+		}
+		if ra.Source == "mutate" {
+			mutated++
 		}
 	}
+	if mutated == 0 {
+		t.Fatal("config mutates no trial, so it cannot catch a scheduling-dependent parent pick")
+	}
+	if len(a.Finalists) == 0 {
+		t.Fatal("no finalists trained")
+	}
+	assertSameFinalists(t, a, b)
 }
 
 func TestTwoStageResumeSkipsTrainedFinalists(t *testing.T) {

@@ -238,17 +238,6 @@ func newEntryPrepared(spec *arch.Spec, m *graph.Model, prep *tflm.Prepared, prew
 	}, nil
 }
 
-// Preload warms the cache for a list of zoo models, so the first real
-// request pays no lowering or planning latency.
-func (r *Registry) Preload(names []string, opts ModelOptions) error {
-	for _, n := range names {
-		if _, err := r.Get(n, opts); err != nil {
-			return fmt.Errorf("serve: preload %s: %w", n, err)
-		}
-	}
-	return nil
-}
-
 // Entries returns the currently loaded entries sorted by name. In-flight
 // lowerings are skipped: the done.Load gate pairs with the done.Store
 // after slot.entry is written, so the read is race-free even while

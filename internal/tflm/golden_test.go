@@ -90,7 +90,7 @@ func TestGoldenLogits(t *testing.T) {
 	if *updateGolden {
 		golden := map[string]goldenEntry{}
 		for _, name := range goldenModels {
-			logits, arena := runGolden(t, name, kernels.Gemm)
+			logits, arena := runGolden(t, name, kernels.Default)
 			golden[name] = goldenEntry{
 				WeightSeed: goldenWeightSeed, InputSeed: goldenWeightSeed + 1,
 				ArenaBytes: arena, Logits: logits,
@@ -125,7 +125,7 @@ func TestGoldenLogits(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden entry for %s (regenerate with -update-golden)", name)
 			}
-			for _, eng := range []kernels.Engine{kernels.Gemm, kernels.Reference} {
+			for _, eng := range []kernels.Engine{kernels.Default, kernels.Reference} {
 				logits, arena := runGolden(t, name, eng)
 				if arena != want.ArenaBytes {
 					t.Errorf("%s: arena %d bytes, golden %d — the planner changed its layout",

@@ -21,11 +21,10 @@ import (
 // TestInvokeZeroAllocs) and replicas of one Prepared share one weight
 // copy.
 type Interpreter struct {
-	prep   *Prepared
-	model  *graph.Model
-	plan   *Plan
-	engine kernels.Engine
-	arena  []int8
+	prep  *Prepared
+	model *graph.Model
+	plan  *Plan
+	arena []int8
 	// bufs[i] is tensor i's slice into the arena.
 	bufs [][]int8
 	// scratch is this replica's private mutable kernel state: the im2col
@@ -69,8 +68,8 @@ func NewInterpreter(m *graph.Model, arenaLimit int) (*Interpreter, error) {
 }
 
 // NewInterpreterWithEngine is NewInterpreter with an explicit kernel
-// engine — kernels.Reference for the naive baseline, kernels.Gemm /
-// kernels.Wide for the im2col+GEMM parallel paths. An interpreter is not
+// engine — kernels.Reference for the naive bit-exactness oracle,
+// kernels.Default for the im2col+GEMM parallel path. An interpreter is not
 // safe for concurrent Invoke calls (it owns one arena), but distinct
 // interpreters may run concurrently. Callers building several replicas
 // of one model should Prepare once and stamp interpreters from that

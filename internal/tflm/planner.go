@@ -22,7 +22,7 @@ type Allocation struct {
 
 // Plan is the memory plan for a model. ArenaBytes covers the activation
 // tensors (the deployable SRAM number reported in the paper's tables);
-// ScratchBytes is the host-side im2col region the Gemm kernel engine
+// ScratchBytes is the host-side im2col region the Default kernel engine
 // needs, placed immediately after the arena so all inference memory is
 // planner-accounted rather than hidden in ad-hoc kernel allocations. It
 // is excluded from device-fit checks because MCU deployments run the

@@ -63,9 +63,6 @@ func PrepareWithEngine(m *graph.Model, eng kernels.Engine) (*Prepared, error) {
 // Model returns the model this state was prepared for.
 func (p *Prepared) Model() *graph.Model { return p.model }
 
-// Engine returns the kernel engine interpreters from this Prepared use.
-func (p *Prepared) Engine() kernels.Engine { return p.engine }
-
 // Plan returns the shared memory plan.
 func (p *Prepared) Plan() *Plan { return p.plan }
 
@@ -84,18 +81,16 @@ func (p *Prepared) NewInterpreter(arenaLimit int) (*Interpreter, error) {
 		return nil, fmt.Errorf("tflm: model %s needs %d arena bytes, limit %d",
 			m.Name, p.plan.ArenaBytes, arenaLimit)
 	}
-	// Engines that use no scratch (Reference) get a bare activation
-	// arena; Gemm-family interpreters carry the planner-accounted im2col
-	// tail.
+	// Reference uses no scratch and gets a bare activation arena; Default
+	// interpreters carry the planner-accounted im2col tail.
 	scratchBytes := alignUp(p.engine.ScratchBytes(m))
 	ip := &Interpreter{
-		prep:   p,
-		model:  m,
-		plan:   p.plan,
-		engine: p.engine,
-		arena:  make([]int8, p.plan.ArenaBytes+scratchBytes),
-		bufs:   make([][]int8, len(m.Tensors)),
-		steps:  make([]func(), len(m.Ops)),
+		prep:  p,
+		model: m,
+		plan:  p.plan,
+		arena: make([]int8, p.plan.ArenaBytes+scratchBytes),
+		bufs:  make([][]int8, len(m.Tensors)),
+		steps: make([]func(), len(m.Ops)),
 	}
 	for _, a := range p.plan.Allocations {
 		t := m.Tensors[a.TensorID]

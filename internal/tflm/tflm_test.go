@@ -347,7 +347,7 @@ func TestEngineParityEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gemm, err := NewInterpreterWithEngine(m, 0, kernels.Gemm)
+			gemm, err := NewInterpreterWithEngine(m, 0, kernels.Default)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -139,8 +139,8 @@ func DeployModel(spec *arch.Spec, m *graph.Model, dev *mcu.Device) (*Deployment,
 	return d, nil
 }
 
-// classifyRegistry caches lowered models behind ClassifyBatch and
-// Preload, so search/characterization loops that re-classify the same
+// classifyRegistry caches lowered models behind ClassifyBatch, so
+// search/characterization loops that re-classify the same
 // spec amortize lowering and memory planning across calls, not just
 // within one batch. The cache is LRU-bounded so a DNAS search sweeping
 // thousands of distinct candidate specs cannot grow memory without bound,
@@ -176,15 +176,6 @@ func ClassifyBatch(spec *arch.Spec, opts DeployOptions, xs []*tensor.Tensor) ([]
 		return nil, nil, err
 	}
 	return entry.ClassifyBatch(xs)
-}
-
-// Preload warms the ClassifyBatch cache for a set of zoo models, so an
-// evaluation loop's first call pays no lowering latency. It is a
-// compatibility shim over the registry cache that backs ClassifyBatch;
-// serving processes should manage model lifecycles through a Repository
-// (NewRepository / ServeOptions.Repository) instead.
-func Preload(names []string, opts DeployOptions) error {
-	return classifyRegistry.Preload(names, modelOptions(opts))
 }
 
 // ClassifyModelBatch is ClassifyBatch for an already-lowered model (e.g.

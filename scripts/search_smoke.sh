@@ -44,6 +44,18 @@ jq -s -e '[.[] | select(.stage == "finalist" and .err == null)]
     "$WORK/search_trials.jsonl" >/dev/null
 echo "search OK: $FINALISTS finalists trained (log $WORK/search_trials.jsonl)"
 
+# Search results are a pure function of (seed, trials): a serial and a
+# 4-worker run must log identical trial records, mutated candidates and
+# trained finalists included (only the line order may differ).
+for w in 1 4; do
+    go run ./cmd/search -trials 32 -seed 7 -workers "$w" -dnas-steps 10 -finalists 2 -train-steps 5 \
+        -log "$WORK/det_w$w.jsonl" -export "" >/dev/null 2>&1
+    jq -c -s 'sort_by(.trial, .stage)[]' "$WORK/det_w$w.jsonl" >"$WORK/det_w$w.sorted"
+done
+cmp "$WORK/det_w1.sorted" "$WORK/det_w4.sorted"
+jq -s -e '[.[] | select(.source == "mutate")] | length >= 1' "$WORK/det_w1.jsonl" >/dev/null
+echo "determinism OK: -workers 1 and -workers 4 wrote identical trial logs ($(wc -l <"$WORK/det_w1.sorted") records)"
+
 # Machine-readable frontier for the cross-PR perf trajectory — resumes
 # the trial log the search above just wrote (same seed/device/budget)
 # instead of re-evaluating or re-training.
