@@ -72,11 +72,16 @@ mesh-smoke:
 search-smoke:
 	./scripts/search_smoke.sh
 
-# fuzz-smoke runs each kernels fuzz target briefly, as CI does.
+# fuzz-smoke finds every Fuzz* target in the module (`go test -list`
+# prints a package's targets, then its "ok <pkg>" line) and runs each for
+# 10 s. The CI fuzz-smoke job runs this target.
 .PHONY: fuzz-smoke
 fuzz-smoke:
-	for target in FuzzConv2DParity FuzzDWConv2DParity FuzzDenseParity FuzzRequantize; do \
-		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s ./internal/kernels || exit 1; \
+	$(GO) test -list '^Fuzz' ./... \
+	| awk '/^Fuzz/ {t[n++]=$$1} /^ok/ {for (i=0; i<n; i++) print $$2, t[i]; n=0}' \
+	| while read -r pkg target; do \
+		echo "=== $$pkg $$target ==="; \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s "$$pkg" </dev/null || exit 1; \
 	done
 
 # cover enforces the CI coverage floor on the numerics-critical packages.

@@ -199,7 +199,6 @@ func TestRealTreeCleanAndCovered(t *testing.T) {
 	// Every stop boundary is a reviewable claim, so the set is pinned: a
 	// new one (or a stale one left behind by a deleted path) fails here.
 	wantStops := map[string]bool{
-		"micronets/internal/serve.Pool.grow":  true,
 		"micronets/internal/kernels.initPool": true,
 		"micronets/internal/obs.Trace.Add":    true,
 	}

@@ -115,6 +115,15 @@ type Spec struct {
 	Source string
 }
 
+// Fingerprint renders the spec to a deterministic string covering every
+// field that affects lowering — the identity caches and the serving
+// repository key on, since a caller may rebuild a same-named spec with
+// different blocks. %+v over the Blocks values is stable for these plain
+// structs and far cheaper than the lowering it guards.
+func (s *Spec) Fingerprint() string {
+	return fmt.Sprintf("%s|%dx%dx%d|%d|%+v", s.Name, s.InputH, s.InputW, s.InputC, s.NumClasses, s.Blocks)
+}
+
 // LayerInfo describes one primitive layer after lowering a macro block,
 // with resolved shapes and costs. Several LayerInfos may correspond to one
 // Block (e.g. a DSBlock lowers to a depthwise and a pointwise layer).

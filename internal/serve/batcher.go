@@ -49,8 +49,8 @@ func (c *BatcherConfig) fill() {
 // halves it (down to MaxDelay/8) so sparse traffic is served near-
 // immediately instead of always eating the worst-case delay.
 type Batcher struct {
-	entry *Entry
-	cfg   BatcherConfig
+	v   *version
+	cfg BatcherConfig
 
 	mu     sync.RWMutex
 	closed bool // guarded by Batcher.mu
@@ -88,13 +88,14 @@ type batchResp struct {
 	err error
 }
 
-// NewBatcher starts the collector goroutine for an entry.
-func NewBatcher(entry *Entry, cfg BatcherConfig) *Batcher {
+// newBatcher starts the collector goroutine over a version's model, pool
+// and counters.
+func newBatcher(v *version, cfg BatcherConfig) *Batcher {
 	cfg.fill()
 	b := &Batcher{
-		entry: entry,
-		cfg:   cfg,
-		reqs:  make(chan *batchReq, 4*cfg.MaxBatch),
+		v:    v,
+		cfg:  cfg,
+		reqs: make(chan *batchReq, 4*cfg.MaxBatch),
 	}
 	b.windowNs.Store(int64(cfg.MaxDelay))
 	b.wg.Add(1)
@@ -124,15 +125,15 @@ func (b *Batcher) Close() {
 // malformed request can never fail its co-batched neighbors. The returned
 // buffer is owned by the caller.
 func (b *Batcher) Submit(ctx context.Context, in []int8) ([]int8, error) {
-	want := b.entry.Model.Tensors[b.entry.Model.Input].Elems()
-	if len(in) != want {
-		b.entry.stats.errors.Add(1)
-		return nil, fmt.Errorf("serve: model %s: input has %d elements, want %d", b.entry.Name, len(in), want)
+	mod := b.v.model
+	if want := mod.Tensors[mod.Input].Elems(); len(in) != want {
+		b.v.stats.errors.Add(1)
+		return nil, fmt.Errorf("serve: model %s: input has %d elements, want %d", b.v.name, len(in), want)
 	}
 	start := time.Now()
 	r := &batchReq{
 		in:      in,
-		out:     make([]int8, b.entry.Model.Tensors[b.entry.Model.Output].Elems()),
+		out:     make([]int8, mod.Tensors[mod.Output].Elems()),
 		resp:    make(chan batchResp, 1),
 		enq:     start,
 		trace:   obs.TraceFrom(ctx),
@@ -149,7 +150,7 @@ func (b *Batcher) Submit(ctx context.Context, in []int8) ([]int8, error) {
 		b.mu.RUnlock()
 	case <-ctx.Done():
 		b.mu.RUnlock()
-		b.entry.stats.canceled.Add(1)
+		b.v.stats.canceled.Add(1)
 		return nil, ctx.Err()
 	}
 	// The request is now owned by the collector and will always be
@@ -157,16 +158,16 @@ func (b *Batcher) Submit(ctx context.Context, in []int8) ([]int8, error) {
 	// buffered reply.
 	select {
 	case resp := <-r.resp:
-		b.entry.stats.observeLatency(time.Since(start))
+		b.v.stats.latency.Observe(time.Since(start))
 		if resp.err != nil {
-			b.entry.stats.errors.Add(1)
+			b.v.stats.errors.Add(1)
 		}
 		return resp.out, resp.err
 	case <-ctx.Done():
 		// The batch may still succeed; the caller just stopped waiting.
 		// Count it as a cancellation, not a model error, so the /metrics
 		// error rate keeps meaning "inference failed".
-		b.entry.stats.canceled.Add(1)
+		b.v.stats.canceled.Add(1)
 		return nil, ctx.Err()
 	}
 }
@@ -219,9 +220,9 @@ func (b *Batcher) run() {
 // busy, which is the batcher's backpressure — and dispatches the batch to
 // run concurrently. With a pool of N, up to N batches execute in parallel
 // while the collector goes straight back to gathering the next one, so
-// pre-warmed arenas beyond the first actually carry traffic.
+// pooled replicas beyond the first actually carry traffic.
 func (b *Batcher) flush(batch []*batchReq) {
-	ip := b.entry.Pool.Get()
+	ip := b.v.pool.Get()
 	b.flushWg.Add(1)
 	//microvet:ignore hotpathalloc one dispatch closure per batch lets up to pool-size batches run concurrently; amortized across the batch rows
 	go func() {
@@ -243,19 +244,19 @@ func (b *Batcher) flush(batch []*batchReq) {
 		if err != nil {
 			ip.Reset()
 		}
-		b.entry.Pool.Put(ip)
-		b.entry.stats.observeBatch(len(batch))
-		b.entry.stats.invoke.Observe(invokeDur)
+		b.v.pool.Put(ip)
+		b.v.stats.observeBatch(len(batch))
+		b.v.stats.invoke.Observe(invokeDur)
 		for _, r := range batch {
-			b.entry.stats.queueWait.Observe(invokeStart.Sub(r.enq))
+			b.v.stats.queueWait.Observe(invokeStart.Sub(r.enq))
 			if r.trace != nil {
 				//microvet:ignore hotpathalloc span attributes only built when the request opted into tracing
 				r.trace.Add("queue", r.parent, r.enq, invokeStart.Sub(r.enq), map[string]string{
-					"model": b.entry.Name, "batch": fmt.Sprint(len(batch)), //microvet:ignore hotpathalloc span attributes only built when the request opted into tracing
+					"model": b.v.name, "batch": fmt.Sprint(len(batch)), //microvet:ignore hotpathalloc span attributes only built when the request opted into tracing
 				})
 				//microvet:ignore hotpathalloc span attributes only built when the request opted into tracing
 				r.trace.Add("invoke", r.parent, invokeStart, invokeDur, map[string]string{
-					"model": b.entry.Name, "batch": fmt.Sprint(len(batch)), //microvet:ignore hotpathalloc span attributes only built when the request opted into tracing
+					"model": b.v.name, "batch": fmt.Sprint(len(batch)), //microvet:ignore hotpathalloc span attributes only built when the request opted into tracing
 				})
 			}
 			if err != nil {
@@ -274,13 +275,13 @@ func (b *Batcher) flush(batch []*batchReq) {
 			}
 			//microvet:ignore hotpathalloc error path: a failed batch is already off the fast path
 			b.cfg.Logger.Error("batch invoke failed",
-				"model", b.entry.Name, "batch", len(batch),
+				"model", b.v.name, "batch", len(batch),
 				"traces", strings.Join(ids, ","), "err", err)
 		}
 	}()
 }
 
-// stats holds one entry's serving counters, updated with atomics from the
+// stats holds one version's serving counters, updated with atomics from the
 // handler, Submit, and collector goroutines.
 type stats struct {
 	requests atomic.Uint64
@@ -292,8 +293,6 @@ type stats struct {
 	batches  atomic.Uint64
 	batchSum atomic.Uint64
 	batchMax atomic.Uint64
-	latNsSum atomic.Uint64
-	latCount atomic.Uint64
 	// latency is end-to-end Submit latency (queue + invoke); queueWait
 	// and invoke split it so a p99 regression is attributable to
 	// batching pressure vs kernel time.
@@ -311,44 +310,5 @@ func (s *stats) observeBatch(n int) {
 		if uint64(n) <= cur || s.batchMax.CompareAndSwap(cur, uint64(n)) {
 			return
 		}
-	}
-}
-
-func (s *stats) observeLatency(d time.Duration) {
-	s.latNsSum.Add(uint64(d.Nanoseconds()))
-	s.latCount.Add(1)
-	s.latency.Observe(d)
-}
-
-// StatsSnapshot is a point-in-time copy of one model's counters.
-type StatsSnapshot struct {
-	Requests     uint64
-	Errors       uint64
-	Canceled     uint64
-	Batches      uint64
-	BatchSizeSum uint64
-	BatchSizeMax uint64
-	LatencyNsSum uint64
-	LatencyCount uint64
-	// Latency, QueueWait and Invoke are the full histograms behind the
-	// /metrics histogram families and /v2 stats quantiles.
-	Latency   obs.Snapshot `json:"-"`
-	QueueWait obs.Snapshot `json:"-"`
-	Invoke    obs.Snapshot `json:"-"`
-}
-
-func (s *stats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Requests:     s.requests.Load(),
-		Errors:       s.errors.Load(),
-		Canceled:     s.canceled.Load(),
-		Batches:      s.batches.Load(),
-		BatchSizeSum: s.batchSum.Load(),
-		BatchSizeMax: s.batchMax.Load(),
-		LatencyNsSum: s.latNsSum.Load(),
-		LatencyCount: s.latCount.Load(),
-		Latency:      s.latency.Snapshot(),
-		QueueWait:    s.queueWait.Snapshot(),
-		Invoke:       s.invoke.Snapshot(),
 	}
 }

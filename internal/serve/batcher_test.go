@@ -6,28 +6,48 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"micronets/internal/graph"
+	"micronets/internal/tflm"
 )
 
-func newTestEntry(t *testing.T, poolSize int) *Entry {
+// lowerZoo is the one way serve tests turn a zoo name into a lowered
+// model: the same ModelOptions.Lower the repository loads through.
+func lowerZoo(t *testing.T, name string, opts ModelOptions) *graph.Model {
 	t.Helper()
-	reg := NewRegistry(RegistryConfig{PoolSize: poolSize})
-	entry, err := reg.Get("MicroNet-KWS-S", ModelOptions{Seed: 42, AppendSoftmax: true})
+	m, err := opts.Lower(testSpec(t, name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return entry
+	return m
 }
 
-func validInput(e *Entry) []int8 {
-	return make([]int8, e.Model.Tensors[e.Model.Input].Elems())
+// newTestVersion builds a bare pooled version (no repository, no
+// batcher) for driving a Batcher directly.
+func newTestVersion(t *testing.T, poolSize int) *version {
+	t.Helper()
+	m := lowerZoo(t, "MicroNet-KWS-S", ModelOptions{Seed: 42, AppendSoftmax: true})
+	prep, err := tflm.Prepare(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := newPool(prep, poolSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &version{name: m.Name, model: m, pool: pool}
+}
+
+func validInput(v *version) []int8 {
+	return make([]int8, v.model.Tensors[v.model.Input].Elems())
 }
 
 // TestBatcherCoalescesConcurrentRequests is the acceptance-criterion load
 // test: N concurrent submits must land in strictly fewer InvokeBatch
 // calls, with at least one batch of ≥ 2.
 func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
-	entry := newTestEntry(t, 1)
-	b := NewBatcher(entry, BatcherConfig{MaxBatch: 8, MaxDelay: 25 * time.Millisecond})
+	v := newTestVersion(t, 1)
+	b := newBatcher(v, BatcherConfig{MaxBatch: 8, MaxDelay: 25 * time.Millisecond})
 	defer b.Close()
 
 	const n = 16
@@ -37,7 +57,7 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = b.Submit(context.Background(), validInput(entry))
+			_, errs[i] = b.Submit(context.Background(), validInput(v))
 		}(i)
 	}
 	wg.Wait()
@@ -46,29 +66,29 @@ func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	st := entry.Stats()
-	if st.Requests != n {
-		t.Fatalf("requests = %d, want %d", st.Requests, n)
+	st := &v.stats
+	if got := st.requests.Load(); got != n {
+		t.Fatalf("requests = %d, want %d", got, n)
 	}
-	if st.BatchSizeMax < 2 {
-		t.Fatalf("micro-batcher never coalesced: max batch %d, want >= 2", st.BatchSizeMax)
+	if got := st.batchMax.Load(); got < 2 {
+		t.Fatalf("micro-batcher never coalesced: max batch %d, want >= 2", got)
 	}
-	if st.Batches >= n {
-		t.Fatalf("batches = %d for %d requests: no coalescing", st.Batches, n)
+	if got := st.batches.Load(); got >= n {
+		t.Fatalf("batches = %d for %d requests: no coalescing", got, n)
 	}
-	t.Logf("coalesced %d requests into %d batches (max %d)", st.Requests, st.Batches, st.BatchSizeMax)
+	t.Logf("coalesced %d requests into %d batches (max %d)", st.requests.Load(), st.batches.Load(), st.batchMax.Load())
 }
 
 // TestBatcherAdaptiveWindow: singleton traffic shrinks the gather window;
 // a full batch restores it to MaxDelay.
 func TestBatcherAdaptiveWindow(t *testing.T) {
-	entry := newTestEntry(t, 2)
+	v := newTestVersion(t, 2)
 	const maxDelay = 8 * time.Millisecond
-	b := NewBatcher(entry, BatcherConfig{MaxBatch: 4, MaxDelay: maxDelay})
+	b := newBatcher(v, BatcherConfig{MaxBatch: 4, MaxDelay: maxDelay})
 	defer b.Close()
 
 	for i := 0; i < 4; i++ {
-		if _, err := b.Submit(context.Background(), validInput(entry)); err != nil {
+		if _, err := b.Submit(context.Background(), validInput(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,11 +105,11 @@ func TestBatcherAdaptiveWindow(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = b.Submit(context.Background(), validInput(entry))
+			_, _ = b.Submit(context.Background(), validInput(v))
 		}()
 	}
 	wg.Wait()
-	if entry.Stats().BatchSizeMax >= 4 {
+	if v.stats.batchMax.Load() >= 4 {
 		if w := b.Window(); w != maxDelay {
 			t.Fatalf("window after full batch = %v, want %v", w, maxDelay)
 		}
@@ -99,14 +119,14 @@ func TestBatcherAdaptiveWindow(t *testing.T) {
 // TestBatcherRejectsWrongLengthWithoutPoisoningBatch: a malformed request
 // fails fast and a concurrent valid one still succeeds.
 func TestBatcherRejectsWrongLengthWithoutPoisoningBatch(t *testing.T) {
-	entry := newTestEntry(t, 1)
-	b := NewBatcher(entry, BatcherConfig{MaxBatch: 8, MaxDelay: 10 * time.Millisecond})
+	v := newTestVersion(t, 1)
+	b := newBatcher(v, BatcherConfig{MaxBatch: 8, MaxDelay: 10 * time.Millisecond})
 	defer b.Close()
 
 	var wg sync.WaitGroup
 	var goodErr, badErr error
 	wg.Add(2)
-	go func() { defer wg.Done(); _, goodErr = b.Submit(context.Background(), validInput(entry)) }()
+	go func() { defer wg.Done(); _, goodErr = b.Submit(context.Background(), validInput(v)) }()
 	go func() { defer wg.Done(); _, badErr = b.Submit(context.Background(), make([]int8, 3)) }()
 	wg.Wait()
 	if goodErr != nil {
@@ -122,8 +142,8 @@ func TestBatcherRejectsWrongLengthWithoutPoisoningBatch(t *testing.T) {
 // request still completes exactly once (Close waits for in-flight
 // flushes, so lost replies would hang or fail this test).
 func TestBatcherParallelFlushes(t *testing.T) {
-	entry := newTestEntry(t, 2)
-	b := NewBatcher(entry, BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond})
+	v := newTestVersion(t, 2)
+	b := newBatcher(v, BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond})
 
 	const n = 12
 	var wg sync.WaitGroup
@@ -132,7 +152,7 @@ func TestBatcherParallelFlushes(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = b.Submit(context.Background(), validInput(entry))
+			_, errs[i] = b.Submit(context.Background(), validInput(v))
 		}(i)
 	}
 	wg.Wait()
@@ -142,17 +162,17 @@ func TestBatcherParallelFlushes(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if st := entry.Stats(); st.Requests != n {
-		t.Fatalf("requests = %d, want %d", st.Requests, n)
+	if got := v.stats.requests.Load(); got != n {
+		t.Fatalf("requests = %d, want %d", got, n)
 	}
 }
 
 func TestBatcherSubmitAfterClose(t *testing.T) {
-	entry := newTestEntry(t, 1)
-	b := NewBatcher(entry, BatcherConfig{})
+	v := newTestVersion(t, 1)
+	b := newBatcher(v, BatcherConfig{})
 	b.Close()
 	b.Close() // idempotent
-	if _, err := b.Submit(context.Background(), validInput(entry)); err != ErrDraining {
+	if _, err := b.Submit(context.Background(), validInput(v)); err != ErrDraining {
 		t.Fatalf("submit after close: err = %v, want ErrDraining", err)
 	}
 }
@@ -162,16 +182,16 @@ func TestBatcherSubmitAfterClose(t *testing.T) {
 // must stay untouched so the /metrics error rate keeps meaning "inference
 // failed".
 func TestBatcherCanceledCountedSeparately(t *testing.T) {
-	entry := newTestEntry(t, 1)
+	v := newTestVersion(t, 1)
 	// MaxBatch 8 with a long window: a lone request sits in the gather
 	// phase long enough for the caller to walk away.
-	b := NewBatcher(entry, BatcherConfig{MaxBatch: 8, MaxDelay: time.Second})
+	b := newBatcher(v, BatcherConfig{MaxBatch: 8, MaxDelay: time.Second})
 	defer b.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := b.Submit(ctx, validInput(entry))
+		_, err := b.Submit(ctx, validInput(v))
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the request enter the gather window
@@ -184,12 +204,11 @@ func TestBatcherCanceledCountedSeparately(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Submit did not observe cancellation")
 	}
-	st := entry.Stats()
-	if st.Canceled != 1 {
-		t.Fatalf("canceled = %d, want 1", st.Canceled)
+	if got := v.stats.canceled.Load(); got != 1 {
+		t.Fatalf("canceled = %d, want 1", got)
 	}
-	if st.Errors != 0 {
-		t.Fatalf("errors = %d after a pure cancellation, want 0", st.Errors)
+	if got := v.stats.errors.Load(); got != 0 {
+		t.Fatalf("errors = %d after a pure cancellation, want 0", got)
 	}
 }
 
@@ -201,11 +220,11 @@ func TestBatcherSubmitAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
-	entry := newTestEntry(t, 1)
-	b := NewBatcher(entry, BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond})
+	v := newTestVersion(t, 1)
+	b := newBatcher(v, BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond})
 	defer b.Close()
 
-	in := validInput(entry)
+	in := validInput(v)
 	ctx := context.Background()
 	if _, err := b.Submit(ctx, in); err != nil {
 		t.Fatal(err)
@@ -226,8 +245,8 @@ func TestBatcherSubmitAllocBound(t *testing.T) {
 }
 
 func TestBatcherSubmitCancelledContext(t *testing.T) {
-	entry := newTestEntry(t, 1)
-	b := NewBatcher(entry, BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond})
+	v := newTestVersion(t, 1)
+	b := newBatcher(v, BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond})
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -235,7 +254,7 @@ func TestBatcherSubmitCancelledContext(t *testing.T) {
 	// but a non-nil result with a cancelled context must never hang.
 	done := make(chan struct{})
 	go func() {
-		_, _ = b.Submit(ctx, validInput(entry))
+		_, _ = b.Submit(ctx, validInput(v))
 		close(done)
 	}()
 	select {

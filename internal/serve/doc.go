@@ -4,16 +4,19 @@
 //
 //	repository → interpreter pool → micro-batcher → kernels engine
 //
-// A Repository is the versioned control plane: it lowers each requested
-// architecture once (cached by spec fingerprint + lowering options),
-// pre-warms planned interpreter pools so concurrent requests never share
-// an arena, blue/green-swaps new versions under a RAM budget, and drains
-// retired versions without failing in-flight requests. A Batcher
-// coalesces concurrent requests for the same model into single
-// InvokeBatch calls under an adaptive gather window. The models served
-// are the MicroNets/MCUNet-class tiny networks of the paper, whose
-// per-request cost is small enough that aggressive micro-batching is
-// essentially free latency-wise.
+// A Repository is the versioned control plane, and a repository version
+// is the package's one loaded-model concept: it lowers a requested
+// architecture once (identified by spec fingerprint + lowering options),
+// prepares its kernels, builds a fixed interpreter pool — sized against
+// the RAM budget and complete before the version is visible, so
+// concurrent requests never share an arena and nothing is constructed on
+// the request path — and starts its micro-batcher; new versions
+// blue/green-swap in and retired ones drain without failing in-flight
+// requests. A Batcher coalesces concurrent requests for the same version
+// into single InvokeBatch calls under an adaptive gather window. The
+// models served are the MicroNets/MCUNet-class tiny networks of the
+// paper, whose per-request cost is small enough that aggressive
+// micro-batching is essentially free latency-wise.
 //
 // On top of single models, the server mounts the /v2/graphs surface of
 // internal/servegraph: declarative inference graphs (cascades, ensembles,

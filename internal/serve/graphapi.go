@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 
 	"micronets/internal/graph"
 	"micronets/internal/servegraph"
@@ -37,13 +36,12 @@ type graphBackend struct{ repo *Repository }
 func GraphBackend(r *Repository) servegraph.Backend { return graphBackend{repo: r} }
 
 func (b graphBackend) ModelInfo(name string) (servegraph.ModelInfo, error) {
-	v, release, err := b.repo.acquire(name)
+	v, err := b.repo.acquire(name)
 	if err != nil {
 		return servegraph.ModelInfo{}, err
 	}
-	defer release()
-	mod := v.entry.Model
-	in, out := mod.Tensors[mod.Input], mod.Tensors[mod.Output]
+	defer v.release()
+	in, out := v.model.Tensors[v.model.Input], v.model.Tensors[v.model.Output]
 	return servegraph.ModelInfo{
 		Name:        v.name,
 		Version:     v.num,
@@ -57,16 +55,16 @@ func (b graphBackend) ModelInfo(name string) (servegraph.ModelInfo, error) {
 }
 
 func (b graphBackend) Infer(ctx context.Context, name string, x []float64) (servegraph.Scored, error) {
-	v, release, err := b.repo.acquire(name)
+	v, err := b.repo.acquire(name)
 	if err != nil {
 		return servegraph.Scored{}, err
 	}
-	defer release()
-	mod := v.entry.Model
-	if want := mod.Tensors[mod.Input].Elems(); len(x) != want {
+	defer v.release()
+	inT := v.model.Tensors[v.model.Input]
+	if want := inT.Elems(); len(x) != want {
 		return servegraph.Scored{}, fmt.Errorf("serve: model %s: graph input has %d elements, want %d", v.name, len(x), want)
 	}
-	row, err := quantizeRow(mod, "FP32", x)
+	row, err := quantizeRow(inT, "FP32", x)
 	if err != nil {
 		return servegraph.Scored{}, err
 	}
@@ -74,11 +72,7 @@ func (b graphBackend) Infer(ctx context.Context, name string, x []float64) (serv
 	if err != nil {
 		return servegraph.Scored{}, err
 	}
-	outT := mod.Tensors[mod.Output]
-	scores := make([]float64, len(out))
-	for i, q := range out {
-		scores[i] = float64(outT.Scale) * float64(int32(q)-outT.ZeroPoint)
-	}
+	scores := dequantize(v.model.Tensors[v.model.Output], out)
 	probs := scores
 	if !v.key.opts.AppendSoftmax {
 		probs = servegraph.Softmax(scores)
@@ -99,14 +93,6 @@ func graphUnloadGuard(graphs *servegraph.Registry) func(model string) error {
 }
 
 // ---- /v2/graphs HTTP surface ----
-
-// graphInferRequest extends the v2 infer body with the routing parameter
-// switch nodes match on.
-type graphInferRequest struct {
-	ID         string            `json:"id,omitempty"`
-	Inputs     []v2Tensor        `json:"inputs"`
-	Parameters map[string]string `json:"parameters,omitempty"`
-}
 
 // graphError is the structured 4xx body for graph registration and infer
 // failures.
@@ -233,75 +219,41 @@ func (s *Server) handleGraphInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	layout := &graph.Tensor{H: g.InputH, W: g.InputW, C: g.InputC}
-	elems := layout.Elems()
-	r.Body = http.MaxBytesReader(w, r.Body, int64(1<<16)+24*int64(elems)*maxInferRows)
-	var req graphInferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: fmt.Sprintf(
-				"request body exceeds %d bytes (max client batch is %d rows)", tooBig.Limit, maxInferRows)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
+	req, n, ok := decodeInfer(w, r, layout, "graph "+name)
+	if !ok {
 		return
 	}
-	if len(req.Inputs) != 1 {
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("want exactly 1 input tensor, got %d", len(req.Inputs))})
-		return
-	}
-	in := req.Inputs[0]
+	in, elems := req.Inputs[0], layout.Elems()
 	if in.Datatype != "" && in.Datatype != "FP32" {
 		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
 			"unsupported datatype %q (graphs re-quantize per node; send FP32)", in.Datatype)})
 		return
 	}
-	n, err := batchRows(in, layout)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("input %q: %v (graph %s)", in.Name, err, name)})
-		return
-	}
 	route := req.Parameters["route"]
 
 	results := make([]*servegraph.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for b := 0; b < n; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			results[b], errs[b] = g.Infer(r.Context(), in.Data[b*elems:(b+1)*elems], route)
-		}(b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			writeGraphError(w, err)
-			return
-		}
+	err = eachRow(n, func(b int) (err error) {
+		results[b], err = g.Infer(r.Context(), in.Data[b*elems:(b+1)*elems], route)
+		return err
+	})
+	if err != nil {
+		writeGraphError(w, err)
+		return
 	}
 
-	outElems := g.OutputElems
-	scores := make([]float64, 0, n*outElems)
-	classes := make([]float64, n)
-	top := make([]float64, n)
+	scores := make([][]float64, n)
+	classes := make([]int, n)
 	servedBy := make([]string, n)
 	escalations := make([]int, n)
 	for b, res := range results {
-		scores = append(scores, res.Scores...)
-		classes[b] = float64(res.Class)
-		top[b] = res.Scores[res.Class]
+		scores[b], classes[b] = res.Scores, res.Class
 		servedBy[b] = res.ServedBy
 		escalations[b] = res.Escalations
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"model_name": name,
-		"id":         req.ID,
-		"outputs": []v2Tensor{
-			{Name: "scores", Datatype: "FP32", Shape: []int{n, outElems}, Data: scores},
-			{Name: "class", Datatype: "INT32", Shape: []int{n}, Data: classes},
-			{Name: "score", Datatype: "FP32", Shape: []int{n}, Data: top},
-		},
+		"model_name":  name,
+		"id":          req.ID,
+		"outputs":     inferOutputs(scores, classes),
 		"served_by":   servedBy,
 		"escalations": escalations,
 	})

@@ -42,30 +42,30 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	counter("micronets_serve_requests_total", "Inference requests completed (batched rows).",
-		func(v *version) uint64 { return v.entry.Stats().Requests })
+		func(v *version) uint64 { return v.stats.requests.Load() })
 	counter("micronets_serve_request_errors_total", "Requests that failed (bad input, drained, invoke error).",
-		func(v *version) uint64 { return v.entry.Stats().Errors })
+		func(v *version) uint64 { return v.stats.errors.Load() })
 	counter("micronets_serve_request_canceled_total", "Requests abandoned by caller context cancellation (not model failures).",
-		func(v *version) uint64 { return v.entry.Stats().Canceled })
+		func(v *version) uint64 { return v.stats.canceled.Load() })
 	counter("micronets_serve_batches_total", "InvokeBatch calls issued by the micro-batcher.",
-		func(v *version) uint64 { return v.entry.Stats().Batches })
+		func(v *version) uint64 { return v.stats.batches.Load() })
 	counter("micronets_serve_batch_size_sum", "Sum of coalesced batch sizes (divide by batches for the mean).",
-		func(v *version) uint64 { return v.entry.Stats().BatchSizeSum })
+		func(v *version) uint64 { return v.stats.batchSum.Load() })
 	counter("micronets_serve_batch_size_max", "Largest batch coalesced so far.",
-		func(v *version) uint64 { return v.entry.Stats().BatchSizeMax })
+		func(v *version) uint64 { return v.stats.batchMax.Load() })
 
-	histogram := func(name, help string, val func(StatsSnapshot) obs.Snapshot) {
+	histogram := func(name, help string, val func(*version) *obs.Histogram) {
 		obs.WriteHistogramHead(&b, name, help)
 		for _, v := range actives {
-			val(v.entry.Stats()).WritePrometheus(&b, name, fmt.Sprintf("model=%q", v.name))
+			val(v).Snapshot().WritePrometheus(&b, name, fmt.Sprintf("model=%q", v.name))
 		}
 	}
 	histogram("micronets_serve_request_latency_seconds", "End-to-end request latency (queue wait + invoke).",
-		func(s StatsSnapshot) obs.Snapshot { return s.Latency })
+		func(v *version) *obs.Histogram { return &v.stats.latency })
 	histogram("micronets_serve_queue_wait_seconds", "Time requests spent queued before their batch ran.",
-		func(s StatsSnapshot) obs.Snapshot { return s.QueueWait })
+		func(v *version) *obs.Histogram { return &v.stats.queueWait })
 	histogram("micronets_serve_invoke_seconds", "InvokeBatch wall time per batch.",
-		func(s StatsSnapshot) obs.Snapshot { return s.Invoke })
+		func(v *version) *obs.Histogram { return &v.stats.invoke })
 
 	gauge := func(name, help string, val func(*version) int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
@@ -82,9 +82,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("micronets_serve_planned_arena_bytes", "Bytes the serving version reserves against the RAM budget (shared weights + pool arenas).",
 		func(v *version) int64 { return int64(v.plannedBytes) })
 	gauge("micronets_serve_arena_bytes", "Arena bytes per pooled interpreter (host allocation).",
-		func(v *version) int64 { return int64(v.entry.ArenaBytes) })
+		func(v *version) int64 { return int64(v.arenaBytes) })
 	gauge("micronets_serve_shared_weight_bytes", "Prepared weight bytes (packed panels, folded biases) shared by every pool replica — paid once per version.",
-		func(v *version) int64 { return int64(v.entry.WeightBytes) })
+		func(v *version) int64 { return int64(v.weightBytes) })
 
 	// model_versions counts live versions per name (READY + DRAINING +
 	// LOADING) — >1 flags an in-progress blue/green swap.

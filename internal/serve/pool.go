@@ -1,129 +1,37 @@
 package serve
 
-import (
-	"sync"
+import "micronets/internal/tflm"
 
-	"micronets/internal/graph"
-	"micronets/internal/tflm"
-)
-
-// Pool is a bounded set of interpreters for one model. Every interpreter
-// owns its own arena, so any two requests holding distinct pooled
-// interpreters may Invoke concurrently; the pool exists to make
-// "distinct" cheap by paying memory planning and kernel preparation once
-// per model instead of once per request. All replicas execute over one
-// shared, immutable tflm.Prepared — packed weight panels, folded biases
-// and prefix sums are paid for once per model version, not once per
-// replica; a replica adds only its private arena. `prewarm` interpreters
-// are built up front; under concurrent demand the pool lazily grows up
-// to `max`, so callers are never serialized below the configured
-// parallelism while an idle model still costs only the pre-warmed
-// arenas.
+// Pool is the fixed set of interpreters one model version serves from,
+// all built at load. Every interpreter owns its own arena, so any two
+// requests holding distinct pooled interpreters may Invoke concurrently;
+// all of them execute over one shared, immutable tflm.Prepared — packed
+// weight panels, folded biases and prefix sums are paid for once per
+// version, and a replica adds only its private arena. The size is what
+// the repository planned against the RAM budget, so a pool never grows.
 type Pool struct {
-	prep *tflm.Prepared
-	// ch's capacity is the pool bound; idle interpreters sit in it.
-	ch      chan *tflm.Interpreter
-	mu      sync.Mutex
-	created int
+	// ch's capacity is the pool size; idle interpreters sit in it.
+	ch chan *tflm.Interpreter
 }
 
-// NewPool prepares the model once (validation, memory plan, packed
-// weights) and warms prewarm interpreters over that shared state,
-// allowing lazy growth to max (max < prewarm is raised to prewarm). It
-// fails like NewInterpreter does (unsupported ops, invalid graph), so a
-// Pool that constructs successfully can always serve — later lazy
-// constructions of the same model cannot fail except under memory
-// exhaustion, in which case Get falls back to waiting for an existing
-// interpreter.
-func NewPool(m *graph.Model, prewarm, max int) (*Pool, error) {
-	prep, err := tflm.Prepare(m)
-	if err != nil {
-		return nil, err
-	}
-	return NewPoolPrepared(prep, prewarm, max)
-}
-
-// NewPoolPrepared warms a pool over already-prepared model state,
-// for callers that build (or share) the tflm.Prepared themselves.
-func NewPoolPrepared(prep *tflm.Prepared, prewarm, max int) (*Pool, error) {
-	if prewarm <= 0 {
-		prewarm = 1
-	}
-	if max < prewarm {
-		max = prewarm
-	}
-	p := &Pool{prep: prep, ch: make(chan *tflm.Interpreter, max)}
-	for i := 0; i < prewarm; i++ {
+// newPool builds size interpreters over already-prepared model state. It
+// fails like Prepared.NewInterpreter does, so a pool that constructs can
+// always serve.
+func newPool(prep *tflm.Prepared, size int) (*Pool, error) {
+	p := &Pool{ch: make(chan *tflm.Interpreter, size)}
+	for i := 0; i < size; i++ {
 		ip, err := prep.NewInterpreter(0)
 		if err != nil {
 			return nil, err
 		}
-		p.created++
 		p.ch <- ip
 	}
 	return p, nil
 }
 
-// Size returns the pool bound (max concurrent interpreters).
-func (p *Pool) Size() int { return cap(p.ch) }
-
-// Created returns how many interpreters exist (pre-warmed + lazily grown).
-func (p *Pool) Created() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.created
-}
-
-// ArenaBytes returns the arena cost of one pooled interpreter — the
-// per-replica RAM increment on top of the shared prepared weights.
-func (p *Pool) ArenaBytes() int {
-	ip := p.Get()
-	defer p.Put(ip)
-	return ip.ArenaBytes()
-}
-
-// WeightBytes returns the RAM footprint of the shared prepared kernel
-// state (packed panels, folded biases, prefix sums, multipliers) — paid
-// once for the whole pool regardless of replica count.
-func (p *Pool) WeightBytes() int { return p.prep.WeightBytes() }
-
-// grow tries to construct one more interpreter within the bound. It
-// returns nil when the pool is already at max (or construction failed, a
-// can't-happen-short-of-OOM case given warm-up succeeded).
-//
-//microvet:hotpath-stop lazy pool growth is construction, not serving: a replica allocates once here and then recycles through Get/Put
-func (p *Pool) grow() *tflm.Interpreter {
-	p.mu.Lock()
-	if p.created >= cap(p.ch) {
-		p.mu.Unlock()
-		return nil
-	}
-	p.created++
-	p.mu.Unlock()
-	ip, err := p.prep.NewInterpreter(0)
-	if err != nil {
-		p.mu.Lock()
-		p.created--
-		p.mu.Unlock()
-		return nil
-	}
-	return ip
-}
-
-// Get returns an idle interpreter, growing the pool if none is free and
-// the bound allows; otherwise it blocks until one is released. Callers
-// must Put it back.
-func (p *Pool) Get() *tflm.Interpreter {
-	select {
-	case ip := <-p.ch:
-		return ip
-	default:
-	}
-	if ip := p.grow(); ip != nil {
-		return ip
-	}
-	return <-p.ch
-}
+// Get returns an idle interpreter, blocking until one is released when
+// every replica is busy. Callers must Put it back.
+func (p *Pool) Get() *tflm.Interpreter { return <-p.ch }
 
 // Put returns an interpreter to the pool. Callers that observed an Invoke
 // error must Reset the interpreter first (see Interpreter.Reset); on the

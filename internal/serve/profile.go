@@ -23,12 +23,12 @@ type profileResponse struct {
 // measurement, so a concurrent swap or infer burst cannot corrupt it.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	v, release, err := s.repo.acquire(name)
+	v, err := s.repo.acquire(name)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
 		return
 	}
-	defer release()
+	defer v.release()
 	runs := 8
 	if q := r.URL.Query().Get("runs"); q != "" {
 		n, err := strconv.Atoi(q)
@@ -42,9 +42,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		runs = n
 	}
 
-	mod := v.entry.Model
-	ip := v.entry.Pool.Get()
-	defer v.entry.Pool.Put(ip)
+	mod := v.model
+	ip := v.pool.Get()
+	defer v.pool.Put(ip)
 	// Deterministic non-zero input so every run exercises the same data
 	// path; content does not affect int8 kernel timing.
 	in := ip.Input()

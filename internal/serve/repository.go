@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,8 +22,8 @@ import (
 )
 
 // Repository is the serving control plane: it owns the lifecycle of every
-// served model as a sequence of versions, each one a fully warmed
-// entry (lowered graph + interpreter pool) plus its micro-batcher.
+// served model as a sequence of versions, each one a lowered graph, a
+// fully built interpreter pool and its micro-batcher.
 //
 // Lifecycle semantics, in the KServe/Triton model-repository style:
 //
@@ -79,6 +80,45 @@ func (r *Repository) SetUnloadGuard(guard func(model string) error) {
 	r.guardMu.Lock()
 	r.unloadGuard = guard
 	r.guardMu.Unlock()
+}
+
+// ModelOptions selects how a spec is lowered to the runtime. It is the
+// type behind micronets.DeployOptions (an alias), and is comparable so it
+// can key a version's identity.
+type ModelOptions struct {
+	// WeightBits and ActBits select the datatype (0 or 8 for standard
+	// int8; 4 for the paper's emulated sub-byte kernels).
+	WeightBits, ActBits int
+	// Seed controls the synthetic weights used when no trained model is
+	// supplied; equal seeds lower to bit-identical models.
+	Seed int64
+	// AppendSoftmax adds the classifier softmax op.
+	AppendSoftmax bool
+}
+
+// Lower lowers spec to the int8 graph IR under these options, drawing the
+// synthetic weights from a stream seeded with Seed. Every deployment path
+// (micronets.Deploy, ClassifyBatch, Repository.Load) lowers through here,
+// so a served model is bit-identical to a deployed one at the same seed.
+func (o ModelOptions) Lower(spec *arch.Spec) (*graph.Model, error) {
+	return graph.FromSpec(spec, rand.New(rand.NewSource(o.Seed)), graph.LowerOptions{
+		WeightBits:    o.WeightBits,
+		ActBits:       o.ActBits,
+		AppendSoftmax: o.AppendSoftmax,
+	})
+}
+
+// normalize folds the zero-value datatypes onto their defaults, mirroring
+// graph.FromSpec — {0,0} and {8,8} lower to bit-identical models and must
+// be one version identity.
+func (o ModelOptions) normalize() ModelOptions {
+	if o.WeightBits == 0 {
+		o.WeightBits = 8
+	}
+	if o.ActBits == 0 {
+		o.ActBits = 8
+	}
+	return o
 }
 
 // RepositoryConfig configures a Repository.
@@ -175,24 +215,41 @@ var ErrRepositoryClosed = errors.New("serve: repository closed")
 // concurrent unload completing) between lookup and reservation.
 var errStaleModel = errors.New("serve: stale model slot")
 
-// version is one lifecycle of a name. Immutable after publication except
-// for state, which Repository.mu guards.
+// versionKey identifies what a version serves: the spec fingerprint (not
+// just the name — a caller may rebuild a same-named spec with different
+// blocks) plus the normalized lowering options.
+type versionKey struct {
+	fingerprint string
+	opts        ModelOptions
+}
+
+// version is the one loaded-model type: one lifecycle of a name, holding
+// the lowered graph, its interpreter pool, micro-batcher and serving
+// counters. Immutable after publication except for state (which
+// Repository.mu guards) and the atomic counters.
 type version struct {
 	name string
 	num  int
-	key  registryKey // fingerprint + options identity (drives idempotence)
+	key  versionKey // drives idempotent re-loads
 	task string
 
-	entry   *Entry
+	model   *graph.Model
+	pool    *Pool
 	batcher *Batcher
+	stats   stats
 
 	poolSize        int
 	maxBatch        int
 	perReplicaArena int
-	weightBytes     int
-	plannedBytes    int
-	flashBytes      int
-	loadedAt        time.Time
+	// arenaBytes is the host allocation of one pooled interpreter
+	// (activations plus engine scratch), recorded when the pool is built.
+	arenaBytes int
+	// weightBytes is the prepared kernel state (packed panels, folded
+	// biases, prefix sums) shared by every replica — paid once per version.
+	weightBytes  int
+	plannedBytes int
+	flashBytes   int
+	loadedAt     time.Time
 
 	state ModelState // guarded by Repository.mu
 	// inflight counts requests that acquired this version; retirement
@@ -268,7 +325,7 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 		return ModelStatus{}, errors.New("serve: load needs a named spec")
 	}
 	opts = opts.normalize()
-	key := registryKey{fingerprint: fingerprint(spec), opts: opts}
+	key := versionKey{fingerprint: spec.Fingerprint(), opts: opts}
 	name := spec.Name
 
 	// The lowering, prepared weights, and capacity candidates depend only
@@ -277,86 +334,66 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 	var gm *graph.Model
 	var prep *tflm.Prepared
 	var costs []batchCost
-	for {
-		m := r.modelFor(name)
+	// attempt runs the load against one per-name slot, holding its loadMu
+	// throughout; errStaleModel reports the slot was deleted under it.
+	attempt := func(m *repoModel) (ModelStatus, error) {
 		m.loadMu.Lock()
+		defer m.loadMu.Unlock()
 		// Idempotent fast path, under the per-name lock so concurrent
 		// identical loads single-flight: the loser blocks on loadMu and
 		// finds the winner's version here instead of re-lowering.
+		var st ModelStatus
+		var err error
 		r.mu.Lock()
+		hit := false
 		switch {
 		case r.closed:
-			r.mu.Unlock()
-			m.loadMu.Unlock()
-			return ModelStatus{}, ErrRepositoryClosed
+			err = ErrRepositoryClosed
 		case r.models[name] != m:
-			r.mu.Unlock()
-			m.loadMu.Unlock()
-			continue // the slot was deleted under us; re-resolve it
+			err = errStaleModel
 		case m.active != nil && m.active.key == key:
-			st := statusLocked(m.active)
-			r.mu.Unlock()
-			m.loadMu.Unlock()
-			return st, nil
+			st, hit = statusLocked(m.active), true
 		case requireExisting && m.active == nil:
-			r.mu.Unlock()
-			m.loadMu.Unlock()
-			return ModelStatus{}, &NotLoadedError{Model: name}
+			err = &NotLoadedError{Model: name}
 		}
 		r.mu.Unlock()
+		if hit || err != nil {
+			return st, err
+		}
 
 		// The expensive part runs under loadMu only: the data path and
 		// other names stay unblocked while this name lowers and plans.
 		if gm == nil {
 			r.lowerings.Add(1)
-			var err error
-			gm, err = graph.FromSpec(spec, newWeightRNG(opts.Seed), graph.LowerOptions{
-				WeightBits:    opts.WeightBits,
-				ActBits:       opts.ActBits,
-				AppendSoftmax: opts.AppendSoftmax,
-			})
-			if err != nil {
-				m.loadMu.Unlock()
-				return ModelStatus{}, fmt.Errorf("serve: load %s: %w", name, err)
+			if gm, err = opts.Lower(spec); err != nil {
+				return st, fmt.Errorf("serve: load %s: %w", name, err)
 			}
 			// Prepare once: the packed weights are shared by every replica
 			// of the version, and their size feeds the budget reservation.
-			prep, err = tflm.Prepare(gm)
-			if err != nil {
-				m.loadMu.Unlock()
-				return ModelStatus{}, fmt.Errorf("serve: load %s: %w", name, err)
+			if prep, err = tflm.Prepare(gm); err != nil {
+				return st, fmt.Errorf("serve: load %s: %w", name, err)
 			}
-			costs, err = batchCosts(gm, r.cfg.Batch.MaxBatch)
-			if err != nil {
-				m.loadMu.Unlock()
-				return ModelStatus{}, fmt.Errorf("serve: load %s: %w", name, err)
+			if costs, err = batchCosts(gm, r.cfg.Batch.MaxBatch); err != nil {
+				return st, fmt.Errorf("serve: load %s: %w", name, err)
 			}
 		}
 
-		v, st, err := r.reserve(name, m, key, spec.Task, gm, prep.WeightBytes(), costs)
-		if errors.Is(err, errStaleModel) {
-			m.loadMu.Unlock()
-			continue // the slot was deleted under us; re-resolve it
-		}
+		v, err := r.reserve(name, m, key, spec.Task, gm, prep.WeightBytes(), costs)
 		if err != nil {
-			m.loadMu.Unlock()
-			return ModelStatus{}, err
+			return st, err
 		}
-		if v == nil {
-			m.loadMu.Unlock()
-			return st, nil // idempotent hit inside the reservation
-		}
-
-		entry, err := newEntryPrepared(spec, gm, prep, v.poolSize, v.poolSize)
+		pool, err := newPool(prep, v.poolSize)
 		if err != nil {
 			r.release(name, m, v)
-			m.loadMu.Unlock()
-			return ModelStatus{}, fmt.Errorf("serve: load %s: %w", name, err)
+			return st, fmt.Errorf("serve: load %s: %w", name, err)
 		}
-		v.entry = entry
-		v.batcher = NewBatcher(entry, BatcherConfig{MaxBatch: v.maxBatch, MaxDelay: r.cfg.Batch.MaxDelay, Logger: r.cfg.Logger})
+		ip := pool.Get()
+		v.arenaBytes = ip.ArenaBytes()
+		pool.Put(ip)
+		v.model, v.pool = gm, pool
+		v.batcher = newBatcher(v, BatcherConfig{MaxBatch: v.maxBatch, MaxDelay: r.cfg.Batch.MaxDelay, Logger: r.cfg.Logger})
 
-		// Blue/green swap: publish only the fully warmed version, retire
+		// Blue/green swap: publish only the fully built version, retire
 		// the one it replaces.
 		r.mu.Lock()
 		v.loadedAt = time.Now()
@@ -364,8 +401,7 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 			r.mu.Unlock()
 			v.batcher.Close()
 			r.release(name, m, v)
-			m.loadMu.Unlock()
-			return ModelStatus{}, ErrRepositoryClosed
+			return st, ErrRepositoryClosed
 		}
 		old := m.active
 		m.active = v
@@ -380,11 +416,16 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 		if old != nil {
 			go r.retire(name, m, old)
 		}
-		m.loadMu.Unlock()
 		r.cfg.Logger.Info("model loaded", "model", name, "version", v.num,
 			"pool_size", v.poolSize, "max_batch", v.maxBatch,
 			"planned_ram_bytes", v.plannedBytes, "swapped", old != nil)
 		return st, nil
+	}
+	for {
+		st, err := attempt(r.modelFor(name))
+		if !errors.Is(err, errStaleModel) {
+			return st, err
+		}
 	}
 }
 
@@ -510,11 +551,11 @@ func (r *Repository) Index() []ModelStatus {
 // name. The version is pinned for the duration of the call, so a
 // concurrent swap or unload drains only after the row is answered.
 func (r *Repository) Infer(ctx context.Context, name string, row []int8) ([]int8, error) {
-	v, release, err := r.acquire(name)
+	v, err := r.acquire(name)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer v.release()
 	return v.batcher.Submit(ctx, row)
 }
 
@@ -632,23 +673,20 @@ func (r *Repository) modelFor(name string) *repoModel {
 }
 
 // reserve plans capacity for a load and reserves its budget, publishing a
-// LOADING version. Returns (nil, status, nil) when the active version
-// already matches key. Caller holds m.loadMu.
-func (r *Repository) reserve(name string, m *repoModel, key registryKey, task string, gm *graph.Model, weightBytes int, costs []batchCost) (*version, ModelStatus, error) {
+// LOADING version. Caller holds m.loadMu (so the active version cannot
+// have changed since load's fast path, short of a Close).
+func (r *Repository) reserve(name string, m *repoModel, key versionKey, task string, gm *graph.Model, weightBytes int, costs []batchCost) (*version, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, ModelStatus{}, ErrRepositoryClosed
+		return nil, ErrRepositoryClosed
 	}
 	if r.models[name] != m {
-		return nil, ModelStatus{}, errStaleModel
-	}
-	if m.active != nil && m.active.key == key {
-		return nil, statusLocked(m.active), nil
+		return nil, errStaleModel
 	}
 	pool, batch, perReplica, err := r.pickCapacityLocked(name, weightBytes, costs)
 	if err != nil {
-		return nil, ModelStatus{}, err
+		return nil, err
 	}
 	m.nextNum++
 	v := &version{
@@ -667,7 +705,7 @@ func (r *Repository) reserve(name string, m *repoModel, key registryKey, task st
 	}
 	r.planned += v.plannedBytes
 	m.loading = v
-	return v, ModelStatus{}, nil
+	return v, nil
 }
 
 // batchCost is one candidate micro-batch and what a single replica at
@@ -767,22 +805,23 @@ func (r *Repository) dropIfEmptyLocked(name string, m *repoModel) {
 	}
 }
 
-// acquire pins the serving version of a name: the returned release must
-// be called once the request is finished, and retirement of the version
-// waits for it. Only READY versions are ever returned, so no caller can
-// observe a half-loaded entry.
-func (r *Repository) acquire(name string) (*version, func(), error) {
+// acquire pins the serving version of a name: the caller must release it
+// exactly once when the request is finished, and retirement of the
+// version waits for that. Only READY versions are ever returned, so no
+// caller can observe a half-loaded version.
+func (r *Repository) acquire(name string) (*version, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.models[name]
 	if m == nil || m.active == nil {
-		return nil, nil, &NotLoadedError{Model: name}
+		return nil, &NotLoadedError{Model: name}
 	}
-	v := m.active
-	v.inflight.Add(1)
-	var once sync.Once
-	return v, func() { once.Do(v.inflight.Done) }, nil
+	m.active.inflight.Add(1)
+	return m.active, nil
 }
+
+// release unpins a version returned by acquire.
+func (v *version) release() { v.inflight.Done() }
 
 // actives returns the serving versions sorted by name (for /metrics).
 func (r *Repository) actives() []*version {

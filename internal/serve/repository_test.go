@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"micronets/internal/arch"
-	"micronets/internal/graph"
 	"micronets/internal/tflm"
 	"micronets/internal/zoo"
 )
@@ -34,10 +33,7 @@ func testSpec(t *testing.T, name string) *arch.Spec {
 // arenaBytesAt plans a spec at a batch size the way the repository does.
 func arenaBytesAt(t *testing.T, spec *arch.Spec, opts ModelOptions, batch int) int {
 	t.Helper()
-	opts = opts.normalize()
-	m, err := graph.FromSpec(spec, newWeightRNG(opts.Seed), graph.LowerOptions{
-		WeightBits: opts.WeightBits, ActBits: opts.ActBits, AppendSoftmax: opts.AppendSoftmax,
-	})
+	m, err := opts.Lower(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +49,7 @@ func arenaBytesAt(t *testing.T, spec *arch.Spec, opts ModelOptions, batch int) i
 // of pool size.
 func weightBytesOf(t *testing.T, spec *arch.Spec, opts ModelOptions) int {
 	t.Helper()
-	opts = opts.normalize()
-	m, err := graph.FromSpec(spec, newWeightRNG(opts.Seed), graph.LowerOptions{
-		WeightBits: opts.WeightBits, ActBits: opts.ActBits, AppendSoftmax: opts.AppendSoftmax,
-	})
+	m, err := opts.Lower(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +270,95 @@ func TestLoadIdempotentAndSwapVersions(t *testing.T) {
 	}
 	if got := r.PlannedRAMBytes(); got != 0 {
 		t.Fatalf("retired repository still reserves %d bytes", got)
+	}
+}
+
+// The four TestRegistry* tests below are the identity ledger of the
+// deleted lowering cache, carried over to the one lifecycle that remains:
+// what used to be "same cache entry" is now "same version, no new
+// lowering". Their names are kept so the suite's history stays comparable.
+
+// TestRegistryCachesLowering: a zoo name loaded twice under the same
+// options lowers once; a different seed is a different model.
+func TestRegistryCachesLowering(t *testing.T) {
+	r := NewRepository(RepositoryConfig{PoolSize: 1, Logger: discardLogger()})
+	defer r.Close()
+	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
+	st1, err := r.LoadZoo("MicroNet-KWS-S", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := r.LoadZoo("MicroNet-KWS-S", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st1.Version != st2.Version || r.Lowerings() != 1 {
+		t.Fatalf("same name+options went to version %d -> %d with %d lowerings, want one of each",
+			st1.Version, st2.Version, r.Lowerings())
+	}
+	if _, err := r.LoadZoo("MicroNet-KWS-S", ModelOptions{Seed: 43, AppendSoftmax: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Lowerings(); n != 2 {
+		t.Fatalf("lowerings after seed change = %d, want 2", n)
+	}
+}
+
+// TestRegistrySpecFingerprint: a rebuilt spec with the same name but
+// different blocks is a different model — a new version, not an
+// idempotent hit on the old one.
+func TestRegistrySpecFingerprint(t *testing.T) {
+	r := NewRepository(RepositoryConfig{PoolSize: 1, Logger: discardLogger()})
+	defer r.Close()
+	opts := ModelOptions{Seed: 42}
+	a := testSpec(t, "MicroNet-KWS-S")
+	b := testSpec(t, "MicroNet-KWS-S")
+	b.Blocks[1].OutC = 64 // same name, different architecture
+	sta, err := r.Load(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stb, err := r.Load(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stb.Version != sta.Version+1 || r.Lowerings() != 2 {
+		t.Fatalf("distinct architectures with equal names collided: versions %d -> %d, %d lowerings",
+			sta.Version, stb.Version, r.Lowerings())
+	}
+}
+
+// TestRegistryNormalizesDefaultBits: zero-value and explicit int8
+// datatypes lower identically, so they are one version identity.
+func TestRegistryNormalizesDefaultBits(t *testing.T) {
+	r := NewRepository(RepositoryConfig{PoolSize: 1, Logger: discardLogger()})
+	defer r.Close()
+	spec := testSpec(t, "MicroNet-KWS-S")
+	a, err := r.Load(spec, ModelOptions{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Load(spec, ModelOptions{WeightBits: 8, ActBits: 8, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Version != b.Version || r.Lowerings() != 1 {
+		t.Fatalf("bits {0,0} and {8,8} are versions %d and %d after %d lowerings, want one identity",
+			a.Version, b.Version, r.Lowerings())
+	}
+}
+
+func TestRegistryRejectsStatsOnlyAndUnknown(t *testing.T) {
+	r := NewRepository(RepositoryConfig{Logger: discardLogger()})
+	defer r.Close()
+	if _, err := r.LoadZoo("ProxylessNas", ModelOptions{}); err == nil {
+		t.Fatal("stats-only model must not be servable")
+	}
+	if _, err := r.LoadZoo("nope", ModelOptions{}); err == nil {
+		t.Fatal("unknown model must error")
+	}
+	if idx := r.Index(); len(idx) != 0 || r.Lowerings() != 0 {
+		t.Fatalf("rejected loads left index %+v and %d lowerings", idx, r.Lowerings())
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"micronets/internal/graph"
 	"micronets/internal/obs"
 	"micronets/internal/servegraph"
+	"micronets/internal/tflm"
 	"micronets/internal/zoo"
 )
 
@@ -255,9 +256,12 @@ type v2Tensor struct {
 	Data     []float64 `json:"data"`
 }
 
+// v2InferRequest is the body of both infer endpoints. Parameters carries
+// the routing string graph switch nodes match on; models ignore it.
 type v2InferRequest struct {
-	ID     string     `json:"id,omitempty"`
-	Inputs []v2Tensor `json:"inputs"`
+	ID         string            `json:"id,omitempty"`
+	Inputs     []v2Tensor        `json:"inputs"`
+	Parameters map[string]string `json:"parameters,omitempty"`
 }
 
 type v2InferResponse struct {
@@ -312,13 +316,13 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleModelMeta(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	v, release, err := s.repo.acquire(name)
+	v, err := s.repo.acquire(name)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
 		return
 	}
-	defer release()
-	mod := v.entry.Model
+	defer v.release()
+	mod := v.model
 	in := mod.Tensors[mod.Input]
 	out := mod.Tensors[mod.Output]
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -340,8 +344,8 @@ func (s *Server) handleModelMeta(w http.ResponseWriter, r *http.Request) {
 			"task":                v.task,
 			"macs":                mod.TotalMACs(),
 			"flash_bytes":         mod.FlashBytes(),
-			"arena_bytes":         v.entry.ArenaBytes,
-			"shared_weight_bytes": v.entry.WeightBytes,
+			"arena_bytes":         v.arenaBytes,
+			"shared_weight_bytes": v.weightBytes,
 			"pool_size":           v.poolSize,
 			"max_batch":           v.maxBatch,
 			"planned_ram_bytes":   v.plannedBytes,
@@ -362,97 +366,138 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, v2Error{Error: "server draining"})
 		return
 	}
-	name := r.PathValue("name")
-	v, release, err := s.repo.acquire(name)
+	v, err := s.repo.acquire(r.PathValue("name"))
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
 		return
 	}
-	defer release()
-	mod := v.entry.Model
-	elems := mod.Tensors[mod.Input].Elems()
-	// Bound the body before decoding: ~24 bytes per JSON float for a full
-	// client batch plus envelope headroom. One oversized POST must not be
-	// able to exhaust server memory.
-	r.Body = http.MaxBytesReader(w, r.Body, int64(1<<16)+24*int64(elems)*maxInferRows)
-	var req v2InferRequest
+	defer v.release()
+	inT, outT := v.model.Tensors[v.model.Input], v.model.Tensors[v.model.Output]
+	req, n, ok := decodeInfer(w, r, inT, "model "+v.name)
+	if !ok {
+		return
+	}
+	in, elems := req.Inputs[0], inT.Elems()
+	rows := make([][]int8, n)
+	for b := range rows {
+		if rows[b], err = quantizeRow(inT, in.Datatype, in.Data[b*elems:(b+1)*elems]); err != nil {
+			writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
+			return
+		}
+	}
+
+	outs := make([][]int8, n)
+	err = eachRow(n, func(b int) (err error) {
+		outs[b], err = v.batcher.Submit(r.Context(), rows[b])
+		return err
+	})
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, ErrDraining) {
+			code = http.StatusServiceUnavailable
+		}
+		writeJSON(w, code, v2Error{Error: err.Error()})
+		return
+	}
+
+	scores := make([][]float64, n)
+	classes := make([]int, n)
+	for b, out := range outs {
+		scores[b] = dequantize(outT, out)
+		for i, q := range out {
+			if q > out[classes[b]] {
+				classes[b] = i
+			}
+		}
+	}
+	writeJSON(w, http.StatusOK, v2InferResponse{
+		ModelName: v.name,
+		ID:        req.ID,
+		Outputs:   inferOutputs(scores, classes),
+	})
+}
+
+// decodeInfer is the one request-decode step behind both infer endpoints:
+// bound the body from the input layout (~24 bytes per JSON float for a
+// full client batch plus envelope headroom, so one oversized POST cannot
+// exhaust server memory), decode the v2 JSON, require exactly one input
+// tensor and validate its shape against the layout. It returns the
+// request and its client batch size; on a refusal it has already written
+// the 413/400 and reports ok=false. target ("model X", "graph Y") names
+// what the request addressed in shape errors.
+func decodeInfer(w http.ResponseWriter, r *http.Request, layout *graph.Tensor, target string) (req v2InferRequest, n int, ok bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, int64(1<<16)+24*int64(layout.Elems())*maxInferRows)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: fmt.Sprintf(
 				"request body exceeds %d bytes (max client batch is %d rows)", tooBig.Limit, maxInferRows)})
-			return
+			return req, 0, false
 		}
 		writeJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
-		return
+		return req, 0, false
 	}
 	if len(req.Inputs) != 1 {
 		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("want exactly 1 input tensor, got %d", len(req.Inputs))})
-		return
+		return req, 0, false
 	}
-	in := req.Inputs[0]
-	n, err := batchRows(in, mod.Tensors[mod.Input])
+	n, err := batchRows(req.Inputs[0], layout)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("input %q: %v (model %s)", in.Name, err, v.name)})
-		return
+		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("input %q: %v (%s)", req.Inputs[0].Name, err, target)})
+		return req, 0, false
 	}
-	rows := make([][]int8, n)
-	for b := 0; b < n; b++ {
-		row, err := quantizeRow(mod, in.Datatype, in.Data[b*elems:(b+1)*elems])
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
-			return
-		}
-		rows[b] = row
-	}
+	return req, n, true
+}
 
-	outs := make([][]int8, n)
+// eachRow runs fn for every row of a client batch concurrently — so the
+// rows of one request can coalesce in the micro-batcher — and returns the
+// lowest-numbered row's error, if any.
+func eachRow(n int, fn func(b int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for b := range rows {
+	for b := range errs {
 		wg.Add(1)
-		go func(b int) {
+		go func() {
 			defer wg.Done()
-			outs[b], errs[b] = v.batcher.Submit(r.Context(), rows[b])
-		}(b)
+			errs[b] = fn(b)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			code := http.StatusInternalServerError
-			if errors.Is(err, ErrDraining) {
-				code = http.StatusServiceUnavailable
-			}
-			writeJSON(w, code, v2Error{Error: err.Error()})
-			return
+			return err
 		}
 	}
+	return nil
+}
 
-	outT := mod.Tensors[mod.Output]
-	scores := make([]float64, 0, n*outT.Elems())
-	classes := make([]float64, n)
-	top := make([]float64, n)
-	for b, out := range outs {
-		best := 0
-		for i, q := range out {
-			val := float64(outT.Scale) * float64(int32(q)-outT.ZeroPoint)
-			scores = append(scores, val)
-			if q > out[best] {
-				best = i
-			}
-		}
-		classes[b] = float64(best)
-		top[b] = float64(outT.Scale) * float64(int32(out[best])-outT.ZeroPoint)
+// dequantize maps a quantized output vector back to real scores.
+func dequantize(t *graph.Tensor, out []int8) []float64 {
+	scores := make([]float64, len(out))
+	for i, q := range out {
+		scores[i] = float64(t.Scale) * float64(int32(q)-t.ZeroPoint)
 	}
-	writeJSON(w, http.StatusOK, v2InferResponse{
-		ModelName: v.name,
-		ID:        req.ID,
-		Outputs: []v2Tensor{
-			{Name: "scores", Datatype: "FP32", Shape: []int{n, outT.Elems()}, Data: scores},
-			{Name: "class", Datatype: "INT32", Shape: []int{n}, Data: classes},
-			{Name: "score", Datatype: "FP32", Shape: []int{n}, Data: top},
-		},
-	})
+	return scores
+}
+
+// inferOutputs renders per-row answers as the three output tensors both
+// infer endpoints return: the flattened score vectors, the class per row
+// and that class's score.
+func inferOutputs(scores [][]float64, classes []int) []v2Tensor {
+	n, elems := len(scores), len(scores[0])
+	flat := make([]float64, 0, n*elems)
+	class := make([]float64, n)
+	top := make([]float64, n)
+	for b, row := range scores {
+		flat = append(flat, row...)
+		class[b] = float64(classes[b])
+		top[b] = row[classes[b]]
+	}
+	return []v2Tensor{
+		{Name: "scores", Datatype: "FP32", Shape: []int{n, elems}, Data: flat},
+		{Name: "class", Datatype: "INT32", Shape: []int{n}, Data: class},
+		{Name: "score", Datatype: "FP32", Shape: []int{n}, Data: top},
+	}
 }
 
 // ---- repository admin control plane ----
@@ -546,7 +591,12 @@ func (s *Server) handleRepoLoad(w http.ResponseWriter, r *http.Request) {
 	var req repoLoadRequest
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: "load body exceeds 1MB"})
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: "load body exceeds 1MB"})
+			return
+		}
+		writeJSON(w, http.StatusBadRequest, v2Error{Error: "reading load body: " + err.Error()})
 		return
 	}
 	if len(body) > 0 {
@@ -707,36 +757,26 @@ func batchRows(in v2Tensor, t *graph.Tensor) (int, error) {
 	return n, nil
 }
 
-// quantizeRow converts one input row to the model's quantized domain:
-// FP32 rows go through the affine input quantization (the server-side
-// analogue of Interpreter.SetInputFloat), INT8 rows are range-checked and
-// passed through raw.
-func quantizeRow(mod *graph.Model, datatype string, data []float64) ([]int8, error) {
-	in := mod.Tensors[mod.Input]
+// quantizeRow converts one input row to the quantized domain of the
+// model's input tensor: FP32 rows go through tflm.QuantizeInput (the same
+// affine quantization as Interpreter.SetInputFloat), INT8 rows are
+// range-checked and passed through raw.
+func quantizeRow(in *graph.Tensor, datatype string, data []float64) ([]int8, error) {
 	row := make([]int8, len(data))
-	lo, hi := int32(-128), int32(127)
-	if in.Bits == 4 {
-		lo, hi = -8, 7
-	}
 	switch datatype {
 	case "", "FP32":
 		for i, v := range data {
-			q := int32(math.Round(v/float64(in.Scale))) + in.ZeroPoint
-			if q < lo {
-				q = lo
-			}
-			if q > hi {
-				q = hi
-			}
-			row[i] = int8(q)
+			row[i] = tflm.QuantizeInput(in, v)
 		}
 	case "INT8":
+		// The quantizer saturates, so the infinities read back the
+		// tensor's representable range.
+		lo, hi := tflm.QuantizeInput(in, math.Inf(-1)), tflm.QuantizeInput(in, math.Inf(1))
 		for i, v := range data {
-			q := int32(v)
-			if float64(q) != v || q < lo || q > hi {
+			if v != math.Trunc(v) || v < float64(lo) || v > float64(hi) {
 				return nil, fmt.Errorf("INT8 input value %v out of range [%d,%d]", v, lo, hi)
 			}
-			row[i] = int8(q)
+			row[i] = int8(v)
 		}
 	default:
 		return nil, fmt.Errorf("unsupported datatype %q (want FP32 or INT8)", datatype)

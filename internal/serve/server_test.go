@@ -2,16 +2,21 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
+	"micronets/internal/servegraph"
 	"micronets/internal/tensor"
 	"micronets/internal/tflm"
 	"micronets/internal/zoo"
@@ -116,7 +121,7 @@ func output(resp v2InferResponse, name string) *v2Tensor {
 // and they are bit-identical to a directly constructed interpreter at the
 // same seed.
 func TestInferMatchesDirectInterpreter(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	for _, name := range testModels {
 		rng := rand.New(rand.NewSource(7))
 		e, err := zoo.Get(name)
@@ -143,13 +148,9 @@ func TestInferMatchesDirectInterpreter(t *testing.T) {
 			t.Fatalf("%s: got %d scores, want %d", name, len(scores.Data), e.Spec.NumClasses)
 		}
 
-		// Same lowering as the registry performs (seed 42, softmax).
-		reg := NewRegistry(RegistryConfig{PoolSize: 1})
-		entry, err := reg.Get(name, ModelOptions{Seed: 42, AppendSoftmax: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ip, err := tflm.NewInterpreter(entry.Model, 0)
+		// Same lowering as the repository performs (seed 42, softmax).
+		mod := lowerZoo(t, name, ModelOptions{Seed: 42, AppendSoftmax: true})
+		ip, err := tflm.NewInterpreter(mod, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,6 +163,40 @@ func TestInferMatchesDirectInterpreter(t *testing.T) {
 		}
 		if got := float32(score.Data[0]); got != wantScore {
 			t.Fatalf("%s: served score %v, direct %v", name, got, wantScore)
+		}
+
+		// Differential: the same FP32 row through the repository data
+		// path and through a single-node graph yields the identical
+		// score vector the model endpoint returned.
+		inT, outT := mod.Tensors[mod.Input], mod.Tensors[mod.Output]
+		row, err := quantizeRow(inT, "FP32", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.repo.Infer(context.Background(), name, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dequantize(outT, out); !slices.Equal(got, scores.Data) {
+			t.Fatalf("%s: Repository.Infer scores %v, /v2/models scores %v", name, got, scores.Data)
+		}
+		gname := "solo-" + name
+		if _, err := s.graphs.Put(&servegraph.Spec{Name: gname, Root: &servegraph.NodeSpec{Kind: servegraph.KindModel, Model: name}}); err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(v2InferRequest{Inputs: []v2Tensor{{Name: "input", Datatype: "FP32", Data: data}}})
+		code, viaGraph := postJSON(t, ts.URL+"/v2/graphs/"+gname+"/infer", string(body))
+		if code != 200 {
+			t.Fatalf("%s: graph infer: code %d (%v)", name, code, viaGraph)
+		}
+		graphScores := viaGraph["outputs"].([]any)[0].(map[string]any)["data"].([]any)
+		if len(graphScores) != len(scores.Data) {
+			t.Fatalf("%s: graph returned %d scores, model %d", name, len(graphScores), len(scores.Data))
+		}
+		for i, g := range graphScores {
+			if g.(float64) != scores.Data[i] {
+				t.Fatalf("%s: /v2/graphs score[%d] = %v, /v2/models = %v", name, i, g, scores.Data[i])
+			}
 		}
 	}
 }
@@ -267,9 +302,9 @@ func TestInferShapeValidation(t *testing.T) {
 
 // TestInferBodyLimit: a client batch beyond maxInferRows is rejected, and
 // a body larger than the derived limit gets 413 instead of exhausting
-// memory.
+// memory — on the infer and the admin load endpoints alike.
 func TestInferBodyLimit(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	data := make([]float64, (maxInferRows+1)*490)
 	body, _ := json.Marshal(v2InferRequest{Inputs: []v2Tensor{{Name: "input", Datatype: "FP32", Data: data}}})
 	resp, err := http.Post(ts.URL+"/v2/models/MicroNet-KWS-S/infer", "application/json", bytes.NewReader(body))
@@ -279,6 +314,23 @@ func TestInferBodyLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 && resp.StatusCode != 413 {
 		t.Fatalf("oversized batch: status %d, want 400 or 413", resp.StatusCode)
+	}
+
+	// The admin load body is capped at 1MB, and only the cap is a 413: a
+	// body that fails to read for any other reason is the client's 400.
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"over 1MB", strings.NewReader(`{"spec_file":"` + strings.Repeat("x", 1<<20) + `"}`), http.StatusRequestEntityTooLarge},
+		{"read error", iotest.ErrReader(errors.New("connection reset")), http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v2/repository/models/DSCNN-S/load", tc.body))
+		if rec.Code != tc.want {
+			t.Errorf("load with %s body: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body)
+		}
 	}
 
 	// A body past the MaxBytesReader limit either gets a 413 or the
@@ -475,16 +527,9 @@ func TestAdminLoadInlineSpec(t *testing.T) {
 func TestAdminBudgetConflict(t *testing.T) {
 	// Budget sized to the boot model's weights + one batch-1 arena:
 	// nothing else fits.
-	reg := NewRegistry(RegistryConfig{PoolSize: 1})
-	entry, err := reg.Get("DSCNN-S", ModelOptions{Seed: 42, AppendSoftmax: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := tflm.PlanMemory(entry.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := entry.WeightBytes + plan.ArenaBytes
+	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
+	boot := testSpec(t, "DSCNN-S")
+	budget := weightBytesOf(t, boot, opts) + arenaBytesAt(t, boot, opts, 1)
 	s, err := New(Config{
 		Models:         []string{"DSCNN-S"},
 		Options:        ModelOptions{Seed: 42, AppendSoftmax: true},
@@ -521,7 +566,7 @@ func TestAdminBudgetConflict(t *testing.T) {
 // TestAdminLoadPartialOptions: an options object that only sets some
 // fields must inherit the server's lowering for the rest. The detector:
 // on a softmax-less server, a seed-only options body must hash to the
-// SAME registry key as the boot load (idempotent, still version 1) — an
+// SAME version key as the boot load (idempotent, still version 1) — an
 // options object that resets unspecified fields would flip softmax back
 // on and trigger a spurious blue/green swap to version 2.
 func TestAdminLoadPartialOptions(t *testing.T) {
@@ -553,21 +598,14 @@ func TestAdminLoadPartialOptions(t *testing.T) {
 // must leave the zoo catalogue untouched — no name registered, so a
 // later by-name load cannot resolve the rejected spec.
 func TestAdminInlinePublishRollsBackOnBudgetReject(t *testing.T) {
-	reg := NewRegistry(RegistryConfig{PoolSize: 1})
-	entry, err := reg.Get("DSCNN-S", ModelOptions{Seed: 42, AppendSoftmax: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := tflm.PlanMemory(entry.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
+	boot := testSpec(t, "DSCNN-S")
 	s, err := New(Config{
 		Models:         []string{"DSCNN-S"},
-		Options:        ModelOptions{Seed: 42, AppendSoftmax: true},
+		Options:        opts,
 		PoolSize:       1,
 		Batch:          BatcherConfig{MaxBatch: 1},
-		RAMBudgetBytes: entry.WeightBytes + plan.ArenaBytes,
+		RAMBudgetBytes: weightBytesOf(t, boot, opts) + arenaBytesAt(t, boot, opts, 1),
 	})
 	if err != nil {
 		t.Fatal(err)

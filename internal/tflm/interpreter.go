@@ -114,15 +114,28 @@ func (ip *Interpreter) Input() []int8 { return ip.bufs[ip.model.Input] }
 // Output returns the raw quantized output buffer.
 func (ip *Interpreter) Output() []int8 { return ip.bufs[ip.model.Output] }
 
-// quantRange returns the representable quantized range for an activation
-// bit width — the single home for the 4-bit bounds, ready for when 4-bit
-// execution lands (today the runtime rejects 4-bit activations at
-// Prepare time, so only the 8-bit arm is reachable).
-func quantRange(bits int) (lo, hi int32) {
-	if bits == 4 {
-		return -8, 7
+// QuantizeInput maps one real value into t's quantized domain —
+// round(v/scale) + zero point, saturated to the tensor's bit width. It is
+// the one affine input quantizer of the module (SetInputFloat and the
+// serving codec both go through it), and the one home of the 4-bit bounds
+// (today the runtime rejects 4-bit activations at Prepare time, so only
+// the 8-bit arm is reachable). The clamp happens in the float domain,
+// before the integer conversion: a float outside int32 converts
+// implementation-dependently, which used to send +1e300 to the low rail.
+// NaN saturates low.
+func QuantizeInput(t *graph.Tensor, v float64) int8 {
+	lo, hi := -128.0, 127.0
+	if t.Bits == 4 {
+		lo, hi = -8, 7
 	}
-	return -128, 127
+	q := math.Round(v/float64(t.Scale)) + float64(t.ZeroPoint)
+	switch {
+	case q >= hi:
+		return int8(hi)
+	case q > lo:
+		return int8(q)
+	}
+	return int8(lo)
 }
 
 // SetInputFloat quantizes a float tensor (shape [h,w,c] or flat of the
@@ -132,17 +145,9 @@ func (ip *Interpreter) SetInputFloat(x *tensor.Tensor) error {
 	if x.Len() != in.Elems() {
 		return fmt.Errorf("tflm: input has %d elements, model wants %d", x.Len(), in.Elems())
 	}
-	lo, hi := quantRange(in.Bits)
 	buf := ip.Input()
 	for i, v := range x.Data {
-		q := int32(math.Round(float64(v)/float64(in.Scale))) + in.ZeroPoint
-		if q < lo {
-			q = lo
-		}
-		if q > hi {
-			q = hi
-		}
-		buf[i] = int8(q)
+		buf[i] = QuantizeInput(in, float64(v))
 	}
 	return nil
 }

@@ -601,3 +601,50 @@ func TestPooledInterpretersConcurrentNoAliasing(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantizeInputSaturates: a value far outside the quantized range
+// must land on the rail on ITS side whatever the zero point — the clamp
+// happens before the float→int conversion, which is implementation-
+// dependent for floats outside int32 (amd64 turns +1e300 into MinInt32,
+// i.e. the low rail) — and in-range values are untouched. Checked through
+// both users of the one quantizer: QuantizeInput itself (the serving
+// codec's float64 path) and SetInputFloat (float32).
+func TestQuantizeInputSaturates(t *testing.T) {
+	for _, zp := range []int32{-128, 0, 5} {
+		m := lowered(t, 3)
+		in := m.Tensors[m.Input]
+		in.ZeroPoint = zp
+		scale := float64(in.Scale)
+		ip, err := NewInterpreter(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			v    float64
+			want int8
+		}{
+			{1e300, 127}, {-1e300, -128},
+			{3e9 * scale, 127}, {-3e9 * scale, -128},
+			{math.Inf(1), 127}, {math.Inf(-1), -128},
+			{0, int8(max(-128, min(127, zp)))},
+			{10 * scale, int8(max(-128, min(127, zp+10)))},
+			{-10.4 * scale, int8(max(-128, min(127, zp-10)))},
+			{300 * scale, 127}, {-300 * scale, -128},
+		}
+		x := tensor.New(in.Elems())
+		for i, c := range cases {
+			if got := QuantizeInput(in, c.v); got != c.want {
+				t.Errorf("zero point %d: QuantizeInput(%g) = %d, want %d", zp, c.v, got, c.want)
+			}
+			x.Data[i] = float32(c.v)
+		}
+		if err := ip.SetInputFloat(x); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cases {
+			if got := ip.Input()[i]; got != c.want {
+				t.Errorf("zero point %d: SetInputFloat(%g) = %d, want %d", zp, float32(c.v), got, c.want)
+			}
+		}
+	}
+}

@@ -20,9 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
-	"runtime"
+	"sync"
 	"time"
 
 	"micronets/internal/arch"
@@ -59,17 +58,12 @@ func Model(name string) (*arch.Spec, error) {
 // ModelNames lists every model in the zoo.
 func ModelNames() []string { return zoo.Names() }
 
-// DeployOptions configures Deploy.
-type DeployOptions struct {
-	// WeightBits and ActBits select the datatype (default 8; 4 enables the
-	// paper's emulated sub-byte kernels).
-	WeightBits, ActBits int
-	// Seed controls the synthetic weights used when no trained model is
-	// supplied.
-	Seed int64
-	// AppendSoftmax adds the classifier softmax op.
-	AppendSoftmax bool
-}
+// DeployOptions selects how a spec is lowered, for Deploy, ClassifyBatch
+// and the serving repository alike: WeightBits and ActBits pick the
+// datatype (default 8; 4 enables the paper's emulated sub-byte kernels),
+// Seed the synthetic weights used when no trained model is supplied, and
+// AppendSoftmax adds the classifier softmax op.
+type DeployOptions = serve.ModelOptions
 
 // Deployment is the result of deploying a model on a device.
 type Deployment struct {
@@ -96,12 +90,7 @@ type Deployment struct {
 // "not deployable" rows as the paper's tables do; models using unsupported
 // operators return an error.
 func Deploy(spec *arch.Spec, dev *mcu.Device, opts DeployOptions) (*Deployment, error) {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	m, err := graph.FromSpec(spec, rng, graph.LowerOptions{
-		WeightBits:    opts.WeightBits,
-		ActBits:       opts.ActBits,
-		AppendSoftmax: opts.AppendSoftmax,
-	})
+	m, err := opts.Lower(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -139,43 +128,55 @@ func DeployModel(spec *arch.Spec, m *graph.Model, dev *mcu.Device) (*Deployment,
 	return d, nil
 }
 
-// classifyRegistry caches lowered models behind ClassifyBatch, so
-// search/characterization loops that re-classify the same
-// spec amortize lowering and memory planning across calls, not just
-// within one batch. The cache is LRU-bounded so a DNAS search sweeping
-// thousands of distinct candidate specs cannot grow memory without bound,
-// and pools lazily grow to GOMAXPROCS so concurrent callers classifying
-// the same spec are not serialized onto one interpreter.
-var classifyRegistry = serve.NewRegistry(serve.RegistryConfig{
-	PoolSize:   1,
-	PoolMax:    runtime.GOMAXPROCS(0),
-	MaxEntries: 32,
-})
+// classifyCache holds the prepared state (lowered graph, memory plan,
+// packed weights) of the specs ClassifyBatch has seen, keyed by spec
+// fingerprint + options, so search and characterization loops that
+// re-classify one spec pay lowering and planning once. It is bounded so a
+// DNAS search sweeping thousands of distinct candidates cannot grow
+// memory without bound: at the bound an arbitrary entry makes room.
+var (
+	classifyMu    sync.Mutex
+	classifyCache = map[string]*tflm.Prepared{} // guarded by classifyMu
+)
 
-// modelOptions maps the public DeployOptions onto the serving registry's
-// cache key.
-func modelOptions(opts DeployOptions) serve.ModelOptions {
-	return serve.ModelOptions{
-		WeightBits:    opts.WeightBits,
-		ActBits:       opts.ActBits,
-		Seed:          opts.Seed,
-		AppendSoftmax: opts.AppendSoftmax,
-	}
-}
+const classifyCacheMax = 32
 
-// ClassifyBatch runs every input through a pooled interpreter for the
-// spec on the parallel GEMM engine — the batched analogue of
-// Interpreter.Classify for search, characterization and benchmark loops.
-// The lowered graph and its memory plan are cached in a process-wide
-// registry keyed by the spec and options, so repeat calls for the same
-// model pay neither lowering nor planning again. It returns the argmax
-// class and dequantized top score per input.
+// ClassifyBatch runs every input through an interpreter for the spec —
+// the batched analogue of Interpreter.Classify for search,
+// characterization and benchmark loops. The lowered graph, its memory
+// plan and packed weights are cached process-wide by spec and options,
+// so repeat calls for the same model pay neither lowering nor planning
+// again; each call runs on its own interpreter over that shared state,
+// so concurrent callers never serialize. It returns the argmax class and
+// dequantized top score per input.
 func ClassifyBatch(spec *arch.Spec, opts DeployOptions, xs []*tensor.Tensor) ([]int, []float32, error) {
-	entry, err := classifyRegistry.GetSpec(spec, modelOptions(opts))
+	key := fmt.Sprintf("%s|%+v", spec.Fingerprint(), opts)
+	classifyMu.Lock()
+	prep := classifyCache[key]
+	classifyMu.Unlock()
+	if prep == nil {
+		m, err := opts.Lower(spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		if prep, err = tflm.Prepare(m); err != nil {
+			return nil, nil, err
+		}
+		classifyMu.Lock()
+		if len(classifyCache) >= classifyCacheMax {
+			for k := range classifyCache {
+				delete(classifyCache, k)
+				break
+			}
+		}
+		classifyCache[key] = prep
+		classifyMu.Unlock()
+	}
+	ip, err := prep.NewInterpreter(0)
 	if err != nil {
 		return nil, nil, err
 	}
-	return entry.ClassifyBatch(xs)
+	return ip.ClassifyBatch(xs)
 }
 
 // ClassifyModelBatch is ClassifyBatch for an already-lowered model (e.g.
@@ -240,7 +241,7 @@ func NewRepository(opts RepositoryOptions) *Repository {
 		RAMBudgetBytes: opts.RAMBudgetBytes,
 		PoolSize:       opts.PoolSize,
 		Batch:          serve.BatcherConfig{MaxBatch: opts.MaxBatch, MaxDelay: opts.MaxDelay},
-		Options:        modelOptions(opts.Deploy),
+		Options:        opts.Deploy,
 		Logger:         opts.Logger,
 	})}
 }
@@ -250,25 +251,25 @@ func NewRepository(opts RepositoryOptions) *Repository {
 // version was serving. Re-loading an identical spec+options is an
 // idempotent no-op. An over-budget load fails with *serve.BudgetError.
 func (r *Repository) Load(spec *arch.Spec, opts DeployOptions) (ModelStatus, error) {
-	return r.inner.Load(spec, modelOptions(opts))
+	return r.inner.Load(spec, opts)
 }
 
 // LoadModel is Load for a zoo catalogue name (including search exports
 // registered at runtime).
 func (r *Repository) LoadModel(name string, opts DeployOptions) (ModelStatus, error) {
-	return r.inner.LoadZoo(name, modelOptions(opts))
+	return r.inner.LoadZoo(name, opts)
 }
 
 // LoadSpecFile registers a cmd/search -export file into the zoo and
 // loads every spec in it — the restartless -specs.
 func (r *Repository) LoadSpecFile(path string, opts DeployOptions) ([]ModelStatus, error) {
-	return r.inner.LoadSpecFile(path, modelOptions(opts))
+	return r.inner.LoadSpecFile(path, opts)
 }
 
 // Swap is Load restricted to names already serving: an explicit
 // redeploy, failing with *serve.NotLoadedError otherwise.
 func (r *Repository) Swap(spec *arch.Spec, opts DeployOptions) (ModelStatus, error) {
-	return r.inner.Swap(spec, modelOptions(opts))
+	return r.inner.Swap(spec, opts)
 }
 
 // Unload drains the serving version of a name and retires it; in-flight
@@ -284,7 +285,7 @@ func (r *Repository) Index() []ModelStatus { return r.inner.Index() }
 // goroutine next to Serve to make `cmd/search -export` output servable
 // with zero restarts.
 func (r *Repository) Watch(ctx context.Context, paths []string, interval time.Duration, opts DeployOptions) {
-	r.inner.WatchSpecs(ctx, paths, interval, modelOptions(opts))
+	r.inner.WatchSpecs(ctx, paths, interval, opts)
 }
 
 // Close drains every model version and rejects further loads.
@@ -304,7 +305,7 @@ type ServeOptions struct {
 	// runtime-servable catalogue model (when the repository starts
 	// empty), skipping models that exceed the RAM budget.
 	Models []string
-	// PoolSize is desired pre-warmed interpreters per model (default 2).
+	// PoolSize is the desired interpreter replicas per model (default 2).
 	PoolSize int
 	// MaxBatch and MaxDelay bound the micro-batching window (defaults 8
 	// and 2ms).
@@ -335,7 +336,7 @@ type ServeOptions struct {
 func (o ServeOptions) config() serve.Config {
 	cfg := serve.Config{
 		Models:         o.Models,
-		Options:        modelOptions(o.Deploy),
+		Options:        o.Deploy,
 		PoolSize:       o.PoolSize,
 		Batch:          serve.BatcherConfig{MaxBatch: o.MaxBatch, MaxDelay: o.MaxDelay},
 		RAMBudgetBytes: o.RAMBudgetBytes,

@@ -2,11 +2,13 @@ package micronets
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -176,9 +178,20 @@ func TestClassifyBatchFacade(t *testing.T) {
 	}
 }
 
+// classifyCacheSnapshot copies the ClassifyBatch cache: a call that
+// lowered anything shows up as a new key or a replaced pointer.
+func classifyCacheSnapshot() map[string]*tflm.Prepared {
+	classifyMu.Lock()
+	defer classifyMu.Unlock()
+	return maps.Clone(classifyCache)
+}
+
 // TestClassifyBatchAmortizesLowering: repeat ClassifyBatch calls for the
-// same spec and options must hit the registry cache instead of re-lowering
-// the graph and re-planning memory (PR 2 satellite fix).
+// same spec and options must hit the prepared-state cache instead of
+// re-lowering the graph and re-planning memory (PR 2 satellite fix). The
+// subtests carry the rest of the cache's contract: identity by
+// architecture rather than name, a bound, no poisoning by a failed call,
+// and concurrent use.
 func TestClassifyBatchAmortizesLowering(t *testing.T) {
 	spec, err := Model("MicroNet-KWS-S")
 	if err != nil {
@@ -191,13 +204,13 @@ func TestClassifyBatchAmortizesLowering(t *testing.T) {
 	if _, _, err := ClassifyBatch(spec, opts, xs); err != nil {
 		t.Fatal(err)
 	}
-	before := classifyRegistry.Lowerings()
+	before := classifyCacheSnapshot()
 	c1, s1, err := ClassifyBatch(spec, opts, xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := classifyRegistry.Lowerings(); got != before {
-		t.Fatalf("second ClassifyBatch re-lowered the graph (lowerings %d -> %d)", before, got)
+	if !maps.Equal(before, classifyCacheSnapshot()) {
+		t.Fatal("second ClassifyBatch re-lowered the graph (the cache changed)")
 	}
 	// And the cached path still agrees with a from-scratch lowering.
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -217,6 +230,60 @@ func TestClassifyBatchAmortizesLowering(t *testing.T) {
 		t.Fatalf("cached ClassifyBatch (%d, %f) diverged from fresh lowering (%d, %f)",
 			c1[0], s1[0], wantC[0], wantS[0])
 	}
+
+	// variant rebuilds the spec under the same name with block 1 widened.
+	variant := func(outC int) *arch.Spec {
+		cp := *spec
+		cp.Blocks = append([]arch.Block(nil), spec.Blocks...)
+		cp.Blocks[1].OutC = outC
+		return &cp
+	}
+
+	t.Run("SameNameDifferentBlocks", func(t *testing.T) {
+		before := len(classifyCacheSnapshot())
+		if _, _, err := ClassifyBatch(variant(64), opts, xs); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(classifyCacheSnapshot()); got != before+1 {
+			t.Fatalf("a same-named spec with different blocks left %d cache entries, want %d (collision?)", got, before+1)
+		}
+	})
+
+	t.Run("ErrorDoesNotPoison", func(t *testing.T) {
+		if _, _, err := ClassifyBatch(spec, opts, []*tensor.Tensor{tensor.New(3)}); err == nil {
+			t.Fatal("wrong-sized input must error")
+		}
+		c, s, err := ClassifyBatch(spec, opts, xs)
+		if err != nil || c[0] != wantC[0] || s[0] != wantS[0] {
+			t.Fatalf("call after a failed one returned (%v, %v, %v), want (%d, %f, nil)", c, s, err, wantC[0], wantS[0])
+		}
+	})
+
+	t.Run("Concurrent", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, s, err := ClassifyBatch(spec, opts, xs)
+				if err != nil || c[0] != wantC[0] || s[0] != wantS[0] {
+					t.Errorf("concurrent call returned (%v, %v, %v), want (%d, %f, nil)", c, s, err, wantC[0], wantS[0])
+				}
+			}()
+		}
+		wg.Wait()
+	})
+
+	t.Run("Bounded", func(t *testing.T) {
+		for i := 0; i < 40; i++ {
+			if _, _, err := ClassifyBatch(variant(8+8*i), opts, xs); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(classifyCacheSnapshot()); got > classifyCacheMax {
+				t.Fatalf("cache holds %d entries after %d distinct specs, bound is %d", got, i+1, classifyCacheMax)
+			}
+		}
+	})
 }
 
 // TestRepositoryFacadeEndToEnd: the public Repository API drives a live
