@@ -32,27 +32,27 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE micronets_mesh_placement_failures_total counter\n")
 	fmt.Fprintf(&b, "micronets_mesh_placement_failures_total %d\n", rt.placeFails.Load())
 
-	gauge := func(name, help string, val func(*replica, replicaView) int64) {
+	gauge := func(name, help string, val func(*replica, *replicaView) int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
 		for _, rep := range rt.replicas {
-			fmt.Fprintf(&b, "%s{replica=%q} %d\n", name, rep.url, val(rep, rep.snapshotView()))
+			fmt.Fprintf(&b, "%s{replica=%q} %d\n", name, rep.url, val(rep, rep.view.Load()))
 		}
 	}
 	gauge("micronets_mesh_replica_up", "Health state of the replica (1 = up).",
-		func(rep *replica, _ replicaView) int64 {
+		func(rep *replica, _ *replicaView) int64 {
 			if rep.up.Load() {
 				return 1
 			}
 			return 0
 		})
-	gauge("micronets_mesh_replica_models_ready", "Models with a READY version on the replica (last probe).",
-		func(_ *replica, v replicaView) int64 { return int64(v.modelsReady) })
+	gauge("micronets_mesh_replica_models_ready", "Models with a READY version on the replica (last view).",
+		func(_ *replica, v *replicaView) int64 { return int64(len(v.models)) })
 	gauge("micronets_mesh_replica_ram_budget_bytes", "Replica RAM budget (0 = unbudgeted or unknown).",
-		func(_ *replica, v replicaView) int64 { return int64(v.budgetBytes) })
+		func(_ *replica, v *replicaView) int64 { return int64(v.budgetBytes) })
 	gauge("micronets_mesh_replica_ram_planned_bytes", "Bytes the replica has planned against its budget.",
-		func(_ *replica, v replicaView) int64 { return int64(v.plannedBytes) })
+		func(_ *replica, v *replicaView) int64 { return int64(v.plannedBytes) })
 	gauge("micronets_mesh_replica_free_bytes", "Replica budget headroom (-1 = unbudgeted).",
-		func(_ *replica, v replicaView) int64 { return int64(v.freeBytes) })
+		func(_ *replica, v *replicaView) int64 { return int64(v.freeBytes) })
 
 	counter := func(name, help string, val func(*replica) uint64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)

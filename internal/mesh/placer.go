@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // budget409 is the structured ram_budget_exceeded body a replica
@@ -22,185 +21,107 @@ type budget409 struct {
 
 // handleLoad places an admin load onto the fleet. Candidates are the up
 // replicas in the model's ring-affinity order, holders first (a reload
-// should land where the model already lives). A candidate is skipped
-// up-front when its last observed free_bytes already can't fit the
-// needed bytes a previous 409 reported; a candidate that answers 409
-// ram_budget_exceeded spills the placement to the next one. Any other
-// replica answer (200, 400 bad spec, ...) is final and relayed. When
-// every candidate spilled, the router answers its own 409 with the
-// largest free budget seen, so the caller knows how far over the fleet
-// the load was.
+// should land where the model already lives). A candidate that answers
+// 409 ram_budget_exceeded spills the placement to the next one, and
+// once such a 409 has said how many bytes the load needs, a candidate
+// whose last observed free_bytes can't fit that is skipped without a
+// request. Any other replica answer (200, 400 bad spec, ...) is final
+// and relayed. When every candidate spilled, the router answers its own
+// 409 with the largest free budget seen, so the caller knows how far
+// over the fleet the load was.
 func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, ok := rt.readBody(w, r)
+	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	cands := rt.candidates(name, func(rep *replica) bool { return rep.holdsModel(name) })
-	if len(cands) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, meshError{
-			Error: "no replicas available", Code: "no_replicas"})
-		return
+	cands, _ := rt.candidates(name, holdsModel(name))
+	needed, maxFree, spilled := 0, -1, 0
+	skip := func(rep *replica) bool {
+		v := rep.view.Load()
+		if v.rows == nil || v.freeBytes < 0 {
+			return false // never refreshed, or unbudgeted: no pressure
+		}
+		maxFree = max(maxFree, v.freeBytes)
+		// Skip only on evidence: needed comes from a real 409.
+		if needed == 0 || v.freeBytes >= needed {
+			return false
+		}
+		rep.spills.Add(1)
+		spilled++
+		return true
 	}
-	neededHint := 0 // from the first 409; enables free_bytes pre-skips
-	spilled := 0
-	maxFree := -1
-	backoff := rt.cfg.RetryBackoff
-	var lastErr error
-	for _, rep := range cands {
-		if free := rep.freeBytes(); free >= 0 {
-			if free > maxFree {
-				maxFree = free
-			}
-			// Pre-skip only on evidence: a hint from a real 409.
-			if neededHint > 0 && free < neededHint {
-				rep.spills.Add(1)
-				spilled++
-				continue
-			}
+	spills := func(a answer) bool {
+		var be budget409
+		if a.status != http.StatusConflict || json.Unmarshal(a.body, &be) != nil || be.Code != "ram_budget_exceeded" {
+			return false
 		}
-		resp, respBody, err := rt.attempt(rep, r, r.URL.Path, body)
-		if err != nil {
-			lastErr = err
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-			continue
-		}
-		if resp.StatusCode == http.StatusConflict {
-			var be budget409
-			if json.Unmarshal(respBody, &be) == nil && be.Code == "ram_budget_exceeded" {
-				rep.spills.Add(1)
-				spilled++
-				if be.NeededBytes > neededHint {
-					neededHint = be.NeededBytes
-				}
-				if be.FreeBytes > maxFree {
-					maxFree = be.FreeBytes
-				}
-				continue
-			}
-		}
-		if resp.StatusCode == http.StatusOK {
-			rep.placements.Add(1)
-			// Refresh the winner synchronously so the data plane and the
-			// fleet index see the new model before the next health tick.
-			_ = rep.refreshView(rt.cfg.Client) //microvet:ignore droppederr view refresh is best-effort; the health loop repairs it within one interval
-		}
-		writeProxied(w, rep, resp, respBody)
-		return
+		a.rep.spills.Add(1)
+		spilled++
+		needed = max(needed, be.NeededBytes)
+		maxFree = max(maxFree, be.FreeBytes)
+		return true
 	}
-	if spilled > 0 {
+	ans, err := rt.walk(r, body, cands, skip, spills)
+	switch {
+	case ans.final:
+		rt.writePlaced(w, ans)
+	case spilled > 0:
 		rt.placeFails.Add(1)
 		writeJSON(w, http.StatusConflict, budget409{
 			Error: fmt.Sprintf(
 				"model %s does not fit on any of %d replicas (needs %d bytes, best free %d)",
-				name, len(cands), neededHint, maxFree),
+				name, len(cands), needed, maxFree),
 			Code:        "ram_budget_exceeded",
 			Model:       name,
-			NeededBytes: neededHint,
+			NeededBytes: needed,
 			FreeBytes:   maxFree,
 		})
-		return
+	default:
+		writeUnanswered(w, err)
 	}
-	writeJSON(w, http.StatusBadGateway, meshError{
-		Error: fmt.Sprintf("all replicas failed: %v", lastErr), Code: "replicas_unreachable"})
 }
 
-// handleUnload fans the unload out to every up replica holding the
-// model (per the fleet view) and aggregates: 200 when every holder
-// unloaded, 404 when none holds it, the first non-OK replica answer
-// otherwise.
-func (rt *Router) handleUnload(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
+// writePlaced relays a placement walk's final answer. A 200 counts as a
+// placement and refreshes the winner's view synchronously, so the data
+// plane and the fleet index see the new model or graph before the next
+// health tick.
+func (rt *Router) writePlaced(w http.ResponseWriter, ans answer) {
+	if ans.status == http.StatusOK {
+		ans.rep.placements.Add(1)
+		ans.rep.refreshView(rt.cfg.Client)
 	}
-	holders := rt.holdersOf(name, func(rep *replica) bool { return rep.holdsModel(name) })
-	if len(holders) == 0 {
-		writeJSON(w, http.StatusNotFound, meshError{
-			Error: fmt.Sprintf("model %s is not loaded on any replica", name)})
-		return
-	}
-	unloaded := []string{}
-	for _, rep := range holders {
-		resp, respBody, err := rt.attempt(rep, r, r.URL.Path, body)
-		if err != nil {
-			writeJSON(w, http.StatusBadGateway, meshError{
-				Error: fmt.Sprintf("unload on %s failed: %v", rep.url, err),
-				Code:  "replicas_unreachable"})
-			return
-		}
-		if resp.StatusCode != http.StatusOK {
-			writeProxied(w, rep, resp, respBody)
-			return
-		}
-		unloaded = append(unloaded, rep.url)
-		_ = rep.refreshView(rt.cfg.Client) //microvet:ignore droppederr view refresh is best-effort; the health loop repairs it within one interval
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"model": name, "unloaded_from": unloaded})
+	writeProxied(w, ans)
 }
 
 // handleGraphPut places a graph registration: the target replica must
 // already hold every model the graph references, so a 404 unknown_model
 // or 409 model_not_loaded from one candidate spills to the next. Other
 // answers (200, 400 bad graph, 409 stale_version CAS failures) are
-// final.
+// final. When every candidate spilled, the last spill is the answer.
 func (rt *Router) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, ok := rt.readBody(w, r)
+	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	cands := rt.candidates(name, func(rep *replica) bool { return rep.holdsGraph(name) })
-	if len(cands) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, meshError{
-			Error: "no replicas available", Code: "no_replicas"})
-		return
-	}
-	backoff := rt.cfg.RetryBackoff
-	var lastErr error
-	var lastSpill *struct {
-		rep  *replica
-		resp *http.Response
-		body []byte
-	}
-	for _, rep := range cands {
-		resp, respBody, err := rt.attempt(rep, r, r.URL.Path, body)
-		if err != nil {
-			lastErr = err
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-			continue
+	cands, _ := rt.candidates(name, holdsGraph(name))
+	ans, err := rt.walk(r, body, cands, nil, func(a answer) bool {
+		if !graphPlacementSpill(a.status, a.body) {
+			return false
 		}
-		if graphPlacementSpill(resp.StatusCode, respBody) {
-			rep.spills.Add(1)
-			lastSpill = &struct {
-				rep  *replica
-				resp *http.Response
-				body []byte
-			}{rep, resp, respBody}
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			rep.placements.Add(1)
-			_ = rep.refreshView(rt.cfg.Client) //microvet:ignore droppederr view refresh is best-effort; the health loop repairs it within one interval
-		}
-		writeProxied(w, rep, resp, respBody)
-		return
-	}
-	if lastSpill != nil {
+		a.rep.spills.Add(1)
+		return true
+	})
+	switch {
+	case err != nil:
+		writeUnanswered(w, err)
+	case ans.final:
+		rt.writePlaced(w, ans)
+	default:
 		rt.placeFails.Add(1)
-		writeProxied(w, lastSpill.rep, lastSpill.resp, lastSpill.body)
-		return
+		writeProxied(w, ans)
 	}
-	writeJSON(w, http.StatusBadGateway, meshError{
-		Error: fmt.Sprintf("all replicas failed: %v", lastErr), Code: "replicas_unreachable"})
 }
 
 // graphPlacementSpill reports whether a graph PUT answer means "this
@@ -219,36 +140,53 @@ func graphPlacementSpill(status int, body []byte) bool {
 	return e.Code == "unknown_model" || e.Code == "model_not_loaded"
 }
 
-// handleGraphDelete fans the delete out to every up replica holding the
-// graph; 404 when none does.
-func (rt *Router) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	body, ok := rt.readBody(w, r)
+// fanOut sends the request to every up replica whose fleet view holds
+// the target, one attempt each in affinity order, refreshing each
+// holder's view as it goes. It returns the URLs that answered 200/204,
+// or false after writing the failure: 404 with notHeld when there is no
+// holder, 502 on a transport failure, the first non-OK replica answer
+// otherwise.
+func (rt *Router) fanOut(w http.ResponseWriter, r *http.Request, name string, holds func(*replicaView) bool, notHeld string) ([]string, bool) {
+	body, ok := readBody(w, r)
 	if !ok {
-		return
+		return nil, false
 	}
-	holders := rt.holdersOf(name, func(rep *replica) bool { return rep.holdsGraph(name) })
-	if len(holders) == 0 {
-		writeJSON(w, http.StatusNotFound, meshError{
-			Error: fmt.Sprintf("graph %s is not registered on any replica", name)})
-		return
+	cands, holders := rt.candidates(name, holds)
+	if holders == 0 {
+		writeJSON(w, http.StatusNotFound, meshError{Error: fmt.Sprintf(notHeld, name)})
+		return nil, false
 	}
-	deleted := []string{}
-	for _, rep := range holders {
-		resp, respBody, err := rt.attempt(rep, r, r.URL.Path, body)
+	done := []string{}
+	for _, rep := range cands[:holders] {
+		ans, err := rt.attempt(rep, r, body)
 		if err != nil {
 			writeJSON(w, http.StatusBadGateway, meshError{
-				Error: fmt.Sprintf("delete on %s failed: %v", rep.url, err),
+				Error: fmt.Sprintf("%s %s on %s failed: %v", r.Method, r.URL.Path, rep.url, err),
 				Code:  "replicas_unreachable"})
-			return
+			return nil, false
 		}
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-			writeProxied(w, rep, resp, respBody)
-			return
+		if ans.status != http.StatusOK && ans.status != http.StatusNoContent {
+			writeProxied(w, ans)
+			return nil, false
 		}
-		deleted = append(deleted, rep.url)
-		_ = rep.refreshView(rt.cfg.Client) //microvet:ignore droppederr view refresh is best-effort; the health loop repairs it within one interval
+		done = append(done, rep.url)
+		rep.refreshView(rt.cfg.Client)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"graph": name, "deleted_from": deleted})
+	return done, true
+}
+
+// handleUnload fans the unload out to every holder of the model.
+func (rt *Router) handleUnload(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	if from, ok := rt.fanOut(w, r, name, holdsModel(name), "model %s is not loaded on any replica"); ok {
+		writeJSON(w, http.StatusOK, map[string]any{"model": name, "unloaded_from": from})
+	}
+}
+
+// handleGraphDelete fans the delete out to every holder of the graph.
+func (rt *Router) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	if from, ok := rt.fanOut(w, r, name, holdsGraph(name), "graph %s is not registered on any replica"); ok {
+		writeJSON(w, http.StatusOK, map[string]any{"graph": name, "deleted_from": from})
+	}
 }

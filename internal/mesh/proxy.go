@@ -3,6 +3,7 @@ package mesh
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,135 +25,189 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v) //microvet:ignore droppederr headers are already written; an encode failure means the client hung up
 }
 
+// maxBodyBytes bounds buffered request and response bodies. Bodies are
+// buffered so an attempt can be replayed on an alternate replica. It is
+// a var only so tests can lower it.
+var maxBodyBytes int64 = 32 << 20
+
+var errNoReplicas = errors.New("no replicas available")
+
 // readBody buffers the request body (bounded) so an attempt can be
 // replayed against an alternate replica. Returns false after writing
 // the error response.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, meshError{
-			Error: fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes)})
-		return nil, false
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		return body, true
 	}
-	return body, true
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, meshError{
+			Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+	} else {
+		writeJSON(w, http.StatusBadRequest, meshError{Error: "reading request body: " + err.Error()})
+	}
+	return nil, false
 }
 
-// attempt issues one proxied request to one replica and returns the
-// response with its body fully buffered (bounded). The replica's
-// request/error counters and latency histogram are updated here.
-func (rt *Router) attempt(rep *replica, r *http.Request, path string, body []byte) (*http.Response, []byte, error) {
-	url := rep.url + path
+// answer is one replica's reply to one attempt, body fully buffered.
+type answer struct {
+	rep    *replica
+	status int
+	header http.Header
+	body   []byte
+	// final is set by walk: the replica's word is the answer. Unset on
+	// the answer walk hands back when every candidate spilled or failed
+	// (then it is the last spill).
+	final bool
+}
+
+// attempt is the package's one transport primitive: it replays the
+// buffered request against one replica and buffers the reply. The
+// replica's request/error counters and latency histogram are updated
+// here. A reply over maxBodyBytes is a failed attempt, never a
+// truncated answer.
+func (rt *Router) attempt(rep *replica, r *http.Request, body []byte) (answer, error) {
+	url := rep.url + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, nil, err
+		return answer{}, err
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	for _, h := range []string{"Content-Type", "X-Micronets-Trace", "X-Micronets-Trace-Id"} {
+		if v := r.Header.Get(h); v != "" {
+			req.Header.Set(h, v)
+		}
 	}
-	req.Header.Set("X-Micronets-Trace-Id", r.Header.Get("X-Micronets-Trace-Id"))
 	start := time.Now()
 	resp, err := rt.cfg.Client.Do(req)
 	if err != nil {
 		rep.errors.Add(1)
-		return nil, nil, err
+		return answer{}, err
 	}
 	defer drainClose(resp.Body)
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err == nil && int64(len(respBody)) > maxBodyBytes {
+		err = fmt.Errorf("mesh: %s response exceeds %d bytes", rep.url, maxBodyBytes)
+	}
 	if err != nil {
 		rep.errors.Add(1)
-		return nil, nil, err
+		return answer{}, err
 	}
 	rep.requests.Add(1)
 	rep.hist.Observe(time.Since(start))
-	return resp, respBody, nil
+	return answer{rep: rep, status: resp.StatusCode, header: resp.Header, body: respBody}, nil
 }
 
-// writeProxied relays a buffered replica response to the client,
-// stamping which replica answered.
-func writeProxied(w http.ResponseWriter, rep *replica, resp *http.Response, body []byte) {
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
+// walk is the package's one candidate loop, the rule the package doc
+// states. It tries cands in order. A candidate that skip (optional)
+// accepts is passed over without a request. A transport failure backs
+// off — doubling, cut short by the request context, never after the
+// last candidate — and moves on. An answer that spills accepts is
+// remembered and the walk moves on at once; any other answer is final.
+// Nothing is written: the caller gets the final answer, else the last
+// spilled one, else the last transport error (errNoReplicas for an
+// empty list), and owns the epilogue.
+func (rt *Router) walk(r *http.Request, body []byte, cands []*replica,
+	skip func(*replica) bool, spills func(answer) bool) (answer, error) {
+	var lastSpill answer
+	lastErr := errNoReplicas
+	backoff := rt.cfg.RetryBackoff
+	attempts := 0
+	for i, rep := range cands {
+		if skip != nil && skip(rep) {
+			continue
+		}
+		if attempts > 0 {
+			rt.retries.Add(1)
+		}
+		attempts++
+		ans, err := rt.attempt(rep, r, body)
+		if err != nil {
+			lastErr = err
+			if i == len(cands)-1 {
+				break
+			}
+			select {
+			case <-time.After(backoff):
+			case <-r.Context().Done():
+				return answer{}, r.Context().Err()
+			}
+			backoff = min(2*backoff, time.Second)
+			continue
+		}
+		if !spills(ans) {
+			ans.final = true
+			return ans, nil
+		}
+		lastSpill = ans
+	}
+	if lastSpill.rep != nil {
+		return lastSpill, nil
+	}
+	return answer{}, lastErr
+}
+
+// writeUnanswered reports a walk no replica answered.
+func writeUnanswered(w http.ResponseWriter, err error) {
+	if errors.Is(err, errNoReplicas) {
+		writeJSON(w, http.StatusServiceUnavailable, meshError{Error: err.Error(), Code: "no_replicas"})
+		return
+	}
+	writeJSON(w, http.StatusBadGateway, meshError{
+		Error: fmt.Sprintf("all replicas failed: %v", err), Code: "replicas_unreachable"})
+}
+
+// writeProxied relays a replica's answer to the client, stamping which
+// replica gave it.
+func writeProxied(w http.ResponseWriter, ans answer) {
+	if ct := ans.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	for k, vs := range resp.Header {
+	for k, vs := range ans.header {
 		if strings.HasPrefix(k, "X-Micronets-") && k != "X-Micronets-Trace-Id" {
 			w.Header()[k] = vs
 		}
 	}
-	w.Header().Set("X-Micronets-Replica", rep.url)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body) //microvet:ignore droppederr headers are already written; a write failure means the client hung up
+	w.Header().Set("X-Micronets-Replica", ans.rep.url)
+	w.WriteHeader(ans.status)
+	_, _ = w.Write(ans.body) //microvet:ignore droppederr headers are already written; a write failure means the client hung up
 }
 
-// forward proxies one data-plane request along the candidate list:
-// connection failures back off exponentially and move to the next
-// candidate, and (when retryOn404 is set, for infer/metadata routes
-// keyed by a name the fleet view may be stale about) a 404 from one
-// replica falls through to the next. Any other response — success or
-// error — is the answer and is relayed as-is.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, holds func(*replica) bool, retryOn404 bool) {
-	body, ok := rt.readBody(w, r)
+// forward proxies one data-plane request: holders first, then the rest
+// of the fleet in affinity order, capped at MaxAttempts. The routes are
+// keyed by a name the fleet view may be stale about, so a 404 spills to
+// the next candidate; any other answer is relayed as-is.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, holds func(*replicaView) bool) {
+	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	cands := rt.candidates(key, holds)
-	if len(cands) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, meshError{
-			Error: "no replicas available", Code: "no_replicas"})
-		return
-	}
+	cands, _ := rt.candidates(key, holds)
 	if len(cands) > rt.cfg.MaxAttempts {
 		cands = cands[:rt.cfg.MaxAttempts]
 	}
-	backoff := rt.cfg.RetryBackoff
-	var lastErr error
-	var last404 *http.Response
-	var last404Body []byte
-	var last404Rep *replica
-	for i, rep := range cands {
-		if i > 0 {
-			rt.retries.Add(1)
-		}
-		resp, respBody, err := rt.attempt(rep, r, r.URL.Path, body)
-		if err != nil {
-			lastErr = err
-			if i < len(cands)-1 {
-				time.Sleep(backoff)
-				if backoff *= 2; backoff > time.Second {
-					backoff = time.Second
-				}
-			}
-			continue
-		}
-		if retryOn404 && resp.StatusCode == http.StatusNotFound && i < len(cands)-1 {
-			last404, last404Body, last404Rep = resp, respBody, rep
-			continue
-		}
-		writeProxied(w, rep, resp, respBody)
+	ans, err := rt.walk(r, body, cands, nil,
+		func(a answer) bool { return a.status == http.StatusNotFound })
+	if err != nil {
+		writeUnanswered(w, err)
 		return
 	}
-	if last404 != nil {
-		writeProxied(w, last404Rep, last404, last404Body)
-		return
-	}
-	writeJSON(w, http.StatusBadGateway, meshError{
-		Error: fmt.Sprintf("all replicas failed: %v", lastErr), Code: "replicas_unreachable"})
+	writeProxied(w, ans)
 }
 
 // handleModelProxy serves the per-model data plane (metadata, profile,
-// infer): prefer replicas holding the model, fall through the fleet on
-// stale-view 404s.
+// infer); handleGraphProxy serves per-graph reads and infers.
 func (rt *Router) handleModelProxy(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	rt.forward(w, r, name, func(rep *replica) bool { return rep.holdsModel(name) }, true)
+	rt.forward(w, r, name, holdsModel(name))
 }
 
-// handleGraphProxy serves per-graph reads and infers the same way.
 func (rt *Router) handleGraphProxy(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	rt.forward(w, r, name, func(rep *replica) bool { return rep.holdsGraph(name) }, true)
+	rt.forward(w, r, name, holdsGraph(name))
 }
 
 func (rt *Router) handleLive(w http.ResponseWriter, r *http.Request) {
@@ -191,7 +246,7 @@ func (rt *Router) handleGraphList(w http.ResponseWriter, r *http.Request) {
 		if !rep.up.Load() {
 			continue
 		}
-		for _, row := range rep.snapshotView().graphRows {
+		for _, row := range rep.view.Load().graphRows {
 			name, _ := row["name"].(string)
 			if name == "" || seen[name] {
 				continue
@@ -220,11 +275,11 @@ func (rt *Router) handleFleetIndex(w http.ResponseWriter, r *http.Request) {
 	unbounded := false
 	for _, rep := range rt.replicas {
 		up := rep.up.Load()
-		v := rep.snapshotView()
+		v := rep.view.Load()
 		replicas = append(replicas, map[string]any{
 			"url":               rep.url,
 			"up":                up,
-			"models_ready":      v.modelsReady,
+			"models_ready":      len(v.models),
 			"ram_budget_bytes":  v.budgetBytes,
 			"ram_planned_bytes": v.plannedBytes,
 			"free_bytes":        v.freeBytes,

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"micronets/internal/obs"
@@ -32,16 +31,19 @@ type replica struct {
 	spills      atomic.Uint64 // budget 409s (or free_bytes skips) here
 	hist        obs.Histogram // latency of answered proxied requests
 
-	mu   sync.Mutex
-	view replicaView // guarded by replica.mu
+	// view is only ever replaced wholesale (refreshView, setUp(false)),
+	// never mutated, so readers just Load it. Never nil.
+	view atomic.Pointer[replicaView]
 }
 
 // replicaView is the router's last successful snapshot of a replica's
 // repository index and graph list. A zero view (before the first
-// refresh, or while the replica is down) holds nothing.
+// refresh, or while the replica is down) holds nothing; a refreshed
+// one has non-nil rows.
 type replicaView struct {
-	// models maps name → true for names with a READY version; graphs
-	// likewise for registered graphs.
+	// models maps name → true for names with a READY version (so
+	// len(models) is the replica's models_ready); graphs likewise for
+	// registered graphs.
 	models map[string]bool
 	graphs map[string]bool
 	// rows / graphRows are the raw index and graph-list rows (decoded
@@ -54,11 +56,12 @@ type replicaView struct {
 	budgetBytes  int
 	plannedBytes int
 	freeBytes    int
-	modelsReady  int
 }
 
 func newReplica(url string) *replica {
-	return &replica{url: strings.TrimRight(url, "/")}
+	rep := &replica{url: strings.TrimRight(url, "/")}
+	rep.view.Store(&replicaView{})
+	return rep
 }
 
 // setUp transitions the health state, counting actual flips. It resets
@@ -72,51 +75,21 @@ func (rep *replica) setUp(up bool) {
 		rep.consecFails = 0
 	} else {
 		rep.consecOKs = 0
-		rep.mu.Lock()
-		rep.view = replicaView{}
-		rep.mu.Unlock()
+		rep.view.Store(&replicaView{})
 	}
 }
 
-// snapshotView returns the current view under the lock.
-func (rep *replica) snapshotView() replicaView {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	return rep.view
-}
-
-// holdsModel / holdsGraph consult the fleet view.
-func (rep *replica) holdsModel(name string) bool {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	return rep.view.models[name]
-}
-
-func (rep *replica) holdsGraph(name string) bool {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	return rep.view.graphs[name]
-}
-
-// freeBytes returns the last observed free budget (-1 = unbudgeted or
-// unknown, which the placer treats as "no pressure").
-func (rep *replica) freeBytes() int {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.view.rows == nil && rep.view.budgetBytes == 0 {
-		return -1 // never refreshed
-	}
-	return rep.view.freeBytes
-}
-
-// probe runs one health check against the replica and applies the
+// probe runs one health check against the replica (up iff GET
+// /v2/health/ready answers 200 with ready:true) and applies the
 // mark-down / mark-up hysteresis: down after downAfter consecutive
 // failures, up after upAfter consecutive successes. On success the
 // fleet view is refreshed too. Called from the health loop (or New's
 // synchronous first round); never concurrently for one replica.
 func (rep *replica) probe(client *http.Client, downAfter, upAfter int) {
-	ready, modelsReady, err := rep.checkReady(client)
-	if err != nil || !ready {
+	var ready struct {
+		Ready bool `json:"ready"`
+	}
+	if getJSON(client, rep.url+"/v2/health/ready", &ready) != nil || !ready.Ready {
 		rep.consecOKs = 0
 		rep.consecFails++
 		if rep.up.Load() && rep.consecFails >= downAfter {
@@ -130,56 +103,31 @@ func (rep *replica) probe(client *http.Client, downAfter, upAfter int) {
 		rep.setUp(true)
 	}
 	if rep.up.Load() {
-		if err := rep.refreshView(client); err == nil {
-			rep.mu.Lock()
-			rep.view.modelsReady = modelsReady
-			rep.mu.Unlock()
-		}
+		rep.refreshView(client)
 	}
-}
-
-// checkReady probes GET /v2/health/ready: up iff the replica answers
-// 200 with ready:true. The models_ready count distinguishes "up but
-// empty" from "serving" during warm-up.
-func (rep *replica) checkReady(client *http.Client) (ready bool, modelsReady int, err error) {
-	var body struct {
-		Ready       bool `json:"ready"`
-		ModelsReady int  `json:"models_ready"`
-	}
-	resp, err := client.Get(rep.url + "/v2/health/ready")
-	if err != nil {
-		return false, 0, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return false, 0, fmt.Errorf("mesh: %s ready: %s", rep.url, resp.Status)
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body); err != nil {
-		return false, 0, err
-	}
-	return body.Ready, body.ModelsReady, nil
 }
 
 // refreshView re-reads the replica's repository index and graph list
-// into the fleet view. Partial failures keep the previous view: a
-// stale map beats an empty one for routing.
-func (rep *replica) refreshView(client *http.Client) error {
+// into the fleet view. It is best-effort: any failure keeps the
+// previous view (a stale map beats an empty one for routing) and the
+// next health tick repairs it.
+func (rep *replica) refreshView(client *http.Client) {
 	var idx struct {
 		Models          []map[string]any `json:"models"`
 		RAMBudgetBytes  int              `json:"ram_budget_bytes"`
 		RAMPlannedBytes int              `json:"ram_planned_bytes"`
 		FreeBytes       int              `json:"free_bytes"`
 	}
-	if err := getJSON(client, rep.url+"/v2/repository/index", &idx); err != nil {
-		return err
+	if getJSON(client, rep.url+"/v2/repository/index", &idx) != nil {
+		return
 	}
 	var gl struct {
 		Graphs []map[string]any `json:"graphs"`
 	}
-	if err := getJSON(client, rep.url+"/v2/graphs", &gl); err != nil {
-		return err
+	if getJSON(client, rep.url+"/v2/graphs", &gl) != nil {
+		return
 	}
-	v := replicaView{
+	v := &replicaView{
 		models:       make(map[string]bool, len(idx.Models)),
 		graphs:       make(map[string]bool, len(gl.Graphs)),
 		rows:         idx.Models,
@@ -206,12 +154,7 @@ func (rep *replica) refreshView(client *http.Client) error {
 			v.graphs[name] = true
 		}
 	}
-	rep.mu.Lock()
-	modelsReady := rep.view.modelsReady
-	rep.view = v
-	rep.view.modelsReady = modelsReady
-	rep.mu.Unlock()
-	return nil
+	rep.view.Store(v)
 }
 
 // getJSON fetches one JSON document (bounded) or fails on non-200.

@@ -18,12 +18,11 @@ import (
 //     removing one only reassigns the keys it owned, so fleet membership
 //     changes do not reshuffle every placement.
 //
-// A Ring is not safe for concurrent mutation; the router builds one at
-// construction and only reads it afterwards.
+// A Ring is immutable once built, so it is safe for concurrent use; a
+// fleet whose membership changes builds a fresh ring and swaps it in.
 type Ring struct {
-	vnodes int
-	points []ringPoint // sorted by hash
-	urls   []string    // distinct members, insertion order
+	points  []ringPoint // sorted by hash
+	members int         // distinct URLs on the ring
 }
 
 type ringPoint struct {
@@ -32,54 +31,25 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring with vnodes virtual nodes per member (≤0 picks
-// the default 128) over the given members.
+// the default 128) over the given members; duplicate URLs collapse.
 func NewRing(vnodes int, urls ...string) *Ring {
 	if vnodes <= 0 {
 		vnodes = 128
 	}
-	r := &Ring{vnodes: vnodes}
+	r := &Ring{}
+	seen := make(map[string]bool, len(urls))
 	for _, u := range urls {
-		r.Add(u)
-	}
-	return r
-}
-
-// Add inserts a member (no-op when already present).
-func (r *Ring) Add(url string) {
-	for _, u := range r.urls {
-		if u == url {
-			return
+		if seen[u] {
+			continue
 		}
-	}
-	r.urls = append(r.urls, url)
-	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, ringPoint{hash: hash64(url + "#" + strconv.Itoa(i)), url: url})
+		seen[u] = true
+		r.members++
+		for i := 0; i < vnodes; i++ {
+			r.points = append(r.points, ringPoint{hash: hash64(u + "#" + strconv.Itoa(i)), url: u})
+		}
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove deletes a member (no-op when absent).
-func (r *Ring) Remove(url string) {
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.url != url {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	for i, u := range r.urls {
-		if u == url {
-			r.urls = append(r.urls[:i], r.urls[i+1:]...)
-			break
-		}
-	}
-}
-
-// Members returns the current member URLs (insertion order).
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.urls))
-	copy(out, r.urls)
-	return out
+	return r
 }
 
 // Owner returns the first member of Order(key), or "" on an empty ring.
@@ -98,10 +68,10 @@ func (r *Ring) Order(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(r.urls))
-	seen := make(map[string]bool, len(r.urls))
+	out := make([]string, 0, r.members)
+	seen := make(map[string]bool, r.members)
 	start := r.search(key)
-	for i := 0; i < len(r.points) && len(out) < len(r.urls); i++ {
+	for i := 0; i < len(r.points) && len(out) < r.members; i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if !seen[p.url] {
 			seen[p.url] = true

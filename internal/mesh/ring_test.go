@@ -48,9 +48,10 @@ func TestRingDistribution(t *testing.T) {
 	}
 }
 
-// TestRingMinimalMovement checks the consistent-hashing contract:
-// adding a member only steals keys for itself, removing one only
-// reassigns the keys it owned.
+// TestRingMinimalMovement checks the consistent-hashing contract
+// between two rings that differ by one member: the added member only
+// steals keys for itself, the removed one only gives up the keys it
+// owned.
 func TestRingMinimalMovement(t *testing.T) {
 	const nKeys = 10000
 	keys := ringKeys(nKeys)
@@ -58,20 +59,15 @@ func TestRingMinimalMovement(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("add-to-%d", tc.before), func(t *testing.T) {
 			urls := ringURLs(tc.before + 1)
-			r := NewRing(0, urls[:tc.before]...)
-			before := map[string]string{}
-			for _, k := range keys {
-				before[k] = r.Owner(k)
-			}
+			small, grown := NewRing(0, urls[:tc.before]...), NewRing(0, urls...)
 			added := urls[tc.before]
-			r.Add(added)
 			moved := 0
 			for _, k := range keys {
-				if now := r.Owner(k); now != before[k] {
+				if before, now := small.Owner(k), grown.Owner(k); now != before {
 					moved++
 					if now != added {
 						t.Fatalf("key %s moved %s → %s, not to the added member %s",
-							k, before[k], now, added)
+							k, before, now, added)
 					}
 				}
 			}
@@ -85,22 +81,17 @@ func TestRingMinimalMovement(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("remove-from-%d", tc.before+1), func(t *testing.T) {
 			urls := ringURLs(tc.before + 1)
-			r := NewRing(0, urls...)
-			before := map[string]string{}
-			for _, k := range keys {
-				before[k] = r.Owner(k)
-			}
+			full, shrunk := NewRing(0, urls...), NewRing(0, urls[:tc.before]...)
 			removed := urls[tc.before]
-			r.Remove(removed)
 			for _, k := range keys {
-				now := r.Owner(k)
-				if before[k] == removed {
+				before, now := full.Owner(k), shrunk.Owner(k)
+				if before == removed {
 					if now == removed {
 						t.Fatalf("key %s still owned by removed member", k)
 					}
-				} else if now != before[k] {
+				} else if now != before {
 					t.Fatalf("key %s moved %s → %s although its owner was not removed",
-						k, before[k], now)
+						k, before, now)
 				}
 			}
 		})
@@ -137,7 +128,7 @@ func TestRingOrder(t *testing.T) {
 }
 
 // TestRingEdgeCases covers empty and single-member rings plus
-// duplicate adds.
+// duplicate members.
 func TestRingEdgeCases(t *testing.T) {
 	r := NewRing(0)
 	if got := r.Owner("x"); got != "" {
@@ -146,10 +137,12 @@ func TestRingEdgeCases(t *testing.T) {
 	if got := r.Order("x"); got != nil {
 		t.Errorf("empty ring Order = %v, want nil", got)
 	}
-	r.Add("http://a")
-	r.Add("http://a") // duplicate: no-op
-	if got := len(r.Members()); got != 1 {
-		t.Fatalf("members after duplicate add = %d, want 1", got)
+	r = NewRing(0, "http://a", "http://a") // duplicate collapses
+	if got := r.Order("anything"); len(got) != 1 || got[0] != "http://a" {
+		t.Fatalf("Order over a duplicated member = %v, want [http://a]", got)
+	}
+	if got, want := len(r.points), len(NewRing(0, "http://a").points); got != want {
+		t.Errorf("duplicated member holds %d ring points, want %d", got, want)
 	}
 	if got := r.Owner("anything"); got != "http://a" {
 		t.Errorf("single-member Owner = %q", got)

@@ -28,22 +28,16 @@ type Config struct {
 	// consecutive successes (default 1).
 	DownAfter int
 	UpAfter   int
-	// MaxAttempts bounds how many replicas one proxied request may try
-	// (default 3). Only connection-level failures (and, on the data
-	// plane, a stale-view 404) move to the next candidate; an HTTP error
-	// from a reached replica is passed through.
+	// MaxAttempts caps how many candidates one data-plane request may
+	// try (default 3); placement walks every up candidate. See the
+	// package doc's retry rule.
 	MaxAttempts int
-	// RetryBackoff is the initial pause before a retry after a
-	// connection failure, doubling per attempt (default 25ms, capped at
-	// 1s). Backoff applies only to connection failures: budget spills
-	// and stale-view 404s move on immediately.
+	// RetryBackoff is the pause after the first failed attempt of a
+	// walk, doubling per failure and capped at 1s (default 25ms). See
+	// the package doc's retry rule for which outcomes back off.
 	RetryBackoff time.Duration
 	// VirtualNodes is the consistent-hash ring density (default 128).
 	VirtualNodes int
-	// MaxBodyBytes bounds buffered request and response bodies
-	// (default 32MB). Bodies are buffered so an attempt can be replayed
-	// on an alternate replica.
-	MaxBodyBytes int64
 	// Client issues proxied requests (default: http.Transport defaults,
 	// no overall timeout so long infers are not cut off). HealthClient
 	// issues probes (default 2s timeout).
@@ -82,9 +76,6 @@ func (c *Config) fill() error {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
@@ -245,41 +236,33 @@ func (rt *Router) upCount() int {
 	return n
 }
 
-// candidates returns the up replicas in the key's ring-affinity order.
-// When holds is non-nil, replicas currently holding the target sort
-// before the rest (still affinity-ordered within each group), so the
-// data plane prefers a known holder but can still fall through to the
-// fleet when the view is stale.
-func (rt *Router) candidates(key string, holds func(*replica) bool) []*replica {
-	order := rt.ring.Order(key)
-	var holders, rest []*replica
-	for _, u := range order {
+// candidates returns the up replicas in the key's ring-affinity order,
+// the ones whose fleet view holds the target first, and how many of
+// those there are. Walks try holders and then fall through to the rest
+// (the view may be stale); fan-outs touch cands[:holders] only.
+func (rt *Router) candidates(key string, holds func(*replicaView) bool) (cands []*replica, holders int) {
+	var rest []*replica
+	for _, u := range rt.ring.Order(key) {
 		rep := rt.byURL[u]
 		if rep == nil || !rep.up.Load() {
 			continue
 		}
-		if holds != nil && holds(rep) {
-			holders = append(holders, rep)
+		if holds(rep.view.Load()) {
+			cands = append(cands, rep)
 		} else {
 			rest = append(rest, rep)
 		}
 	}
-	return append(holders, rest...)
+	return append(cands, rest...), len(cands)
 }
 
-// holdersOf returns the up replicas whose view holds the target,
-// affinity-ordered. Unlike candidates it never falls through to
-// non-holders — unload and graph delete must only touch replicas that
-// actually serve the name.
-func (rt *Router) holdersOf(key string, holds func(*replica) bool) []*replica {
-	var out []*replica
-	for _, u := range rt.ring.Order(key) {
-		rep := rt.byURL[u]
-		if rep != nil && rep.up.Load() && holds(rep) {
-			out = append(out, rep)
-		}
-	}
-	return out
+// holdsModel / holdsGraph are the candidates predicates for a name.
+func holdsModel(name string) func(*replicaView) bool {
+	return func(v *replicaView) bool { return v.models[name] }
+}
+
+func holdsGraph(name string) func(*replicaView) bool {
+	return func(v *replicaView) bool { return v.graphs[name] }
 }
 
 // mergedModels is the fleet view behind GET /v2/models: the union of
@@ -291,8 +274,7 @@ func (rt *Router) mergedModels() []map[string]any {
 		if !rep.up.Load() {
 			continue
 		}
-		v := rep.snapshotView()
-		for _, row := range v.rows {
+		for _, row := range rep.view.Load().rows {
 			name, _ := row["name"].(string)
 			state, _ := row["state"].(string)
 			if name == "" || state != "READY" || seen[name] {
