@@ -3,13 +3,21 @@
 
 GO ?= go
 
-.PHONY: build test bench lint ci
+.PHONY: build test test-purego bench lint ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race -shuffle=on ./...
+
+# test-purego keeps the portable kernel body honest on an amd64 CI host:
+# with the assembly tagged out it must still vet, compile and hold its
+# parity (kernels), its goldens (tflm) and the facade tests.
+PUREGO_PKGS = ./internal/kernels ./internal/tflm .
+test-purego:
+	$(GO) vet -tags purego $(PUREGO_PKGS)
+	$(GO) test -tags purego $(PUREGO_PKGS)
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -109,4 +117,4 @@ profile:
 loadgen:
 	$(GO) run ./cmd/loadgen
 
-ci: build lint test bench-smoke bench-module fuzz-smoke serve-smoke mesh-smoke cover
+ci: build lint test test-purego bench-smoke bench-module fuzz-smoke serve-smoke mesh-smoke cover

@@ -166,11 +166,12 @@ func benchInvoke(b *testing.B, name string, eng kernels.Engine) {
 }
 
 // BenchmarkInvoke* compare the naive direct-convolution kernels
-// (kernels.Reference) against the parallel im2col+GEMM engine
-// (kernels.Default) on KWS- and VWW-shaped models. The acceptance bar for
-// the engine is ≥2× on the VWW model:
+// (kernels.Reference) against the im2col+GEMM engine (kernels.Default)
+// on KWS- and VWW-shaped models. The acceptance bars: ≥25× on the VWW
+// model with the assembly bodies, ≥2× under -tags purego (the portable
+// body), and -cpu 2 no slower than -cpu 1 (the fork-join grain):
 //
-//	go test -bench=BenchmarkInvoke
+//	go test -bench=BenchmarkInvoke -cpu 1,2
 func BenchmarkInvokeKWSSReference(b *testing.B) { benchInvoke(b, "MicroNet-KWS-S", kernels.Reference) }
 func BenchmarkInvokeKWSSParallel(b *testing.B)  { benchInvoke(b, "MicroNet-KWS-S", kernels.Default) }
 

@@ -187,8 +187,9 @@ func TestRealTreeCleanAndCovered(t *testing.T) {
 		"micronets/internal/serve.Batcher.flush",
 		"micronets/internal/serve.Pool.Get",
 		"micronets/internal/kernels.gemmStoreRowsWide",
-		"micronets/internal/kernels.gemmStoreTailRows",
 		"micronets/internal/kernels.gemmDensePanelsWide",
+		"micronets/internal/kernels.gemmRowsSIMD",
+		"micronets/internal/kernels.dwRowsSIMD",
 		"micronets/internal/kernels.Conv2D",
 		"micronets/internal/kernels.Parallel.For",
 	} {

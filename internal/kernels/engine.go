@@ -6,8 +6,8 @@ import (
 
 // Engine is one implementation of the compute-heavy kernels. Exactly two
 // ship: Reference (the naive direct loops, kept as the semantic ground
-// truth) and Default (im2col + cache-blocked parallel int8 GEMM with a
-// 16-wide microkernel, the host path every interpreter uses). Both
+// truth) and Default (im2col + cache-blocked parallel int8 GEMM over
+// 16-column weight panels, the host path every interpreter uses). Both
 // produce bit-exact identical int8 outputs; the parity and fuzz tests
 // enforce it. Elementwise ops (Add, Softmax) are engine-independent.
 //
@@ -34,11 +34,12 @@ type Engine interface {
 var Reference Engine = refEngine{}
 
 // Default is the one fast engine: im2col into planner-provided scratch
-// tiles, register-tiled int8 GEMM over pre-packed weights with the
-// 16-wide unrolled microkernels of gemm_wide.go, and the worker pool
-// fanned out across output tiles. Interpreters that do not ask for a
-// specific engine get this one.
-var Default Engine = gemmEngine{}
+// tiles, register-tiled int8 GEMM over pre-packed weight panels, and the
+// worker pool fanned out across output tiles. Its loops run the AVX2
+// assembly where the CPU and OS support it (checked once, here) and the
+// portable microkernels otherwise, over one packed layout. Interpreters
+// that do not ask for a specific engine get this one.
+var Default Engine = gemmEngine{simd: haveSIMD}
 
 type refEngine struct{}
 

@@ -169,6 +169,8 @@ func FuzzRequantize(f *testing.F) {
 		if math.IsNaN(m) || math.IsInf(m, 0) {
 			t.Skip()
 		}
+		checkVectorRequant(t, m, x)
+		checkRequantFallback(t, m, x)
 		q := QuantizeMultiplier(m)
 		if m <= 0 {
 			if q.M0 != 0 || q.Shift != 0 {
@@ -201,4 +203,93 @@ func FuzzRequantize(f *testing.F) {
 			t.Fatalf("Apply(%d) with m=%v: got %v, want ~%v (err %v)", x, m, got, exact, math.Abs(got-exact))
 		}
 	})
+}
+
+// checkVectorRequant is FuzzRequantize's vector leg: sixteen lanes of
+// (acc, bias, M0, right shift) derived from the fuzzed pair, with a
+// random output zero point and clamp, go through the assembly epilogue
+// (gemm1x16 with k = 0 is exactly bias → requantize → store) and must
+// equal Apply + clamp32 + int8 lane for lane. Shifts stay inside
+// vectorShift's domain here; checkRequantFallback covers the rest.
+func checkVectorRequant(t *testing.T, m float64, x int32) {
+	if !haveSIMD {
+		return
+	}
+	rng := rand.New(rand.NewSource(int64(math.Float64bits(m)) ^ int64(x)<<17))
+	q := QuantizeMultiplier(math.Abs(m))
+	var acc, bias, m0, rshift [gemmNR]int32
+	for i := range acc {
+		switch i % 4 {
+		case 0:
+			acc[i], m0[i] = x, q.M0
+		case 1:
+			acc[i], m0[i] = -x, q.M0^int32(rng.Intn(1<<12))
+		case 2:
+			acc[i], m0[i] = x+int32(i), rng.Int31()
+		default:
+			acc[i], m0[i] = []int32{math.MinInt32, math.MaxInt32, 0, -1}[rng.Intn(4)], []int32{0, 1, 1 << 30, math.MaxInt32}[rng.Intn(4)]
+		}
+		bias[i] = int32(rng.Uint32()) >> uint(rng.Intn(32))
+		rshift[i] = int32(rng.Intn(31))
+		if i%4 == 0 && vectorShift(int32(-q.Shift)) {
+			rshift[i] = int32(-q.Shift)
+		}
+	}
+	lo := int32(rng.Intn(256) - 128)
+	e := &epilogue{
+		bias: &bias[0], m0: &m0[0], rshift: &rshift[0],
+		outZp: int32(rng.Intn(256) - 128), lo: lo, hi: lo + int32(rng.Intn(int(128-lo))),
+	}
+	if rng.Intn(8) == 0 {
+		e.lo, e.hi = -1000, 1000 // outside int8: the store must truncate like int8()
+	}
+	var in, w [2 * gemmNR]int8
+	var got [gemmNR]int8
+	for i := range acc {
+		bias[i] += acc[i] // the accumulator a real op would have added
+	}
+	gemm1x16(&in[0], 0, &w[0], e, 0, &got[0])
+	for i := range got {
+		mult := QuantizedMultiplier{M0: m0[i], Shift: -int(rshift[i])}
+		want := int8(clamp32(mult.Apply(bias[i])+e.outZp, e.lo, e.hi))
+		if got[i] != want {
+			t.Fatalf("lane %d: vector requant(%d, %+v, zp %d, clamp [%d,%d]) = %d, Apply gives %d",
+				i, bias[i], mult, e.outZp, e.lo, e.hi, got[i], want)
+		}
+	}
+}
+
+// checkRequantFallback drives multipliers the vector form does not cover
+// — left shifts, right shifts of 31..62, a zero mantissa — through a
+// whole bound op: a 1-input Dense whose accumulators are its biases and
+// whose per-channel scales are the fuzzed multiplier times powers of two.
+// Binding must notice them and keep scalar Apply, so every body still
+// matches Reference.
+func checkRequantFallback(t *testing.T, m float64, x int32) {
+	const n = 24
+	rng := rand.New(rand.NewSource(int64(math.Float64bits(m)) ^ int64(x)))
+	model := &graph.Model{Name: "fuzz-requant"}
+	model.Tensors = []*graph.Tensor{
+		{ID: 0, Name: "in", H: 1, W: 1, C: 1, Scale: 1, Bits: 8},
+		{ID: 1, Name: "out", H: 1, W: 1, C: n, Scale: 1, ZeroPoint: int32(rng.Intn(256) - 128), Bits: 8},
+	}
+	op := &graph.Op{
+		Kind: graph.OpDense, Name: "fc", Inputs: []int{0}, Output: 1,
+		Weights: make([]int8, n), WeightBits: 8,
+		WeightScales: make([]float32, n), Bias: make([]int32, n),
+		ClampMin: int32(-128 + rng.Intn(64)), ClampMax: int32(127 - rng.Intn(64)),
+	}
+	for i := 0; i < n; i++ {
+		// 2^(±70) spans every shift class; float32 overflow/underflow
+		// lands on the zero-mantissa and saturated cases.
+		op.WeightScales[i] = float32(math.Abs(m) * math.Pow(2, float64(rng.Intn(141)-70)))
+		if math.IsInf(float64(op.WeightScales[i]), 0) || i == n-1 {
+			op.WeightScales[i] = 0
+		}
+		op.Weights[i] = int8(rng.Intn(256) - 128)
+		op.Bias[i] = x >> uint(rng.Intn(32))
+	}
+	model.Ops = []*graph.Op{op}
+	model.Input, model.Output = 0, 1
+	checkParity(t, model, []int8{int8(rng.Intn(256) - 128)})
 }

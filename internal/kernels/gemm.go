@@ -7,27 +7,56 @@ import (
 // The Default engine lowers Conv2D to C[M×N] = A[M×K] · B[K×N] where
 // M = outH*outW output pixels, K = kh*kw*inC patch elements and
 // N = outC: A is built by im2col into a per-worker scratch tile, B is the
-// op's weights pre-packed at PrepareConv time into nr-wide column panels,
-// and the product runs as a register-tiled (mr×nr accumulator block)
-// int8×int8→int32 kernel parallelized across output-pixel tiles. The
-// input zero point is folded into the bias ahead of time
-// (zpBias[oc] = bias[oc] − inZp·Σₖ w[k][oc], im2col pads with inZp), so
-// the inner loop is a pure int8 dot product yet remains bit-exact with
-// the Reference engine: int32 addition wraps identically in any order.
+// op's weights pre-packed at PrepareConv time (packPanels), and the
+// product runs as a register-tiled int8×int8→int32 kernel parallelized
+// across output-pixel tiles. The input zero point is folded into the
+// bias ahead of time (zpBias[oc] = bias[oc] − inZp·Σₖ w[k][oc], im2col
+// pads with inZp), so the inner loop is a pure int8 dot product yet
+// remains bit-exact with the Reference engine: int32 addition wraps
+// identically in any order.
 //
-// The microkernels (gemmStoreRowsWide, gemmDensePanelsWide) live in
-// gemm_wide.go; this file holds the packing, the orchestration, and the
-// non-GEMM ops.
+// This file holds the packing, the orchestration and the choice between
+// the two bodies of the loops (doc.go): the assembly of gemm_amd64.s and
+// the portable microkernels of gemm_wide.go.
 
 const (
 	// gemmTileM is the number of output pixels im2col'd per scratch tile.
 	gemmTileM = 64
-	// gemmMR×gemmNR is the register accumulator block: 4 output pixels ×
-	// 4 output channels per inner loop, amortizing each packed-B load
-	// over four A rows.
-	gemmMR = 4
-	gemmNR = 4
+	// gemmMR×gemmNR is the assembly's register block, 4 output pixels ×
+	// one 16-column panel; the portable body walks a panel as four
+	// blocks of gemmMR×gemmSubNR scalar accumulators.
+	gemmMR    = 4
+	gemmNR    = 16
+	gemmSubNR = 4
+	// pairStride is the byte distance between consecutive k-pairs of one
+	// packed panel.
+	pairStride = 2 * gemmNR
 )
+
+// Fork-join grain. Handing a chunk to a parked pool worker and joining
+// it costs about 10 µs (BenchmarkForkJoin is the warm floor), more when
+// the other CPUs are serving other requests. So an op is split only into
+// chunks of about ten times that — 100 µs at its body's GEMM rate,
+// ~32 MAC/ns for the assembly and ~1.5 MAC/ns for the portable
+// microkernels — and anything smaller runs inline on the caller; with
+// the assembly that is every op of every zoo model. A depthwise MAC or a
+// pooled element reuses nothing across channels and costs about three
+// GEMM MACs in either body (dwCost).
+const (
+	forkMACsSIMD   = 3 << 20
+	forkMACsScalar = 1 << 17
+	dwCost         = 3
+)
+
+// grain converts an op's per-iteration work (MACs, or window elements
+// for pools) into Parallel.For's minGrain.
+func grain(macsPerIter int, simd bool) int {
+	chunk := forkMACsScalar
+	if simd {
+		chunk = forkMACsSIMD
+	}
+	return (chunk + macsPerIter - 1) / max(macsPerIter, 1)
+}
 
 // convIsPointwise reports whether the conv is a 1×1/stride-1/no-pad
 // convolution, for which the NHWC input is already the im2col matrix.
@@ -65,49 +94,28 @@ func (gemmEngine) ScratchBytes(m *graph.Model) int {
 	return Workers() * gemmTileM * maxK
 }
 
-// packWeights repacks a row-major K×N weight matrix into gemmNR-wide
-// column panels: panel j holds columns [j*nr, j*nr+nr) laid out k-major,
-// zero-padded past N, so the micro-kernel streams B with unit stride.
-func packWeights(w []int8, k, n int) []int8 {
-	panels := (n + gemmNR - 1) / gemmNR
-	packed := make([]int8, panels*k*gemmNR)
-	for j := 0; j < panels; j++ {
-		base := j * k * gemmNR
-		for kk := 0; kk < k; kk++ {
-			for r := 0; r < gemmNR; r++ {
-				if col := j*gemmNR + r; col < n {
-					packed[base+kk*gemmNR+r] = w[kk*n+col]
-				}
-			}
+// panelBytes is the size of one packed panel for reduction length k.
+func panelBytes(k int) int { return (k + 1) / 2 * pairStride }
+
+// packPanels repacks a row-major K×N weight matrix into the layout every
+// Default body reads, [panel][⌈K/2⌉][gemmNR][2]int8 (doc.go): the operand
+// shape of VPMADDWD after a sign-extending load. Padding is zero.
+func packPanels(w []int8, k, n int) []int8 {
+	packed := make([]int8, (n+gemmNR-1)/gemmNR*panelBytes(k))
+	for kk := 0; kk < k; kk++ {
+		base := kk/2*pairStride + kk%2
+		for col, v := range w[kk*n : kk*n+n] {
+			packed[col/gemmNR*panelBytes(k)+base+col%gemmNR*2] = v
 		}
 	}
 	return packed
 }
 
-// dwWeightPrefix builds the 2-D prefix sum over the [kh][kw][c] depthwise
-// weights used to fold the input zero point out of the tap loop.
-func dwWeightPrefix(op *graph.Op, c int) []int32 {
-	kh1, kw1 := op.KH+1, op.KW+1
-	p := make([]int32, kh1*kw1*c)
-	for ky := 1; ky < kh1; ky++ {
-		for kx := 1; kx < kw1; kx++ {
-			dst := p[(ky*kw1+kx)*c:]
-			up := p[((ky-1)*kw1+kx)*c:]
-			left := p[(ky*kw1+kx-1)*c:]
-			diag := p[((ky-1)*kw1+kx-1)*c:]
-			wv := op.Weights[((ky-1)*op.KW+kx-1)*c:]
-			for ch := 0; ch < c; ch++ {
-				dst[ch] = up[ch] + left[ch] - diag[ch] + int32(wv[ch])
-			}
-		}
-	}
-	return p
-}
-
 // foldZeroPoint returns bias[oc] − inZp·Σₖ w[k][oc] for a row-major K×N
-// weight matrix, the bias the pure-int8 GEMM accumulates on top of.
-func foldZeroPoint(w []int8, k, n int, bias []int32, inZp int32) []int32 {
-	folded := make([]int32, n)
+// weight matrix, the bias the pure-int8 loops accumulate on top of,
+// zero-padded to lanes entries.
+func foldZeroPoint(w []int8, k, n int, bias []int32, inZp int32, lanes int) []int32 {
+	folded := make([]int32, lanes)
 	for col := 0; col < n; col++ {
 		var sum int32
 		for kk := 0; kk < k; kk++ {
@@ -151,60 +159,91 @@ func im2colTile(op *graph.Op, in []int8, h, w, inC int, ow, k, m0, m1 int, pad i
 	}
 }
 
-// gemmStoreTailRows handles rows [i, rows) one at a time — the remainder
-// path of gemmStoreRowsWide when rows is not a multiple of gemmMR.
-func gemmStoreTailRows(a []int8, i, rows, k int, ctx *Ctx, op *graph.Op, out []int8, m0, n int, outZp int32) {
-	panels := (n + gemmNR - 1) / gemmNR
-	for ; i < rows; i++ {
-		ar := a[i*k : i*k+k : i*k+k]
-		outRow := out[(m0+i)*n : (m0+i)*n+n]
-		for j := 0; j < panels; j++ {
-			bp := ctx.PackedW[j*k*gemmNR : j*k*gemmNR+k*gemmNR : j*k*gemmNR+k*gemmNR]
-			var c0, c1, c2, c3 int32
-			o := 0
-			for kk := 0; kk < k; kk++ {
-				va := int32(ar[kk])
-				c0 += va * int32(bp[o])
-				c1 += va * int32(bp[o+1])
-				c2 += va * int32(bp[o+2])
-				c3 += va * int32(bp[o+3])
-				o += gemmNR
+// epilogue is one bound op's requantize-and-store state. The assembly
+// reads it by field offset (gemm_amd64.s), so the layout is fixed; the
+// portable bodies use the three scalars.
+type epilogue struct {
+	bias, m0, rshift *int32
+	outZp, lo, hi    int32
+}
+
+func newEpilogue(ctx *Ctx, op *graph.Op, outZp int32) *epilogue {
+	e := &epilogue{m0: &ctx.m0[0], rshift: &ctx.rshift[0], outZp: outZp, lo: op.ClampMin, hi: op.ClampMax}
+	if len(ctx.zpBias) > 0 {
+		e.bias = &ctx.zpBias[0]
+	}
+	return e
+}
+
+// requant is the portable epilogue: scale acc by channel ch's multiplier,
+// add the output zero point, clamp, narrow.
+func (c *Ctx) requant(ch int, acc int32, e *epilogue) int8 {
+	return int8(clamp32(c.mult(ch).Apply(acc)+e.outZp, e.lo, e.hi))
+}
+
+// gemmRowsSIMD multiplies rows [0, rows) of a (stride k) against panels
+// [j0, j1) on the assembly microkernels and requantizes into
+// out[(m0+row)*n+col]: gemmMR rows at a time, then one at a time. A
+// partial last panel lands in a stack block first, so the assembly
+// always stores whole panels.
+func gemmRowsSIMD(a []int8, rows, k int, ctx *Ctx, e *epilogue, out []int8, m0, n, j0, j1 int) {
+	var edge [gemmMR * gemmNR]int8
+	for i, mr := 0, gemmMR; i < rows; i += mr {
+		if rows-i < gemmMR {
+			mr = 1
+		}
+		ap := &a[i*k : (i+mr)*k][0]
+		for j := j0; j < j1; j++ {
+			col := j * gemmNR
+			dst, ldc := &edge[0], gemmNR
+			if col+gemmNR <= n {
+				dst, ldc = &out[(m0+i)*n+col : (m0+i+mr)*n][0], n
 			}
-			for cc, acc := range [gemmNR]int32{c0, c1, c2, c3} {
-				col := j*gemmNR + cc
-				if col >= n {
-					break
-				}
-				acc += ctx.ZpBias[col]
-				v := ctx.Mults[col].Apply(acc) + outZp
-				outRow[col] = int8(clamp32(v, op.ClampMin, op.ClampMax))
+			if mr == gemmMR {
+				gemm4x16(ap, k, k, &ctx.panels[j*panelBytes(k)], e, col, dst, ldc)
+			} else {
+				gemm1x16(ap, k, &ctx.panels[j*panelBytes(k)], e, col, dst)
+			}
+			for r := 0; r < mr && col+gemmNR > n; r++ {
+				copy(out[(m0+i+r)*n+col:(m0+i+r+1)*n], edge[r*gemmNR:])
 			}
 		}
 	}
 }
 
-// gemmEngine is the im2col+GEMM engine behind Default.
-type gemmEngine struct{}
+// gemmEngine is the im2col+GEMM engine behind Default. simd selects the
+// body set: the assembly of gemm_amd64.s where the host has it, the
+// portable Go microkernels otherwise. It is fixed per engine value, so
+// tests can run both in one process.
+type gemmEngine struct{ simd bool }
 
 func (gemmEngine) Name() string { return "gemm16" }
 
 // bindConv2D precomputes the conv orchestration once and returns a
 // persistent executor: repeated calls perform zero allocations.
-func (gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
+func (g gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
 	it := m.Tensors[op.Inputs[0]]
 	ot := m.Tensors[op.Output]
 	h, w, inC := it.H, it.W, it.C
 	oh, ow, n := ot.H, ot.W, ot.C
-	k := ctx.K
+	k := ctx.k
 	mTotal := oh * ow
-	outZp := ot.ZeroPoint
+	e := newEpilogue(ctx, op, ot.ZeroPoint)
+	simd := g.simd && ctx.vecRequant
+	panels := (n + gemmNR - 1) / gemmNR
+	rows := func(a []int8, rows, m0 int) {
+		if simd {
+			gemmRowsSIMD(a, rows, k, ctx, e, out, m0, n, 0, panels)
+		} else {
+			gemmStoreRowsWide(a, rows, k, ctx, e, out, m0, n)
+		}
+	}
 
 	if convIsPointwise(op) {
 		// The NHWC input is already the M×K im2col matrix.
-		fn := func(_, lo, hi int) {
-			gemmStoreRowsWide(in[lo*k:], hi-lo, k, ctx, op, out, lo, n, outZp)
-		}
-		return func() { s.Par.For(mTotal, gemmTileM, fn) }
+		fn := func(_, lo, hi int) { rows(in[lo*k:], hi-lo, lo) }
+		minRows := grain(k*n, simd)
+		return func() { s.Par.For(mTotal, minRows, fn) }
 	}
 
 	perWorker := gemmTileM * k
@@ -215,72 +254,66 @@ func (gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []i
 		tile := tiles[chunk*perWorker : (chunk+1)*perWorker]
 		for t := lo; t < hi; t++ {
 			m0 := t * gemmTileM
-			m1 := m0 + gemmTileM
-			if m1 > mTotal {
-				m1 = mTotal
-			}
+			m1 := min(m0+gemmTileM, mTotal)
 			im2colTile(op, in, h, w, inC, ow, k, m0, m1, pad, tile)
-			gemmStoreRowsWide(tile, m1-m0, k, ctx, op, out, m0, n, outZp)
+			rows(tile, m1-m0, m0)
 		}
 	}
-	return func() { s.Par.For(nTiles, 1, fn) }
+	minTiles := grain(gemmTileM*k*n, simd)
+	return func() { s.Par.For(nTiles, minTiles, fn) }
 }
 
-func (gemmEngine) bindDense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
+func (g gemmEngine) bindDense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
 	ot := m.Tensors[op.Output]
 	n := ot.C
-	k := ctx.K
-	outZp := ot.ZeroPoint
-	panels := (n + gemmNR - 1) / gemmNR
+	k := ctx.k
+	e := newEpilogue(ctx, op, ot.ZeroPoint)
+	simd := g.simd && ctx.vecRequant
 	fn := func(_, lo, hi int) {
-		gemmDensePanelsWide(ctx, op, in, out, n, k, outZp, lo, hi)
+		if simd {
+			gemmRowsSIMD(in, 1, k, ctx, e, out, 0, n, lo, hi)
+		} else {
+			gemmDensePanelsWide(ctx, e, in, out, n, k, lo, hi)
+		}
 	}
-	return func() { s.Par.For(panels, 8, fn) }
+	panels := (n + gemmNR - 1) / gemmNR
+	minPanels := grain(k*gemmNR, simd)
+	return func() { s.Par.For(panels, minPanels, fn) }
 }
 
 // bindDWConv2D: depthwise has no GEMM form (each channel is its own tiny
-// filter); the engine parallelizes output rows, hoists the pad-clipped
-// kernel bounds out of the pixel loop, and accumulates channel-inner so
-// both the activation and weight reads are unit-stride. Per channel the
-// taps still run in (ky, kx) order, so the int32 accumulation matches
-// Reference exactly.
-func (gemmEngine) bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
+// filter); the engine parallelizes output rows and accumulates
+// channel-inner so both the activation and weight reads are unit-stride.
+// Every pixel starts from ctx.dwBase and runs every tap, padded taps
+// reading ctx.dwPad — modulo 2³² that is per-tap (x − zp)·w over the
+// valid taps, hence bit-exact with Reference in any tap order.
+func (g gemmEngine) bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func() {
 	it := m.Tensors[op.Inputs[0]]
 	ot := m.Tensors[op.Output]
-	inZp, outZp := it.ZeroPoint, ot.ZeroPoint
 	h, w, c := it.H, it.W, it.C
 	oh, ow := ot.H, ot.W
-	kw1 := op.KW + 1
-	pre := ctx.DWSumPrefix
+	e := newEpilogue(ctx, op, ot.ZeroPoint)
+	simd := g.simd && ctx.vecRequant && op.KH*op.KW == 9 && c >= 8
+	minRows := grain(dwCost*ow*c*op.KH*op.KW, simd)
+	if simd {
+		fn := func(_, lo, hi int) { dwRowsSIMD(op, ctx, e, in, out, h, w, c, ow, lo, hi) }
+		return func() { s.Par.For(oh, minRows, fn) }
+	}
 	accAll := s.Acc
 	fn := func(chunk, lo, hi int) {
 		acc := accAll[chunk*c : (chunk+1)*c : (chunk+1)*c]
 		for oy := lo; oy < hi; oy++ {
-			ky0, ky1 := clipKernel(oy*op.SH-op.PadTop, op.KH, h)
 			for ox := 0; ox < ow; ox++ {
-				kx0, kx1 := clipKernel(ox*op.SW-op.PadLeft, op.KW, w)
-				// acc[ch] = bias − inZp·Σ_validTaps w: a rectangle query on
-				// the weight prefix sum, so the tap loop below is a pure
-				// int8 multiply-accumulate. Identical to per-tap
-				// (x − zp)·w modulo 2³², hence bit-exact with Reference.
-				if inZp == 0 {
-					copy(acc, op.Bias)
-				} else {
-					p11 := pre[(ky1*kw1+kx1)*c : (ky1*kw1+kx1)*c+c : (ky1*kw1+kx1)*c+c]
-					p01 := pre[(ky0*kw1+kx1)*c : (ky0*kw1+kx1)*c+c : (ky0*kw1+kx1)*c+c]
-					p10 := pre[(ky1*kw1+kx0)*c : (ky1*kw1+kx0)*c+c : (ky1*kw1+kx0)*c+c]
-					p00 := pre[(ky0*kw1+kx0)*c : (ky0*kw1+kx0)*c+c : (ky0*kw1+kx0)*c+c]
-					for ch := range acc {
-						acc[ch] = op.Bias[ch] - inZp*(p11[ch]-p01[ch]-p10[ch]+p00[ch])
-					}
-				}
-				for ky := ky0; ky < ky1; ky++ {
+				copy(acc, ctx.dwBase)
+				for ky := 0; ky < op.KH; ky++ {
 					iy := oy*op.SH + ky - op.PadTop
-					inRow := (iy*w + ox*op.SW - op.PadLeft) * c
-					wRow := ky * op.KW * c
-					for kx := kx0; kx < kx1; kx++ {
-						a := in[inRow+kx*c : inRow+kx*c+c : inRow+kx*c+c]
-						wv := op.Weights[wRow+kx*c : wRow+kx*c+c : wRow+kx*c+c]
+					for kx := 0; kx < op.KW; kx++ {
+						ix := ox*op.SW + kx - op.PadLeft
+						a := ctx.dwPad
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							a = in[(iy*w+ix)*c : (iy*w+ix)*c+c : (iy*w+ix)*c+c]
+						}
+						wv := op.Weights[(ky*op.KW+kx)*c : (ky*op.KW+kx)*c+c : (ky*op.KW+kx)*c+c]
 						for ch := range a {
 							acc[ch] += int32(a[ch]) * int32(wv[ch])
 						}
@@ -288,39 +321,55 @@ func (gemmEngine) bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out [
 				}
 				outRow := out[(oy*ow+ox)*c : (oy*ow+ox)*c+c : (oy*ow+ox)*c+c]
 				for ch := range outRow {
-					v := ctx.Mults[ch].Apply(acc[ch]) + outZp
-					outRow[ch] = int8(clamp32(v, op.ClampMin, op.ClampMax))
+					outRow[ch] = ctx.requant(ch, acc[ch], e)
 				}
 			}
 		}
 	}
-	return func() { s.Par.For(oh, 1, fn) }
+	return func() { s.Par.For(oh, minRows, fn) }
 }
 
-// clipKernel returns the [k0, k1) kernel tap range whose input positions
-// start+k fall inside [0, limit).
-func clipKernel(start, kSize, limit int) (int, int) {
-	k0, k1 := 0, kSize
-	if start < 0 {
-		k0 = -start
+// dwRowsSIMD runs output rows [lo, hi) of a nine-tap depthwise on the
+// assembly body. The border/interior split is hoisted: columns [x0, x1)
+// of a row whose input rows are all in range see nine valid taps at a
+// constant stride and go to the assembly as one run; every other pixel
+// is a run of one, its padded taps pointed at ctx.dwPad.
+func dwRowsSIMD(op *graph.Op, ctx *Ctx, e *epilogue, in, out []int8, h, w, c, ow, lo, hi int) {
+	x0 := (op.PadLeft + op.SW - 1) / op.SW
+	x1 := min((w-op.KW+op.PadLeft+op.SW)/op.SW, ow)
+	var taps [9]*int8
+	for oy := lo; oy < hi; oy++ {
+		iy0 := oy*op.SH - op.PadTop
+		rowInside := iy0 >= 0 && iy0+op.KH <= h
+		for ox := 0; ox < ow; {
+			npix := 1
+			if rowInside && ox == x0 && x1 > x0 {
+				npix = x1 - x0
+			}
+			ix0 := ox*op.SW - op.PadLeft
+			for t := range taps {
+				iy, ix := iy0+t/op.KW, ix0+t%op.KW
+				taps[t] = &ctx.dwPad[0]
+				if iy >= 0 && iy < h && ix >= 0 && ix < w {
+					taps[t] = &in[(iy*w+ix)*c]
+				}
+			}
+			dwTaps9(&taps, &op.Weights[0], c, &ctx.dwBase[0], e, &out[(oy*ow+ox)*c], npix, op.SW*c)
+			ox += npix
+		}
 	}
-	if start+k1 > limit {
-		k1 = limit - start
-	}
-	if k1 < k0 {
-		k1 = k0
-	}
-	return k0, k1
 }
 
 func (gemmEngine) bindAvgPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func() {
-	oh := m.Tensors[op.Output].H
+	ot := m.Tensors[op.Output]
 	fn := func(_, lo, hi int) { avgPoolRows(m, op, in, out, lo, hi) }
-	return func() { s.Par.For(oh, 2, fn) }
+	minRows := grain(dwCost*ot.W*ot.C*op.KH*op.KW, false)
+	return func() { s.Par.For(ot.H, minRows, fn) }
 }
 
 func (gemmEngine) bindMaxPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func() {
-	oh := m.Tensors[op.Output].H
+	ot := m.Tensors[op.Output]
 	fn := func(_, lo, hi int) { maxPoolRows(m, op, in, out, lo, hi) }
-	return func() { s.Par.For(oh, 2, fn) }
+	minRows := grain(dwCost*ot.W*ot.C*op.KH*op.KW, false)
+	return func() { s.Par.For(ot.H, minRows, fn) }
 }

@@ -219,3 +219,14 @@ func TestAddRescales(t *testing.T) {
 		t.Fatalf("add = %v, want [4 5]", out)
 	}
 }
+
+// BenchmarkForkJoin measures one Parallel.For hand-off with no work in
+// it, workers warm — the floor of the cost gemm.go's forkMACs constants
+// weigh a chunk against before splitting an op.
+func BenchmarkForkJoin(b *testing.B) {
+	var p Parallel
+	fn := func(chunk, lo, hi int) {}
+	for i := 0; i < b.N; i++ {
+		p.For(Workers(), 1, fn)
+	}
+}

@@ -6,27 +6,44 @@ import (
 	"micronets/internal/graph"
 )
 
-// Ctx carries the per-op precomputed requantization multipliers plus the
-// Default engine's prepared state; the tflm interpreter builds one per op at
-// AllocateTensors time (this is part of what TFLM's "persistent buffers"
-// hold, Figure 2).
+// Ctx carries one op's precomputed kernel state: the requantization
+// multipliers plus the Default engine's packed weights. The tflm
+// interpreter builds one per op at AllocateTensors time (this is part of
+// what TFLM's "persistent buffers" hold, Figure 2). Reference, the
+// portable microkernels and the assembly all read the same slices.
 type Ctx struct {
-	Mults []QuantizedMultiplier
+	// m0 and rshift are the per-output-channel multipliers as two arrays
+	// (what the vector requantize loads): channel c scales by
+	// QuantizedMultiplier{m0[c], -rshift[c]}. For Conv2D and Dense they
+	// are zero-padded to whole panels, like zpBias. vecRequant records
+	// that every rshift is in the assembly epilogue's domain.
+	m0, rshift []int32
+	vecRequant bool
 
-	// GEMM state, populated for Conv2D and Dense ops. K is the reduction
-	// length (kh*kw*inC for conv, input elems for dense), PackedW is the
-	// weight matrix repacked into gemmNR-wide column panels, and ZpBias is
-	// the bias with the input zero-point term folded in
-	// (bias[oc] − inZp·Σₖ w[k][oc]).
-	K       int
-	PackedW []int8
-	ZpBias  []int32
+	// GEMM state, populated for Conv2D and Dense ops. k is the reduction
+	// length (kh*kw*inC for conv, input elems for dense), panels is the
+	// weight matrix packed by packPanels, and zpBias is the bias with the
+	// input zero-point term folded in (bias[oc] − inZp·Σₖ w[k][oc]).
+	k      int
+	panels []int8
+	zpBias []int32
 
-	// DWSumPrefix, populated for DWConv2D ops, is the 2-D prefix sum of
-	// the depthwise weights: P[ky][kx][ch] = Σ_{y<ky, x<kx} w[y][x][ch],
-	// laid out [(KH+1)][(KW+1)][C]. The Default engine uses rectangle
-	// queries on it to fold the input zero point out of the tap loop.
-	DWSumPrefix []int32
+	// Depthwise state. dwBase[ch] = bias[ch] − inZp·Σ_taps w[tap][ch] is
+	// the accumulator every output pixel starts from; dwPad is one pixel
+	// of input zero points that padded taps read instead of the input,
+	// which cancels the folded term exactly — so border and interior
+	// pixels run the same tap loop.
+	dwBase []int32
+	dwPad  []int8
+}
+
+// vectorShift reports whether a right shift is in the vector requantize's
+// domain: no left shift, and a rounding mask that fits 32-bit lanes.
+func vectorShift(rshift int32) bool { return rshift >= 0 && rshift <= 30 }
+
+// mult returns channel c's multiplier in the form Apply takes.
+func (c *Ctx) mult(ch int) QuantizedMultiplier {
+	return QuantizedMultiplier{M0: c.m0[ch], Shift: -int(c.rshift[ch])}
 }
 
 // PrepareConv precomputes per-channel multipliers for a conv/dense op
@@ -36,23 +53,33 @@ type Ctx struct {
 func PrepareConv(m *graph.Model, op *graph.Op) *Ctx {
 	in := m.Tensors[op.Inputs[0]]
 	out := m.Tensors[op.Output]
-	ctx := &Ctx{Mults: make([]QuantizedMultiplier, len(op.WeightScales))}
+	lanes := len(op.WeightScales)
+	if op.Kind != graph.OpDWConv2D {
+		lanes = (lanes + gemmNR - 1) / gemmNR * gemmNR
+	}
+	ctx := &Ctx{m0: make([]int32, lanes), rshift: make([]int32, lanes), vecRequant: true}
 	for c, ws := range op.WeightScales {
-		ctx.Mults[c] = QuantizeMultiplier(float64(in.Scale) * float64(ws) / float64(out.Scale))
+		q := QuantizeMultiplier(float64(in.Scale) * float64(ws) / float64(out.Scale))
+		ctx.m0[c], ctx.rshift[c] = q.M0, int32(-q.Shift)
+		ctx.vecRequant = ctx.vecRequant && vectorShift(ctx.rshift[c])
 	}
 	switch op.Kind {
 	case graph.OpConv2D:
-		ctx.K = convK(m, op)
+		ctx.k = convK(m, op)
 	case graph.OpDense:
-		ctx.K = in.Elems()
+		ctx.k = in.Elems()
 	case graph.OpDWConv2D:
-		ctx.DWSumPrefix = dwWeightPrefix(op, out.C)
+		ctx.dwBase = foldZeroPoint(op.Weights, op.KH*op.KW, out.C, op.Bias, in.ZeroPoint, out.C)
+		ctx.dwPad = make([]int8, out.C)
+		for i := range ctx.dwPad {
+			ctx.dwPad[i] = int8(in.ZeroPoint)
+		}
 		return ctx
 	default:
 		return ctx
 	}
-	ctx.PackedW = packWeights(op.Weights, ctx.K, out.C)
-	ctx.ZpBias = foldZeroPoint(op.Weights, ctx.K, out.C, op.Bias, in.ZeroPoint)
+	ctx.panels = packPanels(op.Weights, ctx.k, out.C)
+	ctx.zpBias = foldZeroPoint(op.Weights, ctx.k, out.C, op.Bias, in.ZeroPoint, lanes)
 	return ctx
 }
 
@@ -87,7 +114,7 @@ func Conv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8) {
 						}
 					}
 				}
-				v := ctx.Mults[oc].Apply(acc) + outZp
+				v := ctx.mult(oc).Apply(acc) + outZp
 				out[outBase+oc] = int8(clamp32(v, op.ClampMin, op.ClampMax))
 			}
 		}
@@ -121,7 +148,7 @@ func DWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8) {
 						acc += (int32(in[(iy*w+ix)*c+ch]) - inZp) * int32(op.Weights[(ky*op.KW+kx)*c+ch])
 					}
 				}
-				v := ctx.Mults[ch].Apply(acc) + outZp
+				v := ctx.mult(ch).Apply(acc) + outZp
 				out[outBase+ch] = int8(clamp32(v, op.ClampMin, op.ClampMax))
 			}
 		}
@@ -142,7 +169,7 @@ func Dense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8) {
 		for i := 0; i < n; i++ {
 			acc += (int32(in[i]) - inZp) * int32(op.Weights[i*outC+oc])
 		}
-		v := ctx.Mults[oc].Apply(acc) + outZp
+		v := ctx.mult(oc).Apply(acc) + outZp
 		out[oc] = int8(clamp32(v, op.ClampMin, op.ClampMax))
 	}
 }

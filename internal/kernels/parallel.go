@@ -66,8 +66,9 @@ type Parallel struct {
 }
 
 // For splits [0, n) into at most Workers() contiguous chunks of at least
-// minGrain iterations each and runs fn(chunk, lo, hi) for every chunk,
-// returning when all chunks are done. Chunk indices are dense in
+// minGrain iterations each (so a loop shorter than 2·minGrain is never
+// split) and runs fn(chunk, lo, hi) for every chunk, returning when all
+// chunks are done. Chunk indices are dense in
 // [0, Workers()), so callers may use them to claim disjoint scratch
 // regions. Small loops (or a single-CPU pool) run inline on the calling
 // goroutine with chunk 0. When fn is a closure that outlives the call
@@ -79,10 +80,7 @@ func (p *Parallel) For(n, minGrain int, fn func(chunk, lo, hi int)) {
 	if minGrain < 1 {
 		minGrain = 1
 	}
-	chunks := Workers()
-	if c := (n + minGrain - 1) / minGrain; c < chunks {
-		chunks = c
-	}
+	chunks := min(Workers(), n/minGrain)
 	if chunks <= 1 {
 		fn(0, 0, n)
 		return

@@ -42,6 +42,26 @@ func convCases() []convCase {
 		{h: 16, w: 8, inC: 3, outC: 4, kh: 5, kw: 3, sh: 2, sw: 1, padT: 2, padL: 1, padB: 2, padR: 1},
 		// Wide output band to exercise multiple GEMM tiles and MR edges.
 		{h: 20, w: 19, inC: 9, outC: 21, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, inZp: 33},
+		// The shapes the panel layout and the assembly branch on. As
+		// pointwise convs: K odd, K < 8, K ≡ 2, 4, 6 (mod 8); N leaving a
+		// partial 16-panel or a sub-8-lane requantize tail; rows%4 = 1, 2, 3.
+		{h: 5, w: 5, inC: 9, outC: 1, kh: 1, kw: 1, sh: 1, sw: 1},
+		{h: 3, w: 2, inC: 2, outC: 2, kh: 1, kw: 1, sh: 1, sw: 1, inZp: 5},
+		{h: 7, w: 1, inC: 4, outC: 8, kh: 1, kw: 1, sh: 1, sw: 1},
+		{h: 6, w: 6, inC: 6, outC: 12, kh: 1, kw: 1, sh: 1, sw: 1, inZp: -128},
+		{h: 4, w: 5, inC: 10, outC: 24, kh: 1, kw: 1, sh: 1, sw: 1},
+		{h: 5, w: 5, inC: 12, outC: 84, kh: 1, kw: 1, sh: 1, sw: 1, inZp: -128},
+		{h: 3, w: 3, inC: 14, outC: 16, kh: 1, kw: 1, sh: 1, sw: 1},
+		{h: 5, w: 4, inC: 7, outC: 24, kh: 1, kw: 1, sh: 1, sw: 1, inZp: 127},
+		// The VWW stem: K = 9 through im2col, stride 2, asymmetric pad.
+		{h: 16, w: 16, inC: 1, outC: 16, kh: 3, kw: 3, sh: 2, sw: 2, padB: 1, padR: 1, inZp: -128},
+		// As depthwise: C%8 != 0 at the zoo's widths (the overlapped last
+		// lane group), stride 2 with asymmetric pad, a zero input zero
+		// point, and nine taps that are not 3×3.
+		{h: 10, w: 5, inC: 84, outC: 4, kh: 3, kw: 3, sh: 2, sw: 2, padT: 1, padB: 1, padR: 1, inZp: -128},
+		{h: 6, w: 5, inC: 276, outC: 2, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, inZp: -128},
+		{h: 9, w: 9, inC: 24, outC: 8, kh: 3, kw: 3, sh: 2, sw: 2, padB: 1, padR: 1},
+		{h: 4, w: 12, inC: 8, outC: 4, kh: 1, kw: 9, sh: 1, sw: 1, padL: 4, padR: 4, inZp: 9},
 	}
 }
 
@@ -131,6 +151,7 @@ func TestDenseGemmParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []struct{ in, out int }{
 		{1, 1}, {3, 2}, {16, 12}, {64, 10}, {127, 33}, {256, 5},
+		{9, 1}, {2, 8}, {6, 12}, {7, 24}, {40, 84}, {196, 16},
 	} {
 		t.Run(fmt.Sprintf("in%d_out%d", n.in, n.out), func(t *testing.T) {
 			m := &graph.Model{Name: "fc"}

@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"unsafe"
-
 	"micronets/internal/graph"
 )
 
@@ -43,14 +41,15 @@ func (p *PreparedModel) Model() *graph.Model { return p.model }
 func (p *PreparedModel) Ctx(i int) *Ctx { return p.ctxs[i] }
 
 // Bytes is the RAM footprint of the prepared state: packed panels,
-// folded biases, prefix sums, and multipliers summed over all ops. With
-// sharing this is paid once per model; without it, once per replica.
+// folded biases, depthwise base rows, and multipliers summed over all
+// ops. With sharing this is paid once per model; without it, once per
+// replica.
 func (p *PreparedModel) Bytes() int { return p.bytes }
 
-// Bytes is the RAM footprint of one op's prepared context.
+// Bytes is the RAM footprint of one op's prepared context: the capacity
+// of every slice it holds, padding included (TestCtxBytesCountsEverySlice
+// keeps the list complete).
 func (c *Ctx) Bytes() int {
-	return len(c.PackedW) +
-		4*len(c.ZpBias) +
-		4*len(c.DWSumPrefix) +
-		int(unsafe.Sizeof(QuantizedMultiplier{}))*len(c.Mults)
+	return cap(c.panels) + cap(c.dwPad) +
+		4*(cap(c.m0)+cap(c.rshift)+cap(c.zpBias)+cap(c.dwBase))
 }
