@@ -1,16 +1,16 @@
 // Command serve runs the HTTP inference server: zoo models behind a
-// KServe-v2-style JSON protocol with pre-warmed interpreter pools,
-// adaptive micro-batching, and a Triton-style model-repository control
-// plane for hot load/unload with zero restarts.
+// KServe-v2-style JSON protocol with pre-warmed interpreter pools (every
+// row one batch-1 invoke on a free interpreter) and a Triton-style
+// model-repository control plane for hot load/unload with zero restarts.
 //
 // Usage:
 //
 //	serve                                   # serve every runtime-servable zoo model on :8151
 //	serve -models MicroNet-KWS-S,DSCNN-S    # a subset
-//	serve -max-batch 16 -max-delay 4ms      # wider batching window
-//	serve -ram-budget 320KB                 # emulate the medium MCU: pool sizes and
-//	                                        # max batch planned from what fits; models
-//	                                        # over budget skipped (boot) or 409'd (admin)
+//	serve -pool 4                           # four interpreters per model
+//	serve -ram-budget 320KB                 # emulate the medium MCU: pool sizes
+//	                                        # planned from what fits; models over
+//	                                        # budget skipped (boot) or 409'd (admin)
 //	serve -watch-specs frontier.json        # hot-load cmd/search exports on change
 //	serve -no-admin                         # freeze the model and graph sets at boot
 //	serve -debug-addr 127.0.0.1:6060        # net/http/pprof on a separate listener
@@ -29,7 +29,7 @@
 //	GET  /metrics
 //
 // SIGINT/SIGTERM triggers a graceful drain: readiness fails first, then
-// in-flight requests and queued batches finish before exit.
+// in-flight requests finish before exit.
 package main
 
 import (
@@ -59,8 +59,6 @@ func main() {
 	ramBudget := flag.String("ram-budget", "0", "RAM budget for planned arenas across all models (e.g. 320KB to emulate DeviceM; 0 = unbudgeted)")
 	noAdmin := flag.Bool("no-admin", false, "disable the /v2/repository and graph-mutation control-plane endpoints")
 	pool := flag.Int("pool", 2, "desired interpreters per model (a RAM budget may scale this down)")
-	maxBatch := flag.Int("max-batch", 8, "max requests coalesced into one InvokeBatch call (a RAM budget may scale this down)")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "max wait for the micro-batch window to fill")
 	weightBits := flag.Int("weight-bits", 8, "weight datatype (8, or 4 for emulated sub-byte kernels)")
 	actBits := flag.Int("act-bits", 8, "activation datatype (8 only for serving; 4-bit activations are a memory/latency emulation the runtime cannot execute)")
 	softmax := flag.Bool("softmax", true, "append the classifier softmax op")
@@ -138,8 +136,6 @@ func main() {
 		Addr:           *addr,
 		Models:         names,
 		PoolSize:       *pool,
-		MaxBatch:       *maxBatch,
-		MaxDelay:       *maxDelay,
 		RAMBudgetBytes: budgetBytes,
 		SkipOverBudget: serveAll,
 		DisableAdmin:   *noAdmin,

@@ -35,8 +35,8 @@ func main() {
 			Addr:   addr,
 			Models: []string{model},
 			// Emulate the large MCU: every load is planned against 512 KB
-			// of arena RAM, so pool sizes and batch bounds come from
-			// tflm.PlanMemoryBatch instead of fixed counts.
+			// of RAM, so pool sizes come from the tflm.PlanMemory arena
+			// instead of fixed counts.
 			RAMBudgetBytes: 512 * 1024,
 			PoolSize:       2,
 			Logger:         logger,
@@ -94,8 +94,8 @@ func main() {
 
 	// DSCNN-S was not in the boot set; one admin POST makes it servable.
 	code, status := postJSON(base+"/v2/repository/models/DSCNN-S/load", nil)
-	fmt.Printf("hot-load DSCNN-S: HTTP %d, state %v, pool %v, max batch %v\n",
-		code, status["state"], status["pool_size"], status["max_batch"])
+	fmt.Printf("hot-load DSCNN-S: HTTP %d, state %v, pool %v\n",
+		code, status["state"], status["pool_size"])
 
 	// The index shows every version with its budget-planned capacity.
 	var index struct {
@@ -104,7 +104,6 @@ func main() {
 			Version         int    `json:"version"`
 			State           string `json:"state"`
 			PoolSize        int    `json:"pool_size"`
-			MaxBatch        int    `json:"max_batch"`
 			PlannedRAMBytes int    `json:"planned_ram_bytes"`
 		} `json:"models"`
 		BudgetBytes  int `json:"ram_budget_bytes"`
@@ -113,13 +112,13 @@ func main() {
 	getJSON(base+"/v2/repository/index", &index)
 	fmt.Printf("repository: %d/%d budget bytes planned\n", index.PlannedBytes, index.BudgetBytes)
 	for _, m := range index.Models {
-		fmt.Printf("  %-16s v%d %-7s pool=%d batch=%d ram=%dB\n",
-			m.Name, m.Version, m.State, m.PoolSize, m.MaxBatch, m.PlannedRAMBytes)
+		fmt.Printf("  %-16s v%d %-7s pool=%d ram=%dB\n",
+			m.Name, m.Version, m.State, m.PoolSize, m.PlannedRAMBytes)
 	}
 
-	// MicroNet-AD-L needs a ~345 KB arena even at batch 1 — more than the
-	// budget has left. The repository answers with a structured 409
-	// instead of OOMing.
+	// MicroNet-AD-L needs ~750 KB for its shared weights plus one arena —
+	// more than the budget has left. The repository answers with a
+	// structured 409 instead of OOMing.
 	code, conflict := postJSON(base+"/v2/repository/models/MicroNet-AD-L/load", nil)
 	fmt.Printf("over-budget load: HTTP %d code=%v needed=%v budget=%v planned=%v\n",
 		code, conflict["code"], conflict["needed_bytes"], conflict["budget_bytes"], conflict["planned_bytes"])

@@ -9,9 +9,10 @@ import (
 // HotPathAlloc is the static complement of the AllocsPerRun CI gates: no
 // allocation-inducing construct may appear in a function statically
 // reachable from the zero-alloc serve path. The roots are
-// Interpreter.Invoke / InvokeBatchInto, the Batcher flush path, and the
-// bound op closures produced by kernels.BindOp and the engines' bind*
-// methods (closures built at Prepare time but *executed* per invoke).
+// Interpreter.Invoke, the serve per-row path (version.infer: pool wait,
+// copy in, Invoke, copy out), and the bound op closures produced by
+// kernels.BindOp and the engines' bind* methods (closures built at
+// Prepare time but *executed* per invoke).
 //
 // Reachability is a worklist over function declarations and literals:
 //
@@ -55,8 +56,7 @@ func NewHotPathAlloc() *HotPathAlloc {
 	return &HotPathAlloc{
 		Roots: []string{
 			"micronets/internal/tflm.Interpreter.Invoke",
-			"micronets/internal/tflm.Interpreter.InvokeBatchInto",
-			"micronets/internal/serve.Batcher.flush",
+			"micronets/internal/serve.version.infer",
 		},
 		ClosureContainers: []string{
 			"micronets/internal/kernels.BindOp",

@@ -55,8 +55,8 @@ type GraphReport struct {
 }
 
 // GraphExperiment measures the cascade routing win end-to-end through the
-// real serving stack: repository-loaded models, micro-batchers, and the
-// servegraph router — everything but the HTTP layer. n is the number of
+// real serving stack: repository-loaded models, their interpreter pools,
+// and the servegraph router — everything but the HTTP layer. n is the number of
 // mixed-traffic requests (n >= 4; each request is one random KWS row).
 func GraphExperiment(n int, seed int64) (*GraphReport, error) {
 	if n < 4 {
@@ -65,11 +65,8 @@ func GraphExperiment(n int, seed int64) (*GraphReport, error) {
 	const gateName, largeName = "DSCNN-S", "MicroNet-KWS-L"
 	repo := serve.NewRepository(serve.RepositoryConfig{
 		PoolSize: 1,
-		// MaxBatch 1 dispatches every request immediately, so measured
-		// latency is model time, not batching-window time.
-		Batch:   serve.BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond},
-		Options: serve.ModelOptions{Seed: seed, AppendSoftmax: true},
-		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Options:  serve.ModelOptions{Seed: seed, AppendSoftmax: true},
+		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	defer repo.Close()
 	for _, name := range []string{gateName, largeName} {

@@ -80,7 +80,9 @@ func (t *Trace) Start(name string, parent *SpanHandle) *SpanHandle {
 }
 
 // Add records a span post hoc from an explicit start time and duration
-// — for code (like the batcher) that learns timings after the fact.
+// — for code (like the serve row path) that learns timings after the
+// fact. attrs is stored, not copied, so one read-only map may be shared
+// by many spans; it must not be written afterwards.
 //
 //microvet:hotpath-stop opt-in request tracing; the steady-state serve path runs with a nil trace and never reaches this append
 func (t *Trace) Add(name string, parent *SpanHandle, start time.Time, dur time.Duration, attrs map[string]string) {

@@ -27,8 +27,8 @@ func (e *ModelInUseError) Error() string {
 }
 
 // graphBackend adapts Repository to servegraph.Backend: resolve a serving
-// version's metadata, and run one float row through its micro-batcher
-// with the model's own input quantization.
+// version's metadata, and run one float row on one of its pooled
+// interpreters with the model's own input quantization.
 type graphBackend struct{ repo *Repository }
 
 // GraphBackend returns the servegraph routing surface of a repository —
@@ -68,11 +68,12 @@ func (b graphBackend) Infer(ctx context.Context, name string, x []float64) (serv
 	if err != nil {
 		return servegraph.Scored{}, err
 	}
-	out, err := v.batcher.Submit(ctx, row)
-	if err != nil {
+	outT := v.model.Tensors[v.model.Output]
+	out := make([]int8, outT.Elems())
+	if err := v.infer(ctx, row, out); err != nil {
 		return servegraph.Scored{}, err
 	}
-	scores := dequantize(v.model.Tensors[v.model.Output], out)
+	scores := dequantize(outT, out)
 	probs := scores
 	if !v.key.opts.AppendSoftmax {
 		probs = servegraph.Softmax(scores)
@@ -137,10 +138,6 @@ func writeGraphError(w http.ResponseWriter, err error) {
 		// A referenced model was unloaded out-of-band (guard disabled or
 		// programmatic bypass): surface it as a conflict, not a 500.
 		writeJSON(w, http.StatusConflict, graphError{Error: err.Error(), Code: "model_not_loaded", Model: nl.Model})
-		return
-	}
-	if errors.Is(err, ErrDraining) {
-		writeJSON(w, http.StatusServiceUnavailable, v2Error{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})

@@ -331,7 +331,6 @@ func TestGraphAdminDisabled(t *testing.T) {
 	s, err := New(Config{
 		Models:       []string{"DSCNN-S"},
 		Options:      ModelOptions{Seed: 42, AppendSoftmax: true},
-		Batch:        BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
 		DisableAdmin: true,
 		Logger:       discardLogger(),
 	})

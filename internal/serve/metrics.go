@@ -41,18 +41,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "%s{model=%q} %d\n", name, v.name, val(v))
 		}
 	}
-	counter("micronets_serve_requests_total", "Inference requests completed (batched rows).",
+	counter("micronets_serve_requests_total", "Input rows run through Invoke.",
 		func(v *version) uint64 { return v.stats.requests.Load() })
-	counter("micronets_serve_request_errors_total", "Requests that failed (bad input, drained, invoke error).",
+	counter("micronets_serve_request_errors_total", "Rows that failed (bad input, invoke error).",
 		func(v *version) uint64 { return v.stats.errors.Load() })
-	counter("micronets_serve_request_canceled_total", "Requests abandoned by caller context cancellation (not model failures).",
+	counter("micronets_serve_request_canceled_total", "Rows whose caller's context ended while waiting for an interpreter (not model failures).",
 		func(v *version) uint64 { return v.stats.canceled.Load() })
-	counter("micronets_serve_batches_total", "InvokeBatch calls issued by the micro-batcher.",
-		func(v *version) uint64 { return v.stats.batches.Load() })
-	counter("micronets_serve_batch_size_sum", "Sum of coalesced batch sizes (divide by batches for the mean).",
-		func(v *version) uint64 { return v.stats.batchSum.Load() })
-	counter("micronets_serve_batch_size_max", "Largest batch coalesced so far.",
-		func(v *version) uint64 { return v.stats.batchMax.Load() })
 
 	histogram := func(name, help string, val func(*version) *obs.Histogram) {
 		obs.WriteHistogramHead(&b, name, help)
@@ -60,11 +54,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			val(v).Snapshot().WritePrometheus(&b, name, fmt.Sprintf("model=%q", v.name))
 		}
 	}
-	histogram("micronets_serve_request_latency_seconds", "End-to-end request latency (queue wait + invoke).",
+	histogram("micronets_serve_request_latency_seconds", "End-to-end row latency (queue wait + invoke).",
 		func(v *version) *obs.Histogram { return &v.stats.latency })
-	histogram("micronets_serve_queue_wait_seconds", "Time requests spent queued before their batch ran.",
+	histogram("micronets_serve_queue_wait_seconds", "Time rows waited for a free pooled interpreter.",
 		func(v *version) *obs.Histogram { return &v.stats.queueWait })
-	histogram("micronets_serve_invoke_seconds", "InvokeBatch wall time per batch.",
+	histogram("micronets_serve_invoke_seconds", "Copy-in, Invoke and copy-out wall time per row.",
 		func(v *version) *obs.Histogram { return &v.stats.invoke })
 
 	gauge := func(name, help string, val func(*version) int64) {
@@ -77,8 +71,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(v *version) int64 { return int64(v.num) })
 	gauge("micronets_serve_pool_size", "Budget-planned interpreter replicas of the serving version.",
 		func(v *version) int64 { return int64(v.poolSize) })
-	gauge("micronets_serve_max_batch", "Budget-planned micro-batch bound of the serving version.",
-		func(v *version) int64 { return int64(v.maxBatch) })
 	gauge("micronets_serve_planned_arena_bytes", "Bytes the serving version reserves against the RAM budget (shared weights + pool arenas).",
 		func(v *version) int64 { return int64(v.plannedBytes) })
 	gauge("micronets_serve_arena_bytes", "Arena bytes per pooled interpreter (host allocation).",
@@ -100,13 +92,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, n := range nameOrder {
 		fmt.Fprintf(&b, "micronets_serve_model_versions{model=%q} %d\n", n, perName[n])
-	}
-
-	fmt.Fprintf(&b, "# HELP micronets_serve_batch_window_seconds Current adaptive micro-batch gather window.\n")
-	fmt.Fprintf(&b, "# TYPE micronets_serve_batch_window_seconds gauge\n")
-	for _, v := range actives {
-		fmt.Fprintf(&b, "micronets_serve_batch_window_seconds{model=%q} %.6f\n",
-			v.name, v.batcher.Window().Seconds())
 	}
 	s.writeGraphMetrics(&b)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")

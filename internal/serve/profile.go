@@ -43,7 +43,11 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 
 	mod := v.model
-	ip := v.pool.Get()
+	ip, err := v.pool.Get(r.Context())
+	if err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, v2Error{Error: err.Error()})
+		return
+	}
 	defer v.pool.Put(ip)
 	// Deterministic non-zero input so every run exercises the same data
 	// path; content does not affect int8 kernel timing.

@@ -22,8 +22,8 @@ import (
 )
 
 // Repository is the serving control plane: it owns the lifecycle of every
-// served model as a sequence of versions, each one a lowered graph, a
-// fully built interpreter pool and its micro-batcher.
+// served model as a sequence of versions, each one a lowered graph and a
+// fully built interpreter pool.
 //
 // Lifecycle semantics, in the KServe/Triton model-repository style:
 //
@@ -37,13 +37,13 @@ import (
 //     idempotent no-op: the active version is returned unchanged.
 //   - Unload drains the active version and drops the name.
 //
-// Capacity is budget-driven rather than fixed: each load picks the
-// largest micro-batch whose tflm.PlanMemoryBatch arena fits the remaining
-// budget, then as many pooled replicas as still fit (both capped at the
-// configured desires). A load that cannot fit even one batch-1 replica is
-// rejected with a structured *BudgetError instead of OOMing at serve time
-// — the host-side emulation of deploying onto a device class with that
-// much SRAM.
+// Capacity is budget-driven rather than fixed: a version reserves its
+// shared prepared weights plus pool × the tflm.PlanMemory arena — the
+// batch-1 arena every pooled interpreter actually allocates — with pool
+// the configured PoolSize or as many replicas as still fit, whichever is
+// smaller. A load that cannot fit even one replica is rejected with a
+// structured *BudgetError instead of OOMing at serve time — the host-side
+// emulation of deploying onto a device class with that much SRAM.
 //
 // Because a swap is make-before-break, BOTH versions hold their arena
 // reservations during the drain window: hot-swapping a model therefore
@@ -130,13 +130,24 @@ type RepositoryConfig struct {
 	// PoolSize is the desired interpreter replicas per model (default 2).
 	// Under a budget the actual pool may be smaller — never larger.
 	PoolSize int
-	// Batch is the desired micro-batching window; under a budget a
-	// version's MaxBatch may be scaled down — never up.
+	// Deprecated: Batch is ignored; every row runs on its own pooled
+	// interpreter.
 	Batch BatcherConfig
 	// Options is the default lowering for LoadZoo/LoadSpecFile/WatchSpecs.
 	Options ModelOptions
 	// Logger receives lifecycle events (default slog.Default).
 	Logger *slog.Logger
+}
+
+// BatcherConfig is the shape of the removed micro-batcher's settings,
+// kept so callers that still fill Config.Batch or RepositoryConfig.Batch
+// compile.
+//
+// Deprecated: nothing reads these fields; every row runs on its own
+// pooled interpreter.
+type BatcherConfig struct {
+	MaxBatch int
+	MaxDelay time.Duration
 }
 
 // ModelState is the lifecycle state of one model version.
@@ -162,11 +173,10 @@ type ModelStatus struct {
 	Version int        `json:"version"`
 	State   ModelState `json:"state"`
 	Task    string     `json:"task,omitempty"`
-	// PoolSize and MaxBatch are the budget-planned serving capacity.
+	// PoolSize is the budget-planned serving capacity.
 	PoolSize int `json:"pool_size"`
-	MaxBatch int `json:"max_batch"`
-	// ArenaBytesPerReplica is tflm.PlanMemoryBatch(model, MaxBatch) arena
-	// bytes — what one pooled replica adds in device RAM on top of the
+	// ArenaBytesPerReplica is tflm.PlanMemory(model).ArenaBytes — the
+	// batch-1 arena one pooled replica adds in device RAM on top of the
 	// shared weights.
 	ArenaBytesPerReplica int `json:"arena_bytes_per_replica"`
 	// SharedWeightBytes is the prepared kernel state (packed weight
@@ -181,13 +191,13 @@ type ModelStatus struct {
 	LoadedAt   time.Time `json:"loaded_at,omitzero"`
 }
 
-// BudgetError rejects a load whose smallest configuration (one replica at
-// batch 1) does not fit the remaining RAM budget. The admin API renders
-// it as a structured 409.
+// BudgetError rejects a load whose smallest configuration (one replica)
+// does not fit the remaining RAM budget. The admin API renders it as a
+// structured 409.
 type BudgetError struct {
 	Model string
-	// NeededBytes is the shared prepared weights plus the batch-1
-	// single-replica arena — the minimum the load would reserve.
+	// NeededBytes is the shared prepared weights plus one replica's
+	// arena — the minimum the load would reserve.
 	NeededBytes int
 	// BudgetBytes and PlannedBytes are the repository budget and what live
 	// versions have already reserved against it.
@@ -224,25 +234,27 @@ type versionKey struct {
 }
 
 // version is the one loaded-model type: one lifecycle of a name, holding
-// the lowered graph, its interpreter pool, micro-batcher and serving
-// counters. Immutable after publication except for state (which
-// Repository.mu guards) and the atomic counters.
+// the lowered graph, its interpreter pool and serving counters. Immutable
+// after publication except for state (which Repository.mu guards) and the
+// atomic counters.
 type version struct {
 	name string
 	num  int
 	key  versionKey // drives idempotent re-loads
 	task string
 
-	model   *graph.Model
-	pool    *Pool
-	batcher *Batcher
-	stats   stats
+	model *graph.Model
+	pool  *Pool
+	stats stats
+	// spanAttrs is the read-only attribute map every traced request's
+	// queue/invoke spans share, built once so tracing allocates no map
+	// per request.
+	spanAttrs map[string]string
 
 	poolSize        int
-	maxBatch        int
 	perReplicaArena int
-	// arenaBytes is the host allocation of one pooled interpreter
-	// (activations plus engine scratch), recorded when the pool is built.
+	// arenaBytes is the host allocation of one pooled interpreter: the
+	// planned activation arena plus the engine's im2col scratch.
 	arenaBytes int
 	// weightBytes is the prepared kernel state (packed panels, folded
 	// biases, prefix sums) shared by every replica — paid once per version.
@@ -254,7 +266,7 @@ type version struct {
 	state ModelState // guarded by Repository.mu
 	// inflight counts requests that acquired this version; retirement
 	// waits for it so a draining version finishes everything it was
-	// handed before its batcher closes.
+	// handed before its budget is released.
 	inflight sync.WaitGroup
 	// drained closes when the version is fully retired.
 	drained chan struct{}
@@ -276,7 +288,6 @@ func NewRepository(cfg RepositoryConfig) *Repository {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 2
 	}
-	cfg.Batch.fill()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -328,12 +339,10 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 	key := versionKey{fingerprint: spec.Fingerprint(), opts: opts}
 	name := spec.Name
 
-	// The lowering, prepared weights, and capacity candidates depend only
-	// on spec+opts, so a stale-slot retry (the per-name slot deleted by a
-	// completing unload mid-load) reuses them instead of re-lowering.
-	var gm *graph.Model
+	// The lowering and prepared weights depend only on spec+opts, so a
+	// stale-slot retry (the per-name slot deleted by a completing unload
+	// mid-load) reuses them instead of re-lowering.
 	var prep *tflm.Prepared
-	var costs []batchCost
 	// attempt runs the load against one per-name slot, holding its loadMu
 	// throughout; errStaleModel reports the slot was deleted under it.
 	attempt := func(m *repoModel) (ModelStatus, error) {
@@ -363,35 +372,28 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 
 		// The expensive part runs under loadMu only: the data path and
 		// other names stay unblocked while this name lowers and plans.
-		if gm == nil {
+		if prep == nil {
 			r.lowerings.Add(1)
-			if gm, err = opts.Lower(spec); err != nil {
+			gm, err := opts.Lower(spec)
+			if err != nil {
 				return st, fmt.Errorf("serve: load %s: %w", name, err)
 			}
 			// Prepare once: the packed weights are shared by every replica
-			// of the version, and their size feeds the budget reservation.
+			// of the version, and their size and the memory plan feed the
+			// budget reservation.
 			if prep, err = tflm.Prepare(gm); err != nil {
-				return st, fmt.Errorf("serve: load %s: %w", name, err)
-			}
-			if costs, err = batchCosts(gm, r.cfg.Batch.MaxBatch); err != nil {
 				return st, fmt.Errorf("serve: load %s: %w", name, err)
 			}
 		}
 
-		v, err := r.reserve(name, m, key, spec.Task, gm, prep.WeightBytes(), costs)
+		v, err := r.reserve(name, m, key, spec.Task, prep)
 		if err != nil {
 			return st, err
 		}
-		pool, err := newPool(prep, v.poolSize)
-		if err != nil {
+		if v.pool, err = newPool(prep, v.poolSize); err != nil {
 			r.release(name, m, v)
 			return st, fmt.Errorf("serve: load %s: %w", name, err)
 		}
-		ip := pool.Get()
-		v.arenaBytes = ip.ArenaBytes()
-		pool.Put(ip)
-		v.model, v.pool = gm, pool
-		v.batcher = newBatcher(v, BatcherConfig{MaxBatch: v.maxBatch, MaxDelay: r.cfg.Batch.MaxDelay, Logger: r.cfg.Logger})
 
 		// Blue/green swap: publish only the fully built version, retire
 		// the one it replaces.
@@ -399,7 +401,6 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 		v.loadedAt = time.Now()
 		if r.closed {
 			r.mu.Unlock()
-			v.batcher.Close()
 			r.release(name, m, v)
 			return st, ErrRepositoryClosed
 		}
@@ -417,8 +418,7 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 			go r.retire(name, m, old)
 		}
 		r.cfg.Logger.Info("model loaded", "model", name, "version", v.num,
-			"pool_size", v.poolSize, "max_batch", v.maxBatch,
-			"planned_ram_bytes", v.plannedBytes, "swapped", old != nil)
+			"pool_size", v.poolSize, "planned_ram_bytes", v.plannedBytes, "swapped", old != nil)
 		return st, nil
 	}
 	for {
@@ -556,7 +556,11 @@ func (r *Repository) Infer(ctx context.Context, name string, row []int8) ([]int8
 		return nil, err
 	}
 	defer v.release()
-	return v.batcher.Submit(ctx, row)
+	out := make([]int8, v.model.Tensors[v.model.Output].Elems())
+	if err := v.infer(ctx, row, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Close drains every version and rejects further loads. It blocks until
@@ -675,7 +679,8 @@ func (r *Repository) modelFor(name string) *repoModel {
 // reserve plans capacity for a load and reserves its budget, publishing a
 // LOADING version. Caller holds m.loadMu (so the active version cannot
 // have changed since load's fast path, short of a Close).
-func (r *Repository) reserve(name string, m *repoModel, key versionKey, task string, gm *graph.Model, weightBytes int, costs []batchCost) (*version, error) {
+func (r *Repository) reserve(name string, m *repoModel, key versionKey, task string, prep *tflm.Prepared) (*version, error) {
+	weightBytes, plan := prep.WeightBytes(), prep.Plan()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -684,7 +689,7 @@ func (r *Repository) reserve(name string, m *repoModel, key versionKey, task str
 	if r.models[name] != m {
 		return nil, errStaleModel
 	}
-	pool, batch, perReplica, err := r.pickCapacityLocked(name, weightBytes, costs)
+	pool, err := r.pickPoolLocked(name, weightBytes, plan.ArenaBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -694,12 +699,14 @@ func (r *Repository) reserve(name string, m *repoModel, key versionKey, task str
 		num:             m.nextNum,
 		key:             key,
 		task:            task,
+		model:           prep.Model(),
+		spanAttrs:       map[string]string{"model": name},
 		poolSize:        pool,
-		maxBatch:        batch,
-		perReplicaArena: perReplica,
+		perReplicaArena: plan.ArenaBytes,
+		arenaBytes:      plan.TotalBytes(),
 		weightBytes:     weightBytes,
-		plannedBytes:    weightBytes + pool*perReplica,
-		flashBytes:      gm.FlashBytes(),
+		plannedBytes:    weightBytes + pool*plan.ArenaBytes,
+		flashBytes:      prep.Model().FlashBytes(),
 		state:           StateLoading,
 		drained:         make(chan struct{}),
 	}
@@ -708,62 +715,24 @@ func (r *Repository) reserve(name string, m *repoModel, key versionKey, task str
 	return v, nil
 }
 
-// batchCost is one candidate micro-batch and what a single replica at
-// that batch costs in planned arena bytes.
-type batchCost struct{ batch, arenaBytes int }
-
-// batchCosts plans a model at every halving of the desired micro-batch,
-// largest first, ending at batch 1 — the candidate set capacity picking
-// chooses from. Runs outside the repository lock: planning is pure.
-func batchCosts(gm *graph.Model, maxBatch int) ([]batchCost, error) {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	var out []batchCost
-	for b := maxBatch; ; b /= 2 {
-		plan, err := tflm.PlanMemoryBatch(gm, b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, batchCost{batch: b, arenaBytes: plan.ArenaBytes})
-		if b == 1 {
-			break
-		}
-	}
-	return out, nil
-}
-
-// pickCapacityLocked sizes a load against the remaining budget: the
-// shared prepared weights are charged once off the top, then the largest
-// candidate micro-batch whose single-replica arena fits, then as many
-// replicas as still fit (capped at the desired PoolSize) — replicas cost
-// only their arenas, since the weights are shared. Unbudgeted
-// repositories grant the desires as-is. Called with r.mu held.
-func (r *Repository) pickCapacityLocked(name string, weightBytes int, costs []batchCost) (pool, batch, perReplica int, err error) {
-	pool = r.cfg.PoolSize
+// pickPoolLocked sizes a load against the remaining budget: the shared
+// prepared weights are charged once off the top, then as many replica
+// arenas as still fit, capped at the desired PoolSize. Unbudgeted
+// repositories grant PoolSize as-is. Called with r.mu held.
+func (r *Repository) pickPoolLocked(name string, weightBytes, arenaBytes int) (int, error) {
 	if r.cfg.RAMBudgetBytes <= 0 {
-		return pool, costs[0].batch, costs[0].arenaBytes, nil
+		return r.cfg.PoolSize, nil
 	}
-	remaining := r.cfg.RAMBudgetBytes - r.planned - weightBytes
-	chosen := costs[len(costs)-1] // batch 1, the smallest configuration
-	for _, c := range costs {
-		if c.arenaBytes <= remaining {
-			chosen = c
-			break
-		}
-	}
-	if chosen.arenaBytes > remaining {
-		return 0, 0, 0, &BudgetError{
+	fit := (r.cfg.RAMBudgetBytes - r.planned - weightBytes) / arenaBytes
+	if fit < 1 {
+		return 0, &BudgetError{
 			Model:        name,
-			NeededBytes:  weightBytes + chosen.arenaBytes,
+			NeededBytes:  weightBytes + arenaBytes,
 			BudgetBytes:  r.cfg.RAMBudgetBytes,
 			PlannedBytes: r.planned,
 		}
 	}
-	if fit := remaining / chosen.arenaBytes; fit < pool {
-		pool = fit
-	}
-	return pool, chosen.batch, chosen.arenaBytes, nil
+	return min(fit, r.cfg.PoolSize), nil
 }
 
 // release undoes a reservation whose build failed, dropping the slot if
@@ -779,10 +748,9 @@ func (r *Repository) release(name string, m *repoModel, v *version) {
 }
 
 // retire finishes a draining version: wait out the requests that hold it,
-// flush its batcher, release its budget.
+// then release its budget.
 func (r *Repository) retire(name string, m *repoModel, v *version) {
 	v.inflight.Wait()
-	v.batcher.Close()
 	r.mu.Lock()
 	r.planned -= v.plannedBytes
 	v.state = StateUnloaded
@@ -845,7 +813,6 @@ func statusLocked(v *version) ModelStatus {
 		State:                v.state,
 		Task:                 v.task,
 		PoolSize:             v.poolSize,
-		MaxBatch:             v.maxBatch,
 		ArenaBytesPerReplica: v.perReplicaArena,
 		SharedWeightBytes:    v.weightBytes,
 		PlannedRAMBytes:      v.plannedBytes,

@@ -30,14 +30,15 @@ func testSpec(t *testing.T, name string) *arch.Spec {
 	return &cp
 }
 
-// arenaBytesAt plans a spec at a batch size the way the repository does.
-func arenaBytesAt(t *testing.T, spec *arch.Spec, opts ModelOptions, batch int) int {
+// arenaBytesOf plans a spec's one-row arena — what the repository charges
+// per pooled interpreter.
+func arenaBytesOf(t *testing.T, spec *arch.Spec, opts ModelOptions) int {
 	t.Helper()
 	m, err := opts.Lower(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := tflm.PlanMemoryBatch(m, batch)
+	plan, err := tflm.PlanMemory(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,29 +62,27 @@ func weightBytesOf(t *testing.T, spec *arch.Spec, opts ModelOptions) int {
 }
 
 // TestBudgetOfOneArenaYieldsPoolSizeOne is the ROADMAP item made a test:
-// pool size and max batch derive from the RAM budget via
-// tflm.PlanMemoryBatch, so a budget of the shared weights plus exactly one
-// batch-1 arena must collapse to one replica serving batch 1 — never a
-// fixed default count.
+// pool size derives from the RAM budget via tflm.PlanMemory, so a budget
+// of the shared weights plus exactly one arena must collapse to one
+// replica — never a fixed default count.
 func TestBudgetOfOneArenaYieldsPoolSizeOne(t *testing.T) {
 	spec := testSpec(t, "MicroNet-KWS-S")
 	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
-	oneArena := arenaBytesAt(t, spec, opts, 1)
+	oneArena := arenaBytesOf(t, spec, opts)
 	weights := weightBytesOf(t, spec, opts)
 
 	r := NewRepository(RepositoryConfig{
 		Logger:         discardLogger(),
 		RAMBudgetBytes: weights + oneArena,
 		PoolSize:       8,
-		Batch:          BatcherConfig{MaxBatch: 8},
 	})
 	defer r.Close()
 	st, err := r.Load(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PoolSize != 1 || st.MaxBatch != 1 {
-		t.Fatalf("one-arena budget planned pool %d batch %d, want 1 and 1", st.PoolSize, st.MaxBatch)
+	if st.PoolSize != 1 {
+		t.Fatalf("one-arena budget planned pool %d, want 1", st.PoolSize)
 	}
 	if st.PlannedRAMBytes != weights+oneArena || st.ArenaBytesPerReplica != oneArena || st.SharedWeightBytes != weights {
 		t.Fatalf("planned %d bytes (per replica %d, weights %d), want weights %d + the one arena %d",
@@ -105,7 +104,6 @@ func TestPlannedRAMSharesWeightsAcrossReplicas(t *testing.T) {
 		r := NewRepository(RepositoryConfig{
 			Logger:   discardLogger(),
 			PoolSize: pool,
-			Batch:    BatcherConfig{MaxBatch: 1},
 		})
 		defer r.Close()
 		st, err := r.Load(spec, opts)
@@ -133,57 +131,82 @@ func TestPlannedRAMSharesWeightsAcrossReplicas(t *testing.T) {
 	}
 }
 
-// TestBudgetScalesBatchAndPool: a budget of one batch-4 arena serves
-// batch 4 on one replica; doubling it doubles the replicas, not the
-// batch beyond the configured desire.
+// TestBudgetScalesBatchAndPool: the budget scales the pool one arena at a
+// time — one byte short of a second arena still plans one replica, a
+// whole second arena plans two, and no budget plans past PoolSize. (Every
+// replica runs batch 1, so the pool is the only axis left to scale.)
 func TestBudgetScalesBatchAndPool(t *testing.T) {
 	spec := testSpec(t, "DSCNN-S")
 	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
-	arena4 := arenaBytesAt(t, spec, opts, 4)
+	arena := arenaBytesOf(t, spec, opts)
 	weights := weightBytesOf(t, spec, opts)
+
+	// Weights are charged once per version, so one more arena of budget —
+	// not weights+arena — buys each further replica.
+	for _, tc := range []struct{ budget, wantPool int }{
+		{weights + 2*arena - 1, 1},
+		{weights + 2*arena, 2},
+		{weights + 100*arena, 4},
+	} {
+		r := NewRepository(RepositoryConfig{
+			Logger:         discardLogger(),
+			RAMBudgetBytes: tc.budget,
+			PoolSize:       4,
+		})
+		st, err := r.Load(spec, opts)
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PoolSize != tc.wantPool {
+			t.Fatalf("budget %d planned pool %d, want %d", tc.budget, st.PoolSize, tc.wantPool)
+		}
+	}
+}
+
+// TestBudgetChargesBatchOneArena: under a budget a version reserves the
+// arena its pooled interpreters actually allocate — the one-row
+// tflm.PlanMemory arena — once per replica on top of the shared weights.
+func TestBudgetChargesBatchOneArena(t *testing.T) {
+	spec := testSpec(t, "MicroNet-KWS-S")
+	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
+	m, err := opts.Lower(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := tflm.PlanMemory(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	r := NewRepository(RepositoryConfig{
 		Logger:         discardLogger(),
-		RAMBudgetBytes: weights + arena4,
-		PoolSize:       4,
-		Batch:          BatcherConfig{MaxBatch: 4},
+		RAMBudgetBytes: 16 << 20,
+		PoolSize:       2,
 	})
+	defer r.Close()
 	st, err := r.Load(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
-	if st.MaxBatch != 4 || st.PoolSize != 1 {
-		t.Fatalf("one batch-4 arena planned pool %d batch %d, want 1 and 4", st.PoolSize, st.MaxBatch)
+	if st.ArenaBytesPerReplica != plan.ArenaBytes {
+		t.Fatalf("arena_bytes_per_replica = %d, want the one-row plan's %d", st.ArenaBytesPerReplica, plan.ArenaBytes)
 	}
-
-	// Weights are charged once per version, so one more arena of budget —
-	// not weights+arena — buys the second replica.
-	r2 := NewRepository(RepositoryConfig{
-		Logger:         discardLogger(),
-		RAMBudgetBytes: weights + 2*arena4,
-		PoolSize:       4,
-		Batch:          BatcherConfig{MaxBatch: 4},
-	})
-	defer r2.Close()
-	st2, err := r2.Load(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.MaxBatch != 4 || st2.PoolSize != 2 {
-		t.Fatalf("two batch-4 arenas planned pool %d batch %d, want 2 and 4", st2.PoolSize, st2.MaxBatch)
+	if want := st.SharedWeightBytes + st.PoolSize*plan.ArenaBytes; st.PlannedRAMBytes != want || st.PoolSize != 2 {
+		t.Fatalf("planned %d bytes at pool %d, want weights %d + 2 × %d = %d",
+			st.PlannedRAMBytes, st.PoolSize, st.SharedWeightBytes, plan.ArenaBytes, want)
 	}
 }
 
 // TestBudgetRejectionIsStructured: a load that cannot fit even one
-// batch-1 replica fails with a *BudgetError carrying the exact byte
-// accounting, and reserves nothing.
+// replica fails with a *BudgetError carrying the exact byte accounting,
+// and reserves nothing.
 func TestBudgetRejectionIsStructured(t *testing.T) {
 	small := testSpec(t, "DSCNN-S")
 	big := testSpec(t, "MicroNet-KWS-S")
 	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
-	smallArena := arenaBytesAt(t, small, opts, 1)
-	bigArena := arenaBytesAt(t, big, opts, 1)
+	smallArena := arenaBytesOf(t, small, opts)
+	bigArena := arenaBytesOf(t, big, opts)
 	if bigArena <= smallArena {
 		t.Fatalf("test premise broken: %d <= %d", bigArena, smallArena)
 	}
@@ -195,7 +218,6 @@ func TestBudgetRejectionIsStructured(t *testing.T) {
 		Logger:         discardLogger(),
 		RAMBudgetBytes: smallCost,
 		PoolSize:       1,
-		Batch:          BatcherConfig{MaxBatch: 1},
 	})
 	defer r.Close()
 	if _, err := r.Load(small, opts); err != nil {
@@ -226,7 +248,7 @@ func TestBudgetRejectionIsStructured(t *testing.T) {
 // version drains away from the index.
 func TestLoadIdempotentAndSwapVersions(t *testing.T) {
 	spec := testSpec(t, "DSCNN-S")
-	r := NewRepository(RepositoryConfig{PoolSize: 1, Batch: BatcherConfig{MaxBatch: 2}, Logger: discardLogger()})
+	r := NewRepository(RepositoryConfig{PoolSize: 1, Logger: discardLogger()})
 	defer r.Close()
 
 	st1, err := r.Load(spec, ModelOptions{Seed: 1, AppendSoftmax: true})
@@ -377,7 +399,7 @@ func TestSwapRequiresLoaded(t *testing.T) {
 // TestRepositoryConcurrentLifecycle hammers load/unload/infer/index on
 // one model name under -race. The invariants: an inference either
 // completes with a full-length output (in-flight work on a draining
-// version is never cut off — no ErrDraining can surface) or fails with
+// version is never cut off) or fails with
 // NotLoadedError because the name was unloaded at acquire time; the index
 // only ever shows lifecycle states; and after the storm the repository is
 // still fully serviceable.
@@ -393,7 +415,6 @@ func TestRepositoryConcurrentLifecycle(t *testing.T) {
 	r := NewRepository(RepositoryConfig{
 		Logger:   discardLogger(),
 		PoolSize: 2,
-		Batch:    BatcherConfig{MaxBatch: 4, MaxDelay: 100 * time.Microsecond},
 	})
 	defer r.Close()
 	if _, err := r.Load(spec, ModelOptions{Seed: 0, AppendSoftmax: true}); err != nil {
@@ -574,9 +595,8 @@ func TestWatchSpecsRetriesAfterBudgetFrees(t *testing.T) {
 
 	r := NewRepository(RepositoryConfig{
 		Logger:         discardLogger(),
-		RAMBudgetBytes: weightBytesOf(t, blocker, opts) + arenaBytesAt(t, blocker, opts, 1),
+		RAMBudgetBytes: weightBytesOf(t, blocker, opts) + arenaBytesOf(t, blocker, opts),
 		PoolSize:       1,
-		Batch:          BatcherConfig{MaxBatch: 1},
 		Options:        opts,
 	})
 	defer r.Close()

@@ -38,8 +38,8 @@ type Config struct {
 	// PoolSize is the desired interpreters per model (default 2); a RAM
 	// budget may scale it down per model.
 	PoolSize int
-	// Batch bounds the micro-batching window; a RAM budget may scale
-	// MaxBatch down per model.
+	// Deprecated: Batch is ignored; every row runs on its own pooled
+	// interpreter.
 	Batch BatcherConfig
 	// RAMBudgetBytes bounds the summed planned arena bytes across all
 	// loaded models (0 = unbudgeted). See RepositoryConfig.
@@ -114,7 +114,6 @@ func New(cfg Config) (*Server, error) {
 		repo = NewRepository(RepositoryConfig{
 			RAMBudgetBytes: cfg.RAMBudgetBytes,
 			PoolSize:       cfg.PoolSize,
-			Batch:          cfg.Batch,
 			Options:        cfg.Options,
 			Logger:         cfg.Logger,
 		})
@@ -185,8 +184,8 @@ func (s *Server) Graphs() *servegraph.Registry { return s.graphs }
 func (s *Server) Handler() http.Handler { return s.logMiddleware(s.mux) }
 
 // Close marks the server not-ready and, when the server owns its
-// repository, drains every model: queued requests finish, new infers fail
-// with 503. Idempotent.
+// repository, drains every model: in-flight requests finish, new infers
+// fail with 503. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.ready.Store(false)
@@ -198,8 +197,8 @@ func (s *Server) Close() {
 
 // ListenAndServe serves on addr until ctx is cancelled, then drains: the
 // readiness probe starts failing (so load balancers stop routing here),
-// in-flight requests get DrainTimeout to finish, and the batchers are
-// flushed. This is the SIGTERM path of cmd/serve.
+// in-flight requests get DrainTimeout to finish, and the repository
+// drains. This is the SIGTERM path of cmd/serve.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -347,20 +346,19 @@ func (s *Server) handleModelMeta(w http.ResponseWriter, r *http.Request) {
 			"arena_bytes":         v.arenaBytes,
 			"shared_weight_bytes": v.weightBytes,
 			"pool_size":           v.poolSize,
-			"max_batch":           v.maxBatch,
 			"planned_ram_bytes":   v.plannedBytes,
 		},
 	})
 }
 
 // handleInfer decodes a v2 infer request, quantizes (or passes through)
-// the input rows, pushes each row through the serving version's
-// micro-batcher, and answers with the dequantized score vector plus
-// argmax class and top score per row. A leading batch dimension is
-// allowed: shape [n, h, w, c] (or data of n×elems values) fans out to n
-// concurrent batcher submits, which the batcher then coalesces back into
-// few InvokeBatch calls. The version is pinned for the whole request, so
-// a concurrent swap or unload cannot fail rows already being served.
+// the input rows, runs each row on a pooled interpreter of the serving
+// version, and answers with the dequantized score vector plus argmax
+// class and top score per row. A leading batch dimension is allowed:
+// shape [n, h, w, c] (or data of n×elems values) fans out to n concurrent
+// rows, which spread over the pool. The version is pinned for the whole
+// request, so a concurrent swap or unload cannot fail rows already being
+// served.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, v2Error{Error: "server draining"})
@@ -387,16 +385,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	outs := make([][]int8, n)
-	err = eachRow(n, func(b int) (err error) {
-		outs[b], err = v.batcher.Submit(r.Context(), rows[b])
-		return err
-	})
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, ErrDraining) {
-			code = http.StatusServiceUnavailable
-		}
-		writeJSON(w, code, v2Error{Error: err.Error()})
+	for b := range outs {
+		outs[b] = make([]int8, outT.Elems())
+	}
+	if err := eachRow(n, func(b int) error { return v.infer(r.Context(), rows[b], outs[b]) }); err != nil {
+		writeJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})
 		return
 	}
 
@@ -450,8 +443,8 @@ func decodeInfer(w http.ResponseWriter, r *http.Request, layout *graph.Tensor, t
 }
 
 // eachRow runs fn for every row of a client batch concurrently — so the
-// rows of one request can coalesce in the micro-batcher — and returns the
-// lowest-numbered row's error, if any.
+// rows of one request spread over the pooled interpreters — and returns
+// the lowest-numbered row's error, if any.
 func eachRow(n int, fn func(b int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup

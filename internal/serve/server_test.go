@@ -30,7 +30,6 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	s, err := New(Config{
 		Models:  testModels,
 		Options: ModelOptions{Seed: 42, AppendSoftmax: true},
-		Batch:   BatcherConfig{MaxBatch: 8, MaxDelay: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,14 +368,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"micronets_serve_ram_budget_bytes 0",
 		"micronets_serve_ram_planned_bytes ",
 		`micronets_serve_requests_total{model="MicroNet-KWS-S"} 1`,
-		`micronets_serve_batches_total{model="MicroNet-KWS-S"} 1`,
+		`micronets_serve_queue_wait_seconds_count{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_arena_bytes{model="MicroNet-KWS-S"}`,
 		`micronets_serve_model_version{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_model_versions{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_pool_size{model="MicroNet-KWS-S"} 2`,
-		`micronets_serve_max_batch{model="MicroNet-KWS-S"} 8`,
 		`micronets_serve_planned_arena_bytes{model="MicroNet-KWS-S"}`,
-		`micronets_serve_batch_window_seconds{model="DSCNN-S"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)
@@ -525,16 +522,15 @@ func TestAdminLoadInlineSpec(t *testing.T) {
 // TestAdminBudgetConflict: a hot-load that cannot fit the server's RAM
 // budget is rejected with a structured 409, and the index is untouched.
 func TestAdminBudgetConflict(t *testing.T) {
-	// Budget sized to the boot model's weights + one batch-1 arena:
+	// Budget sized to the boot model's weights + one arena:
 	// nothing else fits.
 	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
 	boot := testSpec(t, "DSCNN-S")
-	budget := weightBytesOf(t, boot, opts) + arenaBytesAt(t, boot, opts, 1)
+	budget := weightBytesOf(t, boot, opts) + arenaBytesOf(t, boot, opts)
 	s, err := New(Config{
 		Models:         []string{"DSCNN-S"},
 		Options:        ModelOptions{Seed: 42, AppendSoftmax: true},
 		PoolSize:       1,
-		Batch:          BatcherConfig{MaxBatch: 1},
 		RAMBudgetBytes: budget,
 	})
 	if err != nil {
@@ -604,8 +600,7 @@ func TestAdminInlinePublishRollsBackOnBudgetReject(t *testing.T) {
 		Models:         []string{"DSCNN-S"},
 		Options:        opts,
 		PoolSize:       1,
-		Batch:          BatcherConfig{MaxBatch: 1},
-		RAMBudgetBytes: weightBytesOf(t, boot, opts) + arenaBytesAt(t, boot, opts, 1),
+		RAMBudgetBytes: weightBytesOf(t, boot, opts) + arenaBytesOf(t, boot, opts),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -647,9 +642,8 @@ func TestLoadSpecFilePartialFailure(t *testing.T) {
 	small2 := testSpec(t, "DSCNN-S")
 	r := NewRepository(RepositoryConfig{
 		Logger:         discardLogger(),
-		RAMBudgetBytes: weightBytesOf(t, small2, opts) + arenaBytesAt(t, small2, opts, 1),
+		RAMBudgetBytes: weightBytesOf(t, small2, opts) + arenaBytesOf(t, small2, opts),
 		PoolSize:       1,
-		Batch:          BatcherConfig{MaxBatch: 1},
 	})
 	defer r.Close()
 	statuses, err := r.LoadSpecFile(path, opts)
@@ -742,7 +736,6 @@ func TestRepoIndexReportsFreeBytes(t *testing.T) {
 		Models:         []string{"DSCNN-S"},
 		Options:        ModelOptions{Seed: 42, AppendSoftmax: true},
 		PoolSize:       1,
-		Batch:          BatcherConfig{MaxBatch: 1},
 		RAMBudgetBytes: budget,
 	})
 	if err != nil {

@@ -206,47 +206,23 @@ func (ip *Interpreter) ProfileInvoke() ([]OpTiming, error) {
 	return timings, nil
 }
 
-// InvokeBatchInto runs the model once per input buffer, writing row b's
-// quantized output into outs[b] — the allocation-free form the serving
-// batcher uses with response buffers it owns. Each input must hold
-// exactly the model's input element count and each output buffer its
-// output element count.
-func (ip *Interpreter) InvokeBatchInto(inputs, outs [][]int8) error {
+// InvokeBatch runs the model once per input row on this interpreter — a
+// serial copy → Invoke → copy loop, batch 1 each time — and returns the
+// quantized outputs in freshly allocated buffers. Each input must hold
+// exactly the model's input element count.
+func (ip *Interpreter) InvokeBatch(inputs [][]int8) ([][]int8, error) {
 	in := ip.model.Tensors[ip.model.Input]
-	nOut := ip.model.Tensors[ip.model.Output].Elems()
-	if len(outs) != len(inputs) {
-		return fmt.Errorf("tflm: model %s: %d outputs for %d inputs", ip.model.Name, len(outs), len(inputs)) //microvet:ignore hotpathalloc validation rejection: building the error IS the cold path here
-	}
+	outs := make([][]int8, len(inputs))
 	for b, x := range inputs {
 		if len(x) != in.Elems() {
-			//microvet:ignore hotpathalloc validation rejection: building the error IS the cold path here
-			return fmt.Errorf("tflm: model %s: batch input %d has %d elements, model wants %d",
+			return nil, fmt.Errorf("tflm: model %s: batch input %d has %d elements, model wants %d",
 				ip.model.Name, b, len(x), in.Elems())
-		}
-		if len(outs[b]) != nOut {
-			//microvet:ignore hotpathalloc validation rejection: building the error IS the cold path here
-			return fmt.Errorf("tflm: model %s: batch output %d has %d elements, model emits %d",
-				ip.model.Name, b, len(outs[b]), nOut)
 		}
 		copy(ip.Input(), x)
 		if err := ip.Invoke(); err != nil {
-			return fmt.Errorf("tflm: batch input %d: %w", b, err) //microvet:ignore hotpathalloc validation rejection: building the error IS the cold path here
+			return nil, fmt.Errorf("tflm: batch input %d: %w", b, err)
 		}
-		copy(outs[b], ip.Output())
-	}
-	return nil
-}
-
-// InvokeBatch is InvokeBatchInto returning freshly allocated outputs,
-// for callers without reusable buffers.
-func (ip *Interpreter) InvokeBatch(inputs [][]int8) ([][]int8, error) {
-	outs := make([][]int8, len(inputs))
-	nOut := len(ip.Output())
-	for b := range outs {
-		outs[b] = make([]int8, nOut)
-	}
-	if err := ip.InvokeBatchInto(inputs, outs); err != nil {
-		return nil, err
+		outs[b] = append([]int8(nil), ip.Output()...)
 	}
 	return outs, nil
 }

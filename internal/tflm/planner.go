@@ -80,31 +80,19 @@ func alignUp(n int) int {
 // PlanMemory lays out all activation tensors in a single arena using the
 // greedy-by-size strategy of TFLM's GreedyMemoryPlanner: tensors are
 // processed largest-first and placed at the lowest offset that does not
-// overlap any already-placed tensor with an intersecting lifetime.
+// overlap any already-placed tensor with an intersecting lifetime. The
+// plan is for one input row — the only way the runtime executes, and what
+// serving capacity planning charges per pooled interpreter; the property
+// tests pin it between the largest single-op working set and the no-reuse
+// sum.
 func PlanMemory(m *graph.Model) (*Plan, error) {
-	return PlanMemoryBatch(m, 1)
-}
-
-// PlanMemoryBatch plans the arena for a batched invocation in which every
-// activation tensor carries a leading batch dimension: each buffer is
-// batch times its single-row size (lifetimes are unchanged — batching
-// scales tensors, not the schedule). Batch 1 is exactly PlanMemory. The
-// im2col scratch region does NOT scale with batch: the kernels process
-// one row at a time and reuse the same tiles. Serving capacity planning
-// uses this to answer "what would a batch-b replica cost in RAM"; the
-// property tests pin that the result is monotonic in batch and never
-// below the largest single-op working set.
-func PlanMemoryBatch(m *graph.Model, batch int) (*Plan, error) {
-	if batch < 1 {
-		return nil, fmt.Errorf("tflm: batch %d must be >= 1", batch)
-	}
 	live := lifetimes(m)
 	var allocs []*Allocation
 	for id, a := range live {
 		if a.FirstUse == -2 {
 			return nil, fmt.Errorf("tflm: tensor %d is never used", id)
 		}
-		a.Size = alignUp(batch * m.Tensors[id].Bytes())
+		a.Size = alignUp(m.Tensors[id].Bytes())
 		allocs = append(allocs, a)
 	}
 	sort.Slice(allocs, func(i, j int) bool {

@@ -28,15 +28,15 @@ func lowerZoo(t *testing.T, name string) (*arch.Spec, *graph.Model) {
 // maxOpWorkingSetBytes is the planner-independent lower bound on any valid
 // arena: at the moment an op runs, its (distinct) input tensors and its
 // output are all live, so their aligned buffers must coexist.
-func maxOpWorkingSetBytes(m *graph.Model, batch int) int {
+func maxOpWorkingSetBytes(m *graph.Model) int {
 	max := 0
 	for _, op := range m.Ops {
 		seen := map[int]bool{op.Output: true}
-		ws := alignUp(batch * m.Tensors[op.Output].Bytes())
+		ws := alignUp(m.Tensors[op.Output].Bytes())
 		for _, in := range op.Inputs {
 			if !seen[in] {
 				seen[in] = true
-				ws += alignUp(batch * m.Tensors[in].Bytes())
+				ws += alignUp(m.Tensors[in].Bytes())
 			}
 		}
 		if ws > max {
@@ -46,55 +46,36 @@ func maxOpWorkingSetBytes(m *graph.Model, batch int) int {
 	return max
 }
 
-// naiveBatchBytes is the no-reuse upper bound at a given batch size.
-func naiveBatchBytes(m *graph.Model, batch int) int {
-	s := 0
-	for _, t := range m.Tensors {
-		s += alignUp(batch * t.Bytes())
-	}
-	return s
-}
-
-// TestPlanBatchMonotonicAndBounded pins the planner properties the search
+// TestPlanBatchMonotonicAndBounded pins the planner bounds the search
 // harness and serving capacity planning rely on, across every servable
-// zoo architecture: arena bytes are monotonically non-decreasing in batch
-// size, never below the largest single-op working set, never above the
-// no-reuse sum, and every plan keeps the non-overlap invariant.
+// zoo architecture: the one-row arena the runtime allocates is never
+// below the largest single-op working set, never above the no-reuse sum,
+// and every plan keeps the non-overlap invariant. (The name predates the
+// removal of batched planning; the bounds are what it still pins.)
 func TestPlanBatchMonotonicAndBounded(t *testing.T) {
 	for _, name := range zoo.ServableNames() {
 		t.Run(name, func(t *testing.T) {
 			_, m := lowerZoo(t, name)
-			prev := 0
-			for batch := 1; batch <= 4; batch++ {
-				plan, err := PlanMemoryBatch(m, batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := plan.Verify(); err != nil {
-					t.Fatal(err)
-				}
-				if plan.ArenaBytes < prev {
-					t.Fatalf("arena not monotonic in batch: batch %d -> %d bytes, batch %d -> %d",
-						batch-1, prev, batch, plan.ArenaBytes)
-				}
-				if lb := maxOpWorkingSetBytes(m, batch); plan.ArenaBytes < lb {
-					t.Fatalf("batch %d: arena %d below max single-op working set %d", batch, plan.ArenaBytes, lb)
-				}
-				if ub := naiveBatchBytes(m, batch); plan.ArenaBytes > ub {
-					t.Fatalf("batch %d: arena %d above no-reuse bound %d", batch, plan.ArenaBytes, ub)
-				}
-				prev = plan.ArenaBytes
+			plan, err := PlanMemory(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := plan.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if lb := maxOpWorkingSetBytes(m); plan.ArenaBytes < lb {
+				t.Fatalf("arena %d below max single-op working set %d", plan.ArenaBytes, lb)
+			}
+			if ub := NaiveArenaBytes(m); plan.ArenaBytes > ub {
+				t.Fatalf("arena %d above no-reuse bound %d", plan.ArenaBytes, ub)
 			}
 		})
 	}
-	if _, err := PlanMemoryBatch(&graph.Model{}, 0); err == nil {
-		t.Fatal("batch 0 must be rejected")
-	}
 }
 
-// TestPlanBatchRandomChains repeats the monotonicity/lower-bound property
-// over randomly sampled DS-CNN-style chains, so it holds for the shapes a
-// NAS run visits and not only the curated zoo.
+// TestPlanBatchRandomChains repeats the lower-bound property over
+// randomly sampled DS-CNN-style chains, so it holds for the shapes a NAS
+// run visits and not only the curated zoo.
 func TestPlanBatchRandomChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
@@ -122,19 +103,15 @@ func TestPlanBatchRandomChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := 0
-		for batch := 1; batch <= 3; batch++ {
-			plan, err := PlanMemoryBatch(m, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plan.ArenaBytes < prev {
-				t.Fatalf("trial %d: arena shrank with batch (%d -> %d)", trial, prev, plan.ArenaBytes)
-			}
-			if lb := maxOpWorkingSetBytes(m, batch); plan.ArenaBytes < lb {
-				t.Fatalf("trial %d batch %d: arena %d below working-set bound %d", trial, batch, plan.ArenaBytes, lb)
-			}
-			prev = plan.ArenaBytes
+		plan, err := PlanMemory(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.Verify(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if lb := maxOpWorkingSetBytes(m); plan.ArenaBytes < lb {
+			t.Fatalf("trial %d: arena %d below working-set bound %d", trial, plan.ArenaBytes, lb)
 		}
 	}
 }

@@ -193,8 +193,8 @@ func ClassifyModelBatch(m *graph.Model, xs []*tensor.Tensor) ([]int, []float32, 
 
 // ModelStatus is a snapshot of one model version in a Repository: name,
 // version number, lifecycle state, and the budget-planned capacity
-// (pool size, max batch, arena reservation). It is also the row format
-// of the GET /v2/repository/index admin endpoint.
+// (pool size, arena reservation). It is also the row format of the GET
+// /v2/repository/index admin endpoint.
 type ModelStatus = serve.ModelStatus
 
 // Model lifecycle states (see serve.ModelState).
@@ -210,16 +210,12 @@ type RepositoryOptions struct {
 	// RAMBudgetBytes bounds the summed planned arena bytes across every
 	// loaded model version (0 = unbudgeted). Set it to a device-class
 	// SRAM size — e.g. 320*1024 to emulate DeviceM — and the repository
-	// sizes each model's pool and micro-batch from what fits, rejecting
-	// loads that would not (serve.BudgetError).
+	// sizes each model's pool from what fits, rejecting loads that would
+	// not (serve.BudgetError).
 	RAMBudgetBytes int
 	// PoolSize is the desired interpreter replicas per model (default 2);
 	// a budget may scale it down per model, never up.
 	PoolSize int
-	// MaxBatch and MaxDelay bound the micro-batching window (defaults 8
-	// and 2ms); a budget may scale MaxBatch down per model.
-	MaxBatch int
-	MaxDelay time.Duration
 	// Logger receives lifecycle events.
 	Logger *slog.Logger
 	// Deploy is the default lowering for LoadModel/LoadSpecFile/Watch.
@@ -230,7 +226,7 @@ type RepositoryOptions struct {
 // owns load/unload/swap lifecycles, keyed by spec fingerprint + quant
 // options, with blue/green version swaps (the old version drains only
 // after the new one is ready) and RAM-budgeted capacity planning via
-// tflm.PlanMemoryBatch. Pass one to ServeOptions.Repository to drive a
+// tflm.PlanMemory. Pass one to ServeOptions.Repository to drive a
 // live server programmatically, or let Serve build its own and drive it
 // over the /v2/repository admin endpoints.
 type Repository struct{ inner *serve.Repository }
@@ -240,7 +236,6 @@ func NewRepository(opts RepositoryOptions) *Repository {
 	return &Repository{inner: serve.NewRepository(serve.RepositoryConfig{
 		RAMBudgetBytes: opts.RAMBudgetBytes,
 		PoolSize:       opts.PoolSize,
-		Batch:          serve.BatcherConfig{MaxBatch: opts.MaxBatch, MaxDelay: opts.MaxDelay},
 		Options:        opts.Deploy,
 		Logger:         opts.Logger,
 	})}
@@ -292,8 +287,8 @@ func (r *Repository) Watch(ctx context.Context, paths []string, interval time.Du
 func (r *Repository) Close() { r.inner.Close() }
 
 // ServeOptions configures the HTTP inference server (see internal/serve
-// for the subsystem: model repository → interpreter pools → adaptive
-// micro-batcher → kernels engine).
+// for the subsystem: model repository → interpreter pools → Invoke →
+// kernels engine).
 type ServeOptions struct {
 	// Addr is the listen address (default ":8151").
 	Addr string
@@ -307,10 +302,6 @@ type ServeOptions struct {
 	Models []string
 	// PoolSize is the desired interpreter replicas per model (default 2).
 	PoolSize int
-	// MaxBatch and MaxDelay bound the micro-batching window (defaults 8
-	// and 2ms).
-	MaxBatch int
-	MaxDelay time.Duration
 	// RAMBudgetBytes bounds summed planned arena bytes across all loaded
 	// models (0 = unbudgeted). Ignored when Repository is set.
 	RAMBudgetBytes int
@@ -338,7 +329,6 @@ func (o ServeOptions) config() serve.Config {
 		Models:         o.Models,
 		Options:        o.Deploy,
 		PoolSize:       o.PoolSize,
-		Batch:          serve.BatcherConfig{MaxBatch: o.MaxBatch, MaxDelay: o.MaxDelay},
 		RAMBudgetBytes: o.RAMBudgetBytes,
 		SkipOverBudget: o.SkipOverBudget,
 		DisableAdmin:   o.DisableAdmin,

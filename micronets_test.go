@@ -193,6 +193,12 @@ func classifyCacheSnapshot() map[string]*tflm.Prepared {
 // architecture rather than name, a bound, no poisoning by a failed call,
 // and concurrent use.
 func TestClassifyBatchAmortizesLowering(t *testing.T) {
+	// Start from an empty cache: the cache is package state, and a
+	// previous run of this test (go test -count N, -cpu 1,2,4) leaves it
+	// full, which would make the entry counts below depend on eviction.
+	classifyMu.Lock()
+	clear(classifyCache)
+	classifyMu.Unlock()
 	spec, err := Model("MicroNet-KWS-S")
 	if err != nil {
 		t.Fatal(err)

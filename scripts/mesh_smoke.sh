@@ -26,18 +26,19 @@ WORK="$(mktemp -d)"
 go build -o "$WORK/serve" ./cmd/serve
 go build -o "$WORK/router" ./cmd/router
 
-# Budgets are sized from the planned reservations at -pool 1 -max-batch 4
-# (MicroNet-KWS-S 310704, DSCNN-S 110832) and MicroNet-AD-L's MINIMAL
-# plan — the budget planner scales pool/batch down to fit, bottoming out
-# at weights 483940 + one batch-1 arena 353280 = 837220 bytes:
-#   A: 448KB   — holds KWS-S, free ~148K: AD-L can never fit here.
-#   B: 1200000 — holds KWS-S + DSCNN-S, free ~778K: AD-L does NOT fit
-#      until DSCNN-S is unloaded (free then ~889K), then it does.
+# Budgets are sized from the planned reservations at -pool 1 (shared
+# weights + one tflm.PlanMemory arena): MicroNet-KWS-S 126880, DSCNN-S
+# 43328, and MicroNet-AD-L 752828 — its minimal plan, one replica:
+#   A: 448KB  — holds KWS-S, free 331872: AD-L can never fit here.
+#   B: 900000 — holds KWS-S + DSCNN-S, free 729792: AD-L does NOT fit
+#      until DSCNN-S is unloaded (free then 773120), then it does. Any B
+#      in [879708, 923036) keeps both halves true.
+AD_L_NEEDED=752828
 "$WORK/serve" -addr "$ADDR_A" -models MicroNet-KWS-S -ram-budget 448KB \
-    -pool 1 -max-batch 4 -log json >"$WORK/a.log" 2>&1 &
+    -pool 1 -log json >"$WORK/a.log" 2>&1 &
 PID_A=$!
-"$WORK/serve" -addr "$ADDR_B" -models MicroNet-KWS-S,DSCNN-S -ram-budget 1200000 \
-    -pool 1 -max-batch 4 -log json >"$WORK/b.log" 2>&1 &
+"$WORK/serve" -addr "$ADDR_B" -models MicroNet-KWS-S,DSCNN-S -ram-budget 900000 \
+    -pool 1 -log json >"$WORK/b.log" 2>&1 &
 PID_B=$!
 cleanup() {
     kill "$PID_A" "$PID_B" "${PID_R:-}" 2>/dev/null || true
@@ -54,7 +55,7 @@ for _ in $(seq 1 100); do
 done
 curl -fsS "$URL_A/v2/health/ready" | jq -e '.ready == true and .models_ready == 1' >/dev/null
 curl -fsS "$URL_B/v2/health/ready" | jq -e '.ready == true and .models_ready == 2' >/dev/null
-echo "replicas OK: A($ADDR_A, 448KB) B($ADDR_B, 1200000B)"
+echo "replicas OK: A($ADDR_A, 448KB) B($ADDR_B, 900000B)"
 
 # Fast health cadence so the failover assertion below doesn't stall the
 # script: mark-down lands within ~2 polls of the kill.
@@ -83,7 +84,7 @@ echo "$INDEX" | jq -e --arg a "$URL_A" --arg b "$URL_B" \
 echo "$INDEX" | jq -e --arg b "$URL_B" \
     '.models[] | select(.name == "DSCNN-S") | .replica == $b' >/dev/null
 echo "$INDEX" | jq -e '.replicas | length == 2 and all(.[]; .up == true and .free_bytes > 0)' >/dev/null
-echo "$INDEX" | jq -e '.ram_budget_bytes == 1658752' >/dev/null # 448KB + 1200000
+echo "$INDEX" | jq -e '.ram_budget_bytes == 1358752' >/dev/null # 448KB + 900000
 echo "$INDEX" | jq -e '.free_bytes == .ram_budget_bytes - .ram_planned_bytes' >/dev/null
 echo "merged index OK: $(echo "$INDEX" | jq -c '{budget: .ram_budget_bytes, planned: .ram_planned_bytes, free: .free_bytes}')"
 
@@ -98,13 +99,25 @@ echo "$HDRS" | grep -qi '^x-micronets-trace-id: mesh-smoke-trace'
 jq -e '.outputs[] | select(.name=="class") | .data | length == 1' "$WORK/infer.json" >/dev/null
 echo "infer via router OK ($(echo "$HDRS" | grep -i '^x-micronets-replica' | tr -d '\r'))"
 
-# --- Placement, act 1: AD-L fits NOWHERE (A free ~148K, B free ~778K,
-# AD-L needs ≥837K even at its minimal plan) — the router must answer
-# its own fleet-wide 409 after spilling off every candidate.
+# --- Placement, act 1: AD-L fits NOWHERE (A free 331872, B free 729792,
+# AD-L needs 752828 even at its minimal plan) — the router must answer
+# its own fleet-wide 409 after spilling off every candidate. First check
+# the premise, so a budget gone stale under a planner change fails here
+# by name instead of as a bare exit status below.
+B_FREE=$(curl -fsS "$URL_B/v2/repository/index" | jq -r '.free_bytes')
+if [ "$B_FREE" -ge "$AD_L_NEEDED" ]; then
+    echo "stale budget: replica B has $B_FREE free bytes but MicroNet-AD-L needs $AD_L_NEEDED," \
+        "so act 1's fleet-wide 409 cannot happen; re-size B's -ram-budget" >&2
+    exit 1
+fi
 CODE=$(curl -s -o "$WORK/fleet409.json" -w '%{http_code}' -X POST \
     "http://$ADDR_R/v2/repository/models/MicroNet-AD-L/load")
-test "$CODE" = "409"
-jq -e '.code == "ram_budget_exceeded" and .needed_bytes > 0' "$WORK/fleet409.json" >/dev/null
+if [ "$CODE" != "409" ] || ! jq -e --argjson n "$AD_L_NEEDED" \
+    '.code == "ram_budget_exceeded" and .needed_bytes == $n' "$WORK/fleet409.json" >/dev/null; then
+    echo "stale budget: the MicroNet-AD-L load answered $CODE $(jq -c '{code, needed_bytes}' "$WORK/fleet409.json")," \
+        "but the budgets above are sized for a fleet 409 with needed_bytes $AD_L_NEEDED" >&2
+    exit 1
+fi
 echo "fleet 409 OK: $(jq -c '{code, needed_bytes, free_bytes}' "$WORK/fleet409.json")"
 
 # --- Placement, act 2: free B's budget (unload DSCNN-S through the
@@ -113,7 +126,7 @@ echo "fleet 409 OK: $(jq -c '{code, needed_bytes, free_bytes}' "$WORK/fleet409.j
 curl -fsS -X POST "http://$ADDR_R/v2/repository/models/DSCNN-S/unload" \
     | jq -e --arg b "$URL_B" '.unloaded_from == [$b]' >/dev/null
 for _ in $(seq 1 100); do
-    if curl -fsS "$URL_B/v2/repository/index" | jq -e '.free_bytes >= 837220' >/dev/null 2>&1; then
+    if curl -fsS "$URL_B/v2/repository/index" | jq -e --argjson n "$AD_L_NEEDED" '.free_bytes >= $n' >/dev/null 2>&1; then
         break
     fi
     sleep 0.1

@@ -30,12 +30,13 @@ echo "search OK: exported frontier model $NAS_MODEL"
 go build -o "$BIN" ./cmd/serve
 
 # Boot WITHOUT the searched model: it arrives later through the admin
-# API. Pool sizes and max batch are planned per model from
-# tflm.PlanMemoryBatch; a version's reservation is its shared prepared
-# weights plus the pooled arenas, so the budget is sized to hold the boot
-# pair, the NAS model, and the frontier fan-out below — but NOT
-# MicroNet-AD-L (353KB arena at batch 1 plus weights, asserted as a 409).
-"$BIN" -addr "$ADDR" -models "$MODEL,DSCNN-S" -ram-budget 768KB -pool 1 -max-batch 4 -log json &
+# API. Pool sizes are planned per model; a version's reservation is its
+# shared prepared weights plus pool × its tflm.PlanMemory arena (at -pool
+# 1: MicroNet-KWS-S 126880, DSCNN-S 43328), so the budget is sized to hold
+# the boot pair, the NAS model, and the frontier fan-out below — but NOT
+# MicroNet-AD-L (752828 bytes of weights plus one arena, asserted as a
+# 409).
+"$BIN" -addr "$ADDR" -models "$MODEL,DSCNN-S" -ram-budget 768KB -pool 1 -log json &
 PID=$!
 cleanup() { kill "$PID" 2>/dev/null || true; wait "$PID" 2>/dev/null || true; }
 trap cleanup EXIT
@@ -62,7 +63,7 @@ echo "$INDEX" | jq -e --arg m "$MODEL" \
 echo "$INDEX" | jq -e '.ram_budget_bytes == 786432 and .ram_planned_bytes > 0 and .ram_planned_bytes <= .ram_budget_bytes' >/dev/null
 # Every row's reservation must equal shared weights + pool x arena.
 echo "$INDEX" | jq -e '[.models[] | .planned_ram_bytes == .shared_weight_bytes + .pool_size * .arena_bytes_per_replica] | all' >/dev/null
-echo "repository index OK: $(echo "$INDEX" | jq -c '[.models[] | {name, state, pool_size, max_batch}]')"
+echo "repository index OK: $(echo "$INDEX" | jq -c '[.models[] | {name, state, pool_size, planned_ram_bytes}]')"
 
 PAYLOAD=$(jq -n '{inputs:[{name:"input",shape:[49,10,1],datatype:"FP32",data:[range(490)|0.25]}]}')
 RESP=$(curl -fsS -X POST -H 'Content-Type: application/json' \
@@ -106,7 +107,7 @@ echo "$NAS_RESP" | jq -e --arg m "$NAS_MODEL" '.model_name == $m' >/dev/null
 echo "hot-load OK: $NAS_MODEL served with zero restarts (class $(echo "$NAS_RESP" | jq -c '[.outputs[] | select(.name=="class") | .data[0]]'))"
 
 # --- An over-budget load must be a structured 409, not an OOM: the AD-L
-# weights + arena (353KB at batch 1) exceed whatever the budget has left.
+# weights + one arena (752828 bytes) exceed whatever the budget has left.
 CONFLICT_CODE=$(curl -s -o "$WORK/conflict.json" -w '%{http_code}' -X POST \
     "http://$ADDR/v2/repository/models/MicroNet-AD-L/load")
 test "$CONFLICT_CODE" = "409"
