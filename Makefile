@@ -65,8 +65,8 @@ router:
 
 # mesh-smoke boots two budgeted cmd/serve replicas plus cmd/router and
 # proves the fleet tier: merged /v2 views, budget spill placement, a
-# fleet-wide 409, replica-kill failover, mesh metrics, and an SLO-gated
-# loadgen run through the front door — the same script the CI mesh-smoke
+# fleet-wide 409, replica-kill failover, mesh metrics, and a concurrent
+# infer burst through the front door — the same script the CI mesh-smoke
 # job runs.
 .PHONY: mesh-smoke
 mesh-smoke:
@@ -104,17 +104,5 @@ cover:
 .PHONY: search
 search:
 	$(GO) run ./cmd/search
-
-# profile prints the per-op measured-vs-predicted latency table (the live
-# check of the paper's §3 linearity claim) for one zoo model.
-.PHONY: profile
-profile:
-	$(GO) run ./cmd/bench -exp profile
-
-# loadgen drives a running `make serve` with open-loop traffic and writes
-# BENCH_serve.json (p50/p95/p99 per target).
-.PHONY: loadgen
-loadgen:
-	$(GO) run ./cmd/loadgen
 
 ci: build lint test test-purego bench-smoke bench-module fuzz-smoke serve-smoke mesh-smoke cover

@@ -202,30 +202,6 @@ func BenchmarkInvokeKWSLParallel(b *testing.B)  { benchInvoke(b, "MicroNet-KWS-L
 func BenchmarkInvokeVWWReference(b *testing.B)  { benchInvoke(b, "MicroNet-VWW-1", kernels.Reference) }
 func BenchmarkInvokeVWWParallel(b *testing.B)   { benchInvoke(b, "MicroNet-VWW-1", kernels.Default) }
 
-// BenchmarkInvokeBatchKWSS measures the batched API, which amortizes
-// plan setup and input copies across a batch of 16.
-func BenchmarkInvokeBatchKWSS(b *testing.B) {
-	m := loweredModel(b, "MicroNet-KWS-S")
-	ip, err := tflm.NewInterpreter(m, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	batch := make([][]int8, 16)
-	for i := range batch {
-		batch[i] = make([]int8, len(ip.Input()))
-		for j := range batch[i] {
-			batch[i][j] = int8(rng.Intn(256) - 128)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ip.InvokeBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMemoryPlannerKWSL(b *testing.B) {
 	m := loweredModel(b, "MicroNet-KWS-L")
 	b.ResetTimer()

@@ -1,11 +1,12 @@
 // Command bench regenerates the paper's tables and figures as text
-// reports.
+// reports. Host performance is measured by the BENCHMARK.json harness
+// in bench/, not here.
 //
 // Usage:
 //
 //	bench                 # run everything
-//	bench -exp fig4       # one experiment: table1..table5, fig2..fig11, div4, engine
-//	bench -exp engine -json   # also write BENCH_engine.json (machine-readable)
+//	bench -exp fig4       # one experiment: table1..table5, fig2..fig11, div4, search
+//	bench -exp search -json   # also write BENCH_search.json (machine-readable)
 package main
 
 import (
@@ -28,23 +29,16 @@ const seed = 42
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
-	exp := flag.String("exp", "all", "experiment id (table1..table5, fig2..fig11, div4, engine, search) or 'all'")
-	jsonOut := flag.Bool("json", false, "also write BENCH_<exp>.json with machine-readable results, so the perf trajectory is tracked across PRs")
+	exp := flag.String("exp", "all", "experiment id (table1..table5, fig2..fig11, div4, search) or 'all'")
+	jsonOut := flag.Bool("json", false, "also write BENCH_<exp>.json with machine-readable results")
 	searchLog := flag.String("search-log", "", "JSONL trial log for -exp search: a matching prior cmd/search run is resumed instead of re-evaluated")
 	finalists := flag.Int("finalists", 2, "frontier finalists the search experiment re-ranks with real training runs (0 disables)")
 	trainSteps := flag.Int("train-steps", 30, "training steps per search finalist")
-	graphRequests := flag.Int("graph-requests", 24, "mixed-traffic requests for -exp graph (cascade vs single large model)")
-	profileModel := flag.String("profile-model", "MicroNet-KWS-S", "zoo model for -exp profile (measured vs predicted per-op latency)")
-	profileRuns := flag.Int("profile-runs", 8, "profiled invokes averaged by -exp profile")
 	flag.Parse()
 
-	// engineRows/searchRows/graphReport/profileReport cache those
-	// experiments' measurements so -json serializes the exact run that was
-	// printed, not a second one.
-	var engineRows []experiments.EngineRow
+	// searchRows/finalistRows cache the search experiment's results so
+	// -json serializes the exact run that was printed, not a second one.
 	var searchRows, finalistRows []experiments.SearchRow
-	var graphReport *experiments.GraphReport
-	var profileReport *mcu.Profile
 
 	runners := []struct {
 		id string
@@ -65,14 +59,6 @@ func main() {
 		{"table3", func() (string, error) { return experiments.Table3(seed) }},
 		{"table4", func() (string, error) { return experiments.Table4(seed) }},
 		{"div4", runDiv4},
-		{"engine", func() (string, error) {
-			rows, err := experiments.EngineComparison(experiments.EngineModels, seed)
-			if err != nil {
-				return "", err
-			}
-			engineRows = rows
-			return experiments.RenderEngineRows(rows), nil
-		}},
 		{"search", func() (string, error) {
 			rows, res, err := experiments.SearchExperiment(64, seed, *searchLog, *finalists, *trainSteps)
 			if err != nil {
@@ -81,22 +67,6 @@ func main() {
 			searchRows = rows
 			finalistRows = experiments.FinalistRows(res)
 			return experiments.RenderSearchRows(rows, res), nil
-		}},
-		{"graph", func() (string, error) {
-			rep, err := experiments.GraphExperiment(*graphRequests, seed)
-			if err != nil {
-				return "", err
-			}
-			graphReport = rep
-			return experiments.RenderGraphReport(rep), nil
-		}},
-		{"profile", func() (string, error) {
-			rep, err := experiments.ProfileExperiment(*profileModel, *profileRuns, seed)
-			if err != nil {
-				return "", err
-			}
-			profileReport = rep
-			return experiments.RenderProfileReport(rep), nil
 		}},
 	}
 	ran := false
@@ -111,7 +81,7 @@ func main() {
 		}
 		fmt.Printf("=== %s ===\n%s\n", r.id, out)
 		if *jsonOut {
-			if err := writeJSON(r.id, out, engineRows, searchRows, finalistRows, graphReport, profileReport); err != nil {
+			if err := writeJSON(r.id, out, searchRows, finalistRows); err != nil {
 				log.Fatalf("%s: write json: %v", r.id, err)
 			}
 		}
@@ -121,46 +91,19 @@ func main() {
 	}
 }
 
-// engineJSONRow is one (model, engine) perf point in BENCH_engine.json —
-// the cross-PR trajectory format for the host inference engines.
-type engineJSONRow struct {
-	Model      string  `json:"model"`
-	Engine     string  `json:"engine"`
-	NsPerOp    int64   `json:"ns_per_op"`
-	MMACs      float64 `json:"mmacs"`
-	Speedup    float64 `json:"speedup_vs_reference"`
-	ExactMatch bool    `json:"exact_match"`
-}
-
-// writeJSON writes BENCH_<id>.json. The engine and search experiments
-// serialize the same measured rows their text tables rendered; text-only
-// experiments get the rendered report wrapped so every experiment is
-// still diffable by machine. The search payload carries both the full
-// frontier (proxy-ranked) and the finalist re-rank (trained accuracy),
-// so the proxy-vs-trained gap is tracked across PRs.
-func writeJSON(id, report string, rows []experiments.EngineRow, searchRows, finalistRows []experiments.SearchRow, graphReport *experiments.GraphReport, profileReport *mcu.Profile) error {
+// writeJSON writes BENCH_<id>.json. The search experiment serializes the
+// same rows its text table rendered: the full frontier (proxy-ranked) and
+// the finalist re-rank (trained accuracy), so the proxy-vs-trained gap
+// is machine-checkable. Text-only experiments get the rendered report
+// wrapped so every experiment is still diffable by machine.
+func writeJSON(id, report string, searchRows, finalistRows []experiments.SearchRow) error {
 	path := fmt.Sprintf("BENCH_%s.json", id)
 	var payload any
-	if id == "graph" && graphReport != nil {
-		payload = map[string]any{"experiment": id, "cascade": graphReport}
-	} else if id == "profile" && profileReport != nil {
-		payload = map[string]any{"experiment": id, "profile": profileReport}
-	} else if id == "search" && searchRows != nil {
+	if id == "search" && searchRows != nil {
 		if finalistRows == nil {
 			finalistRows = []experiments.SearchRow{}
 		}
 		payload = map[string]any{"experiment": id, "frontier": searchRows, "finalists": finalistRows}
-	} else if id == "engine" && rows != nil {
-		flat := make([]engineJSONRow, 0, 2*len(rows))
-		for _, r := range rows {
-			flat = append(flat,
-				engineJSONRow{Model: r.Model, Engine: "reference", NsPerOp: int64(r.ReferenceS * 1e9),
-					MMACs: float64(r.MACs) / 1e6, Speedup: 1, ExactMatch: r.AgreeOut},
-				engineJSONRow{Model: r.Model, Engine: "gemm16", NsPerOp: int64(r.DefaultS * 1e9),
-					MMACs: float64(r.MACs) / 1e6, Speedup: r.Speedup, ExactMatch: r.AgreeOut},
-			)
-		}
-		payload = map[string]any{"experiment": id, "rows": flat}
 	} else {
 		payload = map[string]any{"experiment": id, "report": report}
 	}

@@ -206,27 +206,6 @@ func (ip *Interpreter) ProfileInvoke() ([]OpTiming, error) {
 	return timings, nil
 }
 
-// InvokeBatch runs the model once per input row on this interpreter — a
-// serial copy → Invoke → copy loop, batch 1 each time — and returns the
-// quantized outputs in freshly allocated buffers. Each input must hold
-// exactly the model's input element count.
-func (ip *Interpreter) InvokeBatch(inputs [][]int8) ([][]int8, error) {
-	in := ip.model.Tensors[ip.model.Input]
-	outs := make([][]int8, len(inputs))
-	for b, x := range inputs {
-		if len(x) != in.Elems() {
-			return nil, fmt.Errorf("tflm: model %s: batch input %d has %d elements, model wants %d",
-				ip.model.Name, b, len(x), in.Elems())
-		}
-		copy(ip.Input(), x)
-		if err := ip.Invoke(); err != nil {
-			return nil, fmt.Errorf("tflm: batch input %d: %w", b, err)
-		}
-		outs[b] = append([]int8(nil), ip.Output()...)
-	}
-	return outs, nil
-}
-
 // Classify is a convenience wrapper: set input, invoke, return the argmax
 // class and its dequantized score.
 func (ip *Interpreter) Classify(x *tensor.Tensor) (int, float32, error) {

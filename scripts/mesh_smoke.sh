@@ -7,9 +7,9 @@
 # same load spills onto B), failover (killing replica A mid-flight
 # leaves the shared model serving through per-request retry and the
 # health loop marks A down), and the micronets_mesh_* metric family.
-# Finishes by driving cmd/loadgen THROUGH the router and gating on its
-# p99 SLO (BENCH_serve.json). Used by `make mesh-smoke` and the CI
-# mesh-smoke job (keep the two in sync by editing only this file).
+# Finishes with a concurrent infer burst THROUGH the router that must
+# answer every request 200 within 2 s. Used by `make mesh-smoke` and the
+# CI mesh-smoke job (keep the two in sync by editing only this file).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -179,15 +179,13 @@ curl -fsS "http://$ADDR_R/v2/repository/index" | jq -e --arg b "$URL_B" \
     '[.models[].replica] | unique == [$b]' >/dev/null
 echo "failover OK: A killed, infers kept serving, A marked down"
 
-# --- Open-loop load THROUGH the router: cmd/loadgen resolves its target
-# from the router's merged /v2/models, drives it, writes
-# BENCH_serve.json, and gates on the p99 SLO itself (exit 1 on breach).
-go run ./cmd/loadgen -addr "http://$ADDR_R" \
-    -targets "model:MicroNet-KWS-S" -rps 25 -duration 2s \
-    -slo-p99 1500 -out BENCH_serve.json
-jq -e '.targets | length == 1' BENCH_serve.json >/dev/null
-jq -e '.targets[0].completed > 0 and .targets[0].errors == 0' BENCH_serve.json >/dev/null
-jq -e '.slo_pass == true' BENCH_serve.json >/dev/null
-echo "loadgen via router OK: $(jq -c '[.targets[] | {target, throughput_rps, p50_ms, p99_ms}]' BENCH_serve.json)"
+# --- Concurrent burst THROUGH the router onto the surviving replica: 50
+# infers, 8 in flight, each capped at 2 s. A non-200 or a timeout fails
+# curl, so xargs exits 123 and set -e stops the script. Latency is
+# measured by bench/, not gated here.
+printf '%s' "$PAYLOAD" >"$WORK/payload.json"
+seq 50 | xargs -P 8 -I{} curl -fsS --max-time 2 -o /dev/null --data @"$WORK/payload.json" \
+    "http://$ADDR_R/v2/models/MicroNet-KWS-S/infer"
+echo "burst via router OK: 50 concurrent infers on MicroNet-KWS-S"
 
 echo "mesh smoke: all checks passed"

@@ -202,7 +202,7 @@ echo "$METRICS" | grep -q 'micronets_graph_gate_hits_total{graph="cas-lo",node="
 echo "$METRICS" | grep -q 'micronets_graph_escalations_total{graph="cas-hi",node="root"} 1'
 # Latency histograms: cumulative buckets ending in le="+Inf", for the
 # per-model serve families (end-to-end, queue wait, invoke) and the
-# per-graph family — populated by the loadgen traffic above.
+# per-graph family — populated by the infers above.
 echo "$METRICS" | grep -q "micronets_serve_request_latency_seconds_bucket{model=\"$MODEL\",le=\"+Inf\"} "
 echo "$METRICS" | grep -q "micronets_serve_queue_wait_seconds_bucket{model=\"$MODEL\",le=\"+Inf\"} "
 echo "$METRICS" | grep -q "micronets_serve_invoke_seconds_bucket{model=\"$MODEL\",le=\"+Inf\"} "
@@ -210,28 +210,16 @@ echo "$METRICS" | grep -q 'micronets_graph_request_latency_seconds_bucket{graph=
 echo "$METRICS" | grep -q "micronets_serve_request_latency_seconds_count{model=\"$MODEL\"} "
 echo "metrics OK (incl. graph gate-hit/escalation counters and latency histograms)"
 
-# --- Open-loop load: cmd/loadgen drives the booted server (one model
-# target, one graph target), writes BENCH_serve.json, and gates on the
-# p99 SLO itself (exit 1 on breach). Runs after the exact-count /metrics
-# assertions above, which its traffic would perturb. The generous
-# 2s/1500ms settings keep shared CI runners from flaking; the gate still
-# catches pathological regressions.
-go run ./cmd/loadgen -addr "http://$ADDR" \
-    -targets "model:$MODEL,graph:cas-lo" -rps 25 -duration 2s \
-    -slo-p99 1500 -out BENCH_serve.json
-jq -e '.targets | length == 2' BENCH_serve.json >/dev/null
-jq -e '[.targets[] | select(.completed > 0 and .errors == 0 and .p99_ms > 0)] | length == 2' BENCH_serve.json >/dev/null
-jq -e '.slo_pass == true' BENCH_serve.json >/dev/null
-echo "loadgen OK: $(jq -c '[.targets[] | {target, throughput_rps, p50_ms, p99_ms}]' BENCH_serve.json)"
-
-# --- BENCH_graph.json: the cascade must beat the single large model on
-# mean latency over mixed traffic (the paper's op-budget logic, measured
-# on the serving path).
-go run ./cmd/bench -exp graph -json -graph-requests 12 >/dev/null
-jq -e '.cascade.cascade_mean_ms < .cascade.large_mean_ms
-    and .cascade.speedup_vs_large > 1 and .cascade.gate_hits > 0' BENCH_graph.json >/dev/null
-jq -e '.cascade.cascade_p50_ms > 0 and .cascade.cascade_p99_ms >= .cascade.cascade_p50_ms' BENCH_graph.json >/dev/null
-echo "bench graph OK: cascade $(jq -r '.cascade.cascade_mean_ms' BENCH_graph.json)ms vs large-only $(jq -r '.cascade.large_mean_ms' BENCH_graph.json)ms ($(jq -r '.cascade.speedup_vs_large' BENCH_graph.json)x)"
+# --- Concurrent burst: 50 infers per target (one model, one graph), 8
+# in flight, each capped at 2 s. A non-200 or a timeout fails curl, so
+# xargs exits 123 and set -e stops the script. Latency is measured by
+# bench/, not gated here. Runs after the exact-count /metrics assertions
+# above, which its traffic would perturb.
+printf '%s' "$PAYLOAD" >"$WORK/payload.json"
+for url in "http://$ADDR/v2/models/$MODEL/infer" "http://$ADDR/v2/graphs/cas-lo/infer"; do
+    seq 50 | xargs -P 8 -I{} curl -fsS --max-time 2 -o /dev/null --data @"$WORK/payload.json" "$url"
+done
+echo "burst OK: 50 concurrent infers each on model:$MODEL and graph:cas-lo"
 
 # Graceful drain: SIGTERM must flip readiness and exit zero.
 kill -TERM "$PID"
