@@ -28,11 +28,16 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-module vets and tests bench/, the BENCHMARK.json harness: a
-# module of its own (replace micronets => ../) that ./... does not reach.
+# bench-module vets, gofmt-checks and tests bench/ (plain and -race),
+# the BENCHMARK.json harness: a module of its own (replace micronets =>
+# ../) that ./... does not reach.
 .PHONY: bench-module
 bench-module:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+	@out="$$(gofmt -l bench)"; if [ -n "$$out" ]; then \
+		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; \
+	fi
+	$(GO) test -C bench -race ./...
 
 # lint = go vet + gofmt + microvet (the repo-specific analyzer suite;
 # see docs/ANALYSIS.md).

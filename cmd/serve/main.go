@@ -11,7 +11,8 @@
 //	serve -ram-budget 320KB                 # emulate the medium MCU: pool sizes
 //	                                        # planned from what fits; models over
 //	                                        # budget skipped (boot) or 409'd (admin)
-//	serve -watch-specs frontier.json        # hot-load cmd/search exports on change
+//	serve -specs frontier.json              # also serve cmd/search exports; push
+//	                                        # later ones with cmd/search -publish
 //	serve -no-admin                         # freeze the model and graph sets at boot
 //	serve -debug-addr 127.0.0.1:6060        # net/http/pprof on a separate listener
 //
@@ -43,7 +44,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"micronets"
 	"micronets/internal/serve"
@@ -54,8 +54,6 @@ func main() {
 	addr := flag.String("addr", ":8151", "listen address")
 	models := flag.String("models", "all", "comma-separated zoo models to load at boot, or 'all' for every servable model")
 	specs := flag.String("specs", "", "comma-separated spec files (cmd/search -export output) to register into the zoo before loading")
-	watchSpecs := flag.String("watch-specs", "", "comma-separated spec files or directories to poll and hot-load on change")
-	watchInterval := flag.Duration("watch-interval", 2*time.Second, "poll interval for -watch-specs")
 	ramBudget := flag.String("ram-budget", "0", "RAM budget for planned arenas across all models (e.g. 320KB to emulate DeviceM; 0 = unbudgeted)")
 	noAdmin := flag.Bool("no-admin", false, "disable the /v2/repository and graph-mutation control-plane endpoints")
 	pool := flag.Int("pool", 2, "desired interpreters per model (a RAM budget may scale this down)")
@@ -90,15 +88,12 @@ func main() {
 		logger.Info("registered searched models", "path", path, "models", len(loaded))
 	}
 
-	// Resolve "all" here, not in the server: the spec watcher below may
-	// load models into the repository before (or while) the server boots,
-	// and the catalogue default must not depend on that race. A
-	// catalogue-wide boot is best-effort under -ram-budget (unfittable
-	// models are skipped with a warning); a curated -models list is not.
-	names := splitList(*models)
-	serveAll := *models == "all"
-	if serveAll {
-		names = zoo.ServableNames()
+	// "all" is an empty list to the server: the whole catalogue,
+	// best-effort under -ram-budget (unfittable models are skipped with a
+	// warning). A curated -models list must load in full.
+	var names []string
+	if *models != "all" {
+		names = splitList(*models)
 	}
 
 	deploy := micronets.DeployOptions{
@@ -129,18 +124,12 @@ func main() {
 		}()
 	}
 
-	// The server owns the repository; the spec watcher runs inside its
-	// lifecycle, starting strictly after the boot loads so the curated
-	// model set can never lose a budget race against a watched file.
 	err = micronets.Serve(ctx, micronets.ServeOptions{
 		Addr:           *addr,
 		Models:         names,
 		PoolSize:       *pool,
 		RAMBudgetBytes: budgetBytes,
-		SkipOverBudget: serveAll,
 		DisableAdmin:   *noAdmin,
-		WatchSpecs:     splitList(*watchSpecs),
-		WatchInterval:  *watchInterval,
 		Logger:         logger,
 		Deploy:         deploy,
 	})

@@ -2,7 +2,10 @@
 // device-class RAM budget, hit the KServe-v2 endpoints like an external
 // client, then drive the model-repository control plane — hot-load a
 // model with zero restarts, read the budget-planned capacity from the
-// index, and watch an over-budget load get a structured 409.
+// index, and watch an over-budget load get a structured 409. The admin
+// endpoints are the one way to change a running server's models over the
+// wire; a Go program embedding it through micronets.ServeHandler drives
+// the same repository directly through srv.Repository().
 package main
 
 import (

@@ -22,4 +22,8 @@
 // weighted splits, switches) routed in-process over the same repository,
 // with an unload guard so a model referenced by a registered graph cannot
 // be dropped out from under it.
+//
+// Files: repository.go is the model lifecycle and RAM budgeting,
+// server.go the server's own lifecycle (boot, serve, drain) and the
+// data plane, admin.go the /v2/repository control plane.
 package serve

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -133,7 +131,8 @@ type RepositoryConfig struct {
 	// Deprecated: Batch is ignored; every row runs on its own pooled
 	// interpreter.
 	Batch BatcherConfig
-	// Options is the default lowering for LoadZoo/LoadSpecFile/WatchSpecs.
+	// Deprecated: Options is ignored; every load takes its lowering
+	// options explicitly.
 	Options ModelOptions
 	// Logger receives lifecycle events (default slog.Default).
 	Logger *slog.Logger
@@ -437,8 +436,8 @@ func (r *Repository) Swap(spec *arch.Spec, opts ModelOptions) (ModelStatus, erro
 	return r.load(spec, opts, true)
 }
 
-// LoadZoo loads a catalogue (or runtime-registered) model by name with
-// the repository's default options overridden by opts.
+// LoadZoo loads a catalogue (or runtime-registered) model by name under
+// opts.
 func (r *Repository) LoadZoo(name string, opts ModelOptions) (ModelStatus, error) {
 	e, err := zoo.Get(name)
 	if err != nil {
@@ -448,41 +447,6 @@ func (r *Repository) LoadZoo(name string, opts ModelOptions) (ModelStatus, error
 		return ModelStatus{}, fmt.Errorf("serve: %s is a stats-only comparison point (no public architecture)", name)
 	}
 	return r.Load(e.Spec, opts)
-}
-
-// LoadSpecFile registers every spec of a cmd/search export into the zoo
-// and loads each one — the restartless version of `cmd/serve -specs`.
-// One spec failing (a built-in name collision, an over-budget rejection)
-// does not stop the rest of the file: every spec is attempted, the
-// loaded statuses are returned, and the per-spec failures come back
-// joined into one error. Only an unreadable or unparseable file fails as
-// a whole.
-func (r *Repository) LoadSpecFile(path string, opts ModelOptions) ([]ModelStatus, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	f, err := zoo.ReadSpecFile(fh)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	statuses := make([]ModelStatus, 0, len(f.Specs))
-	var errs []error
-	for _, sp := range f.Specs {
-		e := &zoo.Entry{Name: sp.Name, Task: sp.Task, Spec: sp, Notes: f.Notes[sp.Name]}
-		if err := zoo.Register(e); err != nil {
-			errs = append(errs, fmt.Errorf("serve: %s (from %s): %w", sp.Name, path, err))
-			continue
-		}
-		st, err := r.Load(sp, opts)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("serve: %s (from %s): %w", sp.Name, path, err))
-			continue
-		}
-		statuses = append(statuses, st)
-	}
-	return statuses, errors.Join(errs...)
 }
 
 // Unload drains the active version of a name and retires it. The call
@@ -584,82 +548,6 @@ func (r *Repository) Close() {
 			<-v.drained
 		}
 	})
-}
-
-// WatchSpecs polls spec files — or directories of *.json spec files — and
-// hot-loads every spec whose file appears or changes, making `cmd/search
-// -export` output servable with zero restarts. Blocks until ctx is done;
-// run it in a goroutine. Load failures (including budget rejections) are
-// never fatal: the file is retried on every tick until it loads fully —
-// so a load that 409'd while a draining version still held budget
-// succeeds once the drain frees it — with the failure logged once per
-// file change rather than once per poll.
-func (r *Repository) WatchSpecs(ctx context.Context, paths []string, interval time.Duration, opts ModelOptions) {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	loaded := make(map[string]string) // signature that fully loaded
-	failed := make(map[string]string) // signature already logged as failing
-	tick := func() {
-		for _, p := range expandSpecPaths(r.cfg.Logger, paths) {
-			fi, err := os.Stat(p)
-			if err != nil {
-				continue
-			}
-			sig := fmt.Sprintf("%d|%d", fi.Size(), fi.ModTime().UnixNano())
-			if loaded[p] == sig {
-				continue
-			}
-			statuses, err := r.LoadSpecFile(p, opts)
-			if err != nil {
-				// Partial loads still count (LoadSpecFile attempts every
-				// spec); keep retrying this signature, but log it once.
-				if failed[p] != sig {
-					failed[p] = sig
-					r.cfg.Logger.Error("spec watch: load failed (will retry)", "path", p,
-						"loaded", len(statuses), "err", err)
-				}
-				continue
-			}
-			loaded[p] = sig
-			delete(failed, p)
-			r.cfg.Logger.Info("spec watch: hot-loaded", "path", p, "models", len(statuses))
-		}
-	}
-	tick()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			tick()
-		}
-	}
-}
-
-// expandSpecPaths resolves directories to their *.json entries.
-func expandSpecPaths(logger *slog.Logger, paths []string) []string {
-	var out []string
-	for _, p := range paths {
-		fi, err := os.Stat(p)
-		if err == nil && fi.IsDir() {
-			matches, err := filepath.Glob(filepath.Join(p, "*.json"))
-			if err != nil {
-				// Only reachable when p itself contains pattern
-				// metacharacters; surface it instead of silently watching
-				// an empty directory.
-				logger.Error("spec watch: cannot glob spec directory", "dir", p, "err", err)
-				continue
-			}
-			sort.Strings(matches)
-			out = append(out, matches...)
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // ---- internals ----

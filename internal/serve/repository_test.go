@@ -534,115 +534,9 @@ func TestRepositoryConcurrentLifecycle(t *testing.T) {
 		served.Load(), rejected.Load(), st.Version)
 }
 
-// TestWatchSpecsHotLoads: a spec file appearing in a watched directory is
-// registered and loaded without any restart; rewriting it with new
-// content swaps to a new version.
-func TestWatchSpecsHotLoads(t *testing.T) {
-	dir := t.TempDir()
-	spec := testSpec(t, "DSCNN-S")
-	spec.Name = "Watched-DSCNN-Test"
-	t.Cleanup(func() { zoo.Unregister(spec.Name) })
-
-	r := NewRepository(RepositoryConfig{
-		Logger:   discardLogger(),
-		PoolSize: 1,
-		Options:  ModelOptions{Seed: 42, AppendSoftmax: true},
-	})
-	defer r.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		r.WatchSpecs(ctx, []string{dir}, 10*time.Millisecond, r.cfg.Options)
-	}()
-
-	writeTestSpecFile(t, dir+"/frontier.json", spec)
-	waitFor(t, func() bool {
-		idx := r.Index()
-		return len(idx) == 1 && idx[0].Name == spec.Name && idx[0].State == StateReady
-	}, "watched spec file to load")
-	v1 := r.Index()[0].Version
-
-	// A changed file hot-swaps. Mutate the architecture so the
-	// fingerprint changes (same name).
-	spec.Blocks[len(spec.Blocks)-1].OutC++
-	// Ensure a distinct mtime even on coarse filesystem clocks.
-	time.Sleep(20 * time.Millisecond)
-	writeTestSpecFile(t, dir+"/frontier.json", spec)
-	waitFor(t, func() bool {
-		for _, st := range r.Index() {
-			if st.Name == spec.Name && st.State == StateReady && st.Version > v1 {
-				return true
-			}
-		}
-		return false
-	}, "rewritten spec file to swap versions")
-
-	cancel()
-	<-watchDone
-}
-
-// TestWatchSpecsRetriesAfterBudgetFrees: a watched file whose load 409s
-// against a full budget must be retried on later ticks — once an unload
-// frees the budget, the file loads without being touched again.
-func TestWatchSpecsRetriesAfterBudgetFrees(t *testing.T) {
-	blocker := testSpec(t, "DSCNN-S")
-	watched := testSpec(t, "DSCNN-S")
-	watched.Name = "Watched-Retry-Test"
-	t.Cleanup(func() { zoo.Unregister(watched.Name) })
-	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
-
-	r := NewRepository(RepositoryConfig{
-		Logger:         discardLogger(),
-		RAMBudgetBytes: weightBytesOf(t, blocker, opts) + arenaBytesOf(t, blocker, opts),
-		PoolSize:       1,
-		Options:        opts,
-	})
-	defer r.Close()
-	if _, err := r.Load(blocker, opts); err != nil {
-		t.Fatal(err) // the blocker consumes the whole budget
-	}
-
-	dir := t.TempDir()
-	writeTestSpecFile(t, dir+"/retry.json", watched)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		r.WatchSpecs(ctx, []string{dir}, 5*time.Millisecond, opts)
-	}()
-
-	// The watcher must keep failing (budget full) without loading it...
-	time.Sleep(50 * time.Millisecond)
-	for _, st := range r.Index() {
-		if st.Name == watched.Name {
-			t.Fatalf("over-budget watched spec loaded anyway: %+v", st)
-		}
-	}
-	// ...and succeed on a later tick once the budget frees, with the
-	// file untouched.
-	if err := r.Unload(blocker.Name); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool {
-		for _, st := range r.Index() {
-			if st.Name == watched.Name && st.State == StateReady {
-				return true
-			}
-		}
-		return false
-	}, "watched spec to load after the budget freed")
-	cancel()
-	<-watchDone
-}
-
 func writeTestSpecFile(t *testing.T, path string, specs ...*arch.Spec) {
 	t.Helper()
-	// Write-then-rename so the watcher never reads a torn file.
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,13 +546,10 @@ func writeTestSpecFile(t *testing.T, path string, specs ...*arch.Spec) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // waitFor polls a condition with a deadline, for the asynchronous drain
-// and watch paths.
+// path.
 func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net"
@@ -14,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"micronets/internal/arch"
 	"micronets/internal/graph"
 	"micronets/internal/obs"
 	"micronets/internal/servegraph"
@@ -24,14 +22,9 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Repository, when set, is the externally owned control plane the
-	// server serves from (the caller keeps its lifecycle). When nil the
-	// server builds and owns one from the fields below.
-	Repository *Repository
-	// Models are the zoo names to load at boot. Empty defaults to the
-	// full servable catalogue when the repository starts empty; models
-	// that do not fit the RAM budget are then skipped with a warning
-	// instead of failing the boot.
+	// Models are the zoo names to load at boot; any of them failing to
+	// load fails New. Empty means the full servable catalogue, best-effort:
+	// models that do not fit the RAM budget are skipped with a warning.
 	Models []string
 	// Options selects the default lowering (bits, seed, softmax).
 	Options ModelOptions
@@ -44,56 +37,46 @@ type Config struct {
 	// RAMBudgetBytes bounds the summed planned arena bytes across all
 	// loaded models (0 = unbudgeted). See RepositoryConfig.
 	RAMBudgetBytes int
-	// SkipOverBudget makes boot loads best-effort: a model in Models that
-	// cannot fit the RAM budget is skipped with a warning instead of
-	// failing New. Catalogue-wide boots ("serve everything that fits")
-	// set it; explicit curated lists should not.
-	SkipOverBudget bool
 	// DisableAdmin turns off the /v2/repository control-plane endpoints,
 	// freezing the model set like the pre-repository server.
 	DisableAdmin bool
-	// WatchSpecs lists spec files (or directories of *.json spec files)
-	// the server polls and hot-loads on change. The watcher starts only
-	// after the boot loads finish, so it can never race them for the RAM
-	// budget, and stops when serving stops.
-	WatchSpecs []string
-	// WatchInterval is the WatchSpecs poll interval (default 2s).
-	WatchInterval time.Duration
 	// Logger receives one structured line per request (default
 	// slog.Default).
 	Logger *slog.Logger
-	// DrainTimeout bounds graceful shutdown (default 10s).
-	DrainTimeout time.Duration
-	// DrainGrace is how long the readiness probe fails before the
-	// listener closes (default 500ms), giving load balancers a window to
-	// stop routing here instead of seeing connection-refused mid-deploy.
-	// Set negative to skip the wait (tests, examples).
-	DrainGrace time.Duration
 }
+
+const (
+	// drainGrace is how long the readiness probe fails before the
+	// listener closes, giving load balancers a window to stop routing
+	// here instead of seeing connection-refused mid-deploy.
+	drainGrace = 500 * time.Millisecond
+	// drainTimeout bounds how long in-flight requests get to finish once
+	// the listener has closed.
+	drainTimeout = 10 * time.Second
+)
 
 // Server is the HTTP inference server: the KServe-v2-style data plane
 // (health, models, infer, metrics) plus the repository admin control
-// plane, all backed by one Repository. Construct with New (which loads
-// and pool-warms the boot models, so readiness implies zero cold-start on
-// the request path), mount Handler on any listener, and Close to drain.
+// plane, all backed by the one Repository it owns. Construct with New
+// (which loads and pool-warms the boot models, so readiness implies zero
+// cold-start on the request path), mount Handler on any listener, drive
+// lifecycles from Go through Repository, and Close to drain.
 type Server struct {
-	cfg      Config
-	repo     *Repository
-	ownsRepo bool
-	graphs   *servegraph.Registry
-	mux      *http.ServeMux
-	log      *slog.Logger
-	ready    atomic.Bool
-	start    time.Time
+	cfg    Config
+	repo   *Repository
+	graphs *servegraph.Registry
+	mux    *http.ServeMux
+	log    *slog.Logger
+	ready  atomic.Bool
+	start  time.Time
 
 	// publishMu serializes inline-spec publishes (a rare admin
 	// operation), so a failed publish's zoo rollback can never undo a
 	// concurrent successful publish of the same name.
 	publishMu sync.Mutex
-	closeOnce sync.Once
 }
 
-// New builds the server and loads cfg.Models through the repository. It
+// New builds the server and its repository and loads the boot models. It
 // returns an error if any explicitly requested model cannot be lowered,
 // planned, or fit into the budget — a server that constructs is fully
 // warm for everything it reports serving.
@@ -101,53 +84,29 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 10 * time.Second
+	repo := NewRepository(RepositoryConfig{
+		RAMBudgetBytes: cfg.RAMBudgetBytes,
+		PoolSize:       cfg.PoolSize,
+		Logger:         cfg.Logger,
+	})
+	names, wholeCatalogue := cfg.Models, len(cfg.Models) == 0
+	if wholeCatalogue {
+		names = zoo.ServableNames()
 	}
-	if cfg.DrainGrace == 0 {
-		cfg.DrainGrace = 500 * time.Millisecond
-	}
-	repo := cfg.Repository
-	ownsRepo := false
-	if repo == nil {
-		ownsRepo = true
-		repo = NewRepository(RepositoryConfig{
-			RAMBudgetBytes: cfg.RAMBudgetBytes,
-			PoolSize:       cfg.PoolSize,
-			Options:        cfg.Options,
-			Logger:         cfg.Logger,
-		})
-	}
-	// "Serve everything" is the default only when nothing else decides
-	// the model set — no explicit list, and no repository preloaded by
-	// the caller. An implicit catalogue is best-effort under a RAM
-	// budget: models that cannot fit are skipped, not fatal.
-	if len(cfg.Models) == 0 && len(repo.Index()) == 0 {
-		cfg.Models = zoo.ServableNames()
-		cfg.SkipOverBudget = true
-	}
-	s := &Server{
-		cfg:      cfg,
-		repo:     repo,
-		ownsRepo: ownsRepo,
-		log:      cfg.Logger,
-		start:    time.Now(),
-	}
-	for _, name := range cfg.Models {
+	for _, name := range names {
 		if _, err := repo.LoadZoo(name, cfg.Options); err != nil {
 			var be *BudgetError
-			if cfg.SkipOverBudget && errors.As(err, &be) {
+			if wholeCatalogue && errors.As(err, &be) {
 				cfg.Logger.Warn("skipping model over RAM budget", "model", name,
 					"needed_bytes", be.NeededBytes, "budget_bytes", be.BudgetBytes,
 					"planned_bytes", be.PlannedBytes)
 				continue
 			}
-			if ownsRepo {
-				repo.Close()
-			}
+			repo.Close()
 			return nil, err
 		}
 	}
+	s := &Server{cfg: cfg, repo: repo, log: cfg.Logger, start: time.Now()}
 	s.graphs = servegraph.NewRegistry(GraphBackend(repo))
 	repo.SetUnloadGuard(graphUnloadGuard(s.graphs))
 	s.mux = http.NewServeMux()
@@ -183,21 +142,18 @@ func (s *Server) Graphs() *servegraph.Registry { return s.graphs }
 // Handler returns the fully routed handler wrapped in request logging.
 func (s *Server) Handler() http.Handler { return s.logMiddleware(s.mux) }
 
-// Close marks the server not-ready and, when the server owns its
-// repository, drains every model: in-flight requests finish, new infers
-// fail with 503. Idempotent.
+// Close marks the server not-ready and drains every model: in-flight
+// requests finish, new infers fail with 503, and later loads fail with
+// ErrRepositoryClosed. Idempotent.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.ready.Store(false)
-		if s.ownsRepo {
-			s.repo.Close()
-		}
-	})
+	s.ready.Store(false)
+	s.repo.Close()
 }
 
 // ListenAndServe serves on addr until ctx is cancelled, then drains: the
-// readiness probe starts failing (so load balancers stop routing here),
-// in-flight requests get DrainTimeout to finish, and the repository
+// readiness probe fails for a grace window while the listener still
+// accepts (so load balancers stop routing here), the listener closes,
+// in-flight requests get up to 10 s to finish, and the repository
 // drains. This is the SIGTERM path of cmd/serve.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -211,16 +167,8 @@ func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	// The spec watcher starts strictly after New's boot loads, so the
-	// boot model set and its budget reservations are deterministic.
-	if len(s.cfg.WatchSpecs) > 0 {
-		watchCtx, stopWatch := context.WithCancel(ctx)
-		defer stopWatch()
-		go s.repo.WatchSpecs(watchCtx, s.cfg.WatchSpecs, s.cfg.WatchInterval, s.cfg.Options)
-	}
 	s.log.Info("serving", "addr", ln.Addr().String(), "models", len(s.repo.actives()),
-		"ram_budget_bytes", s.repo.RAMBudgetBytes(), "admin", !s.cfg.DisableAdmin,
-		"watch_specs", len(s.cfg.WatchSpecs))
+		"ram_budget_bytes", s.repo.RAMBudgetBytes(), "admin", !s.cfg.DisableAdmin)
 	select {
 	case err := <-errc:
 		s.Close()
@@ -228,14 +176,12 @@ func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 	case <-ctx.Done():
 	}
 	s.ready.Store(false)
-	s.log.Info("draining", "grace", s.cfg.DrainGrace.String(), "timeout", s.cfg.DrainTimeout.String())
+	s.log.Info("draining", "grace", drainGrace.String(), "timeout", drainTimeout.String())
 	// Fail readiness for a grace window BEFORE closing the listener, so
 	// probing load balancers route traffic away instead of hitting
 	// connection-refused.
-	if s.cfg.DrainGrace > 0 {
-		time.Sleep(s.cfg.DrainGrace)
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+	time.Sleep(drainGrace)
+	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	err := hs.Shutdown(shutCtx)
 	s.Close()
@@ -491,216 +437,6 @@ func inferOutputs(scores [][]float64, classes []int) []v2Tensor {
 		{Name: "class", Datatype: "INT32", Shape: []int{n}, Data: class},
 		{Name: "score", Datatype: "FP32", Shape: []int{n}, Data: top},
 	}
-}
-
-// ---- repository admin control plane ----
-
-// repoLoadRequest is the body of POST /v2/repository/models/{name}/load.
-// All fields are optional: an empty body loads {name} from the zoo
-// catalogue (including previously registered search exports).
-type repoLoadRequest struct {
-	// SpecFile is a server-local spec file (cmd/search -export output) to
-	// register before loading {name} from it.
-	SpecFile string `json:"spec_file,omitempty"`
-	// Spec is a complete inline architecture, the no-shared-filesystem
-	// publish path (cmd/search -publish). Its name must match the URL.
-	Spec *arch.Spec `json:"spec,omitempty"`
-	// Options overrides the server's default lowering for this load.
-	Options *repoLoadOptions `json:"options,omitempty"`
-}
-
-// repoLoadOptions overrides individual fields of the server's default
-// lowering; absent fields keep the default (so `{"seed":7}` on a 4-bit
-// server still loads a 4-bit model).
-type repoLoadOptions struct {
-	WeightBits *int   `json:"weight_bits,omitempty"`
-	ActBits    *int   `json:"act_bits,omitempty"`
-	Seed       *int64 `json:"seed,omitempty"`
-	Softmax    *bool  `json:"softmax,omitempty"`
-}
-
-// repoBudgetError is the structured 409 body for over-budget loads.
-type repoBudgetError struct {
-	Error        string `json:"error"`
-	Code         string `json:"code"`
-	Model        string `json:"model"`
-	NeededBytes  int    `json:"needed_bytes"`
-	BudgetBytes  int    `json:"budget_bytes"`
-	PlannedBytes int    `json:"planned_bytes"`
-	// FreeBytes = BudgetBytes − PlannedBytes, precomputed so a fleet
-	// placer can compare it against NeededBytes without diffing gauges.
-	FreeBytes int `json:"free_bytes"`
-}
-
-// writeRepoError maps control-plane errors onto admin API statuses: 409
-// for budget rejections (with the structured body), 404 for unknown
-// models, 503 when closed, 400 otherwise.
-func writeRepoError(w http.ResponseWriter, err error) {
-	var be *BudgetError
-	if errors.As(err, &be) {
-		writeJSON(w, http.StatusConflict, repoBudgetError{
-			Error:        be.Error(),
-			Code:         "ram_budget_exceeded",
-			Model:        be.Model,
-			NeededBytes:  be.NeededBytes,
-			BudgetBytes:  be.BudgetBytes,
-			PlannedBytes: be.PlannedBytes,
-			FreeBytes:    be.BudgetBytes - be.PlannedBytes,
-		})
-		return
-	}
-	var iu *ModelInUseError
-	if errors.As(err, &iu) {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":  iu.Error(),
-			"code":   "model_referenced",
-			"model":  iu.Model,
-			"graphs": iu.Holders,
-		})
-		return
-	}
-	var nl *NotLoadedError
-	switch {
-	case errors.As(err, &nl):
-		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
-	case errors.Is(err, ErrRepositoryClosed):
-		writeJSON(w, http.StatusServiceUnavailable, v2Error{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
-	}
-}
-
-func (s *Server) handleRepoIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"models":            s.repo.Index(),
-		"ram_budget_bytes":  s.repo.RAMBudgetBytes(),
-		"ram_planned_bytes": s.repo.PlannedRAMBytes(),
-		"free_bytes":        s.repo.FreeRAMBytes(),
-	})
-}
-
-func (s *Server) handleRepoLoad(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req repoLoadRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: "load body exceeds 1MB"})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: "reading load body: " + err.Error()})
-		return
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
-			return
-		}
-	}
-	opts := s.cfg.Options
-	if o := req.Options; o != nil {
-		if o.WeightBits != nil {
-			opts.WeightBits = *o.WeightBits
-		}
-		if o.ActBits != nil {
-			opts.ActBits = *o.ActBits
-		}
-		if o.Seed != nil {
-			opts.Seed = *o.Seed
-		}
-		if o.Softmax != nil {
-			opts.AppendSoftmax = *o.Softmax
-		}
-	}
-
-	if req.Spec != nil {
-		if req.Spec.Name != name {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
-				"inline spec is named %q, URL says %q", req.Spec.Name, name)})
-			return
-		}
-		// Register the publication, load, and — on failure — roll the
-		// catalogue back to its snapshot, under the publish lock: a load
-		// rejected by the budget must leave the zoo exactly as it was,
-		// and a concurrent successful publish of the same name must never
-		// be undone by a failing one.
-		s.publishMu.Lock()
-		defer s.publishMu.Unlock()
-		entry := &zoo.Entry{Name: name, Task: req.Spec.Task, Spec: req.Spec,
-			Notes: "published via /v2/repository"}
-		prev := zooEntryFor(name)
-		if err := zoo.Register(entry); err != nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
-			return
-		}
-		st, err := s.repo.Load(req.Spec, opts)
-		if err != nil {
-			// Roll back only if the entry is still ours — a concurrent
-			// watcher or spec-file load may have re-registered the name
-			// meanwhile, and its registration must survive our failure.
-			if cur := zooEntryFor(name); cur != nil && cur.Spec == req.Spec {
-				if prev != nil {
-					_ = zoo.Register(prev) //microvet:ignore droppederr rollback restores a spec that registered before; failure would just repeat the error already being returned
-				} else {
-					zoo.Unregister(name)
-				}
-			}
-			writeRepoError(w, err)
-			return
-		}
-		s.log.Info("model load", "model", name, "version", st.Version,
-			"source", "inline-spec", "trace", obs.TraceIDFrom(r.Context()))
-		writeJSON(w, http.StatusOK, st)
-		return
-	}
-
-	if req.SpecFile != "" {
-		if _, err := zoo.RegisterSpecFile(req.SpecFile); err != nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
-			return
-		}
-	}
-	e, err := zoo.Get(name)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
-		return
-	}
-	if e.Spec == nil {
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
-			"%s is a stats-only comparison point (no public architecture)", name)})
-		return
-	}
-	st, err := s.repo.Load(e.Spec, opts)
-	if err != nil {
-		writeRepoError(w, err)
-		return
-	}
-	s.log.Info("model load", "model", name, "version", st.Version,
-		"source", "catalogue", "trace", obs.TraceIDFrom(r.Context()))
-	writeJSON(w, http.StatusOK, st)
-}
-
-// zooEntryFor snapshots the current catalogue entry for a name (nil when
-// absent or stats-only), for rolling back a failed inline publish. A
-// built-in entry never reaches the rollback: registering over it fails
-// before any load is attempted.
-func zooEntryFor(name string) *zoo.Entry {
-	e, err := zoo.Get(name)
-	if err != nil || e.Spec == nil {
-		return nil
-	}
-	return e
-}
-
-func (s *Server) handleRepoUnload(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if err := s.repo.Unload(name); err != nil {
-		writeRepoError(w, err)
-		return
-	}
-	s.log.Info("model unload", "model", name, "trace", obs.TraceIDFrom(r.Context()))
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "state": StateDraining})
 }
 
 // maxInferRows caps the leading client-side batch dimension of one infer

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -622,40 +624,6 @@ func TestAdminInlinePublishRollsBackOnBudgetReject(t *testing.T) {
 	}
 }
 
-// TestLoadSpecFilePartialFailure: one over-budget spec in a multi-spec
-// export must not stop the rest of the file from loading.
-func TestLoadSpecFilePartialFailure(t *testing.T) {
-	small, _ := zoo.Get("DSCNN-S")
-	big, _ := zoo.Get("MicroNet-KWS-S")
-	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
-	smallSpec := *small.Spec
-	smallSpec.Name = "SpecFile-Partial-Small"
-	bigSpec := *big.Spec
-	bigSpec.Name = "SpecFile-Partial-Big"
-	t.Cleanup(func() {
-		zoo.Unregister(smallSpec.Name)
-		zoo.Unregister(bigSpec.Name)
-	})
-	path := t.TempDir() + "/frontier.json"
-	writeTestSpecFile(t, path, &bigSpec, &smallSpec) // over-budget spec FIRST
-
-	small2 := testSpec(t, "DSCNN-S")
-	r := NewRepository(RepositoryConfig{
-		Logger:         discardLogger(),
-		RAMBudgetBytes: weightBytesOf(t, small2, opts) + arenaBytesOf(t, small2, opts),
-		PoolSize:       1,
-	})
-	defer r.Close()
-	statuses, err := r.LoadSpecFile(path, opts)
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Model != bigSpec.Name {
-		t.Fatalf("want a joined BudgetError for %s, got %v", bigSpec.Name, err)
-	}
-	if len(statuses) != 1 || statuses[0].Name != smallSpec.Name || statuses[0].State != StateReady {
-		t.Fatalf("the fitting spec after the failing one did not load: %+v", statuses)
-	}
-}
-
 // TestAdminDisabled: DisableAdmin removes the control plane but not the
 // data plane.
 func TestAdminDisabled(t *testing.T) {
@@ -767,5 +735,122 @@ func TestDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("infer after drain: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestListenAndServeDrains drives the SIGTERM path through serve: after
+// cancel, readiness answers 503 while the listener still accepts (the
+// grace window), an infer that started before the cancel answers 200
+// even though it finishes after the listener closed, serve returns nil,
+// and the drained repository refuses further loads.
+func TestListenAndServeDrains(t *testing.T) {
+	s, err := New(Config{
+		Models:   []string{"MicroNet-KWS-S"},
+		Options:  ModelOptions{Seed: 42, AppendSoftmax: true},
+		PoolSize: 1,
+		Logger:   discardLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// Take the one pooled interpreter and make the pool channel
+	// unbuffered: an infer then parks in Pool.Get until the test hands it
+	// the interpreter, and in Pool.Put until the test takes it back, so
+	// the request is provably inside the handler before the cancel and
+	// still in flight when the listener closes.
+	v, err := s.repo.acquire("MicroNet-KWS-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip := <-v.pool.ch
+	v.pool.ch = make(chan *tflm.Interpreter)
+	v.release()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- s.serve(ctx, ln) }()
+
+	// Every request dials anew, so an HTTP answer proves the listener
+	// still accepts.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	inferred := make(chan error, 1)
+	go func() {
+		body, _ := json.Marshal(v2InferRequest{Inputs: []v2Tensor{{Name: "input", Datatype: "FP32", Data: make([]float64, 490)}}})
+		resp, err := client.Post("http://"+addr+"/v2/models/MicroNet-KWS-S/infer", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+		inferred <- err
+	}()
+	select {
+	case v.pool.ch <- ip: // the infer is past the readiness check and holds the interpreter
+	case err := <-inferred:
+		t.Fatalf("infer answered before it reached the pool: %v", err)
+	}
+	cancel()
+
+	waitFor(t, func() bool {
+		resp, err := client.Get("http://" + addr + "/v2/health/ready")
+		if err != nil {
+			t.Fatalf("readiness probe after cancel: %v (listener closed before readiness failed)", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusServiceUnavailable
+	}, "readiness to fail while the listener still accepts")
+	waitFor(t, func() bool {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return true
+		}
+		conn.Close()
+		return false
+	}, "the listener to close after the grace window")
+
+	<-v.pool.ch // let the in-flight infer put its interpreter back and answer
+	if err := <-inferred; err != nil {
+		t.Fatalf("infer started before the cancel: %v, want 200", err)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("serve returned %v after a clean drain, want nil", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("serve did not return after the drain")
+	}
+	if _, err := s.Repository().LoadZoo("DSCNN-S", ModelOptions{}); !errors.Is(err, ErrRepositoryClosed) {
+		t.Fatalf("load after the drain: %v, want ErrRepositoryClosed", err)
+	}
+}
+
+// TestAdminSpecFileAllOrNothing: a spec file whose second spec
+// collides with a built-in model answers the spec_file load with 400 and
+// registers none of the file — its valid first spec must not linger in
+// the catalogue.
+func TestAdminSpecFileAllOrNothing(t *testing.T) {
+	_, ts := newTestServer(t)
+	ok := testSpec(t, "DSCNN-S")
+	ok.Name = "SpecFile-AllOrNothing-Test"
+	t.Cleanup(func() { zoo.Unregister(ok.Name) })
+	path := filepath.Join(t.TempDir(), "frontier.json")
+	writeTestSpecFile(t, path, ok, testSpec(t, "DSCNN-S"))
+
+	body, _ := json.Marshal(map[string]string{"spec_file": path})
+	code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+ok.Name+"/load", string(body))
+	if code != http.StatusBadRequest {
+		t.Fatalf("spec_file load with a built-in collision: code %d (%v), want 400", code, resp)
+	}
+	if _, err := zoo.Get(ok.Name); err == nil {
+		t.Fatalf("%s stayed in the catalogue after its spec file was rejected", ok.Name)
 	}
 }

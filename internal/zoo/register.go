@@ -27,21 +27,30 @@ var (
 // which must match the spec name — must not collide with a built-in
 // model. Re-registering the same name overwrites the previous dynamic
 // entry (a re-run search replaces its own exports).
-func Register(e *Entry) error {
-	if e == nil || e.Spec == nil {
-		return fmt.Errorf("zoo: register needs an entry with a spec")
-	}
-	if e.Name == "" || e.Name != e.Spec.Name {
-		return fmt.Errorf("zoo: entry name %q must match spec name %q", e.Name, e.Spec.Name)
-	}
-	if _, err := e.Spec.Analyze(); err != nil {
-		return fmt.Errorf("zoo: register %s: %w", e.Name, err)
-	}
-	if _, builtin := builtinCatalog()[e.Name]; builtin {
-		return fmt.Errorf("zoo: %q collides with a built-in catalogue model", e.Name)
+func Register(e *Entry) error { return registerAll(e) }
+
+// registerAll checks every entry before storing any, so a batch either
+// publishes whole or leaves the catalogue untouched.
+func registerAll(es ...*Entry) error {
+	builtins := builtinCatalog()
+	for _, e := range es {
+		if e == nil || e.Spec == nil {
+			return fmt.Errorf("zoo: register needs an entry with a spec")
+		}
+		if e.Name == "" || e.Name != e.Spec.Name {
+			return fmt.Errorf("zoo: entry name %q must match spec name %q", e.Name, e.Spec.Name)
+		}
+		if _, err := e.Spec.Analyze(); err != nil {
+			return fmt.Errorf("zoo: register %s: %w", e.Name, err)
+		}
+		if _, builtin := builtins[e.Name]; builtin {
+			return fmt.Errorf("zoo: %q collides with a built-in catalogue model", e.Name)
+		}
 	}
 	regMu.Lock()
-	registered[e.Name] = e
+	for _, e := range es {
+		registered[e.Name] = e
+	}
 	regMu.Unlock()
 	return nil
 }
@@ -113,7 +122,8 @@ func ReadSpecFile(r io.Reader) (*SpecFile, error) {
 }
 
 // RegisterSpecFile loads a spec file from disk and registers every spec,
-// returning the registered names in file order.
+// returning the registered names in file order. It is all-or-nothing: if
+// any spec fails Register's checks, none of the file is registered.
 func RegisterSpecFile(path string) ([]string, error) {
 	fh, err := os.Open(path)
 	if err != nil {
@@ -124,13 +134,14 @@ func RegisterSpecFile(path string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	names := make([]string, 0, len(f.Specs))
-	for _, s := range f.Specs {
-		e := &Entry{Name: s.Name, Task: s.Task, Spec: s, Notes: f.Notes[s.Name]}
-		if err := Register(e); err != nil {
-			return nil, err
-		}
-		names = append(names, s.Name)
+	names := make([]string, len(f.Specs))
+	entries := make([]*Entry, len(f.Specs))
+	for i, s := range f.Specs {
+		names[i] = s.Name
+		entries[i] = &Entry{Name: s.Name, Task: s.Task, Spec: s, Notes: f.Notes[s.Name]}
+	}
+	if err := registerAll(entries...); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return names, nil
 }

@@ -2,6 +2,8 @@ package zoo
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -45,6 +47,28 @@ func TestRegisterVisibleEverywhere(t *testing.T) {
 	}
 	if err := Register(&Entry{Name: "other", Task: "kws", Spec: nasSpec(name)}); err == nil {
 		t.Fatal("name/spec mismatch must error")
+	}
+}
+
+// TestRegisterSpecFileAllOrNothing: a file whose second spec collides
+// with a built-in must fail as a whole, leaving its valid first spec
+// unregistered.
+func TestRegisterSpecFileAllOrNothing(t *testing.T) {
+	const ok = "NAS-test-all-or-nothing"
+	t.Cleanup(func() { Unregister(ok) })
+	path := filepath.Join(t.TempDir(), "frontier.json")
+	var buf bytes.Buffer
+	if err := WriteSpecFile(&buf, &SpecFile{Specs: []*arch.Spec{nasSpec(ok), nasSpec("DSCNN-S")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := RegisterSpecFile(path); err == nil {
+		t.Fatalf("a file colliding with a built-in registered %v", names)
+	}
+	if _, err := Get(ok); err == nil {
+		t.Fatalf("%s stayed registered after its file was rejected", ok)
 	}
 }
 

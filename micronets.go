@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sync"
-	"time"
 
 	"micronets/internal/arch"
 	"micronets/internal/graph"
@@ -128,55 +126,17 @@ func DeployModel(spec *arch.Spec, m *graph.Model, dev *mcu.Device) (*Deployment,
 	return d, nil
 }
 
-// classifyCache holds the prepared state (lowered graph, memory plan,
-// packed weights) of the specs ClassifyBatch has seen, keyed by spec
-// fingerprint + options, so search and characterization loops that
-// re-classify one spec pay lowering and planning once. It is bounded so a
-// DNAS search sweeping thousands of distinct candidates cannot grow
-// memory without bound: at the bound an arbitrary entry makes room.
-var (
-	classifyMu    sync.Mutex
-	classifyCache = map[string]*tflm.Prepared{} // guarded by classifyMu
-)
-
-const classifyCacheMax = 32
-
 // ClassifyBatch runs every input through an interpreter for the spec —
 // the batched analogue of Interpreter.Classify for search,
-// characterization and benchmark loops. The lowered graph, its memory
-// plan and packed weights are cached process-wide by spec and options,
-// so repeat calls for the same model pay neither lowering nor planning
-// again; each call runs on its own interpreter over that shared state,
-// so concurrent callers never serialize. It returns the argmax class and
-// dequantized top score per input.
+// characterization and benchmark loops. Each call lowers the spec under
+// opts and runs ClassifyModelBatch on the result. It returns the argmax
+// class and dequantized top score per input.
 func ClassifyBatch(spec *arch.Spec, opts DeployOptions, xs []*tensor.Tensor) ([]int, []float32, error) {
-	key := fmt.Sprintf("%s|%+v", spec.Fingerprint(), opts)
-	classifyMu.Lock()
-	prep := classifyCache[key]
-	classifyMu.Unlock()
-	if prep == nil {
-		m, err := opts.Lower(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if prep, err = tflm.Prepare(m); err != nil {
-			return nil, nil, err
-		}
-		classifyMu.Lock()
-		if len(classifyCache) >= classifyCacheMax {
-			for k := range classifyCache {
-				delete(classifyCache, k)
-				break
-			}
-		}
-		classifyCache[key] = prep
-		classifyMu.Unlock()
-	}
-	ip, err := prep.NewInterpreter(0)
+	m, err := opts.Lower(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ip.ClassifyBatch(xs)
+	return ClassifyModelBatch(m, xs)
 }
 
 // ClassifyModelBatch is ClassifyBatch for an already-lowered model (e.g.
@@ -189,12 +149,12 @@ func ClassifyModelBatch(m *graph.Model, xs []*tensor.Tensor) ([]int, []float32, 
 	return ip.ClassifyBatch(xs)
 }
 
-// ---- model repository: the serving control plane ----
+// ---- serving ----
 
-// ModelStatus is a snapshot of one model version in a Repository: name,
-// version number, lifecycle state, and the budget-planned capacity
-// (pool size, arena reservation). It is also the row format of the GET
-// /v2/repository/index admin endpoint.
+// ModelStatus is a snapshot of one model version in a server's
+// repository: name, version number, lifecycle state, and the
+// budget-planned capacity (pool size, arena reservation). It is also the
+// row format of the GET /v2/repository/index admin endpoint.
 type ModelStatus = serve.ModelStatus
 
 // Model lifecycle states (see serve.ModelState).
@@ -205,119 +165,24 @@ const (
 	StateUnloaded = serve.StateUnloaded
 )
 
-// RepositoryOptions configures NewRepository.
-type RepositoryOptions struct {
-	// RAMBudgetBytes bounds the summed planned arena bytes across every
-	// loaded model version (0 = unbudgeted). Set it to a device-class
-	// SRAM size — e.g. 320*1024 to emulate DeviceM — and the repository
-	// sizes each model's pool from what fits, rejecting loads that would
-	// not (serve.BudgetError).
-	RAMBudgetBytes int
-	// PoolSize is the desired interpreter replicas per model (default 2);
-	// a budget may scale it down per model, never up.
-	PoolSize int
-	// Logger receives lifecycle events.
-	Logger *slog.Logger
-	// Deploy is the default lowering for LoadModel/LoadSpecFile/Watch.
-	Deploy DeployOptions
-}
-
-// Repository is the versioned model store behind the serving API: it
-// owns load/unload/swap lifecycles, keyed by spec fingerprint + quant
-// options, with blue/green version swaps (the old version drains only
-// after the new one is ready) and RAM-budgeted capacity planning via
-// tflm.PlanMemory. Pass one to ServeOptions.Repository to drive a
-// live server programmatically, or let Serve build its own and drive it
-// over the /v2/repository admin endpoints.
-type Repository struct{ inner *serve.Repository }
-
-// NewRepository returns an empty repository.
-func NewRepository(opts RepositoryOptions) *Repository {
-	return &Repository{inner: serve.NewRepository(serve.RepositoryConfig{
-		RAMBudgetBytes: opts.RAMBudgetBytes,
-		PoolSize:       opts.PoolSize,
-		Options:        opts.Deploy,
-		Logger:         opts.Logger,
-	})}
-}
-
-// Load publishes spec as the serving version of spec.Name — lowering,
-// budget planning, pool warm-up, then a blue/green swap if an older
-// version was serving. Re-loading an identical spec+options is an
-// idempotent no-op. An over-budget load fails with *serve.BudgetError.
-func (r *Repository) Load(spec *arch.Spec, opts DeployOptions) (ModelStatus, error) {
-	return r.inner.Load(spec, opts)
-}
-
-// LoadModel is Load for a zoo catalogue name (including search exports
-// registered at runtime).
-func (r *Repository) LoadModel(name string, opts DeployOptions) (ModelStatus, error) {
-	return r.inner.LoadZoo(name, opts)
-}
-
-// LoadSpecFile registers a cmd/search -export file into the zoo and
-// loads every spec in it — the restartless -specs.
-func (r *Repository) LoadSpecFile(path string, opts DeployOptions) ([]ModelStatus, error) {
-	return r.inner.LoadSpecFile(path, opts)
-}
-
-// Swap is Load restricted to names already serving: an explicit
-// redeploy, failing with *serve.NotLoadedError otherwise.
-func (r *Repository) Swap(spec *arch.Spec, opts DeployOptions) (ModelStatus, error) {
-	return r.inner.Swap(spec, opts)
-}
-
-// Unload drains the serving version of a name and retires it; in-flight
-// inferences finish first.
-func (r *Repository) Unload(name string) error { return r.inner.Unload(name) }
-
-// Index reports every live version (READY, LOADING, DRAINING), sorted by
-// name then newest first.
-func (r *Repository) Index() []ModelStatus { return r.inner.Index() }
-
-// Watch polls spec files (or directories of *.json spec files) and
-// hot-loads new or changed exports until ctx is done — run it in a
-// goroutine next to Serve to make `cmd/search -export` output servable
-// with zero restarts.
-func (r *Repository) Watch(ctx context.Context, paths []string, interval time.Duration, opts DeployOptions) {
-	r.inner.WatchSpecs(ctx, paths, interval, opts)
-}
-
-// Close drains every model version and rejects further loads.
-func (r *Repository) Close() { r.inner.Close() }
-
 // ServeOptions configures the HTTP inference server (see internal/serve
 // for the subsystem: model repository → interpreter pools → Invoke →
 // kernels engine).
 type ServeOptions struct {
 	// Addr is the listen address (default ":8151").
 	Addr string
-	// Repository, when set, is the control plane the server serves from
-	// — the caller keeps its lifecycle and may Load/Unload concurrently
-	// with live traffic. When nil the server builds and owns one.
-	Repository *Repository
-	// Models are zoo names to load at boot; empty serves every
-	// runtime-servable catalogue model (when the repository starts
-	// empty), skipping models that exceed the RAM budget.
+	// Models are zoo names to load at boot; any of them failing to load
+	// fails startup. Empty serves every runtime-servable catalogue model,
+	// skipping those that exceed the RAM budget.
 	Models []string
 	// PoolSize is the desired interpreter replicas per model (default 2).
 	PoolSize int
 	// RAMBudgetBytes bounds summed planned arena bytes across all loaded
-	// models (0 = unbudgeted). Ignored when Repository is set.
+	// models (0 = unbudgeted).
 	RAMBudgetBytes int
-	// SkipOverBudget makes the boot Models list best-effort under a RAM
-	// budget: models that cannot fit are skipped with a warning instead
-	// of failing startup. Set for catalogue-wide boots.
-	SkipOverBudget bool
 	// DisableAdmin turns off the /v2/repository endpoints, freezing the
 	// model set at the boot list.
 	DisableAdmin bool
-	// WatchSpecs lists spec files or directories of *.json spec files to
-	// poll and hot-load on change; the watcher starts after the boot
-	// loads (so it never races them for budget) and stops with the
-	// server. WatchInterval defaults to 2s.
-	WatchSpecs    []string
-	WatchInterval time.Duration
 	// Logger receives one structured line per request.
 	Logger *slog.Logger
 	// Deploy selects the default lowering (bits, seed, softmax).
@@ -325,29 +190,21 @@ type ServeOptions struct {
 }
 
 func (o ServeOptions) config() serve.Config {
-	cfg := serve.Config{
+	return serve.Config{
 		Models:         o.Models,
 		Options:        o.Deploy,
 		PoolSize:       o.PoolSize,
 		RAMBudgetBytes: o.RAMBudgetBytes,
-		SkipOverBudget: o.SkipOverBudget,
 		DisableAdmin:   o.DisableAdmin,
-		WatchSpecs:     o.WatchSpecs,
-		WatchInterval:  o.WatchInterval,
 		Logger:         o.Logger,
 	}
-	if o.Repository != nil {
-		cfg.Repository = o.Repository.inner
-	}
-	return cfg
 }
 
-// Serve loads the requested models into the repository and serves the
-// KServe-v2-style inference protocol (/v2/health/*, /v2/models,
-// /v2/models/{name}/infer, /metrics) plus the /v2/repository admin
-// control plane until ctx is cancelled, then drains gracefully. This is
-// the long-lived serving path behind cmd/serve, and a thin shim over the
-// Repository lifecycle API.
+// Serve loads the requested models and serves the KServe-v2-style
+// inference protocol (/v2/health/*, /v2/models, /v2/models/{name}/infer,
+// /metrics) plus the /v2/repository admin control plane until ctx is
+// cancelled, then drains gracefully. This is the long-lived serving path
+// behind cmd/serve.
 func Serve(ctx context.Context, opts ServeOptions) error {
 	srv, err := serve.New(opts.config())
 	if err != nil {
@@ -362,15 +219,11 @@ func Serve(ctx context.Context, opts ServeOptions) error {
 
 // ServeHandler returns the fully warmed inference handler without binding
 // a listener — for embedding the serving surface into an existing HTTP
-// server or tests. Like Serve it is a shim over the Repository control
-// plane. The caller owns the returned server's lifecycle; call its Close
-// to drain. WatchSpecs is rejected here: the watcher needs a serving
-// lifecycle to stop with, so embedders run Repository.Watch themselves
-// on a context they own.
+// server or tests. The returned server owns its repository: drive model
+// lifecycles from Go through srv.Repository() (Load, LoadZoo, Swap,
+// Unload, Index) next to the HTTP admin surface, and call srv.Close to
+// drain.
 func ServeHandler(opts ServeOptions) (http.Handler, *serve.Server, error) {
-	if len(opts.WatchSpecs) > 0 {
-		return nil, nil, errors.New("micronets: ServeHandler does not run the spec watcher; use Serve, or run Repository.Watch on your own context")
-	}
 	srv, err := serve.New(opts.config())
 	if err != nil {
 		return nil, nil, err

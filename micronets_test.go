@@ -2,13 +2,11 @@ package micronets
 
 import (
 	"encoding/json"
-	"maps"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -178,138 +176,16 @@ func TestClassifyBatchFacade(t *testing.T) {
 	}
 }
 
-// classifyCacheSnapshot copies the ClassifyBatch cache: a call that
-// lowered anything shows up as a new key or a replaced pointer.
-func classifyCacheSnapshot() map[string]*tflm.Prepared {
-	classifyMu.Lock()
-	defer classifyMu.Unlock()
-	return maps.Clone(classifyCache)
-}
-
-// TestClassifyBatchAmortizesLowering: repeat ClassifyBatch calls for the
-// same spec and options must hit the prepared-state cache instead of
-// re-lowering the graph and re-planning memory (PR 2 satellite fix). The
-// subtests carry the rest of the cache's contract: identity by
-// architecture rather than name, a bound, no poisoning by a failed call,
-// and concurrent use.
-func TestClassifyBatchAmortizesLowering(t *testing.T) {
-	// Start from an empty cache: the cache is package state, and a
-	// previous run of this test (go test -count N, -cpu 1,2,4) leaves it
-	// full, which would make the entry counts below depend on eviction.
-	classifyMu.Lock()
-	clear(classifyCache)
-	classifyMu.Unlock()
-	spec, err := Model("MicroNet-KWS-S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DeployOptions{Seed: 1234, AppendSoftmax: true}
-	elems := spec.InputH * spec.InputW * spec.InputC
-	xs := []*tensor.Tensor{tensor.New(elems)}
-
-	if _, _, err := ClassifyBatch(spec, opts, xs); err != nil {
-		t.Fatal(err)
-	}
-	before := classifyCacheSnapshot()
-	c1, s1, err := ClassifyBatch(spec, opts, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !maps.Equal(before, classifyCacheSnapshot()) {
-		t.Fatal("second ClassifyBatch re-lowered the graph (the cache changed)")
-	}
-	// And the cached path still agrees with a from-scratch lowering.
-	rng := rand.New(rand.NewSource(opts.Seed))
-	m, err := graph.FromSpec(spec, rng, graph.LowerOptions{AppendSoftmax: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, err := tflm.NewInterpreter(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantC, wantS, err := ip.ClassifyBatch(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1[0] != wantC[0] || s1[0] != wantS[0] {
-		t.Fatalf("cached ClassifyBatch (%d, %f) diverged from fresh lowering (%d, %f)",
-			c1[0], s1[0], wantC[0], wantS[0])
-	}
-
-	// variant rebuilds the spec under the same name with block 1 widened.
-	variant := func(outC int) *arch.Spec {
-		cp := *spec
-		cp.Blocks = append([]arch.Block(nil), spec.Blocks...)
-		cp.Blocks[1].OutC = outC
-		return &cp
-	}
-
-	t.Run("SameNameDifferentBlocks", func(t *testing.T) {
-		before := len(classifyCacheSnapshot())
-		if _, _, err := ClassifyBatch(variant(64), opts, xs); err != nil {
-			t.Fatal(err)
-		}
-		if got := len(classifyCacheSnapshot()); got != before+1 {
-			t.Fatalf("a same-named spec with different blocks left %d cache entries, want %d (collision?)", got, before+1)
-		}
-	})
-
-	t.Run("ErrorDoesNotPoison", func(t *testing.T) {
-		if _, _, err := ClassifyBatch(spec, opts, []*tensor.Tensor{tensor.New(3)}); err == nil {
-			t.Fatal("wrong-sized input must error")
-		}
-		c, s, err := ClassifyBatch(spec, opts, xs)
-		if err != nil || c[0] != wantC[0] || s[0] != wantS[0] {
-			t.Fatalf("call after a failed one returned (%v, %v, %v), want (%d, %f, nil)", c, s, err, wantC[0], wantS[0])
-		}
-	})
-
-	t.Run("Concurrent", func(t *testing.T) {
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c, s, err := ClassifyBatch(spec, opts, xs)
-				if err != nil || c[0] != wantC[0] || s[0] != wantS[0] {
-					t.Errorf("concurrent call returned (%v, %v, %v), want (%d, %f, nil)", c, s, err, wantC[0], wantS[0])
-				}
-			}()
-		}
-		wg.Wait()
-	})
-
-	t.Run("Bounded", func(t *testing.T) {
-		for i := 0; i < 40; i++ {
-			if _, _, err := ClassifyBatch(variant(8+8*i), opts, xs); err != nil {
-				t.Fatal(err)
-			}
-			if got := len(classifyCacheSnapshot()); got > classifyCacheMax {
-				t.Fatalf("cache holds %d entries after %d distinct specs, bound is %d", got, i+1, classifyCacheMax)
-			}
-		}
-	})
-}
-
-// TestRepositoryFacadeEndToEnd: the public Repository API drives a live
-// server — load two models into a caller-owned repository, serve through
-// ServeOptions.Repository, hot-swap and unload while the handler stays
-// up, and observe every transition through Index.
+// TestRepositoryFacadeEndToEnd: the server's own repository drives a live
+// handler from Go — boot one model, load a second through
+// srv.Repository(), hot-swap and unload while the handler stays up, and
+// observe every transition through Index.
 func TestRepositoryFacadeEndToEnd(t *testing.T) {
-	repo := NewRepository(RepositoryOptions{
-		PoolSize: 1,
-		Deploy:   DeployOptions{Seed: 42, AppendSoftmax: true},
-	})
-	defer repo.Close()
-	if _, err := repo.LoadModel("MicroNet-KWS-S", DeployOptions{Seed: 42, AppendSoftmax: true}); err != nil {
-		t.Fatal(err)
-	}
-
+	deploy := DeployOptions{Seed: 42, AppendSoftmax: true}
 	h, srv, err := ServeHandler(ServeOptions{
-		Repository: repo,
-		Models:     []string{"DSCNN-S"}, // loads into the injected repo
-		Deploy:     DeployOptions{Seed: 42, AppendSoftmax: true},
+		Models:   []string{"DSCNN-S"},
+		PoolSize: 1,
+		Deploy:   deploy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,6 +193,10 @@ func TestRepositoryFacadeEndToEnd(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(h)
 	defer ts.Close()
+	repo := srv.Repository()
+	if _, err := repo.LoadZoo("MicroNet-KWS-S", deploy); err != nil {
+		t.Fatal(err)
+	}
 
 	idx := repo.Index()
 	if len(idx) != 2 {
@@ -324,12 +204,12 @@ func TestRepositoryFacadeEndToEnd(t *testing.T) {
 	}
 	for _, st := range idx {
 		if st.State != StateReady || st.PoolSize != 1 {
-			t.Fatalf("boot entry not READY/pool-1: %+v", st)
+			t.Fatalf("loaded entry not READY/pool-1: %+v", st)
 		}
 	}
 
-	// Hot-swap KWS-S to a different seed through the public API while the
-	// HTTP surface is live, then verify the data path still answers.
+	// Hot-swap KWS-S to a different seed from Go while the HTTP surface is
+	// live, then verify the data path still answers.
 	spec, err := Model("MicroNet-KWS-S")
 	if err != nil {
 		t.Fatal(err)
@@ -352,8 +232,8 @@ func TestRepositoryFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("infer after swap: status %d", resp.StatusCode)
 	}
 
-	// Unload through the public API: the HTTP surface 404s the name once
-	// the drain completes, without the server restarting.
+	// Unload from Go: the HTTP surface 404s the name once the drain
+	// completes, without the server restarting.
 	if err := repo.Unload("DSCNN-S"); err != nil {
 		t.Fatal(err)
 	}
