@@ -78,9 +78,9 @@ mesh-smoke:
 	./scripts/mesh_smoke.sh
 
 # search-smoke runs just the two-stage NAS search end to end (64 proxy
-# trials, 2 finalists re-ranked by 30-step real training runs) and
-# asserts the trained accuracies landed in the trial log and
-# BENCH_search.json. serve-smoke runs the same script before serving.
+# trials, 2 finalists re-ranked by 30-step real training runs), asserts
+# the trained accuracies landed in the JSONL trial log, and compares a
+# 1-worker and a 4-worker log. serve-smoke runs the same script first.
 .PHONY: search-smoke
 search-smoke:
 	./scripts/search_smoke.sh

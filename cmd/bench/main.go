@@ -1,21 +1,18 @@
 // Command bench regenerates the paper's tables and figures as text
 // reports. Host performance is measured by the BENCHMARK.json harness
-// in bench/, not here.
+// in bench/, and the architecture search runs from cmd/search, not here.
 //
 // Usage:
 //
 //	bench                 # run everything
-//	bench -exp fig4       # one experiment: table1..table5, fig2..fig11, div4, search
-//	bench -exp search -json   # also write BENCH_search.json (machine-readable)
+//	bench -exp fig4       # one experiment: table1..table5, fig2..fig11, div4
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
 	"strings"
 
 	"micronets/internal/experiments"
@@ -29,16 +26,8 @@ const seed = 42
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bench: ")
-	exp := flag.String("exp", "all", "experiment id (table1..table5, fig2..fig11, div4, search) or 'all'")
-	jsonOut := flag.Bool("json", false, "also write BENCH_<exp>.json with machine-readable results")
-	searchLog := flag.String("search-log", "", "JSONL trial log for -exp search: a matching prior cmd/search run is resumed instead of re-evaluated")
-	finalists := flag.Int("finalists", 2, "frontier finalists the search experiment re-ranks with real training runs (0 disables)")
-	trainSteps := flag.Int("train-steps", 30, "training steps per search finalist")
+	exp := flag.String("exp", "all", "experiment id (table1..table5, fig2..fig11, div4) or 'all'")
 	flag.Parse()
-
-	// searchRows/finalistRows cache the search experiment's results so
-	// -json serializes the exact run that was printed, not a second one.
-	var searchRows, finalistRows []experiments.SearchRow
 
 	runners := []struct {
 		id string
@@ -59,15 +48,6 @@ func main() {
 		{"table3", func() (string, error) { return experiments.Table3(seed) }},
 		{"table4", func() (string, error) { return experiments.Table4(seed) }},
 		{"div4", runDiv4},
-		{"search", func() (string, error) {
-			rows, res, err := experiments.SearchExperiment(64, seed, *searchLog, *finalists, *trainSteps)
-			if err != nil {
-				return "", err
-			}
-			searchRows = rows
-			finalistRows = experiments.FinalistRows(res)
-			return experiments.RenderSearchRows(rows, res), nil
-		}},
 	}
 	ran := false
 	for _, r := range runners {
@@ -80,48 +60,10 @@ func main() {
 			log.Fatalf("%s: %v", r.id, err)
 		}
 		fmt.Printf("=== %s ===\n%s\n", r.id, out)
-		if *jsonOut {
-			if err := writeJSON(r.id, out, searchRows, finalistRows); err != nil {
-				log.Fatalf("%s: write json: %v", r.id, err)
-			}
-		}
 	}
 	if !ran {
 		log.Fatalf("unknown experiment %q", *exp)
 	}
-}
-
-// writeJSON writes BENCH_<id>.json. The search experiment serializes the
-// same rows its text table rendered: the full frontier (proxy-ranked) and
-// the finalist re-rank (trained accuracy), so the proxy-vs-trained gap
-// is machine-checkable. Text-only experiments get the rendered report
-// wrapped so every experiment is still diffable by machine.
-func writeJSON(id, report string, searchRows, finalistRows []experiments.SearchRow) error {
-	path := fmt.Sprintf("BENCH_%s.json", id)
-	var payload any
-	if id == "search" && searchRows != nil {
-		if finalistRows == nil {
-			finalistRows = []experiments.SearchRow{}
-		}
-		payload = map[string]any{"experiment": id, "frontier": searchRows, "finalists": finalistRows}
-	} else {
-		payload = map[string]any{"experiment": id, "report": report}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(payload); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	log.Printf("wrote %s", path)
-	return nil
 }
 
 func runFig3() (string, error) {

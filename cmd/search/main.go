@@ -30,7 +30,6 @@ import (
 	"strings"
 	"syscall"
 
-	"micronets/internal/experiments"
 	"micronets/internal/mcu"
 	"micronets/internal/search"
 )
@@ -115,11 +114,11 @@ func main() {
 	}
 	fmt.Printf("\n%d trials (%d resumed), %d feasible, Pareto frontier %d:\n\n",
 		len(res.Trials), res.Resumed, feasible, len(pts))
-	fmt.Print(experiments.RenderSearchTable(experiments.FrontierRows(res)))
-	if finalistRows := experiments.FinalistRows(res); len(finalistRows) > 0 {
+	printTable(pts)
+	if len(res.Finalists) > 0 {
 		fmt.Printf("\nfinalist re-rank (%d trained for %d steps each, best first):\n\n",
-			len(finalistRows), *trainSteps)
-		fmt.Print(experiments.RenderSearchTable(finalistRows))
+			len(res.Finalists), *trainSteps)
+		printTable(res.Finalists)
 	}
 	if len(pts) == 0 {
 		if err != nil {
@@ -171,5 +170,22 @@ func main() {
 			fmt.Printf("published %d frontier models to %s with zero restarts: %s\n",
 				len(loaded), *publish, strings.Join(loaded, ","))
 		}
+	}
+}
+
+// printTable prints points in the style of the paper's Table 4 (per-model
+// resource and latency columns); the trained column shows "-" for points
+// stage two did not train.
+func printTable(pts []search.Point) {
+	fmt.Printf("%-10s %-8s %8s %10s %10s %10s %10s %8s\n",
+		"trial", "source", "acc(%)", "trained(%)", "lat(ms)", "SRAM(KB)", "flash(KB)", "MOps")
+	for _, p := range pts {
+		m := p.Metrics
+		trained := "-"
+		if m.TrainedAccuracy > 0 {
+			trained = fmt.Sprintf("%.2f", m.TrainedAccuracy)
+		}
+		fmt.Printf("trial-%03d  %-8s %8.2f %10s %10.2f %10.1f %10.1f %8.1f\n", p.Trial, p.Source,
+			m.AccuracyProxy, trained, m.LatencyS*1e3, float64(m.TotalSRAMBytes)/1024, float64(m.TotalFlashBytes)/1024, float64(m.Ops)/1e6)
 	}
 }

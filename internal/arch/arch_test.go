@@ -112,6 +112,41 @@ func TestAnalyzeRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsNonPositiveSizes: Analyze is the validator in front of
+// zoo registration, spec files and the admin inline load, so a size the
+// lowering cannot build must fail here, not panic in graph.FromSpec or
+// tflm.Prepare.
+func TestAnalyzeRejectsNonPositiveSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		block Block
+		ok    bool
+	}{
+		{"conv negative OutC", Block{Kind: Conv, KH: 3, KW: 3, OutC: -4}, false},
+		{"conv negative KH", Block{Kind: Conv, KH: -3, KW: 3, OutC: 4}, false},
+		{"conv zero kernel", Block{Kind: Conv, OutC: 4}, false},
+		{"conv negative stride", Block{Kind: Conv, KH: 3, KW: 3, OutC: 4, Stride: -1}, false},
+		{"dsblock zero KW", Block{Kind: DSBlock, KH: 3, OutC: 4}, false},
+		{"dsblock zero OutC", Block{Kind: DSBlock, KH: 3, KW: 3}, false},
+		{"ibn negative KW", Block{Kind: IBN, KH: 3, KW: -1, OutC: 4, Expand: 8}, false},
+		{"ibn zero OutC", Block{Kind: IBN, OutC: 0, Expand: 8}, false},
+		{"avgpool zero window", Block{Kind: AvgPool, KW: 2}, false},
+		{"maxpool negative window", Block{Kind: MaxPool, KH: 2, KW: -2}, false},
+		{"dense zero OutC", Block{Kind: Dense}, false},
+		{"dense-relu negative OutC", Block{Kind: DenseReLU, OutC: -1}, false},
+		{"tconv zero OutC", Block{Kind: TransposedConv, KH: 3, KW: 3, Stride: 2}, false},
+		{"ibn zero kernel means 3x3", Block{Kind: IBN, OutC: 4, Expand: 8}, true},
+		{"zero stride means 1", Block{Kind: Conv, KH: 3, KW: 3, OutC: 4}, true},
+		{"no layers", Block{Kind: Dropout, Rate: 0.1}, false},
+		{"sizeless kinds", Block{Kind: GlobalPool}, true},
+	} {
+		s := &Spec{Name: tc.name, InputH: 8, InputW: 8, InputC: 1, Blocks: []Block{tc.block}}
+		if _, err := s.Analyze(); (err == nil) != tc.ok {
+			t.Errorf("%s: Analyze error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestAnalyzeTransposedConvNotDeployable(t *testing.T) {
 	s := &Spec{
 		Name: "tconv", InputH: 8, InputW: 8, InputC: 1,

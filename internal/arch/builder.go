@@ -23,13 +23,8 @@ type BuildOptions struct {
 // the deployment lowering: Conv/DSBlock/IBN blocks get BatchNorm+ReLU (or
 // ReLU6 for IBN) exactly where the int8 runtime folds them.
 func Build(rng *rand.Rand, s *Spec, opts BuildOptions) (*nn.Sequential, error) {
-	a, err := s.Analyze()
-	if err != nil {
+	if _, err := s.Analyze(); err != nil {
 		return nil, err
-	}
-	if !a.Deployable {
-		// Trainable but flagged; autoencoder decoders are trained in float.
-		_ = a
 	}
 	model := nn.NewSequential()
 	h, w, c := s.InputH, s.InputW, s.InputC

@@ -207,6 +207,9 @@ func (s *Spec) Analyze() (*Analysis, error) {
 		}
 	}
 	for i, b := range s.Blocks {
+		if err := b.checkSizes(); err != nil {
+			return nil, fmt.Errorf("arch: %s block %d: %w", s.Name, i, err)
+		}
 		stride := b.Stride
 		if stride == 0 {
 			stride = 1
@@ -349,7 +352,37 @@ func (s *Spec) Analyze() (*Analysis, error) {
 			return nil, fmt.Errorf("arch: %s block %d: unknown kind %v", s.Name, i, b.Kind)
 		}
 	}
+	if len(a.Layers) == 0 {
+		return nil, fmt.Errorf("arch: %s: no layers", s.Name)
+	}
 	return a, nil
+}
+
+// checkSizes rejects the sizes the lowering cannot build: a non-positive
+// kernel or pool window on the kinds that have one (an IBN's zero KH keeps
+// meaning 3×3), non-positive output channels, and a negative stride (zero
+// means 1).
+func (b Block) checkSizes() error {
+	var kernel, channels bool
+	switch b.Kind {
+	case Conv, DSBlock, TransposedConv:
+		kernel, channels = true, true
+	case IBN:
+		kernel, channels = b.KH != 0, true
+	case AvgPool, MaxPool:
+		kernel = true
+	case Dense, DenseReLU:
+		channels = true
+	}
+	switch {
+	case b.Stride < 0:
+		return fmt.Errorf("%v stride %d is negative", b.Kind, b.Stride)
+	case kernel && (b.KH <= 0 || b.KW <= 0):
+		return fmt.Errorf("%v kernel %dx%d is not positive", b.Kind, b.KH, b.KW)
+	case channels && b.OutC <= 0:
+		return fmt.Errorf("%v OutC %d is not positive", b.Kind, b.OutC)
+	}
+	return nil
 }
 
 // OutputDim returns the final feature dimension of the spec (classes for

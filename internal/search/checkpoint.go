@@ -53,14 +53,21 @@ type TrialRecord struct {
 const StageFinalist = "finalist"
 
 // trialLog serializes JSONL appends from concurrent workers and flushes
-// per line, so a killed run loses at most the line being written.
+// per line, so a killed run loses at most the line being written. A nil
+// *trialLog (checkpointing disabled) drops every append.
 type trialLog struct {
-	mu sync.Mutex
-	w  *bufio.Writer
-	f  *os.File
+	mu  sync.Mutex
+	w   *bufio.Writer
+	f   *os.File
+	err error // first failed append; later appends are dropped. guarded by trialLog.mu
 }
 
+// openTrialLog opens the checkpoint for appending; an empty path disables
+// checkpointing and returns a nil log.
 func openTrialLog(path string) (*trialLog, error) {
+	if path == "" {
+		return nil, nil
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -107,20 +114,44 @@ func truncateTornTail(f *os.File) error {
 	return err
 }
 
-func (l *trialLog) append(rec *TrialRecord) error {
+// append writes rec as one line. The first failure sticks: later appends
+// are dropped and failed reports it.
+func (l *trialLog) append(rec *TrialRecord) {
+	if l == nil {
+		return
+	}
 	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return
+	}
+	if err == nil {
+		_, err = l.w.Write(append(b, '\n'))
+	}
+	if err == nil {
+		err = l.w.Flush()
+	}
+	l.err = err
+}
+
+// failed returns the first append failure, if any.
+func (l *trialLog) failed() error {
+	if l == nil {
+		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.w.Write(append(b, '\n')); err != nil {
-		return err
+	if l.err != nil {
+		return fmt.Errorf("search: checkpoint write: %w", l.err)
 	}
-	return l.w.Flush()
+	return nil
 }
 
 func (l *trialLog) close() error {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.w.Flush(); err != nil {
@@ -160,8 +191,10 @@ func ReadTrialLog(r io.Reader) ([]TrialRecord, error) {
 	return out, nil
 }
 
-// LoadTrialLog reads a trial log from disk; a missing file is an empty
-// log (fresh start).
+// LoadTrialLog reads a trial log from disk. A missing file is an empty log
+// (fresh start), and so is one that is not a regular file: a device given
+// as the checkpoint holds nothing to resume (/dev/full would read as an
+// endless line of NUL bytes).
 func LoadTrialLog(path string) ([]TrialRecord, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -171,6 +204,9 @@ func LoadTrialLog(path string) ([]TrialRecord, error) {
 		return nil, err
 	}
 	defer f.Close()
+	if info, err := f.Stat(); err != nil || !info.Mode().IsRegular() {
+		return nil, err
+	}
 	recs, err := ReadTrialLog(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)

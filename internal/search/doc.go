@@ -1,14 +1,15 @@
-// Package search is the hardware-in-the-loop NAS harness: it fans
-// candidate architectures across a worker pool, evaluates each one by
-// actually lowering it through graph → tflm (real greedy-planner arena
-// bytes, not the element-count proxy) and costing it with the mcu
-// latency/energy models, and maintains a Pareto frontier over
-// (accuracy-proxy, latency, SRAM, flash). Candidates come from three
-// generators — uniform random sampling of the task's search space,
-// evolutionary mutation of frontier members of the earlier generations
-// (the search is generation-synchronous, so results are a pure function
-// of seed and trial count whatever the worker count), and a
-// DNAS-warm-started seed from the differentiable search in internal/core.
+// Package search is the hardware-in-the-loop NAS harness: it fans each
+// generation of candidate architectures across at most Config.Workers
+// goroutines, evaluates each one by actually lowering it through graph →
+// tflm (real greedy-planner arena bytes, not the element-count proxy) and
+// costing it with the mcu latency/energy models, and maintains a Pareto
+// frontier over (accuracy-proxy, latency, SRAM, flash). Candidates come
+// from three generators — uniform random sampling of the task's search
+// space, evolutionary mutation of frontier members of the earlier
+// generations (the search is generation-synchronous, so results are a
+// pure function of seed and trial count whatever the worker count), and
+// a DNAS-warm-started seed from the differentiable search in
+// internal/core.
 // Every evaluated trial is checkpointed as one JSONL line, so a killed
 // run resumes where it stopped, and frontier winners export as named zoo
 // specs that cmd/serve can serve immediately.
@@ -16,12 +17,12 @@
 // The search is two-stage: the capacity proxy ranks the broad sweep, and
 // then Config.Finalists frontier points are re-ranked by accuracy in the
 // loop — real short training runs (arch.Build → train.Fit on the task's
-// quick synthetic dataset, per-trial seeds, parallel workers) whose
-// measured TrainedAccuracy is recorded alongside the proxy, checkpointed
-// as StageFinalist JSONL lines, and used as the accuracy axis of the
-// frontier dominance ordering among finalists. This closes the paper's
-// loop (§5): search under deployment constraints, measured on the
-// target, trained for real, feeding the model zoo.
+// quick synthetic dataset, per-trial seeds, on the same bounded workers
+// as stage one) whose measured TrainedAccuracy is recorded alongside the
+// proxy, checkpointed as StageFinalist JSONL lines, and used as the
+// accuracy axis of the frontier dominance ordering among finalists. This
+// closes the paper's loop (§5): search under deployment constraints,
+// measured on the target, trained for real, feeding the model zoo.
 //
 // Beyond single models, ExportCascade turns a searched frontier into a
 // servable early-exit cascade graph (see internal/servegraph): the

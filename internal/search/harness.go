@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"micronets/internal/arch"
 	"micronets/internal/core"
@@ -130,23 +132,22 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.MutateFrac = 0.5
 	}
 
-	frontier := &Frontier{}
-	// recs[t] holds trial t's record once have[t]. Each slot is written
-	// once — by the resume loop or by the worker that ran t — so frontier
-	// Record pointers into it stay valid for the whole run.
+	// recs[t] holds trial t's record once have[t], and final[t] its
+	// stage-two record (resumed, or trained by this run). Each slot is
+	// filled once — by the resume loop or by the worker that ran t — so
+	// frontier Record pointers into recs stay valid for the whole run;
+	// stage two only adds trained accuracies to recs.
 	recs := make([]TrialRecord, cfg.Trials)
 	have := make([]bool, cfg.Trials)
+	final := make([]*TrialRecord, cfg.Trials)
 	resumed := 0
-	// trainedResume maps trial index to a resumed stage-two record (which
-	// may carry Err: a finalist whose training failed is not retried
-	// forever, mirroring how failed proxy trials resume).
-	trainedResume := map[int]TrialRecord{}
 	if cfg.CheckpointPath != "" {
 		logged, err := LoadTrialLog(cfg.CheckpointPath)
 		if err != nil {
 			return nil, err
 		}
-		for _, rec := range logged {
+		for i := range logged {
+			rec := &logged[i]
 			if rec.Trial < 0 || rec.Trial >= cfg.Trials {
 				continue // stale log from a different -trials run; re-evaluate
 			}
@@ -158,10 +159,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			if rec.Stage == StageFinalist {
 				// Stage-two records never replace the proxy trial line; they
-				// are only reused when this run trains with the same budget.
-				if _, have := trainedResume[rec.Trial]; !have &&
-					cfg.Finalists > 0 && rec.TrainSteps == cfg.TrainSteps {
-					trainedResume[rec.Trial] = rec
+				// are only reused when this run trains with the same budget,
+				// failures included (like a failed proxy trial, a finalist
+				// whose training failed is not retried forever).
+				if final[rec.Trial] == nil && cfg.Finalists > 0 && rec.TrainSteps == cfg.TrainSteps {
+					final[rec.Trial] = rec
 				}
 				continue
 			}
@@ -176,7 +178,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				rec.Violations = cfg.Budgets.Check(rec.Metrics)
 				rec.Feasible = len(rec.Violations) == 0
 			}
-			recs[rec.Trial], have[rec.Trial] = rec, true
+			recs[rec.Trial], have[rec.Trial] = *rec, true
 			resumed++
 		}
 		if resumed > 0 {
@@ -184,24 +186,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	var log *trialLog
-	if cfg.CheckpointPath != "" {
-		if log, err = openTrialLog(cfg.CheckpointPath); err != nil {
-			return nil, err
-		}
-		defer log.close()
+	log, err := openTrialLog(cfg.CheckpointPath)
+	if err != nil {
+		return nil, err
 	}
+	defer log.close()
 
 	// DNAS warm start for trial 0: run the differentiable search briefly
 	// and let its discretized architecture seed the frontier (and, via
 	// mutation, the evolutionary stream).
-	warmSpec := map[int]*arch.Spec{}
+	var warm *arch.Spec
 	if cfg.DNASSteps > 0 && !have[0] {
-		if spec, err := dnasWarmStart(cfg, space); err != nil {
+		if warm, err = dnasWarmStart(cfg, space); err != nil {
 			cfg.logf("dnas warm start failed (%v); trial 0 falls back to random", err)
 		} else {
-			warmSpec[0] = spec
-			cfg.logf("dnas warm start: %s", spec)
+			cfg.logf("dnas warm start: %s", warm)
 		}
 	}
 
@@ -210,105 +209,105 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// frozen while the generation runs, and a finished generation's records
 	// (resumed and new alike) join the frontier in trial order. Candidates
 	// are therefore a pure function of (Seed, trial) — whatever the worker
-	// count, scheduling, or where an earlier run was interrupted.
-	var (
-		mu        sync.Mutex // guards logErr
-		logErr    error
-		pool, gen sync.WaitGroup
-		// trialCh holds a whole generation, so dispatch never blocks and
-		// the dispatcher wakes once per generation, not once per trial.
-		trialCh = make(chan int, generationSize)
-	)
-	worker := func() {
-		defer pool.Done()
-		for trial := range trialCh {
-			if ctx.Err() == nil {
-				rec := cfg.runTrial(trial, space, frontier, warmSpec[trial])
-				if log != nil {
-					if err := log.append(&rec); err != nil {
-						mu.Lock()
-						if logErr == nil {
-							logErr = err
-						}
-						mu.Unlock()
-					}
-				}
-				recs[trial], have[trial] = rec, true
-			}
-			gen.Done()
+	// count, scheduling, or where an earlier run was interrupted. Once ctx
+	// is done no trial starts, but later generations' resumed records
+	// still join, so the frontier covers every record in Result.Trials.
+	frontier := &Frontier{}
+	evaluate := func(trial int) {
+		if ctx.Err() == nil {
+			recs[trial] = cfg.runTrial(trial, space, frontier, warm)
+			log.append(&recs[trial])
+			have[trial] = true
 		}
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		pool.Add(1)
-		go worker()
-	}
-	for g0 := 0; g0 < cfg.Trials && ctx.Err() == nil; g0 += generationSize {
+	pending := make([]int, 0, generationSize)
+	for g0 := 0; g0 < cfg.Trials; g0 += generationSize {
 		g1 := min(g0+generationSize, cfg.Trials)
-		dispatched := false
+		pending = pending[:0]
 		for trial := g0; trial < g1; trial++ {
 			if !have[trial] {
-				gen.Add(1)
-				trialCh <- trial
-				dispatched = true
+				pending = append(pending, trial)
 			}
 		}
-		gen.Wait()
+		ran := len(pending) > 0 && ctx.Err() == nil
+		if ran {
+			forEach(pending, cfg.Workers, evaluate)
+		}
 		for trial := g0; trial < g1; trial++ {
-			if rec := &recs[trial]; have[trial] && rec.Feasible && rec.Spec != nil {
-				frontier.Add(Point{Trial: trial, Source: rec.Source, Metrics: rec.Metrics, Record: rec})
+			if rec := &recs[trial]; rec.Feasible && rec.Spec != nil {
+				frontier.Add(rec.point())
 			}
 		}
-		if dispatched {
+		if ran {
 			cfg.logf("trials %d-%d of %d evaluated, frontier %d", g0, g1-1, cfg.Trials, frontier.Size())
 		}
 	}
-	close(trialCh)
-	pool.Wait()
-	if logErr != nil {
-		return nil, fmt.Errorf("search: checkpoint write: %w", logErr)
-	}
-
-	// Result.Trials is the compacted copy (a cancelled run leaves holes in
-	// recs), and stage two writes trained accuracies into it, so the final
-	// frontier is rebuilt over that copy.
-	all := make([]TrialRecord, 0, cfg.Trials)
-	for trial := range recs {
-		if have[trial] {
-			all = append(all, recs[trial])
-		}
-	}
-	rebuild := func() *Frontier {
-		f := &Frontier{}
-		for i := range all {
-			if all[i].Feasible && all[i].Spec != nil {
-				f.Add(Point{Trial: all[i].Trial, Source: all[i].Source, Metrics: all[i].Metrics, Record: &all[i]})
-			}
-		}
-		return f
-	}
-	final := rebuild()
-	res := &Result{
-		Frontier: final, Task: cfg.Task, Device: cfg.Device,
-		Trials: all, Evaluated: len(all) - resumed, Resumed: resumed,
+	if err := log.failed(); err != nil {
+		return nil, err
 	}
 
 	// Stage two: accuracy-in-the-loop re-rank of the frontier finalists.
 	// Selection uses the proxy-only frontier (identical whether or not a
 	// previous run already trained some finalists), so an interrupted run
-	// resumes onto the same finalist set; trained metrics are applied
-	// afterwards and the frontier is rebuilt under the finalist dominance
-	// ordering.
-	if cfg.Finalists > 0 && final.Size() > 0 && ctx.Err() == nil {
-		if err := cfg.runFinalists(ctx, res, log, trainedResume); err != nil {
+	// resumes onto the same finalist set. Trained accuracies land in recs,
+	// and only then is the frontier rebuilt, under the finalist dominance
+	// ordering; a proxy-only run keeps the frontier it grew.
+	res := &Result{Frontier: frontier, Task: cfg.Task, Device: cfg.Device, Resumed: resumed}
+	if cfg.Finalists > 0 && frontier.Size() > 0 && ctx.Err() == nil {
+		if err := cfg.runFinalists(ctx, res, recs, final, log); err != nil {
 			return nil, err
 		}
-		final = rebuild()
-		final.PruneTrainedDominated()
-		res.Frontier = final
+		if len(res.Finalists) > 0 {
+			res.Frontier = &Frontier{}
+			for i := range recs {
+				if rec := &recs[i]; rec.Feasible && rec.Spec != nil {
+					res.Frontier.Add(rec.point())
+				}
+			}
+			res.Frontier.PruneTrainedDominated()
+		}
 	}
+
+	// Result.Trials is recs itself, which frontier Records point into,
+	// unless a cancelled run left holes: then it is a compacted copy.
+	res.Trials = recs
+	if slices.Contains(have, false) {
+		res.Trials = make([]TrialRecord, 0, cfg.Trials)
+		for trial := range recs {
+			if have[trial] {
+				res.Trials = append(res.Trials, recs[trial])
+			}
+		}
+	}
+	res.Evaluated = len(res.Trials) - resumed
 	cfg.logf("search done: %d trials (%d resumed), frontier %d, %d finalists trained",
-		len(all), resumed, final.Size(), len(res.Finalists))
+		len(res.Trials), resumed, res.Frontier.Size(), len(res.Finalists))
 	return res, ctx.Err()
+}
+
+// forEach calls fn once for each of trials on at most workers goroutines
+// and returns when every call has. Workers claim trials in order from a
+// shared cursor, so no trial gets a goroutine of its own.
+func forEach(trials []int, workers int, fn func(trial int)) {
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for w := min(workers, len(trials)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(trials)); i = next.Add(1) - 1 {
+				fn(trials[i])
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// point is the frontier candidate for a feasible record.
+func (r *TrialRecord) point() Point {
+	return Point{Trial: r.Trial, Source: r.Source, Metrics: r.Metrics, Record: r}
 }
 
 // finalistSeed derives the stage-two training seed for a trial: a pure
@@ -319,112 +318,57 @@ func finalistSeed(seed int64, trial int) int64 {
 	return seed*1_000_003 + int64(trial) + 977_953_111
 }
 
-// runFinalists trains the selected finalists in parallel (per-trial
-// seeds), appends one StageFinalist JSONL record per newly-trained
-// finalist, and writes trained accuracies into res.Trials' metrics.
-func (c *Config) runFinalists(ctx context.Context, res *Result, log *trialLog, trainedResume map[int]TrialRecord) error {
+// runFinalists trains the finalists res.Frontier selects that final does
+// not already hold (per-trial seeds), appends one StageFinalist JSONL
+// record per newly trained finalist, and writes the trained accuracies
+// into recs and res.Finalists. A finalist counts as trained when its
+// stage-two record has an empty Err, whatever its score: an honest 0 %
+// is neither dropped nor retrained.
+func (c *Config) runFinalists(ctx context.Context, res *Result, recs []TrialRecord, final []*TrialRecord, log *trialLog) error {
 	finalists := SpreadPoints(res.Frontier.Points(), c.Finalists)
 	trainer, err := NewTrainer(c.Task, c.Seed)
 	if err != nil {
 		return err
 	}
-	byTrial := map[int]*TrialRecord{}
-	for i := range res.Trials {
-		byTrial[res.Trials[i].Trial] = &res.Trials[i]
-	}
-	var (
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		logErr  error
-		trialCh = make(chan int)
-		// trainedOK marks finalists whose training completed (this run or
-		// resumed) — the finalist-record line with an empty Err is the
-		// marker, not the accuracy value, so an honest 0% score still
-		// counts as trained and is never silently dropped or retrained.
-		trainedOK = map[int]bool{}
-	)
-	workers := c.Workers
-	if workers > len(finalists) {
-		workers = len(finalists)
+	var todo []int
+	resumedOK := 0
+	for _, p := range finalists {
+		if f := final[p.Trial]; f == nil {
+			todo = append(todo, p.Trial)
+		} else if f.Err == "" {
+			resumedOK++
+		}
 	}
 	c.logf("stage two: training %d finalists for %d steps each (%d workers)",
-		len(finalists), c.TrainSteps, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for trial := range trialCh {
-				rec := byTrial[trial]
-				acc, terr := trainer.Train(rec.Spec, c.TrainSteps, finalistSeed(c.Seed, trial))
-				frec := *rec
-				frec.Stage = StageFinalist
-				frec.TrainSteps = c.TrainSteps
-				if terr != nil {
-					frec.Err = terr.Error()
-					c.logf("finalist trial-%03d failed to train: %v", trial, terr)
-				} else {
-					frec.Metrics.TrainedAccuracy = acc
-					c.logf("finalist trial-%03d: trained %.1f%% (proxy %.1f%%)",
-						trial, acc, rec.Metrics.AccuracyProxy)
-				}
-				if log != nil {
-					if err := log.append(&frec); err != nil {
-						mu.Lock()
-						if logErr == nil {
-							logErr = err
-						}
-						mu.Unlock()
-					}
-				}
-				if terr == nil {
-					mu.Lock()
-					rec.Metrics.TrainedAccuracy = acc
-					trainedOK[trial] = true
-					res.Trained++
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-dispatch:
-	for _, p := range finalists {
-		rec := byTrial[p.Trial]
-		if rec == nil || rec.Spec == nil {
-			continue
+		len(finalists), c.TrainSteps, min(c.Workers, len(finalists)))
+	forEach(todo, c.Workers, func(trial int) {
+		if ctx.Err() != nil {
+			return
 		}
-		if cached, ok := trainedResume[p.Trial]; ok {
-			// Already trained (or failed) under this budget in a previous
-			// run; reuse instead of paying for the training again. An empty
-			// Err marks a completed training whatever the score was. (The
-			// lock: workers for already-dispatched trials are concurrently
-			// writing trainedOK.)
-			if cached.Err == "" {
-				mu.Lock()
-				rec.Metrics.TrainedAccuracy = cached.Metrics.TrainedAccuracy
-				trainedOK[p.Trial] = true
-				mu.Unlock()
-			}
-			continue
+		frec := recs[trial]
+		frec.Stage, frec.TrainSteps = StageFinalist, c.TrainSteps
+		acc, err := trainer.Train(frec.Spec, c.TrainSteps, finalistSeed(c.Seed, trial))
+		if err != nil {
+			frec.Err = err.Error()
+			c.logf("finalist trial-%03d failed to train: %v", trial, err)
+		} else {
+			frec.Metrics.TrainedAccuracy = acc
+			c.logf("finalist trial-%03d: trained %.1f%% (proxy %.1f%%)", trial, acc, frec.Metrics.AccuracyProxy)
 		}
-		select {
-		case trialCh <- p.Trial:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(trialCh)
-	wg.Wait()
-	if logErr != nil {
-		return fmt.Errorf("search: checkpoint write: %w", logErr)
+		log.append(&frec)
+		final[trial] = &frec
+	})
+	if err := log.failed(); err != nil {
+		return err
 	}
 	for _, p := range finalists {
-		rec := byTrial[p.Trial]
-		if rec != nil && trainedOK[p.Trial] {
-			res.Finalists = append(res.Finalists, Point{
-				Trial: rec.Trial, Source: rec.Source, Metrics: rec.Metrics, Record: rec,
-			})
+		if f := final[p.Trial]; f != nil && f.Err == "" {
+			rec := &recs[p.Trial]
+			rec.Metrics.TrainedAccuracy = f.Metrics.TrainedAccuracy
+			res.Finalists = append(res.Finalists, rec.point())
 		}
 	}
+	res.Trained = len(res.Finalists) - resumedOK
 	sortFinalists(res.Finalists)
 	return nil
 }
@@ -449,7 +393,8 @@ func sortFinalists(pts []Point) {
 // same indices. The generator decisions are drawn from the rng in a fixed
 // order BEFORE the frontier is consulted, and frontier is the frozen
 // snapshot of the earlier generations (see Run), so the whole candidate
-// stream is a pure function of (Seed, trial).
+// stream is a pure function of (Seed, trial). warm, when set, is the DNAS
+// warm-start candidate of trial 0.
 func (c *Config) runTrial(trial int, space *Space, frontier *Frontier, warm *arch.Spec) TrialRecord {
 	rng := rand.New(rand.NewSource(c.Seed*1_000_003 + int64(trial)))
 	mutateRoll := rng.Float64()
@@ -457,7 +402,7 @@ func (c *Config) runTrial(trial int, space *Space, frontier *Frontier, warm *arc
 	name := fmt.Sprintf("trial-%03d", trial)
 	rec := TrialRecord{Trial: trial, Source: "random", Task: c.Task, Device: c.Device.Name, Seed: c.Seed}
 	parent, hasParent := frontier.Pick(parentPick)
-	if warm != nil {
+	if warm != nil && trial == 0 {
 		rec.Source = "dnas"
 		rec.Spec = warm
 	} else if hasParent && c.MutateFrac > 0 && mutateRoll < c.MutateFrac {

@@ -18,6 +18,7 @@ import (
 	"testing/iotest"
 	"time"
 
+	"micronets/internal/arch"
 	"micronets/internal/servegraph"
 	"micronets/internal/tensor"
 	"micronets/internal/tflm"
@@ -518,6 +519,31 @@ func TestAdminLoadInlineSpec(t *testing.T) {
 	code, _ = postJSON(t, ts.URL+"/v2/repository/models/WrongName/load", string(body))
 	if code != 400 {
 		t.Fatalf("name-mismatched inline load: code %d, want 400", code)
+	}
+}
+
+// TestAdminInlineSpecRejectsNonPositiveSizes: an inline spec whose sizes
+// the lowering cannot build answers 400 and leaves the zoo and the index
+// as they were, instead of panicking the handler mid-load.
+func TestAdminInlineSpecRejectsNonPositiveSizes(t *testing.T) {
+	_, ts := newTestServer(t)
+	e, _ := zoo.Get("DSCNN-S")
+	spec := *e.Spec
+	spec.Name = "Inline-Negative-OutC"
+	spec.Blocks = append([]arch.Block{{Kind: arch.Conv, KH: 3, KW: 3, OutC: -4, Stride: 1}}, spec.Blocks[1:]...)
+	t.Cleanup(func() { zoo.Unregister(spec.Name) })
+	before := len(zoo.RegisteredNames())
+
+	body, _ := json.Marshal(map[string]any{"spec": &spec})
+	code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+spec.Name+"/load", string(body))
+	if code != http.StatusBadRequest {
+		t.Fatalf("inline spec with OutC -4: code %d (%v), want 400", code, resp)
+	}
+	if _, err := zoo.Get(spec.Name); err == nil || len(zoo.RegisteredNames()) != before {
+		t.Fatal("rejected inline spec stayed registered in the zoo")
+	}
+	if idx := repoIndex(t, ts.URL); idx[spec.Name] != nil {
+		t.Fatalf("rejected inline spec reached the index: %v", idx[spec.Name])
 	}
 }
 

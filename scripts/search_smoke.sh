@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # search_smoke.sh — run the two-stage NAS search end to end (64 proxy
 # trials, then 2 frontier finalists re-ranked by 30-step real training
-# runs) and prove the trained re-rank landed: the JSONL log must carry
-# finalist records whose trained accuracy is non-zero and distinct from
-# the capacity proxy, and BENCH_search.json must carry the
-# proxy-vs-trained columns. Used by `make search-smoke` and by
+# runs) and prove the trained re-rank landed: the JSONL trial log must
+# carry finalist records whose trained accuracy is non-zero and distinct
+# from the capacity proxy, and the frontier export must hold at least one
+# spec. Then a -workers 1 and a -workers 4 run must write the same trial
+# log. Used by `make search-smoke` and by
 # serve_smoke.sh (so the CI serve-smoke job exercises the same path on
 # every push — keep the flags here in sync with nothing else).
 #
@@ -55,14 +56,3 @@ done
 cmp "$WORK/det_w1.sorted" "$WORK/det_w4.sorted"
 jq -s -e '[.[] | select(.source == "mutate")] | length >= 1' "$WORK/det_w1.jsonl" >/dev/null
 echo "determinism OK: -workers 1 and -workers 4 wrote identical trial logs ($(wc -l <"$WORK/det_w1.sorted") records)"
-
-# Machine-readable frontier for the cross-PR perf trajectory — resumes
-# the trial log the search above just wrote (same seed/device/budget)
-# instead of re-evaluating or re-training.
-go run ./cmd/bench -exp search -json -finalists 2 -train-steps 30 \
-    -search-log "$WORK/search_trials.jsonl" >/dev/null
-jq -e '.frontier | length >= 1' BENCH_search.json >/dev/null
-jq -e '.finalists | length >= 1' BENCH_search.json >/dev/null
-jq -e '[.finalists[] | select(.trained_accuracy > 0 and .trained_accuracy != .accuracy_proxy)] | length >= 1' \
-    BENCH_search.json >/dev/null
-echo "bench search OK: $(jq '.frontier | length' BENCH_search.json) frontier points, $(jq '.finalists | length' BENCH_search.json) trained finalists in BENCH_search.json"

@@ -21,7 +21,7 @@ BIN="$WORK/micronets-serve"
 MODEL="MicroNet-KWS-S"
 
 # --- Two-stage NAS search (64 proxy trials + trained finalist re-rank)
-# and its BENCH_search.json assertions live in search_smoke.sh so `make
+# and its trial-log assertions live in search_smoke.sh so `make
 # search-smoke` and this script can't drift.
 ./scripts/search_smoke.sh "$WORK"
 NAS_MODEL=$(jq -r '.specs[0].Name' "$WORK/frontier.json")
