@@ -116,7 +116,19 @@ func TestAnalyzeRejectsBadSpecs(t *testing.T) {
 // zoo registration, spec files and the admin inline load, so a size the
 // lowering cannot build must fail here, not panic in graph.FromSpec or
 // tflm.Prepare.
+//
+// Sizes are bounded above too: no dimension past maxDim, and no total
+// (parameters, MACs, peak working set) past maxTotal, however large the
+// true product — the int64 products used to wrap, so a spec asking for an
+// unbounded allocation analyzed clean with TotalParams 0.
 func TestAnalyzeRejectsNonPositiveSizes(t *testing.T) {
+	analyze := func(name string, h, w, c int, b Block, ok bool) {
+		t.Helper()
+		s := &Spec{Name: name, InputH: h, InputW: w, InputC: c, Blocks: []Block{b}}
+		if _, err := s.Analyze(); (err == nil) != ok {
+			t.Errorf("%s: Analyze error %v, want ok=%v", name, err, ok)
+		}
+	}
 	for _, tc := range []struct {
 		name  string
 		block Block
@@ -140,10 +152,28 @@ func TestAnalyzeRejectsNonPositiveSizes(t *testing.T) {
 		{"no layers", Block{Kind: Dropout, Rate: 0.1}, false},
 		{"sizeless kinds", Block{Kind: GlobalPool}, true},
 	} {
-		s := &Spec{Name: tc.name, InputH: 8, InputW: 8, InputC: 1, Blocks: []Block{tc.block}}
-		if _, err := s.Analyze(); (err == nil) != tc.ok {
-			t.Errorf("%s: Analyze error %v, want ok=%v", tc.name, err, tc.ok)
-		}
+		analyze(tc.name, 8, 8, 1, tc.block, tc.ok)
+	}
+	for _, tc := range []struct {
+		name    string
+		h, w, c int
+		block   Block
+		ok      bool
+	}{
+		{"conv OutC at maxDim", 8, 8, 1, Block{Kind: Conv, KH: 1, KW: 1, OutC: maxDim}, true},
+		{"conv OutC past maxDim", 8, 8, 1, Block{Kind: Conv, KH: 1, KW: 1, OutC: maxDim + 1}, false},
+		{"conv KH past maxDim", 8, 8, 1, Block{Kind: Conv, KH: 1 << 20, KW: 1, OutC: 4}, false},
+		{"stride past maxDim", 8, 8, 1, Block{Kind: Conv, KH: 3, KW: 3, OutC: 4, Stride: 1 << 20}, false},
+		{"ibn Expand past maxDim", 8, 8, 1, Block{Kind: IBN, OutC: 4, Expand: 1 << 20}, false},
+		{"input past maxDim", 8, 1 << 20, 1, Block{Kind: GlobalPool}, false},
+		{"2^20 cube wraps params to 0", 1 << 20, 1 << 20, 1 << 20, Block{Kind: Conv, KH: 1 << 20, KW: 1 << 20, OutC: 1 << 20}, false},
+		{"params past maxTotal", 8, 8, 1, Block{Kind: Conv, KH: 1 << 14, KW: 1 << 14, OutC: 1 << 14}, false},
+		{"product past 2^64", 8, 8, maxDim, Block{Kind: Conv, KH: maxDim, KW: maxDim, OutC: maxDim}, false},
+		{"dense params past maxTotal", maxDim, maxDim, 1, Block{Kind: Dense, OutC: maxDim}, false},
+		{"peak working set past maxTotal", maxDim, maxDim, maxDim, Block{Kind: GlobalPool}, false},
+		{"tconv output past maxDim", 8, 8, 1, Block{Kind: TransposedConv, KH: 3, KW: 3, OutC: 4, Stride: maxDim}, false},
+	} {
+		analyze(tc.name, tc.h, tc.w, tc.c, tc.block, tc.ok)
 	}
 }
 

@@ -187,11 +187,37 @@ func validOut(in, k, s int) int {
 	return o
 }
 
+const (
+	// maxDim bounds every size a spec declares: input dimensions and each
+	// block's kernel, stride, expansion and output channels.
+	maxDim = 1 << 16
+	// maxTotal bounds a spec's total parameters, total MACs and peak
+	// working set. Analyze computes them with products that saturate just
+	// past it, so an oversized spec is refused instead of wrapping into a
+	// small one.
+	maxTotal = 1 << 40
+)
+
+// size multiplies layer dimensions, saturating at maxTotal+1: any product
+// past maxTotal reads as just past it and can never wrap.
+func size(dims ...int) int64 {
+	p := int64(1)
+	for _, d := range dims {
+		if d != 0 && p > (maxTotal+1)/int64(d) {
+			return maxTotal + 1
+		}
+		p *= int64(d)
+	}
+	return min(p, maxTotal+1)
+}
+
 // Analyze lowers the spec to primitive layers and computes shapes, parameter
-// counts and MACs. It returns an error for malformed specs.
+// counts and MACs. It returns an error for malformed specs, and for specs
+// whose sizes pass maxDim or whose parameters, MACs or peak working set
+// pass maxTotal.
 func (s *Spec) Analyze() (*Analysis, error) {
-	if s.InputH <= 0 || s.InputW <= 0 || s.InputC <= 0 {
-		return nil, fmt.Errorf("arch: %s: bad input %dx%dx%d", s.Name, s.InputH, s.InputW, s.InputC)
+	if s.InputH <= 0 || s.InputW <= 0 || s.InputC <= 0 || s.InputH > maxDim || s.InputW > maxDim || s.InputC > maxDim {
+		return nil, fmt.Errorf("arch: %s: bad input %dx%dx%d (each dimension must be in [1, %d])", s.Name, s.InputH, s.InputW, s.InputC, maxDim)
 	}
 	a := &Analysis{Deployable: true}
 	h, w, c := s.InputH, s.InputW, s.InputC
@@ -224,9 +250,9 @@ func (s *Spec) Analyze() (*Analysis, error) {
 				Name: fmt.Sprintf("conv%d", i), Kind: "conv", BlockIdx: i,
 				KH: b.KH, KW: b.KW, Stride: stride,
 				InH: h, InW: w, InC: c, OutH: oh, OutW: ow, OutC: b.OutC,
-				Params: int64(b.KH) * int64(b.KW) * int64(c) * int64(b.OutC),
+				Params: size(b.KH, b.KW, c, b.OutC),
 				Biases: int64(b.OutC),
-				MACs:   int64(oh) * int64(ow) * int64(b.OutC) * int64(b.KH) * int64(b.KW) * int64(c),
+				MACs:   size(oh, ow, b.OutC, b.KH, b.KW, c),
 			})
 			h, w, c = oh, ow, b.OutC
 		case DSBlock:
@@ -238,17 +264,17 @@ func (s *Spec) Analyze() (*Analysis, error) {
 				Name: fmt.Sprintf("ds%d_dw", i), Kind: "dwconv", BlockIdx: i,
 				KH: b.KH, KW: b.KW, Stride: stride,
 				InH: h, InW: w, InC: c, OutH: oh, OutW: ow, OutC: c,
-				Params: int64(b.KH) * int64(b.KW) * int64(c),
+				Params: size(b.KH, b.KW, c),
 				Biases: int64(c),
-				MACs:   int64(oh) * int64(ow) * int64(c) * int64(b.KH) * int64(b.KW),
+				MACs:   size(oh, ow, c, b.KH, b.KW),
 			})
 			addLayer(LayerInfo{
 				Name: fmt.Sprintf("ds%d_pw", i), Kind: "conv", BlockIdx: i,
 				KH: 1, KW: 1, Stride: 1,
 				InH: oh, InW: ow, InC: c, OutH: oh, OutW: ow, OutC: b.OutC,
-				Params: int64(c) * int64(b.OutC),
+				Params: size(c, b.OutC),
 				Biases: int64(b.OutC),
-				MACs:   int64(oh) * int64(ow) * int64(b.OutC) * int64(c),
+				MACs:   size(oh, ow, b.OutC, c),
 			})
 			h, w, c = oh, ow, b.OutC
 		case IBN:
@@ -264,8 +290,8 @@ func (s *Spec) Analyze() (*Analysis, error) {
 				Name: fmt.Sprintf("ibn%d_exp", i), Kind: "conv", BlockIdx: i,
 				KH: 1, KW: 1, Stride: 1,
 				InH: h, InW: w, InC: c, OutH: h, OutW: w, OutC: e,
-				Params: int64(c) * int64(e), Biases: int64(e),
-				MACs: int64(h) * int64(w) * int64(e) * int64(c),
+				Params: size(c, e), Biases: int64(e),
+				MACs: size(h, w, e, c),
 			})
 			// DW.
 			kh, kw := b.KH, b.KW
@@ -277,16 +303,16 @@ func (s *Spec) Analyze() (*Analysis, error) {
 				Name: fmt.Sprintf("ibn%d_dw", i), Kind: "dwconv", BlockIdx: i,
 				KH: kh, KW: kw, Stride: stride,
 				InH: h, InW: w, InC: e, OutH: oh, OutW: ow, OutC: e,
-				Params: int64(kh) * int64(kw) * int64(e), Biases: int64(e),
-				MACs: int64(oh) * int64(ow) * int64(e) * int64(kh) * int64(kw),
+				Params: size(kh, kw, e), Biases: int64(e),
+				MACs: size(oh, ow, e, kh, kw),
 			})
 			// 1x1 project.
 			addLayer(LayerInfo{
 				Name: fmt.Sprintf("ibn%d_proj", i), Kind: "conv", BlockIdx: i,
 				KH: 1, KW: 1, Stride: 1,
 				InH: oh, InW: ow, InC: e, OutH: oh, OutW: ow, OutC: b.OutC,
-				Params: int64(e) * int64(b.OutC), Biases: int64(b.OutC),
-				MACs: int64(oh) * int64(ow) * int64(b.OutC) * int64(e),
+				Params: size(e, b.OutC), Biases: int64(b.OutC),
+				MACs: size(oh, ow, b.OutC, e),
 			})
 			if stride == 1 && b.OutC == c {
 				addLayer(LayerInfo{
@@ -326,8 +352,8 @@ func (s *Spec) Analyze() (*Analysis, error) {
 			addLayer(LayerInfo{
 				Name: fmt.Sprintf("fc%d", i), Kind: "dense", BlockIdx: i,
 				InH: 1, InW: 1, InC: in, OutH: 1, OutW: 1, OutC: b.OutC,
-				Params: int64(in) * int64(b.OutC), Biases: int64(b.OutC),
-				MACs: int64(in) * int64(b.OutC),
+				Params: size(in, b.OutC), Biases: int64(b.OutC),
+				MACs: size(in, b.OutC),
 			})
 			h, w, c = 1, 1, b.OutC
 		case Dropout:
@@ -337,19 +363,27 @@ func (s *Spec) Analyze() (*Analysis, error) {
 				return nil, fmt.Errorf("arch: %s block %d: tconv after flatten", s.Name, i)
 			}
 			oh, ow := h*stride, w*stride
+			if oh > maxDim || ow > maxDim {
+				return nil, fmt.Errorf("arch: %s block %d: tconv output %dx%d passes %d", s.Name, i, oh, ow, maxDim)
+			}
 			addLayer(LayerInfo{
 				Name: fmt.Sprintf("tconv%d", i), Kind: "tconv", BlockIdx: i,
 				KH: b.KH, KW: b.KW, Stride: stride,
 				InH: h, InW: w, InC: c, OutH: oh, OutW: ow, OutC: b.OutC,
-				Params: int64(b.KH) * int64(b.KW) * int64(c) * int64(b.OutC),
+				Params: size(b.KH, b.KW, c, b.OutC),
 				Biases: int64(b.OutC),
-				MACs:   int64(oh) * int64(ow) * int64(b.OutC) * int64(b.KH) * int64(b.KW) * int64(c),
+				MACs:   size(oh, ow, b.OutC, b.KH, b.KW, c),
 			})
 			a.Deployable = false
 			a.WhyNotDeployable = "transposed convolution is not supported by TFLM (§6.4)"
 			h, w, c = oh, ow, b.OutC
 		default:
 			return nil, fmt.Errorf("arch: %s block %d: unknown kind %v", s.Name, i, b.Kind)
+		}
+		// Checked per block: a block adds at most four layers of at most
+		// maxTotal+1 each, so no total can overflow before this check.
+		if a.TotalParams > maxTotal || a.TotalMACs > maxTotal || a.PeakWorkingSetBytes > maxTotal {
+			return nil, fmt.Errorf("arch: %s block %d: parameters, MACs or peak working set pass %d", s.Name, i, int64(maxTotal))
 		}
 	}
 	if len(a.Layers) == 0 {
@@ -360,8 +394,8 @@ func (s *Spec) Analyze() (*Analysis, error) {
 
 // checkSizes rejects the sizes the lowering cannot build: a non-positive
 // kernel or pool window on the kinds that have one (an IBN's zero KH keeps
-// meaning 3×3), non-positive output channels, and a negative stride (zero
-// means 1).
+// meaning 3×3), non-positive output channels, a negative stride (zero
+// means 1), and any size above maxDim.
 func (b Block) checkSizes() error {
 	var kernel, channels bool
 	switch b.Kind {
@@ -381,6 +415,9 @@ func (b Block) checkSizes() error {
 		return fmt.Errorf("%v kernel %dx%d is not positive", b.Kind, b.KH, b.KW)
 	case channels && b.OutC <= 0:
 		return fmt.Errorf("%v OutC %d is not positive", b.Kind, b.OutC)
+	case max(b.KH, b.KW, b.OutC, b.Stride, b.Expand) > maxDim:
+		return fmt.Errorf("%v sizes (kernel %dx%d, OutC %d, stride %d, expand %d) pass %d",
+			b.Kind, b.KH, b.KW, b.OutC, b.Stride, b.Expand, maxDim)
 	}
 	return nil
 }

@@ -23,7 +23,17 @@
 // with an unload guard so a model referenced by a registered graph cannot
 // be dropped out from under it.
 //
+// Both infer endpoints decode their body in one step, decodeInfer, over
+// the one-pass decoder in codec.go: the bounded body is read into a
+// pooled buffer and walked once, each data value checked against the JSON
+// number grammar and parsed with strconv.ParseFloat straight into a pooled
+// []float64, with no encoding/json tree in between. It accepts exactly
+// what encoding/json would, with the same values, except that it refuses
+// a member repeated in one object (FuzzInferDecodeMatchesStdlib holds it
+// to that). Responses, a few hundred bytes, go out through encoding/json.
+//
 // Files: repository.go is the model lifecycle and RAM budgeting,
 // server.go the server's own lifecycle (boot, serve, drain) and the
-// data plane, admin.go the /v2/repository control plane.
+// data plane, codec.go the infer-body decoder, admin.go the
+// /v2/repository control plane.
 package serve

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -159,11 +160,20 @@ func (s *Server) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleGraphPut registers (or replaces) a graph after validating it
-// against the live repository index.
+// against the live repository index. The body is one JSON value: bytes
+// other than whitespace after it are refused.
 func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var spec servegraph.Spec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	err := dec.Decode(&spec)
+	if err == nil {
+		// Only whitespace may follow: the next read must be the body's end.
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("unexpected data after the spec")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
 		return
 	}
@@ -220,6 +230,7 @@ func (s *Server) handleGraphInfer(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer req.release()
 	in, elems := req.Inputs[0], layout.Elems()
 	if in.Datatype != "" && in.Datatype != "FP32" {
 		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(

@@ -199,6 +199,28 @@ func TestGraphValidationOverHTTP(t *testing.T) {
 		t.Fatalf("version pin: %d %v, want 400 version_mismatch", code, out)
 	}
 
+	// A body is one JSON value: anything but whitespace after it → 400,
+	// and nothing is registered.
+	valid, _ := json.Marshal(cascadeSpec("tail", 0.5, "DSCNN-S", "MicroNet-KWS-S"))
+	put := func(body string) int {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v2/graphs/tail", strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tail := range []string{` {"garbage":`, `]]]`, ` {}`} {
+		if code := put(string(valid) + tail); code != 400 {
+			t.Fatalf("PUT with trailing %q: %d, want 400", tail, code)
+		}
+	}
+	getJSON(t, ts.URL+"/v2/graphs/tail", 404)
+	if code := put(string(valid) + "\n \t"); code != 200 {
+		t.Fatalf("PUT with trailing whitespace: %d, want 200", code)
+	}
+
 	// Infer through an unregistered graph → 404.
 	code, out = graphInfer(t, ts.URL, "never-registered", make([]float64, 490), "")
 	if code != 404 || out["code"] != "unknown_graph" {

@@ -60,6 +60,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(v *version) *obs.Histogram { return &v.stats.queueWait })
 	histogram("micronets_serve_invoke_seconds", "Copy-in, Invoke and copy-out wall time per row.",
 		func(v *version) *obs.Histogram { return &v.stats.invoke })
+	histogram("micronets_serve_decode_seconds", "Body read, parse and quantize per infer request, before any row runs.",
+		func(v *version) *obs.Histogram { return &v.stats.decode })
 
 	gauge := func(name, help string, val func(*version) int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)

@@ -129,4 +129,7 @@ type stats struct {
 	latency   obs.Histogram
 	queueWait obs.Histogram
 	invoke    obs.Histogram
+	// decode is the per-request codec step before any row runs: body
+	// read, parse and quantize of every row.
+	decode obs.Histogram
 }

@@ -193,20 +193,13 @@ func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 
 // ---- KServe open-inference-protocol (v2) JSON types ----
 
-// v2Tensor is one named tensor in an infer request or response.
+// v2Tensor is one named tensor in an infer request or response. The
+// request side is decoded by codec.go, not through these tags.
 type v2Tensor struct {
 	Name     string    `json:"name"`
 	Shape    []int     `json:"shape"`
 	Datatype string    `json:"datatype"`
 	Data     []float64 `json:"data"`
-}
-
-// v2InferRequest is the body of both infer endpoints. Parameters carries
-// the routing string graph switch nodes match on; models ignore it.
-type v2InferRequest struct {
-	ID         string            `json:"id,omitempty"`
-	Inputs     []v2Tensor        `json:"inputs"`
-	Parameters map[string]string `json:"parameters,omitempty"`
 }
 
 type v2InferResponse struct {
@@ -317,10 +310,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	defer v.release()
 	inT, outT := v.model.Tensors[v.model.Input], v.model.Tensors[v.model.Output]
+	decodeStart := time.Now()
 	req, n, ok := decodeInfer(w, r, inT, "model "+v.name)
 	if !ok {
 		return
 	}
+	defer req.release()
 	in, elems := req.Inputs[0], inT.Elems()
 	rows := make([][]int8, n)
 	for b := range rows {
@@ -329,6 +324,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	v.stats.decode.Observe(time.Since(decodeStart))
 
 	outs := make([][]int8, n)
 	for b := range outs {
@@ -359,14 +355,18 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 // decodeInfer is the one request-decode step behind both infer endpoints:
 // bound the body from the input layout (~24 bytes per JSON float for a
 // full client batch plus envelope headroom, so one oversized POST cannot
-// exhaust server memory), decode the v2 JSON, require exactly one input
-// tensor and validate its shape against the layout. It returns the
-// request and its client batch size; on a refusal it has already written
-// the 413/400 and reports ok=false. target ("model X", "graph Y") names
-// what the request addressed in shape errors.
-func decodeInfer(w http.ResponseWriter, r *http.Request, layout *graph.Tensor, target string) (req v2InferRequest, n int, ok bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, int64(1<<16)+24*int64(layout.Elems())*maxInferRows)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+// exhaust server memory), read it into a pooled buffer and decode it in
+// one pass (codec.go), require exactly one input tensor and validate its
+// shape against the layout. It returns the request and its client batch
+// size; the caller releases the request once its response is written. On
+// a refusal it has already written the 413/400 and reports ok=false.
+// target ("model X", "graph Y") names what the request addressed in shape
+// errors.
+func decodeInfer(w http.ResponseWriter, r *http.Request, layout *graph.Tensor, target string) (req inferBody, n int, ok bool) {
+	limit := int64(1<<16) + 24*int64(layout.Elems())*maxInferRows
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	req, err := readInferBody(r.Body, min(r.ContentLength, limit))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: fmt.Sprintf(
@@ -378,12 +378,14 @@ func decodeInfer(w http.ResponseWriter, r *http.Request, layout *graph.Tensor, t
 	}
 	if len(req.Inputs) != 1 {
 		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("want exactly 1 input tensor, got %d", len(req.Inputs))})
-		return req, 0, false
+		req.release()
+		return inferBody{}, 0, false
 	}
-	n, err := batchRows(req.Inputs[0], layout)
+	n, err = batchRows(req.Inputs[0], layout)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("input %q: %v (%s)", req.Inputs[0].Name, err, target)})
-		return req, 0, false
+		req.release()
+		return inferBody{}, 0, false
 	}
 	return req, n, true
 }

@@ -254,6 +254,16 @@ func TestInferBadRequests(t *testing.T) {
 	if code := post(`{"inputs":[{"name":"input","datatype":"INT8","shape":[490],"data":[999` + strings.Repeat(",0", 489) + `]}]}`); code != 400 {
 		t.Fatalf("INT8 range: status %d", code)
 	}
+	// Bytes after the top-level object: the body is one JSON value.
+	valid := `{"inputs":[{"name":"input","data":[` + strings.Repeat("0,", 489) + `0]}]}`
+	if code := post(valid + "\n"); code != 200 {
+		t.Fatalf("valid body with trailing whitespace: status %d", code)
+	}
+	for _, tail := range []string{` {"garbage":`, `]]]`, ` {}`, `x`} {
+		if code := post(valid + tail); code != 400 {
+			t.Fatalf("trailing %q: status %d, want 400", tail, code)
+		}
+	}
 	resp, err := http.Post(ts.URL+"/v2/models/NoSuchModel/infer", "application/json", strings.NewReader(`{"inputs":[]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -372,6 +382,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"micronets_serve_ram_planned_bytes ",
 		`micronets_serve_requests_total{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_queue_wait_seconds_count{model="MicroNet-KWS-S"} 1`,
+		`micronets_serve_decode_seconds_count{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_arena_bytes{model="MicroNet-KWS-S"}`,
 		`micronets_serve_model_version{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_model_versions{model="MicroNet-KWS-S"} 1`,
@@ -523,27 +534,31 @@ func TestAdminLoadInlineSpec(t *testing.T) {
 }
 
 // TestAdminInlineSpecRejectsNonPositiveSizes: an inline spec whose sizes
-// the lowering cannot build answers 400 and leaves the zoo and the index
-// as they were, instead of panicking the handler mid-load.
+// the lowering cannot build, or that asks for an unbounded allocation,
+// answers 400 and leaves the zoo and the index as they were, instead of
+// panicking the handler mid-load. The oversized conv asks for 2^62 weights,
+// a make the runtime refuses at once rather than tries.
 func TestAdminInlineSpecRejectsNonPositiveSizes(t *testing.T) {
 	_, ts := newTestServer(t)
 	e, _ := zoo.Get("DSCNN-S")
-	spec := *e.Spec
-	spec.Name = "Inline-Negative-OutC"
-	spec.Blocks = append([]arch.Block{{Kind: arch.Conv, KH: 3, KW: 3, OutC: -4, Stride: 1}}, spec.Blocks[1:]...)
-	t.Cleanup(func() { zoo.Unregister(spec.Name) })
-	before := len(zoo.RegisteredNames())
+	for name, outC := range map[string]int{"Inline-Negative-OutC": -4, "Inline-Oversized-OutC": 1 << 62} {
+		spec := *e.Spec
+		spec.Name = name
+		spec.Blocks = append([]arch.Block{{Kind: arch.Conv, KH: 1, KW: 1, OutC: outC, Stride: 1}}, spec.Blocks[1:]...)
+		t.Cleanup(func() { zoo.Unregister(spec.Name) })
+		before := len(zoo.RegisteredNames())
 
-	body, _ := json.Marshal(map[string]any{"spec": &spec})
-	code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+spec.Name+"/load", string(body))
-	if code != http.StatusBadRequest {
-		t.Fatalf("inline spec with OutC -4: code %d (%v), want 400", code, resp)
-	}
-	if _, err := zoo.Get(spec.Name); err == nil || len(zoo.RegisteredNames()) != before {
-		t.Fatal("rejected inline spec stayed registered in the zoo")
-	}
-	if idx := repoIndex(t, ts.URL); idx[spec.Name] != nil {
-		t.Fatalf("rejected inline spec reached the index: %v", idx[spec.Name])
+		body, _ := json.Marshal(map[string]any{"spec": &spec})
+		code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+spec.Name+"/load", string(body))
+		if code != http.StatusBadRequest {
+			t.Fatalf("inline spec with OutC %d: code %d (%v), want 400", outC, code, resp)
+		}
+		if _, err := zoo.Get(spec.Name); err == nil || len(zoo.RegisteredNames()) != before {
+			t.Fatalf("rejected inline spec %s stayed registered in the zoo", spec.Name)
+		}
+		if idx := repoIndex(t, ts.URL); idx[spec.Name] != nil {
+			t.Fatalf("rejected inline spec reached the index: %v", idx[spec.Name])
+		}
 	}
 }
 
