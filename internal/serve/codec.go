@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,10 +20,13 @@ import (
 //
 //   - keys match case-insensitively, the way encoding/json matches struct
 //     fields (bytes.EqualFold on the unescaped key);
-//   - numbers are checked against the JSON grammar and then parsed with
-//     strconv.ParseFloat(…, 64) (shape entries with strconv.ParseInt),
-//     which is what encoding/json calls, so every float is bit-identical
-//     and an out-of-range literal such as 1e400 is refused;
+//   - every number goes through one scanner, scanNumber, that checks the
+//     JSON grammar and, in the same pass, rounds a literal of up to 19
+//     significant digits and a small exponent to float64 in exact
+//     integer arithmetic. Any other literal goes to strconv.ParseFloat(…,
+//     64), which is what encoding/json calls, so every float is
+//     bit-identical to its reading and an out-of-range literal such as
+//     1e400 is refused. Shape entries are parsed with strconv.ParseInt;
 //   - strings that carry an escape or a non-ASCII byte are unquoted by
 //     encoding/json itself, so unescaping and invalid UTF-8 read back the
 //     same;
@@ -198,20 +203,23 @@ func (d *decoder) data(depth int) (start, end int, err error) {
 	return start, len(d.floats), err
 }
 
-// float reads one data element: a JSON number, or null for zero.
+// float reads one data element: a JSON number, or null for zero. A
+// literal scanNumber cannot round exactly goes to strconv.ParseFloat.
 func (d *decoder) float() (float64, error) {
-	end := numberEnd(d.b, d.i)
+	v, end, exact := scanNumber(d.b, d.i)
 	if end < 0 {
 		if d.null() {
 			return 0, nil
 		}
 		return 0, d.expected("a number in data")
 	}
-	// The conversion does not escape (strconv copies the text into any
-	// error it returns), so a short literal is converted on the stack.
-	v, err := strconv.ParseFloat(string(d.b[d.i:end]), 64)
-	if err != nil {
-		return 0, fmt.Errorf("data value %s at offset %d does not fit a float64", clip(d.b[d.i:end]), d.i)
+	if !exact {
+		// The conversion does not escape (strconv copies the text into any
+		// error it returns), so a short literal is converted on the stack.
+		var err error
+		if v, err = strconv.ParseFloat(string(d.b[d.i:end]), 64); err != nil {
+			return 0, fmt.Errorf("data value %s at offset %d does not fit a float64", clip(d.b[d.i:end]), d.i)
+		}
 	}
 	d.i = end
 	return v, nil
@@ -229,7 +237,7 @@ func (d *decoder) shape(depth int) ([]int, error) {
 			shape = append(shape, 0)
 			return nil
 		}
-		end := numberEnd(d.b, d.i)
+		_, end, _ := scanNumber(d.b, d.i)
 		if end < 0 {
 			return d.expected("an integer in shape")
 		}
@@ -397,7 +405,7 @@ func (d *decoder) skip(depth int) error {
 		d.i = end
 		return err
 	case c == '-' || isDigit(c):
-		end := numberEnd(d.b, d.i)
+		_, end, _ := scanNumber(d.b, d.i)
 		if end < 0 {
 			return d.expected("a number")
 		}
@@ -472,42 +480,157 @@ func clip(tok []byte) string {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// numberEnd returns the end of the JSON number starting at b[i], or -1 if
-// none starts there: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. The
-// check keeps out what strconv.ParseFloat would also take (NaN, Inf, hex,
-// underscores, a leading '+' or '.', a trailing '.').
-func numberEnd(b []byte, i int) int {
+// maxPow5 is the largest k with 5^k below 2^64.
+const maxPow5 = 27
+
+// pow5 holds 5^0 … 5^maxPow5.
+var pow5 = func() (p [maxPow5 + 1]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = 5 * p[k-1]
+	}
+	return p
+}()
+
+// scanNumber reads the JSON number at b[i] in one pass. end is the index
+// just past the longest match of -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+// at i, or -1 if none starts there; the grammar keeps out what
+// strconv.ParseFloat would also take (NaN, Inf, hex, underscores, a
+// leading '+' or '.').
+//
+// On the way it gathers up to 19 significant digits into a mantissa m and
+// a decimal exponent e. When the literal is exactly m·10^e (no nonzero
+// digit past the 19th, an exponent literal below 10^4) with e in
+// [-maxPow5, maxPow5], or is zero, exact is true and v is the correctly
+// rounded float64: bit for bit what strconv.ParseFloat returns. That
+// covers every float32 json.Marshal prints with a magnitude from 1e-11 up
+// (17 digits at most). Otherwise exact is false and the caller parses
+// b[i:end] with strconv.ParseFloat.
+func scanNumber(b []byte, i int) (v float64, end int, exact bool) {
 	n := len(b)
-	if i < n && b[i] == '-' {
+	neg := i < n && b[i] == '-'
+	if neg {
 		i++
 	}
+	var m uint64
+	nd, e := 0, 0    // significant digits in m; the exponent of its last one
+	inexact := false // a nonzero digit past the 19th, or a huge exponent
 	switch {
 	case i < n && b[i] == '0':
 		i++
 	case i < n && '1' <= b[i] && b[i] <= '9':
-		for i++; i < n && isDigit(b[i]); i++ {
+		for ; i < n && isDigit(b[i]); i++ {
+			if nd < 19 {
+				m = 10*m + uint64(b[i]-'0')
+				nd++
+			} else {
+				e++
+				inexact = inexact || b[i] != '0'
+			}
 		}
 	default:
-		return -1
+		return 0, -1, false
 	}
-	if i < n && b[i] == '.' {
-		if i++; i >= n || !isDigit(b[i]) {
-			return -1
+	if i+1 < n && b[i] == '.' && isDigit(b[i+1]) {
+		i++
+		if m == 0 { // leading zeros (0.000…) only move the exponent
+			for ; i < n && b[i] == '0'; i++ {
+				e--
+			}
 		}
-		for i++; i < n && isDigit(b[i]); i++ {
+		for ; i < n && isDigit(b[i]); i++ {
+			if nd < 19 {
+				m = 10*m + uint64(b[i]-'0')
+				nd++
+				e--
+			} else {
+				inexact = inexact || b[i] != '0'
+			}
 		}
 	}
 	if i < n && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < n && (b[i] == '+' || b[i] == '-') {
-			i++
+		j, sign := i+1, 1
+		if j < n && (b[j] == '+' || b[j] == '-') {
+			if b[j] == '-' {
+				sign = -1
+			}
+			j++
 		}
-		if i >= n || !isDigit(b[i]) {
-			return -1
-		}
-		for i++; i < n && isDigit(b[i]); i++ {
+		if j < n && isDigit(b[j]) {
+			x := 0
+			for ; j < n && isDigit(b[j]); j++ {
+				if x < 1e4 {
+					x = 10*x + int(b[j]-'0')
+				}
+			}
+			inexact = inexact || x >= 1e4
+			e += sign * x
+			i = j
 		}
 	}
-	return i
+	switch {
+	case m == 0:
+		if neg {
+			return math.Copysign(0, -1), i, true
+		}
+		return 0, i, true
+	case inexact || e < -maxPow5 || e > maxPow5:
+		return 0, i, false
+	}
+	v = exactFloat(m, e)
+	if neg {
+		v = -v
+	}
+	return v, i, true
+}
+
+// exactFloat rounds m·10^e (m > 0, e in [-maxPow5, maxPow5]) to the
+// nearest float64, ties to even. As 10^e = 5^e·2^e, only the power of five
+// takes arithmetic: for e ≥ 0 the 128-bit product m·5^e; for e < 0 the
+// 128-by-64-bit quotient of m, shifted left, by 5^-e, its remainder kept
+// as a sticky bit. Either way the integer W below has at least 63
+// significant bits, so one rounding of its top 64 bits plus the sticky bit
+// is the correct rounding of the exact value.
+func exactFloat(m uint64, e int) float64 {
+	var hi, lo uint64 // W = hi·2^64 + lo; the value is W·2^exp
+	var exp int
+	sticky := false // the value is above W·2^exp by a fraction of 2^exp
+	if e >= 0 {
+		hi, lo = bits.Mul64(m, pow5[e])
+		exp = e
+	} else {
+		// Shift m by s so that its quotient by d has 63 or 64 bits and the
+		// numerator's high word stays below d, as Div64 requires.
+		d := pow5[-e]
+		s := 63 + bits.Len64(d) - bits.Len64(m)
+		var nhi, nlo uint64
+		if s >= 64 {
+			nhi = m << (s - 64)
+		} else {
+			nhi, nlo = m>>(64-s), m<<s
+		}
+		var r uint64
+		hi, r = bits.Div64(nhi, nlo, d)
+		sticky = r != 0
+		exp = e - s - 64
+	}
+	// Take W's top 64 bits.
+	if hi == 0 {
+		hi, lo, exp = lo, 0, exp-64
+	}
+	lz := bits.LeadingZeros64(hi)
+	top := hi<<lz | lo>>(64-lz)
+	sticky = sticky || lo<<lz != 0
+	exp += 64 - lz
+	// Keep 53 of top's 64 bits: the value is mant·2^(exp+11) before rounding.
+	mant, rest := top>>11, top&(1<<11-1)
+	if rest > 1<<10 || rest == 1<<10 && (sticky || mant&1 != 0) {
+		mant++
+	}
+	// The value lies in [1e-27, 1e46], a normal float64 with biased
+	// exponent exp+11+52+1023. Adding mant with its implicit bit 2^52 to
+	// one less than that exponent carries a round-up to 2^53 into it.
+	return math.Float64frombits(uint64(exp+1085)<<52 + mant)
 }
 
 // scanString validates the string token starting at the quote b[i] and

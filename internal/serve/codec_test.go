@@ -3,9 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/big"
 	"math/rand"
 	"net/http/httptest"
+	"regexp"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"testing"
 
 	"micronets/internal/graph"
@@ -66,6 +71,176 @@ func BenchmarkDecodeInfer(b *testing.B) {
 				decodeAndQuantize(b, body, c.layout)
 			}
 		})
+	}
+}
+
+// numberRE is the JSON number grammar scanNumber must match, longest
+// match first.
+var numberRE = func() *regexp.Regexp {
+	re := regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`)
+	re.Longest()
+	return re
+}()
+
+// checkScanNumber runs scanNumber on b at i and holds it to the grammar:
+// end is the longest numberRE match there, or -1 for none; see checkScan.
+func checkScanNumber(t *testing.T, b []byte, i int) (exact bool) {
+	want := -1
+	if loc := numberRE.FindIndex(b[i:]); loc != nil {
+		want = i + loc[1]
+	}
+	return checkScan(t, b, i, want)
+}
+
+// checkScan runs scanNumber on b at i, requires end to be want and an
+// exact value to be strconv.ParseFloat's, bit for bit, and reports
+// whether the exact path took the literal.
+func checkScan(t *testing.T, b []byte, i, want int) (exact bool) {
+	v, end, exact := scanNumber(b, i)
+	if end != want {
+		t.Helper()
+		t.Fatalf("scanNumber(%q, %d): end %d, the grammar's longest match ends at %d", b, i, end, want)
+	}
+	if end < 0 || !exact {
+		return false
+	}
+	std, err := strconv.ParseFloat(string(b[i:end]), 64)
+	if err != nil || math.Float64bits(v) != math.Float64bits(std) {
+		t.Helper()
+		t.Fatalf("scanNumber(%q) = %v (%#x) on the exact path; strconv.ParseFloat gives %v (%#x), %v",
+			b[i:end], v, math.Float64bits(v), std, math.Float64bits(std), err)
+	}
+	return true
+}
+
+// scanNumberEdges are the literals a float reader most often gets wrong:
+// the edges of the exact path (19 and 20 digits, exponents ±19, ±27, ±28),
+// zeros, ties and the float64 range ends, plus what the grammar must
+// refuse or cut short.
+var scanNumberEdges = []string{
+	"0", "-0", "-0.0", "0.00000000000000000000000000000000000000", "0e99999999999", "-0E-7",
+	"1e19", "1e-19", "1e20", "1e-20", "1e27", "1e28", "1e-27", "1e-28", "1e99999999999", "1e-99999999999",
+	"5e-324", "1e-400", "1e400", "-1e400", "1.7976931348623157e308", "2.2250738585072014e-308",
+	"18446744073709551615", "18446744073709551616", "9999999999999999999", "99999999999999999999",
+	"1234567890123456789", "12345678901234567890", "1234567890123456789e-27", "1234567890123456789e27",
+	"1000000000000000000000", "150000000000000000000", "1.0000000000000000000000", "1.00000000000000000001",
+	"9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5", "1e23", "8.41e21",
+	"0.1", "0.10000000149011612", "1.1754943508222875e-38", "3.4028234663852886e+38", "1e-07", "1E+02",
+	"-", "+1", ".5", "01", "-01", "1.", "1.e5", "1e", "1e+", "1e5.5", "1ee5", "", " 1", "NaN", "1_0", "0x1p3",
+	// Eight-byte runs that are not all digits (':' to '?' share the
+	// digits' high nibble), and zeros that fill a whole run.
+	"0.1234567:8", "0.12345678?", "0.9/876543", "1.000000000000000000001", "0.00000000123456789012345678",
+	// Only the division's remainder tells these from a tie.
+	"2723686826725134128e-27", "6544522857610742961e-27",
+	// Round-ups that carry into the exponent.
+	"9007199254740991.5", "0.9999999999999999999", "9.31322574615478515e-10",
+}
+
+// halfway returns the exact midpoint between x and the next float64 away
+// from zero in 'e' form with digits digits after the point, rounded where
+// it needs more.
+func halfway(x float64, digits int) string {
+	mid := new(big.Float).SetPrec(64).SetFloat64(x)
+	mid.Add(mid, new(big.Float).SetPrec(64).SetFloat64(math.Nextafter(x, math.Copysign(math.Inf(1), x))))
+	mid.Quo(mid, big.NewFloat(2))
+	return mid.Text('e', digits)
+}
+
+// tie draws an exact tie of at most 19 digits: (2j+1)·2^s for a 53-bit j
+// and s in [-3, 9], written out in full. Its neighbours one unit in the
+// last digit away are the closest non-ties.
+func tie(rng *rand.Rand) (lo, mid, hi string) {
+	n := new(big.Int).SetUint64(2*(1<<52+rng.Uint64()%(1<<52)) + 1)
+	s := rng.Intn(13) - 3
+	if s >= 0 {
+		n.Lsh(n, uint(s))
+	} else {
+		n.Mul(n, new(big.Int).Exp(big.NewInt(5), big.NewInt(int64(-s)), nil))
+	}
+	text := func(n *big.Int) string {
+		d := n.String()
+		if s < 0 {
+			d = d[:len(d)+s] + "." + d[len(d)+s:]
+		}
+		return d
+	}
+	one := big.NewInt(1)
+	return text(new(big.Int).Sub(n, one)), text(n), text(new(big.Int).Add(n, one))
+}
+
+// TestScanNumberMatchesParseFloat holds scanNumber to strconv.ParseFloat
+// on the edge cases and on ~200k seeded literals in three families. It is
+// also the canary for the decoder's speed: every float32-rounded value
+// json.Marshal prints with a magnitude from 1e-11 up, from the client's
+// N(0,1) draws and from the float32 normal range, must take the exact
+// path, because a silent fallback to ParseFloat would keep every value
+// right and lose the gain.
+func TestScanNumberMatchesParseFloat(t *testing.T) {
+	for _, s := range scanNumberEdges {
+		checkScanNumber(t, []byte(s), 0)
+	}
+	// Dropped zeros against an exponent literal past 10^4, which strconv
+	// saturates; too long a seed for FuzzScanNumber.
+	checkScanNumber(t, []byte("1"+strings.Repeat("0", 10018)+"e-100000"), 0)
+	rng := rand.New(rand.NewSource(1))
+	perFamily := 70000
+	if raceEnabled {
+		perFamily /= 4 // the race detector makes each literal ~8× dearer
+	}
+	// Family 1: float32-rounded values as json.Marshal formats a float64.
+	for k := range perFamily {
+		x := float64(float32(rng.NormFloat64()))
+		if k%2 == 1 {
+			bits := uint32(1+rng.Intn(254))<<23 | rng.Uint32()&(1<<23-1) | rng.Uint32()&(1<<31)
+			x = float64(math.Float32frombits(bits))
+		}
+		lit, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkScan(t, lit, 0, len(lit)) && math.Abs(x) >= 1e-11 {
+			t.Fatalf("float32-rounded %s left the exact path", lit)
+		}
+	}
+	// Family 2: random decimal literals of 1–20 digits, half of them with
+	// an exponent.
+	var lit []byte
+	for range perFamily {
+		lit = lit[:0]
+		if rng.Intn(2) == 0 {
+			lit = append(lit, '-')
+		}
+		digits := 1 + rng.Intn(20)
+		dot := 1 + rng.Intn(digits)
+		for k := range digits {
+			c := byte('0' + rng.Intn(10))
+			switch {
+			case k == dot:
+				lit = append(lit, '.', c)
+			case k < dot-1 && c == '0' && (len(lit) == 0 || lit[len(lit)-1] == '-'):
+				// no leading zero before the units digit
+			default:
+				lit = append(lit, c)
+			}
+		}
+		if rng.Intn(2) == 0 {
+			lit = strconv.AppendInt(append(lit, 'e'), int64(rng.Intn(121)-60), 10)
+		}
+		checkScan(t, lit, 0, len(lit))
+	}
+	// Family 3: ties and their neighbours, all on the exact path, and
+	// midpoints of random float64s written out to 25 digits, which fall
+	// back.
+	for range perFamily / 4 {
+		lo, mid, hi := tie(rng)
+		for _, s := range []string{lo, mid, hi} {
+			if !checkScan(t, []byte(s), 0, len(s)) {
+				t.Fatalf("tie neighbourhood %s left the exact path", s)
+			}
+		}
+		x := math.Float64frombits(uint64(1023-200+rng.Intn(401))<<52 | rng.Uint64()&(1<<52-1))
+		s := halfway(x, 25)
+		checkScan(t, []byte(s), 0, len(s))
 	}
 }
 

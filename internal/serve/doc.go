@@ -25,12 +25,14 @@
 //
 // Both infer endpoints decode their body in one step, decodeInfer, over
 // the one-pass decoder in codec.go: the bounded body is read into a
-// pooled buffer and walked once, each data value checked against the JSON
-// number grammar and parsed with strconv.ParseFloat straight into a pooled
-// []float64, with no encoding/json tree in between. It accepts exactly
-// what encoding/json would, with the same values, except that it refuses
-// a member repeated in one object (FuzzInferDecodeMatchesStdlib holds it
-// to that). Responses, a few hundred bytes, go out through encoding/json.
+// pooled buffer and walked once, each data value read by one scan that
+// checks the JSON number grammar and rounds the value exactly (a literal
+// past 19 digits or with a large exponent falls back to
+// strconv.ParseFloat) straight into a pooled []float64, with no
+// encoding/json tree in between. It accepts exactly what encoding/json
+// would, with the same values, except that it refuses a member repeated
+// in one object (FuzzInferDecodeMatchesStdlib holds it to that).
+// Responses, a few hundred bytes, go out through encoding/json.
 //
 // Files: repository.go is the model lifecycle and RAM budgeting,
 // server.go the server's own lifecycle (boot, serve, drain) and the

@@ -150,6 +150,24 @@ func FuzzInferDecodeMatchesStdlib(f *testing.F) {
 	})
 }
 
+// FuzzScanNumber throws arbitrary bytes at scanNumber at an arbitrary
+// offset: end must be the longest match of the JSON number grammar (or -1
+// for none), and whenever the exact path takes a literal its value must be
+// strconv.ParseFloat's, bit for bit.
+func FuzzScanNumber(f *testing.F) {
+	seeds := slices.Clone(scanNumberEdges)
+	for _, x := range []float64{1, 0.1, 1.0 / 3, 1e23, 9007199254740992, 5e-324, 1e-300, math.MaxFloat32, float64(float32(0.1))} {
+		seeds = append(seeds, halfway(x, 25), halfway(x, 18), halfway(-x, 16))
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s), 0)
+		f.Add([]byte(`[`+s+`,`), 1)
+	}
+	f.Fuzz(func(t *testing.T, b []byte, off int) {
+		checkScanNumber(t, b, int(uint(off)%uint(len(b)+1)))
+	})
+}
+
 // roundTripRequest marshals req and requires the decoder to read it back
 // bit for bit.
 func roundTripRequest(t *testing.T, req v2InferRequest) {

@@ -62,6 +62,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(v *version) *obs.Histogram { return &v.stats.invoke })
 	histogram("micronets_serve_decode_seconds", "Body read, parse and quantize per infer request, before any row runs.",
 		func(v *version) *obs.Histogram { return &v.stats.decode })
+	histogram("micronets_serve_encode_seconds", "Response encode and write per successful infer request, after every row ran.",
+		func(v *version) *obs.Histogram { return &v.stats.encode })
 
 	gauge := func(name, help string, val func(*version) int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)

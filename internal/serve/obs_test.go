@@ -173,6 +173,7 @@ func TestMetricsExpositionValid(t *testing.T) {
 		`micronets_serve_queue_wait_seconds_bucket{model="MicroNet-KWS-S",le="+Inf"}`,
 		`micronets_serve_invoke_seconds_bucket{model="MicroNet-KWS-S",le="+Inf"}`,
 		`micronets_serve_decode_seconds_bucket{model="MicroNet-KWS-S",le="+Inf"}`,
+		`micronets_serve_encode_seconds_bucket{model="MicroNet-KWS-S",le="+Inf"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %s", want)

@@ -130,6 +130,8 @@ type stats struct {
 	queueWait obs.Histogram
 	invoke    obs.Histogram
 	// decode is the per-request codec step before any row runs: body
-	// read, parse and quantize of every row.
+	// read, parse and quantize of every row. encode is the other end:
+	// writing a successful response.
 	decode obs.Histogram
+	encode obs.Histogram
 }

@@ -345,11 +345,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, v2InferResponse{
+	resp := v2InferResponse{
 		ModelName: v.name,
 		ID:        req.ID,
 		Outputs:   inferOutputs(scores, classes),
-	})
+	}
+	encodeStart := time.Now()
+	writeJSON(w, http.StatusOK, resp)
+	v.stats.encode.Observe(time.Since(encodeStart))
 }
 
 // decodeInfer is the one request-decode step behind both infer endpoints:

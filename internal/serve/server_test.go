@@ -383,6 +383,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`micronets_serve_requests_total{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_queue_wait_seconds_count{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_decode_seconds_count{model="MicroNet-KWS-S"} 1`,
+		`micronets_serve_encode_seconds_count{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_arena_bytes{model="MicroNet-KWS-S"}`,
 		`micronets_serve_model_version{model="MicroNet-KWS-S"} 1`,
 		`micronets_serve_model_versions{model="MicroNet-KWS-S"} 1`,
