@@ -28,6 +28,14 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# alloc-gates runs the allocation-count tests without -race (the
+# detector's instrumentation allocates, so they skip themselves under
+# `make test`): steady-state Invoke, the bounded serve row path and the
+# infer-body codec. The CI bench-smoke job runs this target.
+.PHONY: alloc-gates
+alloc-gates:
+	$(GO) test -run 'TestInvokeZeroAllocs|TestBatcherSubmitAllocBound|TestDecodeInferAllocsFlat' -v ./internal/tflm ./internal/serve
+
 # bench-module vets, gofmt-checks and tests bench/ (plain and -race),
 # the BENCHMARK.json harness: a module of its own (replace micronets =>
 # ../) that ./... does not reach.
@@ -110,4 +118,4 @@ cover:
 search:
 	$(GO) run ./cmd/search
 
-ci: build lint test test-purego bench-smoke bench-module fuzz-smoke serve-smoke mesh-smoke cover
+ci: build lint test test-purego bench-smoke alloc-gates bench-module fuzz-smoke serve-smoke mesh-smoke cover

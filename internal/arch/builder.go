@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"micronets/internal/nn"
+	"micronets/internal/tensor"
 )
 
 // BuildOptions configures trainable-model construction from a Spec.
@@ -47,7 +48,7 @@ func Build(rng *rand.Rand, s *Spec, opts BuildOptions) (*nn.Sequential, error) {
 			model.Add(conv).
 				Add(nn.NewBatchNorm(name+".bn", b.OutC)).
 				Add(&nn.Activation{Kind: "relu"})
-			h, w, c = sameOut(h, stride), sameOut(w, stride), b.OutC
+			h, w, c = tensor.SameOut(h, stride), tensor.SameOut(w, stride), b.OutC
 		case DSBlock:
 			dw := nn.NewDepthwiseConv2D(rng, name+".dw", b.KH, b.KW, c, stride, nn.PadSame, false)
 			dw.Quant = newQuant()
@@ -59,7 +60,7 @@ func Build(rng *rand.Rand, s *Spec, opts BuildOptions) (*nn.Sequential, error) {
 				Add(pw).
 				Add(nn.NewBatchNorm(name+".pwbn", b.OutC)).
 				Add(&nn.Activation{Kind: "relu"})
-			h, w, c = sameOut(h, stride), sameOut(w, stride), b.OutC
+			h, w, c = tensor.SameOut(h, stride), tensor.SameOut(w, stride), b.OutC
 		case IBN:
 			kh, kw := b.KH, b.KW
 			if kh == 0 {
@@ -81,13 +82,13 @@ func Build(rng *rand.Rand, s *Spec, opts BuildOptions) (*nn.Sequential, error) {
 			} else {
 				model.Add(body)
 			}
-			h, w, c = sameOut(h, stride), sameOut(w, stride), b.OutC
+			h, w, c = tensor.SameOut(h, stride), tensor.SameOut(w, stride), b.OutC
 		case AvgPool:
 			model.Add(&nn.AvgPool{KH: b.KH, KW: b.KW, Stride: stride, Pad: nn.PadValid})
-			h, w = validOut(h, b.KH, stride), validOut(w, b.KW, stride)
+			h, w = tensor.ValidOut(h, b.KH, stride), tensor.ValidOut(w, b.KW, stride)
 		case MaxPool:
 			model.Add(&nn.MaxPoolLayer{KH: b.KH, KW: b.KW, Stride: stride, Pad: nn.PadValid})
-			h, w = validOut(h, b.KH, stride), validOut(w, b.KW, stride)
+			h, w = tensor.ValidOut(h, b.KH, stride), tensor.ValidOut(w, b.KW, stride)
 		case GlobalPool:
 			model.Add(&nn.GlobalAvgPool{})
 			h, w = 1, 1

@@ -8,6 +8,8 @@ package arch
 import (
 	"fmt"
 	"strings"
+
+	"micronets/internal/tensor"
 )
 
 // BlockKind enumerates the macro blocks the paper's models are built from.
@@ -127,9 +129,16 @@ func (s *Spec) Fingerprint() string {
 // LayerInfo describes one primitive layer after lowering a macro block,
 // with resolved shapes and costs. Several LayerInfos may correspond to one
 // Block (e.g. a DSBlock lowers to a depthwise and a pointwise layer).
+// Analyze is the only code that decides what a block becomes: the graph
+// package emits exactly one op per LayerInfo.
 type LayerInfo struct {
-	Name             string
-	Kind             string // "conv", "dwconv", "dense", "avgpool", "maxpool", "add", "tconv"
+	// Name is the deployed op's name: "b<block>" plus "_dw"/"_pw" for a
+	// DSBlock and "_exp"/"_dw"/"_proj"/"_add" for an IBN.
+	Name string
+	Kind string // "conv", "dwconv", "dense", "avgpool", "maxpool", "add", "tconv"
+	// Act is the fused activation: "relu", "relu6" (IBN expand and
+	// depthwise) or "linear" (no activation).
+	Act              string
 	BlockIdx         int
 	KH, KW           int
 	Stride           int
@@ -169,23 +178,6 @@ type Analysis struct {
 
 // TotalOps returns 2*TotalMACs.
 func (a Analysis) TotalOps() int64 { return 2 * a.TotalMACs }
-
-// sameOut mirrors tensor.SamePadding without importing it (avoids a cycle
-// risk and keeps arch dependency-free).
-func sameOut(in, s int) int {
-	if in%s == 0 {
-		return in / s
-	}
-	return in/s + 1
-}
-
-func validOut(in, k, s int) int {
-	o := (in-k)/s + 1
-	if o < 1 {
-		o = 1
-	}
-	return o
-}
 
 const (
 	// maxDim bounds every size a spec declares: input dimensions and each
@@ -240,14 +232,15 @@ func (s *Spec) Analyze() (*Analysis, error) {
 		if stride == 0 {
 			stride = 1
 		}
+		name := fmt.Sprintf("b%d", i)
 		switch b.Kind {
 		case Conv:
 			if flat {
 				return nil, fmt.Errorf("arch: %s block %d: conv after flatten", s.Name, i)
 			}
-			oh, ow := sameOut(h, stride), sameOut(w, stride)
+			oh, ow := tensor.SameOut(h, stride), tensor.SameOut(w, stride)
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("conv%d", i), Kind: "conv", BlockIdx: i,
+				Name: name, Kind: "conv", Act: "relu", BlockIdx: i,
 				KH: b.KH, KW: b.KW, Stride: stride,
 				InH: h, InW: w, InC: c, OutH: oh, OutW: ow, OutC: b.OutC,
 				Params: size(b.KH, b.KW, c, b.OutC),
@@ -259,9 +252,9 @@ func (s *Spec) Analyze() (*Analysis, error) {
 			if flat {
 				return nil, fmt.Errorf("arch: %s block %d: dsblock after flatten", s.Name, i)
 			}
-			oh, ow := sameOut(h, stride), sameOut(w, stride)
+			oh, ow := tensor.SameOut(h, stride), tensor.SameOut(w, stride)
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("ds%d_dw", i), Kind: "dwconv", BlockIdx: i,
+				Name: name + "_dw", Kind: "dwconv", Act: "relu", BlockIdx: i,
 				KH: b.KH, KW: b.KW, Stride: stride,
 				InH: h, InW: w, InC: c, OutH: oh, OutW: ow, OutC: c,
 				Params: size(b.KH, b.KW, c),
@@ -269,7 +262,7 @@ func (s *Spec) Analyze() (*Analysis, error) {
 				MACs:   size(oh, ow, c, b.KH, b.KW),
 			})
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("ds%d_pw", i), Kind: "conv", BlockIdx: i,
+				Name: name + "_pw", Kind: "conv", Act: "relu", BlockIdx: i,
 				KH: 1, KW: 1, Stride: 1,
 				InH: oh, InW: ow, InC: c, OutH: oh, OutW: ow, OutC: b.OutC,
 				Params: size(c, b.OutC),
@@ -287,7 +280,7 @@ func (s *Spec) Analyze() (*Analysis, error) {
 			}
 			// 1x1 expand.
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("ibn%d_exp", i), Kind: "conv", BlockIdx: i,
+				Name: name + "_exp", Kind: "conv", Act: "relu6", BlockIdx: i,
 				KH: 1, KW: 1, Stride: 1,
 				InH: h, InW: w, InC: c, OutH: h, OutW: w, OutC: e,
 				Params: size(c, e), Biases: int64(e),
@@ -298,9 +291,9 @@ func (s *Spec) Analyze() (*Analysis, error) {
 			if kh == 0 {
 				kh, kw = 3, 3
 			}
-			oh, ow := sameOut(h, stride), sameOut(w, stride)
+			oh, ow := tensor.SameOut(h, stride), tensor.SameOut(w, stride)
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("ibn%d_dw", i), Kind: "dwconv", BlockIdx: i,
+				Name: name + "_dw", Kind: "dwconv", Act: "relu6", BlockIdx: i,
 				KH: kh, KW: kw, Stride: stride,
 				InH: h, InW: w, InC: e, OutH: oh, OutW: ow, OutC: e,
 				Params: size(kh, kw, e), Biases: int64(e),
@@ -308,7 +301,7 @@ func (s *Spec) Analyze() (*Analysis, error) {
 			})
 			// 1x1 project.
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("ibn%d_proj", i), Kind: "conv", BlockIdx: i,
+				Name: name + "_proj", Kind: "conv", Act: "linear", BlockIdx: i,
 				KH: 1, KW: 1, Stride: 1,
 				InH: oh, InW: ow, InC: e, OutH: oh, OutW: ow, OutC: b.OutC,
 				Params: size(e, b.OutC), Biases: int64(b.OutC),
@@ -316,7 +309,7 @@ func (s *Spec) Analyze() (*Analysis, error) {
 			})
 			if stride == 1 && b.OutC == c {
 				addLayer(LayerInfo{
-					Name: fmt.Sprintf("ibn%d_add", i), Kind: "add", BlockIdx: i,
+					Name: name + "_add", Kind: "add", Act: "linear", BlockIdx: i,
 					InH: oh, InW: ow, InC: b.OutC, OutH: oh, OutW: ow, OutC: b.OutC,
 				})
 			}
@@ -329,9 +322,9 @@ func (s *Spec) Analyze() (*Analysis, error) {
 			if b.Kind == MaxPool {
 				kind = "maxpool"
 			}
-			oh, ow := validOut(h, b.KH, stride), validOut(w, b.KW, stride)
+			oh, ow := tensor.ValidOut(h, b.KH, stride), tensor.ValidOut(w, b.KW, stride)
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("%s%d", kind, i), Kind: kind, BlockIdx: i,
+				Name: name, Kind: kind, Act: "linear", BlockIdx: i,
 				KH: b.KH, KW: b.KW, Stride: stride,
 				InH: h, InW: w, InC: c, OutH: oh, OutW: ow, OutC: c,
 			})
@@ -341,7 +334,7 @@ func (s *Spec) Analyze() (*Analysis, error) {
 				return nil, fmt.Errorf("arch: %s block %d: pool after flatten", s.Name, i)
 			}
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("gap%d", i), Kind: "avgpool", BlockIdx: i,
+				Name: name, Kind: "avgpool", Act: "linear", BlockIdx: i,
 				KH: h, KW: w, Stride: 1,
 				InH: h, InW: w, InC: c, OutH: 1, OutW: 1, OutC: c,
 			})
@@ -349,8 +342,12 @@ func (s *Spec) Analyze() (*Analysis, error) {
 		case Dense, DenseReLU:
 			in := h * w * c
 			flat = true
+			act := "linear"
+			if b.Kind == DenseReLU {
+				act = "relu"
+			}
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("fc%d", i), Kind: "dense", BlockIdx: i,
+				Name: name, Kind: "dense", Act: act, BlockIdx: i,
 				InH: 1, InW: 1, InC: in, OutH: 1, OutW: 1, OutC: b.OutC,
 				Params: size(in, b.OutC), Biases: int64(b.OutC),
 				MACs: size(in, b.OutC),
@@ -367,7 +364,7 @@ func (s *Spec) Analyze() (*Analysis, error) {
 				return nil, fmt.Errorf("arch: %s block %d: tconv output %dx%d passes %d", s.Name, i, oh, ow, maxDim)
 			}
 			addLayer(LayerInfo{
-				Name: fmt.Sprintf("tconv%d", i), Kind: "tconv", BlockIdx: i,
+				Name: name, Kind: "tconv", Act: "linear", BlockIdx: i,
 				KH: b.KH, KW: b.KW, Stride: stride,
 				InH: h, InW: w, InC: c, OutH: oh, OutW: ow, OutC: b.OutC,
 				Params: size(b.KH, b.KW, c, b.OutC),

@@ -137,7 +137,7 @@ func (s *IBNSupernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau floa
 		ParamCount: ag.Constant(tensor.Scalar(0)),
 		OpCount:    ag.Constant(tensor.Scalar(0)),
 	}
-	h, w := sameOut(cfg.InputH, 2), sameOut(cfg.InputW, 2)
+	h, w := tensor.SameOut(cfg.InputH, 2), tensor.SameOut(cfg.InputW, 2)
 
 	zStem := s.stemNode.Weights(rng, tau)
 	y := ag.ReLU6(s.stemBN.Forward(s.stem.Forward(x, training), training))
@@ -152,7 +152,7 @@ func (s *IBNSupernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau floa
 	for i, b := range cfg.Blocks {
 		zE := s.expNode[i].Weights(rng, tau)
 		zO := s.outNode[i].Weights(rng, tau)
-		oh, ow := sameOut(h, b.Stride), sameOut(w, b.Stride)
+		oh, ow := tensor.SameOut(h, b.Stride), tensor.SameOut(w, b.Stride)
 
 		t := ag.ReLU6(s.expBN[i].Forward(s.exp[i].Forward(y, training), training))
 		t = ag.ChannelScale(t, channelMask(zE, b.ExpandOptions, b.MaxExpand))

@@ -220,7 +220,7 @@ func KWSSupernetConfig(inputH, inputW, classes, maxC, blocks int) SupernetConfig
 		FirstKH: 10, FirstKW: 4, FirstStride: 1,
 		FirstWidthOptions: opts,
 		MaxC:              maxC,
-		PoolKH:            sameOut(inputH, 2), PoolKW: sameOut(inputW, 2),
+		PoolKH:            tensor.SameOut(inputH, 2), PoolKW: tensor.SameOut(inputW, 2),
 	}
 	for i := 0; i < blocks; i++ {
 		b := SupernetBlock{Stride: 1, WidthOptions: opts, Skippable: i > 0}

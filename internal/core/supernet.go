@@ -168,7 +168,7 @@ func (s *Supernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau float32
 	mask := channelMask(zFirst, cfg.FirstWidthOptions, cfg.MaxC)
 	y = ag.ChannelScale(y, mask)
 	ePrev := ExpectedChannels(zFirst, cfg.FirstWidthOptions)
-	oh, ow := sameOut(h, cfg.FirstStride), sameOut(w, cfg.FirstStride)
+	oh, ow := tensor.SameOut(h, cfg.FirstStride), tensor.SameOut(w, cfg.FirstStride)
 	inElems := float32(h * w * cfg.InputC)
 	kArea := float32(cfg.FirstKH * cfg.FirstKW * cfg.InputC)
 	res.ParamCount = ag.Add(res.ParamCount, ag.Scale(ePrev, kArea))
@@ -180,7 +180,7 @@ func (s *Supernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau float32
 	for i := range s.dw {
 		blk := cfg.Blocks[i]
 		zW := s.width[i].Weights(rng, tau)
-		oh, ow = sameOut(h, blk.Stride), sameOut(w, blk.Stride)
+		oh, ow = tensor.SameOut(h, blk.Stride), tensor.SameOut(w, blk.Stride)
 
 		body := s.dw[i].Forward(y, training)
 		body = s.dwBN[i].Forward(body, training)
@@ -272,14 +272,4 @@ func (s *Supernet) Discretize(name string) *arch.Spec {
 	}
 	spec.Blocks = append(spec.Blocks, arch.Block{Kind: arch.Dense, OutC: cfg.NumClasses})
 	return spec
-}
-
-func sameOut(in, s int) int {
-	if s <= 1 {
-		return in
-	}
-	if in%s == 0 {
-		return in / s
-	}
-	return in/s + 1
 }

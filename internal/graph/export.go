@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"micronets/internal/arch"
 	ag "micronets/internal/autograd"
@@ -17,368 +18,194 @@ import (
 // the provided calibration batch — the standard TFLite post-QAT export the
 // paper relies on.
 func Export(spec *arch.Spec, model *nn.Sequential, calib *tensor.Tensor, opts LowerOptions) (*Model, error) {
-	if opts.WeightBits == 0 {
-		opts.WeightBits = 8
-	}
-	if opts.ActBits == 0 {
-		opts.ActBits = 8
-	}
 	e := &exporter{
-		b:      newBuilder(spec.Name, opts),
-		layers: model.Layers,
-		opts:   opts,
+		layers: flatten(model.Layers, nil),
+		batch:  calib.Shape[0],
+		// The walker's input tensor is tensor 0.
+		acts: map[int]*ag.Var{0: ag.Constant(calib)},
 	}
-	lo, hi := rangeOfT(calib)
-	scale, zp := quantParams(lo, hi, opts.ActBits)
-	in := e.b.addTensor("input", spec.InputH, spec.InputW, spec.InputC, scale, zp)
-	e.b.model.Input = in
-
-	cur := ag.Constant(calib)
-	curID := in
-	var err error
-	for i, blk := range spec.Blocks {
-		name := fmt.Sprintf("b%d", i)
-		cur, curID, err = e.exportBlock(name, blk, cur, curID)
-		if err != nil {
-			return nil, fmt.Errorf("graph: exporting %s block %d: %w", spec.Name, i, err)
-		}
+	m, err := lower(spec, opts, e)
+	if err != nil {
+		return nil, err
 	}
 	if e.pos != len(e.layers) {
 		return nil, fmt.Errorf("graph: %s: %d trained layers left over after export", spec.Name, len(e.layers)-e.pos)
 	}
-	if opts.AppendSoftmax && spec.NumClasses > 1 {
-		curID = e.b.softmax("softmax", curID)
-	}
-	e.b.model.Output = curID
-	if err := e.b.model.Validate(); err != nil {
-		return nil, err
-	}
-	return e.b.model, nil
+	return m, nil
 }
 
+// exporter is Export's source: it runs the calibration batch through the
+// trained layers as the walker meets them and quantizes what it finds.
 type exporter struct {
-	b      *builder
-	layers []nn.Layer
+	layers []nn.Layer // the trained model, flattened
 	pos    int
-	opts   LowerOptions
+	batch  int
+	acts   map[int]*ag.Var // float activation of each tensor, by tensor ID
 }
 
-func (e *exporter) pop() (nn.Layer, error) {
-	if e.pos >= len(e.layers) {
-		return nil, fmt.Errorf("ran out of trained layers")
+// flatten appends layers to out with Residual and Sequential bodies
+// inlined and Dropout (an identity at deployment) dropped: the order in
+// which the walker meets the trained layers.
+func flatten(layers, out []nn.Layer) []nn.Layer {
+	for _, l := range layers {
+		switch v := l.(type) {
+		case *nn.Sequential:
+			out = flatten(v.Layers, out)
+		case *nn.Residual:
+			out = flatten([]nn.Layer{v.Body}, out)
+		case *nn.Dropout:
+		default:
+			out = append(out, l)
+		}
 	}
-	l := e.layers[e.pos]
+	return out
+}
+
+// pop takes the next trained layer, which must be a T.
+func pop[T nn.Layer](e *exporter) (T, error) {
+	var l T
+	if e.pos == len(e.layers) {
+		return l, fmt.Errorf("ran out of trained layers")
+	}
+	l, ok := e.layers[e.pos].(T)
+	if !ok {
+		return l, fmt.Errorf("expected %T, got %T", l, e.layers[e.pos])
+	}
 	e.pos++
 	return l, nil
 }
 
-func (e *exporter) exportBlock(name string, blk arch.Block, cur *ag.Var, curID int) (*ag.Var, int, error) {
-	switch blk.Kind {
-	case arch.Conv:
-		return e.convBNAct(name, cur, curID)
-	case arch.DSBlock:
-		cur, curID, err := e.exportDWBNAct(name+"_dw", cur, curID)
+func (e *exporter) input(actBits int) (float32, int32) {
+	lo, hi := rangeOfT(e.acts[0].Value)
+	return quantParams(lo, hi, actBits)
+}
+
+func (e *exporter) fill(l *arch.LayerInfo, op *Op, m *Model) error {
+	x := e.acts[op.Inputs[len(op.Inputs)-1]]
+	var y *ag.Var
+	switch l.Kind {
+	case "conv", "dwconv", "dense":
+		var err error
+		if y, err = e.weighted(l, op, m, x); err != nil {
+			return err
+		}
+	case "avgpool", "maxpool":
+		p, err := pop[nn.Layer](e)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		return e.convBNAct(name+"_pw", cur, curID)
-	case arch.IBN:
-		return e.exportIBN(name, cur, curID)
-	case arch.AvgPool, arch.MaxPool, arch.GlobalPool:
-		return e.exportPool(name, blk, cur, curID)
-	case arch.Dense, arch.DenseReLU:
-		return e.exportDense(name, blk, cur, curID)
-	case arch.Dropout:
-		if _, err := e.pop(); err != nil { // dropout layer, identity at export
-			return nil, 0, err
+		var kind string
+		switch p.(type) {
+		case *nn.AvgPool, *nn.GlobalAvgPool:
+			kind = "avgpool"
+		case *nn.MaxPoolLayer:
+			kind = "maxpool"
 		}
-		return cur, curID, nil
+		if kind != l.Kind {
+			return fmt.Errorf("expected a %s layer, got %T", l.Kind, p)
+		}
+		y = p.Forward(x, false)
+	case "add":
+		y = ag.Add(x, e.acts[op.Inputs[0]])
+		quantOut(l, op, m.Tensors[op.Output], y)
 	default:
-		return nil, 0, fmt.Errorf("unsupported block kind %v at export", blk.Kind)
+		return fmt.Errorf("%s layers cannot be exported", l.Kind)
 	}
+	if y.Value.Len() != e.batch*int(l.OutBytes()) {
+		return fmt.Errorf("trained output %v does not match %dx%dx%d", y.Value.Shape, l.OutH, l.OutW, l.OutC)
+	}
+	e.acts[op.Output] = y
+	return nil
 }
 
-// convBNAct pops [Conv2D, BatchNorm, Activation] and emits one fused
-// quantized conv op.
-func (e *exporter) convBNAct(name string, cur *ag.Var, curID int) (*ag.Var, int, error) {
-	cl, err := e.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	conv, ok := cl.(*nn.Conv2D)
-	if !ok {
-		return nil, 0, fmt.Errorf("expected Conv2D, got %T", cl)
-	}
-	bl, err := e.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	bn, ok := bl.(*nn.BatchNorm)
-	if !ok {
-		return nil, 0, fmt.Errorf("expected BatchNorm, got %T", bl)
-	}
-	al, err := e.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	act, ok := al.(*nn.Activation)
-	if !ok {
-		return nil, 0, fmt.Errorf("expected Activation, got %T", al)
-	}
-	// Float forward through the real layers.
-	next := act.Forward(bn.Forward(conv.Forward(cur, false), false), false)
-	id, err := e.emitConv(name, OpConv2D, conv.W.Value, nil, bn, act.Kind, conv.Stride, cur, next, curID)
-	return next, id, err
-}
-
-func (e *exporter) exportDWBNAct(name string, cur *ag.Var, curID int) (*ag.Var, int, error) {
-	dl, err := e.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	dw, ok := dl.(*nn.DepthwiseConv2D)
-	if !ok {
-		return nil, 0, fmt.Errorf("expected DepthwiseConv2D, got %T", dl)
-	}
-	bl, err := e.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	bn, ok := bl.(*nn.BatchNorm)
-	if !ok {
-		return nil, 0, fmt.Errorf("expected BatchNorm, got %T", bl)
-	}
-	al, err := e.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	act, ok := al.(*nn.Activation)
-	if !ok {
-		return nil, 0, fmt.Errorf("expected Activation, got %T", al)
-	}
-	next := act.Forward(bn.Forward(dw.Forward(cur, false), false), false)
-	id, err := e.emitConv(name, OpDWConv2D, dw.W.Value, nil, bn, act.Kind, dw.Stride, cur, next, curID)
-	return next, id, err
-}
-
-// exportIBN pops the single Residual/Sequential layer Build emitted and
-// exports its 8 inner layers plus an OpAdd when residual.
-func (e *exporter) exportIBN(name string, cur *ag.Var, curID int) (*ag.Var, int, error) {
-	l, err := e.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	var body *nn.Sequential
-	residual := false
-	switch v := l.(type) {
-	case *nn.Residual:
-		body, _ = v.Body.(*nn.Sequential)
-		residual = true
-	case *nn.Sequential:
-		body = v
-	default:
-		return nil, 0, fmt.Errorf("expected IBN Residual/Sequential, got %T", l)
-	}
-	if body == nil || len(body.Layers) != 8 {
-		return nil, 0, fmt.Errorf("malformed IBN body")
-	}
-	// Temporarily walk the inner layers with a sub-exporter sharing the
-	// same builder.
-	sub := &exporter{b: e.b, layers: body.Layers, opts: e.opts}
-	skip, skipID := cur, curID
-
-	x, xID, err := sub.convBNAct(name+"_exp", cur, curID)
-	if err != nil {
-		return nil, 0, err
-	}
-	x, xID, err = sub.exportDWBNAct(name+"_dw", x, xID)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Projection: conv + BN, linear (no activation layer).
-	cl, err := sub.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	proj, ok := cl.(*nn.Conv2D)
-	if !ok {
-		return nil, 0, fmt.Errorf("expected projection Conv2D, got %T", cl)
-	}
-	bl, err := sub.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	bn, ok := bl.(*nn.BatchNorm)
-	if !ok {
-		return nil, 0, fmt.Errorf("expected projection BatchNorm, got %T", bl)
-	}
-	projIn, projInID := x, xID
-	x = bn.Forward(proj.Forward(projIn, false), false)
-	xID, err = e.emitConv(name+"_proj", OpConv2D, proj.W.Value, nil, bn, "linear", proj.Stride, projIn, x, projInID)
-	if err != nil {
-		return nil, 0, err
-	}
-	if !residual {
-		return x, xID, nil
-	}
-	sum := ag.Add(x, skip)
-	lo, hi := rangeOfT(sum.Value)
-	scale, zp := quantParams(lo, hi, e.opts.ActBits)
-	out := e.b.addTensor(name+"_add_out", sum.Value.Shape[1], sum.Value.Shape[2], sum.Value.Shape[3], scale, zp)
-	cl2, ch2 := clampRange(e.opts.ActBits)
-	e.b.model.Ops = append(e.b.model.Ops, &Op{
-		Kind: OpAdd, Name: name + "_add", Inputs: []int{skipID, xID}, Output: out,
-		ClampMin: cl2, ClampMax: ch2,
-	})
-	return sum, out, nil
-}
-
-func (e *exporter) exportPool(name string, blk arch.Block, cur *ag.Var, curID int) (*ag.Var, int, error) {
-	l, err := e.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	var next *ag.Var
-	kind := OpAvgPool
-	kh, kw, stride := blk.KH, blk.KW, blk.Stride
-	if stride == 0 {
-		stride = 1
-	}
-	switch v := l.(type) {
-	case *nn.AvgPool:
-		next = v.Forward(cur, false)
-	case *nn.MaxPoolLayer:
-		next = v.Forward(cur, false)
-		kind = OpMaxPool
-	case *nn.GlobalAvgPool:
-		next = v.Forward(cur, false)
-		kh, kw = cur.Value.Shape[1], cur.Value.Shape[2]
-	default:
-		return nil, 0, fmt.Errorf("expected pool layer, got %T", l)
-	}
-	it := e.b.model.Tensors[curID]
-	oh, ow := 1, 1
-	if len(next.Value.Shape) == 4 {
-		oh, ow = next.Value.Shape[1], next.Value.Shape[2]
-	}
-	out := e.b.addTensor(name+"_out", oh, ow, it.C, it.Scale, it.ZeroPoint)
-	cl, ch := clampRange(e.opts.ActBits)
-	e.b.model.Ops = append(e.b.model.Ops, &Op{
-		Kind: kind, Name: name, Inputs: []int{curID}, Output: out,
-		KH: kh, KW: kw, SH: stride, SW: stride,
-		ClampMin: cl, ClampMax: ch,
-	})
-	return next, out, nil
-}
-
-func (e *exporter) exportDense(name string, blk arch.Block, cur *ag.Var, curID int) (*ag.Var, int, error) {
-	l, err := e.pop()
-	if err != nil {
-		return nil, 0, err
-	}
-	d, ok := l.(*nn.Dense)
-	if !ok {
-		return nil, 0, fmt.Errorf("expected Dense, got %T", l)
-	}
-	actKind := "linear"
-	next := d.Forward(cur, false)
-	if blk.Kind == arch.DenseReLU {
-		al, err := e.pop()
+// weighted pops a trained conv, depthwise conv or dense layer, the
+// BatchNorm a convolution carries and the activation unless l is linear,
+// runs them, and fills op with the BatchNorm-folded quantized weights, the
+// bias and the calibrated output range.
+func (e *exporter) weighted(l *arch.LayerInfo, op *Op, m *Model, x *ag.Var) (*ag.Var, error) {
+	var (
+		w           *tensor.Tensor
+		y           *ag.Var
+		fold, shift []float32 // per output channel; nil folds nothing
+	)
+	switch l.Kind {
+	case "conv":
+		c, err := pop[*nn.Conv2D](e)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		act, ok := al.(*nn.Activation)
-		if !ok {
-			return nil, 0, fmt.Errorf("expected Activation after DenseReLU, got %T", al)
+		w, y = c.W.Value, c.Forward(x, false)
+	case "dwconv":
+		d, err := pop[*nn.DepthwiseConv2D](e)
+		if err != nil {
+			return nil, err
 		}
-		next = act.Forward(next, false)
-		actKind = act.Kind
-	}
-	in := e.b.model.Tensors[curID]
-	outC := d.W.Value.Shape[1]
-	qmax := float32(127)
-	if e.opts.WeightBits == 4 {
-		qmax = 7
-	}
-	// Per-tensor symmetric scale for FC (as CMSIS-NN uses).
-	var wmax float32
-	for _, v := range d.W.Value.Data {
-		if a := absf(v); a > wmax {
-			wmax = a
+		w, y = d.W.Value, d.Forward(x, false)
+	case "dense":
+		d, err := pop[*nn.Dense](e)
+		if err != nil {
+			return nil, err
+		}
+		w, y = d.W.Value, d.Forward(x, false)
+		if d.B != nil {
+			shift = d.B.Value.Data
 		}
 	}
-	if wmax == 0 {
-		wmax = 1e-6
-	}
-	ws := wmax / qmax
-	inN := d.W.Value.Shape[0]
-	wq := make([]int8, inN*outC)
-	for i, v := range d.W.Value.Data {
-		wq[i] = quantClamp(v/ws, e.opts.WeightBits)
-	}
-	scales := make([]float32, outC)
-	for i := range scales {
-		scales[i] = ws
-	}
-	bias := make([]int32, outC)
-	if d.B != nil {
-		for i, v := range d.B.Value.Data {
-			bias[i] = int32(math.Round(float64(v / (in.Scale * ws))))
+	if l.Kind != "dense" {
+		bn, err := pop[*nn.BatchNorm](e)
+		if err != nil {
+			return nil, err
+		}
+		y = bn.Forward(y, false)
+		if fold, shift = bn.FoldedScaleShift(); len(fold) != l.OutC {
+			return nil, fmt.Errorf("BN channels %d != layer out %d", len(fold), l.OutC)
 		}
 	}
-	lo, hi := rangeOfT(next.Value)
-	if actKind == "relu" && lo > 0 {
-		lo = 0
+	if l.Act != "linear" {
+		act, err := pop[*nn.Activation](e)
+		if err != nil {
+			return nil, err
+		}
+		if act.Kind != l.Act {
+			return nil, fmt.Errorf("trained activation %s, layer wants %s", act.Kind, l.Act)
+		}
+		y = act.Forward(y, false)
 	}
-	scale, zp := quantParams(lo, hi, e.opts.ActBits)
-	out := e.b.addTensor(name+"_out", 1, 1, outC, scale, zp)
-	clMin, clMax := clampRange(e.opts.ActBits)
-	if actKind == "relu" && zp > clMin {
-		clMin = zp
+	if int64(w.Len()) != l.Params {
+		return nil, fmt.Errorf("trained weights %v, layer wants %d", w.Shape, l.Params)
 	}
-	e.b.model.Ops = append(e.b.model.Ops, &Op{
-		Kind: OpDense, Name: name, Inputs: []int{curID}, Output: out,
-		Weights: wq, WeightBits: e.opts.WeightBits, WeightScales: scales, Bias: bias,
-		ClampMin: clMin, ClampMax: clMax,
-	})
-	return next, out, nil
+	op.Weights, op.WeightScales = quantWeights(w.Data, fold, l.OutC, l.Kind == "dense", op.WeightBits)
+	inScale := m.Tensors[op.Inputs[0]].Scale
+	op.Bias = make([]int32, l.OutC)
+	for oc, v := range shift {
+		op.Bias[oc] = int32(math.Round(float64(v / (inScale * op.WeightScales[oc]))))
+	}
+	quantOut(l, op, m.Tensors[op.Output], y)
+	return y, nil
 }
 
-// emitConv folds BN into the conv weights and emits the quantized op.
-// wgt layout: [kh,kw,inC,outC] for conv, [kh,kw,c] for dwconv.
-func (e *exporter) emitConv(name string, kind OpKind, wgt *tensor.Tensor, convBias *tensor.Tensor,
-	bn *nn.BatchNorm, actKind string, stride int, in *ag.Var, out *ag.Var, inID int) (int, error) {
-
-	it := e.b.model.Tensors[inID]
-	var kh, kw, inC, outC int
-	if kind == OpConv2D {
-		kh, kw, inC, outC = wgt.Shape[0], wgt.Shape[1], wgt.Shape[2], wgt.Shape[3]
-	} else {
-		kh, kw = wgt.Shape[0], wgt.Shape[1]
-		inC, outC = wgt.Shape[2], wgt.Shape[2]
-	}
-	bnScale, bnShift := bn.FoldedScaleShift()
-	if len(bnScale) != outC {
-		return 0, fmt.Errorf("BN channels %d != conv out %d", len(bnScale), outC)
-	}
-	qmax := float32(127)
-	if e.opts.WeightBits == 4 {
-		qmax = 7
-	}
-	// Fold and quantize per output channel.
-	folded := make([]float32, wgt.Len())
+// quantWeights folds w (output channel innermost) by fold, if any, and
+// quantizes it symmetrically: one scale per output channel, or one for
+// the whole tensor (perTensor, as CMSIS-NN quantizes fully connected
+// layers).
+func quantWeights(w, fold []float32, outC int, perTensor bool, bits int) ([]int8, []float32) {
+	_, hi := clampRange(bits)
+	qmax := float32(hi)
+	folded := make([]float32, len(w))
 	chMax := make([]float32, outC)
-	for i, v := range wgt.Data {
-		var oc int
-		if kind == OpConv2D {
-			oc = i % outC
-		} else {
-			oc = i % outC // dw: channel is the last dim too
+	for i, v := range w {
+		if fold != nil {
+			v *= fold[i%outC]
 		}
-		f := v * bnScale[oc]
-		folded[i] = f
-		if a := absf(f); a > chMax[oc] {
-			chMax[oc] = a
+		folded[i] = v
+		if a := absf(v); a > chMax[i%outC] {
+			chMax[i%outC] = a
+		}
+	}
+	if perTensor {
+		all := slices.Max(chMax)
+		for oc := range chMax {
+			chMax[oc] = all
 		}
 	}
 	scales := make([]float32, outC)
@@ -390,75 +217,30 @@ func (e *exporter) emitConv(name string, kind OpKind, wgt *tensor.Tensor, convBi
 	}
 	wq := make([]int8, len(folded))
 	for i, f := range folded {
-		oc := i % outC
-		wq[i] = quantClamp(f/scales[oc], e.opts.WeightBits)
+		wq[i] = quantClamp(f/scales[i%outC], bits)
 	}
-	bias := make([]int32, outC)
-	for oc := 0; oc < outC; oc++ {
-		b := bnShift[oc]
-		if convBias != nil {
-			b += convBias.Data[oc] * bnScale[oc]
-		}
-		bias[oc] = int32(math.Round(float64(b / (it.Scale * scales[oc]))))
+	return wq, scales
+}
+
+// quantOut sets out's scale and zero point from y's calibrated range and
+// narrows op's clamp to l's fused activation.
+func quantOut(l *arch.LayerInfo, op *Op, out *Tensor, y *ag.Var) {
+	lo, hi := rangeOfT(y.Value)
+	if l.Act == "relu6" && hi > 6 {
+		hi = 6
 	}
-	// Output tensor geometry and quantization.
-	oh, ow := out.Value.Shape[1], out.Value.Shape[2]
-	lo, hi := rangeOfT(out.Value)
-	switch actKind {
-	case "relu":
-		if lo > 0 {
-			lo = 0
-		}
-	case "relu6":
-		if lo > 0 {
-			lo = 0
-		}
-		if hi > 6 {
-			hi = 6
-		}
+	out.Scale, out.ZeroPoint = quantParams(lo, hi, out.Bits)
+	if l.Act != "linear" && out.ZeroPoint > op.ClampMin {
+		op.ClampMin = out.ZeroPoint
 	}
-	scale, zp := quantParams(lo, hi, e.opts.ActBits)
-	outID := e.b.addTensor(name+"_out", oh, ow, outC, scale, zp)
-	clMin, clMax := clampRange(e.opts.ActBits)
-	switch actKind {
-	case "relu":
-		if zp > clMin {
-			clMin = zp
-		}
-	case "relu6":
-		if zp > clMin {
-			clMin = zp
-		}
-		q6 := zp + int32(math.Round(float64(6/scale)))
-		if q6 < clMax {
-			clMax = q6
-		}
+	if l.Act == "relu6" {
+		op.ClampMax = min(op.ClampMax, out.ZeroPoint+int32(math.Round(float64(6/out.Scale))))
 	}
-	spec := tensor.Same(kh, kw, stride, stride, it.H, it.W)
-	e.b.model.Ops = append(e.b.model.Ops, &Op{
-		Kind: kind, Name: name, Inputs: []int{inID}, Output: outID,
-		KH: kh, KW: kw, SH: stride, SW: stride,
-		PadTop: spec.PadTop, PadLeft: spec.PadLeft, PadBottom: spec.PadBottom, PadRight: spec.PadRight,
-		Weights: wq, WeightBits: e.opts.WeightBits, WeightScales: scales, Bias: bias,
-		ClampMin: clMin, ClampMax: clMax,
-	})
-	_ = inC
-	return outID, nil
 }
 
 func quantClamp(v float32, bits int) int8 {
-	q := int32(math.Round(float64(v)))
-	lo, hi := int32(-128), int32(127)
-	if bits == 4 {
-		lo, hi = -8, 7
-	}
-	if q < lo {
-		q = lo
-	}
-	if q > hi {
-		q = hi
-	}
-	return int8(q)
+	lo, hi := clampRange(bits)
+	return int8(min(max(int32(math.Round(float64(v))), lo), hi))
 }
 
 func rangeOfT(t *tensor.Tensor) (float32, float32) {

@@ -23,60 +23,56 @@ type LowerOptions struct {
 // used for hardware characterization (Figures 3-5), where only shapes and
 // datatypes matter; trained exports go through Export.
 func FromSpec(spec *arch.Spec, rng *rand.Rand, opts LowerOptions) (*Model, error) {
+	return lower(spec, opts, synthetic{rng})
+}
+
+// source is what FromSpec and Export lower differently: the input
+// quantization, a weighted layer's int8 weights, scales and bias, and the
+// output quantization of a weighted or add layer.
+type source interface {
+	// input returns the scale and zero point of the model input.
+	input(actBits int) (float32, int32)
+	// fill completes op, which the walker built for l with its geometry,
+	// datatypes, full clamp range and an output tensor carrying the input
+	// tensor's quantization (what a pool keeps).
+	fill(l *arch.LayerInfo, op *Op, m *Model) error
+}
+
+// opKinds maps an arch.LayerInfo kind to the op it lowers to.
+var opKinds = map[string]OpKind{
+	"conv": OpConv2D, "dwconv": OpDWConv2D, "dense": OpDense,
+	"avgpool": OpAvgPool, "maxpool": OpMaxPool, "add": OpAdd, "tconv": OpTransposedConv,
+}
+
+// lower is the one walker behind FromSpec and Export: it emits one op per
+// layer of spec.Analyze(), in order, plus the optional softmax head. An
+// add reads the output of the layer before it and the input of its block.
+func lower(spec *arch.Spec, opts LowerOptions, src source) (*Model, error) {
+	a, err := spec.Analyze()
+	if err != nil {
+		return nil, err
+	}
 	if opts.WeightBits == 0 {
 		opts.WeightBits = 8
 	}
 	if opts.ActBits == 0 {
 		opts.ActBits = 8
 	}
-	b := newBuilder(spec.Name, opts)
-	in := b.addTensor("input", spec.InputH, spec.InputW, spec.InputC, 0.05, -128)
-	b.model.Input = in
-
-	cur := in
-	for i, blk := range spec.Blocks {
-		stride := blk.Stride
-		if stride == 0 {
-			stride = 1
+	b := &builder{model: &Model{Name: spec.Name}, opts: opts}
+	scale, zp := src.input(opts.ActBits)
+	cur := b.addTensor("input", spec.InputH, spec.InputW, spec.InputC, scale, zp)
+	b.model.Input = cur
+	blockIn, block := cur, -1
+	for i := range a.Layers {
+		l := &a.Layers[i]
+		if l.BlockIdx != block {
+			blockIn, block = cur, l.BlockIdx
 		}
-		name := fmt.Sprintf("b%d", i)
-		switch blk.Kind {
-		case arch.Conv:
-			cur = b.conv(name, cur, blk.KH, blk.KW, stride, blk.OutC, rng, false)
-		case arch.DSBlock:
-			cur = b.dwconv(name+"_dw", cur, blk.KH, blk.KW, stride, rng)
-			cur = b.conv(name+"_pw", cur, 1, 1, 1, blk.OutC, rng, false)
-		case arch.IBN:
-			kh, kw := blk.KH, blk.KW
-			if kh == 0 {
-				kh, kw = 3, 3
-			}
-			inC := b.model.Tensors[cur].C
-			save := cur
-			cur = b.conv(name+"_exp", cur, 1, 1, 1, blk.Expand, rng, false)
-			cur = b.dwconv(name+"_dw", cur, kh, kw, stride, rng)
-			cur = b.conv(name+"_proj", cur, 1, 1, 1, blk.OutC, rng, true)
-			if stride == 1 && blk.OutC == inC {
-				cur = b.add(name+"_add", save, cur)
-			}
-		case arch.AvgPool, arch.MaxPool:
-			kind := OpAvgPool
-			if blk.Kind == arch.MaxPool {
-				kind = OpMaxPool
-			}
-			cur = b.pool(name, kind, cur, blk.KH, blk.KW, stride)
-		case arch.GlobalPool:
-			t := b.model.Tensors[cur]
-			cur = b.pool(name, OpAvgPool, cur, t.H, t.W, 1)
-		case arch.Dense, arch.DenseReLU:
-			cur = b.dense(name, cur, blk.OutC, rng, blk.Kind == arch.DenseReLU)
-		case arch.Dropout:
-			// deployment no-op
-		case arch.TransposedConv:
-			cur = b.tconv(name, cur, blk.KH, blk.KW, stride, blk.OutC, rng)
-		default:
-			return nil, fmt.Errorf("graph: unsupported block kind %v", blk.Kind)
+		op := b.emit(l, cur, blockIn)
+		if err := src.fill(l, op, b.model); err != nil {
+			return nil, fmt.Errorf("graph: %s layer %s: %w", spec.Name, l.Name, err)
 		}
+		cur = op.Output
 	}
 	if opts.AppendSoftmax && spec.NumClasses > 1 {
 		cur = b.softmax("softmax", cur)
@@ -93,10 +89,6 @@ type builder struct {
 	opts  LowerOptions
 }
 
-func newBuilder(name string, opts LowerOptions) *builder {
-	return &builder{model: &Model{Name: name}, opts: opts}
-}
-
 func (b *builder) addTensor(name string, h, w, c int, scale float32, zp int32) int {
 	t := &Tensor{
 		ID: len(b.model.Tensors), Name: name, H: h, W: w, C: c,
@@ -104,6 +96,74 @@ func (b *builder) addTensor(name string, h, w, c int, scale float32, zp int32) i
 	}
 	b.model.Tensors = append(b.model.Tensors, t)
 	return t.ID
+}
+
+// emit appends layer l's op, reading tensor cur (an add also reads
+// blockIn), and its output tensor, with everything the LayerInfo decides.
+func (b *builder) emit(l *arch.LayerInfo, cur, blockIn int) *Op {
+	in := b.model.Tensors[cur]
+	out := b.addTensor(l.Name+"_out", l.OutH, l.OutW, l.OutC, in.Scale, in.ZeroPoint)
+	lo, hi := clampRange(b.opts.ActBits)
+	op := &Op{
+		Kind: opKinds[l.Kind], Name: l.Name, Inputs: []int{cur}, Output: out,
+		KH: l.KH, KW: l.KW, SH: l.Stride, SW: l.Stride,
+		ClampMin: lo, ClampMax: hi,
+	}
+	if l.Params > 0 {
+		op.WeightBits = b.opts.WeightBits
+	}
+	switch op.Kind {
+	case OpConv2D, OpDWConv2D:
+		pad := tensor.Same(l.KH, l.KW, l.Stride, l.Stride, l.InH, l.InW)
+		op.PadTop, op.PadLeft, op.PadBottom, op.PadRight = pad.PadTop, pad.PadLeft, pad.PadBottom, pad.PadRight
+	case OpAdd:
+		op.Inputs = []int{blockIn, cur}
+	case OpTransposedConv:
+		op.ClampMin, op.ClampMax = -128, 127
+	}
+	b.model.Ops = append(b.model.Ops, op)
+	return op
+}
+
+func (b *builder) softmax(name string, in int) int {
+	it := b.model.Tensors[in]
+	// TFLite softmax output: scale 1/256, zero point -128.
+	out := b.addTensor(name+"_out", it.H, it.W, it.C, 1.0/256, -128)
+	b.model.Tensors[out].Bits = 8
+	op := &Op{Kind: OpSoftmax, Name: name, Inputs: []int{in}, Output: out,
+		ClampMin: -128, ClampMax: 127}
+	b.model.Ops = append(b.model.Ops, op)
+	return out
+}
+
+// synthetic is FromSpec's source: seeded random weights, one rng.Intn per
+// weight byte then one rng.Float32 per output channel, and fixed plausible
+// output scales.
+type synthetic struct{ rng *rand.Rand }
+
+func (synthetic) input(int) (float32, int32) { return 0.05, -128 }
+
+func (s synthetic) fill(l *arch.LayerInfo, op *Op, m *Model) error {
+	out := m.Tensors[op.Output]
+	switch op.Kind {
+	case OpAvgPool, OpMaxPool:
+		return nil
+	case OpAdd:
+		out.Scale, out.ZeroPoint = 0.05, 0
+		return nil
+	case OpDense:
+		out.Scale = 0.1
+	default:
+		out.Scale = 0.03
+	}
+	out.ZeroPoint = 0
+	if l.Act != "linear" {
+		out.ZeroPoint = actZeroPoint(out.Bits)
+	}
+	op.Weights = randWeights(s.rng, int(l.Params))
+	op.WeightScales = randScales(s.rng, l.OutC)
+	op.Bias = make([]int32, l.OutC)
+	return nil
 }
 
 func randWeights(rng *rand.Rand, n int) []int8 {
@@ -135,126 +195,4 @@ func clampRange(bits int) (int32, int32) {
 func actZeroPoint(bits int) int32 {
 	lo, _ := clampRange(bits)
 	return lo
-}
-
-func (b *builder) outTensorFor(in int, oh, ow, oc int, name string) int {
-	return b.addTensor(name, oh, ow, oc, 0.03, actZeroPoint(b.opts.ActBits))
-}
-
-func (b *builder) conv(name string, in int, kh, kw, stride, outC int, rng *rand.Rand, linear bool) int {
-	it := b.model.Tensors[in]
-	spec := tensor.Same(kh, kw, stride, stride, it.H, it.W)
-	oh, ow := spec.OutSize(it.H, it.W)
-	out := b.outTensorFor(in, oh, ow, outC, name+"_out")
-	lo, hi := clampRange(b.opts.ActBits)
-	op := &Op{
-		Kind: OpConv2D, Name: name, Inputs: []int{in}, Output: out,
-		KH: kh, KW: kw, SH: stride, SW: stride,
-		PadTop: spec.PadTop, PadLeft: spec.PadLeft, PadBottom: spec.PadBottom, PadRight: spec.PadRight,
-		Weights: randWeights(rng, kh*kw*it.C*outC), WeightBits: b.opts.WeightBits,
-		WeightScales: randScales(rng, outC), Bias: make([]int32, outC),
-		ClampMin: lo, ClampMax: hi,
-	}
-	if linear {
-		// Linear bottleneck output: symmetric-ish range.
-		b.model.Tensors[out].ZeroPoint = 0
-	}
-	b.model.Ops = append(b.model.Ops, op)
-	return out
-}
-
-func (b *builder) dwconv(name string, in int, kh, kw, stride int, rng *rand.Rand) int {
-	it := b.model.Tensors[in]
-	spec := tensor.Same(kh, kw, stride, stride, it.H, it.W)
-	oh, ow := spec.OutSize(it.H, it.W)
-	out := b.outTensorFor(in, oh, ow, it.C, name+"_out")
-	lo, hi := clampRange(b.opts.ActBits)
-	op := &Op{
-		Kind: OpDWConv2D, Name: name, Inputs: []int{in}, Output: out,
-		KH: kh, KW: kw, SH: stride, SW: stride,
-		PadTop: spec.PadTop, PadLeft: spec.PadLeft, PadBottom: spec.PadBottom, PadRight: spec.PadRight,
-		Weights: randWeights(rng, kh*kw*it.C), WeightBits: b.opts.WeightBits,
-		WeightScales: randScales(rng, it.C), Bias: make([]int32, it.C),
-		ClampMin: lo, ClampMax: hi,
-	}
-	b.model.Ops = append(b.model.Ops, op)
-	return out
-}
-
-func (b *builder) dense(name string, in int, outC int, rng *rand.Rand, relu bool) int {
-	it := b.model.Tensors[in]
-	out := b.addTensor(name+"_out", 1, 1, outC, 0.1, 0)
-	lo, hi := clampRange(b.opts.ActBits)
-	if relu {
-		b.model.Tensors[out].ZeroPoint = lo
-	}
-	op := &Op{
-		Kind: OpDense, Name: name, Inputs: []int{in}, Output: out,
-		Weights: randWeights(rng, it.Elems()*outC), WeightBits: b.opts.WeightBits,
-		WeightScales: randScales(rng, outC), Bias: make([]int32, outC),
-		ClampMin: lo, ClampMax: hi,
-	}
-	if !relu {
-		op.ClampMin, op.ClampMax = lo, hi
-	}
-	b.model.Ops = append(b.model.Ops, op)
-	return out
-}
-
-func (b *builder) pool(name string, kind OpKind, in int, kh, kw, stride int) int {
-	it := b.model.Tensors[in]
-	oh := (it.H-kh)/stride + 1
-	ow := (it.W-kw)/stride + 1
-	if oh < 1 {
-		oh = 1
-	}
-	if ow < 1 {
-		ow = 1
-	}
-	out := b.addTensor(name+"_out", oh, ow, it.C, it.Scale, it.ZeroPoint)
-	lo, hi := clampRange(b.opts.ActBits)
-	op := &Op{
-		Kind: kind, Name: name, Inputs: []int{in}, Output: out,
-		KH: kh, KW: kw, SH: stride, SW: stride,
-		ClampMin: lo, ClampMax: hi,
-	}
-	b.model.Ops = append(b.model.Ops, op)
-	return out
-}
-
-func (b *builder) add(name string, a, c int) int {
-	at := b.model.Tensors[a]
-	out := b.addTensor(name+"_out", at.H, at.W, at.C, 0.05, 0)
-	lo, hi := clampRange(b.opts.ActBits)
-	op := &Op{
-		Kind: OpAdd, Name: name, Inputs: []int{a, c}, Output: out,
-		ClampMin: lo, ClampMax: hi,
-	}
-	b.model.Ops = append(b.model.Ops, op)
-	return out
-}
-
-func (b *builder) softmax(name string, in int) int {
-	it := b.model.Tensors[in]
-	// TFLite softmax output: scale 1/256, zero point -128.
-	out := b.addTensor(name+"_out", it.H, it.W, it.C, 1.0/256, -128)
-	b.model.Tensors[out].Bits = 8
-	op := &Op{Kind: OpSoftmax, Name: name, Inputs: []int{in}, Output: out,
-		ClampMin: -128, ClampMax: 127}
-	b.model.Ops = append(b.model.Ops, op)
-	return out
-}
-
-func (b *builder) tconv(name string, in int, kh, kw, stride, outC int, rng *rand.Rand) int {
-	it := b.model.Tensors[in]
-	out := b.addTensor(name+"_out", it.H*stride, it.W*stride, outC, 0.03, 0)
-	op := &Op{
-		Kind: OpTransposedConv, Name: name, Inputs: []int{in}, Output: out,
-		KH: kh, KW: kw, SH: stride, SW: stride,
-		Weights: randWeights(rng, kh*kw*it.C*outC), WeightBits: b.opts.WeightBits,
-		WeightScales: randScales(rng, outC), Bias: make([]int32, outC),
-		ClampMin: -128, ClampMax: 127,
-	}
-	b.model.Ops = append(b.model.Ops, op)
-	return out
 }

@@ -12,16 +12,18 @@ type ConvSpec struct {
 	PadRight  int
 }
 
+// SameOut returns the TensorFlow "SAME" output size, ceil(in/s), for an
+// input size and stride.
+func SameOut(in, s int) int { return (in + s - 1) / s }
+
+// ValidOut returns the "VALID" output size for an input size, window and
+// stride, at least 1: a window larger than the input covers it once.
+func ValidOut(in, k, s int) int { return max((in-k)/s+1, 1) }
+
 // SamePadding returns the TensorFlow "SAME" padding for the given input
 // size, kernel size and stride.
 func SamePadding(in, k, s int) (before, after int) {
-	var outSize int
-	if in%s == 0 {
-		outSize = in / s
-	} else {
-		outSize = in/s + 1
-	}
-	pad := (outSize-1)*s + k - in
+	pad := (SameOut(in, s)-1)*s + k - in
 	if pad < 0 {
 		pad = 0
 	}

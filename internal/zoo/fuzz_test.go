@@ -43,8 +43,9 @@ func smallEnough(s *arch.Spec, a *arch.Analysis) bool {
 }
 
 // FuzzReadSpecFile: every spec a spec file is accepted with (what
-// `cmd/serve -specs` and the admin spec_file load read) lowers and
-// prepares without a panic, and only a non-deployable one (a transposed
+// `cmd/serve -specs` and the admin spec_file load read) lowers to one op
+// per analyzed layer (plus the softmax head) with the layer's MACs, and
+// prepares without a panic; only a non-deployable one (a transposed
 // convolution) fails to prepare.
 func FuzzReadSpecFile(f *testing.F) {
 	var catalogue bytes.Buffer
@@ -85,6 +86,18 @@ func FuzzReadSpecFile(f *testing.F) {
 			m, err := serve.ModelOptions{AppendSoftmax: true}.Lower(s)
 			if err != nil {
 				t.Fatalf("%s analyzes but does not lower: %v", s, err)
+			}
+			ops := len(a.Layers)
+			if s.NumClasses > 1 {
+				ops++ // the softmax head
+			}
+			if len(m.Ops) != ops {
+				t.Fatalf("%s: %d layers lower to %d ops, want %d", s, len(a.Layers), len(m.Ops), ops)
+			}
+			for i, l := range a.Layers {
+				if op := m.Ops[i]; op.Name != l.Name || op.MACs(m) != l.MACs {
+					t.Fatalf("%s: op %d is %s with %d MACs, layer is %s with %d", s, i, op.Name, op.MACs(m), l.Name, l.MACs)
+				}
 			}
 			if _, err := tflm.Prepare(m); err != nil && a.Deployable {
 				t.Fatalf("deployable %s does not prepare: %v", s, err)
