@@ -11,10 +11,11 @@ build:
 test:
 	$(GO) test -race -shuffle=on ./...
 
-# test-purego keeps the portable kernel body honest on an amd64 CI host:
-# with the assembly tagged out it must still vet, compile and hold its
-# parity (kernels), its goldens (tflm) and the facade tests.
-PUREGO_PKGS = ./internal/kernels ./internal/tflm .
+# test-purego keeps the portable kernel bodies honest on an amd64 CI host:
+# with the assembly tagged out they must still vet, compile and hold the
+# int8 parity (kernels), its goldens (tflm), the facade tests, the float
+# matmul reference order (tensor) and the DNAS warm-start digest (search).
+PUREGO_PKGS = ./internal/cpufeat ./internal/kernels ./internal/tensor ./internal/tflm ./internal/search .
 test-purego:
 	$(GO) vet -tags purego $(PUREGO_PKGS)
 	$(GO) test -tags purego $(PUREGO_PKGS)

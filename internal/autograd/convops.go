@@ -5,12 +5,20 @@ import (
 )
 
 // Conv2D applies a standard convolution. x is [n,h,w,inC], w is
-// [kh,kw,inC,outC]. The backward pass uses the im2col adjoint.
+// [kh,kw,inC,outC]. The backward pass uses the im2col adjoint. A 1×1
+// stride-1 unpadded conv (a pointwise layer) is already a matmul: x
+// itself is the column matrix, and neither pass copies it.
 func Conv2D(x, w *Var, spec tensor.ConvSpec) *Var {
 	n, h, ww, c := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
 	outC := w.Value.Shape[3]
 	oh, ow := spec.OutSize(h, ww)
-	cols := tensor.Im2Col(x.Value, spec)
+	pointwise := spec == tensor.ConvSpec{KH: 1, KW: 1, SH: 1, SW: 1}
+	var cols *tensor.Tensor
+	if pointwise {
+		cols = x.Value.Reshape(n*h*ww, c)
+	} else {
+		cols = tensor.Im2Col(x.Value, spec)
+	}
 	wmat := w.Value.Reshape(spec.KH*spec.KW*c, outC)
 	y := tensor.MatMul(cols, wmat).Reshape(n, oh, ow, outC)
 	var v *Var
@@ -22,8 +30,11 @@ func Conv2D(x, w *Var, spec tensor.ConvSpec) *Var {
 		}
 		if x.requiresGrad {
 			dcols := tensor.MatMulT(dy, wmat) // dy @ wmatᵀ = [n*oh*ow, khkwC]
-			dx := tensor.Col2Im(dcols, spec, n, h, ww, c)
-			x.accumulate(dx)
+			if pointwise {
+				x.accumulate(dcols.Reshape(n, h, ww, c))
+			} else {
+				x.accumulate(tensor.Col2Im(dcols, spec, n, h, ww, c))
+			}
 		}
 	}, x, w)
 	return v

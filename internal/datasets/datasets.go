@@ -15,6 +15,8 @@ package datasets
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"micronets/internal/dsp"
 	"micronets/internal/tensor"
@@ -175,19 +177,40 @@ func SynthKeyword(rng *rand.Rand, class int, opts KWSOptions) []float64 {
 }
 
 // SynthKWS builds a complete synthetic keyword-spotting dataset as 49x10x1
-// MFCC tensors (the paper's input representation).
+// MFCC tensors (the paper's input representation). Every waveform is
+// drawn in order from the one seeded rng; the MFCC front end, a pure
+// function of its clip and most of the cost, runs on GOMAXPROCS workers,
+// so the dataset is the same on any core count.
 func SynthKWS(opts KWSOptions) *Dataset {
 	o := opts.withDefaults()
 	rng := rand.New(rand.NewSource(o.Seed))
 	cfg := dsp.KWSConfig()
-	ds := &Dataset{NumClasses: o.NumClasses, H: 49, W: 10, C: 1}
-	for class := 0; class < o.NumClasses; class++ {
-		for i := 0; i < o.PerClass; i++ {
-			sig := SynthKeyword(rng, class, o)
-			feat := dsp.NormalizeMeanStd(dsp.Extract(cfg, sig))
-			ds.Samples = append(ds.Samples, Sample{X: feat, Label: class})
-		}
+	ds := &Dataset{NumClasses: o.NumClasses, H: 49, W: 10, C: 1,
+		Samples: make([]Sample, o.NumClasses*o.PerClass)}
+	type clip struct {
+		i   int
+		sig []float64
 	}
+	// One waiting clip per worker keeps them busy while holding only a
+	// few raw waveforms at once.
+	workers := runtime.GOMAXPROCS(0)
+	clips := make(chan clip, workers)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range clips {
+				feat := dsp.NormalizeMeanStd(dsp.Extract(cfg, c.sig))
+				ds.Samples[c.i] = Sample{X: feat, Label: c.i / o.PerClass}
+			}
+		}()
+	}
+	for i := range ds.Samples {
+		clips <- clip{i, SynthKeyword(rng, i/o.PerClass, o)}
+	}
+	close(clips)
+	wg.Wait()
 	return ds
 }
 

@@ -26,11 +26,12 @@
 // taps — have two bodies over that layout. gemm_amd64.s is the AVX2 one;
 // gemm_wide.go is portable Go and is the only one on other
 // architectures and under -tags purego. The choice is made once per
-// process (CPUID: AVX2, and XGETBV: the OS saves YMM state) and then per
-// op at bind time: an op whose multipliers all have a right shift in
-// [0, 30] binds the assembly, any other op keeps the portable body, whose
-// epilogue is Apply itself. gemmEngine carries the choice as a field so
-// the tests run every compiled-in body against Reference in one process.
+// process (internal/cpufeat: CPUID says AVX2, XGETBV that the OS saves
+// YMM state) and then per op at bind time: an op whose multipliers all
+// have a right shift in [0, 30] binds the assembly, any other op keeps
+// the portable body, whose epilogue is Apply itself. gemmEngine carries
+// the choice as a field so the tests run every compiled-in body against
+// Reference in one process.
 //
 // # Why the assembly is bit-exact
 //

@@ -2,6 +2,8 @@
 
 package kernels
 
+import "micronets/internal/cpufeat"
+
 // The assembly bodies of gemm_amd64.s. haveSIMD gates them once per
 // process; an op binds them only if its multipliers also fit the vector
 // requantize (Ctx.vecRequant), otherwise it keeps the portable body.
@@ -15,6 +17,4 @@ func gemm1x16(a *int8, k int, b *int8, e *epilogue, col int, out *int8)
 //go:noescape
 func dwTaps9(taps *[9]*int8, w *int8, c int, base *int32, e *epilogue, out *int8, npix, step int)
 
-func cpuHasAVX2() bool
-
-var haveSIMD = cpuHasAVX2()
+var haveSIMD = cpufeat.AVX2

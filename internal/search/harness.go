@@ -426,6 +426,18 @@ func (c *Config) runTrial(trial int, space *Space, frontier *Frontier, warm *arc
 // task's synthetic dataset under byte-denominated constraints derived
 // from the budgets, returning the discretized architecture.
 func dnasWarmStart(cfg Config, space *Space) (*arch.Spec, error) {
+	_, res, err := runDNAS(cfg, space)
+	if err != nil {
+		return nil, err
+	}
+	spec := res.Spec
+	spec.Name = "trial-000"
+	return spec, nil
+}
+
+// runDNAS is dnasWarmStart's search, returning the trained supernet
+// beside its result.
+func runDNAS(cfg Config, space *Space) (*core.Supernet, *core.SearchResult, error) {
 	var (
 		snCfg core.SupernetConfig
 		ds    *datasets.Dataset
@@ -440,7 +452,7 @@ func dnasWarmStart(cfg Config, space *Space) (*arch.Spec, error) {
 		ad := datasets.SynthAD(datasets.ADOptions{ClipsPerMachine: 8, Seed: cfg.Seed})
 		ds = ad.ClassifierDataset()
 	default:
-		return nil, fmt.Errorf("search: no DNAS config for task %q", cfg.Task)
+		return nil, nil, fmt.Errorf("search: no DNAS config for task %q", cfg.Task)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	trainDS, valDS := ds.Split(rng, 0.3)
@@ -457,12 +469,12 @@ func dnasWarmStart(cfg Config, space *Space) (*arch.Spec, error) {
 		MaxOps:         40e6,
 	}
 	if cons.MaxWeightBytes <= 0 || cons.MaxArenaBytes <= 0 {
-		return nil, fmt.Errorf("budgets (%d KB SRAM, %d KB flash) are below the TFLM runtime overheads",
+		return nil, nil, fmt.Errorf("budgets (%d KB SRAM, %d KB flash) are below the TFLM runtime overheads",
 			cfg.Budgets.SRAMBytes/1024, cfg.Budgets.FlashBytes/1024)
 	}
 	sn, err := core.NewSupernet(rng, snCfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	trainRng := rand.New(rand.NewSource(cfg.Seed + 1))
 	valRng := rand.New(rand.NewSource(cfg.Seed + 2))
@@ -482,9 +494,7 @@ func dnasWarmStart(cfg Config, space *Space) (*arch.Spec, error) {
 			Seed:     cfg.Seed,
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	spec := res.Spec
-	spec.Name = "trial-000"
-	return spec, nil
+	return sn, res, nil
 }

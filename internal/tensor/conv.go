@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ConvSpec describes a 2-D convolution in NHWC layout.
 type ConvSpec struct {
@@ -161,10 +164,7 @@ func DepthwiseConv2D(x, wgt *Tensor, spec ConvSpec) *Tensor {
 							continue
 						}
 						src := x.Data[((b*h+iy)*w+ix)*c : ((b*h+iy)*w+ix+1)*c]
-						ker := wgt.Data[(ky*spec.KW+kx)*c : (ky*spec.KW+kx+1)*c]
-						for j := 0; j < c; j++ {
-							dst[j] += src[j] * ker[j]
-						}
+						mulAdd(dst, src, wgt.Data[(ky*spec.KW+kx)*c:])
 					}
 				}
 			}
@@ -196,10 +196,8 @@ func DepthwiseConv2DBackward(x, wgt, dy *Tensor, spec ConvSpec) (dx, dw *Tensor)
 						}
 						xoff := ((b*h+iy)*w + ix) * c
 						koff := (ky*spec.KW + kx) * c
-						for j := 0; j < c; j++ {
-							dx.Data[xoff+j] += g[j] * wgt.Data[koff+j]
-							dw.Data[koff+j] += g[j] * x.Data[xoff+j]
-						}
+						mulAdd(dx.Data[xoff:xoff+c], g, wgt.Data[koff:])
+						mulAdd(dw.Data[koff:koff+c], g, x.Data[xoff:])
 					}
 				}
 			}
@@ -278,20 +276,26 @@ func AvgPool2DBackward(x, dy *Tensor, spec ConvSpec) *Tensor {
 }
 
 // MaxPool2D computes max pooling and additionally returns the argmax flat
-// indices into x for use by the backward pass.
+// indices into x for use by the backward pass. Each output starts at -Inf
+// with its argmax on the window's first in-bounds tap, so a window of
+// -Inf (or -MaxFloat32) values still pools to its own maximum and sends
+// its gradient inside itself; a window with no in-bounds tap pools to
+// -Inf with argmax -1, and MaxPool2DBackward drops its gradient.
 func MaxPool2D(x *Tensor, spec ConvSpec) (*Tensor, []int) {
 	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, w)
 	y := New(n, oh, ow, c)
 	arg := make([]int, y.Len())
-	negInf := float32(-3.4e38)
+	negInf := float32(math.Inf(-1))
 	for i := range y.Data {
 		y.Data[i] = negInf
+		arg[i] = -1
 	}
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				base := ((b*oh+oy)*ow + ox) * c
+				first := true
 				for ky := 0; ky < spec.KH; ky++ {
 					iy := oy*spec.SH + ky - spec.PadTop
 					if iy < 0 || iy >= h {
@@ -303,6 +307,12 @@ func MaxPool2D(x *Tensor, spec ConvSpec) (*Tensor, []int) {
 							continue
 						}
 						xoff := ((b*h+iy)*w + ix) * c
+						if first {
+							for j := 0; j < c; j++ {
+								arg[base+j] = xoff + j
+							}
+							first = false
+						}
 						for j := 0; j < c; j++ {
 							if x.Data[xoff+j] > y.Data[base+j] {
 								y.Data[base+j] = x.Data[xoff+j]
@@ -322,7 +332,9 @@ func MaxPool2D(x *Tensor, spec ConvSpec) (*Tensor, []int) {
 func MaxPool2DBackward(xShape []int, arg []int, dy *Tensor) *Tensor {
 	dx := New(xShape...)
 	for i, g := range dy.Data {
-		dx.Data[arg[i]] += g
+		if arg[i] >= 0 {
+			dx.Data[arg[i]] += g
+		}
 	}
 	return dx
 }

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 )
 
 // Tensor is a dense row-major float32 array with an explicit shape.
@@ -218,9 +220,7 @@ func AddInPlace(dst, src *Tensor) {
 // AxpyInPlace computes dst += alpha*src.
 func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
 	checkSameShape("AxpyInPlace", dst, src)
-	for i := range dst.Data {
-		dst.Data[i] += alpha * src.Data[i]
-	}
+	axpy(dst.Data, alpha, src.Data)
 }
 
 // Sum returns the sum of all elements.
@@ -316,6 +316,13 @@ func checkSameShape(op string, a, b *Tensor) {
 	}
 }
 
+// The three matmuls share one rule: every output element accumulates its
+// products for ascending reduction index p, starting from zero and
+// skipping a zero left-hand factor, through axpy. Above parallelGrain
+// multiply-adds a call splits its output rows across GOMAXPROCS
+// goroutines; a row's sums do not depend on the split, so the result is
+// the same bits on any core count and on either axpy body.
+
 // MatMul returns a@b for 2-D tensors a [m,k] and b [k,n].
 func MatMul(a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
@@ -326,26 +333,12 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dims differ: %v vs %v", a.Shape, b.Shape))
 	}
-	out := New(m, n)
-	// ikj loop order: streams through b and out rows for cache friendliness.
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
+	return matMul(a.Data, b.Data, m, k, n)
 }
 
-// MatMulT returns a@bᵀ for 2-D tensors a [m,k] and b [n,k].
+// MatMulT returns a@bᵀ for 2-D tensors a [m,k] and b [n,k]: MatMul over
+// the transpose of b. Skipping zero a[i,p] differs from a dot product of
+// the two rows only where b holds an Inf or NaN.
 func MatMulT(a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT needs 2-D operands, got %v and %v", a.Shape, b.Shape))
@@ -355,23 +348,28 @@ func MatMulT(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims differ: %v vs %v", a.Shape, b.Shape))
 	}
+	return matMul(a.Data, Transpose2D(b).Data, m, k, n)
+}
+
+// matMul is MatMul over raw row-major data in ikj order: out row i gets
+// a[i,p]·b[p,:] for ascending p.
+func matMul(a, b []float32, m, k, n int) *Tensor {
 	out := New(m, n)
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var s float32
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
+	parallelRows(m, m*k*n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			orow := out.Data[i*n : (i+1)*n]
+			for p, av := range a[i*k : (i+1)*k] {
+				if av != 0 {
+					axpy(orow, av, b[p*n:(p+1)*n])
+				}
 			}
-			orow[j] = s
 		}
-	}
+	})
 	return out
 }
 
-// TMatMul returns aᵀ@b for 2-D tensors a [k,m] and b [k,n].
+// TMatMul returns aᵀ@b for 2-D tensors a [k,m] and b [k,n]. Each chunk of
+// output rows streams b once, row p before row p+1.
 func TMatMul(a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: TMatMul needs 2-D operands, got %v and %v", a.Shape, b.Shape))
@@ -382,21 +380,44 @@ func TMatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: TMatMul inner dims differ: %v vs %v", a.Shape, b.Shape))
 	}
 	out := New(m, n)
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*m : (p+1)*m]
-		brow := b.Data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+	parallelRows(m, k*m*n, func(lo, hi int) {
+		for p := 0; p < k; p++ {
+			brow := b.Data[p*n : (p+1)*n]
+			for i, av := range a.Data[p*m+lo : p*m+hi] {
+				if av != 0 {
+					axpy(out.Data[(lo+i)*n:(lo+i+1)*n], av, brow)
+				}
 			}
 		}
-	}
+	})
 	return out
+}
+
+// parallelGrain is the fewest multiply-adds one goroutine of a split
+// matmul gets: over ten microseconds of vector work, well above the cost
+// of starting the goroutine.
+const parallelGrain = 1 << 16
+
+// parallelRows runs fn over [0, rows) in contiguous chunks, one goroutine
+// each, at most GOMAXPROCS of them and none with less than parallelGrain
+// of the call's work (its multiply-adds); small calls run inline.
+func parallelRows(rows, work int, fn func(lo, hi int)) {
+	chunks := min(runtime.GOMAXPROCS(0), rows, work/parallelGrain)
+	if chunks <= 1 {
+		fn(0, rows)
+		return
+	}
+	size := (rows + chunks - 1) / chunks
+	var wg sync.WaitGroup
+	for lo := size; lo < rows; lo += size {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, min(lo+size, rows))
+	}
+	fn(0, size)
+	wg.Wait()
 }
 
 // Transpose2D returns the transpose of a 2-D tensor.
