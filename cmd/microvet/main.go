@@ -69,7 +69,7 @@ func main() {
 
 	if *reach {
 		hp := analysis.NewHotPathAlloc()
-		analysis.Run(loader.Fset, pkgs, []analysis.Analyzer{hp})
+		analysis.Run(loader.Fset, pkgs, nil, []analysis.Analyzer{hp})
 		keys := make([]string, 0, len(hp.Reachable))
 		for k := range hp.Reachable {
 			keys = append(keys, k)
@@ -85,7 +85,14 @@ func main() {
 		return
 	}
 
-	diags := analysis.Run(loader.Fset, pkgs, analyzers)
+	// Uses from tests, bench/ and packages outside the patterns count
+	// for deadexport; no analyzer checks them.
+	users, err := loader.LoadUsers(pkgs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "microvet: %v\n", err)
+		os.Exit(2)
+	}
+	diags := analysis.Run(loader.Fset, pkgs, users, analyzers)
 	for _, d := range diags {
 		fmt.Println(d.String())
 	}

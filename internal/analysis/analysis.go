@@ -29,9 +29,12 @@ type Package struct {
 	Path  string // import path ("micronets/internal/serve")
 	Name  string
 	Dir   string
-	Files []*ast.File // non-test files only, as discovered by go list
+	Files []*ast.File // non-test files; a test package (LoadTests) adds its _test.go files
 	Types *types.Package
 	Info  *types.Info
+	// ForTest is, on a test package, the import path of the package its
+	// tests are for.
+	ForTest string
 }
 
 // Pass is the per-analyzer view of a run: every loaded package plus a
@@ -41,6 +44,9 @@ type Package struct {
 type Pass struct {
 	Fset *token.FileSet
 	Pkgs []*Package
+	// Users are packages whose uses count but which nothing checks (see
+	// Loader.LoadUsers): test packages, bench/, the rest of the module.
+	Users []*Package
 
 	report func(Diagnostic)
 	name   string
@@ -76,6 +82,7 @@ func DefaultAnalyzers() []Analyzer {
 		NewLockGuard(),
 		NewMetricName(),
 		NewPkgDoc(),
+		NewDeadExport(),
 	}
 }
 
@@ -127,9 +134,10 @@ func parseIgnores(fset *token.FileSet, f *ast.File, report func(Diagnostic)) map
 	return out
 }
 
-// Run executes the analyzers over the packages, applies suppression
-// directives, and returns the surviving diagnostics sorted by position.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []Analyzer) []Diagnostic {
+// Run executes the analyzers over pkgs, with users as context only,
+// applies suppression directives, and returns the surviving diagnostics
+// sorted by position.
+func Run(fset *token.FileSet, pkgs, users []*Package, analyzers []Analyzer) []Diagnostic {
 	var raw []Diagnostic
 	sink := func(d Diagnostic) { raw = append(raw, d) }
 
@@ -144,7 +152,7 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []Analyzer) []Diagnosti
 	}
 
 	for _, a := range analyzers {
-		pass := &Pass{Fset: fset, Pkgs: pkgs, report: sink, name: a.Name()}
+		pass := &Pass{Fset: fset, Pkgs: pkgs, Users: users, report: sink, name: a.Name()}
 		a.Run(pass)
 	}
 

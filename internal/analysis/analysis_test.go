@@ -61,7 +61,7 @@ func runFixture(t *testing.T, analyzers []Analyzer, names ...string) []Diagnosti
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	return Run(loader.Fset, pkgs, analyzers)
+	return Run(loader.Fset, pkgs, nil, analyzers)
 }
 
 // checkGolden compares produced diagnostics against the fixture's want
@@ -166,6 +166,49 @@ func TestHotPathAllocFixture(t *testing.T) {
 	}
 }
 
+// TestDeadExportFixture loads lib and other as analyzed packages, their
+// tests and a bench-like package as users: lib's markers are the dead
+// exports. Without the bench-like user, what only it calls is dead too.
+func TestDeadExportFixture(t *testing.T) {
+	run := func(withBench bool) []Diagnostic {
+		loader := NewLoader(".")
+		dir := filepath.Join("testdata", "src", "deadexport")
+		var pkgs, users []*Package
+		for _, name := range []string{"lib", "other"} {
+			pkg, err := loader.LoadDir(filepath.Join(dir, name), "micronets/internal/fixture/deadexport/"+name)
+			if err != nil {
+				t.Fatalf("load fixture %s: %v", name, err)
+			}
+			pkgs = append(pkgs, pkg)
+			tests, err := loader.LoadTests(pkg)
+			if err != nil {
+				t.Fatalf("load %s tests: %v", name, err)
+			}
+			users = append(users, tests...)
+		}
+		if withBench {
+			bench, err := loader.LoadDir(filepath.Join(dir, "bench"), "micronets/fixturebench")
+			if err != nil {
+				t.Fatalf("load bench fixture: %v", err)
+			}
+			users = append(users, bench)
+		}
+		return Run(loader.Fset, pkgs, users, []Analyzer{NewDeadExport()})
+	}
+	checkGolden(t, run(true), []string{"deadexport/lib", "deadexport/other"})
+
+	dead := make(map[string]bool)
+	for _, d := range run(false) {
+		dead[d.Message] = true
+	}
+	for _, what := range []string{"func Entry", "func Wrap"} {
+		msg := "exported " + what + " has no user outside its own package's tests: delete it, or move it into a _test.go file"
+		if !dead[msg] {
+			t.Errorf("without the bench-like user, %s must be a finding", what)
+		}
+	}
+}
+
 // TestRealTreeCleanAndCovered is the drift gate: the production suite
 // must be clean on the real module, and the hotpathalloc reachability
 // set must cover the same functions the AllocsPerRun benchmarks gate.
@@ -175,9 +218,13 @@ func TestRealTreeCleanAndCovered(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
+	users, err := loader.LoadUsers(pkgs)
+	if err != nil {
+		t.Fatalf("load users: %v", err)
+	}
 	hot := NewHotPathAlloc()
-	analyzers := []Analyzer{hot, NewPreparedWrite(), NewDroppedErr(), NewLockGuard(), NewMetricName(), NewPkgDoc()}
-	diags := Run(loader.Fset, pkgs, analyzers)
+	analyzers := []Analyzer{hot, NewPreparedWrite(), NewDroppedErr(), NewLockGuard(), NewMetricName(), NewPkgDoc(), NewDeadExport()}
+	diags := Run(loader.Fset, pkgs, users, analyzers)
 	for _, d := range diags {
 		t.Errorf("real tree not clean: %s", d)
 	}

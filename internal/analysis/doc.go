@@ -19,6 +19,9 @@
 //   - metricname: metric literals follow the micronets_<subsystem>_...
 //     exposition conventions and stay unique across packages.
 //   - pkgdoc: first-class packages carry a package comment.
+//   - deadexport: an exported identifier of an internal package has a
+//     user outside its own package's tests (module code, bench/, or
+//     another package's tests).
 //
 // Violations that are intentional are blessed in place with a
 // `//microvet:ignore <analyzer> <reason>` comment; the reason is

@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -31,16 +32,19 @@ type Loader struct {
 	Dir string
 
 	modulePath string
+	moduleDir  string
 	exports    map[string]string // stdlib import path -> export file
 	srcPkgs    map[string]*srcPkg
 	stdImp     types.Importer
 }
 
 type srcPkg struct {
-	pkg   *Package
-	files []string // absolute paths of the package's non-test Go files
-	err   error
-	done  bool
+	pkg    *Package
+	files  []string // absolute paths of the package's non-test Go files
+	tests  []string // ... of its in-package _test.go files
+	xtests []string // ... of its external (<pkg>_test) test files
+	err    error
+	done   bool
 }
 
 type listedPkg struct {
@@ -50,8 +54,10 @@ type listedPkg struct {
 	GoFiles    []string
 	Standard   bool
 	Export     string
-	Module     *struct{ Path string }
+	Module     *struct{ Path, Dir string }
 	Error      *struct{ Err string }
+
+	TestGoFiles, XTestGoFiles []string
 }
 
 // NewLoader returns a loader rooted at dir (the module root).
@@ -84,7 +90,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("go list %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Module != nil && l.modulePath == "" {
-			l.modulePath = p.Module.Path
+			l.modulePath, l.moduleDir = p.Module.Path, p.Module.Dir
 		}
 	}
 	// Re-list without -deps to get exactly the requested packages (the
@@ -124,20 +130,25 @@ func (l *Loader) registerDir(p listedPkg) {
 	if _, ok := l.srcPkgs[p.ImportPath]; ok {
 		return
 	}
-	files := make([]string, len(p.GoFiles))
-	for i, f := range p.GoFiles {
-		files[i] = filepath.Join(p.Dir, f)
+	abs := func(names []string) []string {
+		out := make([]string, len(names))
+		for i, n := range names {
+			out[i] = filepath.Join(p.Dir, n)
+		}
+		return out
 	}
 	l.srcPkgs[p.ImportPath] = &srcPkg{
-		pkg:   &Package{Path: p.ImportPath, Name: p.Name, Dir: p.Dir},
-		files: files,
+		pkg:    &Package{Path: p.ImportPath, Name: p.Name, Dir: p.Dir},
+		files:  abs(p.GoFiles),
+		tests:  abs(p.TestGoFiles),
+		xtests: abs(p.XTestGoFiles),
 	}
 }
 
 // goList runs `go list -json=<fields>` with the given arguments and
 // decodes the stream of package objects.
 func (l *Loader) goList(args []string) ([]listedPkg, error) {
-	full := append([]string{"list", "-json=ImportPath,Name,Dir,GoFiles,Standard,Export,Module,Error"}, args...)
+	full := append([]string{"list", "-json=ImportPath,Name,Dir,GoFiles,TestGoFiles,XTestGoFiles,Standard,Export,Module,Error"}, args...)
 	cmd := exec.Command("go", full...)
 	cmd.Dir = l.Dir
 	var stderr bytes.Buffer
@@ -265,47 +276,81 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // given synthetic import path. Used by tests to load fixture packages
 // under testdata/ (which go list ignores) at import paths that match the
 // analyzers' production configuration, e.g.
-// "micronets/internal/fixture/droppederr".
+// "micronets/internal/fixture/droppederr", and by LoadUsers for bench/.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
+	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
-	}
-	ctx := build.Default
-	var files []string
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		match, err := ctx.MatchFile(dir, name)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			continue
-		}
-		files = append(files, filepath.Join(dir, name))
-	}
-	sort.Strings(files)
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
 	if l.modulePath == "" {
 		// Fixture loads may happen before any Load call; learn the module
 		// path so module-local imports from fixtures still resolve.
 		listed, err := l.goList([]string{"."})
 		if err == nil && len(listed) > 0 && listed[0].Module != nil {
-			l.modulePath = listed[0].Module.Path
+			l.modulePath, l.moduleDir = listed[0].Module.Path, listed[0].Module.Dir
 		}
 	}
-	sp := &srcPkg{pkg: &Package{Path: importPath, Dir: dir}, files: files}
-	l.srcPkgs[importPath] = sp
-	sp.done = true
-	sp.err = l.check(sp)
-	if sp.err != nil {
-		return nil, sp.err
+	l.registerDir(listedPkg{ImportPath: importPath, Name: bp.Name, Dir: dir,
+		GoFiles: bp.GoFiles, TestGoFiles: bp.TestGoFiles, XTestGoFiles: bp.XTestGoFiles})
+	return l.importSource(importPath)
+}
+
+// LoadTests type-checks a loaded package's _test.go files the way go
+// test builds them and returns its test packages: the in-package tests,
+// checked together with the package's own files, and the external
+// "<pkg>_test" package, which imports pkg.
+func (l *Loader) LoadTests(pkg *Package) ([]*Package, error) {
+	sp := l.srcPkgs[pkg.Path]
+	var out []*Package
+	for _, t := range []*srcPkg{
+		{pkg: &Package{Path: pkg.Path, Dir: pkg.Dir, ForTest: pkg.Path}, files: append(slices.Clip(sp.files), sp.tests...), tests: sp.tests},
+		{pkg: &Package{Path: pkg.Path + "_test", Dir: pkg.Dir, ForTest: pkg.Path}, files: sp.xtests, tests: sp.xtests},
+	} {
+		if len(t.tests) == 0 {
+			continue
+		}
+		if err := l.check(t); err != nil {
+			return nil, err
+		}
+		out = append(out, t.pkg)
 	}
-	sp.pkg.Name = sp.pkg.Types.Name()
-	return sp.pkg, nil
+	return out, nil
+}
+
+// LoadUsers loads the code whose uses deadexport counts but no analyzer
+// checks: the module's packages outside pkgs, the test packages of the
+// whole module, and the benchmark harness in bench/ with its tests. The
+// harness is a module of its own that ./... never reaches, yet it
+// imports internal packages, so its uses are as real as cmd/'s.
+func (l *Loader) LoadUsers(pkgs []*Package) ([]*Package, error) {
+	listed, err := l.goList([]string{l.modulePath + "/..."})
+	if err != nil {
+		return nil, err
+	}
+	var users []*Package
+	for _, p := range listed {
+		if !slices.ContainsFunc(pkgs, func(pkg *Package) bool { return pkg.Path == p.ImportPath }) {
+			l.registerDir(p)
+			pkg, err := l.importSource(p.ImportPath)
+			if err != nil {
+				return nil, err
+			}
+			users = append(users, pkg)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(l.moduleDir, "bench", "go.mod")); err == nil {
+		pkg, err := l.LoadDir(filepath.Join(l.moduleDir, "bench"), l.modulePath+"/bench")
+		if err != nil {
+			return nil, err
+		}
+		users = append(users, pkg)
+	}
+	for _, pkg := range slices.Concat(pkgs, users) {
+		tests, err := l.LoadTests(pkg)
+		if err != nil {
+			return nil, err
+		}
+		users = append(users, tests...)
+	}
+	return users, nil
 }

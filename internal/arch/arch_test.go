@@ -272,8 +272,11 @@ func TestSpecStringTable5Style(t *testing.T) {
 }
 
 func TestOutputDim(t *testing.T) {
-	d, err := kwsM().OutputDim()
-	if err != nil || d != 12 {
-		t.Fatalf("OutputDim = %d, err %v", d, err)
+	a, err := kwsM().Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := a.Layers[len(a.Layers)-1]; last.OutH*last.OutW*last.OutC != 12 {
+		t.Fatalf("last layer %dx%dx%d, want 12 class outputs", last.OutH, last.OutW, last.OutC)
 	}
 }

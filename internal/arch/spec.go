@@ -152,9 +152,6 @@ type LayerInfo struct {
 	MACs int64
 }
 
-// Ops returns the op count of the layer (2 per MAC).
-func (l LayerInfo) Ops() int64 { return 2 * l.MACs }
-
 // InBytes returns the int8 activation size of the layer input.
 func (l LayerInfo) InBytes() int64 { return int64(l.InH) * int64(l.InW) * int64(l.InC) }
 
@@ -417,17 +414,6 @@ func (b Block) checkSizes() error {
 			b.Kind, b.KH, b.KW, b.OutC, b.Stride, b.Expand, maxDim)
 	}
 	return nil
-}
-
-// OutputDim returns the final feature dimension of the spec (classes for
-// classifiers).
-func (s *Spec) OutputDim() (int, error) {
-	a, err := s.Analyze()
-	if err != nil {
-		return 0, err
-	}
-	last := a.Layers[len(a.Layers)-1]
-	return last.OutH * last.OutW * last.OutC, nil
 }
 
 // String renders the spec in the style of the paper's Table 5.

@@ -66,3 +66,26 @@ func abs(x float64) float64 {
 	}
 	return x
 }
+
+// Mean reduces to the scalar mean of all elements.
+func Mean(a *Var) *Var {
+	out := tensor.Scalar(tensor.Mean(a.Value))
+	inv := 1 / float32(a.Value.Len())
+	var v *Var
+	v = newOp(out, func() {
+		g := tensor.New(a.Value.Shape...).Fill(v.Grad.Data[0] * inv)
+		a.accumulate(g)
+	}, a)
+	return v
+}
+
+// Square returns x*x elementwise.
+func Square(a *Var) *Var {
+	out := tensor.Mul(a.Value, a.Value)
+	var v *Var
+	v = newOp(out, func() {
+		g := tensor.Mul(v.Grad, a.Value)
+		a.accumulate(tensor.Scale(g, 2))
+	}, a)
+	return v
+}

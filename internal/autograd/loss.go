@@ -101,21 +101,6 @@ func SoftCrossEntropy(logits *Var, targets *tensor.Tensor) *Var {
 	return v
 }
 
-// MSE computes mean squared error between a and target (constant).
-func MSE(a *Var, target *tensor.Tensor) *Var {
-	if !tensor.SameShape(a.Value, target) {
-		panic(fmt.Sprintf("autograd: MSE shape mismatch %v vs %v", a.Value.Shape, target.Shape))
-	}
-	diff := tensor.Sub(a.Value, target)
-	out := tensor.Scalar(tensor.Dot(diff, diff) / float32(diff.Len()))
-	var v *Var
-	v = newOp(out, func() {
-		scale := 2 * v.Grad.Data[0] / float32(diff.Len())
-		a.accumulate(tensor.Scale(diff, scale))
-	}, a)
-	return v
-}
-
 // DistillLoss blends hard-label cross-entropy with a temperature-scaled KL
 // term against teacher logits, following Hinton et al. as used by the
 // paper's VWW recipe (coefficient 0.5, temperature 4).

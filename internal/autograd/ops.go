@@ -18,17 +18,6 @@ func Add(a, b *Var) *Var {
 	return v
 }
 
-// Sub returns a-b elementwise.
-func Sub(a, b *Var) *Var {
-	out := tensor.Sub(a.Value, b.Value)
-	var v *Var
-	v = newOp(out, func() {
-		a.accumulate(v.Grad)
-		b.accumulate(tensor.Scale(v.Grad, -1))
-	}, a, b)
-	return v
-}
-
 // Mul returns a*b elementwise.
 func Mul(a, b *Var) *Var {
 	out := tensor.Mul(a.Value, b.Value)
@@ -228,18 +217,6 @@ func ChannelScale(x, m *Var) *Var {
 	return v
 }
 
-// Mean reduces to the scalar mean of all elements.
-func Mean(a *Var) *Var {
-	out := tensor.Scalar(tensor.Mean(a.Value))
-	inv := 1 / float32(a.Value.Len())
-	var v *Var
-	v = newOp(out, func() {
-		g := tensor.New(a.Value.Shape...).Fill(v.Grad.Data[0] * inv)
-		a.accumulate(g)
-	}, a)
-	return v
-}
-
 // Sum reduces to the scalar sum of all elements.
 func Sum(a *Var) *Var {
 	out := tensor.Scalar(tensor.Sum(a.Value))
@@ -248,36 +225,6 @@ func Sum(a *Var) *Var {
 		g := tensor.New(a.Value.Shape...).Fill(v.Grad.Data[0])
 		a.accumulate(g)
 	}, a)
-	return v
-}
-
-// Square returns x*x elementwise.
-func Square(a *Var) *Var {
-	out := tensor.Mul(a.Value, a.Value)
-	var v *Var
-	v = newOp(out, func() {
-		g := tensor.Mul(v.Grad, a.Value)
-		a.accumulate(tensor.Scale(g, 2))
-	}, a)
-	return v
-}
-
-// AddN sums any number of equal-shaped variables.
-func AddN(vs ...*Var) *Var {
-	if len(vs) == 0 {
-		panic("autograd: AddN of nothing")
-	}
-	out := vs[0].Value.Clone()
-	for _, x := range vs[1:] {
-		tensor.AddInPlace(out, x.Value)
-	}
-	parents := append([]*Var(nil), vs...)
-	var v *Var
-	v = newOp(out, func() {
-		for _, p := range parents {
-			p.accumulate(v.Grad)
-		}
-	}, parents...)
 	return v
 }
 
@@ -347,49 +294,5 @@ func Index(a *Var, i int) *Var {
 		g.Data[i] = v.Grad.Data[0]
 		a.accumulate(g)
 	}, a)
-	return v
-}
-
-// Concat concatenates along the last (channel) dimension. All inputs must
-// share the leading dimensions.
-func Concat(vs ...*Var) *Var {
-	if len(vs) == 0 {
-		panic("autograd: Concat of nothing")
-	}
-	lead := tensor.NumElems(vs[0].Value.Shape) / vs[0].Value.Dim(-1)
-	totalC := 0
-	for _, x := range vs {
-		if tensor.NumElems(x.Value.Shape)/x.Value.Dim(-1) != lead {
-			panic("autograd: Concat leading dims differ")
-		}
-		totalC += x.Value.Dim(-1)
-	}
-	shape := append([]int(nil), vs[0].Value.Shape...)
-	shape[len(shape)-1] = totalC
-	out := tensor.New(shape...)
-	off := 0
-	for _, x := range vs {
-		c := x.Value.Dim(-1)
-		for r := 0; r < lead; r++ {
-			copy(out.Data[r*totalC+off:r*totalC+off+c], x.Value.Data[r*c:(r+1)*c])
-		}
-		off += c
-	}
-	parents := append([]*Var(nil), vs...)
-	var v *Var
-	v = newOp(out, func() {
-		off := 0
-		for _, x := range parents {
-			c := x.Value.Dim(-1)
-			if x.requiresGrad {
-				g := tensor.New(x.Value.Shape...)
-				for r := 0; r < lead; r++ {
-					copy(g.Data[r*c:(r+1)*c], v.Grad.Data[r*totalC+off:r*totalC+off+c])
-				}
-				x.accumulate(g)
-			}
-			off += c
-		}
-	}, parents...)
 	return v
 }

@@ -50,62 +50,3 @@ func FakeQuant(x *Var, lo, hi float32, bits int) *Var {
 	}, x)
 	return vr
 }
-
-// LSQQuant implements Learned Step Size Quantization (Esser et al. 2020,
-// cited in §5.1.3): the quantizer step is itself a trainable scalar
-// parameter, realizing the paper's "ranges of quantizers are learnt with
-// gradient descent".
-//
-// step must be a scalar Var; signedness picks the integer grid.
-func LSQQuant(x, step *Var, bits int, signed bool) *Var {
-	var qn, qp float32
-	if signed {
-		qn = -float32(int(1) << uint(bits-1))
-		qp = float32(int(1)<<uint(bits-1)) - 1
-	} else {
-		qn = 0
-		qp = float32(int(1)<<uint(bits)) - 1
-	}
-	s := step.Value.Data[0]
-	if s <= 1e-8 {
-		s = 1e-8
-	}
-	// Gradient scale recommended by the LSQ paper: 1/sqrt(numel * qp).
-	gscale := float32(1 / math.Sqrt(float64(x.Value.Len())*float64(qp)))
-
-	n := x.Value.Len()
-	out := tensor.New(x.Value.Shape...)
-	ratio := make([]float32, n)
-	for i, v := range x.Value.Data {
-		r := v / s
-		ratio[i] = r
-		if r < qn {
-			r = qn
-		}
-		if r > qp {
-			r = qp
-		}
-		out.Data[i] = float32(math.Round(float64(r))) * s
-	}
-	var vr *Var
-	vr = newOp(out, func() {
-		var ds float64
-		dx := tensor.New(x.Value.Shape...)
-		for i := 0; i < n; i++ {
-			g := vr.Grad.Data[i]
-			r := ratio[i]
-			switch {
-			case r <= qn:
-				ds += float64(g) * float64(qn)
-			case r >= qp:
-				ds += float64(g) * float64(qp)
-			default:
-				dx.Data[i] = g
-				ds += float64(g) * (math.Round(float64(r)) - float64(r))
-			}
-		}
-		x.accumulate(dx)
-		step.accumulate(tensor.Scalar(float32(ds) * gscale).Reshape(step.Value.Shape...))
-	}, x, step)
-	return vr
-}

@@ -22,9 +22,6 @@ type Var struct {
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
 
-	// Name is an optional label used in error messages and debugging.
-	Name string
-
 	requiresGrad bool
 	parents      []*Var
 	back         func()
@@ -41,12 +38,6 @@ func Param(t *tensor.Tensor) *Var { return NewVar(t, true) }
 
 // Constant is shorthand for a non-trainable leaf.
 func Constant(t *tensor.Tensor) *Var { return NewVar(t, false) }
-
-// RequiresGrad reports whether this variable participates in gradients.
-func (v *Var) RequiresGrad() bool { return v.requiresGrad }
-
-// Detach returns a constant view of v's value, cutting the graph.
-func (v *Var) Detach() *Var { return Constant(v.Value) }
 
 // Scalar returns the single element of a scalar Var.
 func (v *Var) Scalar() float32 {
@@ -145,17 +136,4 @@ func topoSort(root *Var) []*Var {
 		stack = stack[:len(stack)-1]
 	}
 	return order
-}
-
-// Collect walks the graph from root and returns all leaf parameters
-// (requiresGrad leaves). Mostly useful in tests; real models track their
-// parameters explicitly.
-func Collect(root *Var) []*Var {
-	var params []*Var
-	for _, v := range topoSort(root) {
-		if v.back == nil && v.requiresGrad {
-			params = append(params, v)
-		}
-	}
-	return params
 }

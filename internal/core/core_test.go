@@ -123,34 +123,52 @@ func TestSupernetForwardShapesAndResources(t *testing.T) {
 }
 
 func TestResourceModelMatchesDiscreteAnalysis(t *testing.T) {
-	// When the decision nodes are (nearly) one-hot, the differentiable
-	// resource model must agree with arch.Analyze on the discretized spec.
-	rng := rand.New(rand.NewSource(3))
-	s, err := NewSupernet(rng, tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force widths: first=8, block0=4, block1=8 kept.
-	s.firstNode.Alpha.Value.Data[1] = 20
-	s.width[0].Alpha.Value.Data[0] = 20
-	s.width[1].Alpha.Value.Data[1] = 20
-	s.depth[1].Alpha.Value.Data[0] = 20 // keep
-	x := ag.Constant(tensor.Randn(rng, 1, 1, 8, 8, 1))
-	_, res := s.Forward(x, false, nil, 0.05)
-
-	spec := s.Discretize("check")
-	a, err := spec.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotParams := float64(res.ParamCount.Scalar())
-	// The analyzer counts the pool/bias-free params identically.
-	if math.Abs(gotParams-float64(a.TotalParams))/float64(a.TotalParams) > 0.02 {
-		t.Fatalf("differentiable params %.0f vs discrete %d", gotParams, a.TotalParams)
-	}
-	gotOps := float64(res.OpCount.Scalar())
-	if math.Abs(gotOps-float64(a.TotalOps()))/float64(a.TotalOps()) > 0.02 {
-		t.Fatalf("differentiable ops %.0f vs discrete %d", gotOps, a.TotalOps())
+	// At one-hot decisions the differentiable resource model must equal
+	// arch.Analyze on the discretized spec exactly, in both DNAS spaces
+	// at the sizes the search harness builds them.
+	for _, tc := range []struct {
+		name string
+		cfg  SupernetConfig
+	}{
+		{"kws", KWSSupernetConfig(49, 10, 12, 64, 4)},
+		{"ad", ADSupernetConfig(64, 4)},
+	} {
+		for seed := int64(1); seed <= 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			s, err := NewSupernet(rng, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := []*DecisionNode{s.firstNode}
+			nodes = append(nodes, s.width...)
+			for _, d := range s.depth {
+				if d != nil {
+					nodes = append(nodes, d)
+				}
+			}
+			for _, d := range nodes {
+				pick := rng.Intn(d.K)
+				for k := range d.Alpha.Value.Data {
+					d.Alpha.Value.Data[k] = -50
+				}
+				d.Alpha.Value.Data[pick] = 50
+			}
+			x := ag.Constant(tensor.Randn(rng, 1, 1, tc.cfg.InputH, tc.cfg.InputW, tc.cfg.InputC))
+			_, res := s.Forward(x, false, nil, 1)
+			a, err := s.Discretize("check").Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := float64(res.ParamCount.Scalar()); got != float64(a.TotalParams) {
+				t.Errorf("%s seed %d: params %v, Analyze %d", tc.name, seed, got, a.TotalParams)
+			}
+			if got := float64(res.OpCount.Scalar()); got != float64(a.TotalOps()) {
+				t.Errorf("%s seed %d: ops %v, Analyze %d", tc.name, seed, got, a.TotalOps())
+			}
+			if got := float64(res.WorkingMemory().Scalar()); got != float64(a.PeakWorkingSetBytes) {
+				t.Errorf("%s seed %d: working memory %v, Analyze %d", tc.name, seed, got, a.PeakWorkingSetBytes)
+			}
+		}
 	}
 }
 
@@ -179,7 +197,7 @@ func TestPenaltyGradientPushesTowardSmaller(t *testing.T) {
 	s, _ := NewSupernet(rng, tinyConfig())
 	cons := Constraints{MaxOps: 1, LambdaOps: 10}
 	x := ag.Constant(tensor.Randn(rng, 1, 2, 8, 8, 1))
-	before := s.width[0].Probabilities()[0]
+	before := probabilities(s.width[0])[0]
 	for i := 0; i < 10; i++ {
 		_, res := s.Forward(x, false, rng, 2)
 		pen := cons.Penalty(res)
@@ -187,7 +205,7 @@ func TestPenaltyGradientPushesTowardSmaller(t *testing.T) {
 		opt := nn.NewSGD(0, 0)
 		opt.Step(s.ArchParams(), 0.5)
 	}
-	after := s.width[0].Probabilities()[0]
+	after := probabilities(s.width[0])[0]
 	if after <= before {
 		t.Fatalf("narrow-width probability must rise under ops pressure: %v -> %v", before, after)
 	}
@@ -337,4 +355,10 @@ func TestKWSAndADSupernetConfigs(t *testing.T) {
 	if alogits.Value.Shape[1] != 4 {
 		t.Fatalf("AD supernet classes %v", alogits.Value.Shape)
 	}
+}
+
+// probabilities returns the softmax of d's logits as plain floats.
+func probabilities(d *DecisionNode) []float32 {
+	sm := ag.SoftmaxVec(ag.Constant(d.Alpha.Value), 1)
+	return append([]float32(nil), sm.Value.Data...)
 }

@@ -65,12 +65,6 @@ func (d *DecisionNode) ArgMax() int {
 	return best
 }
 
-// Probabilities returns the softmax of the logits as plain floats.
-func (d *DecisionNode) Probabilities() []float32 {
-	sm := ag.SoftmaxVec(ag.Constant(d.Alpha.Value), 1)
-	return append([]float32(nil), sm.Value.Data...)
-}
-
 // WidthOptions builds the channel-count options for a width decision: the
 // paper searches 10%..100% of the reference width in 10% steps for VWW
 // (§5.2.1) and multiples of 4 for KWS/AD ("restricted to multiples of 4

@@ -36,7 +36,7 @@ type Constraints struct {
 	LambdaParams, LambdaMem, LambdaOps float32
 }
 
-// DefaultLambdas fills zero penalty weights with sensible defaults.
+// withDefaults fills zero penalty weights with sensible defaults.
 func (c Constraints) withDefaults() Constraints {
 	if c.LambdaParams == 0 {
 		c.LambdaParams = 2
@@ -80,27 +80,6 @@ func (c Constraints) Violations(res *Resources) []string {
 	}
 	if c.MaxOps > 0 && float64(res.OpCount.Scalar()) > c.MaxOps {
 		v = append(v, fmt.Sprintf("ops %.0f > %.0f", res.OpCount.Scalar(), c.MaxOps))
-	}
-	return v
-}
-
-// CheckBytes reports which budgets a concrete (already lowered or
-// analyzed) model exceeds, given its byte-denominated usage: weightBytes
-// from graph.Model.WeightBytes or arch.Analysis.TotalParams, arenaBytes
-// from the tflm planner (or the analytic peak-working-set proxy), and ops
-// as 2*MACs. It is the non-differentiable twin of Violations used by the
-// hardware-in-the-loop search harness, where the planner's byte
-// accounting replaces the relaxed element counts.
-func (c Constraints) CheckBytes(weightBytes, arenaBytes, ops float64) []string {
-	var v []string
-	if c.MaxWeightBytes > 0 && weightBytes > c.MaxWeightBytes {
-		v = append(v, fmt.Sprintf("weight bytes %.0f > %.0f", weightBytes, c.MaxWeightBytes))
-	}
-	if c.MaxArenaBytes > 0 && arenaBytes > c.MaxArenaBytes {
-		v = append(v, fmt.Sprintf("arena bytes %.0f > %.0f", arenaBytes, c.MaxArenaBytes))
-	}
-	if c.MaxOps > 0 && ops > c.MaxOps {
-		v = append(v, fmt.Sprintf("ops %.0f > %.0f", ops, c.MaxOps))
 	}
 	return v
 }

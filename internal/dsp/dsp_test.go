@@ -112,10 +112,6 @@ func TestFrameCount(t *testing.T) {
 	if len(frames) != 49 {
 		t.Fatalf("1s KWS framing gives %d frames, want 49 (paper §4.2)", len(frames))
 	}
-	cfg := KWSConfig()
-	if cfg.NumFrames(16000) != 49 {
-		t.Fatalf("NumFrames = %d, want 49", cfg.NumFrames(16000))
-	}
 }
 
 func TestMelScaleRoundTrip(t *testing.T) {

@@ -124,15 +124,6 @@ func Extract(cfg FeatureConfig, signal []float64) *tensor.Tensor {
 	return out
 }
 
-// NumFrames returns how many frames Extract will produce for a signal of
-// the given number of samples.
-func (cfg FeatureConfig) NumFrames(samples int) int {
-	if samples < cfg.FrameLen {
-		return 0
-	}
-	return (samples-cfg.FrameLen)/cfg.Hop + 1
-}
-
 // StackSpectrogramImages stacks consecutive spectrogram frames into square
 // images of size [size, size], advancing by stride frames per image —
 // the paper's "stack 64 frames together to get 64 by 64 images and the

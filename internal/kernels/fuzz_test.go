@@ -190,8 +190,8 @@ func FuzzRequantize(f *testing.F) {
 			t.Fatalf("multiplier %v quantized outside Q31 normal form: %+v", m, q)
 		}
 		// Mantissa precision: the represented value matches to ~2^-31 rel.
-		if rel := math.Abs(q.Float()-m) / m; rel > 1e-9 {
-			t.Fatalf("multiplier %v represented as %v (rel err %v)", m, q.Float(), rel)
+		if rel := math.Abs(multiplierFloat(q)-m) / m; rel > 1e-9 {
+			t.Fatalf("multiplier %v represented as %v (rel err %v)", m, multiplierFloat(q), rel)
 		}
 		// Integer Apply vs real arithmetic, inside the non-saturating range.
 		exact := float64(x) * m

@@ -12,7 +12,7 @@ import (
 func TestQuantizeMultiplierRoundTrip(t *testing.T) {
 	for _, m := range []float64{0.00001, 0.004, 0.25, 0.5, 0.9999, 1.0, 1.7, 123.4} {
 		q := QuantizeMultiplier(m)
-		got := q.Float()
+		got := multiplierFloat(q)
 		if math.Abs(got-m) > 1e-6*m {
 			t.Fatalf("QuantizeMultiplier(%v) represents %v", m, got)
 		}
@@ -229,4 +229,10 @@ func BenchmarkForkJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.For(Workers(), 1, fn)
 	}
+}
+
+// multiplierFloat returns the real value a fixed-point multiplier
+// represents.
+func multiplierFloat(q QuantizedMultiplier) float64 {
+	return float64(q.M0) / float64(int64(1)<<31) * math.Pow(2, float64(q.Shift))
 }

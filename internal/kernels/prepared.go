@@ -14,7 +14,6 @@ import (
 // share the layout-specialized weights, keep only per-worker scratch
 // private.
 type PreparedModel struct {
-	model *graph.Model
 	ctxs  []*Ctx
 	bytes int
 }
@@ -22,7 +21,7 @@ type PreparedModel struct {
 // PrepareModel runs PrepareConv for every conv/dense/depthwise op of the
 // model and freezes the result.
 func PrepareModel(m *graph.Model) *PreparedModel {
-	p := &PreparedModel{model: m, ctxs: make([]*Ctx, len(m.Ops))}
+	p := &PreparedModel{ctxs: make([]*Ctx, len(m.Ops))}
 	for i, op := range m.Ops {
 		switch op.Kind {
 		case graph.OpConv2D, graph.OpDWConv2D, graph.OpDense:
@@ -32,9 +31,6 @@ func PrepareModel(m *graph.Model) *PreparedModel {
 	}
 	return p
 }
-
-// Model returns the model this state was prepared for.
-func (p *PreparedModel) Model() *graph.Model { return p.model }
 
 // Ctx returns op i's prepared kernel context (nil for ops that need
 // none). Callers must treat it as read-only.

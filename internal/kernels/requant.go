@@ -62,12 +62,6 @@ func (q QuantizedMultiplier) Apply(x int32) int32 {
 	return int32(res)
 }
 
-// Float returns the real value the fixed-point multiplier represents;
-// useful for tests.
-func (q QuantizedMultiplier) Float() float64 {
-	return float64(q.M0) / float64(int64(1)<<31) * math.Pow(2, float64(q.Shift))
-}
-
 func clamp32(v, lo, hi int32) int32 {
 	if v < lo {
 		return lo

@@ -52,10 +52,3 @@ func NewScratch(m *graph.Model, im2col []int8) *Scratch {
 	}
 	return s
 }
-
-// Bytes reports the scratch footprint beyond the adopted im2col region —
-// the accumulator and staging buffers an interpreter adds on top of its
-// planner-accounted arena.
-func (s *Scratch) Bytes() int {
-	return 4*len(s.Acc) + 8*len(s.F64)
-}

@@ -61,16 +61,6 @@ func ByClass(class string) (*Device, error) {
 	return nil, fmt.Errorf("mcu: unknown device class %q", class)
 }
 
-// ByName returns the device with the given STM32 name.
-func ByName(name string) (*Device, error) {
-	for _, d := range Devices() {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("mcu: unknown device %q", name)
-}
-
 // SRAMBytes returns the SRAM size in bytes.
 func (d *Device) SRAMBytes() int { return d.SRAMKB * 1024 }
 

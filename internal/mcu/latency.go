@@ -184,16 +184,3 @@ func Latency(m *graph.Model, dev *Device) float64 {
 	}
 	return t
 }
-
-// MeasureLatency simulates a timed measurement (the paper uses the Mbed
-// Timer API): the modeled latency plus small run-to-run jitter from rng.
-// A zero-op model measures exactly 0 — multiplicative jitter on a zero
-// baseline would be meaningless (and historically let NaNs from malformed
-// models propagate into traces).
-func MeasureLatency(m *graph.Model, dev *Device, rng *rand.Rand) float64 {
-	t := Latency(m, dev)
-	if t == 0 {
-		return 0
-	}
-	return t * math.Exp(rng.NormFloat64()*0.003)
-}

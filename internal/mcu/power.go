@@ -37,25 +37,6 @@ func EnergyPerInferenceMJ(m *graph.Model, dev *Device) float64 {
 	return ActivePowerMW(m, dev) * Latency(m, dev) // mW * s = mJ
 }
 
-// DutyCycleAveragePowerMW returns the average power of an application that
-// runs one inference every periodS seconds and deep-sleeps in between —
-// the Figure 9 experiment ("a tinyML application with a duty cycle of one
-// frame per second").
-func DutyCycleAveragePowerMW(m *graph.Model, dev *Device, periodS float64) float64 {
-	lat := Latency(m, dev)
-	if lat == 0 {
-		// Zero-op model: the application never wakes, so the average is the
-		// sleep floor (and never 0/0 for a zero period).
-		return dev.SleepMW
-	}
-	if lat >= periodS {
-		return ActivePowerMW(m, dev)
-	}
-	active := ActivePowerMW(m, dev) * lat
-	sleep := dev.SleepMW * (periodS - lat)
-	return (active + sleep) / periodS
-}
-
 // TracePoint is one sample of a simulated Otii current trace.
 type TracePoint struct {
 	TimeS     float64

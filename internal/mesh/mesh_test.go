@@ -356,7 +356,7 @@ func keyOwnedBy(t *testing.T, rt *Router, url, prefix string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		k := fmt.Sprintf("%s-%d", prefix, i)
-		if rt.ring.Owner(k) == url {
+		if owner(rt.ring, k) == url {
 			return k
 		}
 	}

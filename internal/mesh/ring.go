@@ -52,14 +52,6 @@ func NewRing(vnodes int, urls ...string) *Ring {
 	return r
 }
 
-// Owner returns the first member of Order(key), or "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.points[r.search(key)].url
-}
-
 // Order returns every member in the key's preference order: the walk
 // clockwise from the key's hash, keeping the first occurrence of each
 // member. The full order (not just the owner) is what budget spill

@@ -32,7 +32,7 @@ func TestRingDistribution(t *testing.T) {
 			r := NewRing(0, ringURLs(n)...)
 			counts := map[string]int{}
 			for _, k := range keys {
-				counts[r.Owner(k)]++
+				counts[owner(r, k)]++
 			}
 			if len(counts) != n {
 				t.Fatalf("only %d of %d replicas own keys", len(counts), n)
@@ -63,7 +63,7 @@ func TestRingMinimalMovement(t *testing.T) {
 			added := urls[tc.before]
 			moved := 0
 			for _, k := range keys {
-				if before, now := small.Owner(k), grown.Owner(k); now != before {
+				if before, now := owner(small, k), owner(grown, k); now != before {
 					moved++
 					if now != added {
 						t.Fatalf("key %s moved %s → %s, not to the added member %s",
@@ -84,7 +84,7 @@ func TestRingMinimalMovement(t *testing.T) {
 			full, shrunk := NewRing(0, urls...), NewRing(0, urls[:tc.before]...)
 			removed := urls[tc.before]
 			for _, k := range keys {
-				before, now := full.Owner(k), shrunk.Owner(k)
+				before, now := owner(full, k), owner(shrunk, k)
 				if before == removed {
 					if now == removed {
 						t.Fatalf("key %s still owned by removed member", k)
@@ -108,8 +108,8 @@ func TestRingOrder(t *testing.T) {
 		if len(order) != len(urls) {
 			t.Fatalf("Order(%s) returned %d members, want %d", k, len(order), len(urls))
 		}
-		if order[0] != r.Owner(k) {
-			t.Fatalf("Order(%s)[0] = %s, Owner = %s", k, order[0], r.Owner(k))
+		if order[0] != owner(r, k) {
+			t.Fatalf("Order(%s)[0] = %s, Owner = %s", k, order[0], owner(r, k))
 		}
 		seen := map[string]bool{}
 		for _, u := range order {
@@ -131,7 +131,7 @@ func TestRingOrder(t *testing.T) {
 // duplicate members.
 func TestRingEdgeCases(t *testing.T) {
 	r := NewRing(0)
-	if got := r.Owner("x"); got != "" {
+	if got := owner(r, "x"); got != "" {
 		t.Errorf("empty ring Owner = %q, want empty", got)
 	}
 	if got := r.Order("x"); got != nil {
@@ -144,7 +144,15 @@ func TestRingEdgeCases(t *testing.T) {
 	if got, want := len(r.points), len(NewRing(0, "http://a").points); got != want {
 		t.Errorf("duplicated member holds %d ring points, want %d", got, want)
 	}
-	if got := r.Owner("anything"); got != "http://a" {
+	if got := owner(r, "anything"); got != "http://a" {
 		t.Errorf("single-member Owner = %q", got)
 	}
+}
+
+// owner returns the first member of r.Order(key), or "" on an empty ring.
+func owner(r *Ring, key string) string {
+	if len(r.points) == 0 {
+		return ""
+	}
+	return r.points[r.search(key)].url
 }

@@ -280,17 +280,6 @@ func (l *GlobalAvgPool) Forward(x *ag.Var, training bool) *ag.Var {
 // Params implements Layer.
 func (l *GlobalAvgPool) Params() []*Param { return nil }
 
-// Flatten reshapes to [n, features].
-type Flatten struct{}
-
-// Forward implements Layer.
-func (l *Flatten) Forward(x *ag.Var, training bool) *ag.Var {
-	return ag.Reshape(x, x.Value.Shape[0], -1)
-}
-
-// Params implements Layer.
-func (l *Flatten) Params() []*Param { return nil }
-
 // Dropout zeroes a fraction of activations during training, scaling the
 // survivors (inverted dropout).
 type Dropout struct {

@@ -141,7 +141,7 @@ func TestSGDMomentumConverges(t *testing.T) {
 	opt := NewSGD(0.9, 0)
 	for i := 0; i < 100; i++ {
 		diff := ag.AddScalar(p.V, -3)
-		loss := ag.Mean(ag.Square(diff))
+		loss := ag.Mul(diff, diff)
 		ag.Backward(loss)
 		opt.Step([]*Param{p}, 0.05)
 	}
@@ -155,7 +155,7 @@ func TestAdamConverges(t *testing.T) {
 	opt := NewAdam(0)
 	for i := 0; i < 400; i++ {
 		diff := ag.AddScalar(p.V, -1)
-		loss := ag.Mean(ag.Square(diff))
+		loss := ag.Mul(diff, diff)
 		ag.Backward(loss)
 		opt.Step([]*Param{p}, 0.05)
 	}
@@ -226,9 +226,8 @@ func TestQATProducesGridWeights(t *testing.T) {
 	if y.Value.Len() == 0 {
 		t.Fatal("empty output")
 	}
-	lo, hi, ok := l.Quant.ActRange()
-	if !ok || lo > 0 || hi < 0 {
-		t.Fatalf("act range must straddle zero: %v %v ok=%v", lo, hi, ok)
+	if q := l.Quant; !q.seen || q.actLo > q.actHi {
+		t.Fatalf("activation observer must be seeded with a range: [%v, %v] seen=%v", q.actLo, q.actHi, q.seen)
 	}
 }
 

@@ -6,13 +6,6 @@ import (
 	"micronets/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update at the given learning rate and clears
-	// gradients.
-	Step(params []*Param, lr float32)
-}
-
 // SGD implements stochastic gradient descent with classical momentum and
 // decoupled weight decay (applied only to params with Decay=true, matching
 // the paper's recipes which exempt BN and biases).
@@ -28,7 +21,8 @@ func NewSGD(momentum, weightDecay float32) *SGD {
 	return &SGD{Momentum: momentum, WeightDecay: weightDecay, velocity: map[*Param]*tensor.Tensor{}}
 }
 
-// Step implements Optimizer.
+// Step applies one update at the given learning rate and clears
+// gradients.
 func (o *SGD) Step(params []*Param, lr float32) {
 	for _, p := range params {
 		if p.V.Grad == nil {
@@ -72,7 +66,8 @@ func NewAdam(weightDecay float32) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update at the given learning rate and clears
+// gradients.
 func (o *Adam) Step(params []*Param, lr float32) {
 	o.step++
 	bc1 := 1 - float32(math.Pow(float64(o.Beta1), float64(o.step)))

@@ -74,22 +74,6 @@ func (q *LayerQuant) maybeQuantActs(y *ag.Var, training bool) *ag.Var {
 	return ag.FakeQuant(y, lo, hi, q.ActBits)
 }
 
-// ActRange returns the observed activation range (after zero-inclusion),
-// used when exporting the trained model to the int8 runtime.
-func (q *LayerQuant) ActRange() (lo, hi float32, ok bool) {
-	if q == nil || !q.seen {
-		return 0, 0, false
-	}
-	lo, hi = q.actLo, q.actHi
-	if lo > 0 {
-		lo = 0
-	}
-	if hi < 0 {
-		hi = 0
-	}
-	return lo, hi, true
-}
-
 func absf(v float32) float32 {
 	if v < 0 {
 		return -v

@@ -1,6 +1,6 @@
 // Package obs is the stdlib-only observability substrate of the serving
-// stack: lock-free log-bucketed latency histograms (mergeable, rendered
-// as Prometheus _bucket/_sum/_count families, with p50/p95/p99
+// stack: lock-free log-bucketed latency histograms (rendered as
+// Prometheus _bucket/_sum/_count families, with p50/p95/p99
 // extraction) and a lightweight span/trace model (trace ID, parent/child
 // spans, start/duration, attributes) carried through request contexts.
 //

@@ -82,30 +82,12 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// Snapshot is an immutable copy of a Histogram, the unit of merging,
-// quantile extraction, and Prometheus rendering.
+// Snapshot is an immutable copy of a Histogram, the unit of quantile
+// extraction and Prometheus rendering.
 type Snapshot struct {
 	Buckets [numBuckets]uint64
 	SumNs   int64
 	Count   uint64
-}
-
-// Merge adds another snapshot into this one (for aggregating per-shard
-// or per-replica histograms).
-func (s *Snapshot) Merge(o Snapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.SumNs += o.SumNs
-	s.Count += o.Count
-}
-
-// Mean returns the mean observed duration (0 when empty).
-func (s Snapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNs / int64(s.Count))
 }
 
 // Quantile returns the q-quantile (q in [0,1]) by linear interpolation

@@ -57,17 +57,16 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want within [%v, %v]", c.q, got, lo, hi)
 		}
 	}
-	wantMean := 500500 * time.Microsecond
-	if m := s.Mean(); m < wantMean-time.Millisecond || m > wantMean+time.Millisecond {
-		t.Errorf("Mean = %v, want ~%v", m, wantMean)
+	if want := (500500 * time.Millisecond).Nanoseconds(); s.SumNs != want {
+		t.Errorf("SumNs = %d, want %d", s.SumNs, want)
 	}
 }
 
 func TestHistogramEmptyAndExtremes(t *testing.T) {
 	var h Histogram
 	s := h.Snapshot()
-	if s.Quantile(0.99) != 0 || s.Mean() != 0 {
-		t.Fatalf("empty histogram should report zeros, got q99=%v mean=%v", s.Quantile(0.99), s.Mean())
+	if s.Quantile(0.99) != 0 || s.SumNs != 0 {
+		t.Fatalf("empty histogram should report zeros, got q99=%v sum=%v", s.Quantile(0.99), s.SumNs)
 	}
 	h.Observe(-time.Second)          // clamps to 0
 	h.Observe(0)                     // below min
@@ -97,21 +96,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if s := h.Snapshot(); s.Count != 8000 {
 		t.Fatalf("count = %d, want 8000", s.Count)
-	}
-}
-
-func TestSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	a.Observe(2 * time.Millisecond)
-	b.Observe(time.Second)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 3 {
-		t.Fatalf("merged count = %d, want 3", sa.Count)
-	}
-	if want := (3*time.Millisecond + time.Second).Nanoseconds(); sa.SumNs != want {
-		t.Fatalf("merged sum = %d, want %d", sa.SumNs, want)
 	}
 }
 
@@ -234,15 +218,12 @@ func TestTraceNilSafety(t *testing.T) {
 	h.SetAttr("k", "v")
 	h.End()
 	tr.Add("y", nil, time.Now(), 0, nil)
-	if tr.ID() != "" || tr.Spans() != nil || tr.Dropped() != 0 {
+	if tr.ID() != "" || tr.Spans() != nil {
 		t.Fatal("nil trace should be inert")
 	}
 	var nh *SpanHandle
 	nh.SetAttr("k", "v")
 	nh.End()
-	if nh.ID() != 0 {
-		t.Fatal("nil span handle should be inert")
-	}
 }
 
 func TestTraceSpanCap(t *testing.T) {
@@ -252,9 +233,6 @@ func TestTraceSpanCap(t *testing.T) {
 	}
 	if n := len(tr.Spans()); n != maxSpans {
 		t.Fatalf("stored %d spans, want cap %d", n, maxSpans)
-	}
-	if d := tr.Dropped(); d != 10 {
-		t.Fatalf("dropped = %d, want 10", d)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// maxSpans bounds a single trace; spans past the cap are counted in
-// Dropped instead of stored, so a pathological graph fan-out cannot
-// balloon the span JSON returned to a client.
+// maxSpans bounds a single trace; spans past the cap are dropped, so a
+// pathological graph fan-out cannot balloon the span JSON returned to a
+// client.
 const maxSpans = 512
 
 // Span is one timed region of a traced request, serialized into the
@@ -29,11 +29,10 @@ type Span struct {
 // concurrent use and safe on a nil receiver (no-ops), so instrumented
 // code paths never need to check whether tracing is enabled.
 type Trace struct {
-	id      string
-	mu      sync.Mutex
-	spans   []Span // guarded by Trace.mu
-	nextID  int    // guarded by Trace.mu
-	dropped int    // guarded by Trace.mu
+	id     string
+	mu     sync.Mutex
+	spans  []Span // guarded by Trace.mu
+	nextID int    // guarded by Trace.mu
 }
 
 // NewTrace creates a trace with a fresh random ID.
@@ -93,7 +92,6 @@ func (t *Trace) Add(name string, parent *SpanHandle, start time.Time, dur time.D
 	defer t.mu.Unlock()
 	t.nextID++
 	if len(t.spans) >= maxSpans {
-		t.dropped++
 		return
 	}
 	pid := 0
@@ -123,16 +121,6 @@ func (t *Trace) Spans() []Span {
 	return out
 }
 
-// Dropped reports how many spans were discarded at the maxSpans cap.
-func (t *Trace) Dropped() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // SpanHandle is an open span. End finishes it; SetAttr annotates it.
 // All methods are nil-safe.
 type SpanHandle struct {
@@ -145,14 +133,6 @@ type SpanHandle struct {
 	mu    sync.Mutex
 	attrs map[string]string // guarded by SpanHandle.mu
 	done  bool              // guarded by SpanHandle.mu
-}
-
-// ID returns the span's ID within its trace (0 for nil).
-func (h *SpanHandle) ID() int {
-	if h == nil {
-		return 0
-	}
-	return h.id
 }
 
 // SetAttr attaches a key/value annotation. Calls after End are ignored.
@@ -191,7 +171,6 @@ func (h *SpanHandle) End() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.spans) >= maxSpans {
-		t.dropped++
 		return
 	}
 	t.spans = append(t.spans, Span{

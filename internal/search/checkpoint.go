@@ -168,7 +168,7 @@ func ReadTrialLog(r io.Reader) ([]TrialRecord, error) {
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var out []TrialRecord
 	var pendingErr error
-	for sc.Scan() {
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		if pendingErr != nil {
 			return nil, pendingErr
 		}
@@ -180,7 +180,7 @@ func ReadTrialLog(r io.Reader) ([]TrialRecord, error) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			// Only acceptable as the torn last line; remember and fail if
 			// more lines follow.
-			pendingErr = fmt.Errorf("search: corrupt trial log line %d: %w", len(out)+1, err)
+			pendingErr = fmt.Errorf("search: corrupt trial log line %d: %w", lineNo, err)
 			continue
 		}
 		out = append(out, rec)

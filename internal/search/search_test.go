@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -364,9 +365,19 @@ func TestReadTrialLogTornLine(t *testing.T) {
 	if len(recs) != 1 || recs[0].Trial != 0 {
 		t.Fatalf("got %+v, want the one intact record", recs)
 	}
-	corrupt := `{"trial":0}` + "\n" + `garbage` + "\n" + `{"trial":2}` + "\n"
-	if _, err := ReadTrialLog(strings.NewReader(corrupt)); err == nil {
-		t.Fatal("mid-file corruption must error")
+	// Mid-file corruption errors and names the physical line, blank
+	// lines included.
+	for _, tc := range []struct {
+		log  string
+		line int
+	}{
+		{`{"trial":0}` + "\n" + `garbage` + "\n" + `{"trial":2}` + "\n", 2},
+		{`{"trial":0}` + "\n\n" + `garbage` + "\n" + `{"trial":2}` + "\n", 3},
+	} {
+		_, err := ReadTrialLog(strings.NewReader(tc.log))
+		if want := fmt.Sprintf("line %d:", tc.line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("corrupt log %q: error %v, want one naming %s", tc.log, err, want)
+		}
 	}
 }
 

@@ -547,14 +547,14 @@ func TestAdminInlineSpecRejectsNonPositiveSizes(t *testing.T) {
 		spec.Name = name
 		spec.Blocks = append([]arch.Block{{Kind: arch.Conv, KH: 1, KW: 1, OutC: outC, Stride: 1}}, spec.Blocks[1:]...)
 		t.Cleanup(func() { zoo.Unregister(spec.Name) })
-		before := len(zoo.RegisteredNames())
+		before := len(zoo.Names())
 
 		body, _ := json.Marshal(map[string]any{"spec": &spec})
 		code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+spec.Name+"/load", string(body))
 		if code != http.StatusBadRequest {
 			t.Fatalf("inline spec with OutC %d: code %d (%v), want 400", outC, code, resp)
 		}
-		if _, err := zoo.Get(spec.Name); err == nil || len(zoo.RegisteredNames()) != before {
+		if _, err := zoo.Get(spec.Name); err == nil || len(zoo.Names()) != before {
 			t.Fatalf("rejected inline spec %s stayed registered in the zoo", spec.Name)
 		}
 		if idx := repoIndex(t, ts.URL); idx[spec.Name] != nil {

@@ -1,7 +1,6 @@
 package servegraph
 
 import (
-	"context"
 	"sort"
 	"sync"
 
@@ -9,8 +8,8 @@ import (
 )
 
 // Registry holds the registered graphs of one server. All methods are
-// safe for concurrent use; Infer runs lock-free against a snapshot of the
-// graph, so a concurrent re-registration never fails in-flight requests.
+// safe for concurrent use; a Graph's Infer runs lock-free against its own
+// snapshot, so a concurrent re-registration never fails in-flight requests.
 type Registry struct {
 	backend Backend
 	mu      sync.RWMutex
@@ -93,15 +92,6 @@ func (r *Registry) Referenced(model string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Infer routes one request through a named graph.
-func (r *Registry) Infer(ctx context.Context, name string, x []float64, route string) (*Result, error) {
-	g, err := r.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return g.Infer(ctx, x, route)
 }
 
 // NodeStats is a point-in-time snapshot of one node's counters.

@@ -451,7 +451,11 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 
 	// Re-registration bumps the revision and resets counters.
-	if _, err := r.Infer(context.Background(), "a", row(0), ""); err != nil {
+	ga, err := r.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ga.Infer(context.Background(), row(0), ""); err != nil {
 		t.Fatal(err)
 	}
 	g := mustPut(t, r, &Spec{Name: "a", Root: leaf("large")})
@@ -472,8 +476,8 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatal("second delete succeeded, want NotFoundError")
 	}
 	var nf *NotFoundError
-	if _, err := r.Infer(context.Background(), "b", row(0), ""); !errors.As(err, &nf) {
-		t.Fatalf("infer on deleted graph: %v, want NotFoundError", err)
+	if _, err := r.Get("b"); !errors.As(err, &nf) {
+		t.Fatalf("get of deleted graph: %v, want NotFoundError", err)
 	}
 
 	names := make([]string, 0)

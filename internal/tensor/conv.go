@@ -119,24 +119,6 @@ func Col2Im(cols *Tensor, spec ConvSpec, n, h, w, c int) *Tensor {
 	return x
 }
 
-// Conv2D computes a standard 2-D convolution. x is [n,h,w,inC] and w is
-// [kh,kw,inC,outC]; the result is [n,oh,ow,outC].
-func Conv2D(x, wgt *Tensor, spec ConvSpec) *Tensor {
-	if len(wgt.Shape) != 4 || wgt.Shape[0] != spec.KH || wgt.Shape[1] != spec.KW {
-		panic(fmt.Sprintf("tensor: Conv2D weight shape %v does not match spec %+v", wgt.Shape, spec))
-	}
-	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if wgt.Shape[2] != c {
-		panic(fmt.Sprintf("tensor: Conv2D input channels %d != weight inC %d", c, wgt.Shape[2]))
-	}
-	outC := wgt.Shape[3]
-	oh, ow := spec.OutSize(h, w)
-	cols := Im2Col(x, spec)
-	wmat := wgt.Reshape(spec.KH*spec.KW*c, outC)
-	y := MatMul(cols, wmat)
-	return y.Reshape(n, oh, ow, outC)
-}
-
 // DepthwiseConv2D computes a depthwise convolution with multiplier 1.
 // x is [n,h,w,c], wgt is [kh,kw,c]; the result is [n,oh,ow,c].
 func DepthwiseConv2D(x, wgt *Tensor, spec ConvSpec) *Tensor {

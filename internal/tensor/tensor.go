@@ -80,30 +80,6 @@ func (t *Tensor) Dim(i int) int {
 	return t.Shape[i]
 }
 
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set assigns the element at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.Shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
@@ -176,16 +152,6 @@ func Add(a, b *Tensor) *Tensor {
 	out := New(a.Shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// Sub returns a-b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	checkSameShape("Sub", a, b)
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
 	}
 	return out
 }
@@ -266,20 +232,6 @@ func Min(a *Tensor) float32 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the flat index of the largest element.
-func ArgMax(a *Tensor) int {
-	if a.Len() == 0 {
-		panic("tensor: ArgMax of empty tensor")
-	}
-	best, bi := a.Data[0], 0
-	for i, v := range a.Data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }
 
 // Apply returns f mapped elementwise over a.

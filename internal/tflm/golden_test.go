@@ -83,7 +83,7 @@ func runGolden(t *testing.T, name string, eng kernels.Engine) ([]int8, int) {
 		t.Fatal(err)
 	}
 	out := append([]int8(nil), ip.Output()...)
-	return out, ip.Plan().ArenaBytes
+	return out, ip.prep.plan.ArenaBytes
 }
 
 func TestGoldenLogits(t *testing.T) {

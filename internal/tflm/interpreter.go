@@ -23,7 +23,6 @@ import (
 type Interpreter struct {
 	prep  *Prepared
 	model *graph.Model
-	plan  *Plan
 	arena []int8
 	// bufs[i] is tensor i's slice into the arena.
 	bufs [][]int8
@@ -82,13 +81,6 @@ func NewInterpreterWithEngine(m *graph.Model, arenaLimit int, eng kernels.Engine
 	return prep.NewInterpreter(arenaLimit)
 }
 
-// Model returns the underlying model.
-func (ip *Interpreter) Model() *graph.Model { return ip.model }
-
-// Prepared returns the shared prepared state this interpreter executes
-// over (never nil).
-func (ip *Interpreter) Prepared() *Prepared { return ip.prep }
-
 // ArenaBytes returns the interpreter's total arena size (activations plus
 // engine scratch) — what one pooled replica of this model costs in RAM
 // beyond the shared prepared weights.
@@ -104,9 +96,6 @@ func (ip *Interpreter) Reset() {
 		ip.arena[i] = 0
 	}
 }
-
-// Plan returns the memory plan.
-func (ip *Interpreter) Plan() *Plan { return ip.plan }
 
 // Input returns the raw quantized input buffer.
 func (ip *Interpreter) Input() []int8 { return ip.bufs[ip.model.Input] }

@@ -156,13 +156,3 @@ func (p *Plan) Verify() error {
 	}
 	return nil
 }
-
-// NaiveArenaBytes returns the arena size without buffer reuse (sum of all
-// tensor buffers) — the baseline that shows how much the planner saves.
-func NaiveArenaBytes(m *graph.Model) int {
-	s := 0
-	for _, t := range m.Tensors {
-		s += alignUp(t.Bytes())
-	}
-	return s
-}

@@ -87,7 +87,6 @@ func (p *Prepared) NewInterpreter(arenaLimit int) (*Interpreter, error) {
 	ip := &Interpreter{
 		prep:  p,
 		model: m,
-		plan:  p.plan,
 		arena: make([]int8, p.plan.ArenaBytes+scratchBytes),
 		bufs:  make([][]int8, len(m.Tensors)),
 		steps: make([]func(), len(m.Ops)),

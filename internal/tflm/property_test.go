@@ -1,6 +1,7 @@
 package tflm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestPlanBatchMonotonicAndBounded(t *testing.T) {
 			if lb := maxOpWorkingSetBytes(m); plan.ArenaBytes < lb {
 				t.Fatalf("arena %d below max single-op working set %d", plan.ArenaBytes, lb)
 			}
-			if ub := NaiveArenaBytes(m); plan.ArenaBytes > ub {
+			if ub := naiveArenaBytes(m); plan.ArenaBytes > ub {
 				t.Fatalf("arena %d above no-reuse bound %d", plan.ArenaBytes, ub)
 			}
 		})
@@ -123,7 +124,7 @@ func TestPlanBatchRandomChains(t *testing.T) {
 //   - the analytic weight/op accounting (arch.Analyze) matches the lowered
 //     model exactly, so a weight-bytes or ops budget means the same thing
 //     to the DNAS penalty and to the deployed model;
-//   - budgets set to the planner-reported usage pass CheckBytes, and
+//   - budgets set to the planner-reported usage pass checkBytes, and
 //     budgets set just below it are reported as violations;
 //   - for chain architectures (no residual adds) the analytic working-set
 //     proxy upper-bounds the planned arena, so a spec the relaxed search
@@ -152,11 +153,11 @@ func TestConstraintsAgreeWithPlanner(t *testing.T) {
 			arenaBytes := float64(plan.ArenaBytes)
 			ops := float64(m.TotalOps())
 			exact := core.Constraints{MaxWeightBytes: weightBytes, MaxArenaBytes: arenaBytes, MaxOps: ops}
-			if v := exact.CheckBytes(weightBytes, arenaBytes, ops); len(v) != 0 {
+			if v := checkBytes(exact, weightBytes, arenaBytes, ops); len(v) != 0 {
 				t.Fatalf("budgets equal to usage must pass, got %v", v)
 			}
 			tight := core.Constraints{MaxWeightBytes: weightBytes - 1, MaxArenaBytes: arenaBytes - 1, MaxOps: ops - 1}
-			if v := tight.CheckBytes(weightBytes, arenaBytes, ops); len(v) != 3 {
+			if v := checkBytes(tight, weightBytes, arenaBytes, ops); len(v) != 3 {
 				t.Fatalf("budgets below usage must report 3 violations, got %v", v)
 			}
 
@@ -182,4 +183,31 @@ func TestConstraintsAgreeWithPlanner(t *testing.T) {
 			}
 		})
 	}
+}
+
+// naiveArenaBytes is the arena size without buffer reuse (sum of all
+// tensor buffers): the upper bound every plan must meet.
+func naiveArenaBytes(m *graph.Model) int {
+	s := 0
+	for _, t := range m.Tensors {
+		s += alignUp(t.Bytes())
+	}
+	return s
+}
+
+// checkBytes reports which of c's budgets a lowered model exceeds, given
+// its byte-denominated usage: weight bytes, the planned arena and ops as
+// 2*MACs.
+func checkBytes(c core.Constraints, weightBytes, arenaBytes, ops float64) []string {
+	var v []string
+	if c.MaxWeightBytes > 0 && weightBytes > c.MaxWeightBytes {
+		v = append(v, fmt.Sprintf("weight bytes %.0f > %.0f", weightBytes, c.MaxWeightBytes))
+	}
+	if c.MaxArenaBytes > 0 && arenaBytes > c.MaxArenaBytes {
+		v = append(v, fmt.Sprintf("arena bytes %.0f > %.0f", arenaBytes, c.MaxArenaBytes))
+	}
+	if c.MaxOps > 0 && ops > c.MaxOps {
+		v = append(v, fmt.Sprintf("ops %.0f > %.0f", ops, c.MaxOps))
+	}
+	return v
 }

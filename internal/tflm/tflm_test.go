@@ -56,8 +56,8 @@ func TestPlanSavesVsNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.ArenaBytes >= NaiveArenaBytes(m) {
-		t.Fatalf("planner (%d) must beat naive sum (%d)", plan.ArenaBytes, NaiveArenaBytes(m))
+	if plan.ArenaBytes >= naiveArenaBytes(m) {
+		t.Fatalf("planner (%d) must beat naive sum (%d)", plan.ArenaBytes, naiveArenaBytes(m))
 	}
 	// And can never beat the tightest single producer-consumer pair.
 	biggest := 0
@@ -457,7 +457,7 @@ func TestInvokeBatchErrorNamesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reused interpreter after Reset: %v", err)
 	}
-	fresh, err := NewInterpreter(ip.Model(), 0)
+	fresh, err := NewInterpreter(ip.model, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,13 @@ func FuzzReadSpecFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(catalogue.Bytes())
+	f.Add(append(bytes.Clone(catalogue.Bytes()), " trailing garbage {"...))
+	dup := &zoo.SpecFile{Specs: []*arch.Spec{file.Specs[0], file.Specs[0]}}
+	var dupBuf bytes.Buffer
+	if err := zoo.WriteSpecFile(&dupBuf, dup); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dupBuf.Bytes())
 	for _, block := range []string{
 		`{"Kind":"Conv2D","KH":3,"KW":3,"OutC":-4}`,
 		`{"Kind":"Conv2D","KH":-3,"KW":3,"OutC":4}`,
@@ -75,7 +82,12 @@ func FuzzReadSpecFile(f *testing.F) {
 		if err != nil {
 			return
 		}
+		seen := make(map[string]bool)
 		for _, s := range file.Specs {
+			if seen[s.Name] {
+				t.Fatalf("ReadSpecFile accepted two specs named %q", s.Name)
+			}
+			seen[s.Name] = true
 			a, err := s.Analyze()
 			if err != nil {
 				t.Fatalf("ReadSpecFile accepted %s, which does not analyze: %v", s, err)

@@ -63,17 +63,6 @@ func Unregister(name string) {
 	regMu.Unlock()
 }
 
-// RegisteredNames lists the dynamic entries currently published.
-func RegisteredNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registered))
-	for n := range registered {
-		names = append(names, n)
-	}
-	return names
-}
-
 // mergeRegistered adds the dynamic entries into a catalogue map.
 func mergeRegistered(m map[string]*Entry) map[string]*Entry {
 	regMu.RLock()
@@ -104,16 +93,27 @@ func WriteSpecFile(w io.Writer, f *SpecFile) error {
 	return enc.Encode(f)
 }
 
-// ReadSpecFile parses a SpecFile and validates every spec.
+// ReadSpecFile parses a SpecFile and validates every spec. The file is
+// one JSON object: bytes other than whitespace after it are refused, and
+// so are two specs with one name, which registration would collapse.
 func ReadSpecFile(r io.Reader) (*SpecFile, error) {
 	var f SpecFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("zoo: spec file: %w", err)
 	}
+	if _, tail := dec.Token(); tail != io.EOF {
+		return nil, fmt.Errorf("zoo: spec file: unexpected data after the JSON object")
+	}
+	seen := make(map[string]bool, len(f.Specs))
 	for _, s := range f.Specs {
 		if s == nil || s.Name == "" {
 			return nil, fmt.Errorf("zoo: spec file contains an unnamed spec")
 		}
+		if seen[s.Name] {
+			return nil, fmt.Errorf("zoo: spec file names %q twice", s.Name)
+		}
+		seen[s.Name] = true
 		if _, err := s.Analyze(); err != nil {
 			return nil, fmt.Errorf("zoo: spec file: %w", err)
 		}

@@ -97,3 +97,44 @@ func TestSpecFileRoundTrip(t *testing.T) {
 		t.Fatal("notes lost in round trip")
 	}
 }
+
+// TestReadSpecFileRejectsTrailingDataAndDuplicates: a spec file is one
+// JSON object, and each of its names is one spec, so trailing bytes and
+// a repeated name are refused (registering a repeated name would keep
+// only its last spec while reporting the name twice).
+func TestReadSpecFileRejectsTrailingDataAndDuplicates(t *testing.T) {
+	var one bytes.Buffer
+	if err := WriteSpecFile(&one, &SpecFile{Specs: []*arch.Spec{nasSpec("NAS-test-read")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSpecFile(bytes.NewReader(append(one.Bytes(), " \n\t"...))); err != nil {
+		t.Fatalf("trailing whitespace must be accepted: %v", err)
+	}
+	for _, tail := range []string{" trailing garbage {", "{}", `{"specs":[]}`, "]"} {
+		if _, err := ReadSpecFile(bytes.NewReader(append(bytes.Clone(one.Bytes()), tail...))); err == nil {
+			t.Errorf("spec file followed by %q parsed with a nil error", tail)
+		}
+	}
+
+	const dup = "NAS-test-duplicate"
+	t.Cleanup(func() { Unregister(dup) })
+	first, second := nasSpec(dup), nasSpec(dup)
+	second.Blocks[0].OutC = 16
+	var buf bytes.Buffer
+	if err := WriteSpecFile(&buf, &SpecFile{Specs: []*arch.Spec{first, second}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSpecFile(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("a spec file naming one spec twice parsed with a nil error")
+	}
+	path := filepath.Join(t.TempDir(), "dup.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := RegisterSpecFile(path); err == nil {
+		t.Fatalf("a spec file naming one spec twice registered %v", names)
+	}
+	if _, err := Get(dup); err == nil {
+		t.Fatalf("%s registered from a rejected file", dup)
+	}
+}

@@ -124,36 +124,3 @@ func MicroNetVWW(variant int) *arch.Spec {
 		panic(fmt.Sprintf("zoo: unknown VWW variant %d", variant))
 	}
 }
-
-// MobileNetV2VWW builds the full-width MobileNetV2 teacher used for
-// distillation and as the "largest network in our search space" reference
-// (88.75% accuracy in §6.2), on grayscale inputs.
-func MobileNetV2VWW(inputSize int) *arch.Spec {
-	type stage struct{ t, c, n, s int }
-	stages := []stage{
-		{1, 16, 1, 1}, {6, 24, 2, 2}, {6, 32, 3, 2}, {6, 64, 4, 2},
-		{6, 96, 3, 1}, {6, 160, 3, 2}, {6, 320, 1, 1},
-	}
-	bl := []arch.Block{{Kind: arch.Conv, KH: 3, KW: 3, OutC: 32, Stride: 2}}
-	c := 32
-	for _, st := range stages {
-		for i := 0; i < st.n; i++ {
-			s := 1
-			if i == 0 {
-				s = st.s
-			}
-			bl = append(bl, ibn(c*st.t, st.c, s))
-			c = st.c
-		}
-	}
-	bl = append(bl,
-		arch.Block{Kind: arch.Conv, KH: 1, KW: 1, OutC: 1280, Stride: 1},
-		arch.Block{Kind: arch.GlobalPool},
-		arch.Block{Kind: arch.Dense, OutC: 2},
-	)
-	return &arch.Spec{
-		Name: "MobileNetV2", Task: "vww", Source: "repro",
-		InputH: inputSize, InputW: inputSize, InputC: 1, NumClasses: 2,
-		Blocks: bl,
-	}
-}
