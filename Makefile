@@ -31,11 +31,12 @@ bench-smoke:
 
 # alloc-gates runs the allocation-count tests without -race (the
 # detector's instrumentation allocates, so they skip themselves under
-# `make test`): steady-state Invoke, the bounded serve row path and the
-# infer-body codec. The CI bench-smoke job runs this target.
+# `make test`): steady-state Invoke, the bounded serve row path, the
+# infer-body codec and the DNAS training step. The CI bench-smoke job
+# runs this target.
 .PHONY: alloc-gates
 alloc-gates:
-	$(GO) test -run 'TestInvokeZeroAllocs|TestBatcherSubmitAllocBound|TestDecodeInferAllocsFlat' -v ./internal/tflm ./internal/serve
+	$(GO) test -run 'TestInvokeZeroAllocs|TestBatcherSubmitAllocBound|TestDecodeInferAllocsFlat|TestDNASStepAllocBound' -v ./internal/tflm ./internal/serve ./internal/core
 
 # bench-module vets, gofmt-checks and tests bench/ (plain and -race),
 # the BENCHMARK.json harness: a module of its own (replace micronets =>

@@ -9,31 +9,36 @@ import (
 // stride-1 unpadded conv (a pointwise layer) is already a matmul: x
 // itself is the column matrix, and neither pass copies it.
 func Conv2D(x, w *Var, spec tensor.ConvSpec) *Var {
+	tp := tapeOf(x, w)
 	n, h, ww, c := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
 	outC := w.Value.Shape[3]
 	oh, ow := spec.OutSize(h, ww)
+	k := spec.KH * spec.KW * c
 	pointwise := spec == tensor.ConvSpec{KH: 1, KW: 1, SH: 1, SW: 1}
 	var cols *tensor.Tensor
 	if pointwise {
 		cols = x.Value.Reshape(n*h*ww, c)
 	} else {
-		cols = tensor.Im2Col(x.Value, spec)
+		cols = tensor.Im2Col(tp.alloc(n*oh*ow, k), x.Value, spec)
 	}
-	wmat := w.Value.Reshape(spec.KH*spec.KW*c, outC)
-	y := tensor.MatMul(cols, wmat).Reshape(n, oh, ow, outC)
+	wmat := w.Value.Reshape(k, outC)
+	y := tp.alloc(n, oh, ow, outC)
+	tensor.MatMul(y.Reshape(n*oh*ow, outC), cols, wmat)
 	var v *Var
-	v = newOp(y, func() {
+	v = newOp(tp, y, func() {
 		dy := v.Grad.Reshape(n*oh*ow, outC)
 		if w.requiresGrad {
-			dw := tensor.TMatMul(cols, dy) // [khkwC, outC]
-			w.accumulate(dw.Reshape(w.Value.Shape...))
+			dw := tensor.TMatMul(tp.alloc(k, outC), cols, dy)
+			w.accumulateOwned(dw.Reshape(w.Value.Shape...))
 		}
 		if x.requiresGrad {
-			dcols := tensor.MatMulT(dy, wmat) // dy @ wmatᵀ = [n*oh*ow, khkwC]
 			if pointwise {
-				x.accumulate(dcols.Reshape(n, h, ww, c))
+				dx := tp.alloc(n, h, ww, c)
+				tensor.MatMulT(dx.Reshape(n*h*ww, c), dy, wmat)
+				x.accumulateOwned(dx)
 			} else {
-				x.accumulate(tensor.Col2Im(dcols, spec, n, h, ww, c))
+				dcols := tensor.MatMulT(tp.alloc(n*oh*ow, k), dy, wmat) // dy @ wmatᵀ
+				x.accumulateOwned(tensor.Col2Im(tp.alloc(n, h, ww, c), dcols, spec))
 			}
 		}
 	}, x, w)
@@ -43,33 +48,43 @@ func Conv2D(x, w *Var, spec tensor.ConvSpec) *Var {
 // DepthwiseConv2D applies a depthwise convolution with multiplier 1.
 // x is [n,h,w,c], w is [kh,kw,c].
 func DepthwiseConv2D(x, w *Var, spec tensor.ConvSpec) *Var {
-	y := tensor.DepthwiseConv2D(x.Value, w.Value, spec)
+	tp := tapeOf(x, w)
+	n, h, ww, c := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
+	oh, ow := spec.OutSize(h, ww)
+	y := tensor.DepthwiseConv2D(tp.alloc(n, oh, ow, c), x.Value, w.Value, spec)
 	var v *Var
-	v = newOp(y, func() {
-		dx, dw := tensor.DepthwiseConv2DBackward(x.Value, w.Value, v.Grad, spec)
-		x.accumulate(dx)
-		w.accumulate(dw)
+	v = newOp(tp, y, func() {
+		dx, dw := tp.alloc(x.Value.Shape...), tp.alloc(w.Value.Shape...)
+		tensor.DepthwiseConv2DBackward(dx, dw, x.Value, w.Value, v.Grad, spec)
+		x.accumulateOwned(dx)
+		w.accumulateOwned(dw)
 	}, x, w)
 	return v
 }
 
 // AvgPool2D applies average pooling.
 func AvgPool2D(x *Var, spec tensor.ConvSpec) *Var {
-	y := tensor.AvgPool2D(x.Value, spec)
+	tp := tapeOf(x)
+	n, h, w, c := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
+	oh, ow := spec.OutSize(h, w)
+	y := tensor.AvgPool2D(tp.alloc(n, oh, ow, c), x.Value, spec)
 	var v *Var
-	v = newOp(y, func() {
-		x.accumulate(tensor.AvgPool2DBackward(x.Value, v.Grad, spec))
+	v = newOp(tp, y, func() {
+		x.accumulateOwned(tensor.AvgPool2DBackward(tp.alloc(x.Value.Shape...), v.Grad, spec))
 	}, x)
 	return v
 }
 
 // MaxPool2D applies max pooling.
 func MaxPool2D(x *Var, spec tensor.ConvSpec) *Var {
-	y, arg := tensor.MaxPool2D(x.Value, spec)
-	shape := append([]int(nil), x.Value.Shape...)
+	tp := tapeOf(x)
+	n, h, w, c := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
+	oh, ow := spec.OutSize(h, w)
+	y := tp.alloc(n, oh, ow, c)
+	arg := tensor.MaxPool2D(y, x.Value, spec)
 	var v *Var
-	v = newOp(y, func() {
-		x.accumulate(tensor.MaxPool2DBackward(shape, arg, v.Grad))
+	v = newOp(tp, y, func() {
+		x.accumulateOwned(tensor.MaxPool2DBackward(tp.alloc(x.Value.Shape...), arg, v.Grad))
 	}, x)
 	return v
 }
@@ -77,34 +92,35 @@ func MaxPool2D(x *Var, spec tensor.ConvSpec) *Var {
 // GlobalAvgPool reduces [n,h,w,c] to [n,c] by averaging over space — the
 // final pooling in every MicroNet architecture.
 func GlobalAvgPool(x *Var) *Var {
+	tp := tapeOf(x)
 	n, h, w, c := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
-	y := tensor.New(n, c)
+	y := tp.zeroed(n, c)
 	inv := 1 / float32(h*w)
 	for b := 0; b < n; b++ {
+		dst := y.Data[b*c : (b+1)*c]
 		for i := 0; i < h*w; i++ {
 			src := x.Value.Data[(b*h*w+i)*c : (b*h*w+i+1)*c]
-			dst := y.Data[b*c : (b+1)*c]
-			for j := 0; j < c; j++ {
-				dst[j] += src[j]
+			for j, s := range src {
+				dst[j] += s
 			}
 		}
-		for j := 0; j < c; j++ {
-			y.Data[b*c+j] *= inv
+		for j := range dst {
+			dst[j] *= inv
 		}
 	}
 	var v *Var
-	v = newOp(y, func() {
-		dx := tensor.New(x.Value.Shape...)
+	v = newOp(tp, y, func() {
+		dx := tp.alloc(x.Value.Shape...)
 		for b := 0; b < n; b++ {
 			g := v.Grad.Data[b*c : (b+1)*c]
 			for i := 0; i < h*w; i++ {
 				dst := dx.Data[(b*h*w+i)*c : (b*h*w+i+1)*c]
-				for j := 0; j < c; j++ {
-					dst[j] = g[j] * inv
+				for j, gv := range g {
+					dst[j] = gv * inv
 				}
 			}
 		}
-		x.accumulate(dx)
+		x.accumulateOwned(dx)
 	}, x)
 	return v
 }

@@ -42,7 +42,7 @@ func GradCheck(f func(inputs []*Var) *Var, inputs []*tensor.Tensor, eps, tol flo
 			if rel > worst {
 				worst = rel
 			}
-			if rel > tol {
+			if !(rel <= tol) { // NaN fails too
 				return worst, fmt.Errorf(
 					"gradcheck: input %d elem %d: analytic %g vs numeric %g (rel err %g > tol %g)",
 					vi, ei, analytic.Data[ei], numeric, rel, tol)
@@ -69,23 +69,25 @@ func abs(x float64) float64 {
 
 // Mean reduces to the scalar mean of all elements.
 func Mean(a *Var) *Var {
-	out := tensor.Scalar(tensor.Mean(a.Value))
+	tp := tapeOf(a)
+	out := tp.alloc()
+	out.Data[0] = tensor.Mean(a.Value)
 	inv := 1 / float32(a.Value.Len())
 	var v *Var
-	v = newOp(out, func() {
-		g := tensor.New(a.Value.Shape...).Fill(v.Grad.Data[0] * inv)
-		a.accumulate(g)
+	v = newOp(tp, out, func() {
+		a.accumulateOwned(tp.alloc(a.Value.Shape...).Fill(v.Grad.Data[0] * inv))
 	}, a)
 	return v
 }
 
 // Square returns x*x elementwise.
 func Square(a *Var) *Var {
-	out := tensor.Mul(a.Value, a.Value)
+	tp := tapeOf(a)
+	out := tensor.Mul(tp.alloc(a.Value.Shape...), a.Value, a.Value)
 	var v *Var
-	v = newOp(out, func() {
-		g := tensor.Mul(v.Grad, a.Value)
-		a.accumulate(tensor.Scale(g, 2))
+	v = newOp(tp, out, func() {
+		g := tensor.Mul(tp.alloc(a.Value.Shape...), v.Grad, a.Value)
+		a.accumulateOwned(tensor.Scale(g, g, 2))
 	}, a)
 	return v
 }

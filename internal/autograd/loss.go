@@ -7,11 +7,11 @@ import (
 	"micronets/internal/tensor"
 )
 
-// LogSoftmaxRows computes a numerically stable row-wise log-softmax of a
-// [n,k] matrix, returning raw tensors (no autodiff). Shared by the loss ops.
-func LogSoftmaxRows(logits *tensor.Tensor) *tensor.Tensor {
+// logSoftmaxRows writes a numerically stable row-wise log-softmax of a
+// [n,k] matrix into out and returns it (no autodiff). Shared by the loss
+// ops.
+func logSoftmaxRows(out, logits *tensor.Tensor) *tensor.Tensor {
 	n, k := logits.Shape[0], logits.Shape[1]
-	out := tensor.New(n, k)
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*k : (i+1)*k]
 		maxv := row[0]
@@ -35,8 +35,16 @@ func LogSoftmaxRows(logits *tensor.Tensor) *tensor.Tensor {
 
 // SoftmaxRows computes a row-wise softmax of a [n,k] matrix (no autodiff).
 func SoftmaxRows(logits *tensor.Tensor) *tensor.Tensor {
-	lsm := LogSoftmaxRows(logits)
-	return tensor.Apply(lsm, func(x float32) float32 { return float32(math.Exp(float64(x))) })
+	lsm := logSoftmaxRows(tensor.New(logits.Shape...), logits)
+	return expInto(lsm, lsm)
+}
+
+// expInto writes exp(x) elementwise into dst and returns dst.
+func expInto(dst, x *tensor.Tensor) *tensor.Tensor {
+	for i, v := range x.Data {
+		dst.Data[i] = float32(math.Exp(float64(v)))
+	}
+	return dst
 }
 
 // CrossEntropy computes mean cross-entropy between logits [n,k] and integer
@@ -47,7 +55,8 @@ func CrossEntropy(logits *Var, labels []int) *Var {
 	if len(labels) != n {
 		panic(fmt.Sprintf("autograd: CrossEntropy %d labels for batch %d", len(labels), n))
 	}
-	lsm := LogSoftmaxRows(logits.Value)
+	tp := tapeOf(logits)
+	lsm := logSoftmaxRows(tp.alloc(n, k), logits.Value)
 	var loss float64
 	for i, y := range labels {
 		if y < 0 || y >= k {
@@ -55,15 +64,16 @@ func CrossEntropy(logits *Var, labels []int) *Var {
 		}
 		loss -= float64(lsm.Data[i*k+y])
 	}
-	out := tensor.Scalar(float32(loss / float64(n)))
+	out := tp.alloc()
+	out.Data[0] = float32(loss / float64(n))
 	var v *Var
-	v = newOp(out, func() {
-		g := tensor.Apply(lsm, func(x float32) float32 { return float32(math.Exp(float64(x))) })
+	v = newOp(tp, out, func() {
+		g := expInto(tp.alloc(n, k), lsm)
 		for i, y := range labels {
 			g.Data[i*k+y] -= 1
 		}
 		scale := v.Grad.Data[0] / float32(n)
-		logits.accumulate(tensor.Scale(g, scale))
+		logits.accumulateOwned(tensor.Scale(g, g, scale))
 	}, logits)
 	return v
 }
@@ -76,16 +86,18 @@ func SoftCrossEntropy(logits *Var, targets *tensor.Tensor) *Var {
 	if targets.Shape[0] != n || targets.Shape[1] != k {
 		panic(fmt.Sprintf("autograd: SoftCrossEntropy targets %v vs logits %v", targets.Shape, logits.Value.Shape))
 	}
-	lsm := LogSoftmaxRows(logits.Value)
+	tp := tapeOf(logits)
+	lsm := logSoftmaxRows(tp.alloc(n, k), logits.Value)
 	var loss float64
 	for i := range lsm.Data {
 		loss -= float64(targets.Data[i]) * float64(lsm.Data[i])
 	}
-	out := tensor.Scalar(float32(loss / float64(n)))
+	out := tp.alloc()
+	out.Data[0] = float32(loss / float64(n))
 	var v *Var
-	v = newOp(out, func() {
-		p := tensor.Apply(lsm, func(x float32) float32 { return float32(math.Exp(float64(x))) })
-		g := tensor.New(n, k)
+	v = newOp(tp, out, func() {
+		p := expInto(tp.alloc(n, k), lsm)
+		g := tp.alloc(n, k)
 		for i := 0; i < n; i++ {
 			var qsum float32
 			for j := 0; j < k; j++ {
@@ -96,7 +108,7 @@ func SoftCrossEntropy(logits *Var, targets *tensor.Tensor) *Var {
 			}
 		}
 		scale := v.Grad.Data[0] / float32(n)
-		logits.accumulate(tensor.Scale(g, scale))
+		logits.accumulateOwned(tensor.Scale(g, g, scale))
 	}, logits)
 	return v
 }
@@ -110,7 +122,7 @@ func DistillLoss(student *Var, labels []int, teacherLogits *tensor.Tensor, coeff
 		return hard
 	}
 	// Soft targets at temperature T.
-	scaled := tensor.Scale(teacherLogits, 1/temperature)
+	scaled := tensor.Scale(tensor.New(teacherLogits.Shape...), teacherLogits, 1/temperature)
 	q := SoftmaxRows(scaled)
 	softLogits := Scale(student, 1/temperature)
 	soft := SoftCrossEntropy(softLogits, q)

@@ -18,62 +18,55 @@ type BatchNormStats struct {
 //
 // If useStats is non-nil those statistics are used (inference mode) and
 // receive no gradient; otherwise batch statistics are computed and returned.
+// Returned statistics live on x's tape, if it has one: read them before the
+// tape's Release.
 func BatchNorm(x, gamma, beta *Var, eps float32, useStats *BatchNormStats) (*Var, *BatchNormStats) {
 	c := x.Value.Dim(-1)
 	if gamma.Value.Len() != c || beta.Value.Len() != c {
 		panic(fmt.Sprintf("autograd: BatchNorm params len %d/%d vs channels %d",
 			gamma.Value.Len(), beta.Value.Len(), c))
 	}
-	m := x.Value.Len() / c
-	var mean, variance *tensor.Tensor
+	tp := tapeOf(x, gamma, beta)
+	xd := x.Value.Data
+	m := len(xd) / c
+	fm := float32(m)
 	training := useStats == nil
+	stats := useStats
 	if training {
-		mean = tensor.New(c)
-		variance = tensor.New(c)
-		for i := 0; i < x.Value.Len(); i += c {
-			for j := 0; j < c; j++ {
-				mean.Data[j] += x.Value.Data[i+j]
-			}
-		}
-		for j := 0; j < c; j++ {
-			mean.Data[j] /= float32(m)
-		}
-		for i := 0; i < x.Value.Len(); i += c {
-			for j := 0; j < c; j++ {
-				d := x.Value.Data[i+j] - mean.Data[j]
-				variance.Data[j] += d * d
-			}
-		}
-		for j := 0; j < c; j++ {
-			variance.Data[j] /= float32(m)
-		}
-	} else {
-		mean, variance = useStats.Mean, useStats.Var
+		stats = &BatchNormStats{Mean: tp.zeroed(c), Var: tp.zeroed(c)}
+		batchStats(stats.Mean.Data[:c], stats.Var.Data[:c], xd, fm)
 	}
+	mean, variance := stats.Mean.Data[:c], stats.Var.Data[:c]
 
-	invStd := tensor.New(c)
-	for j := 0; j < c; j++ {
-		invStd.Data[j] = float32(1 / math.Sqrt(float64(variance.Data[j]+eps)))
+	// The normalise pass: xhat and the affine output, row by row.
+	invStd := tp.alloc(c)
+	is := invStd.Data[:c]
+	for j := range is {
+		is[j] = float32(1 / math.Sqrt(float64(variance[j]+eps)))
 	}
-	xhat := tensor.New(x.Value.Shape...)
-	out := tensor.New(x.Value.Shape...)
-	for i := 0; i < x.Value.Len(); i += c {
-		for j := 0; j < c; j++ {
-			xh := (x.Value.Data[i+j] - mean.Data[j]) * invStd.Data[j]
-			xhat.Data[i+j] = xh
-			out.Data[i+j] = gamma.Value.Data[j]*xh + beta.Value.Data[j]
+	xhat := tp.alloc(x.Value.Shape...)
+	out := tp.alloc(x.Value.Shape...)
+	g, b := gamma.Value.Data[:c], beta.Value.Data[:c]
+	for i := 0; i < len(xd); i += c {
+		xr, hr, yr := xd[i:i+c], xhat.Data[i:i+c], out.Data[i:i+c]
+		for j, xv := range xr {
+			xh := (xv - mean[j]) * is[j]
+			hr[j] = xh
+			yr[j] = g[j]*xh + b[j]
 		}
 	}
 
 	var v *Var
-	v = newOp(out, func() {
+	v = newOp(tp, out, func() {
 		// dbeta_j = Σ dy, dgamma_j = Σ dy*xhat
-		dgamma := tensor.New(c)
-		dbeta := tensor.New(c)
-		for i := 0; i < v.Grad.Len(); i += c {
-			for j := 0; j < c; j++ {
-				dgamma.Data[j] += v.Grad.Data[i+j] * xhat.Data[i+j]
-				dbeta.Data[j] += v.Grad.Data[i+j]
+		dgamma, dbeta := tp.zeroed(c), tp.zeroed(c)
+		dg, db := dgamma.Data[:c], dbeta.Data[:c]
+		dy := v.Grad.Data
+		for i := 0; i < len(dy); i += c {
+			hr := xhat.Data[i : i+c]
+			for j, gv := range dy[i : i+c] {
+				dg[j] += gv * hr[j]
+				db[j] += gv
 			}
 		}
 		gamma.accumulate(dgamma.Reshape(gamma.Value.Shape...))
@@ -81,30 +74,61 @@ func BatchNorm(x, gamma, beta *Var, eps float32, useStats *BatchNormStats) (*Var
 		if !x.requiresGrad {
 			return
 		}
-		dx := tensor.New(x.Value.Shape...)
+		dx := tp.alloc(x.Value.Shape...)
 		if training {
 			// Full batch-norm backward: statistics depend on x.
-			// dx = gamma*invStd/m * (m*dy - Σdy - xhat*Σ(dy*xhat))
-			for i := 0; i < v.Grad.Len(); i += c {
-				for j := 0; j < c; j++ {
-					g := v.Grad.Data[i+j]
-					dx.Data[i+j] = gamma.Value.Data[j] * invStd.Data[j] / float32(m) *
-						(float32(m)*g - dbeta.Data[j] - xhat.Data[i+j]*dgamma.Data[j])
+			// dx = gamma*invStd/m * (m*dy - Σdy - xhat*Σ(dy*xhat)),
+			// with the per-channel factor gamma*invStd/m formed once,
+			// in the order the per-element expression would.
+			k := tp.alloc(c)
+			kd := k.Data[:c]
+			for j := range kd {
+				kd[j] = g[j] * is[j] / fm
+			}
+			for i := 0; i < len(dy); i += c {
+				gr, hr, dr := dy[i:i+c], xhat.Data[i:i+c], dx.Data[i:i+c]
+				for j, gv := range gr {
+					dr[j] = kd[j] * (fm*gv - db[j] - hr[j]*dg[j])
 				}
 			}
 		} else {
 			// Frozen statistics: plain affine.
-			for i := 0; i < v.Grad.Len(); i += c {
-				for j := 0; j < c; j++ {
-					dx.Data[i+j] = v.Grad.Data[i+j] * gamma.Value.Data[j] * invStd.Data[j]
+			for i := 0; i < len(dy); i += c {
+				gr, dr := dy[i:i+c], dx.Data[i:i+c]
+				for j, gv := range gr {
+					dr[j] = gv * g[j] * is[j]
 				}
 			}
 		}
-		x.accumulate(dx)
+		x.accumulateOwned(dx)
 	}, x, gamma, beta)
 
 	if training {
-		return v, &BatchNormStats{Mean: mean, Var: variance}
+		return v, stats
 	}
 	return v, nil
+}
+
+// batchStats is BatchNorm's stats pass over x, rows of len(mean)
+// channels: the batch mean, then the biased variance about it, each
+// summed in row order and divided by the row count fm.
+func batchStats(mean, variance, x []float32, fm float32) {
+	c := len(mean)
+	for i := 0; i < len(x); i += c {
+		for j, xv := range x[i : i+c] {
+			mean[j] += xv
+		}
+	}
+	for j := range mean {
+		mean[j] /= fm
+	}
+	for i := 0; i < len(x); i += c {
+		for j, xv := range x[i : i+c] {
+			d := xv - mean[j]
+			variance[j] += d * d
+		}
+	}
+	for j := range variance {
+		variance[j] /= fm
+	}
 }

@@ -9,9 +9,10 @@ import (
 
 // Add returns a+b elementwise.
 func Add(a, b *Var) *Var {
-	out := tensor.Add(a.Value, b.Value)
+	tp := tapeOf(a, b)
+	out := tensor.Add(tp.alloc(a.Value.Shape...), a.Value, b.Value)
 	var v *Var
-	v = newOp(out, func() {
+	v = newOp(tp, out, func() {
 		a.accumulate(v.Grad)
 		b.accumulate(v.Grad)
 	}, a, b)
@@ -20,30 +21,41 @@ func Add(a, b *Var) *Var {
 
 // Mul returns a*b elementwise.
 func Mul(a, b *Var) *Var {
-	out := tensor.Mul(a.Value, b.Value)
+	tp := tapeOf(a, b)
+	out := tensor.Mul(tp.alloc(a.Value.Shape...), a.Value, b.Value)
 	var v *Var
-	v = newOp(out, func() {
-		a.accumulate(tensor.Mul(v.Grad, b.Value))
-		b.accumulate(tensor.Mul(v.Grad, a.Value))
+	v = newOp(tp, out, func() {
+		if a.requiresGrad {
+			a.accumulateOwned(tensor.Mul(tp.alloc(a.Value.Shape...), v.Grad, b.Value))
+		}
+		if b.requiresGrad {
+			b.accumulateOwned(tensor.Mul(tp.alloc(b.Value.Shape...), v.Grad, a.Value))
+		}
 	}, a, b)
 	return v
 }
 
 // Scale returns a*s for a constant scalar s.
 func Scale(a *Var, s float32) *Var {
-	out := tensor.Scale(a.Value, s)
+	tp := tapeOf(a)
+	out := tensor.Scale(tp.alloc(a.Value.Shape...), a.Value, s)
 	var v *Var
-	v = newOp(out, func() {
-		a.accumulate(tensor.Scale(v.Grad, s))
+	v = newOp(tp, out, func() {
+		a.accumulateOwned(tensor.Scale(tp.alloc(a.Value.Shape...), v.Grad, s))
 	}, a)
 	return v
 }
 
 // AddScalar returns a+s for a constant scalar s.
 func AddScalar(a *Var, s float32) *Var {
-	out := tensor.Apply(a.Value, func(x float32) float32 { return x + s })
+	tp := tapeOf(a)
+	out := tp.alloc(a.Value.Shape...)
+	y := out.Data[:len(a.Value.Data)]
+	for i, x := range a.Value.Data {
+		y[i] = x + s
+	}
 	var v *Var
-	v = newOp(out, func() {
+	v = newOp(tp, out, func() {
 		a.accumulate(v.Grad)
 	}, a)
 	return v
@@ -56,23 +68,35 @@ func ScalarMul(s, x *Var) *Var {
 	if s.Value.Len() != 1 {
 		panic(fmt.Sprintf("autograd: ScalarMul scale must be scalar, got %v", s.Value.Shape))
 	}
+	tp := tapeOf(s, x)
 	sv := s.Value.Data[0]
-	out := tensor.Scale(x.Value, sv)
+	out := tensor.Scale(tp.alloc(x.Value.Shape...), x.Value, sv)
 	var v *Var
-	v = newOp(out, func() {
-		x.accumulate(tensor.Scale(v.Grad, sv))
-		s.accumulate(tensor.Scalar(tensor.Dot(x.Value, v.Grad)).Reshape(s.Value.Shape...))
+	v = newOp(tp, out, func() {
+		if x.requiresGrad {
+			x.accumulateOwned(tensor.Scale(tp.alloc(x.Value.Shape...), v.Grad, sv))
+		}
+		if s.requiresGrad {
+			ds := tp.alloc(s.Value.Shape...)
+			ds.Data[0] = tensor.Dot(x.Value, v.Grad)
+			s.accumulateOwned(ds)
+		}
 	}, s, x)
 	return v
 }
 
 // MatMul returns a@b for 2-D variables.
 func MatMul(a, b *Var) *Var {
-	out := tensor.MatMul(a.Value, b.Value)
+	tp := tapeOf(a, b)
+	out := tensor.MatMul(tp.alloc(a.Value.Shape[0], b.Value.Shape[1]), a.Value, b.Value)
 	var v *Var
-	v = newOp(out, func() {
-		a.accumulate(tensor.MatMulT(v.Grad, b.Value)) // dA = dY @ Bᵀ
-		b.accumulate(tensor.TMatMul(a.Value, v.Grad)) // dB = Aᵀ @ dY
+	v = newOp(tp, out, func() {
+		if a.requiresGrad { // dA = dY @ Bᵀ
+			a.accumulateOwned(tensor.MatMulT(tp.alloc(a.Value.Shape...), v.Grad, b.Value))
+		}
+		if b.requiresGrad { // dB = Aᵀ @ dY
+			b.accumulateOwned(tensor.TMatMul(tp.alloc(b.Value.Shape...), a.Value, v.Grad))
+		}
 	}, a, b)
 	return v
 }
@@ -81,71 +105,94 @@ func MatMul(a, b *Var) *Var {
 func Reshape(a *Var, shape ...int) *Var {
 	out := a.Value.Reshape(shape...)
 	var v *Var
-	v = newOp(out, func() {
+	v = newOp(tapeOf(a), out, func() {
 		a.accumulate(v.Grad.Reshape(a.Value.Shape...))
 	}, a)
 	return v
 }
 
-// ReLU returns max(x, 0).
+// ReLU returns max(x, 0): x where x > 0, else +0 (NaN included).
 func ReLU(a *Var) *Var {
-	out := tensor.Apply(a.Value, func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
+	tp := tapeOf(a)
+	x := a.Value.Data
+	out := tp.alloc(a.Value.Shape...)
+	y := out.Data[:len(x)]
+	for i, xv := range x {
+		y[i] = math.Float32frombits(positiveBits(xv, xv))
+	}
 	var v *Var
-	v = newOp(out, func() {
-		g := tensor.New(a.Value.Shape...)
-		for i, x := range a.Value.Data {
-			if x > 0 {
-				g.Data[i] = v.Grad.Data[i]
-			}
+	v = newOp(tp, out, func() {
+		g := tp.alloc(a.Value.Shape...)
+		gd, dy := g.Data[:len(x)], v.Grad.Data[:len(x)]
+		for i, xv := range x {
+			gd[i] = math.Float32frombits(positiveBits(xv, dy[i]))
 		}
-		a.accumulate(g)
+		a.accumulateOwned(g)
 	}, a)
 	return v
+}
+
+// positiveBits returns the bits of v if x > 0 and 0 (the bits of +0)
+// otherwise, without a branch: ReLU's inputs are positive about half the
+// time, so a branch there mispredicts on every other element. x > 0 holds
+// exactly when x's bits, less one, fall below those of +Inf (sign clear,
+// not +0, not NaN); the 64-bit difference is negative then, and its sign
+// is the mask.
+func positiveBits(x, v float32) uint32 {
+	mask := uint32((int64(math.Float32bits(x)-1) - 0x7f800000) >> 63)
+	return math.Float32bits(v) & mask
 }
 
 // ReLU6 returns min(max(x,0),6) — the activation used throughout
 // MobileNetV2/DS-CNN style MCU models because it bounds activation ranges
 // for 8-bit quantization.
 func ReLU6(a *Var) *Var {
-	out := tensor.Apply(a.Value, func(x float32) float32 {
-		if x < 0 {
-			return 0
+	tp := tapeOf(a)
+	x := a.Value.Data
+	out := tp.alloc(a.Value.Shape...)
+	y := out.Data[:len(x)]
+	for i, xv := range x {
+		switch {
+		case xv < 0:
+			y[i] = 0
+		case xv > 6:
+			y[i] = 6
+		default:
+			y[i] = xv
 		}
-		if x > 6 {
-			return 6
-		}
-		return x
-	})
+	}
 	var v *Var
-	v = newOp(out, func() {
-		g := tensor.New(a.Value.Shape...)
-		for i, x := range a.Value.Data {
-			if x > 0 && x < 6 {
-				g.Data[i] = v.Grad.Data[i]
+	v = newOp(tp, out, func() {
+		g := tp.alloc(a.Value.Shape...)
+		gd, dy := g.Data[:len(x)], v.Grad.Data[:len(x)]
+		for i, xv := range x {
+			if xv > 0 && xv < 6 {
+				gd[i] = dy[i]
+			} else {
+				gd[i] = 0
 			}
 		}
-		a.accumulate(g)
+		a.accumulateOwned(g)
 	}, a)
 	return v
 }
 
 // Sigmoid returns 1/(1+exp(-x)).
 func Sigmoid(a *Var) *Var {
-	out := tensor.Apply(a.Value, func(x float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(x))))
-	})
+	tp := tapeOf(a)
+	out := tp.alloc(a.Value.Shape...)
+	y := out.Data[:len(a.Value.Data)]
+	for i, x := range a.Value.Data {
+		y[i] = float32(1 / (1 + math.Exp(-float64(x))))
+	}
 	var v *Var
-	v = newOp(out, func() {
-		g := tensor.New(a.Value.Shape...)
-		for i, y := range out.Data {
-			g.Data[i] = v.Grad.Data[i] * y * (1 - y)
+	v = newOp(tp, out, func() {
+		g := tp.alloc(a.Value.Shape...)
+		gd, dy := g.Data[:len(y)], v.Grad.Data[:len(y)]
+		for i, yv := range y {
+			gd[i] = dy[i] * yv * (1 - yv)
 		}
-		a.accumulate(g)
+		a.accumulateOwned(g)
 	}, a)
 	return v
 }
@@ -156,23 +203,26 @@ func BiasAdd(x, bias *Var) *Var {
 	if bias.Value.Len() != c {
 		panic(fmt.Sprintf("autograd: BiasAdd bias %v vs channels %d", bias.Value.Shape, c))
 	}
-	out := x.Value.Clone()
+	tp := tapeOf(x, bias)
+	out := tp.alloc(x.Value.Shape...)
+	bd := bias.Value.Data[:c]
 	for i := 0; i < out.Len(); i += c {
-		for j := 0; j < c; j++ {
-			out.Data[i+j] += bias.Value.Data[j]
+		xr, yr := x.Value.Data[i:i+c], out.Data[i:i+c]
+		for j, b := range bd {
+			yr[j] = xr[j] + b
 		}
 	}
 	var v *Var
-	v = newOp(out, func() {
+	v = newOp(tp, out, func() {
 		x.accumulate(v.Grad)
 		if bias.requiresGrad {
-			db := tensor.New(c)
+			db := tp.zeroed(c)
 			for i := 0; i < v.Grad.Len(); i += c {
-				for j := 0; j < c; j++ {
-					db.Data[j] += v.Grad.Data[i+j]
+				for j, g := range v.Grad.Data[i : i+c] {
+					db.Data[j] += g
 				}
 			}
-			bias.accumulate(db)
+			bias.accumulateOwned(db)
 		}
 	}, x, bias)
 	return v
@@ -186,32 +236,37 @@ func ChannelScale(x, m *Var) *Var {
 	if m.Value.Len() != c {
 		panic(fmt.Sprintf("autograd: ChannelScale mask %v vs channels %d", m.Value.Shape, c))
 	}
-	out := x.Value.Clone()
+	tp := tapeOf(x, m)
+	out := tp.alloc(x.Value.Shape...)
+	md := m.Value.Data[:c]
 	for i := 0; i < out.Len(); i += c {
-		for j := 0; j < c; j++ {
-			out.Data[i+j] *= m.Value.Data[j]
+		xr, yr := x.Value.Data[i:i+c], out.Data[i:i+c]
+		for j, s := range md {
+			yr[j] = xr[j] * s
 		}
 	}
 	var v *Var
-	v = newOp(out, func() {
+	v = newOp(tp, out, func() {
 		if x.requiresGrad {
-			dx := tensor.New(x.Value.Shape...)
+			dx := tp.alloc(x.Value.Shape...)
 			for i := 0; i < v.Grad.Len(); i += c {
-				for j := 0; j < c; j++ {
-					dx.Data[i+j] = v.Grad.Data[i+j] * m.Value.Data[j]
+				gr, dr := v.Grad.Data[i:i+c], dx.Data[i:i+c]
+				for j, s := range md {
+					dr[j] = gr[j] * s
 				}
 			}
-			x.accumulate(dx)
+			x.accumulateOwned(dx)
 		}
 		if m.requiresGrad {
-			dm := tensor.New(c)
+			dm := tp.zeroed(m.Value.Shape...)
+			dd := dm.Data[:c]
 			for i := 0; i < v.Grad.Len(); i += c {
-				for j := 0; j < c; j++ {
-					dm.Data[j] += v.Grad.Data[i+j] * x.Value.Data[i+j]
+				gr, xr := v.Grad.Data[i:i+c], x.Value.Data[i:i+c]
+				for j, g := range gr {
+					dd[j] += g * xr[j]
 				}
 			}
-			dm = dm.Reshape(m.Value.Shape...)
-			m.accumulate(dm)
+			m.accumulateOwned(dm)
 		}
 	}, x, m)
 	return v
@@ -219,11 +274,12 @@ func ChannelScale(x, m *Var) *Var {
 
 // Sum reduces to the scalar sum of all elements.
 func Sum(a *Var) *Var {
-	out := tensor.Scalar(tensor.Sum(a.Value))
+	tp := tapeOf(a)
+	out := tp.alloc()
+	out.Data[0] = tensor.Sum(a.Value)
 	var v *Var
-	v = newOp(out, func() {
-		g := tensor.New(a.Value.Shape...).Fill(v.Grad.Data[0])
-		a.accumulate(g)
+	v = newOp(tp, out, func() {
+		a.accumulateOwned(tp.alloc(a.Value.Shape...).Fill(v.Grad.Data[0]))
 	}, a)
 	return v
 }
@@ -240,12 +296,13 @@ func MaxN(vs ...*Var) *Var {
 		if x.Value.Data[0] > vs[best].Value.Data[0] {
 			best = i
 		}
-		_ = i
 	}
 	winner := vs[best]
-	out := tensor.Scalar(winner.Value.Data[0])
+	tp := tapeOf(vs...)
+	out := tp.alloc()
+	out.Data[0] = winner.Value.Data[0]
 	var v *Var
-	v = newOp(out, func() {
+	v = newOp(tp, out, func() {
 		winner.accumulate(v.Grad.Reshape(winner.Value.Shape...))
 	}, vs...)
 	return v
@@ -257,8 +314,9 @@ func SoftmaxVec(a *Var, temperature float32) *Var {
 	if temperature <= 0 {
 		panic("autograd: SoftmaxVec temperature must be positive")
 	}
+	tp := tapeOf(a)
 	n := a.Value.Len()
-	out := tensor.New(a.Value.Shape...)
+	out := tp.alloc(a.Value.Shape...)
 	maxv := tensor.Max(a.Value)
 	var sum float64
 	for i := 0; i < n; i++ {
@@ -270,29 +328,31 @@ func SoftmaxVec(a *Var, temperature float32) *Var {
 		out.Data[i] = float32(float64(out.Data[i]) / sum)
 	}
 	var v *Var
-	v = newOp(out, func() {
+	v = newOp(tp, out, func() {
 		// dL/da_i = (1/T) * p_i * (g_i - Σ_j g_j p_j)
 		var dot float64
 		for i := 0; i < n; i++ {
 			dot += float64(v.Grad.Data[i]) * float64(out.Data[i])
 		}
-		g := tensor.New(a.Value.Shape...)
+		g := tp.alloc(a.Value.Shape...)
 		for i := 0; i < n; i++ {
 			g.Data[i] = out.Data[i] * (v.Grad.Data[i] - float32(dot)) / temperature
 		}
-		a.accumulate(g)
+		a.accumulateOwned(g)
 	}, a)
 	return v
 }
 
 // Index extracts element i of a flat vector as a scalar Var.
 func Index(a *Var, i int) *Var {
-	out := tensor.Scalar(a.Value.Data[i])
+	tp := tapeOf(a)
+	out := tp.alloc()
+	out.Data[0] = a.Value.Data[i]
 	var v *Var
-	v = newOp(out, func() {
-		g := tensor.New(a.Value.Shape...)
+	v = newOp(tp, out, func() {
+		g := tp.zeroed(a.Value.Shape...)
 		g.Data[i] = v.Grad.Data[0]
-		a.accumulate(g)
+		a.accumulateOwned(g)
 	}, a)
 	return v
 }

@@ -1,10 +1,6 @@
 package autograd
 
-import (
-	"math"
-
-	"micronets/internal/tensor"
-)
+import "math"
 
 // FakeQuant simulates affine quantization of x into 2^bits levels over
 // [lo, hi] during the forward pass, with a straight-through estimator
@@ -28,7 +24,10 @@ func FakeQuant(x *Var, lo, hi float32, bits int) *Var {
 	qlo := -zero * scale
 	qhi := (levels - zero) * scale
 
-	out := tensor.Apply(x.Value, func(v float32) float32 {
+	tp := tapeOf(x)
+	out := tp.alloc(x.Value.Shape...)
+	y := out.Data[:len(x.Value.Data)]
+	for i, v := range x.Value.Data {
 		if v < qlo {
 			v = qlo
 		}
@@ -36,17 +35,19 @@ func FakeQuant(x *Var, lo, hi float32, bits int) *Var {
 			v = qhi
 		}
 		q := float32(math.Round(float64((v - qlo) / scale)))
-		return qlo + q*scale
-	})
+		y[i] = qlo + q*scale
+	}
 	var vr *Var
-	vr = newOp(out, func() {
-		g := tensor.New(x.Value.Shape...)
+	vr = newOp(tp, out, func() {
+		g := tp.alloc(x.Value.Shape...)
 		for i, v := range x.Value.Data {
 			if v >= qlo && v <= qhi {
 				g.Data[i] = vr.Grad.Data[i]
+			} else {
+				g.Data[i] = 0
 			}
 		}
-		x.accumulate(g)
+		x.accumulateOwned(g)
 	}, x)
 	return vr
 }

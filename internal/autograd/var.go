@@ -7,7 +7,9 @@
 //
 // The design is a dynamic tape: every operation returns a *Var that records
 // its parents and a backward closure. Backward(loss) topologically sorts the
-// graph and runs the closures in reverse order, accumulating gradients.
+// graph and runs the closures in reverse order, accumulating gradients. A
+// training loop hands its inputs to the graph through a Tape, which lends
+// every op output and gradient temporary and recycles them after the step.
 package autograd
 
 import (
@@ -23,6 +25,7 @@ type Var struct {
 	Grad  *tensor.Tensor
 
 	requiresGrad bool
+	tape         *Tape
 	parents      []*Var
 	back         func()
 }
@@ -47,10 +50,11 @@ func (v *Var) Scalar() float32 {
 	return v.Value.Data[0]
 }
 
-// ensureGrad lazily allocates the gradient buffer.
+// ensureGrad lazily allocates the gradient buffer: from the Var's tape for
+// an op output, from the heap for a leaf, whose gradient outlives the step.
 func (v *Var) ensureGrad() *tensor.Tensor {
 	if v.Grad == nil {
-		v.Grad = tensor.New(v.Value.Shape...)
+		v.Grad = v.tape.zeroed(v.Value.Shape...)
 	}
 	return v.Grad
 }
@@ -63,6 +67,20 @@ func (v *Var) accumulate(g *tensor.Tensor) {
 	tensor.AddInPlace(v.ensureGrad(), g)
 }
 
+// accumulateOwned is accumulate for a g the calling backward closure has
+// just made and will not touch again: an op output with no gradient yet
+// adopts g instead of adding it into a zeroed buffer. A closure that
+// passes on its own Var's gradient, or a view of it, must call accumulate,
+// or two parents would share one buffer. Leaves never adopt, since their
+// gradients persist across steps.
+func (v *Var) accumulateOwned(g *tensor.Tensor) {
+	if v.requiresGrad && v.Grad == nil && v.back != nil && tensor.SameShape(g, v.Value) {
+		v.Grad = g
+		return
+	}
+	v.accumulate(g)
+}
+
 // ZeroGrad clears the gradient buffer (keeping it allocated).
 func (v *Var) ZeroGrad() {
 	if v.Grad != nil {
@@ -70,10 +88,10 @@ func (v *Var) ZeroGrad() {
 	}
 }
 
-// newOp constructs a non-leaf Var. The backward closure is only retained if
-// at least one parent requires gradients, which keeps pure-inference
-// forward passes cheap.
-func newOp(value *tensor.Tensor, back func(), parents ...*Var) *Var {
+// newOp constructs a non-leaf Var on tape tp (its parents' tape, see
+// tapeOf). The backward closure is only retained if at least one parent
+// requires gradients, which keeps pure-inference forward passes cheap.
+func newOp(tp *Tape, value *tensor.Tensor, back func(), parents ...*Var) *Var {
 	req := false
 	for _, p := range parents {
 		if p != nil && p.requiresGrad {
@@ -81,7 +99,7 @@ func newOp(value *tensor.Tensor, back func(), parents ...*Var) *Var {
 			break
 		}
 	}
-	v := &Var{Value: value, requiresGrad: req}
+	v := &Var{Value: value, requiresGrad: req, tape: tp}
 	if req {
 		v.parents = parents
 		v.back = back

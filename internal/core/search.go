@@ -125,6 +125,32 @@ func RunSearch(s *Supernet, train, val func(step int) Batch, cons Constraints, c
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("core: search needs Steps > 0")
 	}
+	l := newSearchLoop(s, train, val, cons, cfg)
+	for step := 0; step < l.cfg.Steps; step++ {
+		l.step(step)
+	}
+	return l.result(), nil
+}
+
+// searchLoop is RunSearch's state from one step to the next. Every step
+// builds the same two graphs, so they draw their tensors from one tape,
+// released after each optimizer step.
+type searchLoop struct {
+	s          *Supernet
+	train, val func(step int) Batch
+	cons       Constraints
+	cfg        SearchConfig
+
+	rng              *rand.Rand
+	wOpt             *nn.SGD
+	aOpt             *nn.Adam
+	wParams, aParams []*nn.Param
+	tape             *ag.Tape
+
+	lastLoss, lastPen float32
+}
+
+func newSearchLoop(s *Supernet, train, val func(step int) Batch, cons Constraints, cfg SearchConfig) *searchLoop {
 	if cfg.TauStart == 0 {
 		cfg.TauStart = 5
 	}
@@ -134,57 +160,68 @@ func RunSearch(s *Supernet, train, val func(step int) Batch, cons Constraints, c
 	if cfg.ArchLR == 0 {
 		cfg.ArchLR = 0.05
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	wOpt := nn.NewSGD(0.9, 1e-4)
-	aOpt := nn.NewAdam(0)
-	wParams := s.WeightParams()
-	aParams := s.ArchParams()
+	return &searchLoop{
+		s: s, train: train, val: val, cons: cons, cfg: cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		wOpt:    nn.NewSGD(0.9, 1e-4),
+		aOpt:    nn.NewAdam(0),
+		wParams: s.WeightParams(),
+		aParams: s.ArchParams(),
+		tape:    ag.NewTape(),
+	}
+}
 
-	var lastLoss, lastPen float32
-	for step := 0; step < cfg.Steps; step++ {
-		frac := float32(step) / float32(cfg.Steps)
-		tau := cfg.TauStart + (cfg.TauEnd-cfg.TauStart)*frac
+// step runs one weight update and, from ArchStartStep on, one
+// architecture update.
+func (l *searchLoop) step(step int) {
+	cfg := l.cfg
+	frac := float32(step) / float32(cfg.Steps)
+	tau := cfg.TauStart + (cfg.TauEnd-cfg.TauStart)*frac
 
-		// Weight update on the train split.
-		b := train(step)
-		logits, _ := s.Forward(ag.Constant(b.X), true, rng, tau)
-		loss := ag.CrossEntropy(logits, b.Labels)
-		ag.Backward(loss)
-		nn.ClipGradNorm(wParams, 5)
-		wOpt.Step(wParams, cfg.WeightLR.LR(step))
-		lastLoss = loss.Scalar()
+	// Weight update on the train split.
+	b := l.train(step)
+	logits, _ := l.s.Forward(l.tape.Constant(b.X), true, l.rng, tau)
+	loss := ag.CrossEntropy(logits, b.Labels)
+	ag.Backward(loss)
+	nn.ClipGradNorm(l.wParams, 5)
+	l.wOpt.Step(l.wParams, cfg.WeightLR.LR(step))
+	l.lastLoss = loss.Scalar()
+	l.tape.Release()
 
-		// Architecture update on the val split.
-		if step >= cfg.ArchStartStep {
-			vb := val(step)
-			vlogits, res := s.Forward(ag.Constant(vb.X), false, rng, tau)
-			pen := cons.Penalty(res)
-			vloss := ag.Add(ag.CrossEntropy(vlogits, vb.Labels), pen)
-			ag.Backward(vloss)
-			aOpt.Step(aParams, cfg.ArchLR)
-			lastPen = pen.Scalar()
-		}
-
-		if cfg.Log != nil && (step%10 == 0 || step == cfg.Steps-1) {
-			cfg.Log(fmt.Sprintf("step %d/%d tau=%.2f loss=%.4f penalty=%.4f",
-				step+1, cfg.Steps, tau, lastLoss, lastPen))
-		}
+	// Architecture update on the val split.
+	if step >= cfg.ArchStartStep {
+		vb := l.val(step)
+		vlogits, res := l.s.Forward(l.tape.Constant(vb.X), false, l.rng, tau)
+		pen := l.cons.Penalty(res)
+		vloss := ag.Add(ag.CrossEntropy(vlogits, vb.Labels), pen)
+		ag.Backward(vloss)
+		l.aOpt.Step(l.aParams, cfg.ArchLR)
+		l.lastPen = pen.Scalar()
+		l.tape.Release()
 	}
 
+	if cfg.Log != nil && (step%10 == 0 || step == cfg.Steps-1) {
+		cfg.Log(fmt.Sprintf("step %d/%d tau=%.2f loss=%.4f penalty=%.4f",
+			step+1, cfg.Steps, tau, l.lastLoss, l.lastPen))
+	}
+}
+
+// result reads the discovered architecture and its resource usage.
+func (l *searchLoop) result() *SearchResult {
+	s, cons, cfg := l.s, l.cons, l.cfg
 	// Evaluate final resources deterministically (softmax weights, no
 	// Gumbel noise, low temperature to approximate the discrete choice).
-	b := val(cfg.Steps)
+	b := l.val(cfg.Steps)
 	_, res := s.Forward(ag.Constant(b.X), false, nil, 0.05)
-	result := &SearchResult{
+	return &SearchResult{
 		Spec:         s.Discretize(fmt.Sprintf("DNAS-%s", s.cfg.Name)),
-		FinalLoss:    lastLoss,
-		FinalPenalty: lastPen,
+		FinalLoss:    l.lastLoss,
+		FinalPenalty: l.lastPen,
 		ParamCount:   float64(res.ParamCount.Scalar()),
 		OpCount:      float64(res.OpCount.Scalar()),
 		WorkMemElems: float64(res.WorkingMemory().Scalar()),
 		Violations:   cons.Violations(res),
 	}
-	return result, nil
 }
 
 // KWSSupernetConfig returns the paper's KWS search space: an enlarged

@@ -59,60 +59,3 @@ func NextPow2(n int) int {
 	}
 	return p
 }
-
-// PowerSpectrum returns the one-sided power spectrum (n/2+1 bins) of a real
-// signal zero-padded to fftSize (a power of two).
-func PowerSpectrum(signal []float64, fftSize int) []float64 {
-	re := make([]float64, fftSize)
-	im := make([]float64, fftSize)
-	copy(re, signal)
-	FFT(re, im)
-	out := make([]float64, fftSize/2+1)
-	for i := range out {
-		out[i] = re[i]*re[i] + im[i]*im[i]
-	}
-	return out
-}
-
-// HannWindow returns an n-point periodic Hann window.
-func HannWindow(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n)))
-	}
-	return w
-}
-
-// Frame splits signal into frames of frameLen samples every hop samples.
-// The tail that does not fill a whole frame is dropped.
-func Frame(signal []float64, frameLen, hop int) [][]float64 {
-	if frameLen <= 0 || hop <= 0 {
-		panic("dsp: Frame needs positive frameLen and hop")
-	}
-	var frames [][]float64
-	for start := 0; start+frameLen <= len(signal); start += hop {
-		f := make([]float64, frameLen)
-		copy(f, signal[start:start+frameLen])
-		frames = append(frames, f)
-	}
-	return frames
-}
-
-// DCT2 computes the orthonormal DCT-II of x, returning the first numCoeffs
-// coefficients — the final MFCC step.
-func DCT2(x []float64, numCoeffs int) []float64 {
-	n := len(x)
-	out := make([]float64, numCoeffs)
-	for k := 0; k < numCoeffs; k++ {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += x[i] * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
-		}
-		scale := math.Sqrt(2 / float64(n))
-		if k == 0 {
-			scale = math.Sqrt(1 / float64(n))
-		}
-		out[k] = s * scale
-	}
-	return out
-}

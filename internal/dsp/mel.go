@@ -83,45 +83,126 @@ func ADConfig() FeatureConfig {
 }
 
 // Extract converts a mono signal into a [frames, features, 1] tensor of
-// MFCCs (NumCoeffs > 0) or log-mel energies (NumCoeffs == 0).
+// MFCCs (NumCoeffs > 0) or log-mel energies (NumCoeffs == 0). Frames of
+// FrameLen samples start every Hop samples; a tail that does not fill a
+// whole frame is dropped. Each frame is Hann-windowed, zero-padded to a
+// power of two, transformed to a one-sided power spectrum, pooled by the
+// mel filterbank, logged and (for MFCCs) reduced by an orthonormal DCT-II.
+// The window, the filterbank and the DCT cosines are tables built once
+// per call, and every frame reuses one FFT buffer.
 func Extract(cfg FeatureConfig, signal []float64) *tensor.Tensor {
+	if cfg.FrameLen <= 0 || cfg.Hop <= 0 {
+		panic("dsp: Extract needs positive FrameLen and Hop")
+	}
 	fftSize := NextPow2(cfg.FrameLen)
-	window := HannWindow(cfg.FrameLen)
-	fb := MelFilterbank(cfg.NumMel, fftSize, cfg.SampleRate, cfg.LowHz, cfg.HighHz)
-	frames := Frame(signal, cfg.FrameLen, cfg.Hop)
+	window := make([]float64, cfg.FrameLen) // periodic Hann
+	for i := range window {
+		window[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(cfg.FrameLen)))
+	}
+	filters := melFilters(MelFilterbank(cfg.NumMel, fftSize, cfg.SampleRate, cfg.LowHz, cfg.HighHz))
+	dct := newDCT(cfg.NumMel, cfg.NumCoeffs)
 
+	frames := 0
+	if len(signal) >= cfg.FrameLen {
+		frames = (len(signal)-cfg.FrameLen)/cfg.Hop + 1
+	}
 	feat := cfg.NumCoeffs
 	if feat == 0 {
 		feat = cfg.NumMel
 	}
-	out := tensor.New(len(frames), feat, 1)
-	buf := make([]float64, cfg.FrameLen)
+	out := tensor.New(frames, feat, 1)
+	re := make([]float64, fftSize)
+	im := make([]float64, fftSize)
+	ps := make([]float64, fftSize/2+1)
 	logmel := make([]float64, cfg.NumMel)
-	for fi, frame := range frames {
-		for i := range frame {
-			buf[i] = frame[i] * window[i]
+	for fi := 0; fi < frames; fi++ {
+		frame := signal[fi*cfg.Hop : fi*cfg.Hop+cfg.FrameLen]
+		for i, w := range window {
+			re[i] = frame[i] * w
 		}
-		ps := PowerSpectrum(buf, fftSize)
-		for m := 0; m < cfg.NumMel; m++ {
+		clear(re[cfg.FrameLen:])
+		clear(im)
+		FFT(re, im)
+		for i := range ps {
+			ps[i] = re[i]*re[i] + im[i]*im[i]
+		}
+		for m, f := range filters {
 			var s float64
-			for b, w := range fb[m] {
+			for b, w := range f.w {
 				if w != 0 {
-					s += w * ps[b]
+					s += w * ps[f.lo+b]
 				}
 			}
 			logmel[m] = math.Log(s + 1e-6)
 		}
-		var row []float64
-		if cfg.NumCoeffs > 0 {
-			row = DCT2(logmel, cfg.NumCoeffs)
-		} else {
-			row = logmel
+		dst := out.Data[fi*feat : (fi+1)*feat]
+		if dct == nil {
+			for j, v := range logmel {
+				dst[j] = float32(v)
+			}
+			continue
 		}
-		for j, v := range row {
-			out.Data[fi*feat+j] = float32(v)
+		for k := range dst {
+			var s float64
+			for i, c := range dct.cos[k*cfg.NumMel : (k+1)*cfg.NumMel] {
+				s += logmel[i] * c
+			}
+			dst[k] = float32(s * dct.scale[k])
 		}
 	}
 	return out
+}
+
+// melFilter is one filterbank row cut to its nonzero bins: w holds the
+// weights of bins lo, lo+1, ….
+type melFilter struct {
+	lo int
+	w  []float64
+}
+
+// melFilters cuts each filterbank row to the span from its first to its
+// last nonzero weight, which is all a frame's pooling reads.
+func melFilters(fb [][]float64) []melFilter {
+	out := make([]melFilter, len(fb))
+	for m, row := range fb {
+		lo, hi := 0, 0
+		for b, w := range row {
+			if w != 0 {
+				if hi == 0 {
+					lo = b
+				}
+				hi = b + 1
+			}
+		}
+		out[m] = melFilter{lo: lo, w: row[lo:hi]}
+	}
+	return out
+}
+
+// dctTable holds the orthonormal DCT-II of an n-point input, first
+// numCoeffs coefficients: cos[k*n+i] multiplies input i into
+// coefficient k, which scale[k] then normalises.
+type dctTable struct {
+	cos, scale []float64
+}
+
+// newDCT builds the table, or returns nil when numCoeffs is 0 (log-mel
+// output, no DCT).
+func newDCT(n, numCoeffs int) *dctTable {
+	if numCoeffs == 0 {
+		return nil
+	}
+	d := &dctTable{cos: make([]float64, numCoeffs*n), scale: make([]float64, numCoeffs)}
+	for k := 0; k < numCoeffs; k++ {
+		for i := 0; i < n; i++ {
+			d.cos[k*n+i] = math.Cos(math.Pi * float64(k) * (float64(i) + 0.5) / float64(n))
+		}
+		d.scale[k] = math.Sqrt(2 / float64(n))
+		if k == 0 {
+			d.scale[k] = math.Sqrt(1 / float64(n))
+		}
+	}
+	return d
 }
 
 // StackSpectrogramImages stacks consecutive spectrogram frames into square

@@ -14,34 +14,35 @@ import (
 func BenchmarkMatMulShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	mm := []struct {
-		name string
-		f    func(a, b *Tensor) *Tensor
-		a, b *Tensor
+		name      string
+		f         func(dst, a, b *Tensor) *Tensor
+		dst, a, b *Tensor
 	}{
-		{"first/MatMul/3920x40x64", MatMul, Randn(rng, 1, 3920, 40), Randn(rng, 1, 40, 64)},
-		{"first/TMatMul/3920x40x64", TMatMul, Randn(rng, 1, 3920, 40), Randn(rng, 1, 3920, 64)},
-		{"pw/MatMul/1000x64x64", MatMul, Randn(rng, 1, 1000, 64), Randn(rng, 1, 64, 64)},
-		{"pw/TMatMul/1000x64x64", TMatMul, Randn(rng, 1, 1000, 64), Randn(rng, 1, 1000, 64)},
-		{"pw/MatMulT/1000x64x64", MatMulT, Randn(rng, 1, 1000, 64), Randn(rng, 1, 64, 64)},
+		{"first/MatMul/3920x40x64", MatMul, New(3920, 64), Randn(rng, 1, 3920, 40), Randn(rng, 1, 40, 64)},
+		{"first/TMatMul/3920x40x64", TMatMul, New(40, 64), Randn(rng, 1, 3920, 40), Randn(rng, 1, 3920, 64)},
+		{"pw/MatMul/1000x64x64", MatMul, New(1000, 64), Randn(rng, 1, 1000, 64), Randn(rng, 1, 64, 64)},
+		{"pw/TMatMul/1000x64x64", TMatMul, New(64, 64), Randn(rng, 1, 1000, 64), Randn(rng, 1, 1000, 64)},
+		{"pw/MatMulT/1000x64x64", MatMulT, New(1000, 64), Randn(rng, 1, 1000, 64), Randn(rng, 1, 64, 64)},
 	}
 	for _, c := range mm {
 		b.Run(c.name, func(b *testing.B) {
 			for range b.N {
-				c.f(c.a, c.b)
+				c.f(c.dst, c.a, c.b)
 			}
 		})
 	}
 	x, w := Randn(rng, 1, 8, 25, 5, 64), Randn(rng, 1, 3, 3, 64)
 	spec := Same(3, 3, 1, 1, 25, 5)
-	dy := DepthwiseConv2D(x, w, spec)
+	dy := DepthwiseConv2D(New(8, 25, 5, 64), x, w, spec)
+	y, dx, dw := New(8, 25, 5, 64), New(8, 25, 5, 64), New(3, 3, 64)
 	b.Run("dw/fwd/8x25x5x64", func(b *testing.B) {
 		for range b.N {
-			DepthwiseConv2D(x, w, spec)
+			DepthwiseConv2D(y, x, w, spec)
 		}
 	})
 	b.Run("dw/bwd/8x25x5x64", func(b *testing.B) {
 		for range b.N {
-			DepthwiseConv2DBackward(x, w, dy, spec)
+			DepthwiseConv2DBackward(dx, dw, x, w, dy, spec)
 		}
 	})
 }

@@ -48,17 +48,21 @@ func (c ConvSpec) OutSize(h, w int) (oh, ow int) {
 	return oh, ow
 }
 
-// Im2Col unrolls x [n,h,w,c] into a matrix [n*oh*ow, kh*kw*c] so that a
-// convolution becomes a matmul with a [kh*kw*c, outC] weight matrix. This is
-// the same strategy CMSIS-NN uses on the MCU (and whose overhead the paper's
-// Figure 3 attributes depthwise slowness to).
-func Im2Col(x *Tensor, spec ConvSpec) *Tensor {
+// The convolution and pooling kernels below write into a caller-supplied
+// destination and overwrite all of it, so a recycled buffer needs no
+// clearing first; the ones that accumulate clear it themselves.
+
+// Im2Col unrolls x [n,h,w,c] into cols [n*oh*ow, kh*kw*c] so that a
+// convolution becomes a matmul with a [kh*kw*c, outC] weight matrix, and
+// returns cols. This is the same strategy CMSIS-NN uses on the MCU (and
+// whose overhead the paper's Figure 3 attributes depthwise slowness to).
+func Im2Col(cols, x *Tensor, spec ConvSpec) *Tensor {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("tensor: Im2Col needs NHWC input, got %v", x.Shape))
 	}
 	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, w)
-	cols := New(n*oh*ow, spec.KH*spec.KW*c)
+	checkDst("Im2Col", cols, n*oh*ow, spec.KH*spec.KW*c)
 	row := 0
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
@@ -72,8 +76,9 @@ func Im2Col(x *Tensor, spec ConvSpec) *Tensor {
 						if iy >= 0 && iy < h && ix >= 0 && ix < w {
 							src := x.Data[((b*h+iy)*w+ix)*c : ((b*h+iy)*w+ix+1)*c]
 							copy(dst[di:di+c], src)
+						} else {
+							clear(dst[di : di+c]) // padding
 						}
-						// else: leave zeros (padding)
 						di += c
 					}
 				}
@@ -85,14 +90,18 @@ func Im2Col(x *Tensor, spec ConvSpec) *Tensor {
 }
 
 // Col2Im is the adjoint of Im2Col: it scatters the column matrix back into
-// an NHWC tensor of the given shape, accumulating overlaps. It is used by
+// the NHWC tensor x, accumulating overlaps, and returns x. It is used by
 // the convolution backward pass.
-func Col2Im(cols *Tensor, spec ConvSpec, n, h, w, c int) *Tensor {
+func Col2Im(x, cols *Tensor, spec ConvSpec) *Tensor {
+	if len(x.Shape) != 4 {
+		panic(fmt.Sprintf("tensor: Col2Im needs an NHWC destination, got %v", x.Shape))
+	}
+	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, w)
 	if cols.Shape[0] != n*oh*ow || cols.Shape[1] != spec.KH*spec.KW*c {
 		panic(fmt.Sprintf("tensor: Col2Im shape mismatch %v for output %dx%dx%dx%d", cols.Shape, n, h, w, c))
 	}
-	x := New(n, h, w, c)
+	clear(x.Data)
 	row := 0
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
@@ -119,9 +128,9 @@ func Col2Im(cols *Tensor, spec ConvSpec, n, h, w, c int) *Tensor {
 	return x
 }
 
-// DepthwiseConv2D computes a depthwise convolution with multiplier 1.
-// x is [n,h,w,c], wgt is [kh,kw,c]; the result is [n,oh,ow,c].
-func DepthwiseConv2D(x, wgt *Tensor, spec ConvSpec) *Tensor {
+// DepthwiseConv2D computes a depthwise convolution with multiplier 1 into
+// y and returns y. x is [n,h,w,c], wgt is [kh,kw,c] and y is [n,oh,ow,c].
+func DepthwiseConv2D(y, x, wgt *Tensor, spec ConvSpec) *Tensor {
 	if len(wgt.Shape) != 3 || wgt.Shape[0] != spec.KH || wgt.Shape[1] != spec.KW {
 		panic(fmt.Sprintf("tensor: DepthwiseConv2D weight shape %v does not match spec %+v", wgt.Shape, spec))
 	}
@@ -130,11 +139,12 @@ func DepthwiseConv2D(x, wgt *Tensor, spec ConvSpec) *Tensor {
 		panic(fmt.Sprintf("tensor: DepthwiseConv2D channels %d != weight c %d", c, wgt.Shape[2]))
 	}
 	oh, ow := spec.OutSize(h, w)
-	y := New(n, oh, ow, c)
+	checkDst("DepthwiseConv2D", y, n, oh, ow, c)
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				dst := y.Data[((b*oh+oy)*ow+ox)*c : ((b*oh+oy)*ow+ox+1)*c]
+				clear(dst)
 				for ky := 0; ky < spec.KH; ky++ {
 					iy := oy*spec.SH + ky - spec.PadTop
 					if iy < 0 || iy >= h {
@@ -155,13 +165,16 @@ func DepthwiseConv2D(x, wgt *Tensor, spec ConvSpec) *Tensor {
 	return y
 }
 
-// DepthwiseConv2DBackward returns the gradients of a depthwise convolution
-// with respect to its input and weights given upstream gradient dy.
-func DepthwiseConv2DBackward(x, wgt, dy *Tensor, spec ConvSpec) (dx, dw *Tensor) {
+// DepthwiseConv2DBackward writes the gradients of a depthwise convolution
+// with respect to its input (dx, shaped like x) and weights (dw, shaped
+// like wgt) given upstream gradient dy.
+func DepthwiseConv2DBackward(dx, dw, x, wgt, dy *Tensor, spec ConvSpec) {
 	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, w)
-	dx = New(n, h, w, c)
-	dw = New(spec.KH, spec.KW, c)
+	checkDst("DepthwiseConv2DBackward", dx, n, h, w, c)
+	checkDst("DepthwiseConv2DBackward", dw, spec.KH, spec.KW, c)
+	clear(dx.Data)
+	clear(dw.Data)
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -185,20 +198,20 @@ func DepthwiseConv2DBackward(x, wgt, dy *Tensor, spec ConvSpec) (dx, dw *Tensor)
 			}
 		}
 	}
-	return dx, dw
 }
 
 // AvgPool2D computes average pooling over non-overlapping-or-strided
-// windows. x is [n,h,w,c].
-func AvgPool2D(x *Tensor, spec ConvSpec) *Tensor {
+// windows into y [n,oh,ow,c] and returns y. x is [n,h,w,c].
+func AvgPool2D(y, x *Tensor, spec ConvSpec) *Tensor {
 	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, w)
-	y := New(n, oh, ow, c)
+	checkDst("AvgPool2D", y, n, oh, ow, c)
 	inv := 1.0 / float32(spec.KH*spec.KW)
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				dst := y.Data[((b*oh+oy)*ow+ox)*c : ((b*oh+oy)*ow+ox+1)*c]
+				clear(dst)
 				for ky := 0; ky < spec.KH; ky++ {
 					iy := oy*spec.SH + ky - spec.PadTop
 					if iy < 0 || iy >= h {
@@ -225,11 +238,12 @@ func AvgPool2D(x *Tensor, spec ConvSpec) *Tensor {
 }
 
 // AvgPool2DBackward distributes the upstream gradient uniformly over each
-// pooling window.
-func AvgPool2DBackward(x, dy *Tensor, spec ConvSpec) *Tensor {
-	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+// pooling window into dx, shaped like the pooled input, and returns dx.
+func AvgPool2DBackward(dx, dy *Tensor, spec ConvSpec) *Tensor {
+	n, h, w, c := dx.Shape[0], dx.Shape[1], dx.Shape[2], dx.Shape[3]
 	oh, ow := spec.OutSize(h, w)
-	dx := New(n, h, w, c)
+	checkDst("AvgPool2DBackward", dy, n, oh, ow, c)
+	clear(dx.Data)
 	inv := 1.0 / float32(spec.KH*spec.KW)
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
@@ -257,16 +271,16 @@ func AvgPool2DBackward(x, dy *Tensor, spec ConvSpec) *Tensor {
 	return dx
 }
 
-// MaxPool2D computes max pooling and additionally returns the argmax flat
-// indices into x for use by the backward pass. Each output starts at -Inf
+// MaxPool2D computes max pooling into y [n,oh,ow,c] and returns the argmax
+// flat indices into x for use by the backward pass. Each output starts at -Inf
 // with its argmax on the window's first in-bounds tap, so a window of
 // -Inf (or -MaxFloat32) values still pools to its own maximum and sends
 // its gradient inside itself; a window with no in-bounds tap pools to
 // -Inf with argmax -1, and MaxPool2DBackward drops its gradient.
-func MaxPool2D(x *Tensor, spec ConvSpec) (*Tensor, []int) {
+func MaxPool2D(y, x *Tensor, spec ConvSpec) []int {
 	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, w)
-	y := New(n, oh, ow, c)
+	checkDst("MaxPool2D", y, n, oh, ow, c)
 	arg := make([]int, y.Len())
 	negInf := float32(math.Inf(-1))
 	for i := range y.Data {
@@ -306,13 +320,14 @@ func MaxPool2D(x *Tensor, spec ConvSpec) (*Tensor, []int) {
 			}
 		}
 	}
-	return y, arg
+	return arg
 }
 
 // MaxPool2DBackward routes each upstream gradient element to the argmax
-// location recorded during the forward pass.
-func MaxPool2DBackward(xShape []int, arg []int, dy *Tensor) *Tensor {
-	dx := New(xShape...)
+// location recorded during the forward pass, writing dx (shaped like the
+// pooled input) and returning it.
+func MaxPool2DBackward(dx *Tensor, arg []int, dy *Tensor) *Tensor {
+	clear(dx.Data)
 	for i, g := range dy.Data {
 		if arg[i] >= 0 {
 			dx.Data[arg[i]] += g

@@ -1,9 +1,18 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The indexed accessors and the im2col convolution are test oracles:
 // autograd runs its own convolutions over Im2Col and MatMul.
+
+// junk returns a tensor of the given shape filled with NaN: the
+// destination the tests hand the kernels, which must overwrite all of it.
+func junk(shape ...int) *Tensor {
+	return New(shape...).Fill(float32(math.NaN()))
+}
 
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float32 {
@@ -41,8 +50,8 @@ func Conv2D(x, wgt *Tensor, spec ConvSpec) *Tensor {
 	}
 	outC := wgt.Shape[3]
 	oh, ow := spec.OutSize(h, w)
-	cols := Im2Col(x, spec)
+	cols := Im2Col(junk(n*oh*ow, spec.KH*spec.KW*c), x, spec)
 	wmat := wgt.Reshape(spec.KH*spec.KW*c, outC)
-	y := MatMul(cols, wmat)
+	y := MatMul(junk(n*oh*ow, outC), cols, wmat)
 	return y.Reshape(n, oh, ow, outC)
 }

@@ -146,33 +146,36 @@ func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
 	return t
 }
 
-// Add returns a+b elementwise. Shapes must match.
-func Add(a, b *Tensor) *Tensor {
+// Add writes a+b into dst elementwise and returns dst. Shapes must match.
+func Add(dst, a, b *Tensor) *Tensor {
 	checkSameShape("Add", a, b)
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
+	checkSameShape("Add", dst, a)
+	d, bd := dst.Data[:len(a.Data)], b.Data[:len(a.Data)]
+	for i, v := range a.Data {
+		d[i] = v + bd[i]
 	}
-	return out
+	return dst
 }
 
-// Mul returns a*b elementwise.
-func Mul(a, b *Tensor) *Tensor {
+// Mul writes a*b into dst elementwise and returns dst.
+func Mul(dst, a, b *Tensor) *Tensor {
 	checkSameShape("Mul", a, b)
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
+	checkSameShape("Mul", dst, a)
+	d, bd := dst.Data[:len(a.Data)], b.Data[:len(a.Data)]
+	for i, v := range a.Data {
+		d[i] = v * bd[i]
 	}
-	return out
+	return dst
 }
 
-// Scale returns a*s.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * s
+// Scale writes a*s into dst and returns dst; dst may be a itself.
+func Scale(dst, a *Tensor, s float32) *Tensor {
+	checkSameShape("Scale", dst, a)
+	d := dst.Data[:len(a.Data)]
+	for i, v := range a.Data {
+		d[i] = v * s
 	}
-	return out
+	return dst
 }
 
 // AddInPlace accumulates src into dst elementwise.
@@ -234,15 +237,6 @@ func Min(a *Tensor) float32 {
 	return m
 }
 
-// Apply returns f mapped elementwise over a.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.Shape...)
-	for i, v := range a.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
 // Dot returns the inner product of two equal-shaped tensors.
 func Dot(a, b *Tensor) float32 {
 	checkSameShape("Dot", a, b)
@@ -268,15 +262,29 @@ func checkSameShape(op string, a, b *Tensor) {
 	}
 }
 
+// checkDst panics unless dst has exactly the given dimensions.
+func checkDst(op string, dst *Tensor, dims ...int) {
+	ok := len(dst.Shape) == len(dims)
+	for i := 0; ok && i < len(dims); i++ {
+		ok = dst.Shape[i] == dims[i]
+	}
+	if !ok {
+		panic(fmt.Sprintf("tensor: %s destination %v, want %v", op, dst.Shape, append([]int(nil), dims...)))
+	}
+}
+
 // The three matmuls share one rule: every output element accumulates its
 // products for ascending reduction index p, starting from zero and
-// skipping a zero left-hand factor, through axpy. Above parallelGrain
+// skipping a zero left-hand factor, through axpy. Each overwrites its
+// destination (clearing a row just before accumulating into it), so dst
+// may hold anything on entry. Above parallelGrain
 // multiply-adds a call splits its output rows across GOMAXPROCS
 // goroutines; a row's sums do not depend on the split, so the result is
 // the same bits on any core count and on either axpy body.
 
-// MatMul returns a@b for 2-D tensors a [m,k] and b [k,n].
-func MatMul(a, b *Tensor) *Tensor {
+// MatMul writes a@b into dst [m,n] for 2-D tensors a [m,k] and b [k,n]
+// and returns dst.
+func MatMul(dst, a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v and %v", a.Shape, b.Shape))
 	}
@@ -285,13 +293,15 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dims differ: %v vs %v", a.Shape, b.Shape))
 	}
-	return matMul(a.Data, b.Data, m, k, n)
+	checkDst("MatMul", dst, m, n)
+	matMul(dst.Data, a.Data, b.Data, m, k, n)
+	return dst
 }
 
-// MatMulT returns a@bᵀ for 2-D tensors a [m,k] and b [n,k]: MatMul over
-// the transpose of b. Skipping zero a[i,p] differs from a dot product of
+// MatMulT writes a@bᵀ into dst [m,n] for 2-D tensors a [m,k] and b [n,k]
+// and returns dst: MatMul over the transpose of b. Skipping zero a[i,p] differs from a dot product of
 // the two rows only where b holds an Inf or NaN.
-func MatMulT(a, b *Tensor) *Tensor {
+func MatMulT(dst, a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT needs 2-D operands, got %v and %v", a.Shape, b.Shape))
 	}
@@ -300,16 +310,18 @@ func MatMulT(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims differ: %v vs %v", a.Shape, b.Shape))
 	}
-	return matMul(a.Data, Transpose2D(b).Data, m, k, n)
+	checkDst("MatMulT", dst, m, n)
+	matMul(dst.Data, a.Data, Transpose2D(b).Data, m, k, n)
+	return dst
 }
 
 // matMul is MatMul over raw row-major data in ikj order: out row i gets
 // a[i,p]·b[p,:] for ascending p.
-func matMul(a, b []float32, m, k, n int) *Tensor {
-	out := New(m, n)
+func matMul(out, a, b []float32, m, k, n int) {
 	parallelRows(m, m*k*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			orow := out.Data[i*n : (i+1)*n]
+			orow := out[i*n : (i+1)*n]
+			clear(orow)
 			for p, av := range a[i*k : (i+1)*k] {
 				if av != 0 {
 					axpy(orow, av, b[p*n:(p+1)*n])
@@ -317,12 +329,12 @@ func matMul(a, b []float32, m, k, n int) *Tensor {
 			}
 		}
 	})
-	return out
 }
 
-// TMatMul returns aᵀ@b for 2-D tensors a [k,m] and b [k,n]. Each chunk of
-// output rows streams b once, row p before row p+1.
-func TMatMul(a, b *Tensor) *Tensor {
+// TMatMul writes aᵀ@b into dst [m,n] for 2-D tensors a [k,m] and b [k,n]
+// and returns dst. Each chunk of output rows streams b once, row p before
+// row p+1.
+func TMatMul(dst, a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: TMatMul needs 2-D operands, got %v and %v", a.Shape, b.Shape))
 	}
@@ -331,18 +343,19 @@ func TMatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: TMatMul inner dims differ: %v vs %v", a.Shape, b.Shape))
 	}
-	out := New(m, n)
+	checkDst("TMatMul", dst, m, n)
 	parallelRows(m, k*m*n, func(lo, hi int) {
+		clear(dst.Data[lo*n : hi*n])
 		for p := 0; p < k; p++ {
 			brow := b.Data[p*n : (p+1)*n]
 			for i, av := range a.Data[p*m+lo : p*m+hi] {
 				if av != 0 {
-					axpy(out.Data[(lo+i)*n:(lo+i+1)*n], av, brow)
+					axpy(dst.Data[(lo+i)*n:(lo+i+1)*n], av, brow)
 				}
 			}
 		}
 	})
-	return out
+	return dst
 }
 
 // parallelGrain is the fewest multiply-adds one goroutine of a split

@@ -74,13 +74,13 @@ func TestReshapeBadPanics(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{5, 6, 7, 8}, 2, 2)
-	if got := Add(a, b).Data[3]; got != 12 {
+	if got := Add(junk(2, 2), a, b).Data[3]; got != 12 {
 		t.Fatalf("Add = %v", got)
 	}
-	if got := Mul(a, b).Data[1]; got != 12 {
+	if got := Mul(junk(2, 2), a, b).Data[1]; got != 12 {
 		t.Fatalf("Mul = %v", got)
 	}
-	if got := Scale(a, 2).Data[2]; got != 6 {
+	if got := Scale(junk(2, 2), a, 2).Data[2]; got != 6 {
 		t.Fatalf("Scale = %v", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestReductions(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := MatMul(junk(2, 2), a, b)
 	want := []float32{58, 64, 139, 154}
 	for i := range want {
 		if c.Data[i] != want[i] {
@@ -114,9 +114,9 @@ func TestMatMulVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := Randn(rng, 1, 4, 5)
 	b := Randn(rng, 1, 5, 3)
-	base := MatMul(a, b)
-	viaT := MatMulT(a, Transpose2D(b))
-	viaTM := TMatMul(Transpose2D(a), b)
+	base := MatMul(junk(4, 3), a, b)
+	viaT := MatMulT(junk(4, 3), a, Transpose2D(b))
+	viaTM := TMatMul(junk(4, 3), Transpose2D(a), b)
 	for i := range base.Data {
 		if !almostEq(base.Data[i], viaT.Data[i], 1e-4) {
 			t.Fatalf("MatMulT disagrees at %d: %v vs %v", i, base.Data[i], viaT.Data[i])
@@ -203,7 +203,7 @@ func TestDepthwiseConvMatchesPerChannelConv(t *testing.T) {
 	x := Randn(rng, 1, 1, 5, 5, 3)
 	dwW := Randn(rng, 1, 3, 3, 3)
 	spec := Same(3, 3, 1, 1, 5, 5)
-	got := DepthwiseConv2D(x, dwW, spec)
+	got := DepthwiseConv2D(junk(1, 5, 5, 3), x, dwW, spec)
 	// Build an equivalent grouped standard conv per channel.
 	for ch := 0; ch < 3; ch++ {
 		xc := New(1, 5, 5, 1)
@@ -229,10 +229,11 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := Randn(rng, 1, 1, 4, 5, 2)
 	spec := Same(3, 3, 2, 2, 4, 5)
-	cx := Im2Col(x, spec)
+	oh, ow := spec.OutSize(4, 5)
+	cx := Im2Col(junk(oh*ow, 3*3*2), x, spec)
 	y := Randn(rng, 1, cx.Shape[0], cx.Shape[1])
 	lhs := Dot(cx, y)
-	rhs := Dot(x, Col2Im(y, spec, 1, 4, 5, 2))
+	rhs := Dot(x, Col2Im(junk(1, 4, 5, 2), y, spec))
 	if !almostEq(lhs, rhs, 1e-2) {
 		t.Fatalf("adjoint mismatch: %v vs %v", lhs, rhs)
 	}
@@ -241,7 +242,7 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 func TestAvgPoolValues(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2, 1)
 	spec := ConvSpec{KH: 2, KW: 2, SH: 2, SW: 2}
-	y := AvgPool2D(x, spec)
+	y := AvgPool2D(junk(1, 1, 1, 1), x, spec)
 	if y.Len() != 1 || y.Data[0] != 2.5 {
 		t.Fatalf("avgpool = %v", y.Data)
 	}
@@ -250,12 +251,13 @@ func TestAvgPoolValues(t *testing.T) {
 func TestMaxPoolAndBackward(t *testing.T) {
 	x := FromSlice([]float32{1, 5, 3, 4}, 1, 2, 2, 1)
 	spec := ConvSpec{KH: 2, KW: 2, SH: 2, SW: 2}
-	y, arg := MaxPool2D(x, spec)
+	y := junk(1, 1, 1, 1)
+	arg := MaxPool2D(y, x, spec)
 	if y.Data[0] != 5 {
 		t.Fatalf("maxpool = %v", y.Data[0])
 	}
 	dy := FromSlice([]float32{2}, 1, 1, 1, 1)
-	dx := MaxPool2DBackward(x.Shape, arg, dy)
+	dx := MaxPool2DBackward(junk(x.Shape...), arg, dy)
 	if dx.Data[1] != 2 || dx.Data[0] != 0 {
 		t.Fatalf("maxpool backward = %v", dx.Data)
 	}
@@ -303,7 +305,8 @@ func TestQuickAddCommutes(t *testing.T) {
 		}
 		a := FromSlice(append([]float32(nil), vals...), len(vals))
 		b := FromSlice(reverse(vals), len(vals))
-		ab, ba := Add(a, b), Add(b, a)
+		n := len(vals)
+		ab, ba := Add(New(n), a, b), Add(New(n), b, a)
 		for i := range ab.Data {
 			x, y := ab.Data[i], ba.Data[i]
 			if x != y && !(math.IsNaN(float64(x)) && math.IsNaN(float64(y))) {
@@ -336,8 +339,9 @@ func TestQuickScaleLinearity(t *testing.T) {
 			}
 		}
 		a := FromSlice(append([]float32(nil), raw...), len(raw))
-		left := Scale(Add(a, a), s)
-		right := Add(Scale(a, s), Scale(a, s))
+		n := len(raw)
+		left := Scale(New(n), Add(New(n), a, a), s)
+		right := Add(New(n), Scale(New(n), a, s), Scale(New(n), a, s))
 		for i := range left.Data {
 			if !almostEq(left.Data[i], right.Data[i], 1e-2+abs32(left.Data[i])*1e-4) {
 				return false

@@ -138,19 +138,19 @@ func TestMatMulsMatchNaiveOrder(t *testing.T) {
 				want := naiveMatMul(m, k, n,
 					func(i, p, _ int) float32 { return a.Data[i*k+p] },
 					func(_, p, j int) float32 { return b.Data[p*n+j] }, true)
-				sameBits(t, fmt.Sprintf("MatMul %dx%dx%d", m, k, n), want, MatMul(a, b).Data)
+				sameBits(t, fmt.Sprintf("MatMul %dx%dx%d", m, k, n), want, MatMul(junk(m, n), a, b).Data)
 
 				bT := randSparse(rng, n, k)
 				want = naiveMatMul(m, k, n,
 					func(i, p, _ int) float32 { return a.Data[i*k+p] },
 					func(_, p, j int) float32 { return bT.Data[j*k+p] }, false)
-				sameBits(t, fmt.Sprintf("MatMulT %dx%dx%d", m, k, n), want, MatMulT(a, bT).Data)
+				sameBits(t, fmt.Sprintf("MatMulT %dx%dx%d", m, k, n), want, MatMulT(junk(m, n), a, bT).Data)
 
 				aT := randSparse(rng, k, m)
 				want = naiveMatMul(m, k, n,
 					func(i, p, _ int) float32 { return aT.Data[p*m+i] },
 					func(_, p, j int) float32 { return b.Data[p*n+j] }, true)
-				sameBits(t, fmt.Sprintf("TMatMul %dx%dx%d", m, k, n), want, TMatMul(aT, b).Data)
+				sameBits(t, fmt.Sprintf("TMatMul %dx%dx%d", m, k, n), want, TMatMul(junk(m, n), aT, b).Data)
 			}
 		})
 	}
@@ -167,11 +167,12 @@ func TestMaxPoolFloorWindows(t *testing.T) {
 		inf, inf, inf, inf, // sample 2: all -Inf, first tap 8
 	}, 3, 2, 2, 1)
 	spec := ConvSpec{KH: 2, KW: 2, SH: 2, SW: 2}
-	y, arg := MaxPool2D(x, spec)
+	y := junk(3, 1, 1, 1)
+	arg := MaxPool2D(y, x, spec)
 	if want := []float32{9, -math.MaxFloat32, inf}; y.Data[0] != want[0] || y.Data[1] != want[1] || y.Data[2] != want[2] {
 		t.Fatalf("maxpool = %v, want %v", y.Data, want)
 	}
-	dx := MaxPool2DBackward(x.Shape, arg, FromSlice([]float32{1, 1, 1}, 3, 1, 1, 1))
+	dx := MaxPool2DBackward(junk(x.Shape...), arg, FromSlice([]float32{1, 1, 1}, 3, 1, 1, 1))
 	want := []float32{0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0}
 	for i := range want {
 		if dx.Data[i] != want[i] {

@@ -77,6 +77,9 @@ func Fit(model *nn.Sequential, ds *datasets.Dataset, cfg Config) (float32, error
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := nn.NewSGD(0.9, cfg.WeightDecay)
 	params := model.Params()
+	// Every step builds the same graph: its tensors come from one tape,
+	// released after the optimizer step.
+	tape := ag.NewTape()
 	var last float32
 	for step := 0; step < cfg.Steps; step++ {
 		x, labels := ds.RandomBatch(rng, cfg.BatchSize)
@@ -86,20 +89,21 @@ func Fit(model *nn.Sequential, ds *datasets.Dataset, cfg Config) (float32, error
 		var loss *ag.Var
 		if cfg.MixupAlpha > 0 {
 			x2, targets := Mixup(rng, x, labels, ds.NumClasses, cfg.MixupAlpha)
-			logits := model.Forward(ag.Constant(x2), true)
+			logits := model.Forward(tape.Constant(x2), true)
 			loss = ag.SoftCrossEntropy(logits, targets)
 		} else if cfg.Distill != nil {
 			teacher := cfg.Distill(x)
-			logits := model.Forward(ag.Constant(x), true)
+			logits := model.Forward(tape.Constant(x), true)
 			loss = ag.DistillLoss(logits, labels, teacher, cfg.DistillCoef, cfg.DistillTemp)
 		} else {
-			logits := model.Forward(ag.Constant(x), true)
+			logits := model.Forward(tape.Constant(x), true)
 			loss = ag.CrossEntropy(logits, labels)
 		}
 		ag.Backward(loss)
 		nn.ClipGradNorm(params, 5)
 		opt.Step(params, cfg.LR.LR(step))
 		last = loss.Scalar()
+		tape.Release()
 		if cfg.Log != nil && (step%20 == 0 || step == cfg.Steps-1) {
 			cfg.Log(fmt.Sprintf("step %d/%d loss=%.4f lr=%.4f", step+1, cfg.Steps, last, cfg.LR.LR(step)))
 		}
