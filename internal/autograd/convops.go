@@ -34,10 +34,10 @@ func Conv2D(x, w *Var, spec tensor.ConvSpec) *Var {
 		if x.requiresGrad {
 			if pointwise {
 				dx := tp.alloc(n, h, ww, c)
-				tensor.MatMulT(dx.Reshape(n*h*ww, c), dy, wmat)
+				tensor.MatMulT(dx.Reshape(n*h*ww, c), dy, wmat, tp.alloc(outC, k))
 				x.accumulateOwned(dx)
 			} else {
-				dcols := tensor.MatMulT(tp.alloc(n*oh*ow, k), dy, wmat) // dy @ wmatᵀ
+				dcols := tensor.MatMulT(tp.alloc(n*oh*ow, k), dy, wmat, tp.alloc(outC, k)) // dy @ wmatᵀ
 				x.accumulateOwned(tensor.Col2Im(tp.alloc(n, h, ww, c), dcols, spec))
 			}
 		}

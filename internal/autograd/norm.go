@@ -34,11 +34,12 @@ func BatchNorm(x, gamma, beta *Var, eps float32, useStats *BatchNormStats) (*Var
 	stats := useStats
 	if training {
 		stats = &BatchNormStats{Mean: tp.zeroed(c), Var: tp.zeroed(c)}
-		batchStats(stats.Mean.Data[:c], stats.Var.Data[:c], xd, fm)
+		batchStats(stats.Mean.Data[:c], stats.Var.Data[:c], tp.alloc(c).Data[:c], xd, fm)
 	}
 	mean, variance := stats.Mean.Data[:c], stats.Var.Data[:c]
 
-	// The normalise pass: xhat and the affine output, row by row.
+	// The normalise pass: xhat and the affine output, row by row, the
+	// output as beta + gamma·xhat.
 	invStd := tp.alloc(c)
 	is := invStd.Data[:c]
 	for j := range is {
@@ -50,10 +51,10 @@ func BatchNorm(x, gamma, beta *Var, eps float32, useStats *BatchNormStats) (*Var
 	for i := 0; i < len(xd); i += c {
 		xr, hr, yr := xd[i:i+c], xhat.Data[i:i+c], out.Data[i:i+c]
 		for j, xv := range xr {
-			xh := (xv - mean[j]) * is[j]
-			hr[j] = xh
-			yr[j] = g[j]*xh + b[j]
+			hr[j] = (xv - mean[j]) * is[j]
 		}
+		copy(yr, b)
+		tensor.MulAdd(yr, g, hr)
 	}
 
 	var v *Var
@@ -63,11 +64,8 @@ func BatchNorm(x, gamma, beta *Var, eps float32, useStats *BatchNormStats) (*Var
 		dg, db := dgamma.Data[:c], dbeta.Data[:c]
 		dy := v.Grad.Data
 		for i := 0; i < len(dy); i += c {
-			hr := xhat.Data[i : i+c]
-			for j, gv := range dy[i : i+c] {
-				dg[j] += gv * hr[j]
-				db[j] += gv
-			}
+			tensor.MulAdd(dg, dy[i:i+c], xhat.Data[i:i+c])
+			tensor.Axpy(db, 1, dy[i:i+c]) // dy·1 is exact
 		}
 		gamma.accumulate(dgamma.Reshape(gamma.Value.Shape...))
 		beta.accumulate(dbeta.Reshape(beta.Value.Shape...))
@@ -111,22 +109,21 @@ func BatchNorm(x, gamma, beta *Var, eps float32, useStats *BatchNormStats) (*Var
 
 // batchStats is BatchNorm's stats pass over x, rows of len(mean)
 // channels: the batch mean, then the biased variance about it, each
-// summed in row order and divided by the row count fm.
-func batchStats(mean, variance, x []float32, fm float32) {
+// summed in row order and divided by the row count fm. d is a row of
+// scratch.
+func batchStats(mean, variance, d, x []float32, fm float32) {
 	c := len(mean)
 	for i := 0; i < len(x); i += c {
-		for j, xv := range x[i : i+c] {
-			mean[j] += xv
-		}
+		tensor.Axpy(mean, 1, x[i:i+c]) // x·1 is exact
 	}
 	for j := range mean {
 		mean[j] /= fm
 	}
 	for i := 0; i < len(x); i += c {
 		for j, xv := range x[i : i+c] {
-			d := xv - mean[j]
-			variance[j] += d * d
+			d[j] = xv - mean[j]
 		}
+		tensor.MulAdd(variance, d, d)
 	}
 	for j := range variance {
 		variance[j] /= fm

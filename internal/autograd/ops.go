@@ -92,7 +92,8 @@ func MatMul(a, b *Var) *Var {
 	var v *Var
 	v = newOp(tp, out, func() {
 		if a.requiresGrad { // dA = dY @ Bᵀ
-			a.accumulateOwned(tensor.MatMulT(tp.alloc(a.Value.Shape...), v.Grad, b.Value))
+			bT := tp.alloc(b.Value.Shape[1], b.Value.Shape[0])
+			a.accumulateOwned(tensor.MatMulT(tp.alloc(a.Value.Shape...), v.Grad, b.Value, bT))
 		}
 		if b.requiresGrad { // dB = Aᵀ @ dY
 			b.accumulateOwned(tensor.TMatMul(tp.alloc(b.Value.Shape...), a.Value, v.Grad))

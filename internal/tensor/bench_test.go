@@ -22,7 +22,8 @@ func BenchmarkMatMulShapes(b *testing.B) {
 		{"first/TMatMul/3920x40x64", TMatMul, New(40, 64), Randn(rng, 1, 3920, 40), Randn(rng, 1, 3920, 64)},
 		{"pw/MatMul/1000x64x64", MatMul, New(1000, 64), Randn(rng, 1, 1000, 64), Randn(rng, 1, 64, 64)},
 		{"pw/TMatMul/1000x64x64", TMatMul, New(64, 64), Randn(rng, 1, 1000, 64), Randn(rng, 1, 1000, 64)},
-		{"pw/MatMulT/1000x64x64", MatMulT, New(1000, 64), Randn(rng, 1, 1000, 64), Randn(rng, 1, 64, 64)},
+		{"pw/MatMulT/1000x64x64", func(dst, a, b *Tensor) *Tensor { return MatMulT(dst, a, b, New(64, 64)) },
+			New(1000, 64), Randn(rng, 1, 1000, 64), Randn(rng, 1, 64, 64)},
 	}
 	for _, c := range mm {
 		b.Run(c.name, func(b *testing.B) {

@@ -156,7 +156,7 @@ func DepthwiseConv2D(y, x, wgt *Tensor, spec ConvSpec) *Tensor {
 							continue
 						}
 						src := x.Data[((b*h+iy)*w+ix)*c : ((b*h+iy)*w+ix+1)*c]
-						mulAdd(dst, src, wgt.Data[(ky*spec.KW+kx)*c:])
+						MulAdd(dst, src, wgt.Data[(ky*spec.KW+kx)*c:])
 					}
 				}
 			}
@@ -191,8 +191,8 @@ func DepthwiseConv2DBackward(dx, dw, x, wgt, dy *Tensor, spec ConvSpec) {
 						}
 						xoff := ((b*h+iy)*w + ix) * c
 						koff := (ky*spec.KW + kx) * c
-						mulAdd(dx.Data[xoff:xoff+c], g, wgt.Data[koff:])
-						mulAdd(dw.Data[koff:koff+c], g, x.Data[xoff:])
+						MulAdd(dx.Data[xoff:xoff+c], g, wgt.Data[koff:])
+						MulAdd(dw.Data[koff:koff+c], g, x.Data[xoff:])
 					}
 				}
 			}

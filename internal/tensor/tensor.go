@@ -189,7 +189,7 @@ func AddInPlace(dst, src *Tensor) {
 // AxpyInPlace computes dst += alpha*src.
 func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
 	checkSameShape("AxpyInPlace", dst, src)
-	axpy(dst.Data, alpha, src.Data)
+	Axpy(dst.Data, alpha, src.Data)
 }
 
 // Sum returns the sum of all elements.
@@ -299,9 +299,10 @@ func MatMul(dst, a, b *Tensor) *Tensor {
 }
 
 // MatMulT writes a@bᵀ into dst [m,n] for 2-D tensors a [m,k] and b [n,k]
-// and returns dst: MatMul over the transpose of b. Skipping zero a[i,p] differs from a dot product of
-// the two rows only where b holds an Inf or NaN.
-func MatMulT(dst, a, b *Tensor) *Tensor {
+// and returns dst: MatMul over the transpose of b, which it writes into
+// the scratch bT [k,n]. Skipping zero a[i,p] differs from a dot product
+// of the two rows only where b holds an Inf or NaN.
+func MatMulT(dst, a, b, bT *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMulT needs 2-D operands, got %v and %v", a.Shape, b.Shape))
 	}
@@ -311,7 +312,7 @@ func MatMulT(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims differ: %v vs %v", a.Shape, b.Shape))
 	}
 	checkDst("MatMulT", dst, m, n)
-	matMul(dst.Data, a.Data, Transpose2D(b).Data, m, k, n)
+	matMul(dst.Data, a.Data, Transpose2D(bT, b).Data, m, k, n)
 	return dst
 }
 
@@ -319,16 +320,41 @@ func MatMulT(dst, a, b *Tensor) *Tensor {
 // a[i,p]·b[p,:] for ascending p.
 func matMul(out, a, b []float32, m, k, n int) {
 	parallelRows(m, m*k*n, func(lo, hi int) {
+		var buf [256]int32
+		idx := scratchIndex(buf[:], k)
 		for i := lo; i < hi; i++ {
 			orow := out[i*n : (i+1)*n]
 			clear(orow)
-			for p, av := range a[i*k : (i+1)*k] {
-				if av != 0 {
-					axpy(orow, av, b[p*n:(p+1)*n])
-				}
+			arow := a[i*k : (i+1)*k]
+			for _, p := range idx[:nonzero(idx, arow)] {
+				Axpy(orow, arow[p], b[int(p)*n:(int(p)+1)*n])
 			}
 		}
 	})
+}
+
+// nonzero writes the indices of a's nonzero elements (NaNs included),
+// ascending, to the front of idx and returns their count. It is
+// branch-free: a layer's ReLU outputs are zero about half the time, in no
+// pattern a branch predictor could learn, and the matmuls skip them.
+func nonzero(idx []int32, a []float32) int {
+	idx = idx[:len(a)]
+	c := 0
+	for p, v := range a {
+		idx[c] = int32(p)
+		mag := math.Float32bits(v) << 1 // drops the sign: ±0 give 0
+		c += int((mag | -mag) >> 31)
+	}
+	return c
+}
+
+// scratchIndex returns an index buffer of length k: buf when it is long
+// enough, so a matmul's inner dimension rarely allocates.
+func scratchIndex(buf []int32, k int) []int32 {
+	if k <= len(buf) {
+		return buf[:k]
+	}
+	return make([]int32, k)
 }
 
 // TMatMul writes aᵀ@b into dst [m,n] for 2-D tensors a [k,m] and b [k,n]
@@ -346,12 +372,13 @@ func TMatMul(dst, a, b *Tensor) *Tensor {
 	checkDst("TMatMul", dst, m, n)
 	parallelRows(m, k*m*n, func(lo, hi int) {
 		clear(dst.Data[lo*n : hi*n])
+		var buf [256]int32
+		idx := scratchIndex(buf[:], hi-lo)
 		for p := 0; p < k; p++ {
 			brow := b.Data[p*n : (p+1)*n]
-			for i, av := range a.Data[p*m+lo : p*m+hi] {
-				if av != 0 {
-					axpy(dst.Data[(lo+i)*n:(lo+i+1)*n], av, brow)
-				}
+			acol := a.Data[p*m+lo : p*m+hi]
+			for _, i := range idx[:nonzero(idx, acol)] {
+				Axpy(dst.Data[(lo+int(i))*n:(lo+int(i)+1)*n], acol[i], brow)
 			}
 		}
 	})
@@ -385,13 +412,14 @@ func parallelRows(rows, work int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Transpose2D returns the transpose of a 2-D tensor.
-func Transpose2D(a *Tensor) *Tensor {
+// Transpose2D writes the transpose of the 2-D tensor a [m,n] into
+// out [n,m] and returns out.
+func Transpose2D(out, a *Tensor) *Tensor {
 	if len(a.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: Transpose2D needs a 2-D tensor, got %v", a.Shape))
 	}
 	m, n := a.Shape[0], a.Shape[1]
-	out := New(n, m)
+	checkDst("Transpose2D", out, n, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			out.Data[j*m+i] = a.Data[i*n+j]

@@ -115,8 +115,8 @@ func TestMatMulVariantsAgree(t *testing.T) {
 	a := Randn(rng, 1, 4, 5)
 	b := Randn(rng, 1, 5, 3)
 	base := MatMul(junk(4, 3), a, b)
-	viaT := MatMulT(junk(4, 3), a, Transpose2D(b))
-	viaTM := TMatMul(junk(4, 3), Transpose2D(a), b)
+	viaT := MatMulT(junk(4, 3), a, Transpose2D(junk(3, 5), b), junk(5, 3))
+	viaTM := TMatMul(junk(4, 3), Transpose2D(junk(5, 4), a), b)
 	for i := range base.Data {
 		if !almostEq(base.Data[i], viaT.Data[i], 1e-4) {
 			t.Fatalf("MatMulT disagrees at %d: %v vs %v", i, base.Data[i], viaT.Data[i])
@@ -129,7 +129,7 @@ func TestMatMulVariantsAgree(t *testing.T) {
 
 func TestTranspose2D(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := Transpose2D(a)
+	b := Transpose2D(junk(3, 2), a)
 	if b.Shape[0] != 3 || b.Shape[1] != 2 {
 		t.Fatalf("shape %v", b.Shape)
 	}

@@ -1,15 +1,16 @@
 package tensor
 
-// The two inner loops under the float kernels: axpy serves the three
-// matmuls, mulAdd the depthwise convolution. Each has the portable Go
-// body below and, on amd64 with AVX2, an assembly body (vec_amd64.s)
-// that is used whenever the CPU has it. The assembly rounds the product
-// and then the sum, lane by lane (VMULPS, VADDPS), exactly like the Go
-// statement, and never fuses them into one FMA rounding, so both bodies
-// return the same bits for every input.
+// The two inner loops under the float kernels: Axpy serves the three
+// matmuls, MulAdd the depthwise convolution, and both serve autograd's
+// BatchNorm. Each has the portable Go body below and, on amd64 with AVX2,
+// an assembly body (vec_amd64.s) that is used whenever the CPU has it.
+// The assembly rounds the product and then the sum, lane by lane
+// (VMULPS, VADDPS), exactly like the Go statement, and never fuses them
+// into one FMA rounding, so both bodies return the same bits for every
+// input.
 
-// axpy computes dst[j] += a·src[j] for j < len(dst).
-func axpy(dst []float32, a float32, src []float32) {
+// Axpy computes dst[j] += a·src[j] for j < len(dst).
+func Axpy(dst []float32, a float32, src []float32) {
 	if len(dst) == 0 {
 		return
 	}
@@ -21,8 +22,8 @@ func axpy(dst []float32, a float32, src []float32) {
 	axpyGo(dst, a, src)
 }
 
-// mulAdd computes dst[j] += a[j]·b[j] for j < len(dst).
-func mulAdd(dst, a, b []float32) {
+// MulAdd computes dst[j] += a[j]·b[j] for j < len(dst).
+func MulAdd(dst, a, b []float32) {
 	if len(dst) == 0 {
 		return
 	}

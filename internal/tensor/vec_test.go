@@ -125,7 +125,7 @@ func randSparse(rng *rand.Rand, shape ...int) *Tensor {
 func TestMatMulsMatchNaiveOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type shape struct{ m, k, n int }
-	shapes := []shape{{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {520, 40, 64}, {130, 64, 67}}
+	shapes := []shape{{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {520, 40, 64}, {130, 64, 67}, {5, 300, 7}}
 	for range 24 {
 		shapes = append(shapes, shape{1 + rng.Intn(70), 1 + rng.Intn(70), 1 + rng.Intn(70)})
 	}
@@ -144,7 +144,7 @@ func TestMatMulsMatchNaiveOrder(t *testing.T) {
 				want = naiveMatMul(m, k, n,
 					func(i, p, _ int) float32 { return a.Data[i*k+p] },
 					func(_, p, j int) float32 { return bT.Data[j*k+p] }, false)
-				sameBits(t, fmt.Sprintf("MatMulT %dx%dx%d", m, k, n), want, MatMulT(junk(m, n), a, bT).Data)
+				sameBits(t, fmt.Sprintf("MatMulT %dx%dx%d", m, k, n), want, MatMulT(junk(m, n), a, bT, junk(k, n)).Data)
 
 				aT := randSparse(rng, k, m)
 				want = naiveMatMul(m, k, n,
