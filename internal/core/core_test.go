@@ -362,3 +362,67 @@ func probabilities(d *DecisionNode) []float32 {
 	sm := ag.SoftmaxVec(ag.Constant(d.Alpha.Value), 1)
 	return append([]float32(nil), sm.Value.Data...)
 }
+
+// phaseRun runs RunSearch on a fresh supernet built from cfg (seed 20)
+// with one fixed train batch and one fixed val batch, whose labels the
+// caller picks, and returns the supernet.
+func phaseRun(t *testing.T, cfg SupernetConfig, trainLabels, valLabels []int, sc SearchConfig) *Supernet {
+	t.Helper()
+	rng := rand.New(rand.NewSource(20))
+	s, err := NewSupernet(rng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Randn(rng, 1, len(trainLabels), cfg.InputH, cfg.InputW, cfg.InputC)
+	vx := tensor.Randn(rng, 1, len(valLabels), cfg.InputH, cfg.InputW, cfg.InputC)
+	cons := Constraints{MaxWeightBytes: 400, MaxOps: 40000, MaxArenaBytes: 2000}
+	if _, err := RunSearch(s,
+		func(int) Batch { return Batch{X: x, Labels: trainLabels} },
+		func(int) Batch { return Batch{X: vx, Labels: valLabels} },
+		cons, sc); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func sameValues(t *testing.T, what string, a, b []*nn.Param) {
+	t.Helper()
+	for i := range a {
+		for j, v := range a[i].V.Value.Data {
+			if w := b[i].V.Value.Data[j]; math.Float32bits(v) != math.Float32bits(w) {
+				t.Fatalf("%s: %s[%d] = %v vs %v", what, a[i].Name, j, v, w)
+			}
+		}
+	}
+}
+
+// TestArchStepIgnoresTrainLoss: the architecture update follows the val
+// loss and penalty only. With the weights frozen (zero learning rate),
+// two searches whose train batches differ only in their labels end with
+// the same logits, bit for bit.
+func TestArchStepIgnoresTrainLoss(t *testing.T) {
+	sc := SearchConfig{Steps: 1, Seed: 21}
+	val := []int{0, 1, 2, 0}
+	a := phaseRun(t, tinyConfig(), []int{0, 1, 2, 1}, val, sc)
+	b := phaseRun(t, tinyConfig(), []int{2, 2, 0, 0}, val, sc)
+	sameValues(t, "arch logits", a.ArchParams(), b.ArchParams())
+}
+
+// TestWeightStepIgnoresValLoss: the weight update follows the train loss
+// only. On a supernet whose every decision has one option, so that the
+// logits cannot move, two searches whose val batches differ only in their
+// labels end with the same weights after two steps, bit for bit.
+func TestWeightStepIgnoresValLoss(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.FirstWidthOptions = []int{cfg.MaxC}
+	for i := range cfg.Blocks {
+		cfg.Blocks[i].WidthOptions = []int{cfg.MaxC}
+		cfg.Blocks[i].Skippable = false
+	}
+	sc := SearchConfig{Steps: 2, Seed: 22, WeightLR: nn.CosineSchedule{Start: 0.05, End: 0.05, Steps: 2}}
+	train := []int{0, 1, 2, 1}
+	a := phaseRun(t, cfg, train, []int{0, 1, 2, 0}, sc)
+	b := phaseRun(t, cfg, train, []int{2, 2, 0, 1}, sc)
+	sameValues(t, "arch logits", a.ArchParams(), b.ArchParams())
+	sameValues(t, "weights", a.WeightParams(), b.WeightParams())
+}

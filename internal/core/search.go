@@ -120,7 +120,7 @@ type SearchResult struct {
 // RunSearch trains the supernet with alternating weight/architecture
 // updates (first-order DARTS style): weights minimize task loss on train
 // batches, architecture logits minimize task loss + constraint penalty on
-// validation batches.
+// validation batches. Each update sees only its own loss's gradient.
 func RunSearch(s *Supernet, train, val func(step int) Batch, cons Constraints, cfg SearchConfig) (*SearchResult, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("core: search needs Steps > 0")
@@ -178,10 +178,14 @@ func (l *searchLoop) step(step int) {
 	frac := float32(step) / float32(cfg.Steps)
 	tau := cfg.TauStart + (cfg.TauEnd-cfg.TauStart)*frac
 
-	// Weight update on the train split.
+	// Weight update on the train split. Each backward pass reaches both
+	// parameter sets (the Gumbel-softmax masks tie the logits to the
+	// train loss, and the val loss reaches the weights), so each phase
+	// clears what the other phase's pass left in its own set first.
 	b := l.train(step)
 	logits, _ := l.s.Forward(l.tape.Constant(b.X), true, l.rng, tau)
 	loss := ag.CrossEntropy(logits, b.Labels)
+	zeroGrads(l.wParams)
 	ag.Backward(loss)
 	nn.ClipGradNorm(l.wParams, 5)
 	l.wOpt.Step(l.wParams, cfg.WeightLR.LR(step))
@@ -194,6 +198,7 @@ func (l *searchLoop) step(step int) {
 		vlogits, res := l.s.Forward(l.tape.Constant(vb.X), false, l.rng, tau)
 		pen := l.cons.Penalty(res)
 		vloss := ag.Add(ag.CrossEntropy(vlogits, vb.Labels), pen)
+		zeroGrads(l.aParams)
 		ag.Backward(vloss)
 		l.aOpt.Step(l.aParams, cfg.ArchLR)
 		l.lastPen = pen.Scalar()
@@ -203,6 +208,12 @@ func (l *searchLoop) step(step int) {
 	if cfg.Log != nil && (step%10 == 0 || step == cfg.Steps-1) {
 		cfg.Log(fmt.Sprintf("step %d/%d tau=%.2f loss=%.4f penalty=%.4f",
 			step+1, cfg.Steps, tau, l.lastLoss, l.lastPen))
+	}
+}
+
+func zeroGrads(ps []*nn.Param) {
+	for _, p := range ps {
+		p.V.ZeroGrad()
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 )
 
 // dnasDigestFile holds the sha256 of a 10-step KWS DNAS warm start at
-// seed 1. It was generated before the vector float kernels existed:
-// those kernels must reproduce the scalar loops bit for bit, so do not
+// seed 1. The vector float kernels and the recycling autograd tape each
+// reproduced the digest from before them bit for bit. It was regenerated
+// once, when each DNAS phase stopped applying the other phase's
+// gradients (a change of what the search computes, not of how); do not
 // regenerate it to make a numerics change pass.
 const dnasDigestFile = "testdata/dnas_warm_start.sha256"
 
