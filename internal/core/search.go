@@ -211,6 +211,7 @@ func (l *searchLoop) step(step int) {
 	}
 }
 
+// zeroGrads clears the gradients of ps.
 func zeroGrads(ps []*nn.Param) {
 	for _, p := range ps {
 		p.V.ZeroGrad()
