@@ -271,12 +271,12 @@ func AvgPool2DBackward(dx, dy *Tensor, spec ConvSpec) *Tensor {
 	return dx
 }
 
-// MaxPool2D computes max pooling into y [n,oh,ow,c] and returns the argmax
-// flat indices into x for use by the backward pass. Each output starts at -Inf
-// with its argmax on the window's first in-bounds tap, so a window of
-// -Inf (or -MaxFloat32) values still pools to its own maximum and sends
-// its gradient inside itself; a window with no in-bounds tap pools to
-// -Inf with argmax -1, and MaxPool2DBackward drops its gradient.
+// MaxPool2D computes max pooling into y [n,oh,ow,c] and returns the
+// argmax flat indices into x for use by the backward pass. Each output
+// starts at -Inf with its argmax on the window's first in-bounds tap, so
+// a window of -Inf (or -MaxFloat32) values still pools to its own maximum
+// and sends its gradient inside itself; a window with no in-bounds tap
+// pools to -Inf with argmax -1, and MaxPool2DBackward drops its gradient.
 func MaxPool2D(y, x *Tensor, spec ConvSpec) []int {
 	n, h, w, c := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := spec.OutSize(h, w)
