@@ -48,10 +48,10 @@ func TestGradSharedNodes(t *testing.T) {
 }
 
 // TestPassedOnGradsStayOwn: an op that passes its gradient on to its
-// parent (Reshape, AddScalar, MaxN, BiasAdd's input) still holds its own gradient after
-// Backward, not its parent's total. The parent's other consumer sits in
-// the loss's first term, so its backward runs after the pass-on op's and
-// would write through a shared buffer.
+// parent (Reshape, AddScalar, MaxN, BiasAdd's input) still holds its own
+// gradient after Backward, not its parent's total. The parent's other
+// consumer sits in the loss's first term, so its backward runs after the
+// pass-on op's and would write through a shared buffer.
 func TestPassedOnGradsStayOwn(t *testing.T) {
 	for _, c := range []struct {
 		name   string

@@ -121,10 +121,11 @@ func BenchmarkDNASStep(b *testing.B) {
 	}
 }
 
-// parentDNASStepBytes is what one steady-state step allocated before the
-// step reused its memory: 88.9 MB, measured as the difference of 12- and
-// 2-step RunSearch calls on nasSweepLoop's network.
-const parentDNASStepBytes = 88.9e6
+// untapedDNASStepBytes is what one steady-state step allocated when
+// every op tensor came fresh from the heap, before the tape: 88.9 MB,
+// measured as the difference of 12- and 2-step RunSearch calls on
+// nasSweepLoop's network.
+const untapedDNASStepBytes = 88.9e6
 
 // TestDNASStepAllocBound: a steady-state DNAS step allocates at most a
 // tenth of what it did before the tape.
@@ -144,8 +145,8 @@ func TestDNASStepAllocBound(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perStep := float64(m1.TotalAlloc-m0.TotalAlloc) / measured
-	t.Logf("%.0f bytes/step (%.0f before the tape)", perStep, parentDNASStepBytes)
-	if perStep > parentDNASStepBytes/10 {
-		t.Fatalf("a DNAS step allocates %.0f bytes, above a tenth of the %.0f it took before the tape", perStep, parentDNASStepBytes)
+	t.Logf("%.0f bytes/step (%.0f before the tape)", perStep, untapedDNASStepBytes)
+	if perStep > untapedDNASStepBytes/10 {
+		t.Fatalf("a DNAS step allocates %.0f bytes, above a tenth of the %.0f it took before the tape", perStep, untapedDNASStepBytes)
 	}
 }
