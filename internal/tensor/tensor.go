@@ -320,41 +320,16 @@ func MatMulT(dst, a, b, bT *Tensor) *Tensor {
 // a[i,p]·b[p,:] for ascending p.
 func matMul(out, a, b []float32, m, k, n int) {
 	parallelRows(m, m*k*n, func(lo, hi int) {
-		var buf [256]int32
-		idx := scratchIndex(buf[:], k)
 		for i := lo; i < hi; i++ {
 			orow := out[i*n : (i+1)*n]
 			clear(orow)
-			arow := a[i*k : (i+1)*k]
-			for _, p := range idx[:nonzero(idx, arow)] {
-				Axpy(orow, arow[p], b[int(p)*n:(int(p)+1)*n])
+			for p, av := range a[i*k : (i+1)*k] {
+				if av != 0 {
+					Axpy(orow, av, b[p*n:(p+1)*n])
+				}
 			}
 		}
 	})
-}
-
-// nonzero writes the indices of a's nonzero elements (NaNs included),
-// ascending, to the front of idx and returns their count. It is
-// branch-free: a layer's ReLU outputs are zero about half the time, in no
-// pattern a branch predictor could learn, and the matmuls skip them.
-func nonzero(idx []int32, a []float32) int {
-	idx = idx[:len(a)]
-	c := 0
-	for p, v := range a {
-		idx[c] = int32(p)
-		mag := math.Float32bits(v) << 1 // drops the sign: ±0 give 0
-		c += int((mag | -mag) >> 31)
-	}
-	return c
-}
-
-// scratchIndex returns an index buffer of length k: buf when it is long
-// enough, so a matmul's inner dimension rarely allocates.
-func scratchIndex(buf []int32, k int) []int32 {
-	if k <= len(buf) {
-		return buf[:k]
-	}
-	return make([]int32, k)
 }
 
 // TMatMul writes aᵀ@b into dst [m,n] for 2-D tensors a [k,m] and b [k,n]
@@ -372,13 +347,12 @@ func TMatMul(dst, a, b *Tensor) *Tensor {
 	checkDst("TMatMul", dst, m, n)
 	parallelRows(m, k*m*n, func(lo, hi int) {
 		clear(dst.Data[lo*n : hi*n])
-		var buf [256]int32
-		idx := scratchIndex(buf[:], hi-lo)
 		for p := 0; p < k; p++ {
 			brow := b.Data[p*n : (p+1)*n]
-			acol := a.Data[p*m+lo : p*m+hi]
-			for _, i := range idx[:nonzero(idx, acol)] {
-				Axpy(dst.Data[(lo+int(i))*n:(lo+int(i)+1)*n], acol[i], brow)
+			for i, av := range a.Data[p*m+lo : p*m+hi] {
+				if av != 0 {
+					Axpy(dst.Data[(lo+i)*n:(lo+i+1)*n], av, brow)
+				}
 			}
 		}
 	})

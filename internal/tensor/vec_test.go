@@ -125,7 +125,7 @@ func randSparse(rng *rand.Rand, shape ...int) *Tensor {
 func TestMatMulsMatchNaiveOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type shape struct{ m, k, n int }
-	shapes := []shape{{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {520, 40, 64}, {130, 64, 67}, {5, 300, 7}}
+	shapes := []shape{{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {520, 40, 64}, {130, 64, 67}}
 	for range 24 {
 		shapes = append(shapes, shape{1 + rng.Intn(70), 1 + rng.Intn(70), 1 + rng.Intn(70)})
 	}
