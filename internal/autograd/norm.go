@@ -18,8 +18,6 @@ type BatchNormStats struct {
 //
 // If useStats is non-nil those statistics are used (inference mode) and
 // receive no gradient; otherwise batch statistics are computed and returned.
-// Returned statistics live on x's tape, if it has one: read them before the
-// tape's Release.
 func BatchNorm(x, gamma, beta *Var, eps float32, useStats *BatchNormStats) (*Var, *BatchNormStats) {
 	c := x.Value.Dim(-1)
 	if gamma.Value.Len() != c || beta.Value.Len() != c {
@@ -33,7 +31,7 @@ func BatchNorm(x, gamma, beta *Var, eps float32, useStats *BatchNormStats) (*Var
 	training := useStats == nil
 	stats := useStats
 	if training {
-		stats = &BatchNormStats{Mean: tp.zeroed(c), Var: tp.zeroed(c)}
+		stats = &BatchNormStats{Mean: tensor.New(c), Var: tensor.New(c)}
 		batchStats(stats.Mean.Data[:c], stats.Var.Data[:c], tp.alloc(c).Data[:c], xd, fm)
 	}
 	mean, variance := stats.Mean.Data[:c], stats.Var.Data[:c]

@@ -125,3 +125,20 @@ func TestPositiveBits(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchNormStatsOutliveRelease: the batch statistics BatchNorm
+// returns come from the heap, so the tape's Release (which NaN-fills what
+// it takes back in this test binary) leaves them intact.
+func TestBatchNormStatsOutliveRelease(t *testing.T) {
+	tp := NewTape()
+	x := tp.Constant(tensor.Randn(rng(31), 1, 4, 3))
+	_, stats := BatchNorm(x, Param(tensor.FromSlice([]float32{1, 1, 1}, 3)), Param(tensor.New(3)), 1e-5, nil)
+	mean, variance := stats.Mean.Clone(), stats.Var.Clone()
+	tp.Release()
+	for j := range mean.Data {
+		if stats.Mean.Data[j] != mean.Data[j] || stats.Var.Data[j] != variance.Data[j] {
+			t.Fatalf("channel %d: stats %v/%v after Release, %v/%v before",
+				j, stats.Mean.Data[j], stats.Var.Data[j], mean.Data[j], variance.Data[j])
+		}
+	}
+}
