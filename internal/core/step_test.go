@@ -127,8 +127,15 @@ func BenchmarkDNASStep(b *testing.B) {
 // nasSweepLoop's network.
 const untapedDNASStepBytes = 88.9e6
 
+// tapedDNASStepBytes bounds a steady-state step on the tape at about five
+// times the ~0.18 MB (graph nodes, closures, views) it allocates. A
+// tensor that left the tape would be allocated once per forward pass,
+// twice a step: the first convolution's im2col (0.63 MB) or output
+// (1 MB) alone would exceed it.
+const tapedDNASStepBytes = 1e6
+
 // TestDNASStepAllocBound: a steady-state DNAS step allocates at most a
-// tenth of what it did before the tape.
+// tenth of what it did before the tape, and at most tapedDNASStepBytes.
 func TestDNASStepAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
@@ -148,5 +155,8 @@ func TestDNASStepAllocBound(t *testing.T) {
 	t.Logf("%.0f bytes/step (%.0f before the tape)", perStep, untapedDNASStepBytes)
 	if perStep > untapedDNASStepBytes/10 {
 		t.Fatalf("a DNAS step allocates %.0f bytes, above a tenth of the %.0f it took before the tape", perStep, untapedDNASStepBytes)
+	}
+	if perStep > tapedDNASStepBytes {
+		t.Fatalf("a DNAS step allocates %.0f bytes, above %.0f: an op's tensors are leaving the tape", perStep, tapedDNASStepBytes)
 	}
 }
