@@ -16,7 +16,11 @@ import (
 func dnasRun(t *testing.T) []float32 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
-	s, err := core.NewSupernet(rng, core.KWSSupernetConfig(49, 10, 12, 16, 3))
+	sp, err := core.SpaceForTask("kws")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSupernet(rng, sp.Supernet(16, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"micronets/internal/arch"
@@ -85,19 +87,40 @@ func TestExpectedChannels(t *testing.T) {
 	}
 }
 
+// tinyConfig relaxes an 8×8, 3-class space whose first DS block halves
+// the input for a 4×4 pool: widths 4 or 8, the second block skippable.
 func tinyConfig() SupernetConfig {
-	opts := []int{4, 8}
-	return SupernetConfig{
-		Name: "tiny", Task: "kws",
-		InputH: 8, InputW: 8, InputC: 1, NumClasses: 3,
+	sp := &Space{
+		Task: "kws", InputH: 8, InputW: 8, InputC: 1, NumClasses: 3,
 		FirstKH: 3, FirstKW: 3, FirstStride: 1,
-		FirstWidthOptions: opts,
-		MaxC:              8,
-		Blocks: []SupernetBlock{
-			{Stride: 2, WidthOptions: opts},
-			{Stride: 1, WidthOptions: opts, Skippable: true},
+		PoolKH: 4, PoolKW: 4,
+		MinBlocks: 1, MaxBlocks: 2, MinC: 4, MaxC: 8,
+		strideFor: func(i, n int) int {
+			if i == 0 {
+				return 2
+			}
+			return 1
 		},
 	}
+	return sp.Supernet(8, 2)
+}
+
+// harnessConfig is the supernet the search harness builds for task.
+func harnessConfig(t *testing.T, task string) SupernetConfig {
+	t.Helper()
+	sp, err := SpaceForTask(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp.Supernet(64, 4)
+}
+
+// choose makes option k of d the only one with weight: logits ±50.
+func choose(d *DecisionNode, k int) {
+	for i := range d.Alpha.Value.Data {
+		d.Alpha.Value.Data[i] = -50
+	}
+	d.Alpha.Value.Data[k] = 50
 }
 
 func TestSupernetForwardShapesAndResources(t *testing.T) {
@@ -130,8 +153,8 @@ func TestResourceModelMatchesDiscreteAnalysis(t *testing.T) {
 		name string
 		cfg  SupernetConfig
 	}{
-		{"kws", KWSSupernetConfig(49, 10, 12, 64, 4)},
-		{"ad", ADSupernetConfig(64, 4)},
+		{"kws", harnessConfig(t, "kws")},
+		{"ad", harnessConfig(t, "ad")},
 	} {
 		for seed := int64(1); seed <= 5; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -147,13 +170,10 @@ func TestResourceModelMatchesDiscreteAnalysis(t *testing.T) {
 				}
 			}
 			for _, d := range nodes {
-				pick := rng.Intn(d.K)
-				for k := range d.Alpha.Value.Data {
-					d.Alpha.Value.Data[k] = -50
-				}
-				d.Alpha.Value.Data[pick] = 50
+				choose(d, rng.Intn(d.K))
 			}
-			x := ag.Constant(tensor.Randn(rng, 1, 1, tc.cfg.InputH, tc.cfg.InputW, tc.cfg.InputC))
+			sp := tc.cfg.Space
+			x := ag.Constant(tensor.Randn(rng, 1, 1, sp.InputH, sp.InputW, sp.InputC))
 			_, res := s.Forward(x, false, nil, 1)
 			a, err := s.Discretize("check").Analyze()
 			if err != nil {
@@ -333,27 +353,109 @@ func TestRandomModelsValid(t *testing.T) {
 	}
 }
 
+// TestDiscretizeStaysInSpace: every architecture the harness's supernets
+// discretize to is a member of their space. Over every subset of skipped
+// blocks and random widths, the kept blocks keep their supernet strides,
+// and Build(Widths(d)) gives d back whenever d is deep enough for the
+// space.
+func TestDiscretizeStaysInSpace(t *testing.T) {
+	for _, task := range []string{"kws", "ad"} {
+		cfg := harnessConfig(t, task)
+		sp := cfg.Space
+		rng := rand.New(rand.NewSource(30))
+		s, err := NewSupernet(rng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var skippable []int
+		for i, d := range s.depth {
+			if d != nil {
+				skippable = append(skippable, i)
+			}
+		}
+		for subset := 0; subset < 1<<len(skippable); subset++ {
+			skipped := make([]bool, len(cfg.Blocks))
+			for j, i := range skippable {
+				skipped[i] = subset>>j&1 == 1
+				choose(s.depth[i], subset>>j&1)
+			}
+			var want []int
+			for i, b := range cfg.Blocks {
+				if !skipped[i] {
+					want = append(want, b.Stride)
+				}
+			}
+			for draw := 0; draw < 20; draw++ {
+				choose(s.firstNode, rng.Intn(s.firstNode.K))
+				for _, n := range s.width {
+					choose(n, rng.Intn(n.K))
+				}
+				d := s.Discretize("d")
+				var strides []int
+				for _, b := range d.Blocks {
+					if b.Kind == arch.DSBlock {
+						strides = append(strides, b.Stride)
+					}
+				}
+				if !slices.Equal(strides, want) {
+					t.Fatalf("%s subset %b: DS strides %v, supernet's kept strides %v", task, subset, strides, want)
+				}
+				if len(strides) < sp.MinBlocks {
+					continue
+				}
+				back := sp.Build(d.Name, sp.Widths(d))
+				back.Source = d.Source
+				if !reflect.DeepEqual(back, d) {
+					t.Fatalf("%s subset %b: discretized %s is not in the space, which builds %s", task, subset, d, back)
+				}
+			}
+		}
+	}
+}
+
+// TestKWSAndADSupernetConfigs pins the supernets the harness derives from
+// the two spaces: KWSSupernetConfig(49, 10, 12, 64, 4) and
+// ADSupernetConfig(64, 4) before they were derived, except that AD's
+// tail is now the space's 4×4 average pool instead of a global pool.
 func TestKWSAndADSupernetConfigs(t *testing.T) {
-	cfg := KWSSupernetConfig(49, 10, 12, 64, 4)
-	rng := rand.New(rand.NewSource(13))
-	s, err := NewSupernet(rng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ag.Constant(tensor.Randn(rng, 1, 1, 49, 10, 1))
-	logits, _ := s.Forward(x, false, nil, 1)
-	if logits.Value.Shape[1] != 12 {
-		t.Fatalf("KWS supernet classes %v", logits.Value.Shape)
-	}
-	adCfg := ADSupernetConfig(32, 4)
-	ad, err := NewSupernet(rng, adCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xa := ag.Constant(tensor.Randn(rng, 1, 1, 32, 32, 1))
-	alogits, _ := ad.Forward(xa, false, nil, 1)
-	if alogits.Value.Shape[1] != 4 {
-		t.Fatalf("AD supernet classes %v", alogits.Value.Shape)
+	opts := []int{8, 16, 24, 32, 40, 48, 56, 64}
+	for _, tc := range []struct {
+		task                             string
+		strides                          []int
+		skippable                        []bool
+		inH, inW, classes                int
+		firstKH, firstKW, poolKH, poolKW int
+	}{
+		{"kws", []int{2, 1, 1, 1}, []bool{false, true, true, true}, 49, 10, 12, 10, 4, 25, 5},
+		{"ad", []int{2, 1, 2, 2}, []bool{false, true, false, false}, 32, 32, 4, 3, 3, 4, 4},
+	} {
+		cfg := harnessConfig(t, tc.task)
+		sp := cfg.Space
+		if cfg.MaxC != 64 || !slices.Equal(cfg.FirstWidthOptions, opts) {
+			t.Errorf("%s: MaxC %d, first options %v", tc.task, cfg.MaxC, cfg.FirstWidthOptions)
+		}
+		if len(cfg.Blocks) != len(tc.strides) {
+			t.Fatalf("%s: %d blocks, want %d", tc.task, len(cfg.Blocks), len(tc.strides))
+		}
+		for i, b := range cfg.Blocks {
+			if b.Stride != tc.strides[i] || b.Skippable != tc.skippable[i] || !slices.Equal(b.WidthOptions, opts) {
+				t.Errorf("%s block %d: %+v, want stride %d, skippable %v, options %v", tc.task, i, b, tc.strides[i], tc.skippable[i], opts)
+			}
+		}
+		if sp.Task != tc.task || sp.InputH != tc.inH || sp.InputW != tc.inW || sp.InputC != 1 || sp.NumClasses != tc.classes ||
+			sp.FirstKH != tc.firstKH || sp.FirstKW != tc.firstKW || sp.FirstStride != 1 ||
+			sp.PoolKH != tc.poolKH || sp.PoolKW != tc.poolKW {
+			t.Errorf("%s: space geometry %+v", tc.task, *sp)
+		}
+		rng := rand.New(rand.NewSource(13))
+		s, err := NewSupernet(rng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := ag.Constant(tensor.Randn(rng, 1, 1, tc.inH, tc.inW, 1))
+		if logits, _ := s.Forward(x, false, nil, 1); logits.Value.Shape[1] != tc.classes {
+			t.Fatalf("%s supernet logits %v, want %d classes", tc.task, logits.Value.Shape, tc.classes)
+		}
 	}
 }
 
@@ -373,8 +475,9 @@ func phaseRun(t *testing.T, cfg SupernetConfig, trainLabels, valLabels []int, sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Randn(rng, 1, len(trainLabels), cfg.InputH, cfg.InputW, cfg.InputC)
-	vx := tensor.Randn(rng, 1, len(valLabels), cfg.InputH, cfg.InputW, cfg.InputC)
+	sp := cfg.Space
+	x := tensor.Randn(rng, 1, len(trainLabels), sp.InputH, sp.InputW, sp.InputC)
+	vx := tensor.Randn(rng, 1, len(valLabels), sp.InputH, sp.InputW, sp.InputC)
 	cons := Constraints{MaxWeightBytes: 400, MaxOps: 40000, MaxArenaBytes: 2000}
 	if _, err := RunSearch(s,
 		func(int) Batch { return Batch{X: x, Labels: trainLabels} },

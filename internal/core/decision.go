@@ -10,6 +10,11 @@
 // learned by gradient descent together with the weights, regularized by
 // differentiable eFlash-size, SRAM-working-memory and op-count (latency
 // proxy, §3) penalties.
+//
+// The DS-CNN search space is declared once, as Space, the discrete form
+// the evolutionary harness samples and mutates; Space.Supernet derives its
+// relaxation, and Supernet.Discretize maps a trained supernet back into
+// the same Space.
 package core
 
 import (

@@ -12,30 +12,15 @@ import (
 // randomly sample. This allows us to automatically generate a large number
 // of random models with different layer types and dimensions."
 
-// RandomKWSModel samples a DS-CNN-style model from the KWS backbone
-// (49x10 MFCC input): random depth and random multiple-of-4 widths.
+// RandomKWSModel samples a model of the KWS search space: random depth
+// (2..7 DS blocks) and random multiple-of-4 widths (16..252).
 func RandomKWSModel(rng *rand.Rand, idx int) *arch.Spec {
-	blocks := 2 + rng.Intn(6)        // 2..7 DS blocks
-	firstC := 4 * (4 + rng.Intn(60)) // 16..252
-	spec := &arch.Spec{
-		Name: fmt.Sprintf("rand-kws-%d", idx), Task: "kws", Source: "repro",
-		InputH: 49, InputW: 10, InputC: 1, NumClasses: 12,
+	widths := make([]int, 1+2+rng.Intn(6))
+	for i := range widths {
+		widths[i] = 4 * (4 + rng.Intn(60))
 	}
-	spec.Blocks = append(spec.Blocks, arch.Block{
-		Kind: arch.Conv, KH: 10, KW: 4, OutC: firstC, Stride: 1,
-	})
-	spec.Blocks = append(spec.Blocks, arch.Block{
-		Kind: arch.DSBlock, KH: 3, KW: 3, OutC: 4 * (4 + rng.Intn(60)), Stride: 2,
-	})
-	for i := 1; i < blocks; i++ {
-		spec.Blocks = append(spec.Blocks, arch.Block{
-			Kind: arch.DSBlock, KH: 3, KW: 3, OutC: 4 * (4 + rng.Intn(60)), Stride: 1,
-		})
-	}
-	spec.Blocks = append(spec.Blocks,
-		arch.Block{Kind: arch.AvgPool, KH: 25, KW: 5, Stride: 1},
-		arch.Block{Kind: arch.Dense, OutC: 12},
-	)
+	spec := kwsSpace().Build(fmt.Sprintf("rand-kws-%d", idx), widths)
+	spec.Source = "repro"
 	return spec
 }
 

@@ -226,7 +226,7 @@ func (l *searchLoop) result() *SearchResult {
 	b := l.val(cfg.Steps)
 	_, res := s.Forward(ag.Constant(b.X), false, nil, 0.05)
 	return &SearchResult{
-		Spec:         s.Discretize(fmt.Sprintf("DNAS-%s", s.cfg.Name)),
+		Spec:         s.Discretize("DNAS-" + s.cfg.Space.Task),
 		FinalLoss:    l.lastLoss,
 		FinalPenalty: l.lastPen,
 		ParamCount:   float64(res.ParamCount.Scalar()),
@@ -234,53 +234,4 @@ func (l *searchLoop) result() *SearchResult {
 		WorkMemElems: float64(res.WorkingMemory().Scalar()),
 		Violations:   cons.Violations(res),
 	}
-}
-
-// KWSSupernetConfig returns the paper's KWS search space: an enlarged
-// DS-CNN(L) backbone (§5.2.2) — first conv plus nine depthwise-separable
-// blocks of up to 276 channels with parallel skips — here scaled by
-// maxC/blocks so tests and laptop-scale searches stay tractable.
-func KWSSupernetConfig(inputH, inputW, classes, maxC, blocks int) SupernetConfig {
-	opts := WidthOptions(maxC, 8, true)
-	cfg := SupernetConfig{
-		Name: "kws", Task: "kws",
-		InputH: inputH, InputW: inputW, InputC: 1, NumClasses: classes,
-		FirstKH: 10, FirstKW: 4, FirstStride: 1,
-		FirstWidthOptions: opts,
-		MaxC:              maxC,
-		PoolKH:            tensor.SameOut(inputH, 2), PoolKW: tensor.SameOut(inputW, 2),
-	}
-	for i := 0; i < blocks; i++ {
-		b := SupernetBlock{Stride: 1, WidthOptions: opts, Skippable: i > 0}
-		if i == 0 {
-			b.Stride = 2
-		}
-		cfg.Blocks = append(cfg.Blocks, b)
-	}
-	return cfg
-}
-
-// ADSupernetConfig returns the anomaly-detection search space (§5.2.3):
-// DS-CNN backbone on 32x32 spectrogram patches with the last two blocks at
-// stride 2.
-func ADSupernetConfig(maxC, blocks int) SupernetConfig {
-	opts := WidthOptions(maxC, 8, true)
-	cfg := SupernetConfig{
-		Name: "ad", Task: "ad",
-		InputH: 32, InputW: 32, InputC: 1, NumClasses: 4,
-		FirstKH: 3, FirstKW: 3, FirstStride: 1,
-		FirstWidthOptions: opts,
-		MaxC:              maxC,
-	}
-	for i := 0; i < blocks; i++ {
-		b := SupernetBlock{Stride: 1, WidthOptions: opts, Skippable: true}
-		if i == 0 || i >= blocks-2 {
-			b.Stride = 2
-			b.Skippable = false
-		}
-		cfg.Blocks = append(cfg.Blocks, b)
-	}
-	// 32 -> 16 -> ... -> pool whatever remains globally.
-	cfg.PoolKH, cfg.PoolKW = 0, 0
-	return cfg
 }

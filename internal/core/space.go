@@ -1,4 +1,4 @@
-package search
+package core
 
 import (
 	"fmt"
@@ -8,22 +8,24 @@ import (
 	"micronets/internal/arch"
 )
 
-// Space is a DS-CNN-style architecture search space for one task,
-// parameterized the way the paper's KWS/AD spaces are (§5.2.2, §5.2.3): a
-// first standard convolution followed by a variable-depth stack of
-// depthwise-separable blocks with per-block searchable widths (multiples
-// of 4, the CMSIS-NN fast-path granularity), then the task's fixed
-// pool+classifier tail. A candidate is fully described by its width
-// vector [firstConvC, dsC0, dsC1, ...]; strides are a deterministic
-// function of position (stridePattern), which keeps every sampled and
-// mutated candidate geometrically valid by construction.
+// Space is the DS-CNN architecture search space of one task, in its
+// discrete form, parameterized the way the paper's KWS/AD spaces are
+// (§5.2.2, §5.2.3): a first standard convolution followed by a
+// variable-depth stack of depthwise-separable blocks with per-block
+// searchable widths (multiples of 4, the CMSIS-NN fast-path granularity),
+// then the task's fixed average-pool+classifier tail. A candidate is fully
+// described by its width vector [firstConvC, dsC0, dsC1, ...]; strides are
+// a deterministic function of position (strideFor), which keeps every
+// sampled and mutated candidate geometrically valid by construction.
+// Supernet derives the space's DNAS relaxation.
 type Space struct {
 	Task                   string
 	InputH, InputW, InputC int
 	NumClasses             int
 	FirstKH, FirstKW       int
 	FirstStride            int
-	// PoolKH/PoolKW is the fixed average-pool tail; 0 means global pool.
+	// PoolKH/PoolKW is the fixed VALID average-pool tail; the strides
+	// bring every candidate's last feature map to exactly this size.
 	PoolKH, PoolKW int
 	// MinBlocks/MaxBlocks bound the DS-block count.
 	MinBlocks, MaxBlocks int
@@ -37,20 +39,7 @@ type Space struct {
 func SpaceForTask(task string) (*Space, error) {
 	switch task {
 	case "kws":
-		// 49x10 MFCC input; the first DS block downsamples to 25x5, which
-		// the 25x5 average pool collapses — the Table 5 KWS geometry.
-		return &Space{
-			Task: "kws", InputH: 49, InputW: 10, InputC: 1, NumClasses: 12,
-			FirstKH: 10, FirstKW: 4, FirstStride: 1,
-			PoolKH: 25, PoolKW: 5,
-			MinBlocks: 2, MaxBlocks: 8, MinC: 8, MaxC: 256,
-			strideFor: func(i, n int) int {
-				if i == 0 {
-					return 2
-				}
-				return 1
-			},
-		}, nil
+		return kwsSpace(), nil
 	case "ad":
 		// 32x32 spectrogram patches; stride 2 on the first and last two DS
 		// blocks takes 32 -> 4 for the 4x4 pool — the MicroNet-AD geometry.
@@ -67,8 +56,42 @@ func SpaceForTask(task string) (*Space, error) {
 			},
 		}, nil
 	default:
-		return nil, fmt.Errorf("search: no search space for task %q (have kws, ad)", task)
+		return nil, fmt.Errorf("core: no search space for task %q (have kws, ad)", task)
 	}
+}
+
+// kwsSpace is the KWS search space: 49x10 MFCC input; the first DS block
+// downsamples to 25x5, which the 25x5 average pool collapses — the
+// Table 5 KWS geometry.
+func kwsSpace() *Space {
+	return &Space{
+		Task: "kws", InputH: 49, InputW: 10, InputC: 1, NumClasses: 12,
+		FirstKH: 10, FirstKW: 4, FirstStride: 1,
+		PoolKH: 25, PoolKW: 5,
+		MinBlocks: 2, MaxBlocks: 8, MinC: 8, MaxC: 256,
+		strideFor: func(i, n int) int {
+			if i == 0 {
+				return 2
+			}
+			return 1
+		},
+	}
+}
+
+// Supernet returns the space's DNAS relaxation (§5.2.2, §5.2.3): a first
+// conv and blocks DS blocks at the space's strides, every width decision
+// over WidthOptions(maxC, 8, true), and exactly the stride-1 blocks
+// skippable, so every subnet keeps the spatial schedule the pool needs.
+// Discretize builds its choices through the space, so an option below
+// MinC (any maxC < 40 at MinC 8) comes back clamped to MinC.
+func (s *Space) Supernet(maxC, blocks int) SupernetConfig {
+	opts := WidthOptions(maxC, 8, true)
+	cfg := SupernetConfig{Space: s, FirstWidthOptions: opts, MaxC: maxC}
+	for i := 0; i < blocks; i++ {
+		stride := s.strideFor(i, blocks)
+		cfg.Blocks = append(cfg.Blocks, SupernetBlock{Stride: stride, WidthOptions: opts, Skippable: stride == 1})
+	}
+	return cfg
 }
 
 // clampWidth snaps a width into [MinC, MaxC] on the multiple-of-4 grid.
@@ -110,12 +133,10 @@ func (s *Space) Build(name string, widths []int) *arch.Spec {
 			OutC: s.clampWidth(widths[i+1]), Stride: s.strideFor(i, n),
 		})
 	}
-	if s.PoolKH > 0 {
-		spec.Blocks = append(spec.Blocks, arch.Block{Kind: arch.AvgPool, KH: s.PoolKH, KW: s.PoolKW, Stride: 1})
-	} else {
-		spec.Blocks = append(spec.Blocks, arch.Block{Kind: arch.GlobalPool})
-	}
-	spec.Blocks = append(spec.Blocks, arch.Block{Kind: arch.Dense, OutC: s.NumClasses})
+	spec.Blocks = append(spec.Blocks,
+		arch.Block{Kind: arch.AvgPool, KH: s.PoolKH, KW: s.PoolKW, Stride: 1},
+		arch.Block{Kind: arch.Dense, OutC: s.NumClasses},
+	)
 	return spec
 }
 
@@ -131,9 +152,9 @@ func (s *Space) Random(name string, rng *rand.Rand) *arch.Spec {
 }
 
 // Widths extracts the width vector from a spec (first conv plus DS
-// blocks), tolerating specs that did not originate from this space (e.g.
-// a DNAS-discretized architecture): unknown block kinds are skipped and
-// the result is clamped to the space's depth bounds.
+// blocks), the inverse of Build. The depth is clamped to the space's
+// bounds: a DNAS warm start with fewer than MinBlocks blocks is padded by
+// repeating its last width.
 func (s *Space) Widths(spec *arch.Spec) []int {
 	var widths []int
 	for _, b := range spec.Blocks {

@@ -22,11 +22,12 @@ func testLoop(t testing.TB, cfg SupernetConfig, n, steps int) *searchLoop {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := cfg.Space
 	batches := make([]Batch, 4)
 	for i := range batches {
-		batches[i] = Batch{X: tensor.Randn(rng, 1, n, cfg.InputH, cfg.InputW, cfg.InputC), Labels: make([]int, n)}
+		batches[i] = Batch{X: tensor.Randn(rng, 1, n, sp.InputH, sp.InputW, sp.InputC), Labels: make([]int, n)}
 		for j := range batches[i].Labels {
-			batches[i].Labels[j] = rng.Intn(cfg.NumClasses)
+			batches[i].Labels[j] = rng.Intn(sp.NumClasses)
 		}
 	}
 	batch := func(step int) Batch { return batches[step%len(batches)] }
@@ -43,13 +44,13 @@ func testLoop(t testing.TB, cfg SupernetConfig, n, steps int) *searchLoop {
 // batches of 8. The batches are random; the step's work does not depend
 // on their values.
 func nasSweepLoop(t testing.TB, steps int) *searchLoop {
-	return testLoop(t, KWSSupernetConfig(49, 10, 12, 64, 4), 8, steps)
+	return testLoop(t, kwsSpace().Supernet(64, 4), 8, steps)
 }
 
 // smallLoop is a searchLoop on a narrower, shallower KWS supernet with
 // the same ops, for tests that run it several times.
 func smallLoop(t testing.TB, steps int) *searchLoop {
-	return testLoop(t, KWSSupernetConfig(49, 10, 12, 16, 3), 4, steps)
+	return testLoop(t, kwsSpace().Supernet(16, 3), 4, steps)
 }
 
 // sameParams fails t unless the two loops' supernets hold the same

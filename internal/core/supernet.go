@@ -22,26 +22,21 @@ type SupernetBlock struct {
 	Skippable bool
 }
 
-// SupernetConfig describes a DS-CNN style supernet backbone — the search
-// space used for the KWS and AD MicroNets (§5.2.2, §5.2.3).
+// SupernetConfig describes a DS-CNN supernet: the relaxation of a Space,
+// built by Space.Supernet.
 type SupernetConfig struct {
-	Name                   string
-	Task                   string
-	InputH, InputW, InputC int
-	NumClasses             int
+	// Space is the discrete space the supernet relaxes; it fixes the
+	// input geometry, first conv kernel, pool and classifier.
+	Space *Space
 
-	// First standard convolution.
-	FirstKH, FirstKW, FirstStride int
-	FirstWidthOptions             []int
+	// FirstWidthOptions are the first conv's candidate widths.
+	FirstWidthOptions []int
 
 	// MaxC is the physical channel width of every block (the largest
 	// option); masking realizes narrower choices.
 	MaxC int
 
 	Blocks []SupernetBlock
-
-	// Final VALID average pool size; zero means global pooling.
-	PoolKH, PoolKW int
 }
 
 // Supernet is the trainable search network: shared weights at maximal
@@ -65,16 +60,17 @@ type Supernet struct {
 
 // NewSupernet builds the supernet with He-initialized shared weights.
 func NewSupernet(rng *rand.Rand, cfg SupernetConfig) (*Supernet, error) {
-	if cfg.MaxC <= 0 {
-		return nil, fmt.Errorf("core: supernet %s needs MaxC > 0", cfg.Name)
+	if cfg.Space == nil || cfg.MaxC <= 0 {
+		return nil, fmt.Errorf("core: a supernet needs a Space and MaxC > 0")
 	}
 	firstMax := cfg.FirstWidthOptions[len(cfg.FirstWidthOptions)-1]
 	if firstMax != cfg.MaxC {
 		return nil, fmt.Errorf("core: first conv max width %d must equal MaxC %d (uniform physical width)", firstMax, cfg.MaxC)
 	}
+	sp := cfg.Space
 	s := &Supernet{
 		cfg:       cfg,
-		firstConv: nn.NewConv2D(rng, "first", cfg.FirstKH, cfg.FirstKW, cfg.InputC, cfg.MaxC, cfg.FirstStride, nn.PadSame, false),
+		firstConv: nn.NewConv2D(rng, "first", sp.FirstKH, sp.FirstKW, sp.InputC, cfg.MaxC, sp.FirstStride, nn.PadSame, false),
 		firstBN:   nn.NewBatchNorm("first.bn", cfg.MaxC),
 		firstNode: NewDecisionNode("first.width", len(cfg.FirstWidthOptions)),
 	}
@@ -96,7 +92,7 @@ func NewSupernet(rng *rand.Rand, cfg SupernetConfig) (*Supernet, error) {
 		}
 	}
 	// Classifier input is the pooled MaxC vector.
-	s.fc = nn.NewDense(rng, "fc", cfg.MaxC, cfg.NumClasses, true)
+	s.fc = nn.NewDense(rng, "fc", cfg.MaxC, sp.NumClasses, true)
 	return s, nil
 }
 
@@ -153,12 +149,12 @@ func (r *Resources) WorkingMemory() *ag.Var {
 // (nil for deterministic softmax weights); tau is the relaxation
 // temperature.
 func (s *Supernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau float32) (*ag.Var, *Resources) {
-	cfg := s.cfg
+	cfg, sp := s.cfg, s.cfg.Space
 	res := &Resources{
 		ParamCount: ag.Constant(tensor.Scalar(0)),
 		OpCount:    ag.Constant(tensor.Scalar(0)),
 	}
-	h, w := cfg.InputH, cfg.InputW
+	h, w := sp.InputH, sp.InputW
 
 	// First conv.
 	zFirst := s.firstNode.Weights(rng, tau)
@@ -168,9 +164,9 @@ func (s *Supernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau float32
 	mask := channelMask(zFirst, cfg.FirstWidthOptions, cfg.MaxC)
 	y = ag.ChannelScale(y, mask)
 	ePrev := ExpectedChannels(zFirst, cfg.FirstWidthOptions)
-	oh, ow := tensor.SameOut(h, cfg.FirstStride), tensor.SameOut(w, cfg.FirstStride)
-	inElems := float32(h * w * cfg.InputC)
-	kArea := float32(cfg.FirstKH * cfg.FirstKW * cfg.InputC)
+	oh, ow := tensor.SameOut(h, sp.FirstStride), tensor.SameOut(w, sp.FirstStride)
+	inElems := float32(h * w * sp.InputC)
+	kArea := float32(sp.FirstKH * sp.FirstKW * sp.InputC)
 	res.ParamCount = ag.Add(res.ParamCount, ag.Scale(ePrev, kArea))
 	res.OpCount = ag.Add(res.OpCount, ag.Scale(ePrev, 2*float32(oh*ow)*kArea))
 	res.WorkMemTerms = append(res.WorkMemTerms,
@@ -230,46 +226,27 @@ func (s *Supernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau float32
 	}
 
 	// Final pool + classifier.
-	if cfg.PoolKH > 0 {
-		y = ag.AvgPool2D(y, tensor.ConvSpec{KH: cfg.PoolKH, KW: cfg.PoolKW, SH: 1, SW: 1})
-		y = ag.Reshape(y, y.Value.Shape[0], -1)
-	} else {
-		y = ag.GlobalAvgPool(y)
-	}
+	y = ag.AvgPool2D(y, tensor.ConvSpec{KH: sp.PoolKH, KW: sp.PoolKW, SH: 1, SW: 1})
+	y = ag.Reshape(y, y.Value.Shape[0], -1)
 	logits := s.fc.Forward(y, training)
-	fcParams := ag.Scale(ePrev, float32(cfg.NumClasses))
+	fcParams := ag.Scale(ePrev, float32(sp.NumClasses))
 	res.ParamCount = ag.Add(res.ParamCount, fcParams)
 	res.OpCount = ag.Add(res.OpCount, ag.Scale(fcParams, 2))
 	return logits, res
 }
 
 // Discretize reads the decision nodes and emits the selected architecture
-// as an arch.Spec ready for final training and deployment.
+// as an arch.Spec of the supernet's space, ready for final training and
+// deployment.
 func (s *Supernet) Discretize(name string) *arch.Spec {
-	cfg := s.cfg
-	spec := &arch.Spec{
-		Name: name, Task: cfg.Task, Source: "repro",
-		InputH: cfg.InputH, InputW: cfg.InputW, InputC: cfg.InputC,
-		NumClasses: cfg.NumClasses,
-	}
-	firstC := cfg.FirstWidthOptions[s.firstNode.ArgMax()]
-	spec.Blocks = append(spec.Blocks, arch.Block{
-		Kind: arch.Conv, KH: cfg.FirstKH, KW: cfg.FirstKW, OutC: firstC, Stride: cfg.FirstStride,
-	})
-	for i, b := range cfg.Blocks {
+	widths := []int{s.cfg.FirstWidthOptions[s.firstNode.ArgMax()]}
+	for i, b := range s.cfg.Blocks {
 		if s.depth[i] != nil && s.depth[i].ArgMax() == 1 {
 			continue // block skipped
 		}
-		c := b.WidthOptions[s.width[i].ArgMax()]
-		spec.Blocks = append(spec.Blocks, arch.Block{
-			Kind: arch.DSBlock, KH: 3, KW: 3, OutC: c, Stride: b.Stride,
-		})
+		widths = append(widths, b.WidthOptions[s.width[i].ArgMax()])
 	}
-	if cfg.PoolKH > 0 {
-		spec.Blocks = append(spec.Blocks, arch.Block{Kind: arch.AvgPool, KH: cfg.PoolKH, KW: cfg.PoolKW, Stride: 1})
-	} else {
-		spec.Blocks = append(spec.Blocks, arch.Block{Kind: arch.GlobalPool})
-	}
-	spec.Blocks = append(spec.Blocks, arch.Block{Kind: arch.Dense, OutC: cfg.NumClasses})
+	spec := s.cfg.Space.Build(name, widths)
+	spec.Source = "repro"
 	return spec
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"micronets/internal/core"
 	"micronets/internal/mcu"
 	"micronets/internal/nn"
 )
@@ -28,7 +29,7 @@ const dnasDigestFile = "testdata/dnas_warm_start.sha256"
 // discretized spec and the final loss and penalty.
 func dnasDigest(t *testing.T) string {
 	t.Helper()
-	space, err := SpaceForTask("kws")
+	space, err := core.SpaceForTask("kws")
 	if err != nil {
 		t.Fatal(err)
 	}

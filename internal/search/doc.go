@@ -3,13 +3,16 @@
 // goroutines, evaluates each one by actually lowering it through graph →
 // tflm (real greedy-planner arena bytes, not the element-count proxy) and
 // costing it with the mcu latency/energy models, and maintains a Pareto
-// frontier over (accuracy-proxy, latency, SRAM, flash). Candidates come
-// from three generators — uniform random sampling of the task's search
-// space, evolutionary mutation of frontier members of the earlier
-// generations (the search is generation-synchronous, so results are a
-// pure function of seed and trial count whatever the worker count), and
-// a DNAS-warm-started seed from the differentiable search in
-// internal/core.
+// frontier over (accuracy-proxy, latency, SRAM, flash). The search space
+// is core.SpaceForTask's; the harness owns none. Candidates come from
+// three generators — uniform random sampling of the space, evolutionary
+// mutation of frontier members of the earlier generations (the search is
+// generation-synchronous, so results are a pure function of seed and
+// trial count whatever the worker count), and a DNAS warm start: the
+// discretized architecture of the space's own supernet
+// (core.Space.Supernet), trained briefly by the differentiable search in
+// internal/core, which is a member of the space like any other
+// candidate.
 // Every evaluated trial is checkpointed as one JSONL line, so a killed
 // run resumes where it stopped, and frontier winners export as named zoo
 // specs that cmd/serve can serve immediately.

@@ -108,7 +108,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Finalists > 0 && cfg.TrainSteps <= 0 {
 		return nil, fmt.Errorf("search: Finalists %d needs TrainSteps > 0", cfg.Finalists)
 	}
-	space, err := SpaceForTask(cfg.Task)
+	space, err := core.SpaceForTask(cfg.Task)
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +395,7 @@ func sortFinalists(pts []Point) {
 // snapshot of the earlier generations (see Run), so the whole candidate
 // stream is a pure function of (Seed, trial). warm, when set, is the DNAS
 // warm-start candidate of trial 0.
-func (c *Config) runTrial(trial int, space *Space, frontier *Frontier, warm *arch.Spec) TrialRecord {
+func (c *Config) runTrial(trial int, space *core.Space, frontier *Frontier, warm *arch.Spec) TrialRecord {
 	rng := rand.New(rand.NewSource(c.Seed*1_000_003 + int64(trial)))
 	mutateRoll := rng.Float64()
 	parentPick := rng.Int63()
@@ -425,7 +425,7 @@ func (c *Config) runTrial(trial int, space *Space, frontier *Frontier, warm *arc
 // dnasWarmStart runs the differentiable search (internal/core) on the
 // task's synthetic dataset under byte-denominated constraints derived
 // from the budgets, returning the discretized architecture.
-func dnasWarmStart(cfg Config, space *Space) (*arch.Spec, error) {
+func dnasWarmStart(cfg Config, space *core.Space) (*arch.Spec, error) {
 	_, res, err := runDNAS(cfg, space)
 	if err != nil {
 		return nil, err
@@ -437,22 +437,16 @@ func dnasWarmStart(cfg Config, space *Space) (*arch.Spec, error) {
 
 // runDNAS is dnasWarmStart's search, returning the trained supernet
 // beside its result.
-func runDNAS(cfg Config, space *Space) (*core.Supernet, *core.SearchResult, error) {
-	var (
-		snCfg core.SupernetConfig
-		ds    *datasets.Dataset
-	)
-	const maxC, blocks = 64, 4
+func runDNAS(cfg Config, space *core.Space) (*core.Supernet, *core.SearchResult, error) {
+	var ds *datasets.Dataset
 	switch cfg.Task {
 	case "kws":
-		snCfg = core.KWSSupernetConfig(space.InputH, space.InputW, space.NumClasses, maxC, blocks)
 		ds = datasets.SynthKWS(datasets.KWSOptions{PerClass: 8, Seed: cfg.Seed})
 	case "ad":
-		snCfg = core.ADSupernetConfig(maxC, blocks)
 		ad := datasets.SynthAD(datasets.ADOptions{ClipsPerMachine: 8, Seed: cfg.Seed})
 		ds = ad.ClassifierDataset()
 	default:
-		return nil, nil, fmt.Errorf("search: no DNAS config for task %q", cfg.Task)
+		return nil, nil, fmt.Errorf("search: no DNAS dataset for task %q", cfg.Task)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	trainDS, valDS := ds.Split(rng, 0.3)
@@ -472,7 +466,9 @@ func runDNAS(cfg Config, space *Space) (*core.Supernet, *core.SearchResult, erro
 		return nil, nil, fmt.Errorf("budgets (%d KB SRAM, %d KB flash) are below the TFLM runtime overheads",
 			cfg.Budgets.SRAMBytes/1024, cfg.Budgets.FlashBytes/1024)
 	}
-	sn, err := core.NewSupernet(rng, snCfg)
+	// The paper's KWS supernet has nine blocks of up to 276 channels
+	// (§5.2.2); four of up to 64 keep the warm start laptop-scale.
+	sn, err := core.NewSupernet(rng, space.Supernet(64, 4))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"micronets/internal/core"
 	"micronets/internal/graph"
 	"micronets/internal/mcu"
 	"micronets/internal/tflm"
@@ -18,7 +20,7 @@ import (
 func TestSpaceRandomAndMutateValid(t *testing.T) {
 	for _, task := range []string{"kws", "ad"} {
 		t.Run(task, func(t *testing.T) {
-			space, err := SpaceForTask(task)
+			space, err := core.SpaceForTask(task)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,13 +54,13 @@ func TestSpaceRandomAndMutateValid(t *testing.T) {
 			}
 		})
 	}
-	if _, err := SpaceForTask("nope"); err == nil {
+	if _, err := core.SpaceForTask("nope"); err == nil {
 		t.Fatal("unknown task must error")
 	}
 }
 
 func TestSpaceDeterministicPerSeed(t *testing.T) {
-	space, _ := SpaceForTask("kws")
+	space, _ := core.SpaceForTask("kws")
 	a := space.Random("t", rand.New(rand.NewSource(7)))
 	b := space.Random("t", rand.New(rand.NewSource(7)))
 	if a.String() != b.String() {
@@ -272,6 +274,30 @@ func TestHarnessDNASWarmStart(t *testing.T) {
 	}
 	if res.Trials[0].Err != "" {
 		t.Fatalf("dnas candidate failed to evaluate: %s", res.Trials[0].Err)
+	}
+}
+
+// TestADWarmStartStaysInSpace: the AD DNAS warm start is a member of the
+// AD space, so mutating it keeps its pool+classifier tail.
+func TestADWarmStartStaysInSpace(t *testing.T) {
+	res, err := Run(context.Background(), Config{
+		Task: "ad", Device: mcu.F746ZG, Trials: 1, Seed: 5, DNASSteps: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := res.Trials[0]
+	if warm.Source != "dnas" {
+		t.Fatalf("trial 0 source %q, want dnas", warm.Source)
+	}
+	space, err := core.SpaceForTask("ad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := space.Build(warm.Spec.Name, space.Widths(warm.Spec))
+	back.Source = warm.Spec.Source
+	if !reflect.DeepEqual(back, warm.Spec) {
+		t.Fatalf("warm start %s is not in the AD space, which builds %s", warm.Spec, back)
 	}
 }
 

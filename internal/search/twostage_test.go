@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"micronets/internal/arch"
+	"micronets/internal/core"
 	"micronets/internal/mcu"
 	"micronets/internal/zoo"
 )
@@ -30,7 +31,7 @@ func brokenDevice() *mcu.Device {
 // the JSONL log — never score 0 s and Pareto-dominate real candidates.
 func TestLatencyModelErrorFailsTrial(t *testing.T) {
 	dev := brokenDevice()
-	space, err := SpaceForTask("kws")
+	space, err := core.SpaceForTask("kws")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestTrainerADPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := SpaceForTask("ad")
+	space, err := core.SpaceForTask("ad")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,8 @@
 # carry finalist records whose trained accuracy is non-zero and distinct
 # from the capacity proxy, and the frontier export must hold at least one
 # spec. Then a -workers 1 and a -workers 4 run must write the same trial
-# log. Used by `make search-smoke` and by
+# log, for the KWS space and for the AD space, whose DNAS warm start must
+# end in the space's average pool. Used by `make search-smoke` and by
 # serve_smoke.sh (so the CI serve-smoke job exercises the same path on
 # every push — keep the flags here in sync with nothing else).
 #
@@ -56,3 +57,15 @@ done
 cmp "$WORK/det_w1.sorted" "$WORK/det_w4.sorted"
 jq -s -e '[.[] | select(.source == "mutate")] | length >= 1' "$WORK/det_w1.jsonl" >/dev/null
 echo "determinism OK: -workers 1 and -workers 4 wrote identical trial logs ($(wc -l <"$WORK/det_w1.sorted") records)"
+
+# The AD space: the same determinism, and the DNAS warm start (trial 0)
+# lands inside the space, ending in its fixed average pool + classifier.
+for w in 1 4; do
+    go run ./cmd/search -task ad -trials 16 -seed 7 -workers "$w" -dnas-steps 5 -finalists 0 \
+        -log "$WORK/ad_w$w.jsonl" -export "" >/dev/null 2>&1
+    jq -c -s 'sort_by(.trial, .stage)[]' "$WORK/ad_w$w.jsonl" >"$WORK/ad_w$w.sorted"
+done
+cmp "$WORK/ad_w1.sorted" "$WORK/ad_w4.sorted"
+jq -s -e '[.[] | select(.source == "dnas")] | length == 1
+    and (.[0].spec.Blocks[-2:] | map(.Kind) == ["AvgPool", "Dense"])' "$WORK/ad_w1.jsonl" >/dev/null
+echo "ad determinism OK: -workers 1 and -workers 4 wrote identical trial logs, dnas warm start ends in AvgPool-Dense"
