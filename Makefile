@@ -49,10 +49,12 @@ bench-module:
 	fi
 	$(GO) test -C bench -race ./...
 
-# lint = go vet + gofmt + microvet (the repo-specific analyzer suite;
-# see docs/ANALYSIS.md).
+# lint = go vet (native, then an arm64 build, which has no assembly
+# bodies and catches one declared without its portable stub) + gofmt +
+# microvet (the repo-specific analyzer suite; see docs/ANALYSIS.md).
 lint:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; \
 	fi

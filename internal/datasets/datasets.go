@@ -154,14 +154,17 @@ func SynthKeyword(rng *rand.Rand, class int, opts KWSOptions) []float64 {
 	}
 	dur := n / 2
 	half := dur / 2
+	// Hann envelope over each of the two syllables.
+	env := make([]float64, half)
+	for i := range env {
+		env[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(half)))
+	}
 	for s := 0; s < 2; s++ {
 		segStart := start + s*half
 		// Per-utterance pitch variation.
 		pitchScale := 1 + rng.NormFloat64()*0.03
 		for i := 0; i < half; i++ {
 			t := float64(segStart+i) / 16000
-			// Hann envelope over the syllable.
-			env := 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(half)))
 			var v float64
 			for f, freq := range formants[s] {
 				amp := 1.0 / float64(f+1)
@@ -169,7 +172,7 @@ func SynthKeyword(rng *rand.Rand, class int, opts KWSOptions) []float64 {
 			}
 			idx := segStart + i
 			if idx >= 0 && idx < n {
-				sig[idx] += 0.5 * env * v
+				sig[idx] += 0.5 * env[i] * v
 			}
 		}
 	}

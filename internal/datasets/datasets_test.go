@@ -153,3 +153,12 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSynthKWS builds the dataset the nas_sweep DNAS warm start
+// trains on (PerClass 8, 96 clips): waveform synthesis on one goroutine,
+// MFCC extraction on GOMAXPROCS workers.
+func BenchmarkSynthKWS(b *testing.B) {
+	for b.Loop() {
+		SynthKWS(KWSOptions{PerClass: 8, Seed: 1})
+	}
+}

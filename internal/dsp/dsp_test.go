@@ -41,6 +41,62 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// fftRecurrence is FFT with its twiddle factors computed in the
+// butterfly loop, by the recurrence run once per block: the oracle for
+// the table in fft.
+func fftRecurrence(re, im []float64) {
+	n := len(re)
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			re[i], re[j] = re[j], re[i]
+			im[i], im[j] = im[j], im[i]
+		}
+	}
+	for length := 2; length <= n; length <<= 1 {
+		ang := -2 * math.Pi / float64(length)
+		wr, wi := math.Cos(ang), math.Sin(ang)
+		for start := 0; start < n; start += length {
+			cr, ci := 1.0, 0.0
+			half := length / 2
+			for k := 0; k < half; k++ {
+				i0, i1 := start+k, start+k+half
+				tr := re[i1]*cr - im[i1]*ci
+				ti := re[i1]*ci + im[i1]*cr
+				re[i1] = re[i0] - tr
+				im[i1] = im[i0] - ti
+				re[i0] += tr
+				im[i0] += ti
+				cr, ci = cr*wr-ci*wi, cr*wi+ci*wr
+			}
+		}
+	}
+}
+
+// TestFFTMatchesRecurrence: FFT's twiddle table gives the same bits as
+// computing the factors per block, for every size up to 4096.
+func TestFFTMatchesRecurrence(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 4096; n <<= 1 {
+		re, im := make([]float64, n), make([]float64, n)
+		for i := range re {
+			re[i], im[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		wre, wim := append([]float64(nil), re...), append([]float64(nil), im...)
+		fftRecurrence(wre, wim)
+		FFT(re, im)
+		for k := range re {
+			if math.Float64bits(re[k]) != math.Float64bits(wre[k]) || math.Float64bits(im[k]) != math.Float64bits(wim[k]) {
+				t.Fatalf("n=%d bin %d: (%v,%v), recurrence (%v,%v)", n, k, re[k], im[k], wre[k], wim[k])
+			}
+		}
+	}
+}
+
 func TestFFTPureToneBin(t *testing.T) {
 	// A pure tone at bin 8 of a 64-point FFT puts all one-sided energy there.
 	n := 64

@@ -12,6 +12,14 @@ import (
 // The per-frame pipeline below is the oracle for Extract's tables: the
 // same steps, one frame at a time, each allocating its own buffers.
 
+// FFT transforms (re, im) in place, building its own twiddle table.
+func FFT(re, im []float64) {
+	if len(re) != len(im) || len(re)&(len(re)-1) != 0 || len(re) == 0 {
+		panic(fmt.Sprintf("dsp: FFT needs equal power-of-two lengths, got %d and %d", len(re), len(im)))
+	}
+	fft(re, im, newTwiddles(len(re)))
+}
+
 // PowerSpectrum returns the one-sided power spectrum (n/2+1 bins) of a real
 // signal zero-padded to fftSize (a power of two).
 func PowerSpectrum(signal []float64, fftSize int) []float64 {

@@ -88,8 +88,8 @@ func ADConfig() FeatureConfig {
 // whole frame is dropped. Each frame is Hann-windowed, zero-padded to a
 // power of two, transformed to a one-sided power spectrum, pooled by the
 // mel filterbank, logged and (for MFCCs) reduced by an orthonormal DCT-II.
-// The window, the filterbank and the DCT cosines are tables built once
-// per call, and every frame reuses one FFT buffer.
+// The window, the FFT twiddles, the filterbank and the DCT cosines are
+// tables built once per call, and every frame reuses one FFT buffer.
 func Extract(cfg FeatureConfig, signal []float64) *tensor.Tensor {
 	if cfg.FrameLen <= 0 || cfg.Hop <= 0 {
 		panic("dsp: Extract needs positive FrameLen and Hop")
@@ -99,6 +99,7 @@ func Extract(cfg FeatureConfig, signal []float64) *tensor.Tensor {
 	for i := range window {
 		window[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(cfg.FrameLen)))
 	}
+	tw := newTwiddles(fftSize)
 	filters := melFilters(MelFilterbank(cfg.NumMel, fftSize, cfg.SampleRate, cfg.LowHz, cfg.HighHz))
 	dct := newDCT(cfg.NumMel, cfg.NumCoeffs)
 
@@ -122,7 +123,7 @@ func Extract(cfg FeatureConfig, signal []float64) *tensor.Tensor {
 		}
 		clear(re[cfg.FrameLen:])
 		clear(im)
-		FFT(re, im)
+		fft(re, im, tw)
 		for i := range ps {
 			ps[i] = re[i]*re[i] + im[i]*im[i]
 		}

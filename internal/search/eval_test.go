@@ -31,3 +31,24 @@ func BenchmarkEvaluate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTrainFinalist times one stage-two finalist training (build,
+// 60 quick-recipe steps, held-out accuracy) of a KWS spec whose widths,
+// 24/40/72, are not multiples of 64, so the float matmuls run their
+// narrow-strip paths.
+func BenchmarkTrainFinalist(b *testing.B) {
+	space, err := core.SpaceForTask("kws")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := space.Build("bench", []int{24, 40, 72})
+	tr, err := NewTrainer("kws", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, err := tr.Train(spec, 60, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -274,13 +274,13 @@ func checkDst(op string, dst *Tensor, dims ...int) {
 }
 
 // The three matmuls share one rule: every output element accumulates its
-// products for ascending reduction index p, starting from zero and
-// skipping a zero left-hand factor, through axpy. Each overwrites its
-// destination (clearing a row just before accumulating into it), so dst
-// may hold anything on entry. Above parallelGrain
-// multiply-adds a call splits its output rows across GOMAXPROCS
-// goroutines; a row's sums do not depend on the split, so the result is
-// the same bits on any core count and on either axpy body.
+// products for ascending reduction index p, starting from +0 and
+// skipping a zero left-hand factor, through panel, which holds a 64-column
+// strip of one output row in registers for the whole reduction. Each
+// overwrites its destination, so dst may hold anything on entry. From
+// twice parallelGrain multiply-adds a call splits its output rows across
+// GOMAXPROCS goroutines; a row's sums do not depend on the split, so the
+// result is the same bits on any core count and on either panel body.
 
 // MatMul writes a@b into dst [m,n] for 2-D tensors a [m,k] and b [k,n]
 // and returns dst.
@@ -316,25 +316,21 @@ func MatMulT(dst, a, b, bT *Tensor) *Tensor {
 	return dst
 }
 
-// matMul is MatMul over raw row-major data in ikj order: out row i gets
-// a[i,p]·b[p,:] for ascending p.
+// matMul is MatMul over raw row-major data: out row i gets a[i,p]·b[p,:]
+// for ascending p.
 func matMul(out, a, b []float32, m, k, n int) {
 	parallelRows(m, m*k*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			orow := out[i*n : (i+1)*n]
-			clear(orow)
-			for p, av := range a[i*k : (i+1)*k] {
-				if av != 0 {
-					Axpy(orow, av, b[p*n:(p+1)*n])
-				}
-			}
+			panels(out[i*n:(i+1)*n], a[i*k:], 1, b, n, k, false)
 		}
 	})
 }
 
 // TMatMul writes aᵀ@b into dst [m,n] for 2-D tensors a [k,m] and b [k,n]
-// and returns dst. Each chunk of output rows streams b once, row p before
-// row p+1.
+// and returns dst. Output row i reads column i of a. Each chunk of output
+// rows walks the reduction in blocks of tmatBlockBytes of b, which stay
+// in cache while every row of the chunk takes its partial sums through
+// them.
 func TMatMul(dst, a, b *Tensor) *Tensor {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: TMatMul needs 2-D operands, got %v and %v", a.Shape, b.Shape))
@@ -345,24 +341,35 @@ func TMatMul(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: TMatMul inner dims differ: %v vs %v", a.Shape, b.Shape))
 	}
 	checkDst("TMatMul", dst, m, n)
+	if k == 0 || n == 0 {
+		clear(dst.Data)
+		return dst
+	}
+	block := max(1, tmatBlockBytes/(4*n))
 	parallelRows(m, k*m*n, func(lo, hi int) {
-		clear(dst.Data[lo*n : hi*n])
-		for p := 0; p < k; p++ {
-			brow := b.Data[p*n : (p+1)*n]
-			for i, av := range a.Data[p*m+lo : p*m+hi] {
-				if av != 0 {
-					Axpy(dst.Data[(lo+i)*n:(lo+i+1)*n], av, brow)
-				}
+		for p := 0; p < k; p += block {
+			kb := min(block, k-p)
+			for i := lo; i < hi; i++ {
+				panels(dst.Data[i*n:(i+1)*n], a.Data[p*m+i:], m, b.Data[p*n:], n, kb, p > 0)
 			}
 		}
 	})
 	return dst
 }
 
+// tmatBlockBytes is the slice of b one TMatMul block reads: 64 rows of a
+// 64-column b. The block's rows of a, one cache line per step for each
+// output row's strided column, must stay cached beside it: on a 2-vCPU
+// AVX2 Xeon guest (48 KB L1) 64-row blocks ran the supernet's TMatMul
+// shapes as fast as a contiguous a, 128-row blocks 15 % slower.
+const tmatBlockBytes = 16 << 10
+
 // parallelGrain is the fewest multiply-adds one goroutine of a split
-// matmul gets: over ten microseconds of vector work, well above the cost
-// of starting the goroutine.
-const parallelGrain = 1 << 16
+// matmul gets, about 40 µs of panel work: measured at -cpu 2 on a 2-vCPU
+// AVX2 Xeon guest with 64×64 right factors, a 2-way split of 2^17
+// multiply-adds ran 1.25× slower than inline, 2^20 broke even and 2^21
+// won.
+const parallelGrain = 1 << 19
 
 // parallelRows runs fn over [0, rows) in contiguous chunks, one goroutine
 // each, at most GOMAXPROCS of them and none with less than parallelGrain

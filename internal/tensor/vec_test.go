@@ -11,13 +11,15 @@ import (
 
 // vecSpecials are the values whose arithmetic the two bodies must agree
 // on beyond ordinary numbers: signed zeros, the subnormal range, the
-// float32 extremes, infinities and a NaN.
+// float32 extremes, infinities and two NaNs with different payloads (so
+// the operand order of each instruction shows).
 var vecSpecials = []float32{
 	0, float32(math.Copysign(0, -1)), 1, -1, 0.1, -3.5,
 	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
 	math.Float32frombits(0x007fffff), // largest subnormal
 	math.MaxFloat32, -math.MaxFloat32,
 	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.Float32frombits(0xffc0abcd), // negative quiet NaN with a payload
 }
 
 // vecSeed encodes n elements of (dst, src/a, b) cycling through
@@ -69,6 +71,94 @@ func FuzzVecBodies(f *testing.F) {
 		}
 		sameBits(t, "mulAdd", goOut, asmOut)
 	})
+}
+
+// panelSeed encodes the values of a panel call, cycling through
+// vecSpecials at stride `stride`: with 64 columns every b row holds each
+// special, so zero, −0 and NaN left factors all meet Inf and NaN in b.
+func panelSeed(n, stride int) []byte {
+	raw := make([]byte, 4*n)
+	for i := range n {
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(vecSpecials[(i*stride)%len(vecSpecials)]))
+	}
+	return raw
+}
+
+// FuzzPanelBodies checks that the AVX2 and Go bodies of panel return the
+// same bits on a full 64-column strip. The floats of raw, repeated as
+// often as needed, fill out (which the first call must ignore), then a
+// (k steps at aStride), then b (k rows at bStride 64+pad). Like TMatMul,
+// each body first sums steps [0, split) from zero and then accumulates
+// steps [split, k) onto that.
+func FuzzPanelBodies(f *testing.F) {
+	for i, stride := range []int{1, 3, 5, 7} {
+		f.Add(panelSeed(len(vecSpecials)*(i+1), stride), uint8(i*9), uint8(i*4), uint8(1+i), uint8(i))
+	}
+	f.Add(panelSeed(64*3+5, 1), uint8(200), uint8(60), uint8(1), uint8(0))
+	// Laid out whole (aStride 1, bStride 64, no repeat): zero and −0 left
+	// factors over all-Inf and NaN/−Inf rows, between finite steps, so
+	// every lane's exact answer is finite; and a NaN left factor over a
+	// row of the other NaN payload.
+	negZero, nan2 := vecSpecials[1], vecSpecials[len(vecSpecials)-1]
+	inf := float32(math.Inf(1))
+	f.Add(panelCase([]float32{1, 0, negZero, 2, 0},
+		[64]float32{}, fill64(inf), fill64(float32(math.NaN()), -inf), fill64(3), fill64(nan2, inf)),
+		uint8(5), uint8(2), uint8(0), uint8(0))
+	f.Add(panelCase([]float32{float32(math.NaN())}, fill64(nan2, 1, inf)), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, k, split, aStride, pad uint8) {
+		if !haveAVX2 {
+			t.Skip("no AVX2 body on this build or CPU")
+		}
+		kk, as, bs := int(k), 1+int(aStride%8), panelWidth+int(pad%8)
+		sp := min(int(split), kk)
+		words := len(raw) / 4
+		vals := make([]float32, panelWidth+kk*as+kk*bs)
+		for i := range vals {
+			if words > 0 {
+				vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(i%words):]))
+			}
+		}
+		out0, a, b := vals[:panelWidth], vals[panelWidth:panelWidth+kk*as], vals[panelWidth+kk*as:]
+		run := func(body func(out, a []float32, aStride int, b []float32, bStride, k int, accumulate bool)) []float32 {
+			out := append([]float32(nil), out0...)
+			body(out, a, as, b, bs, sp, false)
+			if sp < kk {
+				body(out, a[sp*as:], as, b[sp*bs:], bs, kk-sp, true)
+			}
+			return out
+		}
+		asm := func(out, a []float32, aStride int, b []float32, bStride, k int, accumulate bool) {
+			if k == 0 {
+				clear(out)
+				return
+			}
+			panelAVX2(&out[0], &a[0], aStride, &b[0], bStride, k, accumulate)
+		}
+		sameBits(t, fmt.Sprintf("panel k=%d split=%d aStride=%d bStride=%d", kk, sp, as, bs),
+			run(panelGo), run(asm))
+	})
+}
+
+// panelCase lays out one FuzzPanelBodies input exactly: a zero out, the
+// left factors a, then one 64-wide b row per factor.
+func panelCase(a []float32, rows ...[64]float32) []byte {
+	vals := append(make([]float32, panelWidth), a...)
+	for _, r := range rows {
+		vals = append(vals, r[:]...)
+	}
+	raw := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
+	}
+	return raw
+}
+
+// fill64 repeats vs across a 64-wide row.
+func fill64(vs ...float32) (r [64]float32) {
+	for j := range r {
+		r[j] = vs[j%len(vs)]
+	}
+	return r
 }
 
 func sameBits(t *testing.T, op string, want, got []float32) {
@@ -125,7 +215,16 @@ func randSparse(rng *rand.Rand, shape ...int) *Tensor {
 func TestMatMulsMatchNaiveOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type shape struct{ m, k, n int }
-	shapes := []shape{{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {520, 40, 64}, {130, 64, 67}}
+	shapes := []shape{{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {520, 40, 64}, {1100, 40, 64}, {130, 64, 67}}
+	// The panel's edges: one output row whose width ends just before, at
+	// and after a 64-column strip, and TMatMul reductions around its
+	// 64-row block (n = 64) and two and four blocks.
+	for _, n := range []int{63, 64, 65, 128, 129} {
+		shapes = append(shapes, shape{1, 37, n})
+	}
+	for _, k := range []int{63, 64, 65, 127, 128, 129, 257} {
+		shapes = append(shapes, shape{5, k, 64}, shape{3, k, 65})
+	}
 	for range 24 {
 		shapes = append(shapes, shape{1 + rng.Intn(70), 1 + rng.Intn(70), 1 + rng.Intn(70)})
 	}
