@@ -13,6 +13,7 @@
 //	                                        # budget skipped (boot) or 409'd (admin)
 //	serve -specs frontier.json              # also serve cmd/search exports; push
 //	                                        # later ones with cmd/search -publish
+//	serve -specs f.json -models NAS-kws-S-017,DSCNN-S  # a file spec and a catalogue model
 //	serve -no-admin                         # freeze the model and graph sets at boot
 //	serve -debug-addr 127.0.0.1:6060        # net/http/pprof on a separate listener
 //
@@ -37,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -45,15 +47,15 @@ import (
 	"strings"
 	"syscall"
 
-	"micronets"
+	"micronets/internal/arch"
 	"micronets/internal/serve"
 	"micronets/internal/zoo"
 )
 
 func main() {
 	addr := flag.String("addr", ":8151", "listen address")
-	models := flag.String("models", "all", "comma-separated zoo models to load at boot, or 'all' for every servable model")
-	specs := flag.String("specs", "", "comma-separated spec files (cmd/search -export output) to register into the zoo before loading")
+	models := flag.String("models", "all", "comma-separated models to load at boot, each a -specs spec or a zoo name, or 'all' for every servable zoo model and every -specs spec")
+	specs := flag.String("specs", "", "comma-separated spec files (cmd/search -export output) whose specs this server may load at boot: all of them with -models all, or those -models names")
 	ramBudget := flag.String("ram-budget", "0", "RAM budget for planned arenas across all models (e.g. 320KB to emulate DeviceM; 0 = unbudgeted)")
 	noAdmin := flag.Bool("no-admin", false, "disable the /v2/repository and graph-mutation control-plane endpoints")
 	pool := flag.Int("pool", 2, "desired interpreters per model (a RAM budget may scale this down)")
@@ -77,26 +79,22 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Register searched architectures first so "all" (and explicit -models
-	// lists) can include freshly exported frontier winners.
-	for _, path := range splitList(*specs) {
-		loaded, err := zoo.RegisterSpecFile(path)
-		if err != nil {
-			logger.Error("loading spec file failed", "path", path, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("registered searched models", "path", path, "models", len(loaded))
+	fileSpecs, err := readSpecFiles(splitList(*specs))
+	if err != nil {
+		logger.Error("loading spec files failed", "err", err)
+		os.Exit(1)
+	}
+	// "all" is a nil list to the server: the whole catalogue, then every
+	// file spec, best-effort under -ram-budget (unfittable models are
+	// skipped with a warning). A curated -models list must load in full.
+	var boot []string
+	names := splitList(*models)
+	bestEffort := *models == "all" || len(names) == 0
+	if !bestEffort {
+		boot, fileSpecs = resolve(names, fileSpecs)
 	}
 
-	// "all" is an empty list to the server: the whole catalogue,
-	// best-effort under -ram-budget (unfittable models are skipped with a
-	// warning). A curated -models list must load in full.
-	var names []string
-	if *models != "all" {
-		names = splitList(*models)
-	}
-
-	deploy := micronets.DeployOptions{
+	deploy := serve.ModelOptions{
 		WeightBits:    *weightBits,
 		ActBits:       *actBits,
 		Seed:          *seed,
@@ -124,20 +122,80 @@ func main() {
 		}()
 	}
 
-	err = micronets.Serve(ctx, micronets.ServeOptions{
-		Addr:           *addr,
-		Models:         names,
+	srv, err := serve.New(serve.Config{
+		Models:         boot,
+		Options:        deploy,
 		PoolSize:       *pool,
 		RAMBudgetBytes: budgetBytes,
 		DisableAdmin:   *noAdmin,
 		Logger:         logger,
-		Deploy:         deploy,
 	})
+	if err != nil {
+		logger.Error("serve failed", "err", err)
+		os.Exit(1)
+	}
+	for _, spec := range fileSpecs {
+		if _, err := srv.Repository().Load(spec, deploy); err != nil {
+			var be *serve.BudgetError
+			if bestEffort && errors.As(err, &be) {
+				logger.Warn("skipping model over RAM budget", "model", spec.Name,
+					"needed_bytes", be.NeededBytes, "budget_bytes", be.BudgetBytes,
+					"planned_bytes", be.PlannedBytes)
+				continue
+			}
+			srv.Close()
+			logger.Error("loading a -specs model failed", "model", spec.Name, "err", err)
+			os.Exit(1)
+		}
+	}
+	err = srv.ListenAndServe(ctx, *addr)
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("serve failed", "err", err)
 		os.Exit(1)
 	}
 	logger.Info("drained, exiting")
+}
+
+// readSpecFiles reads every -specs file and returns their specs in file
+// order. A spec may not take a catalogue model's name, and no two files
+// may define one name: the error names both files.
+func readSpecFiles(paths []string) ([]*arch.Spec, error) {
+	var specs []*arch.Spec
+	from := map[string]string{}
+	for _, path := range paths {
+		f, err := zoo.OpenSpecFile(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range f.Specs {
+			if prev, dup := from[s.Name]; dup {
+				return nil, fmt.Errorf("%s and %s both define %q", prev, path, s.Name)
+			}
+			from[s.Name] = path
+			specs = append(specs, s)
+		}
+	}
+	return specs, nil
+}
+
+// resolve splits a curated -models list: a name resolves to a file spec
+// first and to the catalogue otherwise. It returns the catalogue names to
+// boot (non-nil, so an all-file list boots no catalogue model) and the
+// listed file specs, in list order.
+func resolve(names []string, fileSpecs []*arch.Spec) (boot []string, listed []*arch.Spec) {
+	byName := make(map[string]*arch.Spec, len(fileSpecs))
+	for _, s := range fileSpecs {
+		byName[s.Name] = s
+	}
+	boot = []string{}
+	for _, n := range names {
+		if s, ok := byName[n]; ok {
+			listed = append(listed, s)
+		} else {
+			boot = append(boot, n)
+		}
+	}
+	return boot, listed
 }
 
 func splitList(s string) []string {

@@ -190,8 +190,8 @@ func TestParetoFrontInvariants(t *testing.T) {
 			if a.Name == b.Name {
 				continue
 			}
-			if cost(a) <= cost(b) && a.PaperAcc >= b.PaperAcc &&
-				(cost(a) < cost(b) || a.PaperAcc > b.PaperAcc) {
+			if cost(a) <= cost(b) && a.Paper.Accuracy >= b.Paper.Accuracy &&
+				(cost(a) < cost(b) || a.Paper.Accuracy > b.Paper.Accuracy) {
 				t.Fatalf("front point %s dominates front point %s", a.Name, b.Name)
 			}
 		}
@@ -221,6 +221,29 @@ func TestRenderersProduceOutput(t *testing.T) {
 			t.Fatalf("renderer output too short: %q", out)
 		}
 	}
+
+	// Table 4 carries the paper's own system metrics beside ours: the
+	// header names the p-columns, and MicroNet-KWS-L's row holds its
+	// published 612 KB flash, 208.8 KB SRAM, 129 MOps and 0.610 s on M.
+	out, err := Table4(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(out, "\n")
+	for _, col := range []string{"pFlash", "pSRAM", "pMops", "pLatS", "pLatM", "pLatL"} {
+		if !strings.Contains(lines[1], col) {
+			t.Errorf("Table4 header lacks %s: %s", col, lines[1])
+		}
+	}
+	for _, line := range lines {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "MicroNet-KWS-L" {
+			if len(f) != 17 || f[4] != "612.0" || f[6] != "208.8" || f[8] != "129.0" || f[12] != "0.610" {
+				t.Errorf("Table4 MicroNet-KWS-L row lacks the paper's numbers: %q", line)
+			}
+			return
+		}
+	}
+	t.Error("Table4 has no MicroNet-KWS-L row")
 }
 
 func TestTable3ConvAENotDeployable(t *testing.T) {

@@ -26,12 +26,12 @@ func zooSpec(name string) (*arch.Spec, error) {
 
 // Measured is one model's simulated deployment measurement across devices.
 type Measured struct {
-	Name     string
-	Task     string
-	PaperAcc float64 // paper-reported accuracy/AUC (provenance: Table 4)
-	MOps     float64
-	FlashKB  float64
-	SRAMKB   float64
+	Name    string
+	Task    string
+	Paper   zoo.PaperStats // the paper's published numbers (Table 4)
+	MOps    float64
+	FlashKB float64
+	SRAMKB  float64
 	// Latency/energy per device class; NaN-equivalent 0 when not deployable.
 	LatS, LatM, LatL                      float64
 	EnergyS, EnergyM                      float64
@@ -45,17 +45,16 @@ type Measured struct {
 func MeasureZoo(task string, seed int64) ([]Measured, error) {
 	var out []Measured
 	for _, e := range zoo.ByTask(task) {
-		m := Measured{Name: e.Name, Task: e.Task, PaperAcc: e.Paper.Accuracy, Notes: e.Notes}
+		m := Measured{Name: e.Name, Task: e.Task, Paper: e.Paper, Notes: e.Notes}
 		if e.Spec == nil {
 			m.MOps = e.Paper.MOps
 			m.FlashKB = e.Paper.FlashKB
 			m.SRAMKB = e.Paper.SRAMKB
 			m.LatS, m.LatM, m.LatL = e.Paper.LatS, e.Paper.LatM, e.Paper.LatL
 			m.Notes = strings.TrimSpace("paper numbers; " + e.Notes)
-			// Deployability from published SRAM/flash.
-			m.DeployableS = e.Paper.SRAMKB < 120 && e.Paper.FlashKB < 437
-			m.DeployableM = e.Paper.SRAMKB < 312 && e.Paper.FlashKB < 949
-			m.DeployableL = e.Paper.SRAMKB < 504 && e.Paper.FlashKB < 1973
+			m.DeployableS = paperFits(e.Paper, mcu.F446RE)
+			m.DeployableM = paperFits(e.Paper, mcu.F746ZG)
+			m.DeployableL = paperFits(e.Paper, mcu.F767ZI)
 			out = append(out, m)
 			continue
 		}
@@ -102,6 +101,15 @@ func MeasureZoo(task string, seed int64) ([]Measured, error) {
 	return out, nil
 }
 
+// paperFits judges a stats-only entry by its published SRAM and flash:
+// they must fit what the device leaves beside the TFLM runtime's own
+// memory (tflm.MemoryReport's fixed rows).
+func paperFits(p zoo.PaperStats, dev *mcu.Device) bool {
+	sramKB := float64(dev.SRAMBytes()-tflm.InterpreterSRAMBytes-tflm.OtherSRAMBytes) / 1024
+	flashKB := float64(dev.FlashBytes()-tflm.RuntimeCodeFlashBytes-tflm.OtherFlashBytes) / 1024
+	return p.SRAMKB < sramKB && p.FlashKB < flashKB
+}
+
 // ParetoFront returns the subset of points not dominated on (cost, value):
 // a point is dominated if another has cost <= and value >= with one strict.
 // Points with zero cost (not deployable) are excluded.
@@ -119,8 +127,8 @@ func ParetoFront(pts []Measured, cost func(Measured) float64) []Measured {
 			if q.Name == p.Name {
 				continue
 			}
-			if cost(q) <= cost(p) && q.PaperAcc >= p.PaperAcc &&
-				(cost(q) < cost(p) || q.PaperAcc > p.PaperAcc) {
+			if cost(q) <= cost(p) && q.Paper.Accuracy >= p.Paper.Accuracy &&
+				(cost(q) < cost(p) || q.Paper.Accuracy > p.Paper.Accuracy) {
 				dominated = true
 				break
 			}
@@ -208,7 +216,7 @@ func RenderPareto(task string, seed int64) (string, error) {
 			tags = append(tags, "flash")
 		}
 		fmt.Fprintf(&b, "%-22s %7.2f %9.3f %9.1f %9.1f %6v %6v %6v  %s\n",
-			m.Name, m.PaperAcc, m.LatM, m.SRAMKB, m.FlashKB,
+			m.Name, m.Paper.Accuracy, m.LatM, m.SRAMKB, m.FlashKB,
 			m.DeployableS, m.DeployableM, m.DeployableL, strings.Join(tags, ","))
 	}
 	return b.String(), nil
@@ -227,7 +235,7 @@ func Figure11(seed int64) (string, error) {
 		if !strings.HasPrefix(m.Name, "MicroNet-KWS") && !strings.HasPrefix(m.Name, "DSCNN") {
 			continue
 		}
-		fmt.Fprintf(&b, "%-22s %7.2f %10.0f %10.1f\n", m.Name, m.PaperAcc, m.LatM*1000, m.SRAMKB)
+		fmt.Fprintf(&b, "%-22s %7.2f %10.0f %10.1f\n", m.Name, m.Paper.Accuracy, m.LatM*1000, m.SRAMKB)
 	}
 	for _, p := range zoo.MCUNetKWS() {
 		fmt.Fprintf(&b, "%-22s %7.2f %10.0f %10.1f\n", p.Name, p.Accuracy, p.LatencyMS, p.SRAMKB)
@@ -315,17 +323,20 @@ func Table3(seed int64) (string, error) {
 			up = fmt.Sprintf("%.1f", lat/stride(m.Name)*100)
 		}
 		fmt.Fprintf(&b, "%-22s %8.2f %9.1f %10.1f %9.1f %10s %8s\n",
-			m.Name, m.PaperAcc, m.MOps, m.FlashKB, m.SRAMKB, up, target)
+			m.Name, m.Paper.Accuracy, m.MOps, m.FlashKB, m.SRAMKB, up, target)
 	}
 	return b.String(), nil
 }
 
-// Table4 renders the full results table across tasks.
+// Table4 renders the full results table across tasks, each simulated
+// system metric beside the paper's own (the p-columns; "-" where the
+// paper reports none).
 func Table4(seed int64) (string, error) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 4: full results (accuracy: paper; all system metrics: simulated)\n")
-	fmt.Fprintf(&b, "%-22s %-5s %7s %9s %9s %8s %8s %8s %8s %9s %9s\n",
-		"model", "task", "acc%", "flashKB", "sramKB", "Mops", "latS", "latM", "latL", "engS(mJ)", "engM(mJ)")
+	fmt.Fprintf(&b, "Table 4: full results (accuracy and p-columns: paper; other system metrics: simulated)\n")
+	fmt.Fprintf(&b, "%-22s %-5s %7s %9s %9s %9s %9s %8s %8s %8s %8s %8s %8s %8s %8s %9s %9s\n",
+		"model", "task", "acc%", "flashKB", "pFlash", "sramKB", "pSRAM", "Mops", "pMops",
+		"latS", "pLatS", "latM", "pLatM", "latL", "pLatL", "engS(mJ)", "engM(mJ)")
 	for _, task := range []string{"kws", "vww", "ad"} {
 		ms, err := MeasureZoo(task, seed)
 		if err != nil {
@@ -344,9 +355,10 @@ func Table4(seed int64) (string, error) {
 				}
 				return fmt.Sprintf("%.1f", v)
 			}
-			fmt.Fprintf(&b, "%-22s %-5s %7.2f %9.1f %9.1f %8.1f %8s %8s %8s %9s %9s\n",
-				m.Name, m.Task, m.PaperAcc, m.FlashKB, m.SRAMKB, m.MOps,
-				f(m.LatS), f(m.LatM), f(m.LatL), fe(m.EnergyS), fe(m.EnergyM))
+			p := m.Paper
+			fmt.Fprintf(&b, "%-22s %-5s %7.2f %9.1f %9s %9.1f %9s %8s %8s %8s %8s %8s %8s %8s %8s %9s %9s\n",
+				m.Name, m.Task, p.Accuracy, m.FlashKB, fe(p.FlashKB), m.SRAMKB, fe(p.SRAMKB), fe(m.MOps), fe(p.MOps),
+				f(m.LatS), f(p.LatS), f(m.LatM), f(p.LatM), f(m.LatL), f(p.LatL), fe(m.EnergyS), fe(m.EnergyM))
 		}
 	}
 	return b.String(), nil

@@ -14,8 +14,8 @@
 // internal/core, which is a member of the space like any other
 // candidate.
 // Every evaluated trial is checkpointed as one JSONL line, so a killed
-// run resumes where it stopped, and frontier winners export as named zoo
-// specs that cmd/serve can serve immediately.
+// run resumes where it stopped, and frontier winners export as a spec
+// file of named specs that a server can load and serve immediately.
 //
 // The search is two-stage: the capacity proxy ranks the broad sweep, and
 // then Config.Finalists frontier points are re-ranked by accuracy in the
@@ -25,7 +25,7 @@
 // proxy, checkpointed as StageFinalist JSONL lines, and used as the
 // accuracy axis of the frontier dominance ordering among finalists. This
 // closes the paper's loop (§5): search under deployment constraints,
-// measured on the target, trained for real, feeding the model zoo.
+// measured on the target, trained for real, feeding the serving tier.
 //
 // Beyond single models, ExportCascade turns a searched frontier into a
 // servable early-exit cascade graph (see internal/servegraph): the

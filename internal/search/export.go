@@ -10,17 +10,18 @@ import (
 	"micronets/internal/zoo"
 )
 
-// ExportName is the zoo name a frontier point exports under: the prefix
+// ExportName is the name a frontier point exports under: the prefix
 // (typically "NAS-<task>-<deviceclass>") plus the trial index.
 func ExportName(prefix string, p Point) string {
 	return fmt.Sprintf("%s-%03d", prefix, p.Trial)
 }
 
-// ExportFrontier publishes every frontier point into the zoo under
-// ExportName and returns the spec file that makes the export durable.
-// Each exported spec is a copy — the trial log keeps the original names —
-// and carries a note summarizing the metrics it was selected on, so
-// `cmd/serve -specs` and a human reading the file see the same story.
+// ExportFrontier builds the spec file of every frontier point under
+// ExportName; a server loads it with `cmd/serve -specs`, a spec_file load
+// or PublishFrontier. Each exported spec is a copy — the trial log keeps
+// the original names — and carries a note summarizing the metrics it was
+// selected on, so the server's operator and a human reading the file see
+// the same story.
 func ExportFrontier(points []Point, prefix, generatedBy string) (*zoo.SpecFile, []string, error) {
 	file := &zoo.SpecFile{GeneratedBy: generatedBy, Notes: map[string]string{}}
 	var names []string
@@ -41,9 +42,6 @@ func ExportFrontier(points []Point, prefix, generatedBy string) (*zoo.SpecFile, 
 			p.Source, p.Metrics.AccuracyProxy, trained, p.Metrics.LatencyS*1e3,
 			float64(p.Metrics.TotalSRAMBytes)/1024, float64(p.Metrics.TotalFlashBytes)/1024,
 			float64(p.Metrics.Ops)/1e6)
-		if err := zoo.Register(&zoo.Entry{Name: spec.Name, Task: spec.Task, Spec: &spec, Notes: note}); err != nil {
-			return nil, nil, err
-		}
 		file.Specs = append(file.Specs, &spec)
 		file.Notes[spec.Name] = note
 		names = append(names, spec.Name)

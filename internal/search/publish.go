@@ -18,9 +18,10 @@ import (
 // running cmd/serve instance through its /v2/repository control plane —
 // the "search publishes straight to production" half of the continuous
 // search→serve loop. Each spec is sent inline in the load body, so the
-// server needs no shared filesystem; the server registers it into its
-// zoo and blue/green swaps it live. Returns the names loaded so far; on
-// error, the returned slice tells the caller which models DID make it.
+// server needs no shared filesystem; the server loads it into its own
+// repository (a blue/green swap when the name is live) and keeps it there
+// only. Returns the names loaded so far; on error, the returned slice
+// tells the caller which models DID make it.
 func PublishFrontier(ctx context.Context, baseURL string, file *zoo.SpecFile) ([]string, error) {
 	if file == nil || len(file.Specs) == 0 {
 		return nil, fmt.Errorf("search: nothing to publish")

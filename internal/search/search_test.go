@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -407,7 +408,10 @@ func TestReadTrialLogTornLine(t *testing.T) {
 	}
 }
 
-func TestExportFrontierRegistersInZoo(t *testing.T) {
+// TestExportFrontierBuildsSpecFile: the export is a spec file of renamed
+// copies with their notes, which reads back whole; nothing joins the
+// zoo's catalogue.
+func TestExportFrontierBuildsSpecFile(t *testing.T) {
 	res, err := Run(context.Background(), Config{
 		Task: "kws", Device: mcu.F446RE, Trials: 8, Seed: 21,
 	})
@@ -422,33 +426,26 @@ func TestExportFrontierRegistersInZoo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, n := range names {
-			zoo.Unregister(n)
-		}
-	})
 	if len(names) != len(pts) || len(file.Specs) != len(pts) {
 		t.Fatalf("exported %d specs for %d points", len(file.Specs), len(pts))
 	}
-	for _, n := range names {
-		e, err := zoo.Get(n)
-		if err != nil {
-			t.Fatalf("exported model %s not in zoo: %v", n, err)
+	for i, n := range names {
+		if s := file.Specs[i]; s.Name != n || s.Source != "search" || pts[i].Record.Spec.Name == n {
+			t.Fatalf("spec %d is %s (source %s), want a renamed copy %s", i, s.Name, s.Source, n)
 		}
-		if e.Notes == "" || !strings.Contains(e.Notes, "frontier") {
-			t.Fatalf("exported model %s lacks a frontier note: %q", n, e.Notes)
+		if note := file.Notes[n]; !strings.Contains(note, "frontier") {
+			t.Fatalf("exported model %s lacks a frontier note: %q", n, note)
+		}
+		if _, err := zoo.Get(n); err == nil {
+			t.Fatalf("exporting %s added it to the zoo's catalogue", n)
 		}
 	}
-	// Exported names must be servable (the serving registry filters on
-	// ServableNames).
-	servable := map[string]bool{}
-	for _, n := range zoo.ServableNames() {
-		servable[n] = true
+	var buf bytes.Buffer
+	if err := zoo.WriteSpecFile(&buf, file); err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range names {
-		if !servable[n] {
-			t.Fatalf("exported model %s not servable", n)
-		}
+	if back, err := zoo.ReadSpecFile(&buf); err != nil || len(back.Specs) != len(names) {
+		t.Fatalf("exported file reads back with %v", err)
 	}
 }
 

@@ -10,13 +10,12 @@ import (
 
 	"micronets/internal/mcu"
 	"micronets/internal/serve"
-	"micronets/internal/zoo"
 )
 
-// TestExportedFrontierModelServes proves the search → zoo → serving loop
-// end to end in-process: a frontier winner exported by the harness is
-// loaded by the serving registry under its exported name and answers a
-// live /v2/models/{name}/infer request.
+// TestExportedFrontierModelServes proves the search → serving loop end
+// to end in-process: a frontier winner exported by the harness is loaded
+// into a server's repository under its exported name and answers a live
+// /v2/models/{name}/infer request.
 func TestExportedFrontierModelServes(t *testing.T) {
 	res, err := Run(context.Background(), Config{
 		Task: "kws", Device: mcu.F446RE, Trials: 8, Seed: 77,
@@ -28,39 +27,31 @@ func TestExportedFrontierModelServes(t *testing.T) {
 	if len(pts) == 0 {
 		t.Fatal("empty frontier")
 	}
-	_, names, err := ExportFrontier(pts, "NAS-serve-kws-S", "search_test")
+	file, names, err := ExportFrontier(pts, "NAS-serve-kws-S", "search_test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, n := range names {
-			zoo.Unregister(n)
-		}
-	})
 
-	srv, err := serve.New(serve.Config{
-		Models:   names[:1],
-		Options:  serve.ModelOptions{AppendSoftmax: true},
-		PoolSize: 1,
-	})
+	opts := serve.ModelOptions{AppendSoftmax: true}
+	srv, err := serve.New(serve.Config{Models: []string{}, Options: opts, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	spec := file.Specs[0]
+	if _, err := srv.Repository().Load(spec, opts); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	e, err := zoo.Get(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	elems := e.Spec.InputH * e.Spec.InputW * e.Spec.InputC
+	elems := spec.InputH * spec.InputW * spec.InputC
 	data := make([]string, elems)
 	for i := range data {
 		data[i] = "0.25"
 	}
 	body := fmt.Sprintf(`{"inputs":[{"name":"input","shape":[%d,%d,%d],"datatype":"FP32","data":[%s]}]}`,
-		e.Spec.InputH, e.Spec.InputW, e.Spec.InputC, strings.Join(data, ","))
+		spec.InputH, spec.InputW, spec.InputC, strings.Join(data, ","))
 	resp, err := ts.Client().Post(ts.URL+"/v2/models/"+names[0]+"/infer", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +75,12 @@ func TestExportedFrontierModelServes(t *testing.T) {
 	}
 	gotScores := false
 	for _, o := range out.Outputs {
-		if o.Name == "scores" && len(o.Data) == e.Spec.NumClasses {
+		if o.Name == "scores" && len(o.Data) == spec.NumClasses {
 			gotScores = true
 		}
 	}
 	if !gotScores {
-		t.Fatalf("no %d-way scores tensor in response: %+v", e.Spec.NumClasses, out.Outputs)
+		t.Fatalf("no %d-way scores tensor in response: %+v", spec.NumClasses, out.Outputs)
 	}
 }
 
@@ -108,19 +99,9 @@ func TestPublishFrontierHotLoads(t *testing.T) {
 	if len(pts) == 0 {
 		t.Fatal("empty frontier")
 	}
-	file, names, err := ExportFrontier(SpreadPoints(pts, 2), "NAS-publish-kws-S", "publish_test")
+	file, _, err := ExportFrontier(SpreadPoints(pts, 2), "NAS-publish-kws-S", "publish_test")
 	if err != nil {
 		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, n := range names {
-			zoo.Unregister(n)
-		}
-	})
-	// ExportFrontier registers the names into this process's zoo; drop
-	// them first so the server genuinely learns them from the publish.
-	for _, n := range names {
-		zoo.Unregister(n)
 	}
 
 	srv, err := serve.New(serve.Config{
@@ -143,12 +124,9 @@ func TestPublishFrontierHotLoads(t *testing.T) {
 		t.Fatalf("published %d of %d models", len(loaded), len(file.Specs))
 	}
 
-	for _, name := range loaded {
-		e, err := zoo.Get(name)
-		if err != nil {
-			t.Fatalf("published model %s not registered server-side: %v", name, err)
-		}
-		elems := e.Spec.InputH * e.Spec.InputW * e.Spec.InputC
+	for i, name := range loaded {
+		spec := file.Specs[i]
+		elems := spec.InputH * spec.InputW * spec.InputC
 		data := make([]string, elems)
 		for i := range data {
 			data[i] = "0.1"

@@ -11,7 +11,6 @@ import (
 	"micronets/internal/arch"
 	"micronets/internal/core"
 	"micronets/internal/mcu"
-	"micronets/internal/zoo"
 )
 
 // brokenDevice returns a device the latency model cannot score (no clock
@@ -154,11 +153,6 @@ func TestTwoStageFinalistsTrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for name := range file.Notes {
-			zoo.Unregister(name)
-		}
-	})
 	for name, note := range file.Notes {
 		if !strings.Contains(note, "trained") {
 			t.Fatalf("exported finalist %s note lacks trained accuracy: %q", name, note)

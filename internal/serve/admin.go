@@ -16,10 +16,11 @@ import (
 
 // repoLoadRequest is the body of POST /v2/repository/models/{name}/load.
 // All fields are optional: an empty body loads {name} from the zoo
-// catalogue (including previously registered search exports).
+// catalogue. A spec that arrives in the body or a spec file is loaded
+// into this server's repository only; nothing outlives the load.
 type repoLoadRequest struct {
-	// SpecFile is a server-local spec file (cmd/search -export output) to
-	// register before loading {name} from it.
+	// SpecFile is a server-local spec file (cmd/search -export output);
+	// the whole file is validated, then its spec named {name} is loaded.
 	SpecFile string `json:"spec_file,omitempty"`
 	// Spec is a complete inline architecture, the no-shared-filesystem
 	// publish path (cmd/search -publish). Its name must match the URL.
@@ -133,83 +134,58 @@ func (s *Server) handleRepoLoad(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if req.Spec != nil {
-		if req.Spec.Name != name {
+	spec, source := req.Spec, "inline-spec"
+	switch {
+	case spec != nil:
+		if spec.Name != name {
 			writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
-				"inline spec is named %q, URL says %q", req.Spec.Name, name)})
+				"inline spec is named %q, URL says %q", spec.Name, name)})
 			return
 		}
-		// Register the publication, load, and — on failure — roll the
-		// catalogue back to its snapshot, under the publish lock: a load
-		// rejected by the budget must leave the zoo exactly as it was,
-		// and a concurrent successful publish of the same name must never
-		// be undone by a failing one.
-		s.publishMu.Lock()
-		defer s.publishMu.Unlock()
-		entry := &zoo.Entry{Name: name, Task: req.Spec.Task, Spec: req.Spec,
-			Notes: "published via /v2/repository"}
-		prev := zooEntryFor(name)
-		if err := zoo.Register(entry); err != nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
+		if _, err := zoo.Get(name); err == nil {
+			writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
+				"inline spec may not take the catalogue model name %q", name)})
 			return
 		}
-		st, err := s.repo.Load(req.Spec, opts)
+	case req.SpecFile != "":
+		f, err := zoo.OpenSpecFile(req.SpecFile)
 		if err != nil {
-			// Roll back only if the entry is still ours — a concurrent
-			// spec-file load may have re-registered the name meanwhile,
-			// and its registration must survive our failure.
-			if cur := zooEntryFor(name); cur != nil && cur.Spec == req.Spec {
-				if prev != nil {
-					_ = zoo.Register(prev) //microvet:ignore droppederr rollback restores a spec that registered before; failure would just repeat the error already being returned
-				} else {
-					zoo.Unregister(name)
-				}
-			}
-			writeRepoError(w, err)
-			return
-		}
-		s.log.Info("model load", "model", name, "version", st.Version,
-			"source", "inline-spec", "trace", obs.TraceIDFrom(r.Context()))
-		writeJSON(w, http.StatusOK, st)
-		return
-	}
-
-	if req.SpecFile != "" {
-		if _, err := zoo.RegisterSpecFile(req.SpecFile); err != nil {
 			writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
 			return
 		}
+		for _, fs := range f.Specs {
+			if fs.Name == name {
+				spec = fs
+				break
+			}
+		}
+		if spec == nil {
+			writeJSON(w, http.StatusNotFound, v2Error{Error: fmt.Sprintf(
+				"spec file %s has no spec named %q", req.SpecFile, name)})
+			return
+		}
+		source = "spec-file"
+	default:
+		e, err := zoo.Get(name)
+		if err != nil {
+			writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
+			return
+		}
+		if e.Spec == nil {
+			writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
+				"%s is a stats-only comparison point (no public architecture)", name)})
+			return
+		}
+		spec, source = e.Spec, "catalogue"
 	}
-	e, err := zoo.Get(name)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
-		return
-	}
-	if e.Spec == nil {
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
-			"%s is a stats-only comparison point (no public architecture)", name)})
-		return
-	}
-	st, err := s.repo.Load(e.Spec, opts)
+	st, err := s.repo.Load(spec, opts)
 	if err != nil {
 		writeRepoError(w, err)
 		return
 	}
 	s.log.Info("model load", "model", name, "version", st.Version,
-		"source", "catalogue", "trace", obs.TraceIDFrom(r.Context()))
+		"source", source, "trace", obs.TraceIDFrom(r.Context()))
 	writeJSON(w, http.StatusOK, st)
-}
-
-// zooEntryFor snapshots the current catalogue entry for a name (nil when
-// absent or stats-only), for rolling back a failed inline publish. A
-// built-in entry never reaches the rollback: registering over it fails
-// before any load is attempted.
-func zooEntryFor(name string) *zoo.Entry {
-	e, err := zoo.Get(name)
-	if err != nil || e.Spec == nil {
-		return nil
-	}
-	return e
 }
 
 func (s *Server) handleRepoUnload(w http.ResponseWriter, r *http.Request) {

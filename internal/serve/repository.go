@@ -436,8 +436,8 @@ func (r *Repository) Swap(spec *arch.Spec, opts ModelOptions) (ModelStatus, erro
 	return r.load(spec, opts, true)
 }
 
-// LoadZoo loads a catalogue (or runtime-registered) model by name under
-// opts.
+// LoadZoo loads a model of the zoo's fixed catalogue by name under opts.
+// A spec from outside the catalogue (a search export) goes through Load.
 func (r *Repository) LoadZoo(name string, opts ModelOptions) (ModelStatus, error) {
 	e, err := zoo.Get(name)
 	if err != nil {

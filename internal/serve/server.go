@@ -23,8 +23,9 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Models are the zoo names to load at boot; any of them failing to
-	// load fails New. Empty means the full servable catalogue, best-effort:
-	// models that do not fit the RAM budget are skipped with a warning.
+	// load fails New. Nil means the full servable catalogue, best-effort:
+	// models that do not fit the RAM budget are skipped with a warning. A
+	// non-nil empty list boots with no models.
 	Models []string
 	// Options selects the default lowering (bits, seed, softmax).
 	Options ModelOptions
@@ -69,11 +70,6 @@ type Server struct {
 	log    *slog.Logger
 	ready  atomic.Bool
 	start  time.Time
-
-	// publishMu serializes inline-spec publishes (a rare admin
-	// operation), so a failed publish's zoo rollback can never undo a
-	// concurrent successful publish of the same name.
-	publishMu sync.Mutex
 }
 
 // New builds the server and its repository and loads the boot models. It
@@ -89,7 +85,7 @@ func New(cfg Config) (*Server, error) {
 		PoolSize:       cfg.PoolSize,
 		Logger:         cfg.Logger,
 	})
-	names, wholeCatalogue := cfg.Models, len(cfg.Models) == 0
+	names, wholeCatalogue := cfg.Models, cfg.Models == nil
 	if wholeCatalogue {
 		names = zoo.ServableNames()
 	}

@@ -509,13 +509,13 @@ func TestAdminLoadUnloadIndex(t *testing.T) {
 
 // TestAdminLoadInlineSpec publishes a complete architecture in the load
 // body — the cmd/search -publish path — and proves it serves; a name
-// mismatch between URL and spec is a 400.
+// mismatch between URL and spec, or an inline spec that takes a
+// catalogue model's name, is a 400.
 func TestAdminLoadInlineSpec(t *testing.T) {
 	_, ts := newTestServer(t)
 	e, _ := zoo.Get("DSCNN-S")
 	spec := *e.Spec
 	spec.Name = "Inline-Test-DSCNN"
-	t.Cleanup(func() { zoo.Unregister(spec.Name) })
 
 	body, _ := json.Marshal(map[string]any{"spec": &spec, "options": map[string]any{"seed": 7}})
 	code, st := postJSON(t, ts.URL+"/v2/repository/models/Inline-Test-DSCNN/load", string(body))
@@ -532,11 +532,46 @@ func TestAdminLoadInlineSpec(t *testing.T) {
 	if code != 400 {
 		t.Fatalf("name-mismatched inline load: code %d, want 400", code)
 	}
+
+	// A catalogue name keeps its catalogue spec: an inline redefinition
+	// of MicroNet-KWS-S is refused and the booted version keeps serving.
+	impostor := *e.Spec
+	impostor.Name = "MicroNet-KWS-S"
+	body, _ = json.Marshal(map[string]any{"spec": &impostor})
+	if code, resp := postJSON(t, ts.URL+"/v2/repository/models/MicroNet-KWS-S/load", string(body)); code != 400 {
+		t.Fatalf("inline spec under a catalogue name: code %d (%v), want 400", code, resp)
+	}
+	if row := repoIndex(t, ts.URL)["MicroNet-KWS-S"]; row == nil || row["version"].(float64) != 1 {
+		t.Fatalf("refused inline spec touched the catalogue model: %v", row)
+	}
+}
+
+// TestInlineSpecStaysOnItsServer: a spec published to one server is that
+// server's alone. A second server in the same process never saw it, so
+// an empty-body load of the name there is a 404 that leaves its index as
+// it was.
+func TestInlineSpecStaysOnItsServer(t *testing.T) {
+	_, a := newTestServer(t)
+	_, b := newTestServer(t)
+	spec := testSpec(t, "DSCNN-S")
+	spec.Name = "Leak-Test"
+	body, _ := json.Marshal(map[string]any{"spec": spec})
+	if code, resp := postJSON(t, a.URL+"/v2/repository/models/Leak-Test/load", string(body)); code != 200 {
+		t.Fatalf("inline load on A: code %d (%v)", code, resp)
+	}
+	before := repoIndex(t, b.URL)
+	if code, resp := postJSON(t, b.URL+"/v2/repository/models/Leak-Test/load", ""); code != http.StatusNotFound {
+		t.Fatalf("empty-body load on B of a spec only A was given: code %d (%v), want 404", code, resp)
+	}
+	after := repoIndex(t, b.URL)
+	if len(after) != len(before) || after["Leak-Test"] != nil {
+		t.Fatalf("B's index changed from %v to %v", before, after)
+	}
 }
 
 // TestAdminInlineSpecRejectsNonPositiveSizes: an inline spec whose sizes
 // the lowering cannot build, or that asks for an unbounded allocation,
-// answers 400 and leaves the zoo and the index as they were, instead of
+// answers 400 and leaves the index as it was, instead of
 // panicking the handler mid-load. The oversized conv asks for 2^62 weights,
 // a make the runtime refuses at once rather than tries.
 func TestAdminInlineSpecRejectsNonPositiveSizes(t *testing.T) {
@@ -546,16 +581,10 @@ func TestAdminInlineSpecRejectsNonPositiveSizes(t *testing.T) {
 		spec := *e.Spec
 		spec.Name = name
 		spec.Blocks = append([]arch.Block{{Kind: arch.Conv, KH: 1, KW: 1, OutC: outC, Stride: 1}}, spec.Blocks[1:]...)
-		t.Cleanup(func() { zoo.Unregister(spec.Name) })
-		before := len(zoo.Names())
-
 		body, _ := json.Marshal(map[string]any{"spec": &spec})
 		code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+spec.Name+"/load", string(body))
 		if code != http.StatusBadRequest {
 			t.Fatalf("inline spec with OutC %d: code %d (%v), want 400", outC, code, resp)
-		}
-		if _, err := zoo.Get(spec.Name); err == nil || len(zoo.Names()) != before {
-			t.Fatalf("rejected inline spec %s stayed registered in the zoo", spec.Name)
 		}
 		if idx := repoIndex(t, ts.URL); idx[spec.Name] != nil {
 			t.Fatalf("rejected inline spec reached the index: %v", idx[spec.Name])
@@ -635,8 +664,8 @@ func TestAdminLoadPartialOptions(t *testing.T) {
 }
 
 // TestAdminInlinePublishRollsBackOnBudgetReject: a 409'd inline publish
-// must leave the zoo catalogue untouched — no name registered, so a
-// later by-name load cannot resolve the rejected spec.
+// leaves nothing behind — the index is unchanged, and a later
+// empty-body load of the name cannot resolve the rejected spec.
 func TestAdminInlinePublishRollsBackOnBudgetReject(t *testing.T) {
 	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
 	boot := testSpec(t, "DSCNN-S")
@@ -655,14 +684,16 @@ func TestAdminInlinePublishRollsBackOnBudgetReject(t *testing.T) {
 	big, _ := zoo.Get("MicroNet-KWS-S")
 	spec := *big.Spec
 	spec.Name = "Inline-Rollback-Test"
-	t.Cleanup(func() { zoo.Unregister(spec.Name) })
 	body, _ := json.Marshal(map[string]any{"spec": &spec})
 	code, resp := postJSON(t, ts.URL+"/v2/repository/models/Inline-Rollback-Test/load", string(body))
 	if code != http.StatusConflict {
 		t.Fatalf("over-budget inline publish: code %d (%v)", code, resp)
 	}
-	if _, err := zoo.Get(spec.Name); err == nil {
-		t.Fatal("rejected inline publish left the spec registered in the zoo")
+	if idx := repoIndex(t, ts.URL); len(idx) != 1 || idx[spec.Name] != nil {
+		t.Fatalf("rejected inline publish changed the index: %v", idx)
+	}
+	if code, resp := postJSON(t, ts.URL+"/v2/repository/models/Inline-Rollback-Test/load", ""); code != http.StatusNotFound {
+		t.Fatalf("empty-body load after a rejected publish: code %d (%v), want 404", code, resp)
 	}
 }
 
@@ -688,6 +719,20 @@ func TestAdminDisabled(t *testing.T) {
 		t.Fatalf("admin index with DisableAdmin: status %d, want 404", resp.StatusCode)
 	}
 	getJSON(t, ts.URL+"/v2/models/DSCNN-S", 200)
+}
+
+// TestEmptyModelListBootsNothing: a nil Models list boots the whole
+// catalogue, but a non-nil empty one boots none of it — what cmd/serve
+// passes when every -models name is a file spec.
+func TestEmptyModelListBootsNothing(t *testing.T) {
+	s, err := New(Config{Models: []string{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if idx := s.Repository().Index(); len(idx) != 0 {
+		t.Fatalf("an empty model list booted %d models", len(idx))
+	}
 }
 
 // TestDuplicateModelNames: a repeated name in Config.Models must not
@@ -877,22 +922,38 @@ func TestListenAndServeDrains(t *testing.T) {
 
 // TestAdminSpecFileAllOrNothing: a spec file whose second spec
 // collides with a built-in model answers the spec_file load with 400 and
-// registers none of the file — its valid first spec must not linger in
-// the catalogue.
+// loads none of the file — not even its valid first spec. A valid file
+// loads the spec named in the URL, and only that one; a name the file
+// does not carry is a 404.
 func TestAdminSpecFileAllOrNothing(t *testing.T) {
 	_, ts := newTestServer(t)
 	ok := testSpec(t, "DSCNN-S")
 	ok.Name = "SpecFile-AllOrNothing-Test"
-	t.Cleanup(func() { zoo.Unregister(ok.Name) })
-	path := filepath.Join(t.TempDir(), "frontier.json")
-	writeTestSpecFile(t, path, ok, testSpec(t, "DSCNN-S"))
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "collides.json")
+	writeTestSpecFile(t, bad, ok, testSpec(t, "DSCNN-S"))
 
-	body, _ := json.Marshal(map[string]string{"spec_file": path})
+	body, _ := json.Marshal(map[string]string{"spec_file": bad})
 	code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+ok.Name+"/load", string(body))
 	if code != http.StatusBadRequest {
 		t.Fatalf("spec_file load with a built-in collision: code %d (%v), want 400", code, resp)
 	}
-	if _, err := zoo.Get(ok.Name); err == nil {
-		t.Fatalf("%s stayed in the catalogue after its spec file was rejected", ok.Name)
+	if idx := repoIndex(t, ts.URL); len(idx) != len(testModels) || idx[ok.Name] != nil {
+		t.Fatalf("a rejected spec file changed the index: %v", idx)
+	}
+
+	other := testSpec(t, "MicroNet-KWS-S")
+	other.Name = "SpecFile-Other-Test"
+	good := filepath.Join(dir, "frontier.json")
+	writeTestSpecFile(t, good, ok, other)
+	body, _ = json.Marshal(map[string]string{"spec_file": good})
+	if code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+ok.Name+"/load", string(body)); code != 200 {
+		t.Fatalf("spec_file load: code %d (%v)", code, resp)
+	}
+	if code, resp := postJSON(t, ts.URL+"/v2/repository/models/Not-In-File/load", string(body)); code != http.StatusNotFound {
+		t.Fatalf("spec_file load of a name the file lacks: code %d (%v), want 404", code, resp)
+	}
+	if idx := repoIndex(t, ts.URL); len(idx) != len(testModels)+1 || idx[ok.Name] == nil || idx[other.Name] != nil {
+		t.Fatalf("spec_file load must add exactly %s: %v", ok.Name, idx)
 	}
 }

@@ -20,7 +20,8 @@
 //
 // The frame holds both tables: PANEL_CHUNK·4 bytes of factors, then
 // PANEL_CHUNK·8 bytes of addresses. The TEXT line needs the frame size
-// as a literal, so 384 = 32·4 + 32·8 must change with PANEL_CHUNK.
+// as a literal, so 384 = 32·4 + 32·8 must change with PANEL_CHUNK
+// (TestPanelFrameHoldsChunk checks it).
 #define PANEL_CHUNK 32
 #define PANEL_PTRS (PANEL_CHUNK*4)
 

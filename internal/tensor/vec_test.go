@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"regexp"
 	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -277,5 +280,27 @@ func TestMaxPoolFloorWindows(t *testing.T) {
 		if dx.Data[i] != want[i] {
 			t.Fatalf("maxpool backward = %v, want %v", dx.Data, want)
 		}
+	}
+}
+
+// TestPanelFrameHoldsChunk reads vec_amd64.s: panelAVX2 keeps
+// PANEL_CHUNK float32 factors and then PANEL_CHUNK b-row addresses on its
+// frame, and the frame size on the TEXT line is a literal the assembler
+// cannot derive, so a larger PANEL_CHUNK would write past the frame
+// unless the literal grows with it.
+func TestPanelFrameHoldsChunk(t *testing.T) {
+	src, err := os.ReadFile("vec_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := regexp.MustCompile(`(?m)^#define PANEL_CHUNK (\d+)\s*$`).FindSubmatch(src)
+	frame := regexp.MustCompile(`(?m)^TEXT ·panelAVX2\(SB\), NOSPLIT, \$(\d+)-\d+\s*$`).FindSubmatch(src)
+	if chunk == nil || frame == nil {
+		t.Fatalf("vec_amd64.s: found PANEL_CHUNK %q and panelAVX2 frame %q, want both", chunk, frame)
+	}
+	n, _ := strconv.Atoi(string(chunk[1]))
+	f, _ := strconv.Atoi(string(frame[1]))
+	if need := n*4 + n*8; f < need {
+		t.Fatalf("panelAVX2 frame is %d bytes; PANEL_CHUNK %d needs %d·4 + %d·8 = %d", f, n, n, n, need)
 	}
 }

@@ -5,7 +5,7 @@
 // public — those carry the paper's published numbers and are marked
 // Source: "paper".
 //
-// The catalogue is extensible at runtime: cmd/search exports frontier
-// winners as spec files that Register/RegisterSpecFile add under NAS-*
-// names, making them loadable by the serving repository like any built-in.
+// The catalogue is fixed. Architectures found by cmd/search travel as
+// spec files (SpecFile) or inline load bodies; a server loads them into
+// its own repository, and none of them joins the catalogue.
 package zoo

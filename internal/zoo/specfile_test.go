@@ -23,52 +23,34 @@ func nasSpec(name string) *arch.Spec {
 	}
 }
 
-func TestRegisterVisibleEverywhere(t *testing.T) {
-	const name = "NAS-test-register"
-	t.Cleanup(func() { Unregister(name) })
-	if err := Register(&Entry{Name: name, Task: "kws", Spec: nasSpec(name)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Get(name); err != nil {
-		t.Fatalf("Get after Register: %v", err)
-	}
-	found := false
-	for _, n := range ServableNames() {
-		if n == name {
-			found = true
+// TestOpenSpecFileRefusesCatalogueNames: a file whose second spec takes
+// a catalogue model's name fails as a whole, so no reader gets its valid
+// first spec either; a file of new names opens.
+func TestOpenSpecFileRefusesCatalogueNames(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, specs ...*arch.Spec) string {
+		var buf bytes.Buffer
+		if err := WriteSpecFile(&buf, &SpecFile{Specs: specs}); err != nil {
+			t.Fatal(err)
 		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if !found {
-		t.Fatal("registered model missing from ServableNames")
+	if f, err := OpenSpecFile(write("collides.json", nasSpec("NAS-test-ok"), nasSpec("DSCNN-S"))); err == nil {
+		t.Fatalf("a file colliding with a built-in opened with %d specs", len(f.Specs))
 	}
-	// Collisions with built-ins and name mismatches must be rejected.
-	if err := Register(&Entry{Name: "MicroNet-KWS-S", Task: "kws", Spec: nasSpec("MicroNet-KWS-S")}); err == nil {
-		t.Fatal("built-in collision must error")
-	}
-	if err := Register(&Entry{Name: "other", Task: "kws", Spec: nasSpec(name)}); err == nil {
-		t.Fatal("name/spec mismatch must error")
-	}
-}
-
-// TestRegisterSpecFileAllOrNothing: a file whose second spec collides
-// with a built-in must fail as a whole, leaving its valid first spec
-// unregistered.
-func TestRegisterSpecFileAllOrNothing(t *testing.T) {
-	const ok = "NAS-test-all-or-nothing"
-	t.Cleanup(func() { Unregister(ok) })
-	path := filepath.Join(t.TempDir(), "frontier.json")
-	var buf bytes.Buffer
-	if err := WriteSpecFile(&buf, &SpecFile{Specs: []*arch.Spec{nasSpec(ok), nasSpec("DSCNN-S")}}); err != nil {
+	f, err := OpenSpecFile(write("ok.json", nasSpec("NAS-test-ok")))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	if len(f.Specs) != 1 || f.Specs[0].Name != "NAS-test-ok" {
+		t.Fatalf("opened %+v", f.Specs)
 	}
-	if names, err := RegisterSpecFile(path); err == nil {
-		t.Fatalf("a file colliding with a built-in registered %v", names)
-	}
-	if _, err := Get(ok); err == nil {
-		t.Fatalf("%s stayed registered after its file was rejected", ok)
+	if _, err := Get("NAS-test-ok"); err == nil {
+		t.Fatal("opening a spec file added to the catalogue")
 	}
 }
 
@@ -100,8 +82,8 @@ func TestSpecFileRoundTrip(t *testing.T) {
 
 // TestReadSpecFileRejectsTrailingDataAndDuplicates: a spec file is one
 // JSON object, and each of its names is one spec, so trailing bytes and
-// a repeated name are refused (registering a repeated name would keep
-// only its last spec while reporting the name twice).
+// a repeated name are refused (a load by name could not tell the two
+// specs apart).
 func TestReadSpecFileRejectsTrailingDataAndDuplicates(t *testing.T) {
 	var one bytes.Buffer
 	if err := WriteSpecFile(&one, &SpecFile{Specs: []*arch.Spec{nasSpec("NAS-test-read")}}); err != nil {
@@ -117,7 +99,6 @@ func TestReadSpecFileRejectsTrailingDataAndDuplicates(t *testing.T) {
 	}
 
 	const dup = "NAS-test-duplicate"
-	t.Cleanup(func() { Unregister(dup) })
 	first, second := nasSpec(dup), nasSpec(dup)
 	second.Blocks[0].OutC = 16
 	var buf bytes.Buffer
@@ -131,10 +112,7 @@ func TestReadSpecFileRejectsTrailingDataAndDuplicates(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if names, err := RegisterSpecFile(path); err == nil {
-		t.Fatalf("a spec file naming one spec twice registered %v", names)
-	}
-	if _, err := Get(dup); err == nil {
-		t.Fatalf("%s registered from a rejected file", dup)
+	if f, err := OpenSpecFile(path); err == nil {
+		t.Fatalf("a spec file naming one spec twice opened with %d specs", len(f.Specs))
 	}
 }

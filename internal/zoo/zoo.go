@@ -278,14 +278,8 @@ func PersonDetection() *arch.Spec {
 	}
 }
 
-// Catalog returns every entry, keyed by name: the built-in paper
-// catalogue plus any dynamically registered architectures (see Register).
+// Catalog returns the paper's fixed model set, keyed by name.
 func Catalog() map[string]*Entry {
-	return mergeRegistered(builtinCatalog())
-}
-
-// builtinCatalog returns the paper's fixed model set.
-func builtinCatalog() map[string]*Entry {
 	entries := []*Entry{
 		{Name: "MicroNet-KWS-L", Task: "kws", Spec: MicroNetKWSL(),
 			Paper: PaperStats{Accuracy: 96.5, MOps: 129, BinaryKB: 701, FlashKB: 612, SRAMKB: 208.8, LatM: 0.610, LatL: 0.596, EnergyMmJ: 274.32}},

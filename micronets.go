@@ -172,8 +172,9 @@ type ServeOptions struct {
 	// Addr is the listen address (default ":8151").
 	Addr string
 	// Models are zoo names to load at boot; any of them failing to load
-	// fails startup. Empty serves every runtime-servable catalogue model,
-	// skipping those that exceed the RAM budget.
+	// fails startup. Nil serves every runtime-servable catalogue model,
+	// skipping those that exceed the RAM budget; a non-nil empty list
+	// boots with no models.
 	Models []string
 	// PoolSize is the desired interpreter replicas per model (default 2).
 	PoolSize int
