@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -70,20 +71,12 @@ func TestDecisionNodeWeights(t *testing.T) {
 
 func TestChannelMask(t *testing.T) {
 	z := ag.Constant(tensor.FromSlice([]float32{0.5, 0.5}, 2))
-	m := channelMask(z, []int{2, 4}, 4)
+	m := channelMask(z, []int{2, 4})
 	want := []float32{1, 1, 0.5, 0.5}
 	for i := range want {
 		if math.Abs(float64(m.Value.Data[i]-want[i])) > 1e-6 {
 			t.Fatalf("mask = %v, want %v", m.Value.Data, want)
 		}
-	}
-}
-
-func TestExpectedChannels(t *testing.T) {
-	z := ag.Constant(tensor.FromSlice([]float32{0.25, 0.75}, 2))
-	e := ExpectedChannels(z, []int{4, 8})
-	if math.Abs(float64(e.Scalar())-7) > 1e-5 {
-		t.Fatalf("E[c] = %v, want 7", e.Scalar())
 	}
 }
 
@@ -108,11 +101,49 @@ func tinyConfig() SupernetConfig {
 // harnessConfig is the supernet the search harness builds for task.
 func harnessConfig(t *testing.T, task string) SupernetConfig {
 	t.Helper()
+	return spaceFor(t, task).Supernet(64, 4)
+}
+
+func spaceFor(t *testing.T, task string) *Space {
+	t.Helper()
 	sp, err := SpaceForTask(task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sp.Supernet(64, 4)
+	return sp
+}
+
+// resourceConfigs are the supernets the resource-model tests cover: both
+// DNAS spaces at the harness's size and at two narrower ones whose
+// narrowest options fall below the spaces' MinC, and tinyConfig.
+func resourceConfigs(t *testing.T) map[string]SupernetConfig {
+	cfgs := map[string]SupernetConfig{"tiny": tinyConfig()}
+	for _, task := range []string{"kws", "ad"} {
+		for _, size := range [][2]int{{64, 4}, {32, 3}, {16, 3}} {
+			cfgs[fmt.Sprintf("%s(%d,%d)", task, size[0], size[1])] = spaceFor(t, task).Supernet(size[0], size[1])
+		}
+	}
+	return cfgs
+}
+
+// decisions returns every decision node of s.
+func decisions(s *Supernet) []*DecisionNode {
+	nodes := []*DecisionNode{s.firstNode}
+	nodes = append(nodes, s.width...)
+	for _, d := range s.depth {
+		if d != nil {
+			nodes = append(nodes, d)
+		}
+	}
+	return nodes
+}
+
+// evalResources runs an eval-mode Forward of s on one random input.
+func evalResources(s *Supernet, rng *rand.Rand) *Resources {
+	sp := s.cfg.Space
+	x := ag.Constant(tensor.Randn(rng, 1, 1, sp.InputH, sp.InputW, sp.InputC))
+	_, res := s.Forward(x, false, nil, 1)
+	return res
 }
 
 // choose makes option k of d the only one with weight: logits ±50.
@@ -147,46 +178,75 @@ func TestSupernetForwardShapesAndResources(t *testing.T) {
 
 func TestResourceModelMatchesDiscreteAnalysis(t *testing.T) {
 	// At one-hot decisions the differentiable resource model must equal
-	// arch.Analyze on the discretized spec exactly, in both DNAS spaces
-	// at the sizes the search harness builds them.
-	for _, tc := range []struct {
-		name string
-		cfg  SupernetConfig
-	}{
-		{"kws", harnessConfig(t, "kws")},
-		{"ad", harnessConfig(t, "ad")},
-	} {
+	// arch.Analyze on the discretized spec exactly, in both DNAS spaces,
+	// including options below MinC, which deploy as MinC.
+	for name, cfg := range resourceConfigs(t) {
 		for seed := int64(1); seed <= 5; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			s, err := NewSupernet(rng, tc.cfg)
+			s, err := NewSupernet(rng, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes := []*DecisionNode{s.firstNode}
-			nodes = append(nodes, s.width...)
-			for _, d := range s.depth {
-				if d != nil {
-					nodes = append(nodes, d)
-				}
-			}
-			for _, d := range nodes {
+			for _, d := range decisions(s) {
 				choose(d, rng.Intn(d.K))
 			}
-			sp := tc.cfg.Space
-			x := ag.Constant(tensor.Randn(rng, 1, 1, sp.InputH, sp.InputW, sp.InputC))
-			_, res := s.Forward(x, false, nil, 1)
+			res := evalResources(s, rng)
 			a, err := s.Discretize("check").Analyze()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := float64(res.ParamCount.Scalar()); got != float64(a.TotalParams) {
-				t.Errorf("%s seed %d: params %v, Analyze %d", tc.name, seed, got, a.TotalParams)
+				t.Errorf("%s seed %d: params %v, Analyze %d", name, seed, got, a.TotalParams)
 			}
 			if got := float64(res.OpCount.Scalar()); got != float64(a.TotalOps()) {
-				t.Errorf("%s seed %d: ops %v, Analyze %d", tc.name, seed, got, a.TotalOps())
+				t.Errorf("%s seed %d: ops %v, Analyze %d", name, seed, got, a.TotalOps())
 			}
 			if got := float64(res.WorkingMemory().Scalar()); got != float64(a.PeakWorkingSetBytes) {
-				t.Errorf("%s seed %d: working memory %v, Analyze %d", tc.name, seed, got, a.PeakWorkingSetBytes)
+				t.Errorf("%s seed %d: working memory %v, Analyze %d", name, seed, got, a.PeakWorkingSetBytes)
+			}
+		}
+	}
+}
+
+// TestResourceModelIsExpectation: with one decision at a 50/50 mix of two
+// options and every other one-hot, the resource model's params and ops
+// are the mean of Analyze over the two discretizations.
+func TestResourceModelIsExpectation(t *testing.T) {
+	for name, cfg := range resourceConfigs(t) {
+		rng := rand.New(rand.NewSource(40))
+		s, err := NewSupernet(rng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := decisions(s)
+		for trial := 0; trial < 10; trial++ {
+			for _, d := range nodes {
+				choose(d, rng.Intn(d.K))
+			}
+			d := nodes[rng.Intn(len(nodes))]
+			k := rng.Perm(d.K)[:2]
+			var params, ops float64
+			for _, opt := range k {
+				choose(d, opt)
+				a, err := s.Discretize("check").Analyze()
+				if err != nil {
+					t.Fatal(err)
+				}
+				params += float64(a.TotalParams) / 2
+				ops += float64(a.TotalOps()) / 2
+			}
+			d.Alpha.Value.Data[k[0]] = 50
+			res := evalResources(s, rng)
+			for _, c := range []struct {
+				what      string
+				got, want float64
+			}{
+				{"params", float64(res.ParamCount.Scalar()), params},
+				{"ops", float64(res.OpCount.Scalar()), ops},
+			} {
+				if math.Abs(c.got-c.want) > 1e-6*c.want {
+					t.Errorf("%s: %s at 50/50 on %s options %v: %v, mean of Analyze %v", name, c.what, d.Name, k, c.got, c.want)
+				}
 			}
 		}
 	}
@@ -204,9 +264,6 @@ func TestPenaltyZeroWhenUnderBudget(t *testing.T) {
 	tight := Constraints{MaxOps: 1}
 	if p := tight.Penalty(res).Scalar(); p <= 0 {
 		t.Fatal("penalty must be positive when over budget")
-	}
-	if len(tight.Violations(res)) == 0 {
-		t.Fatal("violations must be reported")
 	}
 }
 
@@ -374,15 +431,15 @@ func TestDiscretizeStaysInSpace(t *testing.T) {
 			}
 		}
 		for subset := 0; subset < 1<<len(skippable); subset++ {
-			skipped := make([]bool, len(cfg.Blocks))
+			skipped := make([]bool, len(s.dw))
 			for j, i := range skippable {
 				skipped[i] = subset>>j&1 == 1
 				choose(s.depth[i], subset>>j&1)
 			}
 			var want []int
-			for i, b := range cfg.Blocks {
+			for i, dw := range s.dw {
 				if !skipped[i] {
-					want = append(want, b.Stride)
+					want = append(want, dw.Stride)
 				}
 			}
 			for draw := 0; draw < 20; draw++ {
@@ -431,26 +488,28 @@ func TestKWSAndADSupernetConfigs(t *testing.T) {
 	} {
 		cfg := harnessConfig(t, tc.task)
 		sp := cfg.Space
-		if cfg.MaxC != 64 || !slices.Equal(cfg.FirstWidthOptions, opts) {
-			t.Errorf("%s: MaxC %d, first options %v", tc.task, cfg.MaxC, cfg.FirstWidthOptions)
+		if !slices.Equal(cfg.WidthOptions, opts) {
+			t.Errorf("%s: width options %v, want %v", tc.task, cfg.WidthOptions, opts)
 		}
-		if len(cfg.Blocks) != len(tc.strides) {
-			t.Fatalf("%s: %d blocks, want %d", tc.task, len(cfg.Blocks), len(tc.strides))
-		}
-		for i, b := range cfg.Blocks {
-			if b.Stride != tc.strides[i] || b.Skippable != tc.skippable[i] || !slices.Equal(b.WidthOptions, opts) {
-				t.Errorf("%s block %d: %+v, want stride %d, skippable %v, options %v", tc.task, i, b, tc.strides[i], tc.skippable[i], opts)
-			}
-		}
-		if sp.Task != tc.task || sp.InputH != tc.inH || sp.InputW != tc.inW || sp.InputC != 1 || sp.NumClasses != tc.classes ||
-			sp.FirstKH != tc.firstKH || sp.FirstKW != tc.firstKW || sp.FirstStride != 1 ||
-			sp.PoolKH != tc.poolKH || sp.PoolKW != tc.poolKW {
-			t.Errorf("%s: space geometry %+v", tc.task, *sp)
+		if !slices.Equal(cfg.Skippable, tc.skippable) {
+			t.Errorf("%s: skippable %v, want %v", tc.task, cfg.Skippable, tc.skippable)
 		}
 		rng := rand.New(rand.NewSource(13))
 		s, err := NewSupernet(rng, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var strides []int
+		for _, dw := range s.dw {
+			strides = append(strides, dw.Stride)
+		}
+		if !slices.Equal(strides, tc.strides) {
+			t.Errorf("%s: block strides %v, want %v", tc.task, strides, tc.strides)
+		}
+		if sp.Task != tc.task || sp.InputH != tc.inH || sp.InputW != tc.inW || sp.InputC != 1 || sp.NumClasses != tc.classes ||
+			sp.FirstKH != tc.firstKH || sp.FirstKW != tc.firstKW || sp.FirstStride != 1 ||
+			sp.PoolKH != tc.poolKH || sp.PoolKW != tc.poolKW {
+			t.Errorf("%s: space geometry %+v", tc.task, *sp)
 		}
 		x := ag.Constant(tensor.Randn(rng, 1, 1, tc.inH, tc.inW, 1))
 		if logits, _ := s.Forward(x, false, nil, 1); logits.Value.Shape[1] != tc.classes {
@@ -517,11 +576,8 @@ func TestArchStepIgnoresTrainLoss(t *testing.T) {
 // labels end with the same weights after two steps, bit for bit.
 func TestWeightStepIgnoresValLoss(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.FirstWidthOptions = []int{cfg.MaxC}
-	for i := range cfg.Blocks {
-		cfg.Blocks[i].WidthOptions = []int{cfg.MaxC}
-		cfg.Blocks[i].Skippable = false
-	}
+	cfg.WidthOptions = cfg.WidthOptions[len(cfg.WidthOptions)-1:]
+	cfg.Skippable = make([]bool, len(cfg.Skippable))
 	sc := SearchConfig{Steps: 2, Seed: 22, WeightLR: nn.CosineSchedule{Start: 0.05, End: 0.05, Steps: 2}}
 	train := []int{0, 1, 2, 1}
 	a := phaseRun(t, cfg, train, []int{0, 1, 2, 0}, sc)

@@ -99,34 +99,22 @@ func WidthOptions(maxC int, steps int, multipleOf4 bool) []int {
 	return opts
 }
 
-// channelMask builds the convex channel mask m = Σ_k z_k mask_k for width
-// options over maxC channels, where mask_k enables the first options[k]
-// channels. The result is a differentiable function of z.
-func channelMask(z *ag.Var, options []int, maxC int) *ag.Var {
+// channelMask builds the convex channel mask m = Σ_k z_k mask_k over
+// the largest option's channels, where mask_k enables the first
+// options[k] channels. The result is a differentiable function of z.
+func channelMask(z *ag.Var, options []int) *ag.Var {
 	if len(options) != z.Value.Len() {
 		panic(fmt.Sprintf("core: %d options vs %d weights", len(options), z.Value.Len()))
 	}
-	// m_c = Σ_{k: options[k] > c} z_k. Build via accumulating suffix sums:
-	// differentiable because each mask entry is a sum of z entries.
-	// Implemented as matrix multiply: mask = M^T z with M[k][c]=1[c<options[k]].
+	// m_c = Σ_{k: options[k] > c} z_k, as a matrix multiply: mask = Mᵀz
+	// with M[k][c] = 1[c < options[k]].
+	maxC := options[len(options)-1]
 	mt := tensor.New(len(options), maxC)
 	for k, c := range options {
-		for j := 0; j < c && j < maxC; j++ {
+		for j := range min(c, maxC) {
 			mt.Data[k*maxC+j] = 1
 		}
 	}
-	zRow := ag.Reshape(z, 1, len(options))
-	m := ag.MatMul(zRow, ag.Constant(mt)) // [1, maxC]
+	m := ag.MatMul(ag.Reshape(z, 1, len(options)), ag.Constant(mt)) // [1, maxC]
 	return ag.Reshape(m, maxC)
-}
-
-// ExpectedChannels returns Σ_k z_k c_k as a scalar Var — the differentiable
-// width used by the resource models.
-func ExpectedChannels(z *ag.Var, options []int) *ag.Var {
-	c := tensor.New(len(options))
-	for i, v := range options {
-		c.Data[i] = float32(v)
-	}
-	prod := ag.Mul(z, ag.Constant(c))
-	return ag.Sum(prod)
 }

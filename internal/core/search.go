@@ -68,22 +68,6 @@ func (c Constraints) Penalty(res *Resources) *ag.Var {
 	return total
 }
 
-// Violations reports which budgets the current (discrete) resource values
-// exceed; used for logging and tests.
-func (c Constraints) Violations(res *Resources) []string {
-	var v []string
-	if c.MaxWeightBytes > 0 && float64(res.ParamCount.Scalar()) > c.MaxWeightBytes {
-		v = append(v, fmt.Sprintf("weight bytes %.0f > %.0f", res.ParamCount.Scalar(), c.MaxWeightBytes))
-	}
-	if c.MaxArenaBytes > 0 && float64(res.WorkingMemory().Scalar()) > c.MaxArenaBytes {
-		v = append(v, fmt.Sprintf("arena bytes %.0f > %.0f", res.WorkingMemory().Scalar(), c.MaxArenaBytes))
-	}
-	if c.MaxOps > 0 && float64(res.OpCount.Scalar()) > c.MaxOps {
-		v = append(v, fmt.Sprintf("ops %.0f > %.0f", res.OpCount.Scalar(), c.MaxOps))
-	}
-	return v
-}
-
 // Batch is one training batch.
 type Batch struct {
 	X      *tensor.Tensor // [n,h,w,c]
@@ -105,16 +89,12 @@ type SearchConfig struct {
 	Log func(string)
 }
 
-// SearchResult reports the discovered architecture and its (expected)
-// resource usage at the end of the search.
+// SearchResult reports the discovered architecture and the last step's
+// loss and penalty.
 type SearchResult struct {
 	Spec         *arch.Spec
 	FinalLoss    float32
 	FinalPenalty float32
-	ParamCount   float64
-	OpCount      float64
-	WorkMemElems float64
-	Violations   []string
 }
 
 // RunSearch trains the supernet with alternating weight/architecture
@@ -129,7 +109,11 @@ func RunSearch(s *Supernet, train, val func(step int) Batch, cons Constraints, c
 	for step := 0; step < l.cfg.Steps; step++ {
 		l.step(step)
 	}
-	return l.result(), nil
+	return &SearchResult{
+		Spec:         s.Discretize("DNAS-" + s.cfg.Space.Task),
+		FinalLoss:    l.lastLoss,
+		FinalPenalty: l.lastPen,
+	}, nil
 }
 
 // searchLoop is RunSearch's state from one step to the next. Every step
@@ -215,23 +199,5 @@ func (l *searchLoop) step(step int) {
 func zeroGrads(ps []*nn.Param) {
 	for _, p := range ps {
 		p.V.ZeroGrad()
-	}
-}
-
-// result reads the discovered architecture and its resource usage.
-func (l *searchLoop) result() *SearchResult {
-	s, cons, cfg := l.s, l.cons, l.cfg
-	// Evaluate final resources deterministically (softmax weights, no
-	// Gumbel noise, low temperature to approximate the discrete choice).
-	b := l.val(cfg.Steps)
-	_, res := s.Forward(ag.Constant(b.X), false, nil, 0.05)
-	return &SearchResult{
-		Spec:         s.Discretize("DNAS-" + s.cfg.Space.Task),
-		FinalLoss:    l.lastLoss,
-		FinalPenalty: l.lastPen,
-		ParamCount:   float64(res.ParamCount.Scalar()),
-		OpCount:      float64(res.OpCount.Scalar()),
-		WorkMemElems: float64(res.WorkingMemory().Scalar()),
-		Violations:   cons.Violations(res),
 	}
 }

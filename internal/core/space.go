@@ -82,14 +82,12 @@ func kwsSpace() *Space {
 // conv and blocks DS blocks at the space's strides, every width decision
 // over WidthOptions(maxC, 8, true), and exactly the stride-1 blocks
 // skippable, so every subnet keeps the spatial schedule the pool needs.
-// Discretize builds its choices through the space, so an option below
-// MinC (any maxC < 40 at MinC 8) comes back clamped to MinC.
+// Discretize and the resource model both go through Build, so an option
+// below MinC (any maxC < 40 at MinC 8) deploys, and is charged, as MinC.
 func (s *Space) Supernet(maxC, blocks int) SupernetConfig {
-	opts := WidthOptions(maxC, 8, true)
-	cfg := SupernetConfig{Space: s, FirstWidthOptions: opts, MaxC: maxC}
+	cfg := SupernetConfig{Space: s, WidthOptions: WidthOptions(maxC, 8, true)}
 	for i := 0; i < blocks; i++ {
-		stride := s.strideFor(i, blocks)
-		cfg.Blocks = append(cfg.Blocks, SupernetBlock{Stride: stride, WidthOptions: opts, Skippable: stride == 1})
+		cfg.Skippable = append(cfg.Skippable, s.strideFor(i, blocks) == 1)
 	}
 	return cfg
 }

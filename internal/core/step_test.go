@@ -129,7 +129,7 @@ func BenchmarkDNASStep(b *testing.B) {
 const untapedDNASStepBytes = 88.9e6
 
 // tapedDNASStepBytes bounds a steady-state step on the tape at about five
-// times the ~0.18 MB (graph nodes, closures, views) it allocates. A
+// times the ~0.19 MB (graph nodes, closures, views) it allocates. A
 // tensor that left the tape would be allocated once per forward pass,
 // twice a step: the first convolution's im2col (0.63 MB) or output
 // (1 MB) alone would exceed it.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"micronets/internal/arch"
 	ag "micronets/internal/autograd"
@@ -10,33 +11,25 @@ import (
 	"micronets/internal/tensor"
 )
 
-// SupernetBlock configures one searchable depthwise-separable block.
-type SupernetBlock struct {
-	// Stride of the depthwise convolution.
-	Stride int
-	// WidthOptions are the candidate output widths (effective channels).
-	WidthOptions []int
-	// Skippable adds the parallel identity/pooling shortcut so DNAS can
-	// drop the block entirely (depth search, §5.2.2). Stride-2 blocks are
-	// conventionally non-skippable so the spatial schedule is preserved.
-	Skippable bool
-}
-
 // SupernetConfig describes a DS-CNN supernet: the relaxation of a Space,
 // built by Space.Supernet.
 type SupernetConfig struct {
 	// Space is the discrete space the supernet relaxes; it fixes the
-	// input geometry, first conv kernel, pool and classifier.
+	// input geometry, first conv kernel, block strides, pool and
+	// classifier, and its Build decides what every width choice deploys
+	// as, which is what the resource model charges.
 	Space *Space
 
-	// FirstWidthOptions are the first conv's candidate widths.
-	FirstWidthOptions []int
+	// WidthOptions are the candidate widths of the first conv and of
+	// every block, ascending. The largest is the physical channel width
+	// of the shared weights; masking realizes narrower choices.
+	WidthOptions []int
 
-	// MaxC is the physical channel width of every block (the largest
-	// option); masking realizes narrower choices.
-	MaxC int
-
-	Blocks []SupernetBlock
+	// Skippable has one entry per DS block. A skippable stride-1 block
+	// gets a parallel identity shortcut so DNAS can drop it entirely
+	// (depth search, §5.2.2); stride-2 blocks stay, which preserves the
+	// spatial schedule.
+	Skippable []bool
 }
 
 // Supernet is the trainable search network: shared weights at maximal
@@ -56,44 +49,112 @@ type Supernet struct {
 	depth []*DecisionNode // nil when not skippable
 
 	fc *nn.Dense
+
+	// costs holds one table per decision stage: the first conv, each
+	// block, then the pool+classifier tail.
+	costs []stageCosts
 }
 
-// NewSupernet builds the supernet with He-initialized shared weights.
+// stageCosts are one decision stage's arch.Analyze costs for every pair
+// of (input width option a, output width option b), in one constant
+// [in, kinds·out] table whose entry [a, k·out+b] is cost k: weights, ops,
+// then InBytes+OutBytes of each of the stage's Analyze rows. The first
+// conv has one input option (the space's InputC) and the pool+classifier
+// tail one output option (the classes).
+type stageCosts struct {
+	table *ag.Var
+	kinds int
+}
+
+// NewSupernet builds the supernet with He-initialized shared weights and
+// tabulates its resource model.
 func NewSupernet(rng *rand.Rand, cfg SupernetConfig) (*Supernet, error) {
-	if cfg.Space == nil || cfg.MaxC <= 0 {
-		return nil, fmt.Errorf("core: a supernet needs a Space and MaxC > 0")
+	if cfg.Space == nil || len(cfg.WidthOptions) == 0 {
+		return nil, fmt.Errorf("core: a supernet needs a Space and width options")
 	}
-	firstMax := cfg.FirstWidthOptions[len(cfg.FirstWidthOptions)-1]
-	if firstMax != cfg.MaxC {
-		return nil, fmt.Errorf("core: first conv max width %d must equal MaxC %d (uniform physical width)", firstMax, cfg.MaxC)
-	}
-	sp := cfg.Space
+	sp, maxC := cfg.Space, cfg.WidthOptions[len(cfg.WidthOptions)-1]
 	s := &Supernet{
 		cfg:       cfg,
-		firstConv: nn.NewConv2D(rng, "first", sp.FirstKH, sp.FirstKW, sp.InputC, cfg.MaxC, sp.FirstStride, nn.PadSame, false),
-		firstBN:   nn.NewBatchNorm("first.bn", cfg.MaxC),
-		firstNode: NewDecisionNode("first.width", len(cfg.FirstWidthOptions)),
+		firstConv: nn.NewConv2D(rng, "first", sp.FirstKH, sp.FirstKW, sp.InputC, maxC, sp.FirstStride, nn.PadSame, false),
+		firstBN:   nn.NewBatchNorm("first.bn", maxC),
+		firstNode: NewDecisionNode("first.width", len(cfg.WidthOptions)),
 	}
-	for i, b := range cfg.Blocks {
-		bm := b.WidthOptions[len(b.WidthOptions)-1]
-		if bm != cfg.MaxC {
-			return nil, fmt.Errorf("core: block %d max width %d must equal MaxC %d", i, bm, cfg.MaxC)
-		}
+	n := len(cfg.Skippable)
+	for i, skippable := range cfg.Skippable {
+		stride := sp.strideFor(i, n)
 		name := fmt.Sprintf("b%d", i)
-		s.dw = append(s.dw, nn.NewDepthwiseConv2D(rng, name+".dw", 3, 3, cfg.MaxC, b.Stride, nn.PadSame, false))
-		s.dwBN = append(s.dwBN, nn.NewBatchNorm(name+".dwbn", cfg.MaxC))
-		s.pw = append(s.pw, nn.NewConv2D(rng, name+".pw", 1, 1, cfg.MaxC, cfg.MaxC, 1, nn.PadSame, false))
-		s.pwBN = append(s.pwBN, nn.NewBatchNorm(name+".pwbn", cfg.MaxC))
-		s.width = append(s.width, NewDecisionNode(name+".width", len(b.WidthOptions)))
-		if b.Skippable && b.Stride == 1 {
+		s.dw = append(s.dw, nn.NewDepthwiseConv2D(rng, name+".dw", 3, 3, maxC, stride, nn.PadSame, false))
+		s.dwBN = append(s.dwBN, nn.NewBatchNorm(name+".dwbn", maxC))
+		s.pw = append(s.pw, nn.NewConv2D(rng, name+".pw", 1, 1, maxC, maxC, 1, nn.PadSame, false))
+		s.pwBN = append(s.pwBN, nn.NewBatchNorm(name+".pwbn", maxC))
+		s.width = append(s.width, NewDecisionNode(name+".width", len(cfg.WidthOptions)))
+		if skippable && stride == 1 {
 			s.depth = append(s.depth, NewDecisionNode(name+".depth", 2))
 		} else {
 			s.depth = append(s.depth, nil)
 		}
 	}
-	// Classifier input is the pooled MaxC vector.
-	s.fc = nn.NewDense(rng, "fc", cfg.MaxC, sp.NumClasses, true)
+	// Classifier input is the pooled maxC vector.
+	s.fc = nn.NewDense(rng, "fc", maxC, sp.NumClasses, true)
+	for j := 0; j <= n+1; j++ {
+		c, err := tabulate(sp, cfg.WidthOptions, n, j)
+		if err != nil {
+			return nil, err
+		}
+		s.costs = append(s.costs, c)
+	}
 	return s, nil
+}
+
+// tabulate builds stage j's costs (0 the first conv, 1..n the blocks,
+// n+1 the tail) from Analyze of the space's n-block specs, one spec per
+// (input option, output option) pair around stage j. A stage's rows
+// depend only on its own input and output widths, so every other width
+// is opts[0].
+func tabulate(sp *Space, opts []int, n, j int) (stageCosts, error) {
+	in, out := len(opts), len(opts)
+	if j == 0 {
+		in = 1
+	}
+	if j == n+1 {
+		out = 1
+	}
+	var c stageCosts
+	var t *tensor.Tensor
+	widths := slices.Repeat(opts[:1], n+1)
+	for a := range in {
+		for b := range out {
+			if j > 0 {
+				widths[j-1] = opts[a]
+			}
+			if j <= n {
+				widths[j] = opts[b]
+			}
+			an, err := sp.Build("stage", widths).Analyze()
+			if err != nil {
+				return c, err
+			}
+			var params, macs int64
+			var workSet []float32
+			for _, l := range an.Layers {
+				// The tail is every block after the last DS block.
+				if min(l.BlockIdx, n+1) == j {
+					params += l.Params
+					macs += l.MACs
+					workSet = append(workSet, float32(l.InBytes()+l.OutBytes()))
+				}
+			}
+			cell := append([]float32{float32(params), float32(2 * macs)}, workSet...)
+			if t == nil {
+				c.kinds, t = len(cell), tensor.New(in, len(cell)*out)
+			}
+			for k, v := range cell {
+				t.Data[(a*c.kinds+k)*out+b] = v
+			}
+		}
+	}
+	c.table = ag.Constant(t)
+	return c, nil
 }
 
 // WeightParams returns the shared network weights (trained on the train
@@ -126,14 +187,18 @@ func (s *Supernet) ArchParams() []*nn.Param {
 }
 
 // Resources aggregates the differentiable resource model of a forward
-// pass: expected parameter count, op count, and the per-node working
-// memory terms whose max is the SRAM model (§5.1.1, §5.1.2).
+// pass: expected parameter count, op count, and the per-layer working
+// memory terms whose max is the SRAM model (§5.1.1, §5.1.2). Every term
+// is arch.Analyze's, in expectation: each stage charges pᵀ·T·z of its
+// table T, where p is the distribution of its input width and z its
+// width weights, so at one-hot decisions the model equals Analyze of
+// Discretize exactly.
 type Resources struct {
 	// ParamCount is the expected number of weights (eq. 2 summed).
 	ParamCount *ag.Var
 	// OpCount is the expected MAC*2 count (the latency proxy).
 	OpCount *ag.Var
-	// WorkMemTerms are per-node (inputs+outputs) element counts; SRAM
+	// WorkMemTerms are per-layer (inputs+outputs) int8 bytes; SRAM
 	// working memory is their maximum (the SpArSe model).
 	WorkMemTerms []*ag.Var
 }
@@ -144,94 +209,75 @@ func (r *Resources) WorkingMemory() *ag.Var {
 	return ag.MaxN(r.WorkMemTerms...)
 }
 
+// charge adds a stage's expected costs, pᵀ·T·z for input width
+// distribution p and output weights z, scaled by the stage's keep
+// probability unless keep is nil.
+func (r *Resources) charge(c stageCosts, p, z, keep *ag.Var) {
+	pt := ag.MatMul(ag.Reshape(p, 1, -1), c.table)
+	e := ag.MatMul(ag.Reshape(pt, c.kinds, -1), ag.Reshape(z, -1, 1))
+	if keep != nil {
+		e = ag.ScalarMul(keep, e)
+	}
+	r.ParamCount = ag.Add(r.ParamCount, ag.Index(e, 0))
+	r.OpCount = ag.Add(r.OpCount, ag.Index(e, 1))
+	for k := 2; k < c.kinds; k++ {
+		r.WorkMemTerms = append(r.WorkMemTerms, ag.Index(e, k))
+	}
+}
+
 // Forward runs the supernet, returning classifier logits and the resource
 // model tied to the same architecture sample. rng enables Gumbel sampling
 // (nil for deterministic softmax weights); tau is the relaxation
 // temperature.
 func (s *Supernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau float32) (*ag.Var, *Resources) {
-	cfg, sp := s.cfg, s.cfg.Space
+	sp, opts := s.cfg.Space, s.cfg.WidthOptions
 	res := &Resources{
 		ParamCount: ag.Constant(tensor.Scalar(0)),
 		OpCount:    ag.Constant(tensor.Scalar(0)),
 	}
-	h, w := sp.InputH, sp.InputW
+	// one is the one-option width of the input and of the logits.
+	one := ag.Constant(tensor.FromSlice([]float32{1}, 1))
 
 	// First conv.
 	zFirst := s.firstNode.Weights(rng, tau)
 	y := s.firstConv.Forward(x, training)
 	y = s.firstBN.Forward(y, training)
 	y = ag.ReLU(y)
-	mask := channelMask(zFirst, cfg.FirstWidthOptions, cfg.MaxC)
-	y = ag.ChannelScale(y, mask)
-	ePrev := ExpectedChannels(zFirst, cfg.FirstWidthOptions)
-	oh, ow := tensor.SameOut(h, sp.FirstStride), tensor.SameOut(w, sp.FirstStride)
-	inElems := float32(h * w * sp.InputC)
-	kArea := float32(sp.FirstKH * sp.FirstKW * sp.InputC)
-	res.ParamCount = ag.Add(res.ParamCount, ag.Scale(ePrev, kArea))
-	res.OpCount = ag.Add(res.OpCount, ag.Scale(ePrev, 2*float32(oh*ow)*kArea))
-	res.WorkMemTerms = append(res.WorkMemTerms,
-		ag.AddScalar(ag.Scale(ePrev, float32(oh*ow)), inElems))
-	h, w = oh, ow
+	y = ag.ChannelScale(y, channelMask(zFirst, opts))
+	res.charge(s.costs[0], one, zFirst, nil)
+	// p is the distribution over the next stage's input width.
+	p := zFirst
 
 	for i := range s.dw {
-		blk := cfg.Blocks[i]
 		zW := s.width[i].Weights(rng, tau)
-		oh, ow = tensor.SameOut(h, blk.Stride), tensor.SameOut(w, blk.Stride)
-
 		body := s.dw[i].Forward(y, training)
 		body = s.dwBN[i].Forward(body, training)
 		body = ag.ReLU(body)
 		body = s.pw[i].Forward(body, training)
 		body = s.pwBN[i].Forward(body, training)
 		body = ag.ReLU(body)
-		mask := channelMask(zW, blk.WidthOptions, cfg.MaxC)
-		body = ag.ChannelScale(body, mask)
-		eOut := ExpectedChannels(zW, blk.WidthOptions)
+		body = ag.ChannelScale(body, channelMask(zW, opts))
 
-		// Differentiable costs for this block (dw then pw), scaled later
-		// by the depth keep-probability when skippable.
-		// dw params: 9*E[cin]; dw macs: oh*ow*9*E[cin].
-		// pw params: E[cin]*E[cout]; pw macs: oh*ow*E[cin]*E[cout].
-		dwParams := ag.Scale(ePrev, 9)
-		dwOps := ag.Scale(ePrev, 2*9*float32(oh*ow))
-		pwCross := ag.Mul(ePrev, eOut)
-		pwOps := ag.Scale(pwCross, 2*float32(oh*ow))
-		blockParams := ag.Add(dwParams, pwCross)
-		blockOps := ag.Add(dwOps, pwOps)
-		// Working memory: dw node sees (h*w + oh*ow)*E[cin]; pw node sees
-		// oh*ow*(E[cin]+E[cout]).
-		dwMem := ag.Scale(ePrev, float32(h*w+oh*ow))
-		pwMem := ag.Scale(ag.Add(ePrev, eOut), float32(oh*ow))
-
-		if s.depth[i] != nil {
-			zD := s.depth[i].Weights(rng, tau)
-			zKeep := ag.Index(zD, 0)
-			zSkip := ag.Index(zD, 1)
-			// Shortcut: identity (stride is 1 for skippable blocks).
-			y = ag.Add(ag.ScalarMul(zKeep, body), ag.ScalarMul(zSkip, y))
-			res.ParamCount = ag.Add(res.ParamCount, ag.ScalarMul(zKeep, blockParams))
-			res.OpCount = ag.Add(res.OpCount, ag.ScalarMul(zKeep, blockOps))
-			res.WorkMemTerms = append(res.WorkMemTerms,
-				ag.ScalarMul(zKeep, dwMem), ag.ScalarMul(zKeep, pwMem))
-			// Expected output width blends kept and skipped widths.
-			eOut = ag.Add(ag.ScalarMul(zKeep, eOut), ag.ScalarMul(zSkip, ePrev))
-		} else {
+		if s.depth[i] == nil {
 			y = body
-			res.ParamCount = ag.Add(res.ParamCount, blockParams)
-			res.OpCount = ag.Add(res.OpCount, blockOps)
-			res.WorkMemTerms = append(res.WorkMemTerms, dwMem, pwMem)
+			res.charge(s.costs[i+1], p, zW, nil)
+			p = zW
+			continue
 		}
-		ePrev = eOut
-		h, w = oh, ow
+		zD := s.depth[i].Weights(rng, tau)
+		zKeep, zSkip := ag.Index(zD, 0), ag.Index(zD, 1)
+		// Shortcut: identity (stride is 1 for skippable blocks).
+		y = ag.Add(ag.ScalarMul(zKeep, body), ag.ScalarMul(zSkip, y))
+		res.charge(s.costs[i+1], p, zW, zKeep)
+		// The output width blends kept and skipped widths.
+		p = ag.Add(ag.ScalarMul(zKeep, zW), ag.ScalarMul(zSkip, p))
 	}
 
 	// Final pool + classifier.
 	y = ag.AvgPool2D(y, tensor.ConvSpec{KH: sp.PoolKH, KW: sp.PoolKW, SH: 1, SW: 1})
 	y = ag.Reshape(y, y.Value.Shape[0], -1)
 	logits := s.fc.Forward(y, training)
-	fcParams := ag.Scale(ePrev, float32(sp.NumClasses))
-	res.ParamCount = ag.Add(res.ParamCount, fcParams)
-	res.OpCount = ag.Add(res.OpCount, ag.Scale(fcParams, 2))
+	res.charge(s.costs[len(s.dw)+1], p, one, nil)
 	return logits, res
 }
 
@@ -239,12 +285,13 @@ func (s *Supernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau float32
 // as an arch.Spec of the supernet's space, ready for final training and
 // deployment.
 func (s *Supernet) Discretize(name string) *arch.Spec {
-	widths := []int{s.cfg.FirstWidthOptions[s.firstNode.ArgMax()]}
-	for i, b := range s.cfg.Blocks {
+	opts := s.cfg.WidthOptions
+	widths := []int{opts[s.firstNode.ArgMax()]}
+	for i := range s.width {
 		if s.depth[i] != nil && s.depth[i].ArgMax() == 1 {
 			continue // block skipped
 		}
-		widths = append(widths, b.WidthOptions[s.width[i].ArgMax()])
+		widths = append(widths, opts[s.width[i].ArgMax()])
 	}
 	spec := s.cfg.Space.Build(name, widths)
 	spec.Source = "repro"

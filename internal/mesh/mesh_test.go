@@ -14,6 +14,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"micronets/internal/obs"
 )
 
 // fakeReplica emulates the slice of the cmd/serve surface the router
@@ -171,7 +173,7 @@ func (f *fakeReplica) handleReady(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
 	n := len(f.models)
 	f.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "models_ready": n})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "models_ready": n})
 }
 
 func (f *fakeReplica) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -191,7 +193,7 @@ func (f *fakeReplica) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if f.lieFree != nil {
 		free = *f.lieFree
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"models":            rows,
 		"ram_budget_bytes":  f.budget,
 		"ram_planned_bytes": f.planned,
@@ -206,7 +208,7 @@ func (f *fakeReplica) handleGraphList(w http.ResponseWriter, r *http.Request) {
 	for name, models := range f.graphs {
 		rows = append(rows, map[string]any{"name": name, "models": models})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": rows})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"graphs": rows})
 }
 
 func (f *fakeReplica) handleLoad(w http.ResponseWriter, r *http.Request) {
@@ -215,11 +217,11 @@ func (f *fakeReplica) handleLoad(w http.ResponseWriter, r *http.Request) {
 	defer f.mu.Unlock()
 	cost := f.costs[name]
 	if cost == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "unknown model " + name})
+		obs.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "unknown model " + name})
 		return
 	}
 	if !f.models[name] && f.budget > 0 && f.planned+cost > f.budget {
-		writeJSON(w, http.StatusConflict, budget409{
+		obs.WriteJSON(w, http.StatusConflict, budget409{
 			Error:        fmt.Sprintf("model %s needs %d bytes, budget %d", name, cost, f.budget),
 			Code:         "ram_budget_exceeded",
 			Model:        name,
@@ -234,7 +236,7 @@ func (f *fakeReplica) handleLoad(w http.ResponseWriter, r *http.Request) {
 		f.models[name] = true
 		f.planned += cost
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "state": "READY"})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "state": "READY"})
 }
 
 func (f *fakeReplica) handleUnload(w http.ResponseWriter, r *http.Request) {
@@ -242,18 +244,18 @@ func (f *fakeReplica) handleUnload(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.models[name] {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "not loaded"})
+		obs.WriteJSON(w, http.StatusNotFound, map[string]any{"error": "not loaded"})
 		return
 	}
 	delete(f.models, name)
 	f.planned -= f.costs[name]
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "state": "UNLOADED"})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "state": "UNLOADED"})
 }
 
 func (f *fakeReplica) handleMeta(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !f.holds(name) {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown model " + name})
+		obs.WriteJSON(w, http.StatusNotFound, map[string]any{"error": "unknown model " + name})
 		return
 	}
 	if tr := r.Header.Get("X-Micronets-Trace"); tr != "" {
@@ -262,16 +264,16 @@ func (f *fakeReplica) handleMeta(w http.ResponseWriter, r *http.Request) {
 		f.mu.Unlock()
 		w.Header().Set("X-Micronets-Trace", `[{"name":"fake-span"}]`)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "platform": "fake"})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "platform": "fake"})
 }
 
 func (f *fakeReplica) handleInfer(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !f.holds(name) {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown model " + name})
+		obs.WriteJSON(w, http.StatusNotFound, map[string]any{"error": "unknown model " + name})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"model_name": name, "served_by": f.tag})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"model_name": name, "served_by": f.tag})
 }
 
 func (f *fakeReplica) handleGraphPut(w http.ResponseWriter, r *http.Request) {
@@ -280,20 +282,20 @@ func (f *fakeReplica) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 		Models []string `json:"models"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad JSON"})
+		obs.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": "bad JSON"})
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, m := range spec.Models {
 		if !f.models[m] {
-			writeJSON(w, http.StatusNotFound, map[string]any{
+			obs.WriteJSON(w, http.StatusNotFound, map[string]any{
 				"error": "unknown model " + m, "code": "unknown_model"})
 			return
 		}
 	}
 	f.graphs[name] = spec.Models
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "revision": 1})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "revision": 1})
 }
 
 func (f *fakeReplica) handleGraphInfer(w http.ResponseWriter, r *http.Request) {
@@ -302,10 +304,10 @@ func (f *fakeReplica) handleGraphInfer(w http.ResponseWriter, r *http.Request) {
 	_, ok := f.graphs[name]
 	f.mu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown graph " + name})
+		obs.WriteJSON(w, http.StatusNotFound, map[string]any{"error": "unknown graph " + name})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"graph": name, "served_by": f.tag})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"graph": name, "served_by": f.tag})
 }
 
 func (f *fakeReplica) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
@@ -313,11 +315,11 @@ func (f *fakeReplica) handleGraphDelete(w http.ResponseWriter, r *http.Request) 
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.graphs[name]; !ok {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown graph"})
+		obs.WriteJSON(w, http.StatusNotFound, map[string]any{"error": "unknown graph"})
 		return
 	}
 	delete(f.graphs, name)
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "deleted": true})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "deleted": true})
 }
 
 // newTestRouter builds a router over the fakes with a dormant health

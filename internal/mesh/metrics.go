@@ -78,6 +78,5 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("replica=%q", rep.url))
 	}
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write([]byte(b.String())) //microvet:ignore droppederr client disconnects during a scrape are not actionable
+	obs.WriteScrape(w, b.String())
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+
+	"micronets/internal/obs"
 )
 
 // budget409 is the structured ram_budget_exceeded body a replica
@@ -68,7 +70,7 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 		rt.writePlaced(w, ans)
 	case spilled > 0:
 		rt.placeFails.Add(1)
-		writeJSON(w, http.StatusConflict, budget409{
+		obs.WriteJSON(w, http.StatusConflict, budget409{
 			Error: fmt.Sprintf(
 				"model %s does not fit on any of %d replicas (needs %d bytes, best free %d)",
 				name, len(cands), needed, maxFree),
@@ -153,14 +155,14 @@ func (rt *Router) fanOut(w http.ResponseWriter, r *http.Request, name string, ho
 	}
 	cands, holders := rt.candidates(name, holds)
 	if holders == 0 {
-		writeJSON(w, http.StatusNotFound, meshError{Error: fmt.Sprintf(notHeld, name)})
+		obs.WriteJSON(w, http.StatusNotFound, meshError{Error: fmt.Sprintf(notHeld, name)})
 		return nil, false
 	}
 	done := []string{}
 	for _, rep := range cands[:holders] {
 		ans, err := rt.attempt(rep, r, body)
 		if err != nil {
-			writeJSON(w, http.StatusBadGateway, meshError{
+			obs.WriteJSON(w, http.StatusBadGateway, meshError{
 				Error: fmt.Sprintf("%s %s on %s failed: %v", r.Method, r.URL.Path, rep.url, err),
 				Code:  "replicas_unreachable"})
 			return nil, false
@@ -179,7 +181,7 @@ func (rt *Router) fanOut(w http.ResponseWriter, r *http.Request, name string, ho
 func (rt *Router) handleUnload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if from, ok := rt.fanOut(w, r, name, holdsModel(name), "model %s is not loaded on any replica"); ok {
-		writeJSON(w, http.StatusOK, map[string]any{"model": name, "unloaded_from": from})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"model": name, "unloaded_from": from})
 	}
 }
 
@@ -187,6 +189,6 @@ func (rt *Router) handleUnload(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if from, ok := rt.fanOut(w, r, name, holdsGraph(name), "graph %s is not registered on any replica"); ok {
-		writeJSON(w, http.StatusOK, map[string]any{"graph": name, "deleted_from": from})
+		obs.WriteJSON(w, http.StatusOK, map[string]any{"graph": name, "deleted_from": from})
 	}
 }

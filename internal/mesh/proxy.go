@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"micronets/internal/obs"
 )
 
 // meshError is the router's own error body, shape-compatible with the
@@ -17,12 +18,6 @@ import (
 type meshError struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v) //microvet:ignore droppederr headers are already written; an encode failure means the client hung up
 }
 
 // maxBodyBytes bounds buffered request and response bodies. Bodies are
@@ -42,10 +37,10 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		writeJSON(w, http.StatusRequestEntityTooLarge, meshError{
+		obs.WriteJSON(w, http.StatusRequestEntityTooLarge, meshError{
 			Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
 	} else {
-		writeJSON(w, http.StatusBadRequest, meshError{Error: "reading request body: " + err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, meshError{Error: "reading request body: " + err.Error()})
 	}
 	return nil, false
 }
@@ -153,10 +148,10 @@ func (rt *Router) walk(r *http.Request, body []byte, cands []*replica,
 // writeUnanswered reports a walk no replica answered.
 func writeUnanswered(w http.ResponseWriter, err error) {
 	if errors.Is(err, errNoReplicas) {
-		writeJSON(w, http.StatusServiceUnavailable, meshError{Error: err.Error(), Code: "no_replicas"})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, meshError{Error: err.Error(), Code: "no_replicas"})
 		return
 	}
-	writeJSON(w, http.StatusBadGateway, meshError{
+	obs.WriteJSON(w, http.StatusBadGateway, meshError{
 		Error: fmt.Sprintf("all replicas failed: %v", err), Code: "replicas_unreachable"})
 }
 
@@ -211,7 +206,7 @@ func (rt *Router) handleGraphProxy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleLive(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]bool{"live": true})
+	obs.WriteJSON(w, http.StatusOK, map[string]bool{"live": true})
 }
 
 // handleReady reports fleet readiness: ready while at least one replica
@@ -229,12 +224,12 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	if up == 0 {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	obs.WriteJSON(w, code, body)
 }
 
 // handleModels answers GET /v2/models with the fleet union.
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"models": rt.mergedModels()})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"models": rt.mergedModels()})
 }
 
 // handleGraphList answers GET /v2/graphs with the fleet union,
@@ -260,7 +255,7 @@ func (rt *Router) handleGraphList(w http.ResponseWriter, r *http.Request) {
 		nj, _ := graphs[j]["name"].(string)
 		return ni < nj
 	})
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": graphs})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"graphs": graphs})
 }
 
 // handleFleetIndex answers GET /v2/repository/index with the merged
@@ -316,7 +311,7 @@ func (rt *Router) handleFleetIndex(w http.ResponseWriter, r *http.Request) {
 	if unbounded {
 		budget, free = -1, -1
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"models":            rows,
 		"replicas":          replicas,
 		"ram_budget_bytes":  budget,

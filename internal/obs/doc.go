@@ -9,4 +9,7 @@
 // every request. Traces are opt-in per request (the X-Micronets-Trace
 // header) and bounded at maxSpans, so a pathological fan-out cannot
 // balloon a response.
+//
+// WriteJSON and WriteScrape are the one JSON response writer and the one
+// /metrics writer that the serve and mesh HTTP handlers share.
 package obs

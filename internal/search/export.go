@@ -17,8 +17,8 @@ func ExportName(prefix string, p Point) string {
 }
 
 // ExportFrontier builds the spec file of every frontier point under
-// ExportName; a server loads it with `cmd/serve -specs`, a spec_file load
-// or PublishFrontier. Each exported spec is a copy — the trial log keeps
+// ExportName; a server loads it with `cmd/serve -specs`, or its specs
+// inline through PublishFrontier. Each exported spec is a copy — the trial log keeps
 // the original names — and carries a note summarizing the metrics it was
 // selected on, so the server's operator and a human reading the file see
 // the same story.

@@ -16,12 +16,14 @@ import (
 
 // repoLoadRequest is the body of POST /v2/repository/models/{name}/load.
 // All fields are optional: an empty body loads {name} from the zoo
-// catalogue. A spec that arrives in the body or a spec file is loaded
-// into this server's repository only; nothing outlives the load.
+// catalogue. A spec that arrives in the body is loaded into this
+// server's repository only; nothing outlives the load. Unknown fields
+// are ignored.
 type repoLoadRequest struct {
-	// SpecFile is a server-local spec file (cmd/search -export output);
-	// the whole file is validated, then its spec named {name} is loaded.
-	SpecFile string `json:"spec_file,omitempty"`
+	// SpecFile only detects the retired "spec_file" form, which named a
+	// server-local file: the server opens no path a caller names, so such
+	// a body is refused without reading its value.
+	SpecFile json.RawMessage `json:"spec_file"`
 	// Spec is a complete inline architecture, the no-shared-filesystem
 	// publish path (cmd/search -publish). Its name must match the URL.
 	Spec *arch.Spec `json:"spec,omitempty"`
@@ -58,7 +60,7 @@ type repoBudgetError struct {
 func writeRepoError(w http.ResponseWriter, err error) {
 	var be *BudgetError
 	if errors.As(err, &be) {
-		writeJSON(w, http.StatusConflict, repoBudgetError{
+		obs.WriteJSON(w, http.StatusConflict, repoBudgetError{
 			Error:        be.Error(),
 			Code:         "ram_budget_exceeded",
 			Model:        be.Model,
@@ -71,7 +73,7 @@ func writeRepoError(w http.ResponseWriter, err error) {
 	}
 	var iu *ModelInUseError
 	if errors.As(err, &iu) {
-		writeJSON(w, http.StatusConflict, map[string]any{
+		obs.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error":  iu.Error(),
 			"code":   "model_referenced",
 			"model":  iu.Model,
@@ -82,16 +84,16 @@ func writeRepoError(w http.ResponseWriter, err error) {
 	var nl *NotLoadedError
 	switch {
 	case errors.As(err, &nl):
-		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
 	case errors.Is(err, ErrRepositoryClosed):
-		writeJSON(w, http.StatusServiceUnavailable, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, v2Error{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
 	}
 }
 
 func (s *Server) handleRepoIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"models":            s.repo.Index(),
 		"ram_budget_bytes":  s.repo.RAMBudgetBytes(),
 		"ram_planned_bytes": s.repo.PlannedRAMBytes(),
@@ -106,15 +108,15 @@ func (s *Server) handleRepoLoad(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: "load body exceeds 1MB"})
+			obs.WriteJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: "load body exceeds 1MB"})
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: "reading load body: " + err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: "reading load body: " + err.Error()})
 		return
 	}
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
+			obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
 			return
 		}
 	}
@@ -136,43 +138,28 @@ func (s *Server) handleRepoLoad(w http.ResponseWriter, r *http.Request) {
 
 	spec, source := req.Spec, "inline-spec"
 	switch {
+	case req.SpecFile != nil:
+		obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: "spec_file is not accepted: send the spec inline as \"spec\""})
+		return
 	case spec != nil:
 		if spec.Name != name {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
+			obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
 				"inline spec is named %q, URL says %q", spec.Name, name)})
 			return
 		}
 		if _, err := zoo.Get(name); err == nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
+			obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
 				"inline spec may not take the catalogue model name %q", name)})
 			return
 		}
-	case req.SpecFile != "":
-		f, err := zoo.OpenSpecFile(req.SpecFile)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
-			return
-		}
-		for _, fs := range f.Specs {
-			if fs.Name == name {
-				spec = fs
-				break
-			}
-		}
-		if spec == nil {
-			writeJSON(w, http.StatusNotFound, v2Error{Error: fmt.Sprintf(
-				"spec file %s has no spec named %q", req.SpecFile, name)})
-			return
-		}
-		source = "spec-file"
 	default:
 		e, err := zoo.Get(name)
 		if err != nil {
-			writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
+			obs.WriteJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
 			return
 		}
 		if e.Spec == nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
+			obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
 				"%s is a stats-only comparison point (no public architecture)", name)})
 			return
 		}
@@ -185,7 +172,7 @@ func (s *Server) handleRepoLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.Info("model load", "model", name, "version", st.Version,
 		"source", source, "trace", obs.TraceIDFrom(r.Context()))
-	writeJSON(w, http.StatusOK, st)
+	obs.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleRepoUnload(w http.ResponseWriter, r *http.Request) {
@@ -195,5 +182,5 @@ func (s *Server) handleRepoUnload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("model unload", "model", name, "trace", obs.TraceIDFrom(r.Context()))
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "state": StateDraining})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "state": StateDraining})
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"micronets/internal/graph"
+	"micronets/internal/obs"
 	"micronets/internal/servegraph"
 )
 
@@ -116,37 +117,37 @@ func writeGraphError(w http.ResponseWriter, err error) {
 		if ve.Code == "unknown_model" {
 			code = http.StatusNotFound
 		}
-		writeJSON(w, code, graphError{Error: err.Error(), Code: ve.Code, Graph: ve.Graph, Node: ve.Node, Model: ve.Model})
+		obs.WriteJSON(w, code, graphError{Error: err.Error(), Code: ve.Code, Graph: ve.Graph, Node: ve.Node, Model: ve.Model})
 		return
 	}
 	var nf *servegraph.NotFoundError
 	if errors.As(err, &nf) {
-		writeJSON(w, http.StatusNotFound, graphError{Error: err.Error(), Code: "unknown_graph", Graph: nf.Graph})
+		obs.WriteJSON(w, http.StatusNotFound, graphError{Error: err.Error(), Code: "unknown_graph", Graph: nf.Graph})
 		return
 	}
 	var sv *servegraph.StaleVersionError
 	if errors.As(err, &sv) {
-		writeJSON(w, http.StatusConflict, graphError{Error: err.Error(), Code: "stale_version", Graph: sv.Graph, Model: sv.Model})
+		obs.WriteJSON(w, http.StatusConflict, graphError{Error: err.Error(), Code: "stale_version", Graph: sv.Graph, Model: sv.Model})
 		return
 	}
 	var re *servegraph.RouteError
 	if errors.As(err, &re) {
-		writeJSON(w, http.StatusBadRequest, graphError{Error: err.Error(), Code: "unknown_route", Graph: re.Graph, Node: re.Node})
+		obs.WriteJSON(w, http.StatusBadRequest, graphError{Error: err.Error(), Code: "unknown_route", Graph: re.Graph, Node: re.Node})
 		return
 	}
 	var nl *NotLoadedError
 	if errors.As(err, &nl) {
 		// A referenced model was unloaded out-of-band (guard disabled or
 		// programmatic bypass): surface it as a conflict, not a 500.
-		writeJSON(w, http.StatusConflict, graphError{Error: err.Error(), Code: "model_not_loaded", Model: nl.Model})
+		obs.WriteJSON(w, http.StatusConflict, graphError{Error: err.Error(), Code: "model_not_loaded", Model: nl.Model})
 		return
 	}
-	writeJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})
+	obs.WriteJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})
 }
 
 // handleGraphList answers GET /v2/graphs with every graph's stats.
 func (s *Server) handleGraphList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"graphs": s.graphs.Snapshot()})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"graphs": s.graphs.Snapshot()})
 }
 
 // handleGraphGet answers GET /v2/graphs/{name} with the spec + stats.
@@ -156,7 +157,7 @@ func (s *Server) handleGraphGet(w http.ResponseWriter, r *http.Request) {
 		writeGraphError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"spec": g.Spec(), "stats": g.Stats()})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"spec": g.Spec(), "stats": g.Stats()})
 }
 
 // handleGraphPut registers (or replaces) a graph after validating it
@@ -174,14 +175,14 @@ func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
 		return
 	}
 	if spec.Name == "" {
 		spec.Name = name
 	}
 	if spec.Name != name {
-		writeJSON(w, http.StatusBadRequest, graphError{Error: fmt.Sprintf(
+		obs.WriteJSON(w, http.StatusBadRequest, graphError{Error: fmt.Sprintf(
 			"spec is named %q, URL says %q", spec.Name, name), Code: "invalid_graph", Graph: spec.Name})
 		return
 	}
@@ -191,7 +192,7 @@ func (s *Server) handleGraphPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("graph registered", "graph", name, "revision", g.Revision(), "models", g.Models())
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"name": name, "revision": g.Revision(), "models": g.Models(),
 		"input_shape": []int{g.InputH, g.InputW, g.InputC},
 	})
@@ -205,7 +206,7 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("graph deleted", "graph", name)
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "deleted": true})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "deleted": true})
 }
 
 // handleGraphInfer routes a v2-style infer request through a graph. The
@@ -216,7 +217,7 @@ func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
 // and how many cascade stages it escalated through.
 func (s *Server) handleGraphInfer(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, v2Error{Error: "server draining"})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, v2Error{Error: "server draining"})
 		return
 	}
 	name := r.PathValue("name")
@@ -233,7 +234,7 @@ func (s *Server) handleGraphInfer(w http.ResponseWriter, r *http.Request) {
 	defer req.release()
 	in, elems := req.Inputs[0], layout.Elems()
 	if in.Datatype != "" && in.Datatype != "FP32" {
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
+		obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf(
 			"unsupported datatype %q (graphs re-quantize per node; send FP32)", in.Datatype)})
 		return
 	}
@@ -258,7 +259,7 @@ func (s *Server) handleGraphInfer(w http.ResponseWriter, r *http.Request) {
 		servedBy[b] = res.ServedBy
 		escalations[b] = res.Escalations
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"model_name":  name,
 		"id":          req.ID,
 		"outputs":     inferOutputs(scores, classes),

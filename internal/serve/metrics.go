@@ -98,9 +98,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "micronets_serve_model_versions{model=%q} %d\n", n, perName[n])
 	}
 	s.writeGraphMetrics(&b)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	// A failed scrape write means the scraper hung up; nothing useful to do.
-	_, _ = w.Write([]byte(b.String())) //microvet:ignore droppederr client disconnects during a scrape are not actionable
+	obs.WriteScrape(w, b.String())
 }
 
 // writeGraphMetrics renders the inference-graph router counters: per-graph

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"micronets/internal/mcu"
+	"micronets/internal/obs"
 )
 
 // profileResponse is the body of GET /v2/models/{name}/profile: the
@@ -25,7 +26,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	v, err := s.repo.acquire(name)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
 		return
 	}
 	defer v.release()
@@ -33,7 +34,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("runs"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 1 {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: "runs must be a positive integer"})
+			obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: "runs must be a positive integer"})
 			return
 		}
 		if n > 64 {
@@ -45,7 +46,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	mod := v.model
 	ip, err := v.pool.Get(r.Context())
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, v2Error{Error: err.Error()})
 		return
 	}
 	defer v.pool.Put(ip)
@@ -58,7 +59,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	// One warm invoke so the measured runs never pay first-touch costs.
 	if err := ip.Invoke(); err != nil {
 		ip.Reset()
-		writeJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})
 		return
 	}
 	sums := make([]float64, len(mod.Ops))
@@ -69,7 +70,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		timings, err := ip.ProfileInvoke()
 		if err != nil {
 			ip.Reset()
-			writeJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})
+			obs.WriteJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})
 			return
 		}
 		for _, t := range timings {
@@ -83,8 +84,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// An op the cost model cannot score makes the join impossible —
 		// report it rather than a partial table.
-		writeJSON(w, http.StatusUnprocessableEntity, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusUnprocessableEntity, v2Error{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, profileResponse{Version: v.num, Profile: prof})
+	obs.WriteJSON(w, http.StatusOK, profileResponse{Version: v.num, Profile: prof})
 }

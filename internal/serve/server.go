@@ -208,14 +208,8 @@ type v2Error struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v) //microvet:ignore droppederr headers are already written; an encode failure means the client hung up
-}
-
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]bool{"live": true})
+	obs.WriteJSON(w, http.StatusOK, map[string]bool{"live": true})
 }
 
 // handleReady reports readiness plus how many models have a serving
@@ -224,11 +218,11 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	modelsReady := len(s.repo.actives())
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		obs.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"ready": false, "models_ready": modelsReady})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"ready": true, "models_ready": modelsReady})
 }
 
@@ -245,21 +239,21 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 			out = append(out, modelState{Name: st.Name, Task: st.Task, State: string(st.State), Version: st.Version})
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": out})
+	obs.WriteJSON(w, http.StatusOK, map[string]any{"models": out})
 }
 
 func (s *Server) handleModelMeta(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	v, err := s.repo.acquire(name)
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
 		return
 	}
 	defer v.release()
 	mod := v.model
 	in := mod.Tensors[mod.Input]
 	out := mod.Tensors[mod.Output]
-	writeJSON(w, http.StatusOK, map[string]any{
+	obs.WriteJSON(w, http.StatusOK, map[string]any{
 		"name":     v.name,
 		"versions": []string{fmt.Sprint(v.num)},
 		"platform": "micronets-go-tflm",
@@ -296,12 +290,12 @@ func (s *Server) handleModelMeta(w http.ResponseWriter, r *http.Request) {
 // served.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, v2Error{Error: "server draining"})
+		obs.WriteJSON(w, http.StatusServiceUnavailable, v2Error{Error: "server draining"})
 		return
 	}
 	v, err := s.repo.acquire(r.PathValue("name"))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusNotFound, v2Error{Error: err.Error()})
 		return
 	}
 	defer v.release()
@@ -316,7 +310,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	rows := make([][]int8, n)
 	for b := range rows {
 		if rows[b], err = quantizeRow(inT, in.Datatype, in.Data[b*elems:(b+1)*elems]); err != nil {
-			writeJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
+			obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: err.Error()})
 			return
 		}
 	}
@@ -327,7 +321,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		outs[b] = make([]int8, outT.Elems())
 	}
 	if err := eachRow(n, func(b int) error { return v.infer(r.Context(), rows[b], outs[b]) }); err != nil {
-		writeJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})
+		obs.WriteJSON(w, http.StatusInternalServerError, v2Error{Error: err.Error()})
 		return
 	}
 
@@ -347,7 +341,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		Outputs:   inferOutputs(scores, classes),
 	}
 	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 	v.stats.encode.Observe(time.Since(encodeStart))
 }
 
@@ -368,21 +362,21 @@ func decodeInfer(w http.ResponseWriter, r *http.Request, layout *graph.Tensor, t
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: fmt.Sprintf(
+			obs.WriteJSON(w, http.StatusRequestEntityTooLarge, v2Error{Error: fmt.Sprintf(
 				"request body exceeds %d bytes (max client batch is %d rows)", tooBig.Limit, maxInferRows)})
 			return req, 0, false
 		}
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
+		obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: "bad JSON: " + err.Error()})
 		return req, 0, false
 	}
 	if len(req.Inputs) != 1 {
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("want exactly 1 input tensor, got %d", len(req.Inputs))})
+		obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("want exactly 1 input tensor, got %d", len(req.Inputs))})
 		req.release()
 		return inferBody{}, 0, false
 	}
 	n, err = batchRows(req.Inputs[0], layout)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("input %q: %v (%s)", req.Inputs[0].Name, err, target)})
+		obs.WriteJSON(w, http.StatusBadRequest, v2Error{Error: fmt.Sprintf("input %q: %v (%s)", req.Inputs[0].Name, err, target)})
 		req.release()
 		return inferBody{}, 0, false
 	}

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -920,40 +921,37 @@ func TestListenAndServeDrains(t *testing.T) {
 	}
 }
 
-// TestAdminSpecFileAllOrNothing: a spec file whose second spec
-// collides with a built-in model answers the spec_file load with 400 and
-// loads none of the file — not even its valid first spec. A valid file
-// loads the spec named in the URL, and only that one; a name the file
-// does not carry is a 404.
-func TestAdminSpecFileAllOrNothing(t *testing.T) {
+// TestAdminLoadRefusesSpecFile: a load body that names a spec_file
+// answers 400 and reads nothing: not a valid spec file carrying the URL's
+// name, not a file that is no spec file, not a missing path. The answer
+// carries neither the file's content nor an open error, the index is
+// unchanged, and the same spec sent inline loads.
+func TestAdminLoadRefusesSpecFile(t *testing.T) {
 	_, ts := newTestServer(t)
-	ok := testSpec(t, "DSCNN-S")
-	ok.Name = "SpecFile-AllOrNothing-Test"
+	spec := testSpec(t, "DSCNN-S")
+	spec.Name = "SpecFile-Refused-Test"
 	dir := t.TempDir()
-	bad := filepath.Join(dir, "collides.json")
-	writeTestSpecFile(t, bad, ok, testSpec(t, "DSCNN-S"))
-
-	body, _ := json.Marshal(map[string]string{"spec_file": bad})
-	code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+ok.Name+"/load", string(body))
-	if code != http.StatusBadRequest {
-		t.Fatalf("spec_file load with a built-in collision: code %d (%v), want 400", code, resp)
+	valid := filepath.Join(dir, "frontier.json")
+	writeTestSpecFile(t, valid, spec)
+	secret := filepath.Join(dir, "secret.txt")
+	if err := os.WriteFile(secret, []byte("root:x:0:0:secret"), 0o600); err != nil {
+		t.Fatal(err)
 	}
-	if idx := repoIndex(t, ts.URL); len(idx) != len(testModels) || idx[ok.Name] != nil {
-		t.Fatalf("a rejected spec file changed the index: %v", idx)
+	url := ts.URL + "/v2/repository/models/" + spec.Name + "/load"
+	for _, path := range []string{valid, secret, filepath.Join(dir, "missing.json")} {
+		body, _ := json.Marshal(map[string]string{"spec_file": path})
+		code, resp := postJSON(t, url, string(body))
+		msg := fmt.Sprint(resp["error"])
+		if code != http.StatusBadRequest || strings.Contains(msg, "open") || strings.Contains(msg, "root") ||
+			strings.Contains(msg, "invalid character") || strings.Contains(msg, path) {
+			t.Errorf("spec_file %s: code %d (%v), want 400 that reads nothing", filepath.Base(path), code, resp)
+		}
 	}
-
-	other := testSpec(t, "MicroNet-KWS-S")
-	other.Name = "SpecFile-Other-Test"
-	good := filepath.Join(dir, "frontier.json")
-	writeTestSpecFile(t, good, ok, other)
-	body, _ = json.Marshal(map[string]string{"spec_file": good})
-	if code, resp := postJSON(t, ts.URL+"/v2/repository/models/"+ok.Name+"/load", string(body)); code != 200 {
-		t.Fatalf("spec_file load: code %d (%v)", code, resp)
+	if idx := repoIndex(t, ts.URL); len(idx) != len(testModels) || idx[spec.Name] != nil {
+		t.Fatalf("a refused spec_file load changed the index: %v", idx)
 	}
-	if code, resp := postJSON(t, ts.URL+"/v2/repository/models/Not-In-File/load", string(body)); code != http.StatusNotFound {
-		t.Fatalf("spec_file load of a name the file lacks: code %d (%v), want 404", code, resp)
-	}
-	if idx := repoIndex(t, ts.URL); len(idx) != len(testModels)+1 || idx[ok.Name] == nil || idx[other.Name] != nil {
-		t.Fatalf("spec_file load must add exactly %s: %v", ok.Name, idx)
+	body, _ := json.Marshal(map[string]any{"spec": spec})
+	if code, resp := postJSON(t, url, string(body)); code != http.StatusOK {
+		t.Fatalf("inline load of the same spec: code %d (%v)", code, resp)
 	}
 }

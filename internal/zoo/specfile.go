@@ -11,8 +11,8 @@ import (
 
 // SpecFile is the on-disk format for exported architectures — the bridge
 // from a finished search run to a serving process: cmd/search writes one,
-// and cmd/serve -specs or an admin spec_file load reads it. Its specs are
-// served by the server that read them; they never join the catalogue.
+// and cmd/serve -specs reads it at boot. Its specs are served by the
+// server that read them; they never join the catalogue.
 type SpecFile struct {
 	// GeneratedBy records provenance (tool and parameters).
 	GeneratedBy string `json:"generated_by,omitempty"`

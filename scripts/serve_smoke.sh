@@ -3,8 +3,8 @@
 # device-class RAM budget, and prove the full serving story end to end:
 # readiness, model metadata, a real infer POST, and the model-repository
 # control plane — a frontier spec exported by the NAS search (run first
-# via search_smoke.sh) is hot-loaded through POST /v2/repository/.../load
-# and served WITHOUT any restart, an over-budget load is rejected with a
+# via search_smoke.sh) is hot-loaded inline through POST
+# /v2/repository/.../load and served WITHOUT any restart, an over-budget load is rejected with a
 # structured 409, and an unload drains the model back out of the index.
 # Then the inference-graph router: the cascade cmd/search exported is
 # registered and served, deterministic cascades prove gate-hit and
@@ -90,12 +90,19 @@ echo "$HDRS" | grep -i '^x-micronets-trace:' | grep -q '"name":"invoke"'
 echo "trace OK: span tree returned on opt-in"
 
 # --- Hot-load the searched model through the control plane: the running
-# server picks it up from the exported spec file, plans it against the
-# budget, and serves it — the acceptance criterion's "no restart" path.
+# server takes its spec inline (built from the exported frontier), plans
+# it against the budget, and serves it — the acceptance criterion's "no
+# restart" path. A load body that names a server-side spec_file is
+# refused with 400: the server reads no file a caller names.
 curl -fsS "http://$ADDR/v2/models/$NAS_MODEL" -o /dev/null -w '' 2>/dev/null \
     && { echo "NAS model served before load?"; exit 1; } || true
-LOAD=$(curl -fsS -X POST -H 'Content-Type: application/json' \
+inline_spec() { jq -c --arg m "$1" '{spec: (.specs[] | select(.Name == $m))}' "$WORK/frontier.json"; }
+SPECFILE_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
     -d "{\"spec_file\": \"$WORK/frontier.json\"}" \
+    "http://$ADDR/v2/repository/models/$NAS_MODEL/load")
+test "$SPECFILE_CODE" = "400"
+LOAD=$(curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d "$(inline_spec "$NAS_MODEL")" \
     "http://$ADDR/v2/repository/models/$NAS_MODEL/load")
 echo "$LOAD" | jq -e '.state == "READY" and .version == 1 and .planned_ram_bytes > 0' >/dev/null
 curl -fsS "http://$ADDR/v2/repository/index" | jq -e --arg m "$NAS_MODEL" \
@@ -104,7 +111,7 @@ NAS_RESP=$(curl -fsS -X POST -H 'Content-Type: application/json' \
     -d "$PAYLOAD" "http://$ADDR/v2/models/$NAS_MODEL/infer")
 echo "$NAS_RESP" | jq -e '.outputs[] | select(.name=="class") | .data | length == 1' >/dev/null
 echo "$NAS_RESP" | jq -e --arg m "$NAS_MODEL" '.model_name == $m' >/dev/null
-echo "hot-load OK: $NAS_MODEL served with zero restarts (class $(echo "$NAS_RESP" | jq -c '[.outputs[] | select(.name=="class") | .data[0]]'))"
+echo "hot-load OK: spec_file refused with 400; $NAS_MODEL served with zero restarts (class $(echo "$NAS_RESP" | jq -c '[.outputs[] | select(.name=="class") | .data[0]]'))"
 
 # --- An over-budget load must be a structured 409, not an OOM: the AD-L
 # weights + one arena (752828 bytes) exceed whatever the budget has left.
@@ -132,10 +139,10 @@ echo "unload OK: DSCNN-S drained out of the index"
 # the router end to end — infer, counters, validation 4xx, unload guard.
 
 # The exported cascade's stages are frontier models; load every exported
-# spec so the graph validates (loads are idempotent).
+# spec inline so the graph validates (loads are idempotent).
 for m in $(jq -r '.specs[].Name' "$WORK/frontier.json"); do
     curl -fsS -X POST -H 'Content-Type: application/json' \
-        -d "{\"spec_file\": \"$WORK/frontier.json\"}" \
+        -d "$(inline_spec "$m")" \
         "http://$ADDR/v2/repository/models/$m/load" >/dev/null
 done
 CASCADE_NAME=$(jq -r '.name' "$WORK/cascade.json")
