@@ -1,63 +1,19 @@
-// Anomaly detection end to end: the §4.3 self-supervised protocol on
-// synthetic MIMII-like machine sounds — train a machine-ID classifier on
-// normal audio only, score anomalies with the negative own-ID softmax
-// probability, report AUC, and check the real-time uptime constraint that
-// drives the paper's AD latency budget (§5.2.3).
+// Anomaly detection: check the real-time uptime constraint that drives
+// the paper's AD latency budget (§5.2.3) for the zoo's MicroNet-AD
+// models. To train a machine-ID classifier under the §4.3
+// self-supervised protocol on synthetic machine sounds and score it by
+// AUC in float and int8, run `go run ./cmd/train -task ad`.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"micronets"
-	"micronets/internal/arch"
-	"micronets/internal/datasets"
-	"micronets/internal/nn"
-	"micronets/internal/train"
 )
 
 func main() {
 	log.SetFlags(0)
-	rng := rand.New(rand.NewSource(1))
-
-	fmt.Println("synthesizing machine sounds (4 slide-rail machine IDs)...")
-	ad := datasets.SynthAD(datasets.ADOptions{
-		Machines: 4, ClipsPerMachine: 6, AnomaliesPerMachine: 4, ClipSeconds: 3, Seed: 2,
-	})
-	cls := ad.ClassifierDataset()
-	fmt.Printf("training images: %d (normal only), test images: %d\n", len(ad.Train), len(ad.Test))
-
-	spec := &arch.Spec{
-		Name: "ad-demo", Task: "ad",
-		InputH: 32, InputW: 32, InputC: 1, NumClasses: 4,
-		Blocks: []arch.Block{
-			{Kind: arch.Conv, KH: 3, KW: 3, OutC: 8, Stride: 1},
-			{Kind: arch.DSBlock, KH: 3, KW: 3, OutC: 16, Stride: 2},
-			{Kind: arch.DSBlock, KH: 3, KW: 3, OutC: 24, Stride: 2},
-			{Kind: arch.DSBlock, KH: 3, KW: 3, OutC: 24, Stride: 2},
-			{Kind: arch.GlobalPool},
-			{Kind: arch.Dense, OutC: 4},
-		},
-	}
-	model, err := arch.Build(rng, spec, arch.BuildOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("training machine-ID classifier with mixup (α=0.3, §5.2.3)...")
-	steps := 120
-	if _, err := train.Fit(model, cls, train.Config{
-		Steps: steps, BatchSize: 16,
-		LR:          nn.CosineSchedule{Start: 0.02, End: 0.00008, Steps: steps},
-		WeightDecay: 0.002,
-		MixupAlpha:  0.3,
-		Seed:        3,
-	}); err != nil {
-		log.Fatal(err)
-	}
-
-	auc := train.EvalAUC(model, ad.Test)
-	fmt.Printf("anomaly-detection AUC: %.2f%% (paper's MicroNet-AD: 95.3-97.3%% on real MIMII)\n\n", auc*100)
 
 	// Real-time constraint: inference must finish within the 640 ms stride
 	// between successive spectrogram images (§5.2.3).

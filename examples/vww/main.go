@@ -1,19 +1,15 @@
 // Visual wake words: reproduce the §6.2 deployability analysis — why
 // ProxylessNAS and MSNet need the largest MCU while MicroNets target each
-// device — then train a small person-detector on synthetic scenes.
+// device — and deploy MicroNet-VWW-2 on its target. To train a small
+// person detector on synthetic scenes, run `go run ./cmd/train -task vww`.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"micronets"
-	"micronets/internal/arch"
-	"micronets/internal/datasets"
 	"micronets/internal/experiments"
-	"micronets/internal/nn"
-	"micronets/internal/train"
 )
 
 func main() {
@@ -38,37 +34,6 @@ func main() {
 	if dep.FitsErr != nil {
 		log.Fatalf("unexpected: %v", dep.FitsErr)
 	}
-	fmt.Printf("latency %.3f s, energy %.1f mJ, SRAM %.1f KB\n\n",
+	fmt.Printf("latency %.3f s, energy %.1f mJ, SRAM %.1f KB\n",
 		dep.LatencySeconds, dep.EnergyMJ, float64(dep.Report.ModelSRAM())/1024)
-
-	fmt.Println("=== training a small person detector on synthetic scenes ===")
-	rng := rand.New(rand.NewSource(1))
-	ds := datasets.SynthVWW(datasets.VWWOptions{Size: 32, PerClass: 80, Seed: 2})
-	trainDS, testDS := ds.Split(rng, 0.25)
-	tiny := &arch.Spec{
-		Name: "vww-demo", Task: "vww",
-		InputH: 32, InputW: 32, InputC: 1, NumClasses: 2,
-		Blocks: []arch.Block{
-			{Kind: arch.Conv, KH: 3, KW: 3, OutC: 8, Stride: 2},
-			{Kind: arch.IBN, KH: 3, KW: 3, Expand: 16, OutC: 8, Stride: 1},
-			{Kind: arch.IBN, KH: 3, KW: 3, Expand: 24, OutC: 16, Stride: 2},
-			{Kind: arch.GlobalPool},
-			{Kind: arch.Dense, OutC: 2},
-		},
-	}
-	model, err := arch.Build(rng, tiny, arch.BuildOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	steps := 200
-	if _, err := train.Fit(model, trainDS, train.Config{
-		Steps: steps, BatchSize: 16,
-		LR:          nn.CosineSchedule{Start: 0.06, End: 0.002, Steps: steps},
-		WeightDecay: 4e-5,
-		Seed:        3,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("person-detection accuracy: %.1f%% (chance 50%%)\n",
-		train.Accuracy(model, testDS)*100)
 }

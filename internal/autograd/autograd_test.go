@@ -255,14 +255,3 @@ func TestDeepChainNoStackOverflow(t *testing.T) {
 		t.Fatalf("deep chain gradient = %v", x.Grad.Data[0])
 	}
 }
-
-func TestDistillLossReducesToCE(t *testing.T) {
-	r := rng(20)
-	logits := tensor.Randn(r, 1, 2, 3)
-	labels := []int{0, 2}
-	plain := CrossEntropy(Param(logits.Clone()), labels).Scalar()
-	kd := DistillLoss(Param(logits.Clone()), labels, nil, 0.5, 4).Scalar()
-	if math.Abs(float64(plain-kd)) > 1e-6 {
-		t.Fatalf("nil-teacher distill must equal CE: %v vs %v", plain, kd)
-	}
-}

@@ -112,20 +112,3 @@ func SoftCrossEntropy(logits *Var, targets *tensor.Tensor) *Var {
 	}, logits)
 	return v
 }
-
-// DistillLoss blends hard-label cross-entropy with a temperature-scaled KL
-// term against teacher logits, following Hinton et al. as used by the
-// paper's VWW recipe (coefficient 0.5, temperature 4).
-func DistillLoss(student *Var, labels []int, teacherLogits *tensor.Tensor, coeff, temperature float32) *Var {
-	hard := CrossEntropy(student, labels)
-	if teacherLogits == nil || coeff == 0 {
-		return hard
-	}
-	// Soft targets at temperature T.
-	scaled := tensor.Scale(tensor.New(teacherLogits.Shape...), teacherLogits, 1/temperature)
-	q := SoftmaxRows(scaled)
-	softLogits := Scale(student, 1/temperature)
-	soft := SoftCrossEntropy(softLogits, q)
-	// The T² factor keeps gradient magnitudes comparable across temperatures.
-	return Add(Scale(hard, 1-coeff), Scale(soft, coeff*temperature*temperature))
-}

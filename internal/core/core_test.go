@@ -114,8 +114,8 @@ func spaceFor(t *testing.T, task string) *Space {
 }
 
 // resourceConfigs are the supernets the resource-model tests cover: both
-// DNAS spaces at the harness's size and at two narrower ones whose
-// narrowest options fall below the spaces' MinC, and tinyConfig.
+// DNAS spaces at the harness's size and at two narrower ones whose raw
+// WidthOptions fall below the spaces' MinC, and tinyConfig.
 func resourceConfigs(t *testing.T) map[string]SupernetConfig {
 	cfgs := map[string]SupernetConfig{"tiny": tinyConfig()}
 	for _, task := range []string{"kws", "ad"} {
@@ -124,6 +124,28 @@ func resourceConfigs(t *testing.T) map[string]SupernetConfig {
 		}
 	}
 	return cfgs
+}
+
+// TestSupernetOptionsDeployable: every width option of a space's
+// supernet is a width Build deploys unchanged — at least MinC, on the
+// multiple-of-4 grid, no duplicates — including the narrow supernets whose
+// raw WidthOptions start below MinC, so the channel mask never trains a
+// width that Discretize and the resource model replace with MinC.
+func TestSupernetOptionsDeployable(t *testing.T) {
+	for _, task := range []string{"kws", "ad"} {
+		sp := spaceFor(t, task)
+		for _, size := range [][2]int{{16, 3}, {32, 3}} {
+			opts := sp.Supernet(size[0], size[1]).WidthOptions
+			seen := map[int]bool{}
+			for _, c := range opts {
+				if c < sp.MinC || sp.clampWidth(c) != c || seen[c] {
+					t.Errorf("%s Supernet(%d,%d): option %d of %v is not a distinct deployable width (MinC %d)",
+						task, size[0], size[1], c, opts, sp.MinC)
+				}
+				seen[c] = true
+			}
+		}
+	}
 }
 
 // decisions returns every decision node of s.
@@ -179,7 +201,7 @@ func TestSupernetForwardShapesAndResources(t *testing.T) {
 func TestResourceModelMatchesDiscreteAnalysis(t *testing.T) {
 	// At one-hot decisions the differentiable resource model must equal
 	// arch.Analyze on the discretized spec exactly, in both DNAS spaces,
-	// including options below MinC, which deploy as MinC.
+	// including the narrow supernets whose options Supernet clamps.
 	for name, cfg := range resourceConfigs(t) {
 		for seed := int64(1); seed <= 5; seed++ {
 			rng := rand.New(rand.NewSource(seed))

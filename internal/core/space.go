@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"micronets/internal/arch"
 )
@@ -80,12 +81,19 @@ func kwsSpace() *Space {
 
 // Supernet returns the space's DNAS relaxation (§5.2.2, §5.2.3): a first
 // conv and blocks DS blocks at the space's strides, every width decision
-// over WidthOptions(maxC, 8, true), and exactly the stride-1 blocks
-// skippable, so every subnet keeps the spatial schedule the pool needs.
-// Discretize and the resource model both go through Build, so an option
-// below MinC (any maxC < 40 at MinC 8) deploys, and is charged, as MinC.
+// over WidthOptions(maxC, 8, true) snapped into the space's width bounds
+// (clampWidth, deduplicated), and exactly the stride-1 blocks skippable,
+// so every subnet keeps the spatial schedule the pool needs. Every option
+// is thus a width Build deploys: the channel mask trains, the resource
+// model charges and Discretize deploys the same network.
 func (s *Space) Supernet(maxC, blocks int) SupernetConfig {
-	cfg := SupernetConfig{Space: s, WidthOptions: WidthOptions(maxC, 8, true)}
+	var opts []int
+	for _, c := range WidthOptions(maxC, 8, true) {
+		if c = s.clampWidth(c); !slices.Contains(opts, c) {
+			opts = append(opts, c)
+		}
+	}
+	cfg := SupernetConfig{Space: s, WidthOptions: opts}
 	for i := 0; i < blocks; i++ {
 		cfg.Skippable = append(cfg.Skippable, s.strideFor(i, blocks) == 1)
 	}

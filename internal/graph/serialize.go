@@ -8,8 +8,10 @@ import (
 )
 
 // Serialization implements the ".mnet" container — the reproduction's
-// analogue of the .tflite flatbuffer. The on-disk size of this container is
-// what the memory reports treat as the model's flash footprint.
+// analogue of the .tflite flatbuffer. Its on-disk size is not the flash
+// footprint: the memory reports (tflm.Report, Model.FlashBytes) charge
+// WeightBytes + BiasBytes + QuantParamBytes + GraphDefBytes, a model of
+// the deployed flatbuffer rather than the size of this file.
 
 const (
 	magic   = "MNET"

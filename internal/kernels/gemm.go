@@ -70,17 +70,11 @@ func convK(m *graph.Model, op *graph.Op) int {
 	return op.KH * op.KW * m.Tensors[op.Inputs[0]].C
 }
 
-// ScratchBytes returns the im2col scratch the default engine needs for a
-// model — the number the tflm memory planner accounts for.
-func ScratchBytes(m *graph.Model) int {
-	return Default.ScratchBytes(m)
-}
-
 // ScratchBytes returns the Default engine's im2col requirement: Workers()
 // concurrent tiles of gemmTileM patches, sized for the largest
-// non-pointwise convolution. The tflm memory planner places this region
-// after the activation arena so host-side memory accounting stays
-// honest; it is zero for models whose convs are all pointwise.
+// non-pointwise convolution. tflm places this region after the planned
+// activation arena so host-side memory accounting stays honest; it is
+// zero for models whose convs are all pointwise.
 func (gemmEngine) ScratchBytes(m *graph.Model) int {
 	maxK := 0
 	for _, op := range m.Ops {

@@ -294,54 +294,21 @@ func (rt *Router) mergedModels() []map[string]any {
 	return out
 }
 
-// traceIDFor honors an inbound X-Micronets-Trace-Id or mints one, so
-// traces span router → replica.
-func traceIDFor(r *http.Request) string {
-	if id := r.Header.Get("X-Micronets-Trace-Id"); id != "" {
-		return id
-	}
-	return obs.NewTraceID()
-}
-
-// statusWriter captures the response code for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	n, err := sw.ResponseWriter.Write(p)
-	sw.bytes += n
-	return n, err
-}
-
 // logMiddleware stamps every request with a trace ID and emits one
 // structured line per request.
 func (rt *Router) logMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		traceID := traceIDFor(r)
+		traceID := obs.RequestTraceID(r)
 		r.Header.Set("X-Micronets-Trace-Id", traceID)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &obs.StatusWriter{ResponseWriter: w}
 		sw.Header().Set("X-Micronets-Trace-Id", traceID)
 		start := time.Now()
 		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
 		rt.log.Info("mesh request",
 			"method", r.Method,
 			"path", r.URL.Path,
-			"status", sw.status,
-			"bytes", sw.bytes,
+			"status", sw.Status(),
+			"bytes", sw.Bytes,
 			"dur_ms", float64(time.Since(start).Microseconds())/1000,
 			"replica", sw.Header().Get("X-Micronets-Replica"),
 			"trace", traceID,

@@ -11,5 +11,7 @@
 // balloon a response.
 //
 // WriteJSON and WriteScrape are the one JSON response writer and the one
-// /metrics writer that the serve and mesh HTTP handlers share.
+// /metrics writer that the serve and mesh HTTP handlers share;
+// RequestTraceID and StatusWriter are their request-log middlewares' one
+// trace-ID rule and one status/bytes capture.
 package obs

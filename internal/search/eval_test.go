@@ -47,7 +47,7 @@ func BenchmarkTrainFinalist(b *testing.B) {
 		b.Fatal(err)
 	}
 	for b.Loop() {
-		if _, err := tr.Train(spec, 60, 1); err != nil {
+		if _, _, err := tr.Train(spec, 60, 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}

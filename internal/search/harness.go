@@ -347,7 +347,7 @@ func (c *Config) runFinalists(ctx context.Context, res *Result, recs []TrialReco
 		}
 		frec := recs[trial]
 		frec.Stage, frec.TrainSteps = StageFinalist, c.TrainSteps
-		acc, err := trainer.Train(frec.Spec, c.TrainSteps, finalistSeed(c.Seed, trial))
+		acc, _, err := trainer.Train(frec.Spec, c.TrainSteps, finalistSeed(c.Seed, trial), false)
 		if err != nil {
 			frec.Err = err.Error()
 			c.logf("finalist trial-%03d failed to train: %v", trial, err)

@@ -373,7 +373,7 @@ func TestTrainerADPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := space.Build("ad-finalist", []int{16, 16, 16, 16})
-	auc, err := tr.Train(spec, 4, 99)
+	auc, _, err := tr.Train(spec, 4, 99, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,6 +382,44 @@ func TestTrainerADPath(t *testing.T) {
 	}
 	if _, err := NewTrainer("nope", 1); err == nil {
 		t.Fatal("unknown task must error")
+	}
+}
+
+// TestTrainerExport runs the one-candidate path cmd/train drives —
+// Train with QAT, then Export — on a KWS and an AD spec: the int8 model
+// must come back with a score in the metric's range, and a second
+// Export of the same model must reproduce it (the calibration batch is
+// drawn from the run seed, not from shared state).
+func TestTrainerExport(t *testing.T) {
+	for _, tc := range []struct {
+		task   string
+		widths []int
+	}{{"kws", []int{8, 12, 12}}, {"ad", []int{8, 8, 8, 8}}} {
+		t.Run(tc.task, func(t *testing.T) {
+			tr, err := NewTrainer(tc.task, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			space, err := core.SpaceForTask(tc.task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := space.Build("export-"+tc.task, tc.widths)
+			_, model, err := tr.Train(spec, 3, 5, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gm, score, err := tr.Export(spec, model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gm == nil || score < 0 || score > 100 {
+				t.Fatalf("int8 export: model %v, score %v outside [0, 100]", gm, score)
+			}
+			if _, again, err := tr.Export(spec, model); err != nil || again != score {
+				t.Fatalf("second export scored %v (err %v), first %v", again, err, score)
+			}
+		})
 	}
 }
 

@@ -591,7 +591,7 @@ func (r *Repository) reserve(name string, m *repoModel, key versionKey, task str
 		spanAttrs:       map[string]string{"model": name},
 		poolSize:        pool,
 		perReplicaArena: plan.ArenaBytes,
-		arenaBytes:      plan.TotalBytes(),
+		arenaBytes:      prep.ArenaBytes(),
 		weightBytes:     weightBytes,
 		plannedBytes:    weightBytes + pool*plan.ArenaBytes,
 		flashBytes:      prep.Model().FlashBytes(),

@@ -508,40 +508,6 @@ func quantizeRow(in *graph.Tensor, datatype string, data []float64) ([]int8, err
 	return row, nil
 }
 
-// statusWriter captures the response code for the request log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-	// beforeHeader runs once, immediately before the first WriteHeader
-	// or Write, while response headers are still mutable — the trace
-	// middleware uses it to finish the root span and attach the span
-	// JSON header.
-	beforeHeader func()
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.beforeHeader != nil {
-		sw.beforeHeader()
-		sw.beforeHeader = nil
-	}
-	sw.status = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		if sw.beforeHeader != nil {
-			sw.beforeHeader()
-			sw.beforeHeader = nil
-		}
-		sw.status = http.StatusOK
-	}
-	n, err := sw.ResponseWriter.Write(p)
-	sw.bytes += n
-	return n, err
-}
-
 // logMiddleware stamps every request with a trace ID (honoring an
 // inbound X-Micronets-Trace-Id so multi-hop setups correlate), emits one
 // structured line per request, and — when the client opts in by sending
@@ -549,12 +515,9 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 // as JSON in the X-Micronets-Trace response header.
 func (s *Server) logMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		traceID := r.Header.Get("X-Micronets-Trace-Id")
-		if traceID == "" {
-			traceID = obs.NewTraceID()
-		}
+		traceID := obs.RequestTraceID(r)
 		ctx := obs.ContextWithTraceID(r.Context(), traceID)
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &obs.StatusWriter{ResponseWriter: w}
 		sw.Header().Set("X-Micronets-Trace-Id", traceID)
 		if r.Header.Get("X-Micronets-Trace") != "" {
 			tr := obs.NewTraceWithID(traceID)
@@ -563,7 +526,7 @@ func (s *Server) logMiddleware(next http.Handler) http.Handler {
 			root.SetAttr("path", r.URL.Path)
 			ctx = obs.ContextWithTrace(ctx, tr)
 			ctx = obs.ContextWithSpan(ctx, root)
-			sw.beforeHeader = func() {
+			sw.BeforeHeader = func() {
 				root.End()
 				if js, err := json.Marshal(tr.Spans()); err == nil {
 					sw.Header().Set("X-Micronets-Trace", string(js))
@@ -572,14 +535,11 @@ func (s *Server) logMiddleware(next http.Handler) http.Handler {
 		}
 		start := time.Now()
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
 		s.log.Info("request",
 			"method", r.Method,
 			"path", r.URL.Path,
-			"status", sw.status,
-			"bytes", sw.bytes,
+			"status", sw.Status(),
+			"bytes", sw.Bytes,
 			"dur_ms", float64(time.Since(start).Microseconds())/1000,
 			"remote", r.RemoteAddr,
 			"trace", traceID,

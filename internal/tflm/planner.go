@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"micronets/internal/graph"
-	"micronets/internal/kernels"
 )
 
 // Alignment of arena allocations, matching TFLM's kBufferAlignment.
@@ -21,21 +20,15 @@ type Allocation struct {
 }
 
 // Plan is the memory plan for a model. ArenaBytes covers the activation
-// tensors (the deployable SRAM number reported in the paper's tables);
-// ScratchBytes is the host-side im2col region the Default kernel engine
-// needs, placed immediately after the arena so all inference memory is
-// planner-accounted rather than hidden in ad-hoc kernel allocations. It
-// is excluded from device-fit checks because MCU deployments run the
-// direct (CMSIS-NN-style) convolution instead.
+// tensors (the deployable SRAM number reported in the paper's tables).
+// The host-side im2col scratch an engine needs is not part of the plan:
+// PrepareWithEngine sizes it from the engine and places it after the
+// arena (Prepared.ArenaBytes), and device-fit checks exclude it because
+// MCU deployments run the direct (CMSIS-NN-style) convolution instead.
 type Plan struct {
-	Allocations  []Allocation
-	ArenaBytes   int
-	ScratchBytes int
+	Allocations []Allocation
+	ArenaBytes  int
 }
-
-// TotalBytes is the full host allocation: activation arena plus im2col
-// scratch.
-func (p *Plan) TotalBytes() int { return p.ArenaBytes + p.ScratchBytes }
 
 // lifetimes computes [firstUse, lastUse] op-index ranges per tensor.
 // The model input is alive from -1; the model output stays alive to the
@@ -131,7 +124,7 @@ func PlanMemory(m *graph.Model) (*Plan, error) {
 		}
 		placed = append(placed, a)
 	}
-	plan := &Plan{ArenaBytes: arena, ScratchBytes: alignUp(kernels.ScratchBytes(m))}
+	plan := &Plan{ArenaBytes: arena}
 	sort.Slice(placed, func(i, j int) bool { return placed[i].TensorID < placed[j].TensorID })
 	for _, a := range placed {
 		plan.Allocations = append(plan.Allocations, *a)

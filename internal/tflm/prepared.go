@@ -22,6 +22,10 @@ type Prepared struct {
 	engine kernels.Engine
 	plan   *Plan
 	prep   *kernels.PreparedModel
+	// scratchBytes is the engine's im2col region, aligned, that every
+	// interpreter carves from its arena tail after the planned
+	// activations: zero for Reference.
+	scratchBytes int
 }
 
 // Prepare validates, plans, and prepares a model for the default engine.
@@ -57,7 +61,10 @@ func PrepareWithEngine(m *graph.Model, eng kernels.Engine) (*Prepared, error) {
 	if err := plan.Verify(); err != nil {
 		return nil, err
 	}
-	return &Prepared{model: m, engine: eng, plan: plan, prep: kernels.PrepareModel(m)}, nil
+	return &Prepared{
+		model: m, engine: eng, plan: plan, prep: kernels.PrepareModel(m),
+		scratchBytes: alignUp(eng.ScratchBytes(m)),
+	}, nil
 }
 
 // Model returns the model this state was prepared for.
@@ -65,6 +72,10 @@ func (p *Prepared) Model() *graph.Model { return p.model }
 
 // Plan returns the shared memory plan.
 func (p *Prepared) Plan() *Plan { return p.plan }
+
+// ArenaBytes is the host allocation of one interpreter: the planned
+// activation arena plus the engine's im2col scratch.
+func (p *Prepared) ArenaBytes() int { return p.plan.ArenaBytes + p.scratchBytes }
 
 // WeightBytes is the RAM footprint of the shared prepared kernel state
 // (packed panels, folded biases, prefix sums, multipliers). Paid once per
@@ -81,13 +92,10 @@ func (p *Prepared) NewInterpreter(arenaLimit int) (*Interpreter, error) {
 		return nil, fmt.Errorf("tflm: model %s needs %d arena bytes, limit %d",
 			m.Name, p.plan.ArenaBytes, arenaLimit)
 	}
-	// Reference uses no scratch and gets a bare activation arena; Default
-	// interpreters carry the planner-accounted im2col tail.
-	scratchBytes := alignUp(p.engine.ScratchBytes(m))
 	ip := &Interpreter{
 		prep:  p,
 		model: m,
-		arena: make([]int8, p.plan.ArenaBytes+scratchBytes),
+		arena: make([]int8, p.ArenaBytes()),
 		bufs:  make([][]int8, len(m.Tensors)),
 		steps: make([]func(), len(m.Ops)),
 	}

@@ -399,19 +399,29 @@ func TestEngineParityEndToEnd(t *testing.T) {
 	}
 }
 
-// TestScratchPlanned checks the im2col scratch is planner-accounted and
-// sized for the worst conv in the model.
+// TestScratchPlanned checks the im2col scratch is accounted in the
+// interpreter's one arena allocation: the planned activations plus the
+// engine's requirement, sized for the worst conv in the model — and
+// nothing beyond the activations for Reference, which needs no scratch.
 func TestScratchPlanned(t *testing.T) {
 	m := lowered(t, 6)
-	plan, err := PlanMemory(m)
-	if err != nil {
-		t.Fatal(err)
+	for _, eng := range []kernels.Engine{kernels.Default, kernels.Reference} {
+		p, err := PrepareWithEngine(m, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ip, err := p.NewInterpreter(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := p.Plan().ArenaBytes + eng.ScratchBytes(m)
+		if got := ip.ArenaBytes(); got < want || got >= want+arenaAlign || got != p.ArenaBytes() {
+			t.Fatalf("%s: interpreter arena %d, want activations+scratch %d aligned up (Prepared says %d)",
+				eng.Name(), got, want, p.ArenaBytes())
+		}
 	}
-	if want := kernels.ScratchBytes(m); plan.ScratchBytes < want {
-		t.Fatalf("plan scratch %d below engine requirement %d", plan.ScratchBytes, want)
-	}
-	if plan.TotalBytes() != plan.ArenaBytes+plan.ScratchBytes {
-		t.Fatal("TotalBytes must be arena + scratch")
+	if kernels.Default.ScratchBytes(m) == 0 {
+		t.Fatal("model has no im2col conv; the check covers nothing")
 	}
 }
 

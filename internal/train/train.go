@@ -1,8 +1,8 @@
 // Package train provides the task trainers and evaluation metrics used to
 // train final models after DNAS (§5.2): supervised training with the
-// paper's recipes (cosine LR, weight decay, QAT, SpecAugment, mixup,
-// optional knowledge distillation), accuracy evaluation, and the
-// self-supervised anomaly-detection AUC protocol (§4.3).
+// paper's recipes (cosine LR, weight decay, QAT, SpecAugment, mixup),
+// accuracy evaluation, and the self-supervised anomaly-detection AUC
+// protocol (§4.3).
 package train
 
 import (
@@ -29,20 +29,14 @@ type Config struct {
 	// SpecAugment enables time/frequency masking on [n,h,w,1] inputs
 	// (used by KWS, §5.2.2).
 	SpecAugment bool
-	// Distill enables knowledge distillation from teacher logits
-	// (coefficient 0.5, temperature 4 for VWW, §5.2.1).
-	Distill     func(x *tensor.Tensor) *tensor.Tensor
-	DistillCoef float32
-	DistillTemp float32
 	Seed        int64
-	Log         func(string)
 }
 
 // QuickConfig returns the deterministic small-budget training recipe for
-// a task, used by the NAS finalist re-rank (accuracy-in-the-loop search):
-// each recipe is the paper's task recipe with the step budget as the only
-// free knob, keyed by the caller's per-trial seed so re-running a trial
-// reproduces its trained accuracy exactly.
+// a task, the one recipe search.Trainer (the NAS finalist re-rank and
+// cmd/train) trains with: each recipe is the paper's task recipe with the
+// step budget as the only free knob, keyed by the caller's per-trial seed
+// so re-running a trial reproduces its trained accuracy exactly.
 func QuickConfig(task string, steps int, seed int64) (Config, error) {
 	if steps <= 0 {
 		return Config{}, fmt.Errorf("train: quick recipe needs steps > 0, got %d", steps)
@@ -91,10 +85,6 @@ func Fit(model *nn.Sequential, ds *datasets.Dataset, cfg Config) (float32, error
 			x2, targets := Mixup(rng, x, labels, ds.NumClasses, cfg.MixupAlpha)
 			logits := model.Forward(tape.Constant(x2), true)
 			loss = ag.SoftCrossEntropy(logits, targets)
-		} else if cfg.Distill != nil {
-			teacher := cfg.Distill(x)
-			logits := model.Forward(tape.Constant(x), true)
-			loss = ag.DistillLoss(logits, labels, teacher, cfg.DistillCoef, cfg.DistillTemp)
 		} else {
 			logits := model.Forward(tape.Constant(x), true)
 			loss = ag.CrossEntropy(logits, labels)
@@ -104,9 +94,6 @@ func Fit(model *nn.Sequential, ds *datasets.Dataset, cfg Config) (float32, error
 		opt.Step(params, cfg.LR.LR(step))
 		last = loss.Scalar()
 		tape.Release()
-		if cfg.Log != nil && (step%20 == 0 || step == cfg.Steps-1) {
-			cfg.Log(fmt.Sprintf("step %d/%d loss=%.4f lr=%.4f", step+1, cfg.Steps, last, cfg.LR.LR(step)))
-		}
 	}
 	return last, nil
 }

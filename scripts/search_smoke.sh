@@ -6,7 +6,9 @@
 # from the capacity proxy, and the frontier export must hold at least one
 # spec. Then a -workers 1 and a -workers 4 run must write the same trial
 # log, for the KWS space and for the AD space, whose DNAS warm start must
-# end in the space's average pool. Used by `make search-smoke` and by
+# end in the space's average pool. Last, cmd/train (a one-candidate run
+# of the same trainer) must train, export and score each task in float
+# and in int8. Used by `make search-smoke` and by
 # serve_smoke.sh (so the CI serve-smoke job exercises the same path on
 # every push — keep the flags here in sync with nothing else).
 #
@@ -69,3 +71,13 @@ cmp "$WORK/ad_w1.sorted" "$WORK/ad_w4.sorted"
 jq -s -e '[.[] | select(.source == "dnas")] | length == 1
     and (.[0].spec.Blocks[-2:] | map(.Kind) == ["AvgPool", "Dense"])' "$WORK/ad_w1.jsonl" >/dev/null
 echo "ad determinism OK: -workers 1 and -workers 4 wrote identical trial logs, dnas warm start ends in AvgPool-Dense"
+
+# cmd/train, the one training front end: a one-candidate run of the
+# finalist trainer per task must exit 0 and print both its float and its
+# int8 score.
+for t in kws vww ad; do
+    go run ./cmd/train -task "$t" -steps 5 >"$WORK/train_$t.log"
+    grep -q '^float ' "$WORK/train_$t.log"
+    grep -q '^int8 ' "$WORK/train_$t.log"
+done
+echo "train OK: kws, vww and ad trained, exported and scored in float and int8"
