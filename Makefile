@@ -14,8 +14,9 @@ test:
 # test-purego keeps the portable kernel bodies honest on an amd64 CI host:
 # with the assembly tagged out they must still vet, compile and hold the
 # int8 parity (kernels), its goldens (tflm), the facade tests, the float
-# matmul reference order (tensor) and the DNAS warm-start digest (search).
-PUREGO_PKGS = ./internal/cpufeat ./internal/kernels ./internal/tensor ./internal/tflm ./internal/search .
+# matmul reference order (tensor), the lowering and trained-export digests
+# (graph) and the DNAS warm-start digests (search).
+PUREGO_PKGS = ./internal/cpufeat ./internal/kernels ./internal/tensor ./internal/tflm ./internal/graph ./internal/search .
 test-purego:
 	$(GO) vet -tags purego $(PUREGO_PKGS)
 	$(GO) test -tags purego $(PUREGO_PKGS)

@@ -60,7 +60,6 @@ func main() {
 	noAdmin := flag.Bool("no-admin", false, "disable the /v2/repository and graph-mutation control-plane endpoints")
 	pool := flag.Int("pool", 2, "desired interpreters per model (a RAM budget may scale this down)")
 	weightBits := flag.Int("weight-bits", 8, "weight datatype (8, or 4 for emulated sub-byte kernels)")
-	actBits := flag.Int("act-bits", 8, "activation datatype (8 only for serving; 4-bit activations are a memory/latency emulation the runtime cannot execute)")
 	softmax := flag.Bool("softmax", true, "append the classifier softmax op")
 	seed := flag.Int64("seed", 42, "synthetic-weight seed (equal seeds serve bit-identical models)")
 	logFormat := flag.String("log", "text", "request log format: text or json")
@@ -96,7 +95,6 @@ func main() {
 
 	deploy := serve.ModelOptions{
 		WeightBits:    *weightBits,
-		ActBits:       *actBits,
 		Seed:          *seed,
 		AppendSoftmax: *softmax,
 	}

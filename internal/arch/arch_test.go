@@ -222,7 +222,7 @@ func TestBuildForwardMatchesAnalyzeShapes(t *testing.T) {
 			{Kind: Dense, OutC: 4},
 		},
 	}
-	model, err := Build(rng, spec, BuildOptions{DropoutRng: rng})
+	model, err := Build(rng, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestBuildQATWiresQuantizers(t *testing.T) {
 			{Kind: Dense, OutC: 2},
 		},
 	}
-	model, err := Build(rng, spec, BuildOptions{QuantWeightBits: 8, QuantActBits: 8})
+	model, err := Build(rng, spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestBuildRejectsTransposedConv(t *testing.T) {
 		Name: "tc", InputH: 8, InputW: 8, InputC: 1,
 		Blocks: []Block{{Kind: TransposedConv, KH: 3, KW: 3, OutC: 4, Stride: 2}},
 	}
-	if _, err := Build(rng, spec, BuildOptions{}); err == nil {
+	if _, err := Build(rng, spec, false); err == nil {
 		t.Fatal("builder must reject transposed conv")
 	}
 }

@@ -5,112 +5,74 @@ import (
 	"math/rand"
 
 	"micronets/internal/nn"
-	"micronets/internal/tensor"
 )
 
-// BuildOptions configures trainable-model construction from a Spec.
-type BuildOptions struct {
-	// QuantWeightBits/QuantActBits enable quantization-aware training when
-	// non-zero (8 for the paper's standard models, 4 for the sub-byte
-	// study).
-	QuantWeightBits int
-	QuantActBits    int
-	// DropoutRng supplies randomness for dropout layers (required if the
-	// spec contains Dropout blocks and training is used).
-	DropoutRng *rand.Rand
-}
-
-// Build constructs a trainable float model from the spec. The model mirrors
-// the deployment lowering: Conv/DSBlock/IBN blocks get BatchNorm+ReLU (or
-// ReLU6 for IBN) exactly where the int8 runtime folds them.
-func Build(rng *rand.Rand, s *Spec, opts BuildOptions) (*nn.Sequential, error) {
-	if _, err := s.Analyze(); err != nil {
+// Build constructs a trainable float model from the rows of s.Analyze(),
+// so the network it trains is the graph the lowering deploys. The model
+// has one entry per block: a conv, dwconv or dense row adds its weighted
+// unit, a pool row a VALID pool, and an add row makes the block an
+// nn.Residual. A Dropout block has no row and is its own entry; the
+// model's dropouts share one rand.NewSource(0) stream. qat turns on 8-bit
+// quantization-aware training in every weighted layer.
+func Build(rng *rand.Rand, s *Spec, qat bool) (*nn.Sequential, error) {
+	a, err := s.Analyze()
+	if err != nil {
 		return nil, err
 	}
 	model := nn.NewSequential()
-	h, w, c := s.InputH, s.InputW, s.InputC
-	newQuant := func() *nn.LayerQuant {
-		if opts.QuantWeightBits == 0 && opts.QuantActBits == 0 {
-			return nil
-		}
-		return nn.NewLayerQuant(opts.QuantWeightBits, opts.QuantActBits)
-	}
+	dropRng := rand.New(rand.NewSource(0))
+	rows := a.Layers
 	for i, b := range s.Blocks {
-		stride := b.Stride
-		if stride == 0 {
-			stride = 1
+		if b.Kind == Dropout {
+			model.Add(&nn.Dropout{Rate: b.Rate, Rng: dropRng})
+			continue
 		}
-		name := fmt.Sprintf("b%d", i)
-		switch b.Kind {
-		case Conv:
-			conv := nn.NewConv2D(rng, name+".conv", b.KH, b.KW, c, b.OutC, stride, nn.PadSame, false)
-			conv.Quant = newQuant()
-			model.Add(conv).
-				Add(nn.NewBatchNorm(name+".bn", b.OutC)).
-				Add(&nn.Activation{Kind: "relu"})
-			h, w, c = tensor.SameOut(h, stride), tensor.SameOut(w, stride), b.OutC
-		case DSBlock:
-			dw := nn.NewDepthwiseConv2D(rng, name+".dw", b.KH, b.KW, c, stride, nn.PadSame, false)
-			dw.Quant = newQuant()
-			pw := nn.NewConv2D(rng, name+".pw", 1, 1, c, b.OutC, 1, nn.PadSame, false)
-			pw.Quant = newQuant()
-			model.Add(dw).
-				Add(nn.NewBatchNorm(name+".dwbn", c)).
-				Add(&nn.Activation{Kind: "relu"}).
-				Add(pw).
-				Add(nn.NewBatchNorm(name+".pwbn", b.OutC)).
-				Add(&nn.Activation{Kind: "relu"})
-			h, w, c = tensor.SameOut(h, stride), tensor.SameOut(w, stride), b.OutC
-		case IBN:
-			kh, kw := b.KH, b.KW
-			if kh == 0 {
-				kh, kw = 3, 3
+		body := nn.NewSequential()
+		var block nn.Layer = body
+		for ; len(rows) > 0 && rows[0].BlockIdx == i; rows = rows[1:] {
+			switch l := rows[0]; l.Kind {
+			case "conv", "dwconv", "dense":
+				body.Layers = append(body.Layers, weighted(rng, l, qat)...)
+			case "avgpool":
+				body.Add(&nn.AvgPool{KH: l.KH, KW: l.KW, Stride: l.Stride, Pad: nn.PadValid})
+			case "maxpool":
+				body.Add(&nn.MaxPoolLayer{KH: l.KH, KW: l.KW, Stride: l.Stride, Pad: nn.PadValid})
+			case "add":
+				block = &nn.Residual{Body: body}
+			default:
+				return nil, fmt.Errorf("arch: %s layer %s: training %s layers is not supported by the Go trainer", s.Name, l.Name, l.Kind)
 			}
-			exp := nn.NewConv2D(rng, name+".exp", 1, 1, c, b.Expand, 1, nn.PadSame, false)
-			exp.Quant = newQuant()
-			dw := nn.NewDepthwiseConv2D(rng, name+".dw", kh, kw, b.Expand, stride, nn.PadSame, false)
-			dw.Quant = newQuant()
-			proj := nn.NewConv2D(rng, name+".proj", 1, 1, b.Expand, b.OutC, 1, nn.PadSame, false)
-			proj.Quant = newQuant()
-			body := nn.NewSequential(
-				exp, nn.NewBatchNorm(name+".expbn", b.Expand), &nn.Activation{Kind: "relu6"},
-				dw, nn.NewBatchNorm(name+".dwbn", b.Expand), &nn.Activation{Kind: "relu6"},
-				proj, nn.NewBatchNorm(name+".projbn", b.OutC),
-			)
-			if stride == 1 && b.OutC == c {
-				model.Add(&nn.Residual{Body: body})
-			} else {
-				model.Add(body)
-			}
-			h, w, c = tensor.SameOut(h, stride), tensor.SameOut(w, stride), b.OutC
-		case AvgPool:
-			model.Add(&nn.AvgPool{KH: b.KH, KW: b.KW, Stride: stride, Pad: nn.PadValid})
-			h, w = tensor.ValidOut(h, b.KH, stride), tensor.ValidOut(w, b.KW, stride)
-		case MaxPool:
-			model.Add(&nn.MaxPoolLayer{KH: b.KH, KW: b.KW, Stride: stride, Pad: nn.PadValid})
-			h, w = tensor.ValidOut(h, b.KH, stride), tensor.ValidOut(w, b.KW, stride)
-		case GlobalPool:
-			model.Add(&nn.GlobalAvgPool{})
-			h, w = 1, 1
-		case Dense, DenseReLU:
-			in := h * w * c
-			d := nn.NewDense(rng, name+".fc", in, b.OutC, true)
-			d.Quant = newQuant()
-			model.Add(d)
-			if b.Kind == DenseReLU {
-				model.Add(&nn.Activation{Kind: "relu"})
-			}
-			h, w, c = 1, 1, b.OutC
-		case Dropout:
-			if opts.DropoutRng == nil {
-				opts.DropoutRng = rand.New(rand.NewSource(0))
-			}
-			model.Add(&nn.Dropout{Rate: b.Rate, Rng: opts.DropoutRng})
-		case TransposedConv:
-			return nil, fmt.Errorf("arch: %s: training transposed convolutions is not supported by the Go trainer", s.Name)
-		default:
-			return nil, fmt.Errorf("arch: %s block %d: unknown kind %v", s.Name, i, b.Kind)
 		}
+		model.Add(block)
 	}
 	return model, nil
+}
+
+// weighted returns a conv, dwconv or dense row's trainable unit: the
+// He- or Glorot-initialized layer, a BatchNorm unless the row is dense,
+// and the row's activation unless it is linear.
+func weighted(rng *rand.Rand, l LayerInfo, qat bool) []nn.Layer {
+	var quant *nn.LayerQuant
+	if qat {
+		quant = nn.NewLayerQuant(8, 8)
+	}
+	var unit []nn.Layer
+	switch l.Kind {
+	case "conv":
+		c := nn.NewConv2D(rng, l.Name, l.KH, l.KW, l.InC, l.OutC, l.Stride, nn.PadSame, false)
+		c.Quant = quant
+		unit = append(unit, c, nn.NewBatchNorm(l.Name+".bn", l.OutC))
+	case "dwconv":
+		d := nn.NewDepthwiseConv2D(rng, l.Name, l.KH, l.KW, l.InC, l.Stride, nn.PadSame, false)
+		d.Quant = quant
+		unit = append(unit, d, nn.NewBatchNorm(l.Name+".bn", l.OutC))
+	case "dense":
+		d := nn.NewDense(rng, l.Name, l.InC, l.OutC, true)
+		d.Quant = quant
+		unit = append(unit, d)
+	}
+	if l.Act != "linear" {
+		unit = append(unit, &nn.Activation{Kind: l.Act})
+	}
+	return unit
 }

@@ -130,7 +130,9 @@ func (s *Spec) Fingerprint() string {
 // with resolved shapes and costs. Several LayerInfos may correspond to one
 // Block (e.g. a DSBlock lowers to a depthwise and a pointwise layer).
 // Analyze is the only code that decides what a block becomes: the graph
-// package emits exactly one op per LayerInfo.
+// package emits exactly one op per LayerInfo, Build makes one trainable
+// unit per LayerInfo, and the DNAS supernet tabulates its costs from
+// them.
 type LayerInfo struct {
 	// Name is the deployed op's name: "b<block>" plus "_dw"/"_pw" for a
 	// DSBlock and "_exp"/"_dw"/"_proj"/"_add" for an IBN.

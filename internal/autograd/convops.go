@@ -88,39 +88,3 @@ func MaxPool2D(x *Var, spec tensor.ConvSpec) *Var {
 	}, x)
 	return v
 }
-
-// GlobalAvgPool reduces [n,h,w,c] to [n,c] by averaging over space — the
-// final pooling in every MicroNet architecture.
-func GlobalAvgPool(x *Var) *Var {
-	tp := tapeOf(x)
-	n, h, w, c := x.Value.Shape[0], x.Value.Shape[1], x.Value.Shape[2], x.Value.Shape[3]
-	y := tp.zeroed(n, c)
-	inv := 1 / float32(h*w)
-	for b := 0; b < n; b++ {
-		dst := y.Data[b*c : (b+1)*c]
-		for i := 0; i < h*w; i++ {
-			src := x.Value.Data[(b*h*w+i)*c : (b*h*w+i+1)*c]
-			for j, s := range src {
-				dst[j] += s
-			}
-		}
-		for j := range dst {
-			dst[j] *= inv
-		}
-	}
-	var v *Var
-	v = newOp(tp, y, func() {
-		dx := tp.alloc(x.Value.Shape...)
-		for b := 0; b < n; b++ {
-			g := v.Grad.Data[b*c : (b+1)*c]
-			for i := 0; i < h*w; i++ {
-				dst := dx.Data[(b*h*w+i)*c : (b*h*w+i+1)*c]
-				for j, gv := range g {
-					dst[j] = gv * inv
-				}
-			}
-		}
-		x.accumulateOwned(dx)
-	}, x)
-	return v
-}

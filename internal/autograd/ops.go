@@ -178,26 +178,6 @@ func ReLU6(a *Var) *Var {
 	return v
 }
 
-// Sigmoid returns 1/(1+exp(-x)).
-func Sigmoid(a *Var) *Var {
-	tp := tapeOf(a)
-	out := tp.alloc(a.Value.Shape...)
-	y := out.Data[:len(a.Value.Data)]
-	for i, x := range a.Value.Data {
-		y[i] = float32(1 / (1 + math.Exp(-float64(x))))
-	}
-	var v *Var
-	v = newOp(tp, out, func() {
-		g := tp.alloc(a.Value.Shape...)
-		gd, dy := g.Data[:len(y)], v.Grad.Data[:len(y)]
-		for i, yv := range y {
-			gd[i] = dy[i] * yv * (1 - yv)
-		}
-		a.accumulateOwned(g)
-	}, a)
-	return v
-}
-
 // BiasAdd adds a bias vector along the last dimension of x.
 func BiasAdd(x, bias *Var) *Var {
 	c := x.Value.Dim(-1)

@@ -160,12 +160,22 @@ func decisions(s *Supernet) []*DecisionNode {
 	return nodes
 }
 
+// dsStrides returns the stride of each DS block's depthwise layer in s's
+// shared network.
+func dsStrides(s *Supernet) []int {
+	var strides []int
+	for _, block := range s.net.Layers[1 : len(s.width)+1] {
+		strides = append(strides, block.(*nn.Sequential).Layers[0].(*nn.DepthwiseConv2D).Stride)
+	}
+	return strides
+}
+
 // evalResources runs an eval-mode Forward of s on one random input.
 func evalResources(s *Supernet, rng *rand.Rand) *Resources {
 	sp := s.cfg.Space
 	x := ag.Constant(tensor.Randn(rng, 1, 1, sp.InputH, sp.InputW, sp.InputC))
-	_, res := s.Forward(x, false, nil, 1)
-	return res
+	_, z := s.Forward(x, false, nil, 1)
+	return s.Resources(z)
 }
 
 // choose makes option k of d the only one with weight: logits ±50.
@@ -183,7 +193,8 @@ func TestSupernetForwardShapesAndResources(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := ag.Constant(tensor.Randn(rng, 1, 2, 8, 8, 1))
-	logits, res := s.Forward(x, false, rng, 1)
+	logits, z := s.Forward(x, false, rng, 1)
+	res := s.Resources(z)
 	if logits.Value.Shape[0] != 2 || logits.Value.Shape[1] != 3 {
 		t.Fatalf("logits shape %v", logits.Value.Shape)
 	}
@@ -278,7 +289,8 @@ func TestPenaltyZeroWhenUnderBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s, _ := NewSupernet(rng, tinyConfig())
 	x := ag.Constant(tensor.Randn(rng, 1, 1, 8, 8, 1))
-	_, res := s.Forward(x, false, nil, 1)
+	_, z := s.Forward(x, false, nil, 1)
+	res := s.Resources(z)
 	cons := Constraints{MaxWeightBytes: 1e9, MaxArenaBytes: 1e9, MaxOps: 1e9}
 	if p := cons.Penalty(res).Scalar(); p != 0 {
 		t.Fatalf("penalty %v under budget, want 0", p)
@@ -298,8 +310,8 @@ func TestPenaltyGradientPushesTowardSmaller(t *testing.T) {
 	x := ag.Constant(tensor.Randn(rng, 1, 2, 8, 8, 1))
 	before := probabilities(s.width[0])[0]
 	for i := 0; i < 10; i++ {
-		_, res := s.Forward(x, false, rng, 2)
-		pen := cons.Penalty(res)
+		_, z := s.Forward(x, false, rng, 2)
+		pen := cons.Penalty(s.Resources(z))
 		ag.Backward(pen)
 		opt := nn.NewSGD(0, 0)
 		opt.Step(s.ArchParams(), 0.5)
@@ -453,15 +465,15 @@ func TestDiscretizeStaysInSpace(t *testing.T) {
 			}
 		}
 		for subset := 0; subset < 1<<len(skippable); subset++ {
-			skipped := make([]bool, len(s.dw))
+			skipped := make([]bool, len(s.width))
 			for j, i := range skippable {
 				skipped[i] = subset>>j&1 == 1
 				choose(s.depth[i], subset>>j&1)
 			}
 			var want []int
-			for i, dw := range s.dw {
+			for i, stride := range dsStrides(s) {
 				if !skipped[i] {
-					want = append(want, dw.Stride)
+					want = append(want, stride)
 				}
 			}
 			for draw := 0; draw < 20; draw++ {
@@ -521,11 +533,7 @@ func TestKWSAndADSupernetConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var strides []int
-		for _, dw := range s.dw {
-			strides = append(strides, dw.Stride)
-		}
-		if !slices.Equal(strides, tc.strides) {
+		if strides := dsStrides(s); !slices.Equal(strides, tc.strides) {
 			t.Errorf("%s: block strides %v, want %v", tc.task, strides, tc.strides)
 		}
 		if sp.Task != tc.task || sp.InputH != tc.inH || sp.InputW != tc.inW || sp.InputC != 1 || sp.NumClasses != tc.classes ||

@@ -179,8 +179,8 @@ func (l *searchLoop) step(step int) {
 	// Architecture update on the val split.
 	if step >= cfg.ArchStartStep {
 		vb := l.val(step)
-		vlogits, res := l.s.Forward(l.tape.Constant(vb.X), false, l.rng, tau)
-		pen := l.cons.Penalty(res)
+		vlogits, z := l.s.Forward(l.tape.Constant(vb.X), false, l.rng, tau)
+		pen := l.cons.Penalty(l.s.Resources(z))
 		vloss := ag.Add(ag.CrossEntropy(vlogits, vb.Labels), pen)
 		zeroGrads(l.aParams)
 		ag.Backward(vloss)

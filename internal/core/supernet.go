@@ -37,18 +37,15 @@ type SupernetConfig struct {
 type Supernet struct {
 	cfg SupernetConfig
 
-	firstConv *nn.Conv2D
-	firstBN   *nn.BatchNorm
+	// net is arch.Build of the space's spec at the largest width option
+	// everywhere: entry 0 is the first conv, entries 1..n the DS block
+	// bodies the width decisions mask, and the rest the pool and
+	// classifier tail.
+	net *nn.Sequential
+
 	firstNode *DecisionNode
-
-	dw    []*nn.DepthwiseConv2D
-	dwBN  []*nn.BatchNorm
-	pw    []*nn.Conv2D
-	pwBN  []*nn.BatchNorm
-	width []*DecisionNode
-	depth []*DecisionNode // nil when not skippable
-
-	fc *nn.Dense
+	width     []*DecisionNode
+	depth     []*DecisionNode // nil when not skippable
 
 	// costs holds one table per decision stage: the first conv, each
 	// block, then the pool+classifier tail.
@@ -72,30 +69,26 @@ func NewSupernet(rng *rand.Rand, cfg SupernetConfig) (*Supernet, error) {
 	if cfg.Space == nil || len(cfg.WidthOptions) == 0 {
 		return nil, fmt.Errorf("core: a supernet needs a Space and width options")
 	}
-	sp, maxC := cfg.Space, cfg.WidthOptions[len(cfg.WidthOptions)-1]
+	sp, n := cfg.Space, len(cfg.Skippable)
+	maxC := cfg.WidthOptions[len(cfg.WidthOptions)-1]
+	net, err := arch.Build(rng, sp.Build("supernet", slices.Repeat([]int{maxC}, n+1)), false)
+	if err != nil {
+		return nil, err
+	}
 	s := &Supernet{
 		cfg:       cfg,
-		firstConv: nn.NewConv2D(rng, "first", sp.FirstKH, sp.FirstKW, sp.InputC, maxC, sp.FirstStride, nn.PadSame, false),
-		firstBN:   nn.NewBatchNorm("first.bn", maxC),
-		firstNode: NewDecisionNode("first.width", len(cfg.WidthOptions)),
+		net:       net,
+		firstNode: NewDecisionNode("b0.width", len(cfg.WidthOptions)),
 	}
-	n := len(cfg.Skippable)
 	for i, skippable := range cfg.Skippable {
-		stride := sp.strideFor(i, n)
-		name := fmt.Sprintf("b%d", i)
-		s.dw = append(s.dw, nn.NewDepthwiseConv2D(rng, name+".dw", 3, 3, maxC, stride, nn.PadSame, false))
-		s.dwBN = append(s.dwBN, nn.NewBatchNorm(name+".dwbn", maxC))
-		s.pw = append(s.pw, nn.NewConv2D(rng, name+".pw", 1, 1, maxC, maxC, 1, nn.PadSame, false))
-		s.pwBN = append(s.pwBN, nn.NewBatchNorm(name+".pwbn", maxC))
+		name := fmt.Sprintf("b%d", i+1)
 		s.width = append(s.width, NewDecisionNode(name+".width", len(cfg.WidthOptions)))
-		if skippable && stride == 1 {
+		if skippable && sp.strideFor(i, n) == 1 {
 			s.depth = append(s.depth, NewDecisionNode(name+".depth", 2))
 		} else {
 			s.depth = append(s.depth, nil)
 		}
 	}
-	// Classifier input is the pooled maxC vector.
-	s.fc = nn.NewDense(rng, "fc", maxC, sp.NumClasses, true)
 	for j := 0; j <= n+1; j++ {
 		c, err := tabulate(sp, cfg.WidthOptions, n, j)
 		if err != nil {
@@ -159,19 +152,7 @@ func tabulate(sp *Space, opts []int, n, j int) (stageCosts, error) {
 
 // WeightParams returns the shared network weights (trained on the train
 // split).
-func (s *Supernet) WeightParams() []*nn.Param {
-	var ps []*nn.Param
-	ps = append(ps, s.firstConv.Params()...)
-	ps = append(ps, s.firstBN.Params()...)
-	for i := range s.dw {
-		ps = append(ps, s.dw[i].Params()...)
-		ps = append(ps, s.dwBN[i].Params()...)
-		ps = append(ps, s.pw[i].Params()...)
-		ps = append(ps, s.pwBN[i].Params()...)
-	}
-	ps = append(ps, s.fc.Params()...)
-	return ps
-}
+func (s *Supernet) WeightParams() []*nn.Param { return s.net.Params() }
 
 // ArchParams returns the architecture logits (trained on the val split).
 func (s *Supernet) ArchParams() []*nn.Param {
@@ -225,60 +206,69 @@ func (r *Resources) charge(c stageCosts, p, z, keep *ag.Var) {
 	}
 }
 
-// Forward runs the supernet, returning classifier logits and the resource
-// model tied to the same architecture sample. rng enables Gumbel sampling
-// (nil for deterministic softmax weights); tau is the relaxation
+// Decisions are the relaxed selections z one Forward sampled: the first
+// conv's width, then each block's width and, where it is skippable, its
+// keep and skip weights (nil where it is not).
+type Decisions struct {
+	first             *ag.Var
+	width, keep, skip []*ag.Var
+}
+
+// Forward runs the supernet, returning classifier logits and the
+// decisions it sampled, which Resources charges. rng enables Gumbel
+// sampling (nil for deterministic softmax weights); tau is the relaxation
 // temperature.
-func (s *Supernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau float32) (*ag.Var, *Resources) {
-	sp, opts := s.cfg.Space, s.cfg.WidthOptions
+func (s *Supernet) Forward(x *ag.Var, training bool, rng *rand.Rand, tau float32) (*ag.Var, *Decisions) {
+	opts, n := s.cfg.WidthOptions, len(s.width)
+	z := &Decisions{first: s.firstNode.Weights(rng, tau)}
+	y := s.net.Layers[0].Forward(x, training)
+	y = ag.ChannelScale(y, channelMask(z.first, opts))
+	for i, block := range s.net.Layers[1 : n+1] {
+		zW := s.width[i].Weights(rng, tau)
+		body := block.Forward(y, training)
+		body = ag.ChannelScale(body, channelMask(zW, opts))
+		var zKeep, zSkip *ag.Var
+		if s.depth[i] == nil {
+			y = body
+		} else {
+			zD := s.depth[i].Weights(rng, tau)
+			zKeep, zSkip = ag.Index(zD, 0), ag.Index(zD, 1)
+			// Shortcut: identity (stride is 1 for skippable blocks).
+			y = ag.Add(ag.ScalarMul(zKeep, body), ag.ScalarMul(zSkip, y))
+		}
+		z.width = append(z.width, zW)
+		z.keep = append(z.keep, zKeep)
+		z.skip = append(z.skip, zSkip)
+	}
+	for _, l := range s.net.Layers[n+1:] {
+		y = l.Forward(y, training)
+	}
+	return y, z
+}
+
+// Resources charges the decisions z of one Forward: the resource model
+// tied to that architecture sample.
+func (s *Supernet) Resources(z *Decisions) *Resources {
 	res := &Resources{
 		ParamCount: ag.Constant(tensor.Scalar(0)),
 		OpCount:    ag.Constant(tensor.Scalar(0)),
 	}
 	// one is the one-option width of the input and of the logits.
 	one := ag.Constant(tensor.FromSlice([]float32{1}, 1))
-
-	// First conv.
-	zFirst := s.firstNode.Weights(rng, tau)
-	y := s.firstConv.Forward(x, training)
-	y = s.firstBN.Forward(y, training)
-	y = ag.ReLU(y)
-	y = ag.ChannelScale(y, channelMask(zFirst, opts))
-	res.charge(s.costs[0], one, zFirst, nil)
+	res.charge(s.costs[0], one, z.first, nil)
 	// p is the distribution over the next stage's input width.
-	p := zFirst
-
-	for i := range s.dw {
-		zW := s.width[i].Weights(rng, tau)
-		body := s.dw[i].Forward(y, training)
-		body = s.dwBN[i].Forward(body, training)
-		body = ag.ReLU(body)
-		body = s.pw[i].Forward(body, training)
-		body = s.pwBN[i].Forward(body, training)
-		body = ag.ReLU(body)
-		body = ag.ChannelScale(body, channelMask(zW, opts))
-
-		if s.depth[i] == nil {
-			y = body
-			res.charge(s.costs[i+1], p, zW, nil)
+	p := z.first
+	for i, zW := range z.width {
+		res.charge(s.costs[i+1], p, zW, z.keep[i])
+		if z.keep[i] == nil {
 			p = zW
-			continue
+		} else {
+			// The output width blends kept and skipped widths.
+			p = ag.Add(ag.ScalarMul(z.keep[i], zW), ag.ScalarMul(z.skip[i], p))
 		}
-		zD := s.depth[i].Weights(rng, tau)
-		zKeep, zSkip := ag.Index(zD, 0), ag.Index(zD, 1)
-		// Shortcut: identity (stride is 1 for skippable blocks).
-		y = ag.Add(ag.ScalarMul(zKeep, body), ag.ScalarMul(zSkip, y))
-		res.charge(s.costs[i+1], p, zW, zKeep)
-		// The output width blends kept and skipped widths.
-		p = ag.Add(ag.ScalarMul(zKeep, zW), ag.ScalarMul(zSkip, p))
 	}
-
-	// Final pool + classifier.
-	y = ag.AvgPool2D(y, tensor.ConvSpec{KH: sp.PoolKH, KW: sp.PoolKW, SH: 1, SW: 1})
-	y = ag.Reshape(y, y.Value.Shape[0], -1)
-	logits := s.fc.Forward(y, training)
-	res.charge(s.costs[len(s.dw)+1], p, one, nil)
-	return logits, res
+	res.charge(s.costs[len(z.width)+1], p, one, nil)
+	return res
 }
 
 // Discretize reads the decision nodes and emits the selected architecture

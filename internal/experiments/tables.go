@@ -58,6 +58,10 @@ func MeasureZoo(task string, seed int64) ([]Measured, error) {
 			out = append(out, m)
 			continue
 		}
+		a, err := e.Spec.Analyze()
+		if err != nil {
+			return nil, fmt.Errorf("analyzing %s: %w", e.Name, err)
+		}
 		rng := rand.New(rand.NewSource(seed))
 		gm, err := graph.FromSpec(e.Spec, rng, graph.LowerOptions{AppendSoftmax: e.Spec.NumClasses > 1})
 		if err != nil {
@@ -70,17 +74,8 @@ func MeasureZoo(task string, seed int64) ([]Measured, error) {
 		m.MOps = float64(gm.TotalOps()) / 1e6
 		m.FlashKB = float64(rep.ModelFlash()) / 1024
 		m.SRAMKB = float64(rep.ModelSRAM()) / 1024
-		hasTConv := false
-		for _, op := range gm.Ops {
-			if op.Kind == graph.OpTransposedConv {
-				hasTConv = true
-			}
-		}
 		check := func(dev *mcu.Device) bool {
-			if hasTConv {
-				return false
-			}
-			return rep.FitsDevice(dev.SRAMBytes(), dev.FlashBytes()) == nil
+			return a.Deployable && rep.FitsDevice(dev.SRAMBytes(), dev.FlashBytes()) == nil
 		}
 		m.DeployableS = check(mcu.F446RE)
 		m.DeployableM = check(mcu.F746ZG)

@@ -16,6 +16,7 @@ import (
 	ag "micronets/internal/autograd"
 	"micronets/internal/core"
 	"micronets/internal/graph"
+	"micronets/internal/nn"
 	"micronets/internal/tensor"
 	"micronets/internal/zoo"
 )
@@ -31,8 +32,9 @@ type loweringCase struct {
 
 // loweringCases lists every lowering the digest test pins: each servable
 // zoo spec at three datatypes, random KWS and image search-space specs
-// (IBNs with and without a residual), random single layers, and trained
-// exports at 8 and 4 bits.
+// (IBNs with and without a residual), random single layers, trained
+// exports at 8 and 4 bits, and exports of the same specs after a few SGD
+// steps with and without QAT.
 func loweringCases(t *testing.T) []loweringCase {
 	var cases []loweringCase
 	fromSpec := func(name string, spec *arch.Spec, seed int64, opts graph.LowerOptions) {
@@ -67,6 +69,14 @@ func loweringCases(t *testing.T) []loweringCase {
 			cases = append(cases, loweringCase{
 				fmt.Sprintf("export/%s/w%da%d", spec.Name, opts.WeightBits, opts.ActBits),
 				func() (*graph.Model, error) { return exportTrained(spec, opts) },
+			})
+		}
+	}
+	for _, qat := range []bool{false, true} {
+		for _, spec := range []*arch.Spec{exportSpec(), exportSpecWide()} {
+			cases = append(cases, loweringCase{
+				fmt.Sprintf("sgd/%s/qat=%t", spec.Name, qat),
+				func() (*graph.Model, error) { return exportSGD(spec, qat) },
 			})
 		}
 	}
@@ -110,7 +120,7 @@ func exportSpecWide() *arch.Spec {
 // its BatchNorm statistics with five training batches, and exports it.
 func exportTrained(spec *arch.Spec, opts graph.LowerOptions) (*graph.Model, error) {
 	rng := rand.New(rand.NewSource(7))
-	model, err := arch.Build(rng, spec, arch.BuildOptions{})
+	model, err := arch.Build(rng, spec, false)
 	if err != nil {
 		return nil, err
 	}
@@ -119,6 +129,29 @@ func exportTrained(spec *arch.Spec, opts graph.LowerOptions) (*graph.Model, erro
 	}
 	calib := tensor.Randn(rng, 1, 16, spec.InputH, spec.InputW, spec.InputC)
 	return graph.Export(spec, model, calib, opts)
+}
+
+// exportSGD builds spec, trains it for three CrossEntropy + nn.SGD steps
+// on random batches (backward through every block kind, dropout
+// included), and exports it at 8 bits.
+func exportSGD(spec *arch.Spec, qat bool) (*graph.Model, error) {
+	rng := rand.New(rand.NewSource(11))
+	model, err := arch.Build(rng, spec, qat)
+	if err != nil {
+		return nil, err
+	}
+	opt := nn.NewSGD(0.9, 1e-4)
+	for i := 0; i < 3; i++ {
+		x := tensor.Randn(rng, 1, 8, spec.InputH, spec.InputW, spec.InputC)
+		labels := make([]int, 8)
+		for j := range labels {
+			labels[j] = rng.Intn(spec.NumClasses)
+		}
+		ag.Backward(ag.CrossEntropy(model.Forward(ag.Constant(x), true), labels))
+		opt.Step(model.Params(), 0.05)
+	}
+	calib := tensor.Randn(rng, 1, 16, spec.InputH, spec.InputW, spec.InputC)
+	return graph.Export(spec, model, calib, graph.LowerOptions{})
 }
 
 func saveDigest(m *graph.Model) (string, error) {

@@ -16,7 +16,9 @@ import (
 // the preceding convolutions, weights are quantized per-output-channel
 // symmetric, and activation ranges are calibrated by running the model on
 // the provided calibration batch — the standard TFLite post-QAT export the
-// paper relies on.
+// paper relies on. Build made one trainable unit per arch.Analyze row, so
+// the walker meets the units in the order it emits their ops; Export
+// checks each unit against its row and refuses a model of another spec.
 func Export(spec *arch.Spec, model *nn.Sequential, calib *tensor.Tensor, opts LowerOptions) (*Model, error) {
 	e := &exporter{
 		layers: flatten(model.Layers, nil),
@@ -96,7 +98,7 @@ func (e *exporter) fill(l *arch.LayerInfo, op *Op, m *Model) error {
 		}
 		var kind string
 		switch p.(type) {
-		case *nn.AvgPool, *nn.GlobalAvgPool:
+		case *nn.AvgPool:
 			kind = "avgpool"
 		case *nn.MaxPoolLayer:
 			kind = "maxpool"

@@ -219,7 +219,7 @@ func (l *BatchNorm) FoldedScaleShift() (scale, shift []float32) {
 
 // Activation applies a fixed nonlinearity.
 type Activation struct {
-	Kind string // "relu", "relu6", "sigmoid"
+	Kind string // "relu" or "relu6", as arch.LayerInfo.Act names them
 }
 
 // Forward implements Layer.
@@ -229,8 +229,6 @@ func (l *Activation) Forward(x *ag.Var, training bool) *ag.Var {
 		return ag.ReLU(x)
 	case "relu6":
 		return ag.ReLU6(x)
-	case "sigmoid":
-		return ag.Sigmoid(x)
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %q", l.Kind))
 	}
@@ -269,17 +267,6 @@ func (l *MaxPoolLayer) Forward(x *ag.Var, training bool) *ag.Var {
 // Params implements Layer.
 func (l *MaxPoolLayer) Params() []*Param { return nil }
 
-// GlobalAvgPool reduces [n,h,w,c] to [n,c].
-type GlobalAvgPool struct{}
-
-// Forward implements Layer.
-func (l *GlobalAvgPool) Forward(x *ag.Var, training bool) *ag.Var {
-	return ag.GlobalAvgPool(x)
-}
-
-// Params implements Layer.
-func (l *GlobalAvgPool) Params() []*Param { return nil }
-
 // Dropout zeroes a fraction of activations during training, scaling the
 // survivors (inverted dropout).
 type Dropout struct {
@@ -306,31 +293,16 @@ func (l *Dropout) Forward(x *ag.Var, training bool) *ag.Var {
 // Params implements Layer.
 func (l *Dropout) Params() []*Param { return nil }
 
-// Residual wraps a body with an identity (or pooled) shortcut: the parallel
-// skip-connection structure the paper adds to each depthwise-separable
-// block so DNAS can choose network depth.
+// Residual adds its input to its body's output: the identity shortcut of
+// an IBN block whose stride is 1 and whose width is kept.
 type Residual struct {
 	Body Layer
-	// Shortcut transforms the input to match the body output shape; nil
-	// means identity.
-	Shortcut Layer
 }
 
 // Forward implements Layer.
 func (l *Residual) Forward(x *ag.Var, training bool) *ag.Var {
-	y := l.Body.Forward(x, training)
-	s := x
-	if l.Shortcut != nil {
-		s = l.Shortcut.Forward(x, training)
-	}
-	return ag.Add(y, s)
+	return ag.Add(l.Body.Forward(x, training), x)
 }
 
 // Params implements Layer.
-func (l *Residual) Params() []*Param {
-	ps := l.Body.Params()
-	if l.Shortcut != nil {
-		ps = append(ps, l.Shortcut.Params()...)
-	}
-	return ps
-}
+func (l *Residual) Params() []*Param { return l.Body.Params() }

@@ -71,11 +71,7 @@ func (t *Trainer) Train(spec *arch.Spec, steps int, seed int64, qat bool) (float
 	if err != nil {
 		return 0, nil, err
 	}
-	var opts arch.BuildOptions
-	if qat {
-		opts.QuantWeightBits, opts.QuantActBits = 8, 8
-	}
-	model, err := arch.Build(rand.New(rand.NewSource(seed)), spec, opts)
+	model, err := arch.Build(rand.New(rand.NewSource(seed)), spec, qat)
 	if err != nil {
 		return 0, nil, fmt.Errorf("search: build %s: %w", spec.Name, err)
 	}

@@ -198,7 +198,7 @@ func TestExportedModelMatchesFloat(t *testing.T) {
 		},
 	}
 	rng := rand.New(rand.NewSource(7))
-	model, err := arch.Build(rng, spec, arch.BuildOptions{})
+	model, err := arch.Build(rng, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func tinyVWWModel(t *testing.T, rng *rand.Rand, size int) *nn.Sequential {
 			{Kind: arch.Dense, OutC: 2},
 		},
 	}
-	m, err := arch.Build(rng, spec, arch.BuildOptions{})
+	m, err := arch.Build(rng, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestADProtocolBeatsChance(t *testing.T) {
 			{Kind: arch.Dense, OutC: 4},
 		},
 	}
-	model, err := arch.Build(rng, spec, arch.BuildOptions{})
+	model, err := arch.Build(rng, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,27 +352,17 @@ func Names() []string {
 }
 
 // ServableNames returns the catalogue entries the int8 runtime can
-// actually execute: a public architecture (Spec != nil) containing no
-// transposed-conv decoder layers. This is the model set a serving registry
-// may preload; stats-only comparison points and Conv-AE (Table 3 "ND") are
-// excluded.
+// actually execute: a public architecture (Spec != nil) that Analyze
+// finds deployable. This is the model set a serving registry may preload;
+// stats-only comparison points and Conv-AE (Table 3 "ND") are excluded.
 func ServableNames() []string {
 	cat := Catalog()
 	var out []string
 	for _, n := range Names() {
-		e := cat[n]
-		if e.Spec == nil {
-			continue
-		}
-		servable := true
-		for _, b := range e.Spec.Blocks {
-			if b.Kind == arch.TransposedConv {
-				servable = false
-				break
+		if e := cat[n]; e.Spec != nil {
+			if a, err := e.Spec.Analyze(); err == nil && a.Deployable {
+				out = append(out, n)
 			}
-		}
-		if servable {
-			out = append(out, n)
 		}
 	}
 	return out
