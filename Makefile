@@ -37,7 +37,7 @@ bench-smoke:
 # runs this target.
 .PHONY: alloc-gates
 alloc-gates:
-	$(GO) test -run 'TestInvokeZeroAllocs|TestBatcherSubmitAllocBound|TestDecodeInferAllocsFlat|TestDNASStepAllocBound' -v ./internal/tflm ./internal/serve ./internal/core
+	$(GO) test -run 'TestInvokeZeroAllocs|TestRowInferAllocBound|TestDecodeInferAllocsFlat|TestDNASStepAllocBound' -v ./internal/tflm ./internal/serve ./internal/core
 
 # bench-module vets, gofmt-checks and tests bench/ (plain and -race),
 # the BENCHMARK.json harness: a module of its own (replace micronets =>

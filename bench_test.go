@@ -216,8 +216,8 @@ func BenchmarkLatencyModelVWW1(b *testing.B) {
 	m := loweredModel(b, "MicroNet-VWW-1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if mcu.Latency(m, mcu.F746ZG) <= 0 {
-			b.Fatal("bad latency")
+		if lat, _, err := mcu.ModelLatency(m, mcu.F746ZG); err != nil || lat <= 0 {
+			b.Fatal("bad latency", lat, err)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func main() {
 	}
 	fmt.Printf("int8 %s:  %.1f%%\n", metric, score8)
 
-	dep, err := micronets.DeployModel(spec, gm, dev)
+	dep, err := micronets.DeployModel(gm, dev)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -230,6 +231,34 @@ func TestBuildForwardMatchesAnalyzeShapes(t *testing.T) {
 	y := model.Forward(ag.Constant(x), false)
 	if y.Value.Shape[0] != 2 || y.Value.Shape[1] != 4 {
 		t.Fatalf("output shape %v", y.Value.Shape)
+	}
+}
+
+// TestBuildSeedsDropout checks that the build rng reaches dropout: two
+// builds of one spec at different seeds draw different training masks.
+func TestBuildSeedsDropout(t *testing.T) {
+	spec := &Spec{
+		Name: "drop", Task: "kws", InputH: 4, InputW: 4, InputC: 1, NumClasses: 2,
+		Blocks: []Block{
+			{Kind: Conv, KH: 1, KW: 1, OutC: 4, Stride: 1},
+			{Kind: GlobalPool},
+			{Kind: Dropout, Rate: 0.5},
+			{Kind: Dense, OutC: 2},
+		},
+	}
+	mask := func(seed int64) []float32 {
+		model, err := Build(rand.New(rand.NewSource(seed)), spec, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ones := tensor.New(1, 64)
+		for i := range ones.Data {
+			ones.Data[i] = 1
+		}
+		return model.Layers[2].Forward(ag.Constant(ones), true).Value.Data
+	}
+	if a, b := mask(1), mask(2); reflect.DeepEqual(a, b) {
+		t.Fatalf("seeds 1 and 2 drew the same dropout mask %v", a)
 	}
 }
 

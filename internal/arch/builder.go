@@ -12,18 +12,23 @@ import (
 // has one entry per block: a conv, dwconv or dense row adds its weighted
 // unit, a pool row a VALID pool, and an add row makes the block an
 // nn.Residual. A Dropout block has no row and is its own entry; the
-// model's dropouts share one rand.NewSource(0) stream. qat turns on 8-bit
-// quantization-aware training in every weighted layer.
+// model's dropouts share one stream, seeded from rng at the first Dropout
+// block, so a spec without dropout draws from rng exactly as its weighted
+// layers need. qat turns on 8-bit quantization-aware training in every
+// weighted layer.
 func Build(rng *rand.Rand, s *Spec, qat bool) (*nn.Sequential, error) {
 	a, err := s.Analyze()
 	if err != nil {
 		return nil, err
 	}
 	model := nn.NewSequential()
-	dropRng := rand.New(rand.NewSource(0))
+	var dropRng *rand.Rand
 	rows := a.Layers
 	for i, b := range s.Blocks {
 		if b.Kind == Dropout {
+			if dropRng == nil {
+				dropRng = rand.New(rand.NewSource(rng.Int63()))
+			}
 			model.Add(&nn.Dropout{Rate: b.Rate, Rng: dropRng})
 			continue
 		}

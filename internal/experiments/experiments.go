@@ -172,10 +172,11 @@ func Figure4(perBackbone int, seed int64) ([]Fig4Series, error) {
 		for _, dev := range devices {
 			s := Fig4Series{Backbone: backbone, Device: dev.Name}
 			for _, m := range models {
-				s.Points = append(s.Points, XY{
-					X: float64(m.TotalOps()) / 1e6,
-					Y: mcu.Latency(m, dev),
-				})
+				lat, _, err := mcu.ModelLatency(m, dev)
+				if err != nil {
+					return nil, err
+				}
+				s.Points = append(s.Points, XY{X: float64(m.TotalOps()) / 1e6, Y: lat})
 			}
 			s.Slope, _, s.R2 = LinearFit(s.Points)
 			if s.Slope > 0 {
@@ -224,8 +225,11 @@ func Figure5(nModels int, seed int64) ([]Fig5Series, error) {
 		var sum, sumSq float64
 		var exy []XY
 		for _, m := range models {
-			p := mcu.ActivePowerMW(m, dev)
-			e := mcu.EnergyPerInferenceMJ(m, dev)
+			d, err := mcu.Deploy(m, dev)
+			if err != nil {
+				return nil, err
+			}
+			p, e := d.ActivePowerMW, d.EnergyMJ
 			mops := float64(m.TotalOps()) / 1e6
 			s.Points = append(s.Points, Fig5Point{Mops: mops, PowerMW: p, EnergyMJ: e})
 			sum += p
@@ -267,25 +271,21 @@ func Figure10(seed int64) ([]Fig10Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(seed))
-		m8, err := graph.FromSpec(spec, rng, graph.LowerOptions{WeightBits: 8, ActBits: 8})
-		if err != nil {
-			return nil, err
+		var lat [3]float64
+		for i, bits := range [][2]int{{8, 8}, {8, 4}, {4, 4}} {
+			m, err := graph.FromSpec(spec, rand.New(rand.NewSource(seed)), graph.LowerOptions{WeightBits: bits[0], ActBits: bits[1]})
+			if err != nil {
+				return nil, err
+			}
+			if lat[i], _, err = mcu.ModelLatency(m, mcu.F746ZG); err != nil {
+				return nil, err
+			}
 		}
-		m4a, err := graph.FromSpec(spec, rand.New(rand.NewSource(seed)), graph.LowerOptions{WeightBits: 8, ActBits: 4})
-		if err != nil {
-			return nil, err
-		}
-		m4a4w, err := graph.FromSpec(spec, rand.New(rand.NewSource(seed)), graph.LowerOptions{WeightBits: 4, ActBits: 4})
-		if err != nil {
-			return nil, err
-		}
-		l8 := mcu.Latency(m8, mcu.F746ZG)
 		rows = append(rows, Fig10Row{
 			Model:              name,
-			Lat8w8a:            l8,
-			Lat4a8wIncreasePct: (mcu.Latency(m4a, mcu.F746ZG)/l8 - 1) * 100,
-			Lat4a4wIncreasePct: (mcu.Latency(m4a4w, mcu.F746ZG)/l8 - 1) * 100,
+			Lat8w8a:            lat[0],
+			Lat4a8wIncreasePct: (lat[1]/lat[0] - 1) * 100,
+			Lat4a4wIncreasePct: (lat[2]/lat[0] - 1) * 100,
 		})
 	}
 	return rows, nil

@@ -141,19 +141,19 @@ func TestMeasureZooKWS(t *testing.T) {
 		byName[m.Name] = m
 	}
 	// Deployability decisions from §6.3 / Table 4.
-	if !byName["MicroNet-KWS-S"].DeployableS {
+	if !byName["MicroNet-KWS-S"].Deployable[0] {
 		t.Error("KWS-S must fit the small MCU")
 	}
-	if !byName["MicroNet-KWS-M"].DeployableS {
+	if !byName["MicroNet-KWS-M"].Deployable[0] {
 		t.Error("KWS-M must fit the small MCU (paper: 'deployable on the smallest MCU')")
 	}
-	if byName["MicroNet-KWS-L"].DeployableS {
+	if byName["MicroNet-KWS-L"].Deployable[0] {
 		t.Error("KWS-L must not fit the small MCU")
 	}
-	if !byName["MicroNet-KWS-L"].DeployableM {
+	if !byName["MicroNet-KWS-L"].Deployable[1] {
 		t.Error("KWS-L must fit the medium MCU")
 	}
-	if byName["MBNETV2-L"].DeployableM {
+	if byName["MBNETV2-L"].Deployable[1] {
 		t.Error("MBNETV2-L 'does not fit and is omitted' (§6.3)")
 	}
 }
@@ -165,7 +165,7 @@ func TestMicroNetsParetoOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := ParetoFront(ms, func(m Measured) float64 { return m.LatM })
+	lat := ParetoFront(ms, func(m Measured) float64 { return m.Lat[1] })
 	flash := ParetoFront(ms, func(m Measured) float64 { return m.FlashKB })
 	for _, name := range []string{"MicroNet-KWS-S", "MicroNet-KWS-M", "MicroNet-KWS-L"} {
 		if !OnFront(lat, name) {

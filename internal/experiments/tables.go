@@ -32,11 +32,11 @@ type Measured struct {
 	MOps    float64
 	FlashKB float64
 	SRAMKB  float64
-	// Latency/energy per device class; NaN-equivalent 0 when not deployable.
-	LatS, LatM, LatL                      float64
-	EnergyS, EnergyM                      float64
-	DeployableS, DeployableM, DeployableL bool
-	Notes                                 string
+	// Per device in mcu.Devices() order (S, M, L); latency and energy
+	// are 0 where the model does not deploy.
+	Lat, Energy [3]float64
+	Deployable  [3]bool
+	Notes       string
 }
 
 // MeasureZoo deploys every constructible zoo entry of a task and measures
@@ -47,49 +47,30 @@ func MeasureZoo(task string, seed int64) ([]Measured, error) {
 	for _, e := range zoo.ByTask(task) {
 		m := Measured{Name: e.Name, Task: e.Task, Paper: e.Paper, Notes: e.Notes}
 		if e.Spec == nil {
-			m.MOps = e.Paper.MOps
-			m.FlashKB = e.Paper.FlashKB
-			m.SRAMKB = e.Paper.SRAMKB
-			m.LatS, m.LatM, m.LatL = e.Paper.LatS, e.Paper.LatM, e.Paper.LatL
+			m.MOps, m.FlashKB, m.SRAMKB = e.Paper.MOps, e.Paper.FlashKB, e.Paper.SRAMKB
+			m.Lat = [3]float64{e.Paper.LatS, e.Paper.LatM, e.Paper.LatL}
 			m.Notes = strings.TrimSpace("paper numbers; " + e.Notes)
-			m.DeployableS = paperFits(e.Paper, mcu.F446RE)
-			m.DeployableM = paperFits(e.Paper, mcu.F746ZG)
-			m.DeployableL = paperFits(e.Paper, mcu.F767ZI)
+			for i, dev := range mcu.Devices() {
+				m.Deployable[i] = paperFits(e.Paper, dev)
+			}
 			out = append(out, m)
 			continue
 		}
-		a, err := e.Spec.Analyze()
-		if err != nil {
-			return nil, fmt.Errorf("analyzing %s: %w", e.Name, err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		gm, err := graph.FromSpec(e.Spec, rng, graph.LowerOptions{AppendSoftmax: e.Spec.NumClasses > 1})
+		gm, err := graph.FromSpec(e.Spec, rand.New(rand.NewSource(seed)), graph.LowerOptions{AppendSoftmax: e.Spec.NumClasses > 1})
 		if err != nil {
 			return nil, fmt.Errorf("lowering %s: %w", e.Name, err)
 		}
-		rep, err := tflm.Report(gm, nil)
-		if err != nil {
-			return nil, err
-		}
 		m.MOps = float64(gm.TotalOps()) / 1e6
-		m.FlashKB = float64(rep.ModelFlash()) / 1024
-		m.SRAMKB = float64(rep.ModelSRAM()) / 1024
-		check := func(dev *mcu.Device) bool {
-			return a.Deployable && rep.FitsDevice(dev.SRAMBytes(), dev.FlashBytes()) == nil
-		}
-		m.DeployableS = check(mcu.F446RE)
-		m.DeployableM = check(mcu.F746ZG)
-		m.DeployableL = check(mcu.F767ZI)
-		if m.DeployableS {
-			m.LatS = mcu.Latency(gm, mcu.F446RE)
-			m.EnergyS = mcu.EnergyPerInferenceMJ(gm, mcu.F446RE)
-		}
-		if m.DeployableM {
-			m.LatM = mcu.Latency(gm, mcu.F746ZG)
-			m.EnergyM = mcu.EnergyPerInferenceMJ(gm, mcu.F746ZG)
-		}
-		if m.DeployableL {
-			m.LatL = mcu.Latency(gm, mcu.F767ZI)
+		for i, dev := range mcu.Devices() {
+			d, err := mcu.Deploy(gm, dev)
+			if err != nil {
+				return nil, fmt.Errorf("deploying %s on %s: %w", e.Name, dev.Name, err)
+			}
+			m.FlashKB = float64(d.Report.ModelFlash()) / 1024
+			m.SRAMKB = float64(d.Report.ModelSRAM()) / 1024
+			if m.Deployable[i] = d.FitsErr == nil; m.Deployable[i] {
+				m.Lat[i], m.Energy[i] = d.LatencySeconds, d.EnergyMJ
+			}
 		}
 		out = append(out, m)
 	}
@@ -168,18 +149,18 @@ func Figure2(modelName string, seed int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rep, err := tflm.Report(m, nil)
+	dev := mcu.F746ZG
+	d, err := mcu.Deploy(m, dev)
 	if err != nil {
 		return "", err
 	}
-	dev := mcu.F746ZG
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2: memory occupancy of %s on %s\n", modelName, dev.Name)
-	b.WriteString(rep.String())
+	b.WriteString(d.Report.String())
 	fmt.Fprintf(&b, "  Free SRAM : %.1f KB of %d KB\n",
-		float64(dev.SRAMBytes()-rep.TotalSRAM())/1024, dev.SRAMKB)
+		float64(dev.SRAMBytes()-d.Report.TotalSRAM())/1024, dev.SRAMKB)
 	fmt.Fprintf(&b, "  Free flash: %.1f KB of %d KB\n",
-		float64(dev.FlashBytes()-rep.TotalFlash())/1024, dev.FlashKB)
+		float64(dev.FlashBytes()-d.Report.TotalFlash())/1024, dev.FlashKB)
 	return b.String(), nil
 }
 
@@ -191,7 +172,7 @@ func RenderPareto(task string, seed int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	latFront := ParetoFront(ms, func(m Measured) float64 { return m.LatM })
+	latFront := ParetoFront(ms, func(m Measured) float64 { return m.Lat[1] })
 	sramFront := ParetoFront(ms, func(m Measured) float64 { return m.SRAMKB })
 	flashFront := ParetoFront(ms, func(m Measured) float64 { return m.FlashKB })
 	var b strings.Builder
@@ -211,8 +192,8 @@ func RenderPareto(task string, seed int64) (string, error) {
 			tags = append(tags, "flash")
 		}
 		fmt.Fprintf(&b, "%-22s %7.2f %9.3f %9.1f %9.1f %6v %6v %6v  %s\n",
-			m.Name, m.Paper.Accuracy, m.LatM, m.SRAMKB, m.FlashKB,
-			m.DeployableS, m.DeployableM, m.DeployableL, strings.Join(tags, ","))
+			m.Name, m.Paper.Accuracy, m.Lat[1], m.SRAMKB, m.FlashKB,
+			m.Deployable[0], m.Deployable[1], m.Deployable[2], strings.Join(tags, ","))
 	}
 	return b.String(), nil
 }
@@ -230,7 +211,7 @@ func Figure11(seed int64) (string, error) {
 		if !strings.HasPrefix(m.Name, "MicroNet-KWS") && !strings.HasPrefix(m.Name, "DSCNN") {
 			continue
 		}
-		fmt.Fprintf(&b, "%-22s %7.2f %10.0f %10.1f\n", m.Name, m.Paper.Accuracy, m.LatM*1000, m.SRAMKB)
+		fmt.Fprintf(&b, "%-22s %7.2f %10.0f %10.1f\n", m.Name, m.Paper.Accuracy, m.Lat[1]*1000, m.SRAMKB)
 	}
 	for _, p := range zoo.MCUNetKWS() {
 		fmt.Fprintf(&b, "%-22s %7.2f %10.0f %10.1f\n", p.Name, p.Accuracy, p.LatencyMS, p.SRAMKB)
@@ -269,13 +250,13 @@ func Table2(seed int64) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		rep, err := tflm.Report(m, nil)
+		d, err := mcu.Deploy(m, mcu.F746ZG)
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "%-26s %8.1f %10.3f %12.1f %10.1f\n",
-			v.name, paperAcc[v.name], mcu.Latency(m, mcu.F746ZG),
-			float64(rep.ModelFlash())/1024, float64(rep.ModelSRAM())/1024)
+			v.name, paperAcc[v.name], d.LatencySeconds,
+			float64(d.Report.ModelFlash())/1024, float64(d.Report.ModelSRAM())/1024)
 	}
 	return b.String(), nil
 }
@@ -305,13 +286,11 @@ func Table3(seed int64) (string, error) {
 		"model", "AUC%", "Ops(M)", "Size(KB)", "Mem(KB)", "Uptime(%)", "target")
 	for _, m := range ms {
 		lat, target := 0.0, "ND"
-		switch {
-		case m.DeployableS:
-			lat, target = m.LatS, "S"
-		case m.DeployableM:
-			lat, target = m.LatM, "M"
-		case m.DeployableL:
-			lat, target = m.LatL, "L"
+		for i, dev := range mcu.Devices() {
+			if m.Deployable[i] {
+				lat, target = m.Lat[i], dev.Class
+				break
+			}
 		}
 		up := "ND"
 		if target != "ND" {
@@ -353,7 +332,7 @@ func Table4(seed int64) (string, error) {
 			p := m.Paper
 			fmt.Fprintf(&b, "%-22s %-5s %7.2f %9.1f %9s %9.1f %9s %8s %8s %8s %8s %8s %8s %8s %8s %9s %9s\n",
 				m.Name, m.Task, p.Accuracy, m.FlashKB, fe(p.FlashKB), m.SRAMKB, fe(p.SRAMKB), fe(m.MOps), fe(p.MOps),
-				f(m.LatS), f(p.LatS), f(m.LatM), f(p.LatM), f(m.LatL), f(p.LatL), fe(m.EnergyS), fe(m.EnergyM))
+				f(m.Lat[0]), f(p.LatS), f(m.Lat[1]), f(p.LatM), f(m.Lat[2]), f(p.LatL), fe(m.Energy[0]), fe(m.Energy[1]))
 		}
 	}
 	return b.String(), nil
@@ -389,23 +368,22 @@ func Figure9(seed int64) (string, error) {
 		if err != nil {
 			return "", err
 		}
+		m, err := graph.FromSpec(spec, rand.New(rand.NewSource(seed)), graph.LowerOptions{AppendSoftmax: true})
+		if err != nil {
+			return "", err
+		}
 		for _, dev := range []*mcu.Device{mcu.F446RE, mcu.F746ZG} {
-			m, err := graph.FromSpec(spec, rand.New(rand.NewSource(seed)), graph.LowerOptions{AppendSoftmax: true})
+			d, err := mcu.Deploy(m, dev)
 			if err != nil {
 				return "", err
 			}
-			rep, err := tflm.Report(m, nil)
-			if err != nil {
-				return "", err
-			}
-			if rep.FitsDevice(dev.SRAMBytes(), dev.FlashBytes()) != nil {
+			if d.FitsErr != nil {
 				continue
 			}
-			trace := mcu.CurrentTrace(m, dev, 1.0, 0.001, 2.0, rand.New(rand.NewSource(seed)))
-			avg := mcu.AverageCurrentMA(trace)
+			avg := mcu.AverageCurrentMA(mcu.CurrentTrace(d, 1.0, 0.001, 2.0, rand.New(rand.NewSource(seed))))
 			fmt.Fprintf(&b, "%-18s %-14s %10.3f %12.1f %12.1f %12.1f\n",
-				name, dev.Name, mcu.Latency(m, dev),
-				mcu.ActivePowerMW(m, dev)/dev.SupplyVoltage, avg, avg*dev.SupplyVoltage)
+				name, dev.Name, d.LatencySeconds,
+				d.ActivePowerMW/dev.SupplyVoltage, avg, avg*dev.SupplyVoltage)
 		}
 	}
 	return b.String(), nil

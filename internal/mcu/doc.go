@@ -2,6 +2,9 @@
 // paper characterizes (Table 1): latency via a per-kernel cycle-cost model
 // calibrated to the paper's measured throughputs, and energy via the
 // paper's empirical finding that power is workload-independent (§3.4).
+// Deploy is the one measurement of a lowered model on a device: it plans
+// the memory through tflm, runs the latency model once, and returns
+// memory, latency, power, energy and fit as one Deployment.
 //
 // This package is the substitution for the physical dev boards (see
 // DESIGN.md): it reproduces the *mechanisms* behind the paper's claims —

@@ -78,12 +78,12 @@ func TestZeroAndOneOpModels(t *testing.T) {
 				}
 
 				rng := rand.New(rand.NewSource(1))
-				e := EnergyPerInferenceMJ(c.model, dev)
-				if math.IsNaN(e) || (c.wantLatZero && e != 0) || (!c.wantLatZero && e <= 0) {
+				d := deploy(t, c.model, dev)
+				if e := d.EnergyMJ; math.IsNaN(e) || (c.wantLatZero && e != 0) || (!c.wantLatZero && e <= 0) {
 					t.Fatalf("%s: energy %v inconsistent with latency", dev.Name, e)
 				}
 
-				trace := CurrentTrace(c.model, dev, 1.0, 0.001, 0.5, rng)
+				trace := CurrentTrace(d, 1.0, 0.001, 0.5, rng)
 				if c.wantLatZero {
 					if len(trace) != 0 {
 						t.Fatalf("%s: zero-op trace has %d samples, want empty", dev.Name, len(trace))
@@ -105,9 +105,10 @@ func TestZeroAndOneOpModels(t *testing.T) {
 
 // TestDegenerateTraceParams pins the guard rails on the trace sampler
 // itself: a zero or negative sample interval (or period) must yield an
-// empty trace, never a NaN division or an infinite loop.
+// empty trace, never a NaN division or an infinite loop, and so must a
+// negative duration, never a negative slice capacity.
 func TestDegenerateTraceParams(t *testing.T) {
-	m := oneOpModel()
+	d := deploy(t, oneOpModel(), F446RE)
 	rng := rand.New(rand.NewSource(2))
 	for _, c := range []struct {
 		name                 string
@@ -117,9 +118,10 @@ func TestDegenerateTraceParams(t *testing.T) {
 		{name: "negative-dt", period: 1, dt: -0.01, duration: 1},
 		{name: "zero-period", period: 0, dt: 0.001, duration: 1},
 		{name: "zero-duration", period: 1, dt: 0.001, duration: 0},
+		{name: "negative-duration", period: 1, dt: 0.001, duration: -1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if got := CurrentTrace(m, F446RE, c.period, c.dt, c.duration, rng); len(got) != 0 {
+			if got := CurrentTrace(d, c.period, c.dt, c.duration, rng); len(got) != 0 {
 				t.Fatalf("trace has %d samples, want empty", len(got))
 			}
 		})
@@ -161,17 +163,17 @@ func TestModelLatencyErrorPaths(t *testing.T) {
 			t.Fatal("OpCycles must reject an unmodeled op kind")
 		}
 	})
-	t.Run("latency-nan-on-error", func(t *testing.T) {
+	t.Run("deploy-errors", func(t *testing.T) {
+		// Deploy returns the latency model's error and no Deployment, so
+		// an unscoreable model has no latency, energy or trace to misread.
 		weird := oneOpModel()
 		weird.Ops[0].Kind = graph.OpKind(99)
-		if got := Latency(weird, F446RE); !math.IsNaN(got) {
-			t.Fatalf("convenience Latency on an unscoreable model = %v, want NaN", got)
+		if d, err := Deploy(weird, F446RE); err == nil {
+			t.Fatalf("unmodeled op kind must fail Deploy, got latency %v", d.LatencySeconds)
 		}
-		// The NaN must not slip past CurrentTrace's zero-latency guard and
-		// masquerade as a believable all-sleep trace.
-		rng := rand.New(rand.NewSource(3))
-		if trace := CurrentTrace(weird, F446RE, 1.0, 0.001, 0.5, rng); len(trace) != 0 {
-			t.Fatalf("unscoreable model produced a %d-sample trace, want empty", len(trace))
+		broken := &Device{Name: "broken-board", ClockMHz: 0, CycleFactor: 1}
+		if d, err := Deploy(m, broken); err == nil {
+			t.Fatalf("zero-clock device must fail Deploy, got latency %v", d.LatencySeconds)
 		}
 	})
 }

@@ -171,16 +171,3 @@ func ModelLatency(m *graph.Model, dev *Device) (float64, []LayerLatency, error) 
 	}
 	return total, layers, nil
 }
-
-// Latency returns just the end-to-end latency in seconds. Unlike
-// ModelLatency it keeps the historical convenience signature for report
-// renderers over known-good zoo models; an unscoreable model/device pair
-// returns NaN so the failure poisons downstream numbers visibly instead
-// of ranking as a free model.
-func Latency(m *graph.Model, dev *Device) float64 {
-	t, _, err := ModelLatency(m, dev)
-	if err != nil {
-		return math.NaN()
-	}
-	return t
-}

@@ -22,6 +22,26 @@ func model(t *testing.T, name string, seed int64) *graph.Model {
 	return m
 }
 
+// latency is ModelLatency's total, failing the test on an error.
+func latency(t *testing.T, m *graph.Model, dev *Device) float64 {
+	t.Helper()
+	lat, _, err := ModelLatency(m, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lat
+}
+
+// deploy is Deploy, failing the test on an error.
+func deploy(t *testing.T, m *graph.Model, dev *Device) *Deployment {
+	t.Helper()
+	d, err := Deploy(m, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDeviceDB(t *testing.T) {
 	if len(Devices()) != 3 {
 		t.Fatal("expected 3 devices (Table 1)")
@@ -61,7 +81,7 @@ func TestPaperLatencyCalibration(t *testing.T) {
 	}
 	for _, c := range cases {
 		m := model(t, c.name, 1)
-		got := Latency(m, c.dev)
+		got := latency(t, m, c.dev)
 		if math.Abs(got-c.paperSec)/c.paperSec > 0.10 {
 			t.Errorf("%s on %s: %.3fs vs paper %.3fs (>10%%)", c.name, c.dev.Name, got, c.paperSec)
 		}
@@ -70,7 +90,7 @@ func TestPaperLatencyCalibration(t *testing.T) {
 
 func TestM7TwiceAsFastAsM4(t *testing.T) {
 	m := model(t, "MicroNet-KWS-M", 2)
-	ratio := Latency(m, F446RE) / Latency(m, F746ZG)
+	ratio := latency(t, m, F446RE) / latency(t, m, F746ZG)
 	if ratio < 1.8 || ratio > 2.7 {
 		t.Fatalf("M4/M7 latency ratio %.2f outside ~2x (§3.1)", ratio)
 	}
@@ -89,8 +109,8 @@ func TestDivisibleBy4FastPath(t *testing.T) {
 		}
 		return m
 	}
-	l138 := Latency(mk(138), F767ZI)
-	l140 := Latency(mk(140), F767ZI)
+	l138 := latency(t, mk(138), F767ZI)
+	l140 := latency(t, mk(140), F767ZI)
 	if l140 >= l138 {
 		t.Fatalf("140 channels (%.4fs) must be faster than 138 (%.4fs)", l140, l138)
 	}
@@ -133,7 +153,7 @@ func TestDepthwiseSlowerPerOp(t *testing.T) {
 func TestLatencyScaleInvariance(t *testing.T) {
 	// Modeled latency must be deterministic for the same model.
 	m := model(t, "MicroNet-KWS-S", 5)
-	if Latency(m, F746ZG) != Latency(m, F746ZG) {
+	if latency(t, m, F746ZG) != latency(t, m, F746ZG) {
 		t.Fatal("latency model must be deterministic")
 	}
 }
@@ -162,12 +182,20 @@ func TestPowerIsModelIndependent(t *testing.T) {
 	}
 }
 
+// TestEnergyEqualsPowerTimesLatency pins Deploy's energy to its own power
+// times its own latency, and EnergyPerInferenceMJ (search's copy) to
+// Deploy's energy, bit for bit.
 func TestEnergyEqualsPowerTimesLatency(t *testing.T) {
 	m := model(t, "MicroNet-KWS-M", 8)
-	e := EnergyPerInferenceMJ(m, F746ZG)
-	want := ActivePowerMW(m, F746ZG) * Latency(m, F746ZG)
-	if math.Abs(e-want) > 1e-9 {
-		t.Fatalf("energy %v != power*latency %v", e, want)
+	d := deploy(t, m, F746ZG)
+	if d.LatencySeconds != latency(t, m, F746ZG) || d.ActivePowerMW != ActivePowerMW(m, F746ZG) {
+		t.Fatalf("deployment latency %v, power %v differ from the models'", d.LatencySeconds, d.ActivePowerMW)
+	}
+	if want := d.ActivePowerMW * d.LatencySeconds; d.EnergyMJ != want {
+		t.Fatalf("energy %v != power*latency %v", d.EnergyMJ, want)
+	}
+	if e := EnergyPerInferenceMJ(m, F746ZG); e != d.EnergyMJ {
+		t.Fatalf("EnergyPerInferenceMJ %v != deployment energy %v", e, d.EnergyMJ)
 	}
 }
 
@@ -175,7 +203,7 @@ func TestSmallMCULowerEnergyDespiteSlower(t *testing.T) {
 	// §3.4: "executing the same model on a smaller MCU reduces the total
 	// energy consumption despite an increase in latency."
 	m := model(t, "MicroNet-KWS-S", 9)
-	if Latency(m, F446RE) <= Latency(m, F746ZG) {
+	if latency(t, m, F446RE) <= latency(t, m, F746ZG) {
 		t.Fatal("small MCU must be slower")
 	}
 	if EnergyPerInferenceMJ(m, F446RE) >= EnergyPerInferenceMJ(m, F746ZG) {
@@ -186,12 +214,13 @@ func TestSmallMCULowerEnergyDespiteSlower(t *testing.T) {
 func TestCurrentTraceShape(t *testing.T) {
 	m := model(t, "MicroNet-KWS-S", 11)
 	rng := rand.New(rand.NewSource(12))
-	trace := CurrentTrace(m, F446RE, 1.0, 0.001, 2.0, rng)
+	d := deploy(t, m, F446RE)
+	trace := CurrentTrace(d, 1.0, 0.001, 2.0, rng)
 	if len(trace) != 2000 {
 		t.Fatalf("trace samples = %d", len(trace))
 	}
-	lat := Latency(m, F446RE)
-	activeMA := ActivePowerMW(m, F446RE) / F446RE.SupplyVoltage
+	lat := d.LatencySeconds
+	activeMA := d.ActivePowerMW / F446RE.SupplyVoltage
 	// A sample mid-inference is near active current; one mid-sleep is near
 	// the sleep floor.
 	midActive := trace[int(lat/2/0.001)]
@@ -212,14 +241,14 @@ func TestInt4KernelOverheadBand(t *testing.T) {
 	e, _ := zoo.Get("MicroNet-KWS-M")
 	m8, _ := graph.FromSpec(e.Spec, rand.New(rand.NewSource(1)), graph.LowerOptions{})
 	m4, _ := graph.FromSpec(e.Spec, rand.New(rand.NewSource(1)), graph.LowerOptions{WeightBits: 4, ActBits: 4})
-	incM := Latency(m4, F746ZG)/Latency(m8, F746ZG) - 1
+	incM := latency(t, m4, F746ZG)/latency(t, m8, F746ZG) - 1
 	if incM < 0.10 || incM > 0.40 {
 		t.Fatalf("KWS-M 4-bit overhead %.1f%% outside plausible band", incM*100)
 	}
 	el, _ := zoo.Get("MicroNet-KWS-L")
 	l8, _ := graph.FromSpec(el.Spec, rand.New(rand.NewSource(1)), graph.LowerOptions{})
 	l4, _ := graph.FromSpec(el.Spec, rand.New(rand.NewSource(1)), graph.LowerOptions{WeightBits: 4, ActBits: 4})
-	incL := Latency(l4, F746ZG)/Latency(l8, F746ZG) - 1
+	incL := latency(t, l4, F746ZG)/latency(t, l8, F746ZG) - 1
 	if incL <= incM {
 		t.Fatalf("KWS-L overhead (%.1f%%) must exceed KWS-M (%.1f%%) per Figure 10", incL*100, incM*100)
 	}

@@ -31,10 +31,16 @@ func ActivePowerMW(m *graph.Model, dev *Device) float64 {
 	return dev.ActiveMW * (1 + rng.NormFloat64()*powerSigmaOverMu)
 }
 
-// EnergyPerInferenceMJ returns the energy of one inference in millijoules:
-// since power is constant, energy is power times latency (§3.4).
+// EnergyPerInferenceMJ returns power times latency in millijoules (§3.4),
+// NaN for an unscoreable pair. Its one caller, search.Evaluate, has
+// already run the latency model; the shape-only trial path (ROADMAP item
+// 3) replaces this second run with power × the latency it has.
 func EnergyPerInferenceMJ(m *graph.Model, dev *Device) float64 {
-	return ActivePowerMW(m, dev) * Latency(m, dev) // mW * s = mJ
+	lat, _, err := ModelLatency(m, dev)
+	if err != nil {
+		return math.NaN()
+	}
+	return ActivePowerMW(m, dev) * lat // mW * s = mJ
 }
 
 // TracePoint is one sample of a simulated Otii current trace.
@@ -44,29 +50,24 @@ type TracePoint struct {
 }
 
 // CurrentTrace synthesizes an Otii Arc-style current-vs-time trace for an
-// application invoking the model once per periodS, sampled every dtS, for
-// the given duration. Active phases carry measurement noise; sleep phases
-// drop to the deep-sleep floor (Figure 9). A zero-op model (nothing to
-// invoke) or a non-positive sample interval yields an empty trace — the
-// old behaviour divided by dtS and took math.Mod against periodS, which
-// NaN-propagated into every sample.
-func CurrentTrace(m *graph.Model, dev *Device, periodS, dtS, durationS float64, rng *rand.Rand) []TracePoint {
-	lat := Latency(m, dev)
-	// NaN is Latency's unscoreable-model sentinel: without this guard,
-	// `phase < NaN` is always false and the trace would silently read as
-	// a believable all-sleep measurement.
-	if lat == 0 || math.IsNaN(lat) || dtS <= 0 || periodS <= 0 {
+// application invoking d's model once per periodS, sampled every dtS, for
+// the given duration. Active phases draw d's active power with
+// measurement noise; sleep phases drop to the device's deep-sleep floor
+// (Figure 9). A zero-op model (nothing to invoke), a non-positive sample
+// interval or period, or a negative duration yields an empty trace.
+func CurrentTrace(d *Deployment, periodS, dtS, durationS float64, rng *rand.Rand) []TracePoint {
+	if d.LatencySeconds == 0 || dtS <= 0 || periodS <= 0 || durationS < 0 {
 		return nil
 	}
-	activeMA := ActivePowerMW(m, dev) / dev.SupplyVoltage
-	sleepMA := dev.SleepMW / dev.SupplyVoltage
+	activeMA := d.ActivePowerMW / d.Device.SupplyVoltage
+	sleepMA := d.Device.SleepMW / d.Device.SupplyVoltage
 	n := int(durationS / dtS)
 	out := make([]TracePoint, 0, n)
 	for i := 0; i < n; i++ {
 		t := float64(i) * dtS
 		phase := math.Mod(t, periodS)
 		ma := sleepMA
-		if phase < lat {
+		if phase < d.LatencySeconds {
 			ma = activeMA * (1 + rng.NormFloat64()*0.01)
 		}
 		out = append(out, TracePoint{TimeS: t, CurrentMA: ma})

@@ -144,10 +144,10 @@ func TestBatcherCanceledCountedSeparately(t *testing.T) {
 	}
 }
 
-// TestBatcherSubmitAllocBound pins the steady-state allocation cost of one
+// TestRowInferAllocBound pins the steady-state allocation cost of one
 // row on a pooled interpreter: the caller owns the input and output
 // buffers, so the wait, copies, Invoke and counters allocate nothing.
-func TestBatcherSubmitAllocBound(t *testing.T) {
+func TestRowInferAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}

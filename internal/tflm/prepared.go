@@ -39,10 +39,8 @@ func PrepareWithEngine(m *graph.Model, eng kernels.Engine) (*Prepared, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	for i, op := range m.Ops {
-		if op.Kind == graph.OpTransposedConv {
-			return nil, fmt.Errorf("tflm: model %s: op %d (%s %q): operator not supported by the runtime", m.Name, i, op.Kind, op.Name)
-		}
+	if err := Unsupported(m); err != nil {
+		return nil, err
 	}
 	for _, t := range m.Tensors {
 		// 4-bit activations pack two per byte in the memory plan (that is
@@ -65,6 +63,19 @@ func PrepareWithEngine(m *graph.Model, eng kernels.Engine) (*Prepared, error) {
 		model: m, engine: eng, plan: plan, prep: kernels.PrepareModel(m),
 		scratchBytes: alignUp(eng.ScratchBytes(m)),
 	}, nil
+}
+
+// Unsupported reports the first op of m the runtime cannot run (TFLM has
+// no transposed convolution, §6.4), or nil. Prepare refuses such a model
+// with this error; mcu.Deploy reports it as a reason the model does not
+// deploy.
+func Unsupported(m *graph.Model) error {
+	for i, op := range m.Ops {
+		if op.Kind == graph.OpTransposedConv {
+			return fmt.Errorf("tflm: model %s: op %d (%s %q) is unsupported by the runtime", m.Name, i, op.Kind, op.Name)
+		}
+	}
+	return nil
 }
 
 // Model returns the model this state was prepared for.

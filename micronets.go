@@ -17,7 +17,6 @@ package micronets
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -63,67 +62,27 @@ func ModelNames() []string { return zoo.Names() }
 // AppendSoftmax adds the classifier softmax op.
 type DeployOptions = serve.ModelOptions
 
-// Deployment is the result of deploying a model on a device.
-type Deployment struct {
-	Spec   *arch.Spec
-	Model  *graph.Model
-	Device *mcu.Device
-	Report *tflm.MemoryReport
+// Deployment is one model measured on one device: its memory report,
+// modeled latency, power and energy, per-op latency breakdown, and
+// FitsErr when it does not deploy (see mcu.Deploy).
+type Deployment = mcu.Deployment
 
-	// LatencySeconds is the modeled end-to-end inference latency.
-	LatencySeconds float64
-	// ActivePowerMW is the board draw while inferring.
-	ActivePowerMW float64
-	// EnergyMJ is energy per inference in millijoules.
-	EnergyMJ float64
-	// Layers is the per-op latency breakdown.
-	Layers []mcu.LayerLatency
-	// FitsErr is non-nil when the model does not fit the device.
-	FitsErr error
-}
-
-// Deploy lowers a spec to the int8 runtime, plans its memory, checks it
-// against the device budgets, and models latency and energy. A non-fitting
-// model still returns a Deployment (with FitsErr set) so callers can report
-// "not deployable" rows as the paper's tables do; models using unsupported
-// operators return an error.
+// Deploy lowers a spec to the int8 runtime and measures it on the device
+// (mcu.Deploy). A model that does not fit, or uses an operator the
+// runtime cannot run, still returns a Deployment with FitsErr set, so
+// callers can report "not deployable" rows as the paper's tables do.
 func Deploy(spec *arch.Spec, dev *mcu.Device, opts DeployOptions) (*Deployment, error) {
 	m, err := opts.Lower(spec)
 	if err != nil {
 		return nil, err
 	}
-	return DeployModel(spec, m, dev)
+	return mcu.Deploy(m, dev)
 }
 
-// DeployModel deploys an already-lowered model (e.g. a trained export).
-func DeployModel(spec *arch.Spec, m *graph.Model, dev *mcu.Device) (*Deployment, error) {
-	report, err := tflm.Report(m, nil)
-	if err != nil {
-		return nil, err
-	}
-	lat, layers, err := mcu.ModelLatency(m, dev)
-	if err != nil {
-		return nil, err
-	}
-	d := &Deployment{
-		Spec: spec, Model: m, Device: dev, Report: report,
-		LatencySeconds: lat,
-		ActivePowerMW:  mcu.ActivePowerMW(m, dev),
-		EnergyMJ:       mcu.EnergyPerInferenceMJ(m, dev),
-		Layers:         layers,
-	}
-	d.FitsErr = report.FitsDevice(dev.SRAMBytes(), dev.FlashBytes())
-	for _, op := range m.Ops {
-		if op.Kind == graph.OpTransposedConv {
-			// Join rather than overwrite: a model can both overflow the
-			// device and use an unsupported operator, and callers deserve
-			// to see every reason it is not deployable.
-			d.FitsErr = errors.Join(d.FitsErr,
-				fmt.Errorf("micronets: %s uses %s, unsupported by the runtime", m.Name, op.Kind))
-			break
-		}
-	}
-	return d, nil
+// DeployModel measures an already-lowered model (e.g. a trained export)
+// on the device.
+func DeployModel(m *graph.Model, dev *mcu.Device) (*Deployment, error) {
+	return mcu.Deploy(m, dev)
 }
 
 // ClassifyBatch runs every input through an interpreter for the spec —
