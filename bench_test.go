@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper (one bench
-// per experiment; see DESIGN.md's per-experiment index), plus kernel and
-// runtime microbenchmarks. Run with:
+// per experiment id of `go run ./cmd/bench -exp <id>`, which prints the
+// report), plus kernel and runtime microbenchmarks. Run with:
 //
 //	go test -bench=. -benchmem
 package micronets

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"micronets/internal/arch"
@@ -14,20 +15,14 @@ import (
 	"micronets/internal/tensor"
 )
 
+// TestWidthOptions: a supernet's width options are the eight steps
+// maxC·i/8 rounded up to multiples of 4, here of the paper's 276-channel
+// KWS supernet (§5.2.2) in a space wide enough to hold them all.
 func TestWidthOptions(t *testing.T) {
-	opts := WidthOptions(276, 8, true)
-	for _, c := range opts {
-		if c%4 != 0 {
-			t.Fatalf("option %d not a multiple of 4", c)
-		}
-	}
-	if opts[len(opts)-1] != 276 {
-		t.Fatalf("largest option %d, want 276", opts[len(opts)-1])
-	}
-	for i := 1; i < len(opts); i++ {
-		if opts[i] <= opts[i-1] {
-			t.Fatal("options must be strictly increasing")
-		}
+	sp := &Space{MinC: 4, MaxC: 512}
+	opts := sp.Supernet(276, 9).WidthOptions
+	if want := []int{36, 72, 104, 140, 172, 208, 244, 276}; !slices.Equal(opts, want) {
+		t.Fatalf("options %v, want %v", opts, want)
 	}
 }
 
@@ -88,12 +83,7 @@ func tinyConfig() SupernetConfig {
 		FirstKH: 3, FirstKW: 3, FirstStride: 1,
 		PoolKH: 4, PoolKW: 4,
 		MinBlocks: 1, MaxBlocks: 2, MinC: 4, MaxC: 8,
-		strideFor: func(i, n int) int {
-			if i == 0 {
-				return 2
-			}
-			return 1
-		},
+		Stride2Head: 1,
 	}
 	return sp.Supernet(8, 2)
 }
@@ -444,11 +434,12 @@ func TestRandomModelsValid(t *testing.T) {
 	}
 }
 
-// TestDiscretizeStaysInSpace: every architecture the harness's supernets
-// discretize to is a member of their space. Over every subset of skipped
+// TestDiscretizeStaysInSpace: the architectures the harness's supernets
+// discretize to keep the space's geometry. Over every subset of skipped
 // blocks and random widths, the kept blocks keep their supernet strides,
 // and Build(Widths(d)) gives d back whenever d is deep enough for the
-// space.
+// space. Not every d is: KWS's Supernet(64, 4) can keep one DS block,
+// below the space's MinBlocks of 2, and Widths pads such a d.
 func TestDiscretizeStaysInSpace(t *testing.T) {
 	for _, task := range []string{"kws", "ad"} {
 		cfg := harnessConfig(t, task)
@@ -513,25 +504,31 @@ func TestKWSAndADSupernetConfigs(t *testing.T) {
 	for _, tc := range []struct {
 		task                             string
 		strides                          []int
-		skippable                        []bool
+		depth                            []string
 		inH, inW, classes                int
 		firstKH, firstKW, poolKH, poolKW int
 	}{
-		{"kws", []int{2, 1, 1, 1}, []bool{false, true, true, true}, 49, 10, 12, 10, 4, 25, 5},
-		{"ad", []int{2, 1, 2, 2}, []bool{false, true, false, false}, 32, 32, 4, 3, 3, 4, 4},
+		{"kws", []int{2, 1, 1, 1}, []string{"b2.depth", "b3.depth", "b4.depth"}, 49, 10, 12, 10, 4, 25, 5},
+		{"ad", []int{2, 1, 2, 2}, []string{"b2.depth"}, 32, 32, 4, 3, 3, 4, 4},
 	} {
 		cfg := harnessConfig(t, tc.task)
 		sp := cfg.Space
 		if !slices.Equal(cfg.WidthOptions, opts) {
 			t.Errorf("%s: width options %v, want %v", tc.task, cfg.WidthOptions, opts)
 		}
-		if !slices.Equal(cfg.Skippable, tc.skippable) {
-			t.Errorf("%s: skippable %v, want %v", tc.task, cfg.Skippable, tc.skippable)
-		}
 		rng := rand.New(rand.NewSource(13))
 		s, err := NewSupernet(rng, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var depth []string
+		for _, p := range s.ArchParams() {
+			if strings.HasSuffix(p.Name, ".depth") {
+				depth = append(depth, p.Name)
+			}
+		}
+		if !slices.Equal(depth, tc.depth) {
+			t.Errorf("%s: depth decisions %v, want %v", tc.task, depth, tc.depth)
 		}
 		if strides := dsStrides(s); !slices.Equal(strides, tc.strides) {
 			t.Errorf("%s: block strides %v, want %v", tc.task, strides, tc.strides)
@@ -603,11 +600,18 @@ func TestArchStepIgnoresTrainLoss(t *testing.T) {
 // TestWeightStepIgnoresValLoss: the weight update follows the train loss
 // only. On a supernet whose every decision has one option, so that the
 // logits cannot move, two searches whose val batches differ only in their
-// labels end with the same weights after two steps, bit for bit.
+// labels end with the same weights after two steps, bit for bit. Its
+// space gives both blocks stride 2 (8×8 to 2×2, for a 2×2 pool), so
+// neither is skippable.
 func TestWeightStepIgnoresValLoss(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.WidthOptions = cfg.WidthOptions[len(cfg.WidthOptions)-1:]
-	cfg.Skippable = make([]bool, len(cfg.Skippable))
+	sp := &Space{
+		Task: "kws", InputH: 8, InputW: 8, InputC: 1, NumClasses: 3,
+		FirstKH: 3, FirstKW: 3, FirstStride: 1,
+		PoolKH: 2, PoolKW: 2,
+		MinBlocks: 2, MaxBlocks: 2, MinC: 8, MaxC: 8,
+		Stride2Head: 2,
+	}
+	cfg := sp.Supernet(8, 2)
 	sc := SearchConfig{Steps: 2, Seed: 22, WeightLR: nn.CosineSchedule{Start: 0.05, End: 0.05, Steps: 2}}
 	train := []int{0, 1, 2, 1}
 	a := phaseRun(t, cfg, train, []int{0, 1, 2, 0}, sc)

@@ -70,35 +70,6 @@ func (d *DecisionNode) ArgMax() int {
 	return best
 }
 
-// WidthOptions builds the channel-count options for a width decision: the
-// paper searches 10%..100% of the reference width in 10% steps for VWW
-// (§5.2.1) and multiples of 4 for KWS/AD ("restricted to multiples of 4
-// for good performance on hardware", §5.2.2).
-func WidthOptions(maxC int, steps int, multipleOf4 bool) []int {
-	if steps < 1 {
-		steps = 1
-	}
-	opts := make([]int, 0, steps)
-	seen := map[int]bool{}
-	for i := 1; i <= steps; i++ {
-		c := maxC * i / steps
-		if multipleOf4 {
-			c = (c + 3) / 4 * 4
-		}
-		if c < 1 {
-			c = 1
-		}
-		if c > maxC {
-			c = maxC
-		}
-		if !seen[c] {
-			seen[c] = true
-			opts = append(opts, c)
-		}
-	}
-	return opts
-}
-
 // channelMask builds the convex channel mask m = Σ_k z_k mask_k over
 // the largest option's channels, where mask_k enables the first
 // options[k] channels. The result is a differentiable function of z.

@@ -19,7 +19,8 @@ func RandomKWSModel(rng *rand.Rand, idx int) *arch.Spec {
 	for i := range widths {
 		widths[i] = 4 * (4 + rng.Intn(60))
 	}
-	spec := kwsSpace().Build(fmt.Sprintf("rand-kws-%d", idx), widths)
+	sp := spaces["kws"]
+	spec := sp.Build(fmt.Sprintf("rand-kws-%d", idx), widths)
 	spec.Source = "repro"
 	return spec
 }

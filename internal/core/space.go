@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,9 +18,9 @@ import (
 // searchable widths (multiples of 4, the CMSIS-NN fast-path granularity),
 // then the task's fixed average-pool+classifier tail. A candidate is fully
 // described by its width vector [firstConvC, dsC0, dsC1, ...]; strides are
-// a deterministic function of position (strideFor), which keeps every
-// sampled and mutated candidate geometrically valid by construction.
-// Supernet derives the space's DNAS relaxation.
+// a deterministic function of position (Stride2Head, Stride2Tail), which
+// keeps every sampled and mutated candidate geometrically valid. A Space
+// is a plain value that encodes to JSON; Supernet derives its relaxation.
 type Space struct {
 	Task                   string
 	InputH, InputW, InputC int
@@ -32,72 +34,75 @@ type Space struct {
 	MinBlocks, MaxBlocks int
 	// MinC/MaxC bound every width; both multiples of 4.
 	MinC, MaxC int
-	// strideFor returns the stride of DS block i out of n.
-	strideFor func(i, n int) int
+	// Stride2Head/Stride2Tail count the stride-2 DS blocks at the head
+	// and the tail of the stack; the blocks between have stride 1.
+	Stride2Head, Stride2Tail int
 }
 
-// SpaceForTask returns the search space for a task ("kws" or "ad").
-func SpaceForTask(task string) (*Space, error) {
-	switch task {
-	case "kws":
-		return kwsSpace(), nil
-	case "ad":
-		// 32x32 spectrogram patches; stride 2 on the first and last two DS
-		// blocks takes 32 -> 4 for the 4x4 pool — the MicroNet-AD geometry.
-		return &Space{
-			Task: "ad", InputH: 32, InputW: 32, InputC: 1, NumClasses: 4,
-			FirstKH: 3, FirstKW: 3, FirstStride: 1,
-			PoolKH: 4, PoolKW: 4,
-			MinBlocks: 3, MaxBlocks: 7, MinC: 8, MaxC: 256,
-			strideFor: func(i, n int) int {
-				if i == 0 || i >= n-2 {
-					return 2
-				}
-				return 1
-			},
-		}, nil
-	default:
-		return nil, fmt.Errorf("core: no search space for task %q (have kws, ad)", task)
-	}
-}
-
-// kwsSpace is the KWS search space: 49x10 MFCC input; the first DS block
-// downsamples to 25x5, which the 25x5 average pool collapses — the
-// Table 5 KWS geometry.
-func kwsSpace() *Space {
-	return &Space{
+// spaces are the search spaces of SpaceForTask.
+var spaces = map[string]Space{
+	// 49x10 MFCC input; the first DS block downsamples to 25x5, which the
+	// 25x5 average pool collapses — the Table 5 KWS geometry.
+	"kws": {
 		Task: "kws", InputH: 49, InputW: 10, InputC: 1, NumClasses: 12,
 		FirstKH: 10, FirstKW: 4, FirstStride: 1,
 		PoolKH: 25, PoolKW: 5,
 		MinBlocks: 2, MaxBlocks: 8, MinC: 8, MaxC: 256,
-		strideFor: func(i, n int) int {
-			if i == 0 {
-				return 2
-			}
-			return 1
-		},
+		Stride2Head: 1,
+	},
+	// 32x32 spectrogram patches; stride 2 on the first and last two DS
+	// blocks takes 32 -> 4 for the 4x4 pool — the MicroNet-AD geometry.
+	"ad": {
+		Task: "ad", InputH: 32, InputW: 32, InputC: 1, NumClasses: 4,
+		FirstKH: 3, FirstKW: 3, FirstStride: 1,
+		PoolKH: 4, PoolKW: 4,
+		MinBlocks: 3, MaxBlocks: 7, MinC: 8, MaxC: 256,
+		Stride2Head: 1, Stride2Tail: 2,
+	},
+}
+
+// SpaceForTask returns the search space for a task ("kws" or "ad").
+func SpaceForTask(task string) (*Space, error) {
+	sp, ok := spaces[task]
+	if !ok {
+		return nil, fmt.Errorf("core: no search space for task %q (have kws, ad)", task)
 	}
+	return &sp, nil
+}
+
+// Digest is a short hex sha256 of the space's JSON encoding, which names
+// the space a trial log record was drawn from.
+func (s *Space) Digest() string {
+	b, err := json.Marshal(s)
+	if err != nil {
+		panic(err) // a struct of ints and a string always encodes
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b))[:16]
+}
+
+// stride is the stride of DS block i of n.
+func (s *Space) stride(i, n int) int {
+	if i < s.Stride2Head || i >= n-s.Stride2Tail {
+		return 2
+	}
+	return 1
 }
 
 // Supernet returns the space's DNAS relaxation (§5.2.2, §5.2.3): a first
 // conv and blocks DS blocks at the space's strides, every width decision
-// over WidthOptions(maxC, 8, true) snapped into the space's width bounds
+// over the eight steps maxC·i/8 snapped into the space's width bounds
 // (clampWidth, deduplicated), and exactly the stride-1 blocks skippable,
 // so every subnet keeps the spatial schedule the pool needs. Every option
 // is thus a width Build deploys: the channel mask trains, the resource
 // model charges and Discretize deploys the same network.
 func (s *Space) Supernet(maxC, blocks int) SupernetConfig {
 	var opts []int
-	for _, c := range WidthOptions(maxC, 8, true) {
-		if c = s.clampWidth(c); !slices.Contains(opts, c) {
+	for i := 1; i <= 8; i++ {
+		if c := s.clampWidth(maxC * i / 8); !slices.Contains(opts, c) {
 			opts = append(opts, c)
 		}
 	}
-	cfg := SupernetConfig{Space: s, WidthOptions: opts}
-	for i := 0; i < blocks; i++ {
-		cfg.Skippable = append(cfg.Skippable, s.strideFor(i, blocks) == 1)
-	}
-	return cfg
+	return SupernetConfig{Space: s, WidthOptions: opts, Blocks: blocks}
 }
 
 // clampWidth snaps a width into [MinC, MaxC] on the multiple-of-4 grid.
@@ -136,7 +141,7 @@ func (s *Space) Build(name string, widths []int) *arch.Spec {
 	for i := 0; i < n; i++ {
 		spec.Blocks = append(spec.Blocks, arch.Block{
 			Kind: arch.DSBlock, KH: 3, KW: 3,
-			OutC: s.clampWidth(widths[i+1]), Stride: s.strideFor(i, n),
+			OutC: s.clampWidth(widths[i+1]), Stride: s.stride(i, n),
 		})
 	}
 	spec.Blocks = append(spec.Blocks,

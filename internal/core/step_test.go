@@ -44,13 +44,15 @@ func testLoop(t testing.TB, cfg SupernetConfig, n, steps int) *searchLoop {
 // batches of 8. The batches are random; the step's work does not depend
 // on their values.
 func nasSweepLoop(t testing.TB, steps int) *searchLoop {
-	return testLoop(t, kwsSpace().Supernet(64, 4), 8, steps)
+	sp := spaces["kws"]
+	return testLoop(t, sp.Supernet(64, 4), 8, steps)
 }
 
 // smallLoop is a searchLoop on a narrower, shallower KWS supernet with
 // the same ops, for tests that run it several times.
 func smallLoop(t testing.TB, steps int) *searchLoop {
-	return testLoop(t, kwsSpace().Supernet(16, 3), 4, steps)
+	sp := spaces["kws"]
+	return testLoop(t, sp.Supernet(16, 3), 4, steps)
 }
 
 // sameParams fails t unless the two loops' supernets hold the same

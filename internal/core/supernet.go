@@ -25,11 +25,11 @@ type SupernetConfig struct {
 	// of the shared weights; masking realizes narrower choices.
 	WidthOptions []int
 
-	// Skippable has one entry per DS block. A skippable stride-1 block
-	// gets a parallel identity shortcut so DNAS can drop it entirely
+	// Blocks is the number of DS blocks. A block the space gives stride
+	// 1 gets a parallel identity shortcut so DNAS can drop it entirely
 	// (depth search, §5.2.2); stride-2 blocks stay, which preserves the
 	// spatial schedule.
-	Skippable []bool
+	Blocks int
 }
 
 // Supernet is the trainable search network: shared weights at maximal
@@ -69,7 +69,7 @@ func NewSupernet(rng *rand.Rand, cfg SupernetConfig) (*Supernet, error) {
 	if cfg.Space == nil || len(cfg.WidthOptions) == 0 {
 		return nil, fmt.Errorf("core: a supernet needs a Space and width options")
 	}
-	sp, n := cfg.Space, len(cfg.Skippable)
+	sp, n := cfg.Space, cfg.Blocks
 	maxC := cfg.WidthOptions[len(cfg.WidthOptions)-1]
 	net, err := arch.Build(rng, sp.Build("supernet", slices.Repeat([]int{maxC}, n+1)), false)
 	if err != nil {
@@ -80,10 +80,10 @@ func NewSupernet(rng *rand.Rand, cfg SupernetConfig) (*Supernet, error) {
 		net:       net,
 		firstNode: NewDecisionNode("b0.width", len(cfg.WidthOptions)),
 	}
-	for i, skippable := range cfg.Skippable {
+	for i := range n {
 		name := fmt.Sprintf("b%d", i+1)
 		s.width = append(s.width, NewDecisionNode(name+".width", len(cfg.WidthOptions)))
-		if skippable && sp.strideFor(i, n) == 1 {
+		if sp.stride(i, n) == 1 {
 			s.depth = append(s.depth, NewDecisionNode(name+".depth", 2))
 		} else {
 			s.depth = append(s.depth, nil)

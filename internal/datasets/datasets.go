@@ -9,7 +9,7 @@
 // dataset (MFCC/log-mel front ends, augmentation, training, AUC scoring)
 // and preserves the property the experiments rely on: class structure that
 // is learnable, with difficulty scaling so larger models score higher.
-// See DESIGN.md ("Substitutions").
+// Accuracies measured on them follow the paper's trends, not its values.
 package datasets
 
 import (

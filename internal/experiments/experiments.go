@@ -2,8 +2,8 @@
 // evaluation from the reproduction's own substrates: the random-model
 // characterization studies (Figures 3-5, 9), the memory map (Figure 2),
 // the Pareto comparisons (Figures 7, 8, 11), the sub-byte study (Figure
-// 10, Table 2), and the results tables (Tables 1-5). See DESIGN.md for the
-// per-experiment index.
+// 10, Table 2), and the results tables (Tables 1-5); `cmd/bench -exp <id>`
+// prints each.
 package experiments
 
 import (

@@ -9,8 +9,8 @@ import (
 	"micronets/internal/graph"
 )
 
-// Cost-model constants, calibrated so whole-model latencies match the
-// paper's Table 4 on the Cortex-M7 baseline (see DESIGN.md §5):
+// Cost-model constants, hand-set toward the paper's Table 4 latencies on
+// the Cortex-M7 baseline (`cmd/bench -exp table4` prints both; no fit):
 //
 //	cycles/MAC = cpmBase + cpmSetup/n,  n = dot-product length (kh*kw*inC)
 //

@@ -20,14 +20,16 @@ import (
 type TrialRecord struct {
 	Trial  int    `json:"trial"`
 	Source string `json:"source"`
-	// Task, Device and Seed record what the trial was generated and
+	// Task, Device, Seed and Space (a core.Space Digest; empty means the
+	// task's default space) record what the trial was generated and
 	// measured against; a resume only reuses records matching its own
-	// config (metrics are device-specific, candidate generation is
-	// seed-specific), and re-derives feasibility from the metrics against
-	// its own — possibly different — budgets.
+	// config (metrics are device-specific, candidates seed- and
+	// space-specific), and re-derives feasibility from the metrics
+	// against its own — possibly different — budgets.
 	Task       string     `json:"task"`
 	Device     string     `json:"device"`
 	Seed       int64      `json:"seed"`
+	Space      string     `json:"space,omitempty"`
 	Spec       *arch.Spec `json:"spec"`
 	Metrics    Metrics    `json:"metrics"`
 	Feasible   bool       `json:"feasible"`

@@ -11,11 +11,12 @@
 // trial count whatever the worker count), and a DNAS warm start: the
 // discretized architecture of the space's own supernet
 // (core.Space.Supernet), trained briefly by the differentiable search in
-// internal/core, which is a member of the space like any other
-// candidate.
-// Every evaluated trial is checkpointed as one JSONL line, so a killed
-// run resumes where it stopped, and frontier winners export as a spec
-// file of named specs that a server can load and serve immediately.
+// internal/core; the KWS supernet can skip to one DS block, below the
+// space's MinBlocks, so mutation pads it back in (core.Space.Widths).
+// Every evaluated trial is checkpointed as one JSONL line naming its
+// core.Space.Digest, so a killed run resumes where it stopped (a record
+// of another space is re-evaluated), and frontier winners export as a
+// spec file of named specs that a server can load and serve immediately.
 //
 // The search is two-stage: the capacity proxy ranks the broad sweep, and
 // then Config.Finalists frontier points are re-ranked by accuracy in the

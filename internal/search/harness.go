@@ -112,6 +112,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	digest := space.Digest()
 	// Default unset memory budgets per field (a caller may set only a
 	// latency budget and still expect the device's physical memory to
 	// bound the rest); MaxLatencyS zero legitimately means unconstrained.
@@ -151,10 +152,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if rec.Trial < 0 || rec.Trial >= cfg.Trials {
 				continue // stale log from a different -trials run; re-evaluate
 			}
-			if rec.Task != cfg.Task || rec.Device != cfg.Device.Name || rec.Seed != cfg.Seed {
+			if rec.Task != cfg.Task || rec.Device != cfg.Device.Name || rec.Seed != cfg.Seed ||
+				rec.Space != "" && rec.Space != digest {
 				// Logged for another task/device (metrics don't transfer) or
-				// another seed (a different -seed asks for a fresh search,
-				// not a replay of the old one).
+				// another seed or space (a fresh search, not a replay of the
+				// old one).
 				continue
 			}
 			if rec.Stage == StageFinalist {
@@ -216,6 +218,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	evaluate := func(trial int) {
 		if ctx.Err() == nil {
 			recs[trial] = cfg.runTrial(trial, space, frontier, warm)
+			recs[trial].Space = digest
 			log.append(&recs[trial])
 			have[trial] = true
 		}

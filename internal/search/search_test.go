@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -495,4 +496,82 @@ func TestExportCascade(t *testing.T) {
 	if len(spec.Root.Children) != 2 {
 		t.Fatalf("clamped stages = %d, want 2", len(spec.Root.Children))
 	}
+}
+
+// TestResumeChecksSpaceDigest: a record logged against another search
+// space is re-evaluated, like another device's, and a record without a
+// space (the log format before spaces carried a digest) means the task's
+// default space and resumes.
+func TestResumeChecksSpaceDigest(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "trials.jsonl")
+	cfg := Config{Task: "kws", Device: mcu.F446RE, Trials: 8, Seed: 11, CheckpointPath: ckpt}
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	logged, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// rewrite writes the first run's log with every line's "space" field
+	// set to space, or deleted when space is empty.
+	rewrite := func(space string) {
+		t.Helper()
+		var out []byte
+		for _, line := range bytes.Split(bytes.TrimSpace(logged), []byte("\n")) {
+			var fields map[string]any
+			if err := json.Unmarshal(line, &fields); err != nil {
+				t.Fatal(err)
+			}
+			delete(fields, "space")
+			if space != "" {
+				fields["space"] = space
+			}
+			b, err := json.Marshal(fields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(append(out, b...), '\n')
+		}
+		if err := os.WriteFile(ckpt, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := cfg
+	fresh.CheckpointPath = ""
+	want, err := Run(context.Background(), fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rewrite("0123456789abcdef")
+	foreign, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foreign.Resumed != 0 || foreign.Evaluated != cfg.Trials {
+		t.Fatalf("foreign-space log reused: resumed %d evaluated %d", foreign.Resumed, foreign.Evaluated)
+	}
+	if got, want := frontierKey(foreign.Frontier), frontierKey(want.Frontier); got != want {
+		t.Fatalf("re-evaluated frontier\n%s\nwant the fresh run's\n%s", got, want)
+	}
+
+	rewrite("")
+	parent, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parent.Resumed != cfg.Trials || parent.Evaluated != 0 {
+		t.Fatalf("log without space digests: resumed %d evaluated %d, want %d/0", parent.Resumed, parent.Evaluated, cfg.Trials)
+	}
+}
+
+// frontierKey renders a frontier's points in order: trial, source,
+// metrics and spec.
+func frontierKey(f *Frontier) string {
+	var b strings.Builder
+	for _, p := range f.Points() {
+		fmt.Fprintf(&b, "%d %s %+v %s\n", p.Trial, p.Source, p.Metrics, p.Record.Spec.Fingerprint())
+	}
+	return b.String()
 }

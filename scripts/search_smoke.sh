@@ -6,7 +6,8 @@
 # from the capacity proxy, and the frontier export must hold at least one
 # spec. Then a -workers 1 and a -workers 4 run must write the same trial
 # log, for the KWS space and for the AD space, whose DNAS warm start must
-# end in the space's average pool. Last, cmd/train (a one-candidate run
+# end in the space's average pool; every record must carry its space's
+# digest, and the AD log must resume in full. Last, cmd/train (a one-candidate run
 # of the same trainer) must train, export and score each task in float
 # and in int8. Used by `make search-smoke` and by
 # serve_smoke.sh (so the CI serve-smoke job exercises the same path on
@@ -71,6 +72,19 @@ cmp "$WORK/ad_w1.sorted" "$WORK/ad_w4.sorted"
 jq -s -e '[.[] | select(.source == "dnas")] | length == 1
     and (.[0].spec.Blocks[-2:] | map(.Kind) == ["AvgPool", "Dense"])' "$WORK/ad_w1.jsonl" >/dev/null
 echo "ad determinism OK: -workers 1 and -workers 4 wrote identical trial logs, dnas warm start ends in AvgPool-Dense"
+
+# Every record names the search space it was drawn from: one non-empty
+# digest per log. Re-running the serial AD search against its own log
+# must resume every trial and append no proxy line.
+for f in det_w1 det_w4 ad_w1 ad_w4; do
+    jq -s -e 'map(.space) | unique | length == 1 and (.[0] | type == "string" and length > 0)' \
+        "$WORK/$f.jsonl" >/dev/null
+done
+go run ./cmd/search -task ad -trials 16 -seed 7 -workers 1 -dnas-steps 5 -finalists 0 \
+    -log "$WORK/ad_w1.jsonl" -export "" >"$WORK/ad_resume.out" 2>&1
+grep -q 'resumed 16/16 trials' "$WORK/ad_resume.out"
+test "$(jq -s '[.[] | select(.stage == null)] | length' "$WORK/ad_w1.jsonl")" -eq 16
+echo "space digest OK: one space per log, the AD log resumes 16/16 with no new proxy line"
 
 # cmd/train, the one training front end: a one-candidate run of the
 # finalist trainer per task must exit 0 and print both its float and its
