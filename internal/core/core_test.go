@@ -421,6 +421,11 @@ func TestRandomModelsValid(t *testing.T) {
 		if _, err := k.Analyze(); err != nil {
 			t.Fatalf("random kws %d invalid: %v", i, err)
 		}
+		// A search keeps every trial's spec: Build must not leave
+		// append's spare capacity behind.
+		if len(k.Blocks) != cap(k.Blocks) {
+			t.Fatalf("random kws %d: %d blocks in a slice of capacity %d", i, len(k.Blocks), cap(k.Blocks))
+		}
 		m := RandomImageModel(rng, i)
 		if _, err := m.Analyze(); err != nil {
 			t.Fatalf("random image %d invalid: %v", i, err)

@@ -133,6 +133,9 @@ func (s *Space) Build(name string, widths []int) *arch.Spec {
 		Name: name, Task: s.Task, Source: "search",
 		InputH: s.InputH, InputW: s.InputW, InputC: s.InputC,
 		NumClasses: s.NumClasses,
+		// Exactly n+3 blocks: a search keeps every trial's spec, so
+		// append's spare capacity would be retained once per trial.
+		Blocks: make([]arch.Block, 0, n+3),
 	}
 	spec.Blocks = append(spec.Blocks, arch.Block{
 		Kind: arch.Conv, KH: s.FirstKH, KW: s.FirstKW,

@@ -2,8 +2,8 @@
 // evaluation from the reproduction's own substrates: the random-model
 // characterization studies (Figures 3-5, 9), the memory map (Figure 2),
 // the Pareto comparisons (Figures 7, 8, 11), the sub-byte study (Figure
-// 10, Table 2), and the results tables (Tables 1-5); `cmd/bench -exp <id>`
-// prints each.
+// 10, Table 2), and the results tables (Tables 1-5). Experiments lists
+// them by id, and `cmd/bench -exp <id>` prints each.
 package experiments
 
 import (
@@ -191,17 +191,9 @@ func Figure4(perBackbone int, seed int64) ([]Fig4Series, error) {
 // ---------------------------------------------------------------------------
 // Figure 5: power is constant; energy is linear in ops.
 
-// Fig5Point is one random model's power/energy measurement.
-type Fig5Point struct {
-	Mops     float64
-	PowerMW  float64
-	EnergyMJ float64
-}
-
 // Fig5Series is the per-device result with the power-constancy statistic.
 type Fig5Series struct {
 	Device        string
-	Points        []Fig5Point
 	PowerSigmaMu  float64 // σ/µ of power across models (paper: 0.00731)
 	EnergyR2      float64 // r² of energy vs ops
 	EnergySlopeMJ float64 // mJ per Mop
@@ -229,12 +221,10 @@ func Figure5(nModels int, seed int64) ([]Fig5Series, error) {
 			if err != nil {
 				return nil, err
 			}
-			p, e := d.ActivePowerMW, d.EnergyMJ
-			mops := float64(m.TotalOps()) / 1e6
-			s.Points = append(s.Points, Fig5Point{Mops: mops, PowerMW: p, EnergyMJ: e})
+			p := d.ActivePowerMW
 			sum += p
 			sumSq += p * p
-			exy = append(exy, XY{X: mops, Y: e})
+			exy = append(exy, XY{X: float64(m.TotalOps()) / 1e6, Y: d.EnergyMJ})
 		}
 		n := float64(len(models))
 		mean := sum / n

@@ -183,8 +183,7 @@ func TestPowerIsModelIndependent(t *testing.T) {
 }
 
 // TestEnergyEqualsPowerTimesLatency pins Deploy's energy to its own power
-// times its own latency, and EnergyPerInferenceMJ (search's copy) to
-// Deploy's energy, bit for bit.
+// times its own latency, bit for bit.
 func TestEnergyEqualsPowerTimesLatency(t *testing.T) {
 	m := model(t, "MicroNet-KWS-M", 8)
 	d := deploy(t, m, F746ZG)
@@ -193,9 +192,6 @@ func TestEnergyEqualsPowerTimesLatency(t *testing.T) {
 	}
 	if want := d.ActivePowerMW * d.LatencySeconds; d.EnergyMJ != want {
 		t.Fatalf("energy %v != power*latency %v", d.EnergyMJ, want)
-	}
-	if e := EnergyPerInferenceMJ(m, F746ZG); e != d.EnergyMJ {
-		t.Fatalf("EnergyPerInferenceMJ %v != deployment energy %v", e, d.EnergyMJ)
 	}
 }
 
@@ -206,7 +202,7 @@ func TestSmallMCULowerEnergyDespiteSlower(t *testing.T) {
 	if latency(t, m, F446RE) <= latency(t, m, F746ZG) {
 		t.Fatal("small MCU must be slower")
 	}
-	if EnergyPerInferenceMJ(m, F446RE) >= EnergyPerInferenceMJ(m, F746ZG) {
+	if deploy(t, m, F446RE).EnergyMJ >= deploy(t, m, F746ZG).EnergyMJ {
 		t.Fatal("small MCU must use less energy per inference")
 	}
 }

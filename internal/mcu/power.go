@@ -31,18 +31,6 @@ func ActivePowerMW(m *graph.Model, dev *Device) float64 {
 	return dev.ActiveMW * (1 + rng.NormFloat64()*powerSigmaOverMu)
 }
 
-// EnergyPerInferenceMJ returns power times latency in millijoules (§3.4),
-// NaN for an unscoreable pair. Its one caller, search.Evaluate, has
-// already run the latency model; the shape-only trial path (ROADMAP item
-// 3) replaces this second run with power × the latency it has.
-func EnergyPerInferenceMJ(m *graph.Model, dev *Device) float64 {
-	lat, _, err := ModelLatency(m, dev)
-	if err != nil {
-		return math.NaN()
-	}
-	return ActivePowerMW(m, dev) * lat // mW * s = mJ
-}
-
 // TracePoint is one sample of a simulated Otii current trace.
 type TracePoint struct {
 	TimeS     float64

@@ -8,7 +8,6 @@ import (
 	"micronets/internal/arch"
 	"micronets/internal/graph"
 	"micronets/internal/mcu"
-	"micronets/internal/tflm"
 )
 
 // evalSeed fixes the synthetic-weight stream for every trial lowering.
@@ -17,9 +16,10 @@ import (
 // evaluation deterministic and resume-safe.
 const evalSeed = 1
 
-// Metrics is one candidate's hardware-in-the-loop measurement: the real
-// tflm planner's byte accounting (not the element-count proxy the relaxed
-// DNAS uses) plus the mcu latency/energy models on the target device.
+// Metrics is one candidate's hardware-in-the-loop measurement, read from
+// mcu.Deploy: the real tflm planner's byte accounting (not the
+// element-count proxy the relaxed DNAS uses) plus the mcu latency/energy
+// models on the target device.
 type Metrics struct {
 	// AccuracyProxy is the capacity-based stand-in for trained accuracy
 	// (see accuracyProxy); higher is better.
@@ -78,11 +78,12 @@ func (b Budgets) Check(m Metrics) []string {
 	return v
 }
 
-// Evaluate lowers a candidate through the full deployment path — spec →
+// Evaluate lowers a candidate and measures it with mcu.Deploy — spec →
 // graph → tflm memory plan → mcu cost models — and returns its metrics.
 // This is the "hardware in the loop" step: the SRAM number is the actual
 // greedy-planner arena (plus persistent buffers and runtime overheads),
-// not the max-working-set element proxy.
+// not the max-working-set element proxy. Feasibility is Budgets.Check's,
+// not the deployment's fit against the whole device.
 func Evaluate(spec *arch.Spec, dev *mcu.Device) (Metrics, error) {
 	// The proxy runs first: a spec that fails Analyze must fail the trial
 	// (and be recorded as failed in the JSONL log), never score 0 and get
@@ -95,24 +96,20 @@ func Evaluate(spec *arch.Spec, dev *mcu.Device) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	report, err := tflm.Report(m, nil)
-	if err != nil {
-		return Metrics{}, err
-	}
-	// A latency-model failure fails the trial: the old `lat, _ :=` scored
-	// the candidate 0 s, which Pareto-dominated every real candidate.
-	lat, _, err := mcu.ModelLatency(m, dev)
+	// A latency-model failure fails the trial: scoring the candidate 0 s
+	// would Pareto-dominate every real candidate.
+	d, err := mcu.Deploy(m, dev)
 	if err != nil {
 		return Metrics{}, err
 	}
 	return Metrics{
 		AccuracyProxy:   proxy,
-		LatencyS:        lat,
-		EnergyMJ:        mcu.EnergyPerInferenceMJ(m, dev),
-		ArenaBytes:      report.ArenaBytes,
-		TotalSRAMBytes:  report.TotalSRAM(),
+		LatencyS:        d.LatencySeconds,
+		EnergyMJ:        d.EnergyMJ,
+		ArenaBytes:      d.Report.ArenaBytes,
+		TotalSRAMBytes:  d.Report.TotalSRAM(),
 		WeightBytes:     m.WeightBytes(),
-		TotalFlashBytes: report.TotalFlash(),
+		TotalFlashBytes: d.Report.TotalFlash(),
 		Ops:             m.TotalOps(),
 	}, nil
 }

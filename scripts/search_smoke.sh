@@ -18,6 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 WORK="${1:-$(mktemp -d)}"
+mkdir -p "$WORK"
 
 # --- NAS search: 64 hardware-in-the-loop trials, then the accuracy-in-
 # the-loop finalist stage; JSONL log + exported frontier + a cascade
