@@ -81,13 +81,16 @@ type SearchConfig struct {
 	// (standard DNAS practice).
 	ArchStartStep int
 	WeightLR      nn.CosineSchedule
-	ArchLR        float32
-	// TauStart/TauEnd anneal the Gumbel-softmax temperature.
-	TauStart, TauEnd float32
-	Seed             int64
-	// Log receives progress lines (optional).
-	Log func(string)
+	Seed          int64
 }
+
+// archLR is the Adam step size of the architecture logits; tauStart and
+// tauEnd are the ends of the linear Gumbel-softmax temperature anneal.
+const (
+	archLR   float32 = 0.05
+	tauStart float32 = 5
+	tauEnd   float32 = 0.5
+)
 
 // SearchResult reports the discovered architecture and the last step's
 // loss and penalty.
@@ -135,15 +138,6 @@ type searchLoop struct {
 }
 
 func newSearchLoop(s *Supernet, train, val func(step int) Batch, cons Constraints, cfg SearchConfig) *searchLoop {
-	if cfg.TauStart == 0 {
-		cfg.TauStart = 5
-	}
-	if cfg.TauEnd == 0 {
-		cfg.TauEnd = 0.5
-	}
-	if cfg.ArchLR == 0 {
-		cfg.ArchLR = 0.05
-	}
 	return &searchLoop{
 		s: s, train: train, val: val, cons: cons, cfg: cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -160,7 +154,7 @@ func newSearchLoop(s *Supernet, train, val func(step int) Batch, cons Constraint
 func (l *searchLoop) step(step int) {
 	cfg := l.cfg
 	frac := float32(step) / float32(cfg.Steps)
-	tau := cfg.TauStart + (cfg.TauEnd-cfg.TauStart)*frac
+	tau := tauStart + (tauEnd-tauStart)*frac
 
 	// Weight update on the train split. Each backward pass reaches both
 	// parameter sets (the Gumbel-softmax masks tie the logits to the
@@ -184,14 +178,9 @@ func (l *searchLoop) step(step int) {
 		vloss := ag.Add(ag.CrossEntropy(vlogits, vb.Labels), pen)
 		zeroGrads(l.aParams)
 		ag.Backward(vloss)
-		l.aOpt.Step(l.aParams, cfg.ArchLR)
+		l.aOpt.Step(l.aParams, archLR)
 		l.lastPen = pen.Scalar()
 		l.tape.Release()
-	}
-
-	if cfg.Log != nil && (step%10 == 0 || step == cfg.Steps-1) {
-		cfg.Log(fmt.Sprintf("step %d/%d tau=%.2f loss=%.4f penalty=%.4f",
-			step+1, cfg.Steps, tau, l.lastLoss, l.lastPen))
 	}
 }
 

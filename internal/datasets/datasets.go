@@ -484,31 +484,3 @@ func (d *ADDataset) ClassifierDataset() *Dataset {
 	}
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// Quick variants for accuracy-in-the-loop search.
-
-// The quick datasets below are the small-budget editions the NAS finalist
-// re-rank trains on: big enough that a better architecture scores higher,
-// small enough that re-ranking K finalists costs seconds, and keyed by a
-// single seed so every finalist of one search run competes on identical
-// data.
-
-// QuickKWS builds the small-budget keyword-spotting dataset (16 clips per
-// class) used to re-rank search finalists with real training runs.
-func QuickKWS(seed int64) *Dataset {
-	return SynthKWS(KWSOptions{PerClass: 16, Seed: seed})
-}
-
-// QuickVWW builds the small-budget visual-wake-words dataset (40 scenes
-// per class at 50x50) for finalist re-ranking.
-func QuickVWW(seed int64) *Dataset {
-	return SynthVWW(VWWOptions{Size: 50, PerClass: 40, Seed: seed})
-}
-
-// QuickAD builds the small-budget anomaly-detection dataset (8 normal
-// clips and 3 anomalous test clips per machine) for finalist re-ranking
-// under the §4.3 AUC protocol.
-func QuickAD(seed int64) *ADDataset {
-	return SynthAD(ADOptions{ClipsPerMachine: 8, AnomaliesPerMachine: 3, Seed: seed})
-}

@@ -98,8 +98,9 @@ type Op struct {
 	KH, KW, SH, SW                       int
 	PadTop, PadLeft, PadBottom, PadRight int
 
-	// Weights are stored per output channel groups; int4 weights are kept
-	// packed two-per-byte in flash and unpacked by the kernel.
+	// Weights are stored per output channel groups, one per int8; 4-bit
+	// weights hold values in [-8, 7], which Save packs two per byte and
+	// WeightBytes counts packed.
 	Weights    []int8
 	WeightBits int
 	// WeightScales holds per-output-channel scales (symmetric, zp=0).

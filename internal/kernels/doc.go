@@ -1,7 +1,11 @@
-// Package kernels implements the int8 (and emulated int4) reference
-// operator kernels used by the tflm interpreter — the reproduction of the
-// CMSIS-NN kernel layer, including its fixed-point requantization scheme
-// and the sub-byte kernels the paper adds in §5.1.3.
+// Package kernels implements the int8 operator kernels the tflm
+// interpreter runs — the reproduction of the CMSIS-NN kernel layer and
+// its fixed-point requantization scheme. Every kernel reads one int8 per
+// byte; there is no sub-byte kernel. The paper's 4-bit models (§5.1.3)
+// reach it as int8: 4-bit weights are int8 values in [-8, 7], packed two
+// per byte only in the serialized model and the flash accounting, and
+// 4-bit activations are a memory and latency emulation that tflm.Prepare
+// refuses to run.
 //
 // Two interchangeable engines implement the same operator contract:
 // Reference (straightforward loops, the correctness oracle) and Default

@@ -20,11 +20,12 @@
 //
 // The search is two-stage: the capacity proxy ranks the broad sweep, and
 // then Config.Finalists frontier points are re-ranked by accuracy in the
-// loop — real short training runs (arch.Build → train.Fit on the task's
-// quick synthetic dataset, per-trial seeds, on the same bounded workers
-// as stage one) whose measured TrainedAccuracy is recorded alongside the
-// proxy, checkpointed as StageFinalist JSONL lines, and used as the
-// accuracy axis of the frontier dominance ordering among finalists. This
+// loop — real short training runs (Trainer: arch.Build, then the task's
+// recipe on its small synthetic dataset, per-trial seeds, on the same
+// bounded workers as stage one) whose measured TrainedAccuracy is
+// recorded alongside the proxy, checkpointed as StageFinalist JSONL
+// lines, and used as the accuracy axis of the frontier dominance
+// ordering among finalists. This
 // closes the paper's loop (§5): search under deployment constraints,
 // measured on the target, trained for real, feeding the serving tier.
 //

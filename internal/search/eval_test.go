@@ -108,7 +108,7 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 // BenchmarkTrainFinalist times one stage-two finalist training (build,
-// 60 quick-recipe steps, held-out accuracy) of a KWS spec whose widths,
+// 60 recipe steps, held-out accuracy) of a KWS spec whose widths,
 // 24/40/72, are not multiples of 64, so the float matmuls run their
 // narrow-strip paths.
 func BenchmarkTrainFinalist(b *testing.B) {

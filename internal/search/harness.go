@@ -45,8 +45,8 @@ type Config struct {
 	// Finalists > 0 enables the accuracy-in-the-loop second stage: after
 	// the proxy-ranked sweep, that many frontier points — spread across
 	// the latency range so the whole frontier is represented — are
-	// re-ranked by real short training runs (arch.Build → train.Fit on
-	// the task's quick synthetic dataset) and their TrainedAccuracy is
+	// re-ranked by real short training runs (Trainer.Train: the task's
+	// recipe on its small synthetic dataset) and their TrainedAccuracy is
 	// recorded alongside the proxy.
 	Finalists int
 	// TrainSteps is the per-finalist training budget (required when

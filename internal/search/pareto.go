@@ -15,36 +15,29 @@ type Point struct {
 }
 
 // dominates reports whether a is at least as good as b on every objective
-// — accuracy proxy up; latency, SRAM and flash down — and strictly better
-// on at least one. The proxy is always the accuracy axis here, even for
-// trained finalists: using the trained value only when both points carry
-// one would make the relation non-transitive (proxy beats trained beats
-// proxy), so frontier membership would depend on insertion order. The
-// trained ordering is instead applied as a separate, transitive prune
-// among finalists (PruneTrainedDominated). Energy is deliberately not a
-// fourth independent axis: power is model-independent (§3.4), so energy
-// ranks identically to latency on a fixed device.
-func dominates(a, b Metrics) bool {
-	if a.AccuracyProxy < b.AccuracyProxy || a.LatencyS > b.LatencyS ||
+// — accuracy up; latency, SRAM and flash down — and strictly better on at
+// least one. trained picks the accuracy axis. Frontier.Add always reads
+// the proxy, even for trained finalists: using the trained value only
+// when both points carry one would make the relation non-transitive
+// (proxy beats trained beats proxy), so frontier membership would depend
+// on insertion order. The trained ordering is instead applied as a
+// separate, transitive prune among finalists (PruneTrainedDominated),
+// and only between two points that both carry a trained accuracy —
+// trained and proxy values live on different scales (a short real
+// training run lands well below the proxy's Table-4-anchored ceiling),
+// so they are never compared against each other. Energy is deliberately
+// not a fourth independent axis: power is model-independent (§3.4), so
+// energy ranks identically to latency on a fixed device.
+func dominates(a, b Metrics, trained bool) bool {
+	accA, accB := a.AccuracyProxy, b.AccuracyProxy
+	if trained {
+		accA, accB = a.TrainedAccuracy, b.TrainedAccuracy
+	}
+	if accA < accB || a.LatencyS > b.LatencyS ||
 		a.TotalSRAMBytes > b.TotalSRAMBytes || a.TotalFlashBytes > b.TotalFlashBytes {
 		return false
 	}
-	return a.AccuracyProxy > b.AccuracyProxy || a.LatencyS < b.LatencyS ||
-		a.TotalSRAMBytes < b.TotalSRAMBytes || a.TotalFlashBytes < b.TotalFlashBytes
-}
-
-// trainedDominates is the finalist dominance ordering: like dominates but
-// with the measured trained accuracy as the accuracy axis. Only defined
-// between two points that both carry a trained accuracy — trained and
-// proxy values live on different scales (a short real training run lands
-// well below the proxy's Table-4-anchored ceiling), so they are never
-// compared against each other.
-func trainedDominates(a, b Metrics) bool {
-	if a.TrainedAccuracy < b.TrainedAccuracy || a.LatencyS > b.LatencyS ||
-		a.TotalSRAMBytes > b.TotalSRAMBytes || a.TotalFlashBytes > b.TotalFlashBytes {
-		return false
-	}
-	return a.TrainedAccuracy > b.TrainedAccuracy || a.LatencyS < b.LatencyS ||
+	return accA > accB || a.LatencyS < b.LatencyS ||
 		a.TotalSRAMBytes < b.TotalSRAMBytes || a.TotalFlashBytes < b.TotalFlashBytes
 }
 
@@ -66,13 +59,13 @@ func (f *Frontier) Add(p Point) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, q := range f.pts {
-		if dominates(q.Metrics, p.Metrics) || q.Metrics == p.Metrics {
+		if dominates(q.Metrics, p.Metrics, false) || q.Metrics == p.Metrics {
 			return false
 		}
 	}
 	kept := f.pts[:0]
 	for _, q := range f.pts {
-		if !dominates(p.Metrics, q.Metrics) {
+		if !dominates(p.Metrics, q.Metrics, false) {
 			kept = append(kept, q)
 		}
 	}
@@ -103,11 +96,11 @@ func (f *Frontier) Size() int {
 
 // PruneTrainedDominated applies the finalist dominance ordering on top of
 // the proxy frontier: a member whose trained accuracy is dominated by
-// another trained member (trainedDominates) is evicted. Run after stage
-// two has written trained accuracies. Because it only ever removes
-// points, and trainedDominates restricted to trained pairs is a strict
-// partial order, the result is independent of insertion order — unlike
-// folding the trained axis into Add's dominance test.
+// another trained member (dominates on the trained axis) is evicted. Run
+// after stage two has written trained accuracies. Because it only ever
+// removes points, and that ordering restricted to trained pairs is a
+// strict partial order, the result is independent of insertion order —
+// unlike folding the trained axis into Add's dominance test.
 func (f *Frontier) PruneTrainedDominated() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -117,7 +110,7 @@ func (f *Frontier) PruneTrainedDominated() {
 		dominated := false
 		if p.Metrics.TrainedAccuracy > 0 {
 			for _, q := range pts {
-				if q.Metrics.TrainedAccuracy > 0 && trainedDominates(q.Metrics, p.Metrics) {
+				if q.Metrics.TrainedAccuracy > 0 && dominates(q.Metrics, p.Metrics, true) {
 					dominated = true
 					break
 				}

@@ -301,10 +301,10 @@ func TestFinalistDominanceUsesTrainedAccuracy(t *testing.T) {
 	// strictly better: higher measured accuracy at lower cost.
 	a := Metrics{AccuracyProxy: 90, TrainedAccuracy: 70, LatencyS: 0.1, TotalSRAMBytes: 100, TotalFlashBytes: 100}
 	b := Metrics{AccuracyProxy: 95, TrainedAccuracy: 50, LatencyS: 0.2, TotalSRAMBytes: 100, TotalFlashBytes: 100}
-	if !trainedDominates(a, b) {
+	if !dominates(a, b, true) {
 		t.Fatal("higher trained accuracy at lower cost must dominate")
 	}
-	if trainedDominates(b, a) {
+	if dominates(b, a, true) {
 		t.Fatal("higher proxy must not dominate when both carry trained accuracy")
 	}
 	// Frontier.Add stays proxy-only (transitive, insertion-order free):
@@ -312,7 +312,7 @@ func TestFinalistDominanceUsesTrainedAccuracy(t *testing.T) {
 	// honestly low against an untrained point's optimistic proxy.
 	c := Metrics{AccuracyProxy: 90, TrainedAccuracy: 20, LatencyS: 0.1, TotalSRAMBytes: 100, TotalFlashBytes: 100}
 	d := Metrics{AccuracyProxy: 85, LatencyS: 0.1, TotalSRAMBytes: 100, TotalFlashBytes: 100}
-	if !dominates(c, d) || dominates(d, c) {
+	if !dominates(c, d, false) || dominates(d, c, false) {
 		t.Fatal("proxy axis must decide Frontier.Add comparisons")
 	}
 
@@ -362,7 +362,7 @@ func TestSpreadPoints(t *testing.T) {
 }
 
 // TestTrainerADPath exercises the anomaly-detection finalist metric: the
-// §4.3 EvalAUC protocol over the quick AD test set.
+// §4.3 AUC protocol over the AD recipe's test set.
 func TestTrainerADPath(t *testing.T) {
 	tr, err := NewTrainer("ad", 7)
 	if err != nil {
