@@ -8,15 +8,24 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# examples runs each program under examples/ once; any non-zero exit
+# fails the target. The serving example binds 127.0.0.1:18151.
+.PHONY: examples
+examples:
+	@for e in quickstart anomaly vww serving; do \
+		echo "=== examples/$$e ==="; \
+		$(GO) run ./examples/$$e || exit 1; \
+	done
+
 test:
 	$(GO) test -race -shuffle=on ./...
 
 # test-purego keeps the portable kernel bodies honest on an amd64 CI host:
 # with the assembly tagged out they must still vet, compile and hold the
-# int8 parity (kernels), its goldens (tflm), the facade tests, the float
-# matmul reference order (tensor), the lowering and trained-export digests
-# (graph) and the DNAS warm-start digests (search).
-PUREGO_PKGS = ./internal/cpufeat ./internal/kernels ./internal/tensor ./internal/tflm ./internal/graph ./internal/search .
+# int8 parity (kernels), its goldens (tflm), the float matmul reference
+# order (tensor), the lowering and trained-export digests (graph) and the
+# DNAS warm-start digests (search).
+PUREGO_PKGS = ./internal/cpufeat ./internal/kernels ./internal/tensor ./internal/tflm ./internal/graph ./internal/search
 test-purego:
 	$(GO) vet -tags purego $(PUREGO_PKGS)
 	$(GO) test -tags purego $(PUREGO_PKGS)
@@ -123,4 +132,4 @@ cover:
 search:
 	$(GO) run ./cmd/search
 
-ci: build lint test test-purego bench-smoke alloc-gates bench-module fuzz-smoke serve-smoke mesh-smoke cover
+ci: build examples lint test test-purego bench-smoke alloc-gates bench-module fuzz-smoke serve-smoke mesh-smoke cover

@@ -13,9 +13,10 @@ import (
 	"log"
 	"os"
 
-	"micronets"
 	"micronets/internal/graph"
 	"micronets/internal/mcu"
+	"micronets/internal/serve"
+	"micronets/internal/zoo"
 )
 
 func main() {
@@ -27,7 +28,7 @@ func main() {
 	save := flag.String("save", "", "optional path to write the serialized .mnet model")
 	flag.Parse()
 
-	spec, err := micronets.Model(*model)
+	spec, err := zoo.Spec(*model)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,9 +36,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dep, err := micronets.Deploy(spec, dev, micronets.DeployOptions{
-		WeightBits: *bits, ActBits: *bits, AppendSoftmax: true,
-	})
+	m, err := serve.ModelOptions{WeightBits: *bits, ActBits: *bits, AppendSoftmax: true}.Lower(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dep, err := mcu.Deploy(m, dev)
 	if err != nil {
 		log.Fatal(err)
 	}

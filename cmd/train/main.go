@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 
-	"micronets"
 	"micronets/internal/arch"
 	"micronets/internal/core"
 	"micronets/internal/mcu"
@@ -61,7 +60,7 @@ func main() {
 	}
 	fmt.Printf("int8 %s:  %.1f%%\n", metric, score8)
 
-	dep, err := micronets.DeployModel(gm, dev)
+	dep, err := mcu.Deploy(gm, dev)
 	if err != nil {
 		log.Fatal(err)
 	}

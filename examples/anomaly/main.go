@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"micronets"
+	"micronets/internal/mcu"
+	"micronets/internal/serve"
+	"micronets/internal/zoo"
 )
 
 func main() {
@@ -19,11 +21,15 @@ func main() {
 	// between successive spectrogram images (§5.2.3).
 	fmt.Println("uptime check for the zoo AD models:")
 	for _, name := range []string{"MicroNet-AD-S", "MicroNet-AD-M", "MicroNet-AD-L"} {
-		zspec, err := micronets.Model(name)
+		zspec, err := zoo.Spec(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dep, err := micronets.Deploy(zspec, micronets.DeviceL, micronets.DeployOptions{AppendSoftmax: true})
+		m, err := serve.ModelOptions{AppendSoftmax: true}.Lower(zspec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		dep, err := mcu.Deploy(m, mcu.F767ZI)
 		if err != nil {
 			log.Fatal(err)
 		}

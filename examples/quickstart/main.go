@@ -1,27 +1,33 @@
-// Quickstart: load a MicroNet from the zoo, deploy it on each simulated
-// MCU, and print the memory map, latency and energy — the 30-second tour
-// of the public API.
+// Quickstart: load a MicroNet from the zoo, lower it to the int8 runtime,
+// deploy it on each simulated MCU, and print the memory map, latency and
+// energy — the 30-second tour of the zoo, serve.ModelOptions.Lower and
+// mcu.Deploy.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"micronets"
 	"micronets/internal/mcu"
+	"micronets/internal/serve"
+	"micronets/internal/zoo"
 )
 
 func main() {
 	log.SetFlags(0)
-	spec, err := micronets.Model("MicroNet-KWS-S")
+	spec, err := zoo.Spec("MicroNet-KWS-S")
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, err := serve.ModelOptions{AppendSoftmax: true}.Lower(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(spec)
 	fmt.Println()
 
-	for _, dev := range []*mcu.Device{micronets.DeviceS, micronets.DeviceM, micronets.DeviceL} {
-		dep, err := micronets.Deploy(spec, dev, micronets.DeployOptions{AppendSoftmax: true})
+	for _, dev := range []*mcu.Device{mcu.F446RE, mcu.F746ZG, mcu.F767ZI} {
+		dep, err := mcu.Deploy(m, dev)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,10 +43,10 @@ func main() {
 	}
 
 	// Side-by-side with the paper's published Table 4 numbers.
-	paper, err := micronets.Paper("MicroNet-KWS-S")
+	e, err := zoo.Get("MicroNet-KWS-S")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("paper reports: %.1f%% accuracy, %.3f s on the medium MCU, %.0f KB flash\n",
-		paper.Accuracy, paper.LatM, paper.FlashKB)
+		e.Paper.Accuracy, e.Paper.LatM, e.Paper.FlashKB)
 }

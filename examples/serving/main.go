@@ -4,8 +4,8 @@
 // model with zero restarts, read the budget-planned capacity from the
 // index, and watch an over-budget load get a structured 409. The admin
 // endpoints are the one way to change a running server's models over the
-// wire; a Go program embedding it through micronets.ServeHandler drives
-// the same repository directly through srv.Repository().
+// wire; a Go program embedding srv.Handler() in its own HTTP server
+// drives the same repository directly through srv.Repository().
 package main
 
 import (
@@ -19,7 +19,7 @@ import (
 	"net/http"
 	"time"
 
-	"micronets"
+	"micronets/internal/serve"
 )
 
 const model = "MicroNet-KWS-S"
@@ -32,20 +32,21 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	addr := "127.0.0.1:18151"
+	srv, err := serve.New(serve.Config{
+		Models: []string{model},
+		// Emulate the large MCU: every load is planned against 512 KB of
+		// RAM, so pool sizes come from the tflm.PlanMemory arena instead
+		// of fixed counts.
+		RAMBudgetBytes: 512 * 1024,
+		PoolSize:       2,
+		Logger:         logger,
+		Options:        serve.ModelOptions{Seed: 42, AppendSoftmax: true},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	done := make(chan error, 1)
-	go func() {
-		done <- micronets.Serve(ctx, micronets.ServeOptions{
-			Addr:   addr,
-			Models: []string{model},
-			// Emulate the large MCU: every load is planned against 512 KB
-			// of RAM, so pool sizes come from the tflm.PlanMemory arena
-			// instead of fixed counts.
-			RAMBudgetBytes: 512 * 1024,
-			PoolSize:       2,
-			Logger:         logger,
-			Deploy:         micronets.DeployOptions{Seed: 42, AppendSoftmax: true},
-		})
-	}()
+	go func() { done <- srv.ListenAndServe(ctx, addr) }()
 
 	base := "http://" + addr
 	waitReady(base)

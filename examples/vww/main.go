@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"log"
 
-	"micronets"
 	"micronets/internal/experiments"
+	"micronets/internal/mcu"
+	"micronets/internal/serve"
+	"micronets/internal/zoo"
 )
 
 func main() {
@@ -23,11 +25,15 @@ func main() {
 	fmt.Println(out)
 
 	fmt.Println("=== deploying MicroNet-VWW-2 on its target (small MCU) ===")
-	spec, err := micronets.Model("MicroNet-VWW-2")
+	spec, err := zoo.Spec("MicroNet-VWW-2")
 	if err != nil {
 		log.Fatal(err)
 	}
-	dep, err := micronets.Deploy(spec, micronets.DeviceS, micronets.DeployOptions{AppendSoftmax: true})
+	m, err := serve.ModelOptions{AppendSoftmax: true}.Lower(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dep, err := mcu.Deploy(m, mcu.F446RE)
 	if err != nil {
 		log.Fatal(err)
 	}

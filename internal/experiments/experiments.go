@@ -14,6 +14,7 @@ import (
 	"micronets/internal/core"
 	"micronets/internal/graph"
 	"micronets/internal/mcu"
+	"micronets/internal/zoo"
 )
 
 // XY is one scatter point.
@@ -257,7 +258,7 @@ type Fig10Row struct {
 func Figure10(seed int64) ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, name := range []string{"MicroNet-KWS-M", "MicroNet-KWS-L"} {
-		spec, err := zooSpec(name)
+		spec, err := zoo.Spec(name)
 		if err != nil {
 			return nil, err
 		}

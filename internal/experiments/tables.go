@@ -6,23 +6,11 @@ import (
 	"sort"
 	"strings"
 
-	"micronets/internal/arch"
 	"micronets/internal/graph"
 	"micronets/internal/mcu"
 	"micronets/internal/tflm"
 	"micronets/internal/zoo"
 )
-
-func zooSpec(name string) (*arch.Spec, error) {
-	e, err := zoo.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if e.Spec == nil {
-		return nil, fmt.Errorf("experiments: %s has no spec", name)
-	}
-	return e.Spec, nil
-}
 
 // Measured is one model's simulated deployment measurement across devices.
 type Measured struct {
@@ -141,7 +129,7 @@ func Table1() string {
 
 // Figure2 renders the memory map for a KWS model on the medium MCU.
 func Figure2(modelName string, seed int64) (string, error) {
-	spec, err := zooSpec(modelName)
+	spec, err := zoo.Spec(modelName)
 	if err != nil {
 		return "", err
 	}
@@ -240,7 +228,7 @@ func Table2(seed int64) (string, error) {
 	fmt.Fprintf(&b, "Table 2: KWS results for 4-bit quantized MicroNet models (accuracy: paper; rest: simulated)\n")
 	fmt.Fprintf(&b, "%-26s %8s %10s %12s %10s\n", "model", "acc%", "latM(s)", "size(KB)", "SRAM(KB)")
 	for _, v := range variants {
-		spec, err := zooSpec(v.spec)
+		spec, err := zoo.Spec(v.spec)
 		if err != nil {
 			return "", err
 		}
@@ -347,7 +335,7 @@ func Table5() string {
 		"MicroNet-AD-L", "MicroNet-AD-M", "MicroNet-AD-S",
 		"MicroNet-VWW-1", "MicroNet-VWW-2", "MicroNet-VWW-3", "MicroNet-VWW-4",
 	} {
-		spec, err := zooSpec(name)
+		spec, err := zoo.Spec(name)
 		if err != nil {
 			continue
 		}
@@ -364,7 +352,7 @@ func Figure9(seed int64) (string, error) {
 	fmt.Fprintf(&b, "%-18s %-14s %10s %12s %12s %12s\n",
 		"model", "device", "lat(s)", "active(mA)", "avg(mA)", "avgPwr(mW)")
 	for _, name := range []string{"MicroNet-KWS-S", "MicroNet-KWS-M"} {
-		spec, err := zooSpec(name)
+		spec, err := zoo.Spec(name)
 		if err != nil {
 			return "", err
 		}

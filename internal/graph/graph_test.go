@@ -114,6 +114,17 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromSpecRefusesBadWeightBits: only 8- and 4-bit weights have
+// kernels, so any other width is a lowering error rather than a model
+// that silently runs as 8-bit.
+func TestFromSpecRefusesBadWeightBits(t *testing.T) {
+	for _, bits := range []int{3, -5, 16} {
+		if _, err := FromSpec(kwsSmallSpec(), rand.New(rand.NewSource(1)), LowerOptions{WeightBits: bits}); err == nil {
+			t.Errorf("WeightBits %d lowered without an error", bits)
+		}
+	}
+}
+
 func TestSerializeRoundTripInt4(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m, err := FromSpec(kwsSmallSpec(), rng, LowerOptions{WeightBits: 4, ActBits: 4})

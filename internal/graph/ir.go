@@ -205,7 +205,8 @@ func (m *Model) FlashBytes() int {
 }
 
 // Validate checks structural invariants: tensor IDs in range, shapes
-// consistent with op geometry, weight lengths correct.
+// consistent with op geometry, weight lengths correct, and every tensor
+// and weighted op at a bit width the kernels run (8 or 4).
 func (m *Model) Validate() error {
 	if len(m.Ops) == 0 {
 		return fmt.Errorf("graph: %s: empty model", m.Name)
@@ -229,6 +230,9 @@ func (m *Model) Validate() error {
 		}
 		if o.Output < 0 || o.Output >= len(m.Tensors) {
 			return fmt.Errorf("graph: %s: op %q output %d out of range", m.Name, o.Name, o.Output)
+		}
+		if len(o.Weights) > 0 && o.WeightBits != 8 && o.WeightBits != 4 {
+			return fmt.Errorf("graph: %s: op %q bad weight bits %d", m.Name, o.Name, o.WeightBits)
 		}
 		out := m.Tensors[o.Output]
 		switch o.Kind {

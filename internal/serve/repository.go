@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -80,8 +81,8 @@ func (r *Repository) SetUnloadGuard(guard func(model string) error) {
 	r.guardMu.Unlock()
 }
 
-// ModelOptions selects how a spec is lowered to the runtime. It is the
-// type behind micronets.DeployOptions (an alias), and is comparable so it
+// ModelOptions selects how a spec is lowered to the runtime — by the
+// repository, cmd/deploy and the examples alike — and is comparable so it
 // can key a version's identity.
 type ModelOptions struct {
 	// WeightBits and ActBits select the datatype (0 or 8 for standard
@@ -95,9 +96,10 @@ type ModelOptions struct {
 }
 
 // Lower lowers spec to the int8 graph IR under these options, drawing the
-// synthetic weights from a stream seeded with Seed. Every deployment path
-// (micronets.Deploy, ClassifyBatch, Repository.Load) lowers through here,
-// so a served model is bit-identical to a deployed one at the same seed.
+// synthetic weights from a stream seeded with Seed. Every path from a zoo
+// spec to the runtime (cmd/deploy, the examples, Repository.Load) lowers
+// through here, so a served model is bit-identical to a deployed one at
+// the same seed.
 func (o ModelOptions) Lower(spec *arch.Spec) (*graph.Model, error) {
 	return graph.FromSpec(spec, rand.New(rand.NewSource(o.Seed)), graph.LowerOptions{
 		WeightBits:    o.WeightBits,
@@ -327,10 +329,6 @@ func (r *Repository) FreeRAMBytes() int {
 // name serialize (single-flight: a concurrent identical load waits and
 // returns the winner's version without re-lowering).
 func (r *Repository) Load(spec *arch.Spec, opts ModelOptions) (ModelStatus, error) {
-	return r.load(spec, opts, false)
-}
-
-func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bool) (ModelStatus, error) {
 	if spec == nil || spec.Name == "" {
 		return ModelStatus{}, errors.New("serve: load needs a named spec")
 	}
@@ -361,8 +359,6 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 			err = errStaleModel
 		case m.active != nil && m.active.key == key:
 			st, hit = statusLocked(m.active), true
-		case requireExisting && m.active == nil:
-			err = &NotLoadedError{Model: name}
 		}
 		r.mu.Unlock()
 		if hit || err != nil {
@@ -428,25 +424,14 @@ func (r *Repository) load(spec *arch.Spec, opts ModelOptions, requireExisting bo
 	}
 }
 
-// Swap is Load restricted to names that are already serving — the
-// explicit redeploy verb of the public API. The existence check is
-// atomic with the load (both under the per-name lock), so a concurrent
-// Unload cannot turn a Swap into a fresh load.
-func (r *Repository) Swap(spec *arch.Spec, opts ModelOptions) (ModelStatus, error) {
-	return r.load(spec, opts, true)
-}
-
 // LoadZoo loads a model of the zoo's fixed catalogue by name under opts.
 // A spec from outside the catalogue (a search export) goes through Load.
 func (r *Repository) LoadZoo(name string, opts ModelOptions) (ModelStatus, error) {
-	e, err := zoo.Get(name)
+	spec, err := zoo.Spec(name)
 	if err != nil {
 		return ModelStatus{}, err
 	}
-	if e.Spec == nil {
-		return ModelStatus{}, fmt.Errorf("serve: %s is a stats-only comparison point (no public architecture)", name)
-	}
-	return r.Load(e.Spec, opts)
+	return r.Load(spec, opts)
 }
 
 // Unload drains the active version of a name and retires it. The call
@@ -711,7 +696,8 @@ func statusLocked(v *version) ModelStatus {
 
 // ParseRAMBudget parses a human-readable RAM budget — "320KB", "1MB",
 // "512kb", or a plain byte count — into bytes. Empty and "0" mean
-// unbudgeted. This is the parser behind `cmd/serve -ram-budget`.
+// unbudgeted; a size whose bytes overflow an int is refused. This is the
+// parser behind `cmd/serve -ram-budget`.
 func ParseRAMBudget(s string) (int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "0" {
@@ -730,6 +716,9 @@ func ParseRAMBudget(s string) (int, error) {
 	n, err := strconv.Atoi(strings.TrimSpace(upper))
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("serve: bad RAM budget %q (want e.g. 320KB, 1MB, or bytes)", s)
+	}
+	if n > math.MaxInt/mult {
+		return 0, fmt.Errorf("serve: RAM budget %q overflows an int of bytes", s)
 	}
 	return n * mult, nil
 }

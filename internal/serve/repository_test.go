@@ -265,7 +265,7 @@ func TestLoadIdempotentAndSwapVersions(t *testing.T) {
 			again.Version, low1, r.Lowerings())
 	}
 
-	st2, err := r.Swap(spec, ModelOptions{Seed: 2, AppendSoftmax: true})
+	st2, err := r.Load(spec, ModelOptions{Seed: 2, AppendSoftmax: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,18 +381,6 @@ func TestRegistryRejectsStatsOnlyAndUnknown(t *testing.T) {
 	}
 	if idx := r.Index(); len(idx) != 0 || r.Lowerings() != 0 {
 		t.Fatalf("rejected loads left index %+v and %d lowerings", idx, r.Lowerings())
-	}
-}
-
-// TestSwapRequiresLoaded: Swap on a never-loaded name is a NotLoadedError
-// (Load is the verb that creates).
-func TestSwapRequiresLoaded(t *testing.T) {
-	spec := testSpec(t, "DSCNN-S")
-	r := NewRepository(RepositoryConfig{PoolSize: 1, Logger: discardLogger()})
-	defer r.Close()
-	var nl *NotLoadedError
-	if _, err := r.Swap(spec, ModelOptions{}); !errors.As(err, &nl) {
-		t.Fatalf("swap of unloaded model returned %v, want *NotLoadedError", err)
 	}
 }
 
@@ -564,3 +552,36 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 
 // discardLogger silences repository lifecycle logs in tests.
 func discardLogger() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
+
+// TestParseRAMBudget: the accepted forms of `cmd/serve -ram-budget` parse
+// to bytes; garbage, negatives and sizes whose bytes overflow an int are
+// refused rather than wrapped to some other budget.
+func TestParseRAMBudget(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int
+	}{
+		{"320KB", 320 << 10},
+		{"1MB", 1 << 20},
+		{"512kb", 512 << 10},
+		{"4096", 4096},
+		{"4096B", 4096},
+		{" 2 MB ", 2 << 20},
+		{"0", 0},
+		{"", 0},
+	} {
+		got, err := ParseRAMBudget(c.in)
+		if err != nil || got != c.want {
+			t.Errorf("ParseRAMBudget(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	for _, in := range []string{
+		"garbage", "KB", "1.5MB", "-1", "-320KB",
+		"17592186044416MB",      // 2^44 MB is 2^64 bytes
+		"9223372036854775807KB", // MaxInt64 KB
+	} {
+		if got, err := ParseRAMBudget(in); err == nil {
+			t.Errorf("ParseRAMBudget(%q) = %d, want an error", in, got)
+		}
+	}
+}

@@ -955,3 +955,108 @@ func TestAdminLoadRefusesSpecFile(t *testing.T) {
 		t.Fatalf("inline load of the same spec: code %d (%v)", code, resp)
 	}
 }
+
+// TestEmbeddedServeHandlerEndToEnd: a Go program that boots a server with
+// New and mounts srv.Handler() in its own HTTP server gets a ready probe
+// and an infer round trip that carries the argmax class.
+func TestEmbeddedServeHandlerEndToEnd(t *testing.T) {
+	s, err := New(Config{Models: []string{"MicroNet-KWS-S"}, Options: ModelOptions{Seed: 42, AppendSoftmax: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	if out := getJSON(t, ts.URL+"/v2/health/ready", 200); out["ready"] != true {
+		t.Fatalf("ready = %v", out)
+	}
+	spec, err := zoo.Spec("MicroNet-KWS-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]float64, spec.InputH*spec.InputW*spec.InputC)
+	for i := range data {
+		data[i] = 0.5
+	}
+	if cls := output(inferOnce(t, ts.URL, "MicroNet-KWS-S", data), "class"); cls == nil || len(cls.Data) != 1 {
+		t.Fatalf("no argmax class in the infer response: %+v", cls)
+	}
+}
+
+// TestEmbeddedRepositoryEndToEnd: a Go program that mounts srv.Handler()
+// in its own HTTP server drives the server's repository from Go while the
+// handler stays up — boot one model, load a second by zoo name, re-load
+// it under a new seed (a blue/green swap to version 2), infer, and
+// unload the first until its metadata 404s.
+func TestEmbeddedRepositoryEndToEnd(t *testing.T) {
+	opts := ModelOptions{Seed: 42, AppendSoftmax: true}
+	s, err := New(Config{Models: []string{"DSCNN-S"}, PoolSize: 1, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	repo := s.Repository()
+	if _, err := repo.LoadZoo("MicroNet-KWS-S", opts); err != nil {
+		t.Fatal(err)
+	}
+	idx := repo.Index()
+	if len(idx) != 2 {
+		t.Fatalf("index has %d entries, want 2: %+v", len(idx), idx)
+	}
+	for _, st := range idx {
+		if st.State != StateReady || st.PoolSize != 1 {
+			t.Fatalf("loaded entry not READY/pool-1: %+v", st)
+		}
+	}
+
+	spec, err := zoo.Spec("MicroNet-KWS-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := repo.Load(spec, ModelOptions{Seed: 7, AppendSoftmax: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Version != 2 || st.State != StateReady {
+		t.Fatalf("re-load status %+v, want READY version 2", st)
+	}
+	data := make([]float64, spec.InputH*spec.InputW*spec.InputC)
+	for i := range data {
+		data[i] = 0.5
+	}
+	if cls := output(inferOnce(t, ts.URL, "MicroNet-KWS-S", data), "class"); cls == nil || len(cls.Data) != 1 {
+		t.Fatalf("no argmax class in the infer response: %+v", cls)
+	}
+
+	if err := repo.Unload("DSCNN-S"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		for _, st := range repo.Index() {
+			if st.Name == "DSCNN-S" {
+				return false
+			}
+		}
+		return true
+	}, "DSCNN-S to drain out of the index")
+	getJSON(t, ts.URL+"/v2/models/DSCNN-S", 404)
+}
+
+// TestAdminLoadRefusesBadWeightBits: weight_bits arrives over HTTP, and a
+// width the kernels do not have (anything but 4 or 8) is a 400 that
+// publishes no version, rather than a new version lowered as 8-bit.
+func TestAdminLoadRefusesBadWeightBits(t *testing.T) {
+	_, ts := newTestServer(t)
+	before := repoIndex(t, ts.URL)
+	for _, bits := range []int{3, -5, 16} {
+		code, out := postJSON(t, ts.URL+"/v2/repository/models/DSCNN-S/load",
+			fmt.Sprintf(`{"options":{"weight_bits":%d}}`, bits))
+		if code != http.StatusBadRequest {
+			t.Fatalf("weight_bits %d: code %d (%v), want 400", bits, code, out)
+		}
+	}
+	if after := repoIndex(t, ts.URL); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("refused loads changed the index:\nbefore %v\nafter  %v", before, after)
+	}
+}

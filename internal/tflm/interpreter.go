@@ -213,21 +213,3 @@ func (ip *Interpreter) Classify(x *tensor.Tensor) (int, float32, error) {
 	}
 	return best, out[best], nil
 }
-
-// ClassifyBatch classifies a batch of float inputs through one planned
-// interpreter, amortizing memory planning and kernel preparation across
-// the batch. It returns the argmax class and dequantized top score per
-// input.
-func (ip *Interpreter) ClassifyBatch(xs []*tensor.Tensor) ([]int, []float32, error) {
-	classes := make([]int, len(xs))
-	scores := make([]float32, len(xs))
-	for i, x := range xs {
-		cls, score, err := ip.Classify(x)
-		if err != nil {
-			return nil, nil, fmt.Errorf("tflm: batch input %d: %w", i, err)
-		}
-		classes[i] = cls
-		scores[i] = score
-	}
-	return classes, scores, nil
-}

@@ -377,6 +377,20 @@ func Get(name string) (*Entry, error) {
 	return nil, fmt.Errorf("zoo: unknown model %q (have %v)", name, Names())
 }
 
+// Spec returns the architecture of a named model: an error for a name
+// the catalogue lacks (see Get) and for a stats-only comparison point,
+// which has no public architecture to lower.
+func Spec(name string) (*arch.Spec, error) {
+	e, err := Get(name)
+	if err != nil {
+		return nil, err
+	}
+	if e.Spec == nil {
+		return nil, fmt.Errorf("zoo: %s is a stats-only comparison point (no public architecture)", name)
+	}
+	return e.Spec, nil
+}
+
 // ByTask returns entries for one task, sorted by name.
 func ByTask(task string) []*Entry {
 	cat := Catalog()

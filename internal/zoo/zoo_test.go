@@ -2,6 +2,7 @@ package zoo
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -23,9 +24,40 @@ func TestCatalogComplete(t *testing.T) {
 	}
 }
 
+// TestNamesListsCatalogue: Names, the list the CLIs print and iterate,
+// holds every catalogue entry and each once.
+func TestNamesListsCatalogue(t *testing.T) {
+	cat := Catalog()
+	names := Names()
+	if len(names) < 20 || len(names) != len(cat) {
+		t.Fatalf("Names lists %d models, the catalogue holds %d", len(names), len(cat))
+	}
+	for _, name := range names {
+		if cat[name] == nil {
+			t.Errorf("Names lists %s, which the catalogue lacks", name)
+		}
+	}
+}
+
 func TestGetUnknown(t *testing.T) {
 	if _, err := Get("NotAModel"); err == nil {
 		t.Fatal("unknown model must error")
+	}
+}
+
+// TestSpecRejectsStatsOnlyAndUnknown: Spec returns the architecture of a
+// model that has one and refuses both a stats-only comparison point and
+// a name the catalogue lacks.
+func TestSpecRejectsStatsOnlyAndUnknown(t *testing.T) {
+	spec, err := Spec("MicroNet-KWS-S")
+	if err != nil || spec == nil || spec.Name != "MicroNet-KWS-S" {
+		t.Fatalf("Spec(MicroNet-KWS-S) = %v, %v", spec, err)
+	}
+	if _, err := Spec("ProxylessNas"); err == nil || !strings.Contains(err.Error(), "stats-only") {
+		t.Fatalf("stats-only entry: err %v, want a stats-only refusal", err)
+	}
+	if _, err := Spec("nope"); err == nil || !strings.Contains(err.Error(), "unknown model") {
+		t.Fatalf("unknown name: err %v, want an unknown-model refusal", err)
 	}
 }
 
