@@ -33,11 +33,11 @@ test-purego:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# bench-smoke is the CI variant: every benchmark once, as a regression
-# canary rather than a measurement.
+# bench-smoke is the CI variant: every benchmark once, with allocation
+# counts, as a regression canary rather than a measurement.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 # alloc-gates runs the allocation-count tests without -race (the
 # detector's instrumentation allocates, so they skip themselves under
@@ -119,13 +119,16 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s "$$pkg" </dev/null || exit 1; \
 	done
 
-# cover enforces the CI coverage floor on the numerics-critical packages.
+# cover enforces the CI coverage floor, 85 % of the statements of the
+# numerics-critical packages, and fails below it.
 .PHONY: cover
 cover:
 	$(GO) test -coverprofile=coverage.out \
 		-coverpkg=./internal/kernels,./internal/tflm \
 		./internal/kernels ./internal/tflm
-	$(GO) tool cover -func=coverage.out | tail -1
+	@total="$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}')"; \
+	echo "combined kernels+tflm coverage: $${total}%"; \
+	awk -v t="$$total" 'BEGIN { if (t+0 < 85.0) { print "coverage " t "% below 85% floor"; exit 1 } }'
 
 # search runs the hardware-in-the-loop NAS harness with defaults.
 .PHONY: search

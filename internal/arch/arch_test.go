@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	ag "micronets/internal/autograd"
+	"micronets/internal/nn"
 	"micronets/internal/tensor"
 )
 
@@ -278,6 +279,32 @@ func TestBuildQATWiresQuantizers(t *testing.T) {
 	}
 	x := tensor.Randn(rng, 1, 1, 8, 8, 1)
 	model.Forward(ag.Constant(x), true) // trains observers without error
+}
+
+// TestPoolLiteralMatchesAnalyzeRow checks that a pool given only its
+// window and stride trains VALID, as its Analyze row and the lowering
+// size it: a 3x3 window at stride 2 maps 5x5 to 2x2.
+func TestPoolLiteralMatchesAnalyzeRow(t *testing.T) {
+	pools := map[BlockKind]nn.Layer{
+		AvgPool: &nn.AvgPool{KH: 3, KW: 3, Stride: 2},
+		MaxPool: &nn.MaxPoolLayer{KH: 3, KW: 3, Stride: 2},
+	}
+	for kind, pool := range pools {
+		spec := &Spec{
+			Name: "pool", Task: "kws", InputH: 5, InputW: 5, InputC: 2, NumClasses: 2,
+			Blocks: []Block{{Kind: kind, KH: 3, KW: 3, Stride: 2}, {Kind: Dense, OutC: 2}},
+		}
+		a, err := spec.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := a.Layers[0]
+		x := tensor.Randn(rand.New(rand.NewSource(4)), 1, 1, 5, 5, 2)
+		got := pool.Forward(ag.Constant(x), false).Value.Shape
+		if want := []int{1, row.OutH, row.OutW, row.OutC}; !reflect.DeepEqual(got, want) || row.OutH != 2 || row.OutW != 2 {
+			t.Fatalf("%s: literal pool gives %v, Analyze row %v (want 2x2)", row.Kind, got, want)
+		}
+	}
 }
 
 func TestBuildRejectsTransposedConv(t *testing.T) {

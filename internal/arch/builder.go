@@ -39,9 +39,9 @@ func Build(rng *rand.Rand, s *Spec, qat bool) (*nn.Sequential, error) {
 			case "conv", "dwconv", "dense":
 				body.Layers = append(body.Layers, weighted(rng, l, qat)...)
 			case "avgpool":
-				body.Add(&nn.AvgPool{KH: l.KH, KW: l.KW, Stride: l.Stride, Pad: nn.PadValid})
+				body.Add(&nn.AvgPool{KH: l.KH, KW: l.KW, Stride: l.Stride})
 			case "maxpool":
-				body.Add(&nn.MaxPoolLayer{KH: l.KH, KW: l.KW, Stride: l.Stride, Pad: nn.PadValid})
+				body.Add(&nn.MaxPoolLayer{KH: l.KH, KW: l.KW, Stride: l.Stride})
 			case "add":
 				block = &nn.Residual{Body: body}
 			default:
@@ -59,20 +59,20 @@ func Build(rng *rand.Rand, s *Spec, qat bool) (*nn.Sequential, error) {
 func weighted(rng *rand.Rand, l LayerInfo, qat bool) []nn.Layer {
 	var quant *nn.LayerQuant
 	if qat {
-		quant = nn.NewLayerQuant(8, 8)
+		quant = &nn.LayerQuant{}
 	}
 	var unit []nn.Layer
 	switch l.Kind {
 	case "conv":
-		c := nn.NewConv2D(rng, l.Name, l.KH, l.KW, l.InC, l.OutC, l.Stride, nn.PadSame, false)
+		c := nn.NewConv2D(rng, l.Name, l.KH, l.KW, l.InC, l.OutC, l.Stride)
 		c.Quant = quant
 		unit = append(unit, c, nn.NewBatchNorm(l.Name+".bn", l.OutC))
 	case "dwconv":
-		d := nn.NewDepthwiseConv2D(rng, l.Name, l.KH, l.KW, l.InC, l.Stride, nn.PadSame, false)
+		d := nn.NewDepthwiseConv2D(rng, l.Name, l.KH, l.KW, l.InC, l.Stride)
 		d.Quant = quant
 		unit = append(unit, d, nn.NewBatchNorm(l.Name+".bn", l.OutC))
 	case "dense":
-		d := nn.NewDense(rng, l.Name, l.InC, l.OutC, true)
+		d := nn.NewDense(rng, l.Name, l.InC, l.OutC)
 		d.Quant = quant
 		unit = append(unit, d)
 	}

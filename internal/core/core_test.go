@@ -296,14 +296,14 @@ func TestPenaltyGradientPushesTowardSmaller(t *testing.T) {
 	// the narrower width option.
 	rng := rand.New(rand.NewSource(5))
 	s, _ := NewSupernet(rng, tinyConfig())
-	cons := Constraints{MaxOps: 1, LambdaOps: 10}
+	cons := Constraints{MaxOps: 1}
 	x := ag.Constant(tensor.Randn(rng, 1, 2, 8, 8, 1))
 	before := probabilities(s.width[0])[0]
 	for i := 0; i < 10; i++ {
 		_, z := s.Forward(x, false, rng, 2)
 		pen := cons.Penalty(s.Resources(z))
 		ag.Backward(pen)
-		opt := nn.NewSGD(0, 0)
+		opt := nn.NewSGD(0)
 		opt.Step(s.ArchParams(), 0.5)
 	}
 	after := probabilities(s.width[0])[0]
@@ -367,7 +367,7 @@ func TestSearchEndToEnd(t *testing.T) {
 	}
 	trainRng := rand.New(rand.NewSource(8))
 	valRng := rand.New(rand.NewSource(9))
-	cons := Constraints{MaxWeightBytes: 400, MaxOps: 40000, MaxArenaBytes: 2000, LambdaOps: 5, LambdaParams: 5, LambdaMem: 5}
+	cons := Constraints{MaxWeightBytes: 400, MaxOps: 40000, MaxArenaBytes: 2000}
 	res, err := RunSearch(s,
 		func(step int) Batch { return mkBatch(trainRng, 16) },
 		func(step int) Batch { return mkBatch(valRng, 16) },

@@ -31,40 +31,25 @@ type Constraints struct {
 	MaxArenaBytes float64
 	// MaxOps bounds the op count (2*MACs).
 	MaxOps float64
-
-	// Penalty weights.
-	LambdaParams, LambdaMem, LambdaOps float32
 }
 
-// withDefaults fills zero penalty weights with sensible defaults.
-func (c Constraints) withDefaults() Constraints {
-	if c.LambdaParams == 0 {
-		c.LambdaParams = 2
-	}
-	if c.LambdaMem == 0 {
-		c.LambdaMem = 2
-	}
-	if c.LambdaOps == 0 {
-		c.LambdaOps = 2
-	}
-	return c
-}
+// penaltyWeight is λ, the one weight of every budget's penalty term.
+const penaltyWeight float32 = 2
 
 // Penalty builds the differentiable constraint penalty
 // Σ λ·relu(usage/budget − 1) from a forward pass's resource model.
 func (c Constraints) Penalty(res *Resources) *ag.Var {
-	cc := c.withDefaults()
 	total := ag.Constant(tensor.Scalar(0))
-	add := func(usage *ag.Var, budget float64, lambda float32) {
+	add := func(usage *ag.Var, budget float64) {
 		if budget <= 0 {
 			return
 		}
 		norm := ag.AddScalar(ag.Scale(usage, float32(1/budget)), -1)
-		total = ag.Add(total, ag.Scale(ag.ReLU(norm), lambda))
+		total = ag.Add(total, ag.Scale(ag.ReLU(norm), penaltyWeight))
 	}
-	add(res.ParamCount, c.MaxWeightBytes, cc.LambdaParams)
-	add(res.WorkingMemory(), c.MaxArenaBytes, cc.LambdaMem)
-	add(res.OpCount, c.MaxOps, cc.LambdaOps)
+	add(res.ParamCount, c.MaxWeightBytes)
+	add(res.WorkingMemory(), c.MaxArenaBytes)
+	add(res.OpCount, c.MaxOps)
 	return total
 }
 
@@ -141,8 +126,8 @@ func newSearchLoop(s *Supernet, train, val func(step int) Batch, cons Constraint
 	return &searchLoop{
 		s: s, train: train, val: val, cons: cons, cfg: cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		wOpt:    nn.NewSGD(0.9, 1e-4),
-		aOpt:    nn.NewAdam(0),
+		wOpt:    nn.NewSGD(1e-4),
+		aOpt:    nn.NewAdam(),
 		wParams: s.WeightParams(),
 		aParams: s.ArchParams(),
 		tape:    ag.NewTape(),

@@ -140,7 +140,7 @@ func exportSGD(spec *arch.Spec, qat bool) (*graph.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := nn.NewSGD(0.9, 1e-4)
+	opt := nn.NewSGD(1e-4)
 	for i := 0; i < 3; i++ {
 		x := tensor.Randn(rng, 1, 8, spec.InputH, spec.InputW, spec.InputC)
 		labels := make([]int, 8)

@@ -148,10 +148,7 @@ func (e *exporter) weighted(l *arch.LayerInfo, op *Op, m *Model, x *ag.Var) (*ag
 		if err != nil {
 			return nil, err
 		}
-		w, y = d.W.Value, d.Forward(x, false)
-		if d.B != nil {
-			shift = d.B.Value.Data
-		}
+		w, y, shift = d.W.Value, d.Forward(x, false), d.B.Value.Data
 	}
 	if l.Kind != "dense" {
 		bn, err := pop[*nn.BatchNorm](e)

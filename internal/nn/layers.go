@@ -8,129 +8,87 @@ import (
 	"micronets/internal/tensor"
 )
 
-// Padding selects between TensorFlow SAME and VALID convolution padding.
-type Padding int
-
-const (
-	// PadSame pads so that out = ceil(in/stride).
-	PadSame Padding = iota
-	// PadValid applies no padding.
-	PadValid
-)
-
-func (p Padding) spec(kh, kw, sh, sw, inH, inW int) tensor.ConvSpec {
-	if p == PadSame {
-		return tensor.Same(kh, kw, sh, sw, inH, inW)
-	}
-	return tensor.ConvSpec{KH: kh, KW: kw, SH: sh, SW: sw}
+// sameSpec is the SAME padding every conv and depthwise layer trains
+// with, so out = ceil(in/stride), as arch.Analyze sizes the row.
+func sameSpec(w *ag.Var, stride int, x *ag.Var) tensor.ConvSpec {
+	return tensor.Same(w.Value.Shape[0], w.Value.Shape[1], stride, stride, x.Value.Shape[1], x.Value.Shape[2])
 }
 
-// Conv2D is a standard convolution layer with optional bias and optional
-// quantization-aware training.
+// Conv2D is an unbiased SAME convolution (the BatchNorm after it carries
+// the shift) with optional quantization-aware training.
 type Conv2D struct {
 	W      *ag.Var // [kh,kw,inC,outC]
-	B      *ag.Var // [outC] or nil
 	Stride int
-	Pad    Padding
 	Quant  *LayerQuant
 	name   string
 }
 
 // NewConv2D constructs a He-initialized convolution.
-func NewConv2D(rng *rand.Rand, name string, kh, kw, inC, outC, stride int, pad Padding, bias bool) *Conv2D {
-	l := &Conv2D{
+func NewConv2D(rng *rand.Rand, name string, kh, kw, inC, outC, stride int) *Conv2D {
+	return &Conv2D{
 		W:      ag.Param(HeInit(rng, kh*kw*inC, kh, kw, inC, outC)),
 		Stride: stride,
-		Pad:    pad,
 		name:   name,
 	}
-	if bias {
-		l.B = ag.Param(tensor.New(outC))
-	}
-	return l
 }
 
 // Forward implements Layer.
 func (l *Conv2D) Forward(x *ag.Var, training bool) *ag.Var {
-	spec := l.Pad.spec(l.W.Value.Shape[0], l.W.Value.Shape[1], l.Stride, l.Stride,
-		x.Value.Shape[1], x.Value.Shape[2])
 	w := l.Quant.maybeQuantWeights(l.W)
-	y := ag.Conv2D(x, w, spec)
-	if l.B != nil {
-		y = ag.BiasAdd(y, l.B)
-	}
+	y := ag.Conv2D(x, w, sameSpec(l.W, l.Stride, x))
 	return l.Quant.maybeQuantActs(y, training)
 }
 
 // Params implements Layer.
 func (l *Conv2D) Params() []*Param {
-	ps := []*Param{{Name: l.name + ".w", V: l.W, Decay: true}}
-	if l.B != nil {
-		ps = append(ps, &Param{Name: l.name + ".b", V: l.B})
-	}
-	return ps
+	return []*Param{{Name: l.name + ".w", V: l.W, Decay: true}}
 }
 
-// DepthwiseConv2D is a depthwise convolution layer (channel multiplier 1).
+// DepthwiseConv2D is an unbiased SAME depthwise convolution (channel
+// multiplier 1).
 type DepthwiseConv2D struct {
 	W      *ag.Var // [kh,kw,c]
-	B      *ag.Var
 	Stride int
-	Pad    Padding
 	Quant  *LayerQuant
 	name   string
 }
 
 // NewDepthwiseConv2D constructs a He-initialized depthwise convolution.
-func NewDepthwiseConv2D(rng *rand.Rand, name string, kh, kw, c, stride int, pad Padding, bias bool) *DepthwiseConv2D {
-	l := &DepthwiseConv2D{
+func NewDepthwiseConv2D(rng *rand.Rand, name string, kh, kw, c, stride int) *DepthwiseConv2D {
+	return &DepthwiseConv2D{
 		W:      ag.Param(HeInit(rng, kh*kw, kh, kw, c)),
 		Stride: stride,
-		Pad:    pad,
 		name:   name,
 	}
-	if bias {
-		l.B = ag.Param(tensor.New(c))
-	}
-	return l
 }
 
 // Forward implements Layer.
 func (l *DepthwiseConv2D) Forward(x *ag.Var, training bool) *ag.Var {
-	spec := l.Pad.spec(l.W.Value.Shape[0], l.W.Value.Shape[1], l.Stride, l.Stride,
-		x.Value.Shape[1], x.Value.Shape[2])
 	w := l.Quant.maybeQuantWeights(l.W)
-	y := ag.DepthwiseConv2D(x, w, spec)
-	if l.B != nil {
-		y = ag.BiasAdd(y, l.B)
-	}
+	y := ag.DepthwiseConv2D(x, w, sameSpec(l.W, l.Stride, x))
 	return l.Quant.maybeQuantActs(y, training)
 }
 
 // Params implements Layer.
 func (l *DepthwiseConv2D) Params() []*Param {
-	ps := []*Param{{Name: l.name + ".w", V: l.W, Decay: true}}
-	if l.B != nil {
-		ps = append(ps, &Param{Name: l.name + ".b", V: l.B})
-	}
-	return ps
+	return []*Param{{Name: l.name + ".w", V: l.W, Decay: true}}
 }
 
-// Dense is a fully connected layer over [n, features] inputs.
+// Dense is a biased fully connected layer over [n, features] inputs.
 type Dense struct {
 	W     *ag.Var // [in,out]
-	B     *ag.Var
+	B     *ag.Var // [out]
 	Quant *LayerQuant
 	name  string
 }
 
 // NewDense constructs a Glorot-initialized fully connected layer.
-func NewDense(rng *rand.Rand, name string, in, out int, bias bool) *Dense {
-	l := &Dense{W: ag.Param(GlorotInit(rng, in, out, in, out)), name: name}
-	if bias {
-		l.B = ag.Param(tensor.New(out))
+func NewDense(rng *rand.Rand, name string, in, out int) *Dense {
+	return &Dense{
+		W:    ag.Param(GlorotInit(rng, in, out, in, out)),
+		B:    ag.Param(tensor.New(out)),
+		name: name,
 	}
-	return l
 }
 
 // Forward implements Layer. 4-D inputs are flattened automatically.
@@ -139,30 +97,28 @@ func (l *Dense) Forward(x *ag.Var, training bool) *ag.Var {
 		x = ag.Reshape(x, x.Value.Shape[0], -1)
 	}
 	w := l.Quant.maybeQuantWeights(l.W)
-	y := ag.MatMul(x, w)
-	if l.B != nil {
-		y = ag.BiasAdd(y, l.B)
-	}
+	y := ag.BiasAdd(ag.MatMul(x, w), l.B)
 	return l.Quant.maybeQuantActs(y, training)
 }
 
 // Params implements Layer.
 func (l *Dense) Params() []*Param {
-	ps := []*Param{{Name: l.name + ".w", V: l.W, Decay: true}}
-	if l.B != nil {
-		ps = append(ps, &Param{Name: l.name + ".b", V: l.B})
-	}
-	return ps
+	return []*Param{{Name: l.name + ".w", V: l.W, Decay: true}, {Name: l.name + ".b", V: l.B}}
 }
 
-// BatchNorm keeps running statistics with the given momentum and normalizes
-// over all but the channel dimension.
+// bnMomentum is the EMA momentum of every BatchNorm's running statistics
+// and bnEps its variance epsilon.
+const (
+	bnMomentum float32 = 0.9
+	bnEps      float32 = 1e-3
+)
+
+// BatchNorm keeps running statistics and normalizes over all but the
+// channel dimension.
 type BatchNorm struct {
 	Gamma, Beta *ag.Var
 	RunningMean *tensor.Tensor
 	RunningVar  *tensor.Tensor
-	Momentum    float32
-	Eps         float32
 	name        string
 }
 
@@ -173,8 +129,6 @@ func NewBatchNorm(name string, c int) *BatchNorm {
 		Beta:        ag.Param(tensor.New(c)),
 		RunningMean: tensor.New(c),
 		RunningVar:  tensor.New(c).Fill(1),
-		Momentum:    0.9,
-		Eps:         1e-3,
 		name:        name,
 	}
 }
@@ -182,14 +136,14 @@ func NewBatchNorm(name string, c int) *BatchNorm {
 // Forward implements Layer.
 func (l *BatchNorm) Forward(x *ag.Var, training bool) *ag.Var {
 	if training {
-		y, stats := ag.BatchNorm(x, l.Gamma, l.Beta, l.Eps, nil)
+		y, stats := ag.BatchNorm(x, l.Gamma, l.Beta, bnEps, nil)
 		for j := range l.RunningMean.Data {
-			l.RunningMean.Data[j] = l.Momentum*l.RunningMean.Data[j] + (1-l.Momentum)*stats.Mean.Data[j]
-			l.RunningVar.Data[j] = l.Momentum*l.RunningVar.Data[j] + (1-l.Momentum)*stats.Var.Data[j]
+			l.RunningMean.Data[j] = bnMomentum*l.RunningMean.Data[j] + (1-bnMomentum)*stats.Mean.Data[j]
+			l.RunningVar.Data[j] = bnMomentum*l.RunningVar.Data[j] + (1-bnMomentum)*stats.Var.Data[j]
 		}
 		return y
 	}
-	y, _ := ag.BatchNorm(x, l.Gamma, l.Beta, l.Eps,
+	y, _ := ag.BatchNorm(x, l.Gamma, l.Beta, bnEps,
 		&ag.BatchNormStats{Mean: l.RunningMean, Var: l.RunningVar})
 	return y
 }
@@ -210,7 +164,7 @@ func (l *BatchNorm) FoldedScaleShift() (scale, shift []float32) {
 	scale = make([]float32, c)
 	shift = make([]float32, c)
 	for j := 0; j < c; j++ {
-		inv := 1 / sqrtf(l.RunningVar.Data[j]+l.Eps)
+		inv := 1 / sqrtf(l.RunningVar.Data[j]+bnEps)
 		scale[j] = l.Gamma.Value.Data[j] * inv
 		shift[j] = l.Beta.Value.Data[j] - l.RunningMean.Data[j]*scale[j]
 	}
@@ -237,31 +191,27 @@ func (l *Activation) Forward(x *ag.Var, training bool) *ag.Var {
 // Params implements Layer.
 func (l *Activation) Params() []*Param { return nil }
 
-// AvgPool averages over windows.
+// AvgPool averages over VALID (unpadded) windows.
 type AvgPool struct {
 	KH, KW, Stride int
-	Pad            Padding
 }
 
 // Forward implements Layer.
 func (l *AvgPool) Forward(x *ag.Var, training bool) *ag.Var {
-	spec := l.Pad.spec(l.KH, l.KW, l.Stride, l.Stride, x.Value.Shape[1], x.Value.Shape[2])
-	return ag.AvgPool2D(x, spec)
+	return ag.AvgPool2D(x, tensor.ConvSpec{KH: l.KH, KW: l.KW, SH: l.Stride, SW: l.Stride})
 }
 
 // Params implements Layer.
 func (l *AvgPool) Params() []*Param { return nil }
 
-// MaxPoolLayer takes the maximum over windows.
+// MaxPoolLayer takes the maximum over VALID (unpadded) windows.
 type MaxPoolLayer struct {
 	KH, KW, Stride int
-	Pad            Padding
 }
 
 // Forward implements Layer.
 func (l *MaxPoolLayer) Forward(x *ag.Var, training bool) *ag.Var {
-	spec := l.Pad.spec(l.KH, l.KW, l.Stride, l.Stride, x.Value.Shape[1], x.Value.Shape[2])
-	return ag.MaxPool2D(x, spec)
+	return ag.MaxPool2D(x, tensor.ConvSpec{KH: l.KH, KW: l.KW, SH: l.Stride, SW: l.Stride})
 }
 
 // Params implements Layer.

@@ -11,7 +11,7 @@ import (
 
 func TestConv2DForwardShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	l := NewConv2D(rng, "c", 3, 3, 2, 8, 2, PadSame, true)
+	l := NewConv2D(rng, "c", 3, 3, 2, 8, 2)
 	x := ag.Constant(tensor.Randn(rng, 1, 2, 9, 9, 2))
 	y := l.Forward(x, false)
 	want := []int{2, 5, 5, 8}
@@ -20,14 +20,14 @@ func TestConv2DForwardShape(t *testing.T) {
 			t.Fatalf("shape %v, want %v", y.Value.Shape, want)
 		}
 	}
-	if len(l.Params()) != 2 {
-		t.Fatalf("conv params = %d, want 2", len(l.Params()))
+	if len(l.Params()) != 1 {
+		t.Fatalf("conv params = %d, want 1", len(l.Params()))
 	}
 }
 
 func TestDenseAutoFlattens(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	l := NewDense(rng, "d", 6, 4, true)
+	l := NewDense(rng, "d", 6, 4)
 	x := ag.Constant(tensor.Randn(rng, 1, 2, 2, 3, 1))
 	y := l.Forward(x, false)
 	if y.Value.Shape[0] != 2 || y.Value.Shape[1] != 4 {
@@ -125,10 +125,10 @@ func TestResidualIdentity(t *testing.T) {
 func TestSequentialParamsCollects(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewSequential(
-		NewConv2D(rng, "c1", 3, 3, 1, 4, 1, PadSame, false),
+		NewConv2D(rng, "c1", 3, 3, 1, 4, 1),
 		NewBatchNorm("bn1", 4),
 		&Activation{Kind: "relu6"},
-		NewDense(rng, "fc", 4, 2, true),
+		NewDense(rng, "fc", 4, 2),
 	)
 	if got := len(m.Params()); got != 5 {
 		t.Fatalf("params = %d, want 5", got)
@@ -138,7 +138,7 @@ func TestSequentialParamsCollects(t *testing.T) {
 func TestSGDMomentumConverges(t *testing.T) {
 	// Minimize (w-3)^2 with SGD+momentum.
 	p := &Param{Name: "w", V: ag.Param(tensor.Scalar(0)), Decay: false}
-	opt := NewSGD(0.9, 0)
+	opt := NewSGD(0)
 	for i := 0; i < 100; i++ {
 		diff := ag.AddScalar(p.V, -3)
 		loss := ag.Mul(diff, diff)
@@ -152,7 +152,7 @@ func TestSGDMomentumConverges(t *testing.T) {
 
 func TestAdamConverges(t *testing.T) {
 	p := &Param{Name: "w", V: ag.Param(tensor.Scalar(-2)), Decay: false}
-	opt := NewAdam(0)
+	opt := NewAdam()
 	for i := 0; i < 400; i++ {
 		diff := ag.AddScalar(p.V, -1)
 		loss := ag.Mul(diff, diff)
@@ -167,7 +167,7 @@ func TestAdamConverges(t *testing.T) {
 func TestWeightDecayShrinksOnlyDecayParams(t *testing.T) {
 	pd := &Param{Name: "w", V: ag.Param(tensor.Scalar(10)), Decay: true}
 	pn := &Param{Name: "b", V: ag.Param(tensor.Scalar(10)), Decay: false}
-	opt := NewSGD(0, 0.1)
+	opt := NewSGD(0.1)
 	// Zero loss: gradients must exist for Step to act, so use a loss with
 	// zero gradient contribution.
 	for i := 0; i < 10; i++ {
@@ -217,8 +217,8 @@ func TestClipGradNorm(t *testing.T) {
 
 func TestQATProducesGridWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	l := NewConv2D(rng, "c", 3, 3, 1, 2, 1, PadSame, false)
-	l.Quant = NewLayerQuant(8, 8)
+	l := NewConv2D(rng, "c", 3, 3, 1, 2, 1)
+	l.Quant = &LayerQuant{}
 	x := ag.Constant(tensor.Randn(rng, 1, 1, 4, 4, 1))
 	// Two training passes to seed the activation observer.
 	l.Forward(x, true)
@@ -231,18 +231,45 @@ func TestQATProducesGridWeights(t *testing.T) {
 	}
 }
 
+// TestQATQuantizesWeightsToEightBits reads a QAT dense layer's effective
+// weights through an identity input: a zero LayerQuant puts all 4096 on
+// at most 2^8 levels, each within half a step of its float weight.
+func TestQATQuantizesWeightsToEightBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	const n = 64
+	l := NewDense(rng, "d", n, n)
+	l.Quant = &LayerQuant{}
+	eye := tensor.New(n, n)
+	for i := 0; i < n; i++ {
+		eye.Data[i*n+i] = 1
+	}
+	y := l.Forward(ag.Constant(eye), false).Value.Data
+	w := l.W.Value.Data
+	step := 2 * max(tensor.Max(l.W.Value), -tensor.Min(l.W.Value)) / 255
+	levels := map[float32]bool{}
+	for i, v := range y {
+		levels[v] = true
+		if d := absf(v - w[i]); d > step/2+1e-6 {
+			t.Fatalf("weight %d: %v quantized to %v, more than half a step %v away", i, w[i], v, step)
+		}
+	}
+	if len(levels) > 256 {
+		t.Fatalf("QAT weights take %d distinct values, want at most 256", len(levels))
+	}
+}
+
 func TestTinyModelLearnsXOR(t *testing.T) {
 	// End-to-end sanity: a 2-layer MLP learns XOR, proving layers,
 	// losses and optimizer compose correctly.
 	rng := rand.New(rand.NewSource(9))
 	m := NewSequential(
-		NewDense(rng, "d1", 2, 16, true),
+		NewDense(rng, "d1", 2, 16),
 		&Activation{Kind: "relu"},
-		NewDense(rng, "d2", 16, 2, true),
+		NewDense(rng, "d2", 16, 2),
 	)
 	xs := tensor.FromSlice([]float32{0, 0, 0, 1, 1, 0, 1, 1}, 4, 2)
 	labels := []int{0, 1, 1, 0}
-	opt := NewAdam(0)
+	opt := NewAdam()
 	for i := 0; i < 1500; i++ {
 		logits := m.Forward(ag.Constant(xs), true)
 		loss := ag.CrossEntropy(logits, labels)

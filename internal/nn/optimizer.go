@@ -6,19 +6,20 @@ import (
 	"micronets/internal/tensor"
 )
 
-// SGD implements stochastic gradient descent with classical momentum and
-// decoupled weight decay (applied only to params with Decay=true, matching
-// the paper's recipes which exempt BN and biases).
-type SGD struct {
-	Momentum    float32
-	WeightDecay float32
+// sgdMomentum is SGD's classical momentum.
+const sgdMomentum float32 = 0.9
 
-	velocity map[*Param]*tensor.Tensor
+// SGD implements stochastic gradient descent with classical momentum and
+// weight decay (applied only to params with Decay=true, matching the
+// paper's recipes which exempt BN and biases).
+type SGD struct {
+	weightDecay float32
+	velocity    map[*Param]*tensor.Tensor
 }
 
-// NewSGD constructs an SGD optimizer.
-func NewSGD(momentum, weightDecay float32) *SGD {
-	return &SGD{Momentum: momentum, WeightDecay: weightDecay, velocity: map[*Param]*tensor.Tensor{}}
+// NewSGD constructs an SGD optimizer with the given weight decay.
+func NewSGD(weightDecay float32) *SGD {
+	return &SGD{weightDecay: weightDecay, velocity: map[*Param]*tensor.Tensor{}}
 }
 
 // Step applies one update at the given learning rate and clears
@@ -29,49 +30,46 @@ func (o *SGD) Step(params []*Param, lr float32) {
 			continue
 		}
 		g := p.V.Grad
-		if o.WeightDecay != 0 && p.Decay {
-			tensor.AxpyInPlace(g, o.WeightDecay, p.V.Value)
+		if o.weightDecay != 0 && p.Decay {
+			tensor.AxpyInPlace(g, o.weightDecay, p.V.Value)
 		}
-		if o.Momentum != 0 {
-			v := o.velocity[p]
-			if v == nil {
-				v = tensor.New(p.V.Value.Shape...)
-				o.velocity[p] = v
-			}
-			for i := range v.Data {
-				v.Data[i] = o.Momentum*v.Data[i] + g.Data[i]
-			}
-			g = v
+		v := o.velocity[p]
+		if v == nil {
+			v = tensor.New(p.V.Value.Shape...)
+			o.velocity[p] = v
 		}
-		tensor.AxpyInPlace(p.V.Value, -lr, g)
+		for i := range v.Data {
+			v.Data[i] = sgdMomentum*v.Data[i] + g.Data[i]
+		}
+		tensor.AxpyInPlace(p.V.Value, -lr, v)
 		p.V.ZeroGrad()
 	}
 }
 
-// Adam implements the Adam optimizer with decoupled weight decay (AdamW).
-type Adam struct {
-	Beta1, Beta2 float32
-	Eps          float32
-	WeightDecay  float32
+// Adam's standard hyperparameters.
+const (
+	adamBeta1 float32 = 0.9
+	adamBeta2 float32 = 0.999
+	adamEps   float32 = 1e-8
+)
 
+// Adam implements the Adam optimizer without weight decay.
+type Adam struct {
 	step int
 	m, v map[*Param]*tensor.Tensor
 }
 
-// NewAdam constructs an Adam optimizer with standard hyperparameters.
-func NewAdam(weightDecay float32) *Adam {
-	return &Adam{
-		Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay,
-		m: map[*Param]*tensor.Tensor{}, v: map[*Param]*tensor.Tensor{},
-	}
+// NewAdam constructs an Adam optimizer.
+func NewAdam() *Adam {
+	return &Adam{m: map[*Param]*tensor.Tensor{}, v: map[*Param]*tensor.Tensor{}}
 }
 
 // Step applies one update at the given learning rate and clears
 // gradients.
 func (o *Adam) Step(params []*Param, lr float32) {
 	o.step++
-	bc1 := 1 - float32(math.Pow(float64(o.Beta1), float64(o.step)))
-	bc2 := 1 - float32(math.Pow(float64(o.Beta2), float64(o.step)))
+	bc1 := 1 - float32(math.Pow(float64(adamBeta1), float64(o.step)))
+	bc2 := 1 - float32(math.Pow(float64(adamBeta2), float64(o.step)))
 	for _, p := range params {
 		if p.V.Grad == nil {
 			continue
@@ -86,14 +84,11 @@ func (o *Adam) Step(params []*Param, lr float32) {
 			o.v[p] = v
 		}
 		for i := range g.Data {
-			m.Data[i] = o.Beta1*m.Data[i] + (1-o.Beta1)*g.Data[i]
-			v.Data[i] = o.Beta2*v.Data[i] + (1-o.Beta2)*g.Data[i]*g.Data[i]
+			m.Data[i] = adamBeta1*m.Data[i] + (1-adamBeta1)*g.Data[i]
+			v.Data[i] = adamBeta2*v.Data[i] + (1-adamBeta2)*g.Data[i]*g.Data[i]
 			mhat := m.Data[i] / bc1
 			vhat := v.Data[i] / bc2
-			upd := mhat / (float32(math.Sqrt(float64(vhat))) + o.Eps)
-			if o.WeightDecay != 0 && p.Decay {
-				upd += o.WeightDecay * p.V.Value.Data[i]
-			}
+			upd := mhat / (float32(math.Sqrt(float64(vhat))) + adamEps)
 			p.V.Value.Data[i] -= lr * upd
 		}
 		p.V.ZeroGrad()

@@ -5,32 +5,30 @@ import (
 	"micronets/internal/tensor"
 )
 
-// LayerQuant configures quantization-aware training for one layer. Weights
-// are fake-quantized per-tensor from their current min/max each step;
-// activations use an EMA-observed range, as in TensorFlow's QAT (the
-// scheme the paper uses for its 8-bit models, §5.2).
+// qatBits is the width QAT fake-quantizes weights and activations to, and
+// qatMomentum the momentum of the activation-range EMA.
+const (
+	qatBits             = 8
+	qatMomentum float32 = 0.95
+)
+
+// LayerQuant is one layer's 8-bit quantization-aware training state.
+// Weights are fake-quantized per-tensor from their current min/max each
+// step; activations use an EMA-observed range, as in TensorFlow's QAT (the
+// scheme the paper uses for its 8-bit models, §5.2). The zero value is
+// ready to use.
 //
 // A nil *LayerQuant disables QAT, so layers can hold it by pointer without
 // nil checks at every call site.
 type LayerQuant struct {
-	WeightBits int
-	ActBits    int
-
 	// EMA-observed activation range.
 	actLo, actHi float32
 	seen         bool
-	// Momentum of the range EMA.
-	Momentum float32
-}
-
-// NewLayerQuant returns a QAT config with the given bit widths.
-func NewLayerQuant(weightBits, actBits int) *LayerQuant {
-	return &LayerQuant{WeightBits: weightBits, ActBits: actBits, Momentum: 0.95}
 }
 
 // maybeQuantWeights fake-quantizes weights symmetrically around zero.
 func (q *LayerQuant) maybeQuantWeights(w *ag.Var) *ag.Var {
-	if q == nil || q.WeightBits == 0 {
+	if q == nil {
 		return w
 	}
 	// Symmetric range, zero-point 0: what CMSIS-NN expects for weights.
@@ -42,13 +40,13 @@ func (q *LayerQuant) maybeQuantWeights(w *ag.Var) *ag.Var {
 	if a == 0 {
 		a = 1e-6
 	}
-	return ag.FakeQuant(w, -a, a, q.WeightBits)
+	return ag.FakeQuant(w, -a, a, qatBits)
 }
 
 // maybeQuantActs fake-quantizes an activation tensor, updating the EMA
 // range during training.
 func (q *LayerQuant) maybeQuantActs(y *ag.Var, training bool) *ag.Var {
-	if q == nil || q.ActBits == 0 {
+	if q == nil {
 		return y
 	}
 	if training {
@@ -57,8 +55,8 @@ func (q *LayerQuant) maybeQuantActs(y *ag.Var, training bool) *ag.Var {
 			q.actLo, q.actHi = lo, hi
 			q.seen = true
 		} else {
-			q.actLo = q.Momentum*q.actLo + (1-q.Momentum)*lo
-			q.actHi = q.Momentum*q.actHi + (1-q.Momentum)*hi
+			q.actLo = qatMomentum*q.actLo + (1-qatMomentum)*lo
+			q.actHi = qatMomentum*q.actHi + (1-qatMomentum)*hi
 		}
 	}
 	if !q.seen {
@@ -71,7 +69,7 @@ func (q *LayerQuant) maybeQuantActs(y *ag.Var, training bool) *ag.Var {
 	if hi < 0 {
 		hi = 0
 	}
-	return ag.FakeQuant(y, lo, hi, q.ActBits)
+	return ag.FakeQuant(y, lo, hi, qatBits)
 }
 
 func absf(v float32) float32 {

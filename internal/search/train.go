@@ -208,7 +208,7 @@ func (t *Trainer) score(scores func(x *tensor.Tensor) ([]float32, error)) (float
 // mixing partners from one rng seeded by seed.
 func fit(model *nn.Sequential, ds *datasets.Dataset, r recipe, steps int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	opt := nn.NewSGD(0.9, weightDecay)
+	opt := nn.NewSGD(weightDecay)
 	lr := nn.CosineSchedule{Start: r.lrStart, End: r.lrEnd, Steps: steps}
 	params := model.Params()
 	// Every step builds the same graph: its tensors come from one tape,

@@ -157,10 +157,15 @@ func TestInferMatchesDirectInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantClass, wantScore, err := ip.Classify(x)
-		if err != nil {
+		if err := ip.SetInputFloat(x); err != nil {
 			t.Fatal(err)
 		}
+		if err := ip.Invoke(); err != nil {
+			t.Fatal(err)
+		}
+		direct := ip.OutputFloat()
+		wantScore := slices.Max(direct)
+		wantClass := slices.Index(direct, wantScore)
 		if int(class.Data[0]) != wantClass {
 			t.Fatalf("%s: served class %v, direct %d", name, class.Data[0], wantClass)
 		}

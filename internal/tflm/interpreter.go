@@ -194,22 +194,3 @@ func (ip *Interpreter) ProfileInvoke() ([]OpTiming, error) {
 	}
 	return timings, nil
 }
-
-// Classify is a convenience wrapper: set input, invoke, return the argmax
-// class and its dequantized score.
-func (ip *Interpreter) Classify(x *tensor.Tensor) (int, float32, error) {
-	if err := ip.SetInputFloat(x); err != nil {
-		return 0, 0, err
-	}
-	if err := ip.Invoke(); err != nil {
-		return 0, 0, err
-	}
-	out := ip.OutputFloat()
-	best := 0
-	for i, v := range out {
-		if v > out[best] {
-			best = i
-		}
-	}
-	return best, out[best], nil
-}
