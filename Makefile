@@ -39,6 +39,14 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
+# kernels-table prints BenchmarkInvokeOpKinds as a per-op-kind table (ns
+# and GMAC/s per invoke for four MicroNets and Person Detection); with
+# BASE=<git rev> it alternates that revision and this tree and adds the
+# ratios (scripts/kernels_table.sh).
+.PHONY: kernels-table
+kernels-table:
+	./scripts/kernels_table.sh $(BASE)
+
 # alloc-gates runs the allocation-count tests without -race (the
 # detector's instrumentation allocates, so they skip themselves under
 # `make test`): steady-state Invoke, the bounded serve row path, the

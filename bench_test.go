@@ -6,6 +6,7 @@
 package micronets
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -201,6 +202,84 @@ func BenchmarkInvokeKWSLReference(b *testing.B) { benchInvoke(b, "MicroNet-KWS-L
 func BenchmarkInvokeKWSLParallel(b *testing.B)  { benchInvoke(b, "MicroNet-KWS-L", kernels.Default) }
 func BenchmarkInvokeVWWReference(b *testing.B)  { benchInvoke(b, "MicroNet-VWW-1", kernels.Reference) }
 func BenchmarkInvokeVWWParallel(b *testing.B)   { benchInvoke(b, "MicroNet-VWW-1", kernels.Default) }
+
+// opKind is the column of BenchmarkInvokeOpKinds an op falls in: the
+// op kinds whose Default kernels differ, 1×1 and k×k convolutions apart.
+func opKind(op *graph.Op) string {
+	switch op.Kind {
+	case graph.OpConv2D:
+		if op.KH == 1 && op.KW == 1 {
+			return "pw"
+		}
+		return "conv"
+	case graph.OpDWConv2D:
+		return "dw"
+	case graph.OpAdd:
+		return "add"
+	case graph.OpAvgPool, graph.OpMaxPool:
+		return "pool"
+	default:
+		return "other"
+	}
+}
+
+// BenchmarkInvokeOpKinds is the per-op-kind table of the Default engine
+// on four MicroNets and Person Detection (whose first depthwise, at 8
+// channels, is the catalogue's only one below 16): each iteration is one ProfileInvoke, every op keeps
+// its fastest time over the b.N runs, and the minima are summed per op
+// kind into "<kind>-ns" (ns per invoke) and "<kind>-GMAC/s". "invoke-ns"
+// is the fastest whole invoke. Minima, because shared-host vCPUs change
+// speed for seconds at a time and an op's floor is what a kernel change
+// moves. scripts/kernels_table.sh (make kernels-table) runs it against
+// another revision and prints the two side by side:
+//
+//	go test -run '^$' -bench InvokeOpKinds -benchtime 300x .
+func BenchmarkInvokeOpKinds(b *testing.B) {
+	for _, name := range []string{"MicroNet-KWS-S", "MicroNet-KWS-L", "MicroNet-AD-L", "MicroNet-VWW-1", "Person Detection"} {
+		b.Run(name, func(b *testing.B) {
+			m := loweredModel(b, name)
+			ip, err := tflm.NewInterpreterWithEngine(m, 0, kernels.Default)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i := range ip.Input() {
+				ip.Input()[i] = int8(rng.Intn(256) - 128)
+			}
+			minOp := make([]int64, len(m.Ops))
+			for i := range minOp {
+				minOp[i] = math.MaxInt64
+			}
+			minInvoke := int64(math.MaxInt64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				timings, err := ip.ProfileInvoke()
+				if err != nil {
+					b.Fatal(err)
+				}
+				var total int64
+				for _, t := range timings {
+					minOp[t.Index] = min(minOp[t.Index], t.Ns)
+					total += t.Ns
+				}
+				minInvoke = min(minInvoke, total)
+			}
+			ns := map[string]int64{}
+			macs := map[string]int64{}
+			for i, op := range m.Ops {
+				ns[opKind(op)] += minOp[i]
+				macs[opKind(op)] += op.MACs(m)
+			}
+			b.ReportMetric(float64(minInvoke), "invoke-ns")
+			for kind, t := range ns {
+				b.ReportMetric(float64(t), kind+"-ns")
+				if macs[kind] > 0 && t > 0 {
+					b.ReportMetric(float64(macs[kind])/float64(t), kind+"-GMAC/s")
+				}
+			}
+		})
+	}
+}
 
 func BenchmarkMemoryPlannerKWSL(b *testing.B) {
 	m := loweredModel(b, "MicroNet-KWS-L")

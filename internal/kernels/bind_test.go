@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -95,9 +96,18 @@ func TestScalarRequantOutsideVectorDomain(t *testing.T) {
 func TestCtxBytesCountsEverySlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	c := convCase{h: 6, w: 6, inC: 9, outC: 21, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, inZp: 3}
-	for _, kind := range []graph.OpKind{graph.OpConv2D, graph.OpDWConv2D} {
-		m := randomConvModel(t, c, kind, rng)
+	wide := c
+	wide.inC = 24 // 16-channel tap-pair groups; C = 9 gets 8-channel ones (on hosts that run them)
+	for _, m := range []*graph.Model{
+		randomConvModel(t, c, graph.OpConv2D, rng),
+		randomConvModel(t, c, graph.OpDWConv2D, rng),
+		randomConvModel(t, wide, graph.OpDWConv2D, rng),
+	} {
+		kind := fmt.Sprintf("%s C=%d", m.Ops[0].Kind, m.Tensors[0].C)
 		ctx := PrepareConv(m, m.Ops[0])
+		if haveSIMD && m.Ops[0].Kind == graph.OpDWConv2D && m.Tensors[0].C >= dwGroup/2 && len(ctx.dwPairs) == 0 {
+			t.Fatalf("%s: no tap pairs prepared for the assembly body", kind)
+		}
 		want := 0
 		v := reflect.ValueOf(ctx).Elem()
 		for i := 0; i < v.NumField(); i++ {

@@ -24,28 +24,52 @@
 // zero. Multipliers are stored as two []int32 (mantissa, right shift),
 // zero-padded like the folded bias to whole panels. Depthwise keeps its
 // [tap][C] weights and adds a base row bias − inZp·Σw and one pixel of
-// zero points that padded taps read.
+// zero points that padded taps read; a nine-tap depthwise of at least 8
+// channels on a host that runs the assembly also gets its weights as
+// int16 tap pairs (pairTaps): per 16-channel group, taps (0,1) … (6,7)
+// and (8, zero), each channel's two weights side by side, channels in
+// the order 0-3, 8-11, 4-7, 12-15 that the interleave below produces;
+// below 16 channels the groups are 8 channels wide, in channel order.
 //
-// Default's three hot loops — GEMM block, requantize-and-store, depthwise
+// Default's hot loops — GEMM block, requantize-and-store, depthwise
 // taps — have two bodies over that layout. gemm_amd64.s is the AVX2 one;
 // gemm_wide.go is portable Go and is the only one on other
 // architectures and under -tags purego. The choice is made once per
 // process (internal/cpufeat: CPUID says AVX2, XGETBV that the OS saves
 // YMM state) and then per op at bind time: an op whose multipliers all
 // have a right shift in [0, 30] binds the assembly, any other op keeps
-// the portable body, whose epilogue is Apply itself. gemmEngine carries
-// the choice as a field so the tests run every compiled-in body against
-// Reference in one process.
+// the portable body, whose epilogue is Apply itself; a depthwise binds
+// the assembly exactly when it has tap pairs (nine taps, C ≥ 8), and
+// below 8 channels runs the portable tap loop. gemmEngine carries the
+// choice as a field so the tests run every compiled-in body against
+// Reference in one process. The average pool has one body on every
+// host: each window tap adds a whole channel row into Scratch.Acc.
 //
 // # Why the assembly is bit-exact
 //
-// GEMM: a panel row is sign-extended to int16 (VPMOVSXBW), an A pair is
-// sign-extended and broadcast, and VPMADDWD forms a₀b₀+a₁b₁ per column in
-// int32. Its only saturating input is four −32768s; with int8-range
-// operands |a₀b₀+a₁b₁| ≤ 2¹⁵, so it never saturates, and VPADDD wraps
-// like Go's int32 — any summation order gives Reference's accumulator.
-// (VPMADDUBSW would be one instruction shorter and is not used: it
-// saturates its int16 pair sums.)
+// GEMM: before the panels are walked, each block of four A rows is
+// sign-extended to int16 once (widen4, VPMOVSXBW sixteen bytes at a time,
+// rows padded to an even length with a zero) into the worker's
+// Scratch.WideA. Then per k-pair a panel row is sign-extended (VPMOVSXBW),
+// each row's pair is one dword broadcast (VPBROADCASTD), and VPMADDWD
+// forms a₀b₀+a₁b₁ per column in int32. Its only saturating input is four
+// −32768s; with int8-range operands |a₀b₀+a₁b₁| ≤ 2¹⁵, so it never
+// saturates, and VPADDD wraps like Go's int32 — any summation order
+// gives Reference's accumulator. The pad element of an odd K meets the
+// panel's zero weight. Dense and the rows%4 tail still sign-extend the
+// pair in the loop (gemm1x16). (VPMADDUBSW would be one instruction
+// shorter and is not used: it saturates its int16 pair sums.)
+//
+// Depthwise: two taps' rows of sixteen channels are sign-extended and
+// interleaved with VPUNPCKLWD/VPUNPCKHWD, which work within each 128-bit
+// lane, so one register holds channels 0-3 and 8-11 and the other 4-7
+// and 12-15, each as (x_t0, x_t1); VPMADDWD against the matching weight
+// pairs gives x_t0·w_t0 + x_t1·w_t1, under 2¹⁵ in magnitude as above.
+// Five pairs cover the nine taps (tap 8 meets a zero weight), VPADDD
+// wraps, and two VPERM2I128 put channels 0-7 and 8-15 back in order
+// before the base row and the requantize. An 8-channel group (C < 16)
+// does the same in X registers, where the unpacks' one 128-bit lane
+// leaves channels 0-3 and 4-7 in order, and one VINSERTI128 joins them.
 //
 // Requantize: for a multiplier with no left shift, Apply's rounding
 // doubling high multiply (x·M0 + nudge)/2³¹, truncating, with nudge 2³⁰

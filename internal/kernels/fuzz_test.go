@@ -21,8 +21,10 @@ import (
 
 // fuzzDims clamps fuzzed geometry into the envelope the runtime actually
 // lowers (and keeps per-exec cost small enough to get useful throughput).
+// Up to 72 channels reach four 16-channel depthwise groups with an
+// overlapped last one, pointwise K past 64 and five output panels.
 func fuzzDims(h, w, inC, outC, kh, kw, stride uint8) (int, int, int, int, int, int, int) {
-	return 1 + int(h%14), 1 + int(w%14), 1 + int(inC%17), 1 + int(outC%17),
+	return 1 + int(h%14), 1 + int(w%14), 1 + int(inC%72), 1 + int(outC%72),
 		1 + int(kh%5), 1 + int(kw%5), 1 + int(stride%3)
 }
 
@@ -85,6 +87,13 @@ func FuzzConv2DParity(f *testing.F) {
 	f.Add(uint8(9), uint8(9), uint8(3), uint8(5), uint8(3), uint8(3), uint8(2), true, int8(-128), int64(2))
 	f.Add(uint8(13), uint8(5), uint8(4), uint8(12), uint8(5), uint8(3), uint8(2), true, int8(127), int64(3))
 	f.Add(uint8(12), uint8(12), uint8(7), uint8(21), uint8(3), uint8(3), uint8(1), true, int8(33), int64(4))
+	// Pointwise K = 17, 33 and 48 (odd, one past a widening chunk, three
+	// chunks) over M = 15, 21 and 35 rows (M%4 != 0) and one to four
+	// panels; the K = 9 3×3 stem over one whole panel.
+	f.Add(uint8(4), uint8(2), uint8(16), uint8(39), uint8(0), uint8(0), uint8(0), false, int8(-7), int64(5))
+	f.Add(uint8(6), uint8(2), uint8(32), uint8(15), uint8(0), uint8(0), uint8(0), false, int8(127), int64(6))
+	f.Add(uint8(6), uint8(4), uint8(47), uint8(63), uint8(0), uint8(0), uint8(0), false, int8(-128), int64(7))
+	f.Add(uint8(13), uint8(13), uint8(0), uint8(15), uint8(2), uint8(2), uint8(1), true, int8(-128), int64(8))
 	f.Fuzz(func(t *testing.T, h, w, inC, outC, kh, kw, stride uint8, same bool, inZp int8, dataSeed int64) {
 		m, in := buildConvCase(graph.OpConv2D, h, w, inC, outC, kh, kw, stride, same, inZp, dataSeed)
 		if m == nil {
@@ -101,6 +110,14 @@ func FuzzDWConv2DParity(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(8), uint8(0), uint8(3), uint8(3), uint8(1), true, int8(-128), int64(1))
 	f.Add(uint8(10), uint8(10), uint8(5), uint8(0), uint8(3), uint8(3), uint8(2), true, int8(4), int64(2))
 	f.Add(uint8(5), uint8(5), uint8(1), uint8(0), uint8(5), uint8(5), uint8(1), false, int8(0), int64(3))
+	// 3×3 at C = 8 (one 8-channel group), 12 (two overlapped ones), 16
+	// (one 16-channel group), 24 and 40 (an overlapped last group),
+	// strides 1 and 2.
+	f.Add(uint8(9), uint8(7), uint8(7), uint8(0), uint8(2), uint8(2), uint8(1), true, int8(5), int64(4))
+	f.Add(uint8(8), uint8(9), uint8(11), uint8(0), uint8(2), uint8(2), uint8(0), true, int8(-3), int64(8))
+	f.Add(uint8(9), uint8(11), uint8(15), uint8(0), uint8(2), uint8(2), uint8(0), true, int8(-128), int64(5))
+	f.Add(uint8(7), uint8(8), uint8(23), uint8(0), uint8(2), uint8(2), uint8(1), true, int8(0), int64(6))
+	f.Add(uint8(6), uint8(13), uint8(39), uint8(0), uint8(2), uint8(2), uint8(0), false, int8(127), int64(7))
 	f.Fuzz(func(t *testing.T, h, w, inC, outC, kh, kw, stride uint8, same bool, inZp int8, dataSeed int64) {
 		m, in := buildConvCase(graph.OpDWConv2D, h, w, inC, outC, kh, kw, stride, same, inZp, dataSeed)
 		if m == nil {
@@ -145,6 +162,43 @@ func FuzzDenseParity(f *testing.F) {
 			in[i] = int8(rng.Intn(256) - 128)
 		}
 		checkParity(t, m, in)
+	})
+}
+
+// FuzzPoolParity compares both pools, VALID windows of any height,
+// width and stride that fit the input, over up to 72 channels and a
+// fuzzed clamp: Default's channel-row average pool (and its max pool)
+// must reproduce Reference's tap-per-channel loops.
+func FuzzPoolParity(f *testing.F) {
+	// Average: the KWS global pool (25×5 window) and a 1×1 window; max: a
+	// strided 2×2 and an overlapping 3×3/stride-2 one.
+	f.Add(uint8(24), uint8(4), uint8(63), uint8(24), uint8(4), uint8(0), uint8(0), true, int8(-128), int64(1))
+	f.Add(uint8(9), uint8(9), uint8(15), uint8(1), uint8(1), uint8(1), uint8(1), false, int8(-128), int64(2))
+	f.Add(uint8(6), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), true, int8(-20), int64(3))
+	f.Add(uint8(12), uint8(10), uint8(39), uint8(2), uint8(2), uint8(1), uint8(1), false, int8(0), int64(4))
+	f.Fuzz(func(t *testing.T, h, w, c, kh, kw, sh, sw uint8, avg bool, lo int8, dataSeed int64) {
+		H, W, C := 1+int(h%30), 1+int(w%30), 1+int(c%72)
+		KH, KW := 1+int(kh)%H, 1+int(kw)%W
+		SH, SW := 1+int(sh%4), 1+int(sw%4)
+		kind := graph.OpMaxPool
+		if avg {
+			kind = graph.OpAvgPool
+		}
+		m := &graph.Model{Name: "fuzz-pool"}
+		m.Tensors = []*graph.Tensor{
+			{ID: 0, Name: "in", H: H, W: W, C: C, Scale: 0.1, Bits: 8},
+			{ID: 1, Name: "out", H: (H-KH)/SH + 1, W: (W-KW)/SW + 1, C: C, Scale: 0.1, Bits: 8},
+		}
+		m.Ops = []*graph.Op{{
+			Kind: kind, Name: "pool", Inputs: []int{0}, Output: 1,
+			KH: KH, KW: KW, SH: SH, SW: SW, ClampMin: int32(lo), ClampMax: 127,
+		}}
+		m.Input, m.Output = 0, 1
+		if err := m.Validate(); err != nil {
+			t.Fatalf("fuzz built invalid model: %v", err)
+		}
+		rng := rand.New(rand.NewSource(dataSeed))
+		checkParity(t, m, randomInput(H*W*C, rng))
 	})
 }
 

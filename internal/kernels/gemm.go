@@ -36,16 +36,23 @@ const (
 // Fork-join grain. Handing a chunk to a parked pool worker and joining
 // it costs about 10 µs (BenchmarkForkJoin is the warm floor), more when
 // the other CPUs are serving other requests. So an op is split only into
-// chunks of about ten times that — 100 µs at its body's GEMM rate,
-// ~32 MAC/ns for the assembly and ~1.5 MAC/ns for the portable
-// microkernels — and anything smaller runs inline on the caller; with
-// the assembly that is every op of every zoo model. A depthwise MAC or a
-// pooled element reuses nothing across channels and costs about three
-// GEMM MACs in either body (dwCost).
+// chunks of about ten times that at its body's GEMM rate, and anything
+// smaller runs inline on the caller. The portable microkernels run
+// ~1.5-2.3 MAC/ns, so 1<<17 MACs is ~60-90 µs. The assembly runs ~48-51
+// MAC/ns single-threaded on KWS-L's and AD-L's pointwise convs
+// (BenchmarkInvokeOpKinds at -cpu 1 on a 2-vCPU Intel Xeon guest), so
+// 3<<20 is ~60 µs: on two workers it splits KWS-L's seven pointwise
+// convs and AD-L's three largest and no other zoo op, and KWS-L's ran
+// 1.08-1.14 ms per invoke split against 1.14-1.22 ms at -cpu 1, so the
+// table gives no reason to move it. A depthwise MAC reuses nothing
+// across channels and costs about five GEMM MACs in either body (~10
+// against ~50 MAC/ns, ~0.4 against ~2); pools charge their window
+// elements the same, which splits none of the zoo's one-row global
+// pools.
 const (
 	forkMACsSIMD   = 3 << 20
 	forkMACsScalar = 1 << 17
-	dwCost         = 3
+	dwCost         = 5
 )
 
 // grain converts an op's per-iteration work (MACs, or window elements
@@ -103,6 +110,55 @@ func packPanels(w []int8, k, n int) []int8 {
 		}
 	}
 	return packed
+}
+
+// dwGroup is the depthwise assembly's channel group: sixteen int16
+// lanes, two taps of eight channels per VPMADDWD. An op of 8 to 15
+// channels runs groups of dwGroup/2 in X registers instead.
+const dwGroup = 16
+
+// pairLanes is the channel of a 16-channel group that each dword lane of
+// VPUNPCKLWD (lanes 0-7) and VPUNPCKHWD (lanes 8-15) holds after two
+// sign-extended tap rows are interleaved: the unpacks work within each
+// 128-bit half. An 8-channel group is one such half, so its lanes keep
+// channel order (pairLanes8).
+var (
+	pairLanes  = [dwGroup]int{0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15}
+	pairLanes8 = [dwGroup / 2]int{0, 1, 2, 3, 4, 5, 6, 7}
+)
+
+// pairTaps interleaves a nine-tap depthwise's [tap][c] weights into the
+// int16 pairs dwPairs9 reads: per group of n = dwGroup channels (n =
+// dwGroup/2 when c < dwGroup) starting at 0, n, … and, when c%n != 0, at
+// c−n (the overlapped last group), five tap pairs (0,1) … (6,7),
+// (8, zero), each 2n int16 holding every lane's two weights side by side
+// in pairLanes (pairLanes8) order.
+func pairTaps(w []int8, c int) []int16 {
+	lanes := pairLanes[:]
+	if c < dwGroup {
+		lanes = pairLanes8[:]
+	}
+	n := len(lanes)
+	groups := (c + n - 1) / n
+	paired := make([]int16, groups*5*2*n)
+	for g := 0; g < groups; g++ {
+		g0 := min(g*n, c-n)
+		for p := 0; p < 5; p++ {
+			dst := paired[(g*5+p)*2*n : (g*5+p+1)*2*n]
+			t0 := w[2*p*c+g0 : 2*p*c+g0+n]
+			for lane, ch := range lanes {
+				dst[2*lane] = int16(t0[ch])
+			}
+			if p == 4 {
+				continue
+			}
+			t1 := w[(2*p+1)*c+g0 : (2*p+1)*c+g0+n]
+			for lane, ch := range lanes {
+				dst[2*lane+1] = int16(t1[ch])
+			}
+		}
+	}
+	return paired
 }
 
 // foldZeroPoint returns bias[oc] − inZp·Σₖ w[k][oc] for a row-major K×N
@@ -175,18 +231,28 @@ func (c *Ctx) requant(ch int, acc int32, e *epilogue) int8 {
 	return int8(clamp32(c.mult(ch).Apply(acc)+e.outZp, e.lo, e.hi))
 }
 
+// evenUp rounds a reduction length up to whole k-pairs: the row length
+// of a widened A block.
+func evenUp(k int) int { return k + k%2 }
+
 // gemmRowsSIMD multiplies rows [0, rows) of a (stride k) against panels
 // [j0, j1) on the assembly microkernels and requantizes into
-// out[(m0+row)*n+col]: gemmMR rows at a time, then one at a time. A
-// partial last panel lands in a stack block first, so the assembly
-// always stores whole panels.
-func gemmRowsSIMD(a []int8, rows, k int, ctx *Ctx, e *epilogue, out []int8, m0, n, j0, j1 int) {
+// out[(m0+row)*n+col]. Each gemmMR-row block is sign-extended once into
+// wide (widen4) and then read by gemm4x16w for every panel; the rows%4
+// tail runs gemm1x16 straight from the int8 rows, so a one-row caller
+// (Dense) may pass a nil wide. A partial last panel lands in a stack
+// block first, so the assembly always stores whole panels.
+func gemmRowsSIMD(a []int8, rows, k int, wide []int16, ctx *Ctx, e *epilogue, out []int8, m0, n, j0, j1 int) {
 	var edge [gemmMR * gemmNR]int8
+	kp := evenUp(k)
 	for i, mr := 0, gemmMR; i < rows; i += mr {
 		if rows-i < gemmMR {
 			mr = 1
 		}
 		ap := &a[i*k : (i+mr)*k][0]
+		if mr == gemmMR {
+			widen4(ap, k, &wide[:gemmMR*kp][0])
+		}
 		for j := j0; j < j1; j++ {
 			col := j * gemmNR
 			dst, ldc := &edge[0], gemmNR
@@ -194,7 +260,7 @@ func gemmRowsSIMD(a []int8, rows, k int, ctx *Ctx, e *epilogue, out []int8, m0, 
 				dst, ldc = &out[(m0+i)*n+col : (m0+i+mr)*n][0], n
 			}
 			if mr == gemmMR {
-				gemm4x16(ap, k, k, &ctx.panels[j*panelBytes(k)], e, col, dst, ldc)
+				gemm4x16w(&wide[0], kp, &ctx.panels[j*panelBytes(k)], e, col, dst, ldc)
 			} else {
 				gemm1x16(ap, k, &ctx.panels[j*panelBytes(k)], e, col, dst)
 			}
@@ -225,9 +291,11 @@ func (g gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out [
 	e := newEpilogue(ctx, op, ot.ZeroPoint)
 	simd := g.simd && ctx.vecRequant
 	panels := (n + gemmNR - 1) / gemmNR
-	rows := func(a []int8, rows, m0 int) {
+	wideLen := len(s.WideA) / Workers()
+	rows := func(chunk int, a []int8, rows, m0 int) {
 		if simd {
-			gemmRowsSIMD(a, rows, k, ctx, e, out, m0, n, 0, panels)
+			wide := s.WideA[chunk*wideLen : (chunk+1)*wideLen]
+			gemmRowsSIMD(a, rows, k, wide, ctx, e, out, m0, n, 0, panels)
 		} else {
 			gemmStoreRowsWide(a, rows, k, ctx, e, out, m0, n)
 		}
@@ -235,7 +303,7 @@ func (g gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out [
 
 	if convIsPointwise(op) {
 		// The NHWC input is already the M×K im2col matrix.
-		fn := func(_, lo, hi int) { rows(in[lo*k:], hi-lo, lo) }
+		fn := func(chunk, lo, hi int) { rows(chunk, in[lo*k:], hi-lo, lo) }
 		minRows := grain(k*n, simd)
 		return func() { s.Par.For(mTotal, minRows, fn) }
 	}
@@ -250,7 +318,7 @@ func (g gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out [
 			m0 := t * gemmTileM
 			m1 := min(m0+gemmTileM, mTotal)
 			im2colTile(op, in, h, w, inC, ow, k, m0, m1, pad, tile)
-			rows(tile, m1-m0, m0)
+			rows(chunk, tile, m1-m0, m0)
 		}
 	}
 	minTiles := grain(gemmTileM*k*n, simd)
@@ -265,7 +333,7 @@ func (g gemmEngine) bindDense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []
 	simd := g.simd && ctx.vecRequant
 	fn := func(_, lo, hi int) {
 		if simd {
-			gemmRowsSIMD(in, 1, k, ctx, e, out, 0, n, lo, hi)
+			gemmRowsSIMD(in, 1, k, nil, ctx, e, out, 0, n, lo, hi)
 		} else {
 			gemmDensePanelsWide(ctx, e, in, out, n, k, lo, hi)
 		}
@@ -287,7 +355,7 @@ func (g gemmEngine) bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out
 	h, w, c := it.H, it.W, it.C
 	oh, ow := ot.H, ot.W
 	e := newEpilogue(ctx, op, ot.ZeroPoint)
-	simd := g.simd && ctx.vecRequant && op.KH*op.KW == 9 && c >= 8
+	simd := g.simd && len(ctx.dwPairs) > 0
 	minRows := grain(dwCost*ow*c*op.KH*op.KW, simd)
 	if simd {
 		fn := func(_, lo, hi int) { dwRowsSIMD(op, ctx, e, in, out, h, w, c, ow, lo, hi) }
@@ -323,11 +391,12 @@ func (g gemmEngine) bindDWConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out
 	return func() { s.Par.For(oh, minRows, fn) }
 }
 
-// dwRowsSIMD runs output rows [lo, hi) of a nine-tap depthwise on the
-// assembly body. The border/interior split is hoisted: columns [x0, x1)
-// of a row whose input rows are all in range see nine valid taps at a
-// constant stride and go to the assembly as one run; every other pixel
-// is a run of one, its padded taps pointed at ctx.dwPad.
+// dwRowsSIMD runs output rows [lo, hi) of a nine-tap depthwise with at
+// least dwGroup/2 channels on the assembly body. The border/interior split
+// is hoisted: columns [x0, x1) of a row whose input rows are all in
+// range see nine valid taps at a constant stride and go to the assembly
+// as one run; every other pixel is a run of one, its padded taps pointed
+// at ctx.dwPad.
 func dwRowsSIMD(op *graph.Op, ctx *Ctx, e *epilogue, in, out []int8, h, w, c, ow, lo, hi int) {
 	x0 := (op.PadLeft + op.SW - 1) / op.SW
 	x1 := min((w-op.KW+op.PadLeft+op.SW)/op.SW, ow)
@@ -348,17 +417,55 @@ func dwRowsSIMD(op *graph.Op, ctx *Ctx, e *epilogue, in, out []int8, h, w, c, ow
 					taps[t] = &in[(iy*w+ix)*c]
 				}
 			}
-			dwTaps9(&taps, &op.Weights[0], c, &ctx.dwBase[0], e, &out[(oy*ow+ox)*c], npix, op.SW*c)
+			dwPairs9(&taps, &ctx.dwPairs[0], c, &ctx.dwBase[0], e, &out[(oy*ow+ox)*c], npix, op.SW*c)
 			ox += npix
 		}
 	}
 }
 
 func (gemmEngine) bindAvgPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func() {
-	ot := m.Tensors[op.Output]
-	fn := func(_, lo, hi int) { avgPoolRows(m, op, in, out, lo, hi) }
+	it, ot := m.Tensors[op.Inputs[0]], m.Tensors[op.Output]
+	c := ot.C
+	accAll := s.Acc
+	fn := func(chunk, lo, hi int) {
+		avgPoolChannelRows(op, in, out, it.H, it.W, c, ot.W, accAll[chunk*c:(chunk+1)*c], lo, hi)
+	}
 	minRows := grain(dwCost*ot.W*ot.C*op.KH*op.KW, false)
 	return func() { s.Par.For(ot.H, minRows, fn) }
+}
+
+// avgPoolChannelRows is Default's average pool over output rows
+// [oy0, oy1): every tap of a window adds its whole channel row into acc,
+// and each channel is rounded once at the end. The integer sums are
+// AvgPool's and so is the rounding (roundDiv), so the bytes are too.
+func avgPoolChannelRows(op *graph.Op, in, out []int8, h, w, c, ow int, acc []int32, oy0, oy1 int) {
+	for oy := oy0; oy < oy1; oy++ {
+		y0 := oy * op.SH
+		y1 := min(y0+op.KH, h)
+		for ox := 0; ox < ow; ox++ {
+			x0 := ox * op.SW
+			x1 := min(x0+op.KW, w)
+			clear(acc)
+			for iy := y0; iy < y1; iy++ {
+				for ix := x0; ix < x1; ix++ {
+					row := in[(iy*w+ix)*c : (iy*w+ix)*c+c]
+					acc := acc[:len(row)]
+					for ch, v := range row {
+						acc[ch] += int32(v)
+					}
+				}
+			}
+			count := int32(max(y1-y0, 0) * max(x1-x0, 0))
+			if count == 0 {
+				count = 1
+			}
+			outRow := out[(oy*ow+ox)*c : (oy*ow+ox)*c+c]
+			acc := acc[:len(outRow)]
+			for ch, sum := range acc {
+				outRow[ch] = int8(clamp32(roundDiv(sum, count), op.ClampMin, op.ClampMax))
+			}
+		}
+	}
 }
 
 func (gemmEngine) bindMaxPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func() {

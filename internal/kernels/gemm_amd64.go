@@ -9,12 +9,15 @@ import "micronets/internal/cpufeat"
 // requantize (Ctx.vecRequant), otherwise it keeps the portable body.
 
 //go:noescape
-func gemm4x16(a *int8, lda, k int, b *int8, e *epilogue, col int, out *int8, ldc int)
+func widen4(a *int8, k int, w *int16)
+
+//go:noescape
+func gemm4x16w(w *int16, kp int, b *int8, e *epilogue, col int, out *int8, ldc int)
 
 //go:noescape
 func gemm1x16(a *int8, k int, b *int8, e *epilogue, col int, out *int8)
 
 //go:noescape
-func dwTaps9(taps *[9]*int8, w *int8, c int, base *int32, e *epilogue, out *int8, npix, step int)
+func dwPairs9(taps *[9]*int8, w *int16, c int, base *int32, e *epilogue, out *int8, npix, step int)
 
 var haveSIMD = cpufeat.AVX2

@@ -117,15 +117,91 @@ GLOBL lowbytes<>(SB), RODATA|NOPTR, $32
 	MOVQ E_RSHIFT(e), R12; \
 	LEAQ (R12)(BX*4), R12
 
-// func gemm4x16(a *int8, lda, k int, b *int8, e *epilogue, col int, out *int8, ldc int)
+// func widen4(a *int8, k int, w *int16)
 //
-// out[r*ldc+c] = requant(bias[col+c] + sum_k a[r*lda+k]*B[k][c]) for
-// r in [0,4), c in [0,16), B one packed panel.
-TEXT ·gemm4x16(SB), NOSPLIT, $0-64
+// Sign-extends the four k-length rows at a (stride k) into the int16
+// block gemm4x16w reads: row r at w[r*kp:], kp = k rounded up to even,
+// w[r*kp+k] = 0 when k is odd. Sixteen values per VPMOVSXBW, the last
+// sixteen of a run overlapping the one before, eight per X-register
+// VPMOVSXBW for runs of 8 to 15, so no byte outside the rows is read
+// and only runs shorter than eight widen one value at a time. An even k
+// leaves no gap between rows, so the block widens as one run of 4k.
+TEXT ·widen4(SB), NOSPLIT, $0-24
 	MOVQ a+0(FP), SI
-	MOVQ lda+8(FP), R8
-	MOVQ k+16(FP), CX
-	MOVQ b+24(FP), DI
+	MOVQ k+8(FP), CX
+	MOVQ w+16(FP), DI
+	MOVQ $4, R8
+	MOVQ CX, R9
+	LEAQ 2(CX)(CX*1), R10
+	TESTQ $1, CX
+	JNZ   wrow
+	SHLQ  $2, R9
+	MOVQ  $1, R8
+
+wrow:
+	XORQ AX, AX
+	CMPQ R9, $16
+	JLT  w8
+	LEAQ -16(R9), BX
+
+w16:
+	CMPQ AX, BX
+	JGE  w16last
+	VPMOVSXBW (SI)(AX*1), Y0
+	VMOVDQU   Y0, (DI)(AX*2)
+	ADDQ      $16, AX
+	JMP       w16
+
+w16last:
+	VPMOVSXBW (SI)(BX*1), Y0
+	VMOVDQU   Y0, (DI)(BX*2)
+	JMP       wpad
+
+w8:
+	CMPQ      R9, $8
+	JLT       w1
+	VPMOVSXBW (SI), X0
+	VMOVDQU   X0, (DI)
+	VPMOVSXBW -8(SI)(R9*1), X0
+	VMOVDQU   X0, -16(DI)(R9*2)
+	JMP       wpad
+
+w1:
+	MOVBLSX (SI)(AX*1), BX
+	MOVW    BX, (DI)(AX*2)
+	INCQ    AX
+	CMPQ    AX, R9
+	JLT     w1
+
+wpad:
+	TESTQ $1, CX
+	JZ    wdone
+	MOVW  $0, (DI)(CX*2)
+	ADDQ  CX, SI
+	ADDQ  R10, DI
+	DECQ  R8
+	JNZ   wrow
+
+wdone:
+	VZEROUPPER
+	RET
+
+// WIDEPAIR broadcasts the widened k-pair at addr (two int16, one dword)
+// to every dword of Y10 and accumulates it.
+#define WIDEPAIR(addr, lo, hi) \
+	VPBROADCASTD addr, Y10; \
+	MADD(lo, hi)
+
+// func gemm4x16w(w *int16, kp int, b *int8, e *epilogue, col int, out *int8, ldc int)
+//
+// out[r*ldc+c] = requant(bias[col+c] + sum_k w[r*kp+k]*B[k][c]) for
+// r in [0,4), c in [0,16), w the block widen4 built (kp even, the
+// padding element zero) and B one packed panel.
+TEXT ·gemm4x16w(SB), NOSPLIT, $0-56
+	MOVQ w+0(FP), SI
+	MOVQ kp+8(FP), CX
+	MOVQ b+16(FP), DI
+	LEAQ (CX)(CX*1), R8
 	LEAQ (R8)(R8*2), R9
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
@@ -135,36 +211,26 @@ TEXT ·gemm4x16(SB), NOSPLIT, $0-64
 	VPXOR Y5, Y5, Y5
 	VPXOR Y6, Y6, Y6
 	VPXOR Y7, Y7, Y7
-	MOVQ CX, AX
 	SHRQ $1, CX
-	JZ   tail4
+	JZ   epi4
 
 loop4:
 	LOADB
-	ROWPAIR((SI), Y0, Y1)
-	ROWPAIR((SI)(R8*1), Y2, Y3)
-	ROWPAIR((SI)(R8*2), Y4, Y5)
-	ROWPAIR((SI)(R9*1), Y6, Y7)
-	ADDQ $2, SI
+	WIDEPAIR((SI), Y0, Y1)
+	WIDEPAIR((SI)(R8*1), Y2, Y3)
+	WIDEPAIR((SI)(R8*2), Y4, Y5)
+	WIDEPAIR((SI)(R9*1), Y6, Y7)
+	ADDQ $4, SI
 	ADDQ $32, DI
 	DECQ CX
 	JNZ  loop4
 
-tail4:
-	TESTQ $1, AX
-	JZ    epi4
-	LOADB
-	ROWLAST((SI), Y0, Y1)
-	ROWLAST((SI)(R8*1), Y2, Y3)
-	ROWLAST((SI)(R8*2), Y4, Y5)
-	ROWLAST((SI)(R9*1), Y6, Y7)
-
 epi4:
-	MOVQ e+32(FP), AX
-	EPIPTRS(AX, col+40(FP))
+	MOVQ e+24(FP), AX
+	EPIPTRS(AX, col+32(FP))
 	LOADCONST(AX)
-	MOVQ out+48(FP), DX
-	MOVQ ldc+56(FP), R13
+	MOVQ out+40(FP), DX
+	MOVQ ldc+48(FP), R13
 	LEAQ (R13)(R13*2), BX
 	VPADDD (R10), Y0, Y0
 	VPADDD 32(R10), Y1, Y1
@@ -224,24 +290,68 @@ epi1:
 	VZEROUPPER
 	RET
 
-// DWTAP accumulates tap t of a depthwise pixel for eight channels:
-// AX = tap pointer table, DX = pixel offset + channel, BX walks the
-// [tap][c] weights in steps of c (CX).
-#define DWTAP(t) \
-	MOVQ (t*8)(AX), SI; \
-	VPMOVSXBD (SI)(DX*1), Y8; \
-	VPMOVSXBD (BX), Y9; \
-	ADDQ CX, BX; \
-	VPMULLD Y8, Y9, Y9; \
-	VPADDD Y9, Y0, Y0
+// DWPAIR accumulates taps t0 and t1 of a depthwise pixel for sixteen
+// channels: AX = tap pointer table, DX = pixel offset + channel, BX the
+// group's interleaved weights (PrepareConv's dwPairs), off the pair's
+// byte offset in them. The two rows are sign-extended and interleaved
+// (VPUNPCKLWD/VPUNPCKHWD work within each 128-bit lane) so every dword
+// holds one channel's (x_t0, x_t1), which VPMADDWD turns into
+// x_t0*w_t0 + x_t1*w_t1: Y0 collects channels 0-3 and 8-11, Y1 channels
+// 4-7 and 12-15.
+#define DWPAIR(t0, t1, off) \
+	MOVQ (t0*8)(AX), SI; \
+	VPMOVSXBW (SI)(DX*1), Y8; \
+	MOVQ (t1*8)(AX), SI; \
+	VPMOVSXBW (SI)(DX*1), Y9; \
+	DWMADD(Y9, off)
 
-// func dwTaps9(taps *[9]*int8, w *int8, c int, base *int32, e *epilogue, out *int8, npix, step int)
+// DWLAST is DWPAIR for tap 8, paired with itself against a zero weight.
+#define DWLAST(off) \
+	MOVQ (8*8)(AX), SI; \
+	VPMOVSXBW (SI)(DX*1), Y8; \
+	DWMADD(Y8, off)
+
+// DWMADD interleaves Y8 with the second tap's row and accumulates.
+#define DWMADD(second, off) \
+	VPUNPCKLWD second, Y8, Y10; \
+	VPUNPCKHWD second, Y8, Y11; \
+	VPMADDWD off(BX), Y10, Y10; \
+	VPMADDWD (off+32)(BX), Y11, Y11; \
+	VPADDD Y10, Y0, Y0; \
+	VPADDD Y11, Y1, Y1
+
+// DWPAIRX, DWLASTX and DWMADDX are DWPAIR, DWLAST and DWMADD for an
+// eight-channel group in X registers: the unpacks then leave channels
+// 0-3 in X10 and 4-7 in X11, already in order, for X0 and X1.
+#define DWPAIRX(t0, t1, off) \
+	MOVQ (t0*8)(AX), SI; \
+	VPMOVSXBW (SI)(DX*1), X8; \
+	MOVQ (t1*8)(AX), SI; \
+	VPMOVSXBW (SI)(DX*1), X9; \
+	DWMADDX(X9, off)
+
+#define DWLASTX(off) \
+	MOVQ (8*8)(AX), SI; \
+	VPMOVSXBW (SI)(DX*1), X8; \
+	DWMADDX(X8, off)
+
+#define DWMADDX(second, off) \
+	VPUNPCKLWD second, X8, X10; \
+	VPUNPCKHWD second, X8, X11; \
+	VPMADDWD off(BX), X10, X10; \
+	VPMADDWD (off+16)(BX), X11, X11; \
+	VPADDD X10, X0, X0; \
+	VPADDD X11, X1, X1
+
+// func dwPairs9(taps *[9]*int8, w *int16, c int, base *int32, e *epilogue, out *int8, npix, step int)
 //
 // Nine-tap depthwise over npix consecutive output pixels, channels
-// innermost in groups of eight (the last group overlaps the one before
-// when c%8 != 0, so c >= 8 and nothing outside [0,c) is touched):
-// out[p*c+ch] = requant(base[ch] + sum_t taps[t][p*step+ch]*w[t*c+ch]).
-TEXT ·dwTaps9(SB), NOSPLIT, $0-64
+// innermost in groups of sixteen, or of eight when c < 16 (the last group
+// overlaps the one before when c is not a multiple of the group, so
+// c >= 8 and nothing outside [0,c) is touched):
+// out[p*c+ch] = requant(base[ch] + sum_t taps[t][p*step+ch]*w_t[ch]),
+// w holding each group's five tap pairs as DWPAIR (DWPAIRX) reads them.
+TEXT ·dwPairs9(SB), NOSPLIT, $0-64
 	MOVQ taps+0(FP), AX
 	MOVQ c+16(FP), CX
 	MOVQ out+40(FP), DI
@@ -249,38 +359,42 @@ TEXT ·dwTaps9(SB), NOSPLIT, $0-64
 	MOVQ e+32(FP), R13
 	LOADCONST(R13)
 	XORQ R10, R10
+	CMPQ CX, $16
+	JLT  dw8pixel
 
 dwpixel:
 	XORQ R9, R9
+	MOVQ w+8(FP), BX
 
 dwgroup:
-	MOVQ base+24(FP), R13
-	VMOVDQU (R13)(R9*4), Y0
-	MOVQ w+8(FP), BX
-	ADDQ R9, BX
 	LEAQ (R10)(R9*1), DX
-	DWTAP(0)
-	DWTAP(1)
-	DWTAP(2)
-	DWTAP(3)
-	DWTAP(4)
-	DWTAP(5)
-	DWTAP(6)
-	DWTAP(7)
-	DWTAP(8)
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	DWPAIR(0, 1, 0)
+	DWPAIR(2, 3, 64)
+	DWPAIR(4, 5, 128)
+	DWPAIR(6, 7, 192)
+	DWLAST(256)
+	VPERM2I128 $0x20, Y1, Y0, Y2
+	VPERM2I128 $0x31, Y1, Y0, Y3
+	MOVQ base+24(FP), R13
+	VPADDD (R13)(R9*4), Y2, Y2
+	VPADDD 32(R13)(R9*4), Y3, Y3
 	MOVQ e+32(FP), R13
 	MOVQ E_M0(R13), R11
 	LEAQ (R11)(R9*4), R11
 	MOVQ E_RSHIFT(R13), R12
 	LEAQ (R12)(R9*4), R12
-	REQUANT(Y0, X0, 0, (DI)(R9*1))
-	ADDQ $8, R9
+	REQUANT(Y2, X2, 0, (DI)(R9*1))
+	REQUANT(Y3, X3, 32, 8(DI)(R9*1))
+	ADDQ $320, BX
+	ADDQ $16, R9
 	CMPQ R9, CX
 	JGE  dwnext
-	LEAQ 8(R9), R13
+	LEAQ 16(R9), R13
 	CMPQ R13, CX
 	JLE  dwgroup
-	LEAQ -8(CX), R9
+	LEAQ -16(CX), R9
 	JMP  dwgroup
 
 dwnext:
@@ -288,5 +402,42 @@ dwnext:
 	ADDQ CX, DI
 	DECQ R8
 	JNZ  dwpixel
+	VZEROUPPER
+	RET
+
+dw8pixel:
+	XORQ R9, R9
+	MOVQ w+8(FP), BX
+
+dw8group:
+	LEAQ (R10)(R9*1), DX
+	VPXOR X0, X0, X0
+	VPXOR X1, X1, X1
+	DWPAIRX(0, 1, 0)
+	DWPAIRX(2, 3, 32)
+	DWPAIRX(4, 5, 64)
+	DWPAIRX(6, 7, 96)
+	DWLASTX(128)
+	VINSERTI128 $1, X1, Y0, Y2
+	MOVQ base+24(FP), R13
+	VPADDD (R13)(R9*4), Y2, Y2
+	MOVQ e+32(FP), R13
+	MOVQ E_M0(R13), R11
+	LEAQ (R11)(R9*4), R11
+	MOVQ E_RSHIFT(R13), R12
+	LEAQ (R12)(R9*4), R12
+	REQUANT(Y2, X2, 0, (DI)(R9*1))
+	ADDQ $160, BX
+	ADDQ $8, R9
+	CMPQ R9, CX
+	JGE  dw8next
+	LEAQ -8(CX), R9
+	JMP  dw8group
+
+dw8next:
+	ADDQ step+56(FP), R10
+	ADDQ CX, DI
+	DECQ R8
+	JNZ  dw8pixel
 	VZEROUPPER
 	RET

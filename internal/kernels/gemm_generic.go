@@ -8,7 +8,11 @@ package kernels
 
 const haveSIMD = false
 
-func gemm4x16(a *int8, lda, k int, b *int8, e *epilogue, col int, out *int8, ldc int) {
+func widen4(a *int8, k int, w *int16) {
+	panic("kernels: no assembly body on this build")
+}
+
+func gemm4x16w(w *int16, kp int, b *int8, e *epilogue, col int, out *int8, ldc int) {
 	panic("kernels: no assembly body on this build")
 }
 
@@ -16,6 +20,6 @@ func gemm1x16(a *int8, k int, b *int8, e *epilogue, col int, out *int8) {
 	panic("kernels: no assembly body on this build")
 }
 
-func dwTaps9(taps *[9]*int8, w *int8, c int, base *int32, e *epilogue, out *int8, npix, step int) {
+func dwPairs9(taps *[9]*int8, w *int16, c int, base *int32, e *epilogue, out *int8, npix, step int) {
 	panic("kernels: no assembly body on this build")
 }

@@ -32,9 +32,13 @@ type Ctx struct {
 	// the accumulator every output pixel starts from; dwPad is one pixel
 	// of input zero points that padded taps read instead of the input,
 	// which cancels the folded term exactly — so border and interior
-	// pixels run the same tap loop.
-	dwBase []int32
-	dwPad  []int8
+	// pixels run the same tap loop. dwPairs is the weights interleaved
+	// for the assembly's tap-pair body (pairTaps), built only for
+	// nine-tap ops of at least dwGroup/2 channels on hosts that run it;
+	// its presence is what binds that body.
+	dwBase  []int32
+	dwPad   []int8
+	dwPairs []int16
 }
 
 // vectorShift reports whether a right shift is in the vector requantize's
@@ -73,6 +77,9 @@ func PrepareConv(m *graph.Model, op *graph.Op) *Ctx {
 		ctx.dwPad = make([]int8, out.C)
 		for i := range ctx.dwPad {
 			ctx.dwPad[i] = int8(in.ZeroPoint)
+		}
+		if haveSIMD && ctx.vecRequant && op.KH*op.KW == 9 && out.C >= dwGroup/2 {
+			ctx.dwPairs = pairTaps(op.Weights, out.C)
 		}
 		return ctx
 	default:
@@ -178,17 +185,11 @@ func Dense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8) {
 // parameters (as arranged by the exporter), so only integer averaging with
 // round-to-nearest is required.
 func AvgPool(m *graph.Model, op *graph.Op, in, out []int8) {
-	avgPoolRows(m, op, in, out, 0, m.Tensors[op.Output].H)
-}
-
-// avgPoolRows pools output rows [oy0, oy1); the Default engine calls it per
-// band, the Reference engine with the full range.
-func avgPoolRows(m *graph.Model, op *graph.Op, in, out []int8, oy0, oy1 int) {
 	it := m.Tensors[op.Inputs[0]]
 	ot := m.Tensors[op.Output]
 	h, w, c := it.H, it.W, it.C
-	ow := ot.W
-	for oy := oy0; oy < oy1; oy++ {
+	oh, ow := ot.H, ot.W
+	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			outBase := (oy*ow + ox) * c
 			for ch := 0; ch < c; ch++ {
@@ -210,16 +211,19 @@ func avgPoolRows(m *graph.Model, op *graph.Op, in, out []int8, oy0, oy1 int) {
 				if count == 0 {
 					count = 1
 				}
-				var v int32
-				if sum >= 0 {
-					v = (sum + count/2) / count
-				} else {
-					v = (sum - count/2) / count
-				}
-				out[outBase+ch] = int8(clamp32(v, op.ClampMin, op.ClampMax))
+				out[outBase+ch] = int8(clamp32(roundDiv(sum, count), op.ClampMin, op.ClampMax))
 			}
 		}
 	}
+}
+
+// roundDiv is the average pools' integer mean: sum/count rounded to
+// nearest, halves away from zero.
+func roundDiv(sum, count int32) int32 {
+	if sum >= 0 {
+		return (sum + count/2) / count
+	}
+	return (sum - count/2) / count
 }
 
 // MaxPool executes max pooling.

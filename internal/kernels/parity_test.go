@@ -62,6 +62,13 @@ func convCases() []convCase {
 		{h: 6, w: 5, inC: 276, outC: 2, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, inZp: -128},
 		{h: 9, w: 9, inC: 24, outC: 8, kh: 3, kw: 3, sh: 2, sw: 2, padB: 1, padR: 1},
 		{h: 4, w: 12, inC: 8, outC: 4, kh: 1, kw: 9, sh: 1, sw: 1, padL: 4, padR: 4, inZp: 9},
+		// As depthwise: the 16-channel tap-pair groups, one exactly and
+		// three with an overlapped last one, and the 1×9 kernel on them;
+		// then two overlapped 8-channel groups.
+		{h: 7, w: 9, inC: 16, outC: 3, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, inZp: 127},
+		{h: 8, w: 6, inC: 40, outC: 5, kh: 3, kw: 3, sh: 2, sw: 2, padB: 1, padR: 1, inZp: -2},
+		{h: 4, w: 12, inC: 20, outC: 4, kh: 1, kw: 9, sh: 1, sw: 1, padL: 4, padR: 4, inZp: -9},
+		{h: 6, w: 7, inC: 12, outC: 3, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, inZp: -5},
 	}
 }
 

@@ -37,15 +37,15 @@ func PrepareModel(m *graph.Model) *PreparedModel {
 func (p *PreparedModel) Ctx(i int) *Ctx { return p.ctxs[i] }
 
 // Bytes is the RAM footprint of the prepared state: packed panels,
-// folded biases, depthwise base rows, and multipliers summed over all
-// ops. With sharing this is paid once per model; without it, once per
-// replica.
+// folded biases, depthwise base rows and tap pairs, and multipliers
+// summed over all ops. With sharing this is paid once per model;
+// without it, once per replica.
 func (p *PreparedModel) Bytes() int { return p.bytes }
 
 // Bytes is the RAM footprint of one op's prepared context: the capacity
 // of every slice it holds, padding included (TestCtxBytesCountsEverySlice
 // keeps the list complete).
 func (c *Ctx) Bytes() int {
-	return cap(c.panels) + cap(c.dwPad) +
+	return cap(c.panels) + cap(c.dwPad) + 2*cap(c.dwPairs) +
 		4*(cap(c.m0)+cap(c.rshift)+cap(c.zpBias)+cap(c.dwBase))
 }

@@ -19,8 +19,13 @@ type Scratch struct {
 	// (Engine.ScratchBytes). Interpreters carve it from the arena tail so
 	// it stays planner-accounted.
 	Im2col []int8
-	// Acc is the depthwise engine's per-worker int32 accumulator rows:
-	// Workers() × the widest depthwise channel count.
+	// WideA is the assembly GEMM's per-worker A block: Workers() blocks of
+	// gemmMR rows sign-extended to int16, each row the widest conv's K
+	// rounded up to even. Only hosts that run the assembly get one.
+	WideA []int16
+	// Acc is the per-worker int32 accumulator row of the portable
+	// depthwise loop and of the average pool: Workers() × the widest
+	// depthwise or average-pool channel count.
 	Acc []int32
 	// F64 is the softmax staging buffer, sized for the widest softmax.
 	F64 []float64
@@ -31,18 +36,21 @@ type Scratch struct {
 // convs) and allocating the typed regions the model's ops need.
 func NewScratch(m *graph.Model, im2col []int8) *Scratch {
 	s := &Scratch{Im2col: im2col}
-	maxC, maxSoft := 0, 0
+	maxC, maxK, maxSoft := 0, 0, 0
 	for _, op := range m.Ops {
 		switch op.Kind {
-		case graph.OpDWConv2D:
-			if c := m.Tensors[op.Output].C; c > maxC {
-				maxC = c
-			}
+		case graph.OpConv2D:
+			maxK = max(maxK, convK(m, op))
+		case graph.OpDWConv2D, graph.OpAvgPool:
+			maxC = max(maxC, m.Tensors[op.Output].C)
 		case graph.OpSoftmax:
 			if n := m.Tensors[op.Inputs[0]].Elems(); n > maxSoft {
 				maxSoft = n
 			}
 		}
+	}
+	if haveSIMD && maxK > 0 {
+		s.WideA = make([]int16, Workers()*gemmMR*evenUp(maxK))
 	}
 	if maxC > 0 {
 		s.Acc = make([]int32, Workers()*maxC)
