@@ -9,15 +9,18 @@ import (
 	"micronets/internal/graph"
 )
 
-// runOp executes the single-input one-op model m on eng the way an
-// interpreter does — prepare, size scratch, BindOp once, call — and
-// returns the output bytes.
-func runOp(t testing.TB, eng Engine, m *graph.Model, in []int8) []int8 {
+// runOp executes the one-op model m on eng the way an interpreter does —
+// prepare, size scratch, BindOp once, call — with in[i] as the op's
+// input i, and returns the output bytes.
+func runOp(t testing.TB, eng Engine, m *graph.Model, in ...[]int8) []int8 {
 	t.Helper()
 	op := m.Ops[0]
 	out := make([]int8, m.Tensors[op.Output].Elems())
 	bufs := make([][]int8, len(m.Tensors))
-	bufs[op.Inputs[0]], bufs[op.Output] = in, out
+	for i, id := range op.Inputs {
+		bufs[id] = in[i]
+	}
+	bufs[op.Output] = out
 	s := NewScratch(m, make([]int8, eng.ScratchBytes(m)))
 	fn, err := BindOp(eng, m, op, PrepareModel(m).Ctx(0), bufs, s)
 	if err != nil {
@@ -41,11 +44,11 @@ func defaultBodies() map[string]Engine {
 
 // checkParity requires every Default body to reproduce Reference byte
 // for byte.
-func checkParity(t testing.TB, m *graph.Model, in []int8) {
+func checkParity(t testing.TB, m *graph.Model, in ...[]int8) {
 	t.Helper()
-	want := runOp(t, Reference, m, in)
+	want := runOp(t, Reference, m, in...)
 	for body, eng := range defaultBodies() {
-		got := runOp(t, eng, m, in)
+		got := runOp(t, eng, m, in...)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s parity: out[%d] %s/%s=%d reference=%d (op %+v)",
@@ -72,7 +75,7 @@ func TestBindOpRejectsUnsupportedOp(t *testing.T) {
 
 // TestScalarRequantOutsideVectorDomain: an op with a multiplier >= 1
 // (left shift) or below 2^-31 (right shift past 30) is outside the
-// assembly epilogue's domain. Prepare must mark it, and every body must
+// assembly requantize's domain. Prepare must mark it, and every body must
 // still match Reference — the simd engine by binding the portable body.
 func TestScalarRequantOutsideVectorDomain(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -86,6 +89,15 @@ func TestScalarRequantOutsideVectorDomain(t *testing.T) {
 			}
 			checkParity(t, m, randomInput(m.Tensors[0].Elems(), rng))
 		}
+	}
+	// ADD: a 10^-12 input ratio puts b's right shift past 30, a 10^-6
+	// output ratio the output's, and a 10^6 one needs a left shift.
+	for _, r := range [][2]float64{{1, 1e-12}, {1e-6, 1e-6}, {1e6, 1}} {
+		m := addModel(37, 0.05*r[0], 0.05*r[1], 0.05, -3, 9, -1, -128, 127)
+		if prepareAdd(m, m.Ops[0]).vecRequant {
+			t.Fatalf("ADD with input ratios %v must not be marked for the vector requantize", r)
+		}
+		checkParity(t, m, randomInput(37, rng), randomInput(37, rng))
 	}
 }
 

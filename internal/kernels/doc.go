@@ -32,7 +32,7 @@
 // below 16 channels the groups are 8 channels wide, in channel order.
 //
 // Default's hot loops — GEMM block, requantize-and-store, depthwise
-// taps — have two bodies over that layout. gemm_amd64.s is the AVX2 one;
+// taps, ADD — have two bodies over that layout. gemm_amd64.s is the AVX2 one;
 // gemm_wide.go is portable Go and is the only one on other
 // architectures and under -tags purego. The choice is made once per
 // process (internal/cpufeat: CPUID says AVX2, XGETBV that the OS saves
@@ -40,7 +40,9 @@
 // have a right shift in [0, 30] binds the assembly, any other op keeps
 // the portable body, whose epilogue is Apply itself; a depthwise binds
 // the assembly exactly when it has tap pairs (nine taps, C ≥ 8), and
-// below 8 channels runs the portable tap loop. gemmEngine carries the
+// below 8 channels runs the portable tap loop, and an ADD binds it
+// exactly when its three multipliers (prepareAdd) have right shifts in
+// [0, 30]. gemmEngine carries the
 // choice as a field so the tests run every compiled-in body against
 // Reference in one process. The average pool has one body on every
 // host: each window tap adds a whole channel row into Scratch.Acc.
@@ -80,6 +82,16 @@
 // shift that follows compares a remainder with a threshold, both below
 // 2³⁰ when the shift is at most 30, so it is done in 32-bit lanes
 // (VPSRAVD, VPCMPGTD). FuzzRequantize checks the sequence lane for lane.
+//
+// ADD: TFLM's integer-only form has no accumulator to get wrong, only
+// the requantize three times. Each input less its zero point is in
+// [−255, 255], so shifted left 20 bits it stays below 2²⁸ and VPSLLD
+// loses nothing; each input multiplier is at most 0.5, so the two
+// rescaled terms sum without overflow in VPADDD. Each of the three
+// rescales is the requantize's multiply and shift above (SRDHM, RDPOT,
+// with one broadcast multiplier per rescale), and only the output's
+// adds the zero point, clamps and narrows (NARROW). An ADD whose
+// multipliers leave that domain binds the portable loop, Add itself.
 //
 // # Writing the assembly
 //

@@ -9,7 +9,8 @@ import (
 // truth) and Default (im2col + cache-blocked parallel int8 GEMM over
 // 16-column weight panels, the host path every interpreter uses). Both
 // produce bit-exact identical int8 outputs; the parity and fuzz tests
-// enforce it. Elementwise ops (Add, Softmax) are engine-independent.
+// enforce it. Add binds per engine too (Default runs eight lanes at a
+// time where the assembly can); Softmax is engine-independent.
 //
 // The interface is sealed: the unexported bind methods resolve one op
 // into an allocation-free executor, and BindOp is the only way to run an
@@ -26,6 +27,7 @@ type Engine interface {
 	bindDense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []int8, s *Scratch) func()
 	bindAvgPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func()
 	bindMaxPool(m *graph.Model, op *graph.Op, in, out []int8, s *Scratch) func()
+	bindAdd(m *graph.Model, op *graph.Op, ctx *Ctx, a, b, out []int8, s *Scratch) func()
 }
 
 // Reference is the naive direct-convolution engine: one quadruple-nested

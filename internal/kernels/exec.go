@@ -36,8 +36,7 @@ func BindOp(eng Engine, m *graph.Model, op *graph.Op, ctx *Ctx, bufs [][]int8, s
 	case graph.OpMaxPool:
 		return eng.bindMaxPool(m, op, bufs[op.Inputs[0]], out, s), nil
 	case graph.OpAdd:
-		x, y := bufs[op.Inputs[0]], bufs[op.Inputs[1]]
-		return func() { Add(m, op, x, y, out) }, nil
+		return eng.bindAdd(m, op, ctx, bufs[op.Inputs[0]], bufs[op.Inputs[1]], out, s), nil
 	case graph.OpSoftmax:
 		in := bufs[op.Inputs[0]]
 		logits := s.F64[:m.Tensors[op.Inputs[0]].Elems()]
@@ -67,4 +66,8 @@ func (refEngine) bindAvgPool(m *graph.Model, op *graph.Op, in, out []int8, _ *Sc
 
 func (refEngine) bindMaxPool(m *graph.Model, op *graph.Op, in, out []int8, _ *Scratch) func() {
 	return func() { MaxPool(m, op, in, out) }
+}
+
+func (refEngine) bindAdd(m *graph.Model, op *graph.Op, ctx *Ctx, a, b, out []int8, _ *Scratch) func() {
+	return func() { Add(m, op, ctx, a, b, out) }
 }

@@ -177,9 +177,11 @@ func foldZeroPoint(w []int8, k, n int, bias []int32, inZp int32, lanes int) []in
 }
 
 // im2colTile gathers output pixels [m0, m1) into tile, one K-length patch
-// per row in (ky, kx, ic) order — the same order the weights use. Padding
-// positions are filled with the input zero point, which the folded bias
-// cancels exactly.
+// per row in (ky, kx, ic) order — the same order the weights use. A
+// kernel row wholly inside the input is one contiguous KW·inC run of it
+// and is copied at once; a border row goes tap by tap. Padding positions
+// are filled with the input zero point, which the folded bias cancels
+// exactly.
 func im2colTile(op *graph.Op, in []int8, h, w, inC int, ow, k, m0, m1 int, pad int8, tile []int8) {
 	rowBytes := op.KW * inC
 	for mm := m0; mm < m1; mm++ {
@@ -194,8 +196,13 @@ func im2colTile(op *graph.Op, in []int8, h, w, inC int, ow, k, m0, m1 int, pad i
 				}
 				continue
 			}
+			ix0 := ox*op.SW - op.PadLeft
+			if ix0 >= 0 && ix0+op.KW <= w {
+				copy(d, in[(iy*w+ix0)*inC:])
+				continue
+			}
 			for kx := 0; kx < op.KW; kx++ {
-				ix := ox*op.SW + kx - op.PadLeft
+				ix := ix0 + kx
 				seg := d[kx*inC : kx*inC+inC]
 				if ix < 0 || ix >= w {
 					for i := range seg {
@@ -473,4 +480,23 @@ func (gemmEngine) bindMaxPool(m *graph.Model, op *graph.Op, in, out []int8, s *S
 	fn := func(_, lo, hi int) { maxPoolRows(m, op, in, out, lo, hi) }
 	minRows := grain(dwCost*ot.W*ot.C*op.KH*op.KW, false)
 	return func() { s.Par.For(ot.H, minRows, fn) }
+}
+
+// bindAdd runs an ADD eight elements at a time on the assembly (addVec)
+// when every multiplier is in the vector requantize's domain, with the
+// portable loop for the last len%8 elements; any other op, and every op
+// on the portable body set, runs the portable loop throughout. An ADD is
+// a few microseconds of streaming work, so it runs on one worker.
+func (g gemmEngine) bindAdd(m *graph.Model, op *graph.Op, ctx *Ctx, a, b, out []int8, _ *Scratch) func() {
+	p := newAddParams(m, op, ctx)
+	if !g.simd || !ctx.vecRequant {
+		return func() { p.add(a, b, out) }
+	}
+	n := len(out) &^ 7
+	return func() {
+		if n > 0 {
+			addVec(&a[0], &b[0], n, &p, &out[0])
+		}
+		p.add(a[n:], b[n:], out[n:])
+	}
 }

@@ -20,4 +20,7 @@ func gemm1x16(a *int8, k int, b *int8, e *epilogue, col int, out *int8)
 //go:noescape
 func dwPairs9(taps *[9]*int8, w *int16, c int, base *int32, e *epilogue, out *int8, npix, step int)
 
+//go:noescape
+func addVec(a, b *int8, n int, p *addParams, out *int8)
+
 var haveSIMD = cpufeat.AVX2

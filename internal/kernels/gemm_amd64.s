@@ -18,6 +18,15 @@
 #define E_LO 28
 #define E_HI 32
 
+// Field offsets of the addParams struct (ops.go).
+#define A_M0 0
+#define A_RSHIFT 12
+#define A_AZP 24
+#define A_BZP 28
+#define A_OUTZP 32
+#define A_LO 36
+#define A_HI 40
+
 // 2^30, the rounding term of the doubling high multiply.
 DATA round30<>+0(SB)/8, $0x40000000
 GLOBL round30<>(SB), RODATA|NOPTR, $8
@@ -38,35 +47,42 @@ GLOBL lowbytes<>(SB), RODATA|NOPTR, $32
 	VPBROADCASTD E_OUTZP(e), Y14; \
 	VPBROADCASTQ round30<>(SB), Y15
 
-// REQUANT turns the eight int32 lanes of acc into eight int8 at dst:
-// high = (acc*m0 + 2^30) >> 31 through two VPMULDQ (even and odd lanes;
+// SRDHM is the rounding doubling high multiply of eight int32 lanes:
+// acc = (acc*m + 2^30) >> 31 through two VPMULDQ, which read the low
+// dword of each qword: m for the even lanes, mhi (m shifted down 32 bits,
+// or m itself when every lane holds one multiplier) for the odd ones.
 // VPSRLQ 31 / VPSLLQ 1 leave bits 31..62 of each product in the lane's
-// own dword), then the round-half-away-from-zero right shift of
-// RoundingDivideByPOT (remainder vs threshold, all in 32 bits), output
-// zero point, clamp, and the low byte of every lane. m0 lanes are read
-// at off(R11), right shifts at off(R12); clobbers Y8-Y11.
-#define REQUANT(acc, accx, off, dst) \
-	VMOVDQU off(R11), Y8; \
+// own dword. Needs Y15 = 2^30 per qword; m and mhi are kept; clobbers
+// Y9 and Y11.
+#define SRDHM(acc, m, mhi) \
 	VPSRLQ $32, acc, Y9; \
-	VPSRLQ $32, Y8, Y10; \
-	VPMULDQ Y8, acc, Y8; \
-	VPMULDQ Y10, Y9, Y9; \
-	VPADDQ Y15, Y8, Y8; \
+	VPMULDQ m, acc, Y11; \
+	VPMULDQ mhi, Y9, Y9; \
+	VPADDQ Y15, Y11, Y11; \
 	VPADDQ Y15, Y9, Y9; \
-	VPSRLQ $31, Y8, Y8; \
+	VPSRLQ $31, Y11, Y11; \
 	VPSLLQ $1, Y9, Y9; \
-	VPBLENDD $0xAA, Y9, Y8, acc; \
-	VMOVDQU off(R12), Y8; \
+	VPBLENDD $0xAA, Y9, Y11, acc
+
+// RDPOT is RoundingDivideByPOT of eight int32 lanes by the right shifts
+// in rs (each in [0, 30]): an arithmetic shift, plus one where the
+// remainder exceeds the threshold (half the divisor, one more for a
+// negative lane), all in 32 bits. rs is kept; clobbers Y9-Y11.
+#define RDPOT(acc, rs) \
 	VPCMPEQD Y9, Y9, Y9; \
-	VPSLLVD Y8, Y9, Y10; \
+	VPSLLVD rs, Y9, Y10; \
 	VPANDN acc, Y10, Y11; \
 	VPXOR Y9, Y10, Y10; \
 	VPSRLD $1, Y10, Y10; \
 	VPSRAD $31, acc, Y9; \
 	VPSUBD Y9, Y10, Y10; \
 	VPCMPGTD Y10, Y11, Y11; \
-	VPSRAVD Y8, acc, acc; \
-	VPSUBD Y11, acc, acc; \
+	VPSRAVD rs, acc, acc; \
+	VPSUBD Y11, acc, acc
+
+// NARROW adds the output zero point (Y14), clamps to [Y13, Y12] and
+// stores the low byte of each of the eight lanes at dst; clobbers X8.
+#define NARROW(acc, accx, dst) \
 	VPADDD Y14, acc, acc; \
 	VPMAXSD Y13, acc, acc; \
 	VPMINSD Y12, acc, acc; \
@@ -74,6 +90,17 @@ GLOBL lowbytes<>(SB), RODATA|NOPTR, $32
 	VEXTRACTI128 $1, acc, X8; \
 	VPUNPCKLDQ X8, accx, accx; \
 	VMOVQ accx, dst
+
+// REQUANT turns the eight int32 lanes of acc into eight int8 at dst:
+// SRDHM by the m0 lanes at off(R11), RDPOT by the right shifts at
+// off(R12), then NARROW. Clobbers Y8-Y11.
+#define REQUANT(acc, accx, off, dst) \
+	VMOVDQU off(R11), Y8; \
+	VPSRLQ $32, Y8, Y10; \
+	SRDHM(acc, Y8, Y10); \
+	VMOVDQU off(R12), Y8; \
+	RDPOT(acc, Y8); \
+	NARROW(acc, accx, dst)
 
 // LOADB sign-extends one panel row (16 columns x one k-pair, 32 bytes
 // at DI) into Y8 (columns 0-7) and Y9 (columns 8-15).
@@ -439,5 +466,55 @@ dw8next:
 	ADDQ CX, DI
 	DECQ R8
 	JNZ  dw8pixel
+	VZEROUPPER
+	RET
+
+// func addVec(a, b *int8, n int, p *addParams, out *int8)
+//
+// TFLM's int8 ADD over n elements, n a positive multiple of eight: per
+// eight lanes each input is sign-extended, less its zero point, shifted
+// left 20 bits and rescaled (SRDHM, RDPOT) by its own multiplier; the
+// sum is rescaled by the output's and NARROWed. The three multipliers
+// and right shifts stay broadcast in Y2-Y7.
+TEXT ·addVec(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ n+16(FP), CX
+	MOVQ p+24(FP), AX
+	MOVQ out+32(FP), DX
+	VPBROADCASTD A_M0(AX), Y2
+	VPBROADCASTD A_M0+4(AX), Y3
+	VPBROADCASTD A_M0+8(AX), Y4
+	VPBROADCASTD A_RSHIFT(AX), Y5
+	VPBROADCASTD A_RSHIFT+4(AX), Y6
+	VPBROADCASTD A_RSHIFT+8(AX), Y7
+	VPBROADCASTD A_HI(AX), Y12
+	VPBROADCASTD A_LO(AX), Y13
+	VPBROADCASTD A_OUTZP(AX), Y14
+	VPBROADCASTQ round30<>(SB), Y15
+	SHRQ $3, CX
+
+addloop:
+	VPMOVSXBD (SI), Y0
+	VPMOVSXBD (DI), Y1
+	VPBROADCASTD A_AZP(AX), Y8
+	VPSUBD Y8, Y0, Y0
+	VPBROADCASTD A_BZP(AX), Y8
+	VPSUBD Y8, Y1, Y1
+	VPSLLD $20, Y0, Y0
+	VPSLLD $20, Y1, Y1
+	SRDHM(Y0, Y2, Y2)
+	RDPOT(Y0, Y5)
+	SRDHM(Y1, Y3, Y3)
+	RDPOT(Y1, Y6)
+	VPADDD Y1, Y0, Y0
+	SRDHM(Y0, Y4, Y4)
+	RDPOT(Y0, Y7)
+	NARROW(Y0, X0, (DX))
+	ADDQ $8, SI
+	ADDQ $8, DI
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  addloop
 	VZEROUPPER
 	RET

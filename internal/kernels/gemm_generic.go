@@ -23,3 +23,7 @@ func gemm1x16(a *int8, k int, b *int8, e *epilogue, col int, out *int8) {
 func dwPairs9(taps *[9]*int8, w *int16, c int, base *int32, e *epilogue, out *int8, npix, step int) {
 	panic("kernels: no assembly body on this build")
 }
+
+func addVec(a, b *int8, n int, p *addParams, out *int8) {
+	panic("kernels: no assembly body on this build")
+}

@@ -214,7 +214,7 @@ func TestAddRescales(t *testing.T) {
 	a := []int8{4, 8} // real: 2, 4
 	b := []int8{8, 4} // real: 2, 1
 	out := make([]int8, 2)
-	Add(m, m.Ops[0], a, b, out)
+	Add(m, m.Ops[0], prepareAdd(m, m.Ops[0]), a, b, out)
 	if out[0] != 4 || out[1] != 5 { // real 4 and 5 at scale 1
 		t.Fatalf("add = %v, want [4 5]", out)
 	}

@@ -15,8 +15,9 @@ type Ctx struct {
 	// m0 and rshift are the per-output-channel multipliers as two arrays
 	// (what the vector requantize loads): channel c scales by
 	// QuantizedMultiplier{m0[c], -rshift[c]}. For Conv2D and Dense they
-	// are zero-padded to whole panels, like zpBias. vecRequant records
-	// that every rshift is in the assembly epilogue's domain.
+	// are zero-padded to whole panels, like zpBias; an ADD holds its
+	// three multipliers here (prepareAdd). vecRequant records that every
+	// rshift is in the assembly epilogue's domain.
 	m0, rshift []int32
 	vecRequant bool
 
@@ -263,19 +264,68 @@ func maxPoolRows(m *graph.Model, op *graph.Op, in, out []int8, oy0, oy1 int) {
 	}
 }
 
-// Add executes a residual addition, rescaling both inputs to the output
-// scale (double-precision variant of TFLite's ADD).
-func Add(m *graph.Model, op *graph.Op, a, b, out []int8) {
-	at := m.Tensors[op.Inputs[0]]
-	bt := m.Tensors[op.Inputs[1]]
-	ot := m.Tensors[op.Output]
-	sa := float64(at.Scale) / float64(ot.Scale)
-	sb := float64(bt.Scale) / float64(ot.Scale)
+// addLeftShift is TFLM's int8 ADD headroom: each input, less its zero
+// point, is shifted left by this many bits before its rescale, so the two
+// rescaled terms keep 20 fractional bits and only the output rescale
+// rounds to the int8 grid.
+const addLeftShift = 20
+
+// prepareAdd computes TFLM's three ADD multipliers into a Ctx: input a's
+// and input b's (each scale over twice the larger input scale, so at most
+// 0.5) and the output's (twice the larger input scale over 2^20 times the
+// output scale), as m0/rshift lanes 0, 1 and 2.
+func prepareAdd(m *graph.Model, op *graph.Op) *Ctx {
+	sa := float64(m.Tensors[op.Inputs[0]].Scale)
+	sb := float64(m.Tensors[op.Inputs[1]].Scale)
+	so := float64(m.Tensors[op.Output].Scale)
+	twiceMax := 2 * max(sa, sb)
+	ctx := &Ctx{m0: make([]int32, 3), rshift: make([]int32, 3), vecRequant: true}
+	for i, real := range [3]float64{sa / twiceMax, sb / twiceMax, twiceMax / (float64(1<<addLeftShift) * so)} {
+		q := QuantizeMultiplier(real)
+		ctx.m0[i], ctx.rshift[i] = q.M0, int32(-q.Shift)
+		ctx.vecRequant = ctx.vecRequant && vectorShift(ctx.rshift[i])
+	}
+	return ctx
+}
+
+// addParams is one bound ADD's state: prepareAdd's multipliers and the
+// tensors' zero points and clamp. The assembly reads it by field offset
+// (gemm_amd64.s), so the layout is fixed.
+type addParams struct {
+	m0, rshift              [3]int32 // input a, input b, output
+	aZp, bZp, outZp, lo, hi int32
+}
+
+func newAddParams(m *graph.Model, op *graph.Op, ctx *Ctx) addParams {
+	p := addParams{
+		aZp: m.Tensors[op.Inputs[0]].ZeroPoint, bZp: m.Tensors[op.Inputs[1]].ZeroPoint,
+		outZp: m.Tensors[op.Output].ZeroPoint, lo: op.ClampMin, hi: op.ClampMax,
+	}
+	copy(p.m0[:], ctx.m0)
+	copy(p.rshift[:], ctx.rshift)
+	return p
+}
+
+// Add executes TFLM's integer-only int8 ADD: each input, less its zero
+// point and shifted left by addLeftShift, is rescaled by its own
+// multiplier; the sum is rescaled by the output's, offset by the output
+// zero point, clamped and narrowed. No step leaves int32/int64 integer
+// arithmetic, as on a Cortex-M without a double-precision FPU.
+func Add(m *graph.Model, op *graph.Op, ctx *Ctx, a, b, out []int8) {
+	p := newAddParams(m, op, ctx)
+	p.add(a, b, out)
+}
+
+// add is the portable ADD loop over len(out) elements.
+func (p *addParams) add(a, b, out []int8) {
+	qa := QuantizedMultiplier{M0: p.m0[0], Shift: -int(p.rshift[0])}
+	qb := QuantizedMultiplier{M0: p.m0[1], Shift: -int(p.rshift[1])}
+	qo := QuantizedMultiplier{M0: p.m0[2], Shift: -int(p.rshift[2])}
+	a, b = a[:len(out)], b[:len(out)]
 	for i := range out {
-		va := float64(int32(a[i])-at.ZeroPoint) * sa
-		vb := float64(int32(b[i])-bt.ZeroPoint) * sb
-		v := int32(math.Round(va+vb)) + ot.ZeroPoint
-		out[i] = int8(clamp32(v, op.ClampMin, op.ClampMax))
+		va := qa.Apply((int32(a[i]) - p.aZp) << addLeftShift)
+		vb := qb.Apply((int32(b[i]) - p.bZp) << addLeftShift)
+		out[i] = int8(clamp32(qo.Apply(va+vb)+p.outZp, p.lo, p.hi))
 	}
 }
 

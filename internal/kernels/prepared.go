@@ -19,15 +19,19 @@ type PreparedModel struct {
 }
 
 // PrepareModel runs PrepareConv for every conv/dense/depthwise op of the
-// model and freezes the result.
+// model and prepareAdd for every ADD, and freezes the result.
 func PrepareModel(m *graph.Model) *PreparedModel {
 	p := &PreparedModel{ctxs: make([]*Ctx, len(m.Ops))}
 	for i, op := range m.Ops {
 		switch op.Kind {
 		case graph.OpConv2D, graph.OpDWConv2D, graph.OpDense:
 			p.ctxs[i] = PrepareConv(m, op)
-			p.bytes += p.ctxs[i].Bytes()
+		case graph.OpAdd:
+			p.ctxs[i] = prepareAdd(m, op)
+		default:
+			continue
 		}
+		p.bytes += p.ctxs[i].Bytes()
 	}
 	return p
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,11 +23,13 @@ import (
 //     fields (bytes.EqualFold on the unescaped key);
 //   - every number goes through one scanner, scanNumber, that checks the
 //     JSON grammar and, in the same pass, rounds a literal of up to 19
-//     significant digits and a small exponent to float64 in exact
-//     integer arithmetic. Any other literal goes to strconv.ParseFloat(…,
-//     64), which is what encoding/json calls, so every float is
-//     bit-identical to its reading and an out-of-range literal such as
-//     1e400 is refused. Shape entries are parsed with strconv.ParseInt;
+//     significant digits and a small exponent to float64: by Eisel–Lemire
+//     over a 128-bit power-of-ten table (eiselLemire), and, for the few
+//     literals that leaves undecided, by an exact 128-by-64-bit division
+//     (exactFloat). Any other literal goes to strconv.ParseFloat(…, 64),
+//     which is what encoding/json calls, so every float is bit-identical
+//     to its reading and an out-of-range literal such as 1e400 is
+//     refused. Shape entries are parsed with strconv.ParseInt;
 //   - strings that carry an escape or a non-ASCII byte are unquoted by
 //     encoding/json itself, so unescaping and invalid UTF-8 read back the
 //     same;
@@ -492,6 +495,27 @@ var pow5 = func() (p [maxPow5 + 1]uint64) {
 	return p
 }()
 
+// pow10 holds 10^e for e in [-maxPow5, maxPow5] as 128-bit mantissas
+// (hi, lo) with the top bit set, rounded down: 10^e = 5^e·2^e, so the
+// entry is 5^e shifted left for e ≥ 0 (exact, lo = 0) and the 128-bit
+// quotient ⌊2^(127+L)/5^-e⌋, L the bit length of 5^-e, for e < 0.
+var pow10 = func() (p [2*maxPow5 + 1][2]uint64) {
+	for e := -maxPow5; e <= maxPow5; e++ {
+		if e >= 0 {
+			p[e+maxPow5] = [2]uint64{pow5[e] << bits.LeadingZeros64(pow5[e]), 0}
+			continue
+		}
+		// Long division of the single bit 2^(127+L) (in the top word of
+		// three, at bit L-1) by d; the quotient has 128 bits.
+		d := pow5[-e]
+		_, r := bits.Div64(0, 1<<(bits.Len64(d)-1), d)
+		hi, r := bits.Div64(r, 0, d)
+		lo, _ := bits.Div64(r, 0, d)
+		p[e+maxPow5] = [2]uint64{hi, lo}
+	}
+	return p
+}()
+
 // scanNumber reads the JSON number at b[i] in one pass. end is the index
 // just past the longest match of -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
 // at i, or -1 if none starts there; the grammar keeps out what
@@ -499,10 +523,12 @@ var pow5 = func() (p [maxPow5 + 1]uint64) {
 // leading '+' or '.').
 //
 // On the way it gathers up to 19 significant digits into a mantissa m and
-// a decimal exponent e. When the literal is exactly m·10^e (no nonzero
+// a decimal exponent e, eight fraction digits at a time where it can
+// (eightDigits). When the literal is exactly m·10^e (no nonzero
 // digit past the 19th, an exponent literal below 10^4) with e in
 // [-maxPow5, maxPow5], or is zero, exact is true and v is the correctly
-// rounded float64: bit for bit what strconv.ParseFloat returns. That
+// rounded float64 (eiselLemire, else exactFloat): bit for bit what
+// strconv.ParseFloat returns. That
 // covers every float32 json.Marshal prints with a magnitude from 1e-11 up
 // (17 digits at most). Otherwise exact is false and the caller parses
 // b[i:end] with strconv.ParseFloat.
@@ -537,6 +563,16 @@ func scanNumber(b []byte, i int) (v float64, end int, exact bool) {
 			for ; i < n && b[i] == '0'; i++ {
 				e--
 			}
+		}
+		for nd <= 19-8 && i+8 <= n {
+			d, ok := eightDigits(b[i:])
+			if !ok {
+				break
+			}
+			m = 1e8*m + d
+			nd += 8
+			e -= 8
+			i += 8
 		}
 		for ; i < n && isDigit(b[i]); i++ {
 			if nd < 19 {
@@ -577,15 +613,80 @@ func scanNumber(b []byte, i int) (v float64, end int, exact bool) {
 	case inexact || e < -maxPow5 || e > maxPow5:
 		return 0, i, false
 	}
-	v = exactFloat(m, e)
+	v, ok := eiselLemire(m, e)
+	if !ok {
+		v = exactFloat(m, e)
+	}
 	if neg {
 		v = -v
 	}
 	return v, i, true
 }
 
+// eightDigits reads b[:8] as eight decimal digits in one 64-bit word
+// (SWAR), if all eight are digits: a byte is one when both b+0x46 and
+// b−0x30 leave its top bit clear, and three multiply-adds fold the digit
+// pairs, quads and the two halves.
+func eightDigits(b []byte) (uint64, bool) {
+	v := binary.LittleEndian.Uint64(b)
+	if ((v+0x4646464646464646)|(v-0x3030303030303030))&0x8080808080808080 != 0 {
+		return 0, false
+	}
+	v -= 0x3030303030303030
+	v = 10*v + v>>8 // byte 2k holds the pair b[2k]b[2k+1]
+	return ((v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32, true
+}
+
+// eiselLemire rounds m·10^e (m > 0, e in [-maxPow5, maxPow5]) to the
+// nearest float64, ties to even, by the Eisel–Lemire algorithm (as in
+// strconv): the normalized m times pow10[e] in 128 bits, with a second
+// multiply by the table's low word where the first product's bits below
+// the 54th could still carry. The table rounds 10^e down, so the product
+// is a slight underestimate; ok is false where that leaves the rounding
+// undecided — the wider product still ends in all ones, or it lies
+// exactly halfway between two float64s — and the caller then rounds
+// exactly (exactFloat). Neither happens for the float32s json.Marshal
+// prints.
+func eiselLemire(m uint64, e int) (v float64, ok bool) {
+	clz := bits.LeadingZeros64(m)
+	m <<= clz
+	// 217706/2^16 is log2(10) to within the [-348, 347] range strconv
+	// uses, so the first term is ⌊e·log2(10)⌋.
+	exp := uint64(217706*e>>16+64+1023) - uint64(clz)
+	pw := &pow10[e+maxPow5]
+	xhi, xlo := bits.Mul64(m, pw[0])
+	if xhi&0x1FF == 0x1FF && xlo+m < m {
+		// The bits below the 54th are all ones and the truncation error
+		// (less than m) could carry past them: add m·lo.
+		yhi, ylo := bits.Mul64(m, pw[1])
+		mhi, mlo := xhi, xlo+yhi
+		if mlo < xlo {
+			mhi++
+		}
+		if mhi&0x1FF == 0x1FF && mlo+1 == 0 && ylo+m < m {
+			return 0, false
+		}
+		xhi, xlo = mhi, mlo
+	}
+	// Keep 54 bits: the top one and a rounding bit.
+	msb := xhi >> 63
+	mant := xhi >> (msb + 9)
+	exp -= 1 ^ msb
+	if xlo == 0 && xhi&0x1FF == 0 && mant&3 == 1 {
+		return 0, false // halfway: the dropped bits may be exactly zero
+	}
+	mant += mant & 1
+	mant >>= 1
+	if mant>>53 > 0 {
+		mant >>= 1
+		exp++
+	}
+	// The value lies in [1e-27, 1e46], a normal float64: exp is in range.
+	return math.Float64frombits(exp<<52 | mant&(1<<52-1)), true
+}
+
 // exactFloat rounds m·10^e (m > 0, e in [-maxPow5, maxPow5]) to the
-// nearest float64, ties to even. As 10^e = 5^e·2^e, only the power of five
+// nearest float64, ties to even, where eiselLemire cannot decide. As 10^e = 5^e·2^e, only the power of five
 // takes arithmetic: for e ≥ 0 the 128-bit product m·5^e; for e < 0 the
 // 128-by-64-bit quotient of m, shifted left, by 5^-e, its remainder kept
 // as a sticky bit. Either way the integer W below has at least 63

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -134,6 +135,35 @@ var scanNumberEdges = []string{
 	"2723686826725134128e-27", "6544522857610742961e-27",
 	// Round-ups that carry into the exponent.
 	"9007199254740991.5", "0.9999999999999999999", "9.31322574615478515e-10",
+	// Literals Eisel–Lemire leaves to the exact division (eiselFallbacks).
+	"0.5", "-0.43558502197265625", "1450653076171875e-15", "2362355903004371250e-4", "3698990788485674e1",
+}
+
+// digitRuns are literals whose digit runs stop one short of, at and one
+// past the eight-digit steps (8, 16) and the 19-digit cap, before and
+// after the point.
+var digitRuns = func() (lits []string) {
+	const digits = "98765432109876543210"
+	for _, n := range []int{7, 8, 9, 15, 16, 17, 19, 20} {
+		d := digits[:n]
+		lits = append(lits, d, d+".5", "0."+d, "3."+d, "0.000"+d, "-"+d+"."+d, d+"e-9")
+	}
+	return lits
+}()
+
+// eiselFallbacks are literals eiselLemire cannot decide, so the exact
+// division rounds them. The first three are exact ties between two
+// float64s (2^53+1, 2^54+2, and a 16-digit one scaled by 10): the
+// product has only zeros below the rounding bit and may be exactly half.
+// The rest are exactly float64s, or ties, whose value at negative e the
+// rounded-down table puts a hair under a boundary: the wider product
+// still ends in all ones, and a carry from the truncated bits could cross
+// it. A float64 of few significant bits printed in full, as json.Marshal
+// prints some float32s, is the common case (about 0.5 % of N(0,1) draws).
+var eiselFallbacks = []string{
+	"9007199254740993", "18014398509481986", "3698990788485674e1",
+	"4503599627370496.5", "0.5", "-0.43558502197265625", "1450653076171875e-15", "2362355903004371250e-4",
+	"0.0078125", "1234.5625",
 }
 
 // halfway returns the exact midpoint between x and the next float64 away
@@ -176,7 +206,7 @@ func tie(rng *rand.Rand) (lo, mid, hi string) {
 // path, because a silent fallback to ParseFloat would keep every value
 // right and lose the gain.
 func TestScanNumberMatchesParseFloat(t *testing.T) {
-	for _, s := range scanNumberEdges {
+	for _, s := range slices.Concat(scanNumberEdges, digitRuns) {
 		checkScanNumber(t, []byte(s), 0)
 	}
 	// Dropped zeros against an exponent literal past 10^4, which strconv
@@ -188,6 +218,9 @@ func TestScanNumberMatchesParseFloat(t *testing.T) {
 		perFamily /= 4 // the race detector makes each literal ~8× dearer
 	}
 	// Family 1: float32-rounded values as json.Marshal formats a float64.
+	// The client's N(0,1) draws must also stay off the exact division
+	// but for the few eiselFallbacks describes.
+	divided := 0
 	for k := range perFamily {
 		x := float64(float32(rng.NormFloat64()))
 		if k%2 == 1 {
@@ -201,6 +234,14 @@ func TestScanNumberMatchesParseFloat(t *testing.T) {
 		if !checkScan(t, lit, 0, len(lit)) && math.Abs(x) >= 1e-11 {
 			t.Fatalf("float32-rounded %s left the exact path", lit)
 		}
+		if k%2 == 0 && x != 0 {
+			if _, ok := eiselLemire(mantExp(t, string(lit))); !ok {
+				divided++
+			}
+		}
+	}
+	if divided > perFamily/2/100 {
+		t.Fatalf("%d of %d N(0,1) literals needed the exact division, over 1 %%", divided, perFamily/2)
 	}
 	// Family 2: random decimal literals of 1–20 digits, half of them with
 	// an exponent.
@@ -241,6 +282,70 @@ func TestScanNumberMatchesParseFloat(t *testing.T) {
 		x := math.Float64frombits(uint64(1023-200+rng.Intn(401))<<52 | rng.Uint64()&(1<<52-1))
 		s := halfway(x, 25)
 		checkScan(t, []byte(s), 0, len(s))
+	}
+}
+
+// TestEiselLemireFallbacks: every eiselFallbacks literal leaves
+// eiselLemire undecided and still reads as strconv.ParseFloat reads it.
+func TestEiselLemireFallbacks(t *testing.T) {
+	for _, s := range eiselFallbacks {
+		m, e := mantExp(t, s)
+		if v, ok := eiselLemire(m, e); ok {
+			t.Fatalf("eiselLemire(%d, %d) decided %v for %s; the list expects the exact fallback", m, e, v, s)
+		}
+		if !checkScanNumber(t, []byte(s), 0) {
+			t.Fatalf("%s left the exact path", s)
+		}
+	}
+}
+
+// mantExp splits a literal of at most 19 significant digits into
+// m·10^e.
+func mantExp(t *testing.T, s string) (m uint64, e int) {
+	t.Helper()
+	s = strings.TrimPrefix(s, "-")
+	if i := strings.IndexAny(s, "eE"); i >= 0 {
+		x, err := strconv.Atoi(s[i+1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, e = s[:i], x
+	}
+	if i := strings.IndexByte(s, '.'); i >= 0 {
+		e -= len(s) - i - 1
+		s = s[:i] + s[i+1:]
+	}
+	m, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, e
+}
+
+// TestPow10Table holds every pow10 entry to ⌊10^e·2^k⌋ for the k that
+// puts it in [2^127, 2^128), computed in math/big.
+func TestPow10Table(t *testing.T) {
+	lo, hi := new(big.Int).Lsh(big.NewInt(1), 127), new(big.Int).Lsh(big.NewInt(1), 128)
+	for e := -maxPow5; e <= maxPow5; e++ {
+		num, den := big.NewInt(1), big.NewInt(1)
+		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(max(e, -e))), nil)
+		if e >= 0 {
+			num = p
+		} else {
+			den = p
+		}
+		for new(big.Int).Quo(num, den).Cmp(lo) < 0 {
+			num.Lsh(num, 1)
+		}
+		for new(big.Int).Quo(num, den).Cmp(hi) >= 0 {
+			den.Lsh(den, 1)
+		}
+		want := new(big.Int).Quo(num, den)
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(pow10[e+maxPow5][0]), 64)
+		got.Or(got, new(big.Int).SetUint64(pow10[e+maxPow5][1]))
+		if got.Cmp(want) != 0 {
+			t.Fatalf("pow10 for 10^%d = %#x, want %#x", e, got, want)
+		}
 	}
 }
 

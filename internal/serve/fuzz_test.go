@@ -155,7 +155,7 @@ func FuzzInferDecodeMatchesStdlib(f *testing.F) {
 // for none), and whenever the exact path takes a literal its value must be
 // strconv.ParseFloat's, bit for bit.
 func FuzzScanNumber(f *testing.F) {
-	seeds := slices.Clone(scanNumberEdges)
+	seeds := slices.Concat(scanNumberEdges, digitRuns, eiselFallbacks)
 	for _, x := range []float64{1, 0.1, 1.0 / 3, 1e23, 9007199254740992, 5e-324, 1e-300, math.MaxFloat32, float64(float32(0.1))} {
 		seeds = append(seeds, halfway(x, 25), halfway(x, 18), halfway(-x, 16))
 	}

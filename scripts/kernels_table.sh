@@ -2,7 +2,9 @@
 # kernels_table.sh — the per-op-kind kernel table of the Default engine:
 # BenchmarkInvokeOpKinds (bench_test.go) on MicroNet-KWS-S, -KWS-L, -AD-L,
 # -VWW-1 and Person Detection, ns per invoke and GMAC/s for 1×1 conv (pw), k×k conv
-# (conv), depthwise (dw), ADD (add), pools (pool) and the rest (other).
+# (conv), depthwise (dw), ADD (add), pools (pool) and the rest (other);
+# then the infer-body reader, BenchmarkDecodeInfer (internal/serve), ns
+# per VWW-1 (vww1-25600) and KWS-S (kws-s-490) FP32 body (decode).
 #
 #   scripts/kernels_table.sh            # this tree
 #   scripts/kernels_table.sh <rev>      # <rev> → this tree, with ratios
@@ -10,11 +12,13 @@
 #
 # With a revision it extracts <rev> with git archive, gives it this
 # tree's bench_test.go (so a revision older than the benchmark can be
-# measured), builds both test binaries, and alternates 5 rounds of the
-# two (which one goes first alternates too). Each run profiles 300
-# invokes per model on every CPU, as serving runs; every cell is the
-# minimum ns (maximum GMAC/s) over all rounds, because host speed drifts
-# for seconds at a time and a kernel change moves the floor.
+# measured; the reader runs each side's own BenchmarkDecodeInfer, and a
+# revision without it reads —), builds both sides' test binaries, and
+# alternates 5 rounds of the two (which one goes first alternates too).
+# Each run profiles 300 invokes per model on every CPU, as serving runs,
+# and decodes each body 300 times; every cell is the minimum ns (maximum
+# GMAC/s) over all rounds, because host speed drifts for seconds at a
+# time and a kernel change moves the floor.
 # ratio = base ns / change ns, so > 1 is a speed-up.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,12 +31,14 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 go test -c -o "$WORK/change.test" .
+go test -c -o "$WORK/change-serve.test" ./internal/serve
 sides=(change)
 if [ -n "$BASE" ]; then
 	mkdir "$WORK/base"
 	git archive "$BASE" | tar -x -C "$WORK/base"
 	cp bench_test.go "$WORK/base/"
-	(cd "$WORK/base" && go test -c -o "$WORK/base.test" .)
+	(cd "$WORK/base" && go test -c -o "$WORK/base.test" . &&
+		go test -c -o "$WORK/base-serve.test" ./internal/serve)
 	sides=(base change)
 fi
 
@@ -45,10 +51,14 @@ for ((r = 0; r < ROUNDS; r++)); do
 		"$WORK/$side.test" -test.run '^$' -test.bench '^BenchmarkInvokeOpKinds$' \
 			-test.benchtime "${RUNS}x" -test.cpu "$CPU" -test.timeout 30m \
 			| sed -n "s/^BenchmarkInvokeOpKinds\//$side /p" >>"$WORK/runs.txt"
+		"$WORK/$side-serve.test" -test.run '^$' -test.bench '^BenchmarkDecodeInfer$' \
+			-test.benchtime "${RUNS}x" -test.cpu "$CPU" -test.timeout 30m \
+			| sed -n "/^BenchmarkDecodeInfer\//{s//$side /;s/ ns\/op/ decode-ns/;p}" >>"$WORK/runs.txt"
 	done
 done
 
 # runs.txt lines: <side> <model>[-<cpu>] <N> <value> <unit> <value> <unit> ...
+# (a reader line's model is its body, and its ns/op becomes decode-ns)
 awk -v cpu="$CPU" -v two=${#sides[@]} '
 {
 	side = $1; model = $2
@@ -72,7 +82,7 @@ function cell(side, model, kind,   key) {
 	return sprintf("%.1f µs", ns[key] / 1000)
 }
 END {
-	n = split("invoke pw conv dw add pool other", order, " ")
+	n = split("invoke pw conv dw add pool other decode", order, " ")
 	if (two == 2) {
 		print "| model | kind | base | change | ratio |"
 		print "|---|---|---|---|---|"
