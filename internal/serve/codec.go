@@ -645,8 +645,9 @@ func eightDigits(b []byte) (uint64, bool) {
 // is a slight underestimate; ok is false where that leaves the rounding
 // undecided — the wider product still ends in all ones, or it lies
 // exactly halfway between two float64s — and the caller then rounds
-// exactly (exactFloat). Neither happens for the float32s json.Marshal
-// prints.
+// exactly (exactFloat). Both are rare in a client's body: a value that is
+// exactly a float64 of few significant bits (0.5, or a float32
+// json.Marshal prints in full) or an exact tie, ~0.5 % of N(0,1) draws.
 func eiselLemire(m uint64, e int) (v float64, ok bool) {
 	clz := bits.LeadingZeros64(m)
 	m <<= clz
