@@ -49,6 +49,7 @@ func addFloat64(m *graph.Model, op *graph.Op, a, b, out []int8) {
 // (-6000, 6000), so besides the vector domain the seeds and the fuzzer
 // reach right shifts past 30 and a left-shifted output multiplier, which
 // must fall back to the portable loop. Zero points and clamps are free.
+// Each case also runs checkAddVec.
 func FuzzAddParity(f *testing.F) {
 	f.Add(uint16(1), int16(0), int16(0), int8(0), int8(0), int8(0), int8(-128), int8(127), int64(1))
 	f.Add(uint16(8), int16(-400), int16(0), int8(-128), int8(-128), int8(0), int8(-128), int8(127), int64(2))
@@ -64,7 +65,38 @@ func FuzzAddParity(f *testing.F) {
 		m := addModel(size, 0.05*ratio(ea), 0.05*ratio(eb), 0.05, za, zb, zo, int32(min(l1, l2)), int32(max(l1, l2)))
 		rng := rand.New(rand.NewSource(seed))
 		checkParity(t, m, randomInput(size, rng), randomInput(size, rng))
+		checkAddVec(t, za, zb, zo, int32(min(l1, l2)), int32(max(l1, l2)), rng)
 	})
+}
+
+// checkAddVec drives addVec straight from an addParams whose three
+// multipliers are free (any Q31 mantissa), not tied to each other as
+// scales make them, and 64 lanes must equal the portable loop. The input
+// right shifts are 16-30, so each rescaled input is a few units to a few
+// thousand, and the output's is 0-12, so one unit in the sum can move
+// the output: a rescale that reads another's multiplier, shift, mask or
+// half-mask shows.
+func checkAddVec(t *testing.T, za, zb, zo int8, lo, hi int32, rng *rand.Rand) {
+	if !haveSIMD {
+		return
+	}
+	m := addModel(64, 1, 1, 1, za, zb, zo, lo, hi)
+	ctx := newCtx(3, lo, hi)
+	for i, shifts := range [3][2]int{{16, 30}, {16, 30}, {0, 12}} {
+		shift := shifts[0] + rng.Intn(shifts[1]-shifts[0]+1)
+		ctx.prepareMult(i, QuantizedMultiplier{M0: 1<<30 + rng.Int31n(1<<30), Shift: -shift})
+	}
+	p := newAddParams(m, m.Ops[0], ctx)
+	a, b := randomInput(64, rng), randomInput(64, rng)
+	got, want := make([]int8, 64), make([]int8, 64)
+	addVec(&a[0], &b[0], 64, &p, &got[0])
+	p.add(a, b, want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("addVec lane %d (a %d, b %d, multipliers %v >> %v, zero points %d %d %d, clamp [%d,%d]) = %d, portable loop %d",
+				i, a[i], b[i], p.m0, p.rshift, za, zb, zo, lo, hi, got[i], want[i])
+		}
+	}
 }
 
 // TestAddMatchesFloatOnZoo: on the zoo's models as FromSpec lowers them

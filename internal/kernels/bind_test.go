@@ -74,18 +74,25 @@ func TestBindOpRejectsUnsupportedOp(t *testing.T) {
 }
 
 // TestScalarRequantOutsideVectorDomain: an op with a multiplier >= 1
-// (left shift) or below 2^-31 (right shift past 30) is outside the
-// assembly requantize's domain. Prepare must mark it, and every body must
-// still match Reference — the simd engine by binding the portable body.
+// (left shift) or below 2^-31 (right shift past 30), or with a clamp
+// outside [-128, 127] (which the int8 store must truncate, not
+// saturate), is outside the assembly requantize's domain. Prepare must
+// mark it, and every body must still match Reference — the simd engine
+// by binding the portable body.
 func TestScalarRequantOutsideVectorDomain(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, kind := range []graph.OpKind{graph.OpConv2D, graph.OpDWConv2D} {
-		for _, scale := range []float32{40, 1e-11} {
+		for _, scale := range []float32{40, 1e-11, 0} {
 			c := convCase{h: 6, w: 6, inC: 16, outC: 16, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, inZp: -5}
 			m := randomConvModel(t, c, kind, rng)
-			m.Ops[0].WeightScales[3] = scale
+			if scale != 0 {
+				m.Ops[0].WeightScales[3] = scale
+			} else {
+				m.Ops[0].ClampMin, m.Ops[0].ClampMax = -300, 200
+			}
 			if PrepareConv(m, m.Ops[0]).vecRequant {
-				t.Fatalf("%s with weight scale %g must not be marked for the vector requantize", kind, scale)
+				t.Fatalf("%s with weight scale %g, clamp [%d,%d] must not be marked for the vector requantize",
+					kind, scale, m.Ops[0].ClampMin, m.Ops[0].ClampMax)
 			}
 			checkParity(t, m, randomInput(m.Tensors[0].Elems(), rng))
 		}
@@ -104,7 +111,10 @@ func TestScalarRequantOutsideVectorDomain(t *testing.T) {
 // TestCtxBytesCountsEverySlice: Bytes feeds tflm.weight_bytes and the
 // serve RAM-budget planner, so it must count the capacity of every slice
 // a Ctx holds. The sum is taken by reflection: a slice field added to Ctx
-// but not to Bytes fails here.
+// but not to Bytes fails here. Each op also holds the per-channel words
+// the vector requantize reads: one rounding mask and one half-mask per
+// lane, equal to 2^rshift − 1 and half that, and one int32 of m0 padding
+// past the last lane.
 func TestCtxBytesCountsEverySlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	c := convCase{h: 6, w: 6, inC: 9, outC: 21, kh: 3, kw: 3, sh: 1, sw: 1, padT: 1, padL: 1, padB: 1, padR: 1, inZp: 3}
@@ -114,11 +124,22 @@ func TestCtxBytesCountsEverySlice(t *testing.T) {
 		randomConvModel(t, c, graph.OpConv2D, rng),
 		randomConvModel(t, c, graph.OpDWConv2D, rng),
 		randomConvModel(t, wide, graph.OpDWConv2D, rng),
+		addModel(37, 0.05, 0.07, 0.1, -3, 9, -1, -128, 127),
 	} {
 		kind := fmt.Sprintf("%s C=%d", m.Ops[0].Kind, m.Tensors[0].C)
-		ctx := PrepareConv(m, m.Ops[0])
+		ctx := PrepareModel(m).Ctx(0)
 		if haveSIMD && m.Ops[0].Kind == graph.OpDWConv2D && m.Tensors[0].C >= dwGroup/2 && len(ctx.dwPairs) == 0 {
 			t.Fatalf("%s: no tap pairs prepared for the assembly body", kind)
+		}
+		lanes := len(ctx.rshift)
+		if cap(ctx.m0) != lanes+1 || len(ctx.rmask) != lanes || len(ctx.rhalf) != lanes {
+			t.Fatalf("%s: m0 cap %d, rmask %d, rhalf %d for %d lanes, want %d, %d, %d",
+				kind, cap(ctx.m0), len(ctx.rmask), len(ctx.rhalf), lanes, lanes+1, lanes, lanes)
+		}
+		for ch, rs := range ctx.rshift {
+			if mask := int32(1)<<rs - 1; ctx.rmask[ch] != mask || ctx.rhalf[ch] != mask>>1 {
+				t.Fatalf("%s lane %d: rshift %d has mask %d and half %d", kind, ch, rs, ctx.rmask[ch], ctx.rhalf[ch])
+			}
 		}
 		want := 0
 		v := reflect.ValueOf(ctx).Elem()

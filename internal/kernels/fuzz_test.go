@@ -30,8 +30,11 @@ func fuzzDims(h, w, inC, outC, kh, kw, stride uint8) (int, int, int, int, int, i
 
 // buildConvCase constructs a valid single-op conv/dwconv model from
 // fuzzed raw values, or nil when the combination has no valid output
-// geometry.
-func buildConvCase(kind graph.OpKind, h, w, inC, outC, kh, kw, stride uint8, same bool, inZp int8, dataSeed int64) (*graph.Model, []int8) {
+// geometry. regime%4 picks the requantize's edge: 0 typical effective
+// scales (right shifts of 7-11) and small biases, 1 every right shift 0
+// (multipliers in [0.5, 1)), 2 every right shift 30 (in [2^-31,
+// 2^-30)), 3 biases within 2^20 of ±2^31, so accumulators wrap.
+func buildConvCase(kind graph.OpKind, h, w, inC, outC, kh, kw, stride uint8, same bool, inZp int8, dataSeed int64, regime uint8) (*graph.Model, []int8) {
 	H, W, IC, OC, KH, KW, S := fuzzDims(h, w, inC, outC, kh, kw, stride)
 	var padT, padL, padB, padR int
 	if same {
@@ -68,8 +71,20 @@ func buildConvCase(kind graph.OpKind, h, w, inC, outC, kh, kw, stride uint8, sam
 		op.Weights[i] = int8(rng.Intn(256) - 128)
 	}
 	for i := 0; i < OC; i++ {
+		// The effective multiplier is 0.05·ws/0.1 = ws/2.
 		op.WeightScales[i] = 0.005 + 0.05*rng.Float32()
 		op.Bias[i] = int32(rng.Intn(4096) - 2048)
+		switch regime % 4 {
+		case 1:
+			op.WeightScales[i] = 1 + 0.99*rng.Float32()
+		case 2:
+			op.WeightScales[i] = float32(math.Ldexp(1+0.99*rng.Float64(), -30))
+		case 3:
+			op.Bias[i] = math.MaxInt32 - int32(rng.Intn(1<<20))
+			if rng.Intn(2) == 0 {
+				op.Bias[i] = math.MinInt32 + int32(rng.Intn(1<<20))
+			}
+		}
 	}
 	m.Ops = []*graph.Op{op}
 	m.Input, m.Output = 0, 1
@@ -83,19 +98,34 @@ func buildConvCase(kind graph.OpKind, h, w, inC, outC, kh, kw, stride uint8, sam
 func FuzzConv2DParity(f *testing.F) {
 	// Seed corpus: the pointwise fast path, strided im2col, asymmetric
 	// same-padding, the div-4 channel boundary, and extreme zero points.
-	f.Add(uint8(8), uint8(8), uint8(8), uint8(16), uint8(1), uint8(1), uint8(1), false, int8(0), int64(1))
-	f.Add(uint8(9), uint8(9), uint8(3), uint8(5), uint8(3), uint8(3), uint8(2), true, int8(-128), int64(2))
-	f.Add(uint8(13), uint8(5), uint8(4), uint8(12), uint8(5), uint8(3), uint8(2), true, int8(127), int64(3))
-	f.Add(uint8(12), uint8(12), uint8(7), uint8(21), uint8(3), uint8(3), uint8(1), true, int8(33), int64(4))
+	f.Add(uint8(8), uint8(8), uint8(8), uint8(16), uint8(1), uint8(1), uint8(1), false, int8(0), int64(1), uint8(0))
+	f.Add(uint8(9), uint8(9), uint8(3), uint8(5), uint8(3), uint8(3), uint8(2), true, int8(-128), int64(2), uint8(0))
+	f.Add(uint8(13), uint8(5), uint8(4), uint8(12), uint8(5), uint8(3), uint8(2), true, int8(127), int64(3), uint8(0))
+	f.Add(uint8(12), uint8(12), uint8(7), uint8(21), uint8(3), uint8(3), uint8(1), true, int8(33), int64(4), uint8(0))
 	// Pointwise K = 17, 33 and 48 (odd, one past a widening chunk, three
 	// chunks) over M = 15, 21 and 35 rows (M%4 != 0) and one to four
 	// panels; the K = 9 3×3 stem over one whole panel.
-	f.Add(uint8(4), uint8(2), uint8(16), uint8(39), uint8(0), uint8(0), uint8(0), false, int8(-7), int64(5))
-	f.Add(uint8(6), uint8(2), uint8(32), uint8(15), uint8(0), uint8(0), uint8(0), false, int8(127), int64(6))
-	f.Add(uint8(6), uint8(4), uint8(47), uint8(63), uint8(0), uint8(0), uint8(0), false, int8(-128), int64(7))
-	f.Add(uint8(13), uint8(13), uint8(0), uint8(15), uint8(2), uint8(2), uint8(1), true, int8(-128), int64(8))
-	f.Fuzz(func(t *testing.T, h, w, inC, outC, kh, kw, stride uint8, same bool, inZp int8, dataSeed int64) {
-		m, in := buildConvCase(graph.OpConv2D, h, w, inC, outC, kh, kw, stride, same, inZp, dataSeed)
+	f.Add(uint8(4), uint8(2), uint8(16), uint8(39), uint8(0), uint8(0), uint8(0), false, int8(-7), int64(5), uint8(0))
+	f.Add(uint8(6), uint8(2), uint8(32), uint8(15), uint8(0), uint8(0), uint8(0), false, int8(127), int64(6), uint8(0))
+	f.Add(uint8(6), uint8(4), uint8(47), uint8(63), uint8(0), uint8(0), uint8(0), false, int8(-128), int64(7), uint8(0))
+	f.Add(uint8(13), uint8(13), uint8(0), uint8(15), uint8(2), uint8(2), uint8(1), true, int8(-128), int64(8), uint8(0))
+	// Partial last panels, N%16 = 1, 4, 8 and 12 (KWS-L's 276 and 248
+	// leave 4 and 8), and N = 1, 4 and 8 (one half panel), over padded
+	// tail blocks, M%4 = 1, 2 and 3, at right shifts 0 and 30 and with
+	// biases near ±2^31 (regimes 1-3): pointwise, then 3×3.
+	f.Add(uint8(4), uint8(4), uint8(15), uint8(16), uint8(0), uint8(0), uint8(0), false, int8(3), int64(9), uint8(0))
+	f.Add(uint8(2), uint8(1), uint8(63), uint8(19), uint8(0), uint8(0), uint8(0), false, int8(-128), int64(10), uint8(1))
+	f.Add(uint8(6), uint8(0), uint8(7), uint8(7), uint8(0), uint8(0), uint8(0), false, int8(127), int64(11), uint8(2))
+	f.Add(uint8(4), uint8(4), uint8(23), uint8(27), uint8(0), uint8(0), uint8(0), false, int8(0), int64(12), uint8(3))
+	f.Add(uint8(10), uint8(0), uint8(32), uint8(23), uint8(0), uint8(0), uint8(0), false, int8(-9), int64(13), uint8(1))
+	f.Add(uint8(6), uint8(1), uint8(3), uint8(3), uint8(0), uint8(0), uint8(0), false, int8(5), int64(14), uint8(2))
+	f.Add(uint8(2), uint8(0), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), false, int8(-1), int64(15), uint8(3))
+	f.Add(uint8(8), uint8(8), uint8(2), uint8(11), uint8(2), uint8(2), uint8(1), true, int8(-128), int64(16), uint8(1))
+	f.Add(uint8(5), uint8(4), uint8(5), uint8(19), uint8(2), uint8(2), uint8(0), true, int8(17), int64(17), uint8(2))
+	f.Add(uint8(2), uint8(4), uint8(6), uint8(27), uint8(2), uint8(2), uint8(0), true, int8(127), int64(18), uint8(3))
+	f.Add(uint8(8), uint8(4), uint8(3), uint8(7), uint8(2), uint8(2), uint8(0), false, int8(-40), int64(19), uint8(0))
+	f.Fuzz(func(t *testing.T, h, w, inC, outC, kh, kw, stride uint8, same bool, inZp int8, dataSeed int64, regime uint8) {
+		m, in := buildConvCase(graph.OpConv2D, h, w, inC, outC, kh, kw, stride, same, inZp, dataSeed, regime)
 		if m == nil {
 			t.Skip()
 		}
@@ -107,19 +137,24 @@ func FuzzConv2DParity(f *testing.F) {
 }
 
 func FuzzDWConv2DParity(f *testing.F) {
-	f.Add(uint8(8), uint8(8), uint8(8), uint8(0), uint8(3), uint8(3), uint8(1), true, int8(-128), int64(1))
-	f.Add(uint8(10), uint8(10), uint8(5), uint8(0), uint8(3), uint8(3), uint8(2), true, int8(4), int64(2))
-	f.Add(uint8(5), uint8(5), uint8(1), uint8(0), uint8(5), uint8(5), uint8(1), false, int8(0), int64(3))
+	f.Add(uint8(8), uint8(8), uint8(8), uint8(0), uint8(3), uint8(3), uint8(1), true, int8(-128), int64(1), uint8(0))
+	f.Add(uint8(10), uint8(10), uint8(5), uint8(0), uint8(3), uint8(3), uint8(2), true, int8(4), int64(2), uint8(0))
+	f.Add(uint8(5), uint8(5), uint8(1), uint8(0), uint8(5), uint8(5), uint8(1), false, int8(0), int64(3), uint8(0))
 	// 3×3 at C = 8 (one 8-channel group), 12 (two overlapped ones), 16
 	// (one 16-channel group), 24 and 40 (an overlapped last group),
 	// strides 1 and 2.
-	f.Add(uint8(9), uint8(7), uint8(7), uint8(0), uint8(2), uint8(2), uint8(1), true, int8(5), int64(4))
-	f.Add(uint8(8), uint8(9), uint8(11), uint8(0), uint8(2), uint8(2), uint8(0), true, int8(-3), int64(8))
-	f.Add(uint8(9), uint8(11), uint8(15), uint8(0), uint8(2), uint8(2), uint8(0), true, int8(-128), int64(5))
-	f.Add(uint8(7), uint8(8), uint8(23), uint8(0), uint8(2), uint8(2), uint8(1), true, int8(0), int64(6))
-	f.Add(uint8(6), uint8(13), uint8(39), uint8(0), uint8(2), uint8(2), uint8(0), false, int8(127), int64(7))
-	f.Fuzz(func(t *testing.T, h, w, inC, outC, kh, kw, stride uint8, same bool, inZp int8, dataSeed int64) {
-		m, in := buildConvCase(graph.OpDWConv2D, h, w, inC, outC, kh, kw, stride, same, inZp, dataSeed)
+	f.Add(uint8(9), uint8(7), uint8(7), uint8(0), uint8(2), uint8(2), uint8(1), true, int8(5), int64(4), uint8(0))
+	f.Add(uint8(8), uint8(9), uint8(11), uint8(0), uint8(2), uint8(2), uint8(0), true, int8(-3), int64(8), uint8(0))
+	f.Add(uint8(9), uint8(11), uint8(15), uint8(0), uint8(2), uint8(2), uint8(0), true, int8(-128), int64(5), uint8(0))
+	f.Add(uint8(7), uint8(8), uint8(23), uint8(0), uint8(2), uint8(2), uint8(1), true, int8(0), int64(6), uint8(0))
+	f.Add(uint8(6), uint8(13), uint8(39), uint8(0), uint8(2), uint8(2), uint8(0), false, int8(127), int64(7), uint8(0))
+	// The requantize's edges on a 16-channel and an 8-channel group:
+	// right shifts 0 and 30, biases near ±2^31.
+	f.Add(uint8(7), uint8(6), uint8(15), uint8(0), uint8(2), uint8(2), uint8(1), true, int8(9), int64(9), uint8(1))
+	f.Add(uint8(6), uint8(7), uint8(9), uint8(0), uint8(2), uint8(2), uint8(0), true, int8(-128), int64(10), uint8(2))
+	f.Add(uint8(9), uint8(5), uint8(23), uint8(0), uint8(2), uint8(2), uint8(0), false, int8(127), int64(11), uint8(3))
+	f.Fuzz(func(t *testing.T, h, w, inC, outC, kh, kw, stride uint8, same bool, inZp int8, dataSeed int64, regime uint8) {
+		m, in := buildConvCase(graph.OpDWConv2D, h, w, inC, outC, kh, kw, stride, same, inZp, dataSeed, regime)
 		if m == nil {
 			t.Skip()
 		}
@@ -261,54 +296,88 @@ func FuzzRequantize(f *testing.F) {
 
 // checkVectorRequant is FuzzRequantize's vector leg: sixteen lanes of
 // (acc, bias, M0, right shift) derived from the fuzzed pair, with a
-// random output zero point and clamp, go through the assembly epilogue
-// (gemm1x16 with k = 0 is exactly bias → requantize → store) and must
-// equal Apply + clamp32 + int8 lane for lane. Shifts stay inside
-// vectorShift's domain here; checkRequantFallback covers the rest.
+// random output zero point and int8 clamp, go through the assembly
+// epilogue and must equal Apply + clamp32 + int8 lane for lane. It runs
+// twice: gemm1x16 with k = 0 (bias → requantize → store), and gemmTile
+// over a zero panel (k = 1) for every row count 1-4 and live column
+// count 1-16, so the sixteen- and eight-column epilogues, the one-row
+// pass, the whole-block stores and the byte loop of partial ones are all
+// checked, and nothing past the rows*n outputs may be written. Shifts
+// stay inside vectorShift's domain here; checkRequantFallback covers the
+// rest.
 func checkVectorRequant(t *testing.T, m float64, x int32) {
 	if !haveSIMD {
 		return
 	}
 	rng := rand.New(rand.NewSource(int64(math.Float64bits(m)) ^ int64(x)<<17))
 	q := QuantizeMultiplier(math.Abs(m))
-	var acc, bias, m0, rshift [gemmNR]int32
+	ctx := newCtx(gemmNR, -128, 127)
+	var acc, bias [gemmNR]int32
 	for i := range acc {
+		var m0 int32
 		switch i % 4 {
 		case 0:
-			acc[i], m0[i] = x, q.M0
+			acc[i], m0 = x, q.M0
 		case 1:
-			acc[i], m0[i] = -x, q.M0^int32(rng.Intn(1<<12))
+			acc[i], m0 = -x, q.M0^int32(rng.Intn(1<<12))
 		case 2:
-			acc[i], m0[i] = x+int32(i), rng.Int31()
+			acc[i], m0 = x+int32(i), rng.Int31()
 		default:
-			acc[i], m0[i] = []int32{math.MinInt32, math.MaxInt32, 0, -1}[rng.Intn(4)], []int32{0, 1, 1 << 30, math.MaxInt32}[rng.Intn(4)]
+			acc[i], m0 = []int32{math.MinInt32, math.MaxInt32, 0, -1}[rng.Intn(4)], []int32{0, 1, 1 << 30, math.MaxInt32}[rng.Intn(4)]
 		}
-		bias[i] = int32(rng.Uint32()) >> uint(rng.Intn(32))
-		rshift[i] = int32(rng.Intn(31))
+		shift := -rng.Intn(31)
 		if i%4 == 0 && vectorShift(int32(-q.Shift)) {
-			rshift[i] = int32(-q.Shift)
+			shift = q.Shift
 		}
+		ctx.prepareMult(i, QuantizedMultiplier{M0: m0, Shift: shift})
+		bias[i] = int32(rng.Uint32())>>uint(rng.Intn(32)) + acc[i] // plus the accumulator a real op would have added
 	}
-	lo := int32(rng.Intn(256) - 128)
-	e := &epilogue{
-		bias: &bias[0], m0: &m0[0], rshift: &rshift[0],
-		outZp: int32(rng.Intn(256) - 128), lo: lo, hi: lo + int32(rng.Intn(int(128-lo))),
+	if !ctx.vecRequant {
+		t.Fatalf("shifts %v left the vector domain", ctx.rshift)
 	}
-	if rng.Intn(8) == 0 {
-		e.lo, e.hi = -1000, 1000 // outside int8: the store must truncate like int8()
+	ctx.zpBias = bias[:]
+	op := &graph.Op{ClampMin: int32(rng.Intn(256) - 128)}
+	op.ClampMax = op.ClampMin + int32(rng.Intn(int(128-op.ClampMin)))
+	e := newEpilogue(ctx, op, int32(rng.Intn(256)-128))
+	want := func(i int) int8 {
+		return int8(clamp32(ctx.mult(i).Apply(bias[i])+e.outZp, e.lo, e.hi))
 	}
+
 	var in, w [2 * gemmNR]int8
 	var got [gemmNR]int8
-	for i := range acc {
-		bias[i] += acc[i] // the accumulator a real op would have added
-	}
-	gemm1x16(&in[0], 0, &w[0], e, 0, &got[0])
+	gemm1x16(&in[0], 0, &w[0], e, 0, &got[0], gemmNR)
 	for i := range got {
-		mult := QuantizedMultiplier{M0: m0[i], Shift: -int(rshift[i])}
-		want := int8(clamp32(mult.Apply(bias[i])+e.outZp, e.lo, e.hi))
-		if got[i] != want {
-			t.Fatalf("lane %d: vector requant(%d, %+v, zp %d, clamp [%d,%d]) = %d, Apply gives %d",
-				i, bias[i], mult, e.outZp, e.lo, e.hi, got[i], want)
+		if got[i] != want(i) {
+			t.Fatalf("gemm1x16 lane %d: vector requant(%d, %+v, zp %d, clamp [%d,%d]) = %d, Apply gives %d",
+				i, bias[i], ctx.mult(i), e.outZp, e.lo, e.hi, got[i], want(i))
+		}
+	}
+
+	var a [gemmMR]int8
+	for i := range a {
+		a[i] = int8(rng.Intn(256) - 128)
+	}
+	var wide [gemmMR * 2]int16
+	for rows := 1; rows <= gemmMR; rows++ {
+		for n := 1; n <= gemmNR; n++ {
+			out := make([]int8, (rows+gemmMR)*n)
+			for i := range out {
+				out[i] = 0x5a
+			}
+			gemmTile(&a[0], rows, 1, &wide[0], &w[0], e, &out[0], n)
+			for r := 0; r < rows; r++ {
+				for c := 0; c < n; c++ {
+					if got := out[r*n+c]; got != want(c) {
+						t.Fatalf("gemmTile %d×%d row %d lane %d: vector requant(%d, %+v, zp %d, clamp [%d,%d]) = %d, Apply gives %d",
+							rows, n, r, c, bias[c], ctx.mult(c), e.outZp, e.lo, e.hi, got, want(c))
+					}
+				}
+			}
+			for i, v := range out[rows*n:] {
+				if v != 0x5a {
+					t.Fatalf("gemmTile %d×%d wrote out[%d], past its outputs", rows, n, rows*n+i)
+				}
+			}
 		}
 	}
 }
@@ -332,6 +401,11 @@ func checkRequantFallback(t *testing.T, m float64, x int32) {
 		Weights: make([]int8, n), WeightBits: 8,
 		WeightScales: make([]float32, n), Bias: make([]int32, n),
 		ClampMin: int32(-128 + rng.Intn(64)), ClampMax: int32(127 - rng.Intn(64)),
+	}
+	if rng.Intn(8) == 0 {
+		// Outside int8: the output must truncate like int8(), which only
+		// the portable epilogue does (int8Clamp).
+		op.ClampMin, op.ClampMax = -1000, 1000
 	}
 	for i := 0; i < n; i++ {
 		// 2^(±70) spans every shift class; float32 overflow/underflow

@@ -220,12 +220,15 @@ func im2colTile(op *graph.Op, in []int8, h, w, inC int, ow, k, m0, m1 int, pad i
 // reads it by field offset (gemm_amd64.s), so the layout is fixed; the
 // portable bodies use the three scalars.
 type epilogue struct {
-	bias, m0, rshift *int32
-	outZp, lo, hi    int32
+	bias, m0, rshift, rmask, rhalf *int32
+	outZp, lo, hi                  int32
 }
 
 func newEpilogue(ctx *Ctx, op *graph.Op, outZp int32) *epilogue {
-	e := &epilogue{m0: &ctx.m0[0], rshift: &ctx.rshift[0], outZp: outZp, lo: op.ClampMin, hi: op.ClampMax}
+	e := &epilogue{
+		m0: &ctx.m0[0], rshift: &ctx.rshift[0], rmask: &ctx.rmask[0], rhalf: &ctx.rhalf[0],
+		outZp: outZp, lo: op.ClampMin, hi: op.ClampMax,
+	}
 	if len(ctx.zpBias) > 0 {
 		e.bias = &ctx.zpBias[0]
 	}
@@ -242,39 +245,26 @@ func (c *Ctx) requant(ch int, acc int32, e *epilogue) int8 {
 // of a widened A block.
 func evenUp(k int) int { return k + k%2 }
 
-// gemmRowsSIMD multiplies rows [0, rows) of a (stride k) against panels
-// [j0, j1) on the assembly microkernels and requantizes into
-// out[(m0+row)*n+col]. Each gemmMR-row block is sign-extended once into
-// wide (widen4) and then read by gemm4x16w for every panel; the rows%4
-// tail runs gemm1x16 straight from the int8 rows, so a one-row caller
-// (Dense) may pass a nil wide. A partial last panel lands in a stack
-// block first, so the assembly always stores whole panels.
-func gemmRowsSIMD(a []int8, rows, k int, wide []int16, ctx *Ctx, e *epilogue, out []int8, m0, n, j0, j1 int) {
-	var edge [gemmMR * gemmNR]int8
-	kp := evenUp(k)
-	for i, mr := 0, gemmMR; i < rows; i += mr {
-		if rows-i < gemmMR {
-			mr = 1
-		}
-		ap := &a[i*k : (i+mr)*k][0]
-		if mr == gemmMR {
-			widen4(ap, k, &wide[:gemmMR*kp][0])
-		}
-		for j := j0; j < j1; j++ {
-			col := j * gemmNR
-			dst, ldc := &edge[0], gemmNR
-			if col+gemmNR <= n {
-				dst, ldc = &out[(m0+i)*n+col : (m0+i+mr)*n][0], n
-			}
-			if mr == gemmMR {
-				gemm4x16w(&wide[0], kp, &ctx.panels[j*panelBytes(k)], e, col, dst, ldc)
-			} else {
-				gemm1x16(ap, k, &ctx.panels[j*panelBytes(k)], e, col, dst)
-			}
-			for r := 0; r < mr && col+gemmNR > n; r++ {
-				copy(out[(m0+i+r)*n+col:(m0+i+r+1)*n], edge[r*gemmNR:])
-			}
-		}
+// gemmRowsSIMD multiplies rows [0, rows) of a (stride k) against every
+// panel on the assembly and requantizes into out[(m0+row)*n+col]: one
+// gemmTile call, which sign-extends each gemmMR-row block into wide once
+// and walks the panels. The checks below bound what gemmTile reads and
+// writes.
+func gemmRowsSIMD(a []int8, rows, k int, wide []int16, ctx *Ctx, e *epilogue, out []int8, m0, n int) {
+	_ = a[rows*k-1]
+	_ = wide[gemmMR*evenUp(k)-1]
+	_ = out[(m0+rows)*n-1]
+	gemmTile(&a[0], rows, k, &wide[0], &ctx.panels[0], e, &out[m0*n], n)
+}
+
+// gemmDenseSIMD computes panels [j0, j1) of a Dense layer's one output
+// row on the assembly, each gemm1x16 call storing its panel's live
+// columns.
+func gemmDenseSIMD(in []int8, k int, ctx *Ctx, e *epilogue, out []int8, n, j0, j1 int) {
+	_ = in[k-1]
+	for j := j0; j < j1; j++ {
+		col := j * gemmNR
+		gemm1x16(&in[0], k, &ctx.panels[j*panelBytes(k)], e, col, &out[col], min(gemmNR, n-col))
 	}
 }
 
@@ -297,12 +287,11 @@ func (g gemmEngine) bindConv2D(m *graph.Model, op *graph.Op, ctx *Ctx, in, out [
 	mTotal := oh * ow
 	e := newEpilogue(ctx, op, ot.ZeroPoint)
 	simd := g.simd && ctx.vecRequant
-	panels := (n + gemmNR - 1) / gemmNR
 	wideLen := len(s.WideA) / Workers()
 	rows := func(chunk int, a []int8, rows, m0 int) {
 		if simd {
 			wide := s.WideA[chunk*wideLen : (chunk+1)*wideLen]
-			gemmRowsSIMD(a, rows, k, wide, ctx, e, out, m0, n, 0, panels)
+			gemmRowsSIMD(a, rows, k, wide, ctx, e, out, m0, n)
 		} else {
 			gemmStoreRowsWide(a, rows, k, ctx, e, out, m0, n)
 		}
@@ -340,7 +329,7 @@ func (g gemmEngine) bindDense(m *graph.Model, op *graph.Op, ctx *Ctx, in, out []
 	simd := g.simd && ctx.vecRequant
 	fn := func(_, lo, hi int) {
 		if simd {
-			gemmRowsSIMD(in, 1, k, nil, ctx, e, out, 0, n, lo, hi)
+			gemmDenseSIMD(in, k, ctx, e, out, n, lo, hi)
 		} else {
 			gemmDensePanelsWide(ctx, e, in, out, n, k, lo, hi)
 		}

@@ -9,13 +9,10 @@ import "micronets/internal/cpufeat"
 // requantize (Ctx.vecRequant), otherwise it keeps the portable body.
 
 //go:noescape
-func widen4(a *int8, k int, w *int16)
+func gemmTile(a *int8, rows, k int, wide *int16, b *int8, e *epilogue, out *int8, n int)
 
 //go:noescape
-func gemm4x16w(w *int16, kp int, b *int8, e *epilogue, col int, out *int8, ldc int)
-
-//go:noescape
-func gemm1x16(a *int8, k int, b *int8, e *epilogue, col int, out *int8)
+func gemm1x16(a *int8, k int, b *int8, e *epilogue, col int, out *int8, nc int)
 
 //go:noescape
 func dwPairs9(taps *[9]*int8, w *int16, c int, base *int32, e *epilogue, out *int8, npix, step int)

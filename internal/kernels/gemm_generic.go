@@ -8,15 +8,11 @@ package kernels
 
 const haveSIMD = false
 
-func widen4(a *int8, k int, w *int16) {
+func gemmTile(a *int8, rows, k int, wide *int16, b *int8, e *epilogue, out *int8, n int) {
 	panic("kernels: no assembly body on this build")
 }
 
-func gemm4x16w(w *int16, kp int, b *int8, e *epilogue, col int, out *int8, ldc int) {
-	panic("kernels: no assembly body on this build")
-}
-
-func gemm1x16(a *int8, k int, b *int8, e *epilogue, col int, out *int8) {
+func gemm1x16(a *int8, k int, b *int8, e *epilogue, col int, out *int8, nc int) {
 	panic("kernels: no assembly body on this build")
 }
 

@@ -16,10 +16,17 @@ type Ctx struct {
 	// (what the vector requantize loads): channel c scales by
 	// QuantizedMultiplier{m0[c], -rshift[c]}. For Conv2D and Dense they
 	// are zero-padded to whole panels, like zpBias; an ADD holds its
-	// three multipliers here (prepareAdd). vecRequant records that every
-	// rshift is in the assembly epilogue's domain.
-	m0, rshift []int32
-	vecRequant bool
+	// three multipliers here (prepareAdd). m0 has one more int32 of zero
+	// padding: the vector requantize reads the odd lanes' multipliers
+	// through a load four bytes past the even lanes' one. rmask and
+	// rhalf are each channel's rounding constants for its right shift,
+	// (1<<rshift)−1 and half that, so the rounding right shift compares
+	// against them instead of building them per output. vecRequant
+	// records that every rshift and the op's clamp are in the assembly
+	// epilogue's domain (vectorShift, int8Clamp).
+	m0, rshift   []int32
+	rmask, rhalf []int32
+	vecRequant   bool
 
 	// GEMM state, populated for Conv2D and Dense ops. k is the reduction
 	// length (kh*kw*inC for conv, input elems for dense), panels is the
@@ -46,6 +53,34 @@ type Ctx struct {
 // domain: no left shift, and a rounding mask that fits 32-bit lanes.
 func vectorShift(rshift int32) bool { return rshift >= 0 && rshift <= 30 }
 
+// int8Clamp reports whether a clamp is in the vector requantize's domain,
+// -128 <= lo <= hi <= 127: the assembly saturates to int8 before it
+// clamps, which equals clamp-then-truncate only for such a clamp.
+func int8Clamp(lo, hi int32) bool { return -128 <= lo && lo <= hi && hi <= 127 }
+
+// newCtx returns a Ctx for lanes multipliers, all zero (each lane scales
+// by zero until prepareMult), with the odd-lane padding of m0.
+func newCtx(lanes int, lo, hi int32) *Ctx {
+	return &Ctx{
+		m0: make([]int32, lanes+1)[:lanes], rshift: make([]int32, lanes),
+		rmask: make([]int32, lanes), rhalf: make([]int32, lanes),
+		vecRequant: int8Clamp(lo, hi),
+	}
+}
+
+// prepareMult stores lane ch's multiplier and, in the vector domain, its
+// rounding constants.
+func (c *Ctx) prepareMult(ch int, q QuantizedMultiplier) {
+	rshift := int32(-q.Shift)
+	c.m0[ch], c.rshift[ch] = q.M0, rshift
+	if !vectorShift(rshift) {
+		c.vecRequant = false
+		return
+	}
+	c.rmask[ch] = int32(1)<<rshift - 1
+	c.rhalf[ch] = c.rmask[ch] >> 1
+}
+
 // mult returns channel c's multiplier in the form Apply takes.
 func (c *Ctx) mult(ch int) QuantizedMultiplier {
 	return QuantizedMultiplier{M0: c.m0[ch], Shift: -int(c.rshift[ch])}
@@ -62,11 +97,9 @@ func PrepareConv(m *graph.Model, op *graph.Op) *Ctx {
 	if op.Kind != graph.OpDWConv2D {
 		lanes = (lanes + gemmNR - 1) / gemmNR * gemmNR
 	}
-	ctx := &Ctx{m0: make([]int32, lanes), rshift: make([]int32, lanes), vecRequant: true}
+	ctx := newCtx(lanes, op.ClampMin, op.ClampMax)
 	for c, ws := range op.WeightScales {
-		q := QuantizeMultiplier(float64(in.Scale) * float64(ws) / float64(out.Scale))
-		ctx.m0[c], ctx.rshift[c] = q.M0, int32(-q.Shift)
-		ctx.vecRequant = ctx.vecRequant && vectorShift(ctx.rshift[c])
+		ctx.prepareMult(c, QuantizeMultiplier(float64(in.Scale)*float64(ws)/float64(out.Scale)))
 	}
 	switch op.Kind {
 	case graph.OpConv2D:
@@ -279,21 +312,22 @@ func prepareAdd(m *graph.Model, op *graph.Op) *Ctx {
 	sb := float64(m.Tensors[op.Inputs[1]].Scale)
 	so := float64(m.Tensors[op.Output].Scale)
 	twiceMax := 2 * max(sa, sb)
-	ctx := &Ctx{m0: make([]int32, 3), rshift: make([]int32, 3), vecRequant: true}
+	ctx := newCtx(3, op.ClampMin, op.ClampMax)
 	for i, real := range [3]float64{sa / twiceMax, sb / twiceMax, twiceMax / (float64(1<<addLeftShift) * so)} {
-		q := QuantizeMultiplier(real)
-		ctx.m0[i], ctx.rshift[i] = q.M0, int32(-q.Shift)
-		ctx.vecRequant = ctx.vecRequant && vectorShift(ctx.rshift[i])
+		ctx.prepareMult(i, QuantizeMultiplier(real))
 	}
 	return ctx
 }
 
-// addParams is one bound ADD's state: prepareAdd's multipliers and the
-// tensors' zero points and clamp. The assembly reads it by field offset
-// (gemm_amd64.s), so the layout is fixed.
+// addParams is one bound ADD's state: prepareAdd's multipliers, the
+// tensors' zero points and clamp, and each rescale's rounding constants
+// eight times over, the vectors the assembly's rounding right shift
+// reads. The assembly reads it by field offset (gemm_amd64.s), so the
+// layout is fixed.
 type addParams struct {
 	m0, rshift              [3]int32 // input a, input b, output
 	aZp, bZp, outZp, lo, hi int32
+	rmask, rhalf            [3][8]int32
 }
 
 func newAddParams(m *graph.Model, op *graph.Op, ctx *Ctx) addParams {
@@ -303,6 +337,11 @@ func newAddParams(m *graph.Model, op *graph.Op, ctx *Ctx) addParams {
 	}
 	copy(p.m0[:], ctx.m0)
 	copy(p.rshift[:], ctx.rshift)
+	for i := range p.rmask {
+		for lane := range p.rmask[i] {
+			p.rmask[i][lane], p.rhalf[i][lane] = ctx.rmask[i], ctx.rhalf[i]
+		}
+	}
 	return p
 }
 

@@ -51,5 +51,5 @@ func (p *PreparedModel) Bytes() int { return p.bytes }
 // keeps the list complete).
 func (c *Ctx) Bytes() int {
 	return cap(c.panels) + cap(c.dwPad) + 2*cap(c.dwPairs) +
-		4*(cap(c.m0)+cap(c.rshift)+cap(c.zpBias)+cap(c.dwBase))
+		4*(cap(c.m0)+cap(c.rshift)+cap(c.rmask)+cap(c.rhalf)+cap(c.zpBias)+cap(c.dwBase))
 }

@@ -191,19 +191,49 @@ func (d *decoder) inputs(depth int) ([]v2Tensor, error) {
 }
 
 // data appends one data array to the float buffer and returns where it
-// sits there. Its elements are the decoder's hot path: a VWW-1 row is
-// 25,600 values.
+// sits there. Its elements are the decoder's hot path (a VWW-1 row is
+// 25,600 values), so it walks the array itself, with scanNumber,
+// whitespace and commas inline, instead of through array's per-element
+// closure; float runs only for null and for a literal scanNumber cannot
+// round exactly. It accepts and refuses what array over float would,
+// with the same errors.
 func (d *decoder) data(depth int) (start, end int, err error) {
 	start = len(d.floats)
 	if d.null() {
 		return start, start, nil
 	}
-	err = d.array(depth, func() error {
-		v, err := d.float()
+	if err := d.open('[', depth, "an array"); err != nil {
+		return start, start, err
+	}
+	if d.ws(); d.consume(']') {
+		return start, start, nil
+	}
+	b, i := d.b, d.i
+	for {
+		i = skipWS(b, i)
+		v, end, exact := scanNumber(b, i)
+		if end >= 0 && exact {
+			i = end
+		} else {
+			d.i = i
+			v, err = d.float()
+			if err != nil {
+				return start, len(d.floats), err
+			}
+			i = d.i
+		}
 		d.floats = append(d.floats, v)
-		return err
-	})
-	return start, len(d.floats), err
+		i = skipWS(b, i)
+		if i < len(b) && b[i] == ',' {
+			i++
+			continue
+		}
+		d.i = i
+		if d.consume(']') {
+			return start, len(d.floats), nil
+		}
+		return start, len(d.floats), d.expected("',' or ']' after array element")
+	}
 }
 
 // float reads one data element: a JSON number, or null for zero. A
@@ -433,15 +463,20 @@ func (d *decoder) open(c byte, depth int, what string) error {
 }
 
 // ws skips JSON whitespace.
-func (d *decoder) ws() {
-	for d.i < len(d.b) {
-		switch d.b[d.i] {
+func (d *decoder) ws() { d.i = skipWS(d.b, d.i) }
+
+// skipWS returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipWS(b []byte, i int) int {
+	for i < len(b) {
+		switch b[i] {
 		case ' ', '\t', '\n', '\r':
-			d.i++
+			i++
 		default:
-			return
+			return i
 		}
 	}
+	return i
 }
 
 // consume steps over c if it is the next byte.

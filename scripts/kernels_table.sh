@@ -4,21 +4,25 @@
 # -VWW-1 and Person Detection, ns per invoke and GMAC/s for 1×1 conv (pw), k×k conv
 # (conv), depthwise (dw), ADD (add), pools (pool) and the rest (other);
 # then the infer-body reader, BenchmarkDecodeInfer (internal/serve), ns
-# per VWW-1 (vww1-25600) and KWS-S (kws-s-490) FP32 body (decode).
+# per VWW-1 (vww1-25600) and KWS-S (kws-s-490) FP32 body (decode); then
+# BenchmarkGEMMPerOutput (internal/kernels/perout_test.go), ns per output
+# of a 64×64 pointwise conv at K=2, 16, 48 and 288 (out).
 #
 #   scripts/kernels_table.sh            # this tree
 #   scripts/kernels_table.sh <rev>      # <rev> → this tree, with ratios
 #   make kernels-table [BASE=<rev>]
 #
 # With a revision it extracts <rev> with git archive, gives it this
-# tree's bench_test.go (so a revision older than the benchmark can be
-# measured; the reader runs each side's own BenchmarkDecodeInfer, and a
+# tree's bench_test.go and internal/kernels/perout_test.go (so a revision
+# older than those benchmarks can be measured; both use only exported
+# API; the reader runs each side's own BenchmarkDecodeInfer, and a
 # revision without it reads —), builds both sides' test binaries, and
 # alternates 5 rounds of the two (which one goes first alternates too).
 # Each run profiles 300 invokes per model on every CPU, as serving runs,
-# and decodes each body 300 times; every cell is the minimum ns (maximum
-# GMAC/s) over all rounds, because host speed drifts for seconds at a
-# time and a kernel change moves the floor.
+# decodes each body 300 times and runs each per-output conv 20000 times
+# (one op of a few µs, inline on the caller); every cell is the minimum
+# ns (maximum GMAC/s) over all rounds, because host speed drifts for
+# seconds at a time and a kernel change moves the floor.
 # ratio = base ns / change ns, so > 1 is a speed-up.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,13 +36,16 @@ trap 'rm -rf "$WORK"' EXIT
 
 go test -c -o "$WORK/change.test" .
 go test -c -o "$WORK/change-serve.test" ./internal/serve
+go test -c -o "$WORK/change-kernels.test" ./internal/kernels
 sides=(change)
 if [ -n "$BASE" ]; then
 	mkdir "$WORK/base"
 	git archive "$BASE" | tar -x -C "$WORK/base"
 	cp bench_test.go "$WORK/base/"
+	cp internal/kernels/perout_test.go "$WORK/base/internal/kernels/"
 	(cd "$WORK/base" && go test -c -o "$WORK/base.test" . &&
-		go test -c -o "$WORK/base-serve.test" ./internal/serve)
+		go test -c -o "$WORK/base-serve.test" ./internal/serve &&
+		go test -c -o "$WORK/base-kernels.test" ./internal/kernels)
 	sides=(base change)
 fi
 
@@ -54,11 +61,15 @@ for ((r = 0; r < ROUNDS; r++)); do
 		"$WORK/$side-serve.test" -test.run '^$' -test.bench '^BenchmarkDecodeInfer$' \
 			-test.benchtime "${RUNS}x" -test.cpu "$CPU" -test.timeout 30m \
 			| sed -n "/^BenchmarkDecodeInfer\//{s//$side /;s/ ns\/op/ decode-ns/;p}" >>"$WORK/runs.txt"
+		"$WORK/$side-kernels.test" -test.run '^$' -test.bench '^BenchmarkGEMMPerOutput$' \
+			-test.benchtime 20000x -test.cpu "$CPU" -test.timeout 30m \
+			| sed -n "s/^BenchmarkGEMMPerOutput\//$side gemm-/p" >>"$WORK/runs.txt"
 	done
 done
 
 # runs.txt lines: <side> <model>[-<cpu>] <N> <value> <unit> <value> <unit> ...
-# (a reader line's model is its body, and its ns/op becomes decode-ns)
+# (a reader line's model is its body, and its ns/op becomes decode-ns; a
+# per-output line's model is gemm-K=<k>, its out-ns ns per output)
 awk -v cpu="$CPU" -v two=${#sides[@]} '
 {
 	side = $1; model = $2
@@ -79,10 +90,11 @@ function cell(side, model, kind,   key) {
 	key = side SUBSEP model SUBSEP kind
 	if (!(key in ns)) return "—"
 	if (key in gmac) return sprintf("%.1f µs, %.1f GMAC/s", ns[key] / 1000, gmac[key])
+	if (kind == "out") return sprintf("%.3f ns", ns[key])
 	return sprintf("%.1f µs", ns[key] / 1000)
 }
 END {
-	n = split("invoke pw conv dw add pool other decode", order, " ")
+	n = split("invoke pw conv dw add pool other decode out", order, " ")
 	if (two == 2) {
 		print "| model | kind | base | change | ratio |"
 		print "|---|---|---|---|---|"
